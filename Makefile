@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test test-race test-engine-equivalence fuzz-smoke audit-smoke mix-smoke telemetry-smoke blame-smoke batch-smoke serve-smoke bench-mix bench-smoke bench-compare bench-check adversary-smoke bench-adversary ci
+.PHONY: all build vet lint test test-race test-engine-equivalence fuzz-smoke audit-smoke mix-smoke telemetry-smoke blame-smoke batch-smoke serve-smoke simbench-test bench-mix bench-smoke bench-compare bench-check adversary-smoke bench-adversary ci
 
 all: build vet lint test
 
@@ -154,6 +154,12 @@ serve-smoke:
 		|| { echo "serve-smoke FAILED: corrupted entry was not quarantined"; exit 1; }; \
 	echo "serve-smoke: corrupted entry quarantined, re-simulated, records still identical"
 
+# The benchmark's own tests (simbench is a separate module, so plain
+# `go test ./...` skips it): chiefly the completeness check that every
+# internal package maps to exactly one layer of the per-layer fold.
+simbench-test:
+	cd simbench && $(GO) test ./...
+
 # Benchmark mix-sweep throughput (cells per second) and record it in
 # BENCH_mix.json (BenchmarkMix in bench_test.go is the in-process
 # equivalent, covered by bench-smoke).
@@ -191,4 +197,4 @@ adversary-smoke:
 bench-adversary:
 	$(GO) run ./cmd/dapper-adversary -tracker dapper-h -profile tiny -budget 16 -seed 1 -out adversary-bench -bench BENCH_adversary.json
 
-ci: build vet lint test test-race test-engine-equivalence audit-smoke mix-smoke telemetry-smoke blame-smoke batch-smoke serve-smoke fuzz-smoke bench-smoke bench-check adversary-smoke bench-adversary bench-mix
+ci: build vet lint test test-race test-engine-equivalence audit-smoke mix-smoke telemetry-smoke blame-smoke batch-smoke serve-smoke simbench-test fuzz-smoke bench-smoke bench-check adversary-smoke bench-adversary bench-mix

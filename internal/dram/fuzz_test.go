@@ -5,8 +5,9 @@ import "testing"
 // FuzzDecompose fuzzes the physical address mapping over arbitrary
 // geometries and addresses: Decompose/Compose must be exact inverses on
 // line-aligned in-capacity addresses, every decomposed field must be in
-// bounds, and the rank-row index space (the domain DAPPER's cipher
-// permutes) must round-trip too. Every attack generator, tracker and
+// bounds, Channel must agree with Decompose on any address, and the
+// rank-row index space (the domain DAPPER's cipher permutes) must
+// round-trip too. Every attack generator, tracker and
 // the secaudit oracle lean on these bijections.
 func FuzzDecompose(f *testing.F) {
 	f.Add(uint64(0), uint8(2), uint8(2), uint8(8), uint8(4), uint32(64*1024), uint16(128))
@@ -25,6 +26,9 @@ func FuzzDecompose(f *testing.F) {
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("constructed geometry invalid: %v", err)
+		}
+		if ch, want := g.Channel(addr), g.Decompose(addr).Channel; ch != want {
+			t.Fatalf("Channel(%#x) = %d, Decompose says %d for %s", addr, ch, want, g)
 		}
 		addr %= g.TotalBytes()
 		addr -= addr % uint64(g.LineBytes)

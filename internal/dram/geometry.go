@@ -151,6 +151,12 @@ func (g Geometry) Decompose(addr uint64) Loc {
 	return l
 }
 
+// Channel returns Decompose(addr).Channel, the lowest address field,
+// without decoding the rest.
+func (g Geometry) Channel(addr uint64) int {
+	return int(addr / uint64(g.LineBytes) % uint64(g.Channels))
+}
+
 // Compose inverts Decompose, producing the physical address of the
 // location's first byte.
 func (g Geometry) Compose(l Loc) uint64 {

@@ -15,7 +15,8 @@ import (
 // Request is one 64B memory transaction. Cores (and trackers, for
 // counter traffic) allocate requests and hand them to Enqueue; the
 // controller sets Done and DoneAt on completion. Requests are reusable
-// after completion.
+// after completion. Loc must be set before Enqueue and must not change
+// while the request is queued: Enqueue caches its bank index.
 type Request struct {
 	Addr       uint64
 	Loc        dram.Loc
@@ -25,6 +26,7 @@ type Request struct {
 	EnqueuedAt dram.Cycle
 	DoneAt     dram.Cycle
 	Done       bool
+	bank       int32 // flat bank index of Loc, cached by Enqueue (fits in Done's padding)
 	// ThrottleFreeAt, set at enqueue on attribution runs with a
 	// throttling tracker, is the first cycle the throttle would have
 	// admitted this request's activation — the blame recorder charges
@@ -56,6 +58,11 @@ type Controller struct {
 	probe   telemetry.ControllerProbe // optional telemetry tap (nil = none)
 	blame   telemetry.BlameProbe      // optional attribution tap (nil = none)
 	tblRep  rh.TableReporter          // cached tracker table-occupancy view
+
+	// Latencies derived from tim once, so the per-request scheduling
+	// scan reads fields instead of copying tim into its methods.
+	hitLat, closedLat, missLat dram.Cycle
+	actSpacing                 dram.Cycle // same-bank ACT-to-ACT: tRC plus the PRAC tax
 
 	// openers, allocated only with a blame probe attached, tracks per
 	// flat bank who opened the currently open row: a core id, -1 for
@@ -95,6 +102,10 @@ func NewController(channel int, geo dram.Geometry, tim dram.Timing, tracker rh.T
 		channel:         channel,
 		geo:             geo,
 		tim:             tim,
+		hitLat:          tim.RowHitLatency(),
+		closedLat:       tim.RowClosedLatency(),
+		missLat:         tim.RowMissLatency(),
+		actSpacing:      tim.TRC + tim.PRACActTax,
 		tracker:         tracker,
 		mode:            mode,
 		banks:           make([]dram.Bank, geo.BanksPerChannel()),
@@ -197,6 +208,7 @@ func (c *Controller) Enqueue(r *Request, now dram.Cycle) bool {
 	if r.Injected {
 		r.Done = false
 		r.EnqueuedAt = now
+		r.bank = int32(c.geo.FlatBank(r.Loc))
 		c.injected = append(c.injected, r)
 		c.resetConsider(now + 1)
 		c.version++
@@ -208,6 +220,7 @@ func (c *Controller) Enqueue(r *Request, now dram.Cycle) bool {
 	}
 	r.Done = false
 	r.EnqueuedAt = now
+	r.bank = int32(c.geo.FlatBank(r.Loc))
 	r.ThrottleFreeAt = 0
 	if c.blame != nil && c.throt != nil {
 		r.ThrottleFreeAt = c.throt.NextAllowed(now, r.Loc)
@@ -343,24 +356,26 @@ func (c *Controller) nextAttempt(now dram.Cycle) dram.Cycle {
 // start some request in q, given frozen controller state. The bound
 // mirrors pick's constraints exactly: bank/rank availability, tRC and
 // tRRD spacing (plus the PRAC tax), throttling, and data-bus occupancy.
+//
+//dapper:hot
 func (c *Controller) earliestReady(q []*Request, now dram.Cycle) dram.Cycle {
 	best := dram.Never
 	for _, r := range q {
-		bank := &c.banks[c.geo.FlatBank(r.Loc)]
+		bank := &c.banks[r.bank]
 		rank := &c.ranks[r.Loc.Rank]
 		t := now + 1
 		t = max(t, bank.ReadyAt)
 		t = max(t, bank.BlockedUntil)
 		t = max(t, rank.BlockedUntil)
-		lat := c.tim.RowHitLatency()
+		lat := c.hitLat
 		if bank.OpenRow != r.Loc.Row {
 			var actDelay dram.Cycle
-			lat = c.tim.RowClosedLatency()
+			lat = c.closedLat
 			if bank.OpenRow != dram.RowNone {
 				actDelay = c.tim.TRP
-				lat = c.tim.RowMissLatency()
+				lat = c.missLat
 			}
-			t = max(t, bank.LastActAt+c.tim.TRC+c.tim.PRACActTax-actDelay)
+			t = max(t, bank.LastActAt+c.actSpacing-actDelay)
 			t = max(t, rank.LastActAt+c.tim.TRRDS-actDelay)
 			if c.throt != nil && !r.Injected {
 				t = max(t, c.throt.NextAllowed(t, r.Loc))
@@ -394,11 +409,12 @@ func (c *Controller) trySchedule(now dram.Cycle) bool {
 
 // pick implements FR-FCFS over a queue: the oldest row-buffer hit that
 // can start now, else the oldest request that can start now.
+//
+//dapper:hot
 func (c *Controller) pick(q []*Request, now dram.Cycle) *Request {
 	var oldest *Request
 	for _, r := range q {
-		fb := c.geo.FlatBank(r.Loc)
-		bank := &c.banks[fb]
+		bank := &c.banks[r.bank]
 		if bank.AvailableAt(now) > now {
 			continue
 		}
@@ -413,7 +429,7 @@ func (c *Controller) pick(q []*Request, now dram.Cycle) *Request {
 			if bank.OpenRow != dram.RowNone {
 				actAt = now + c.tim.TRP
 			}
-			if bank.LastActAt+c.tim.TRC+c.tim.PRACActTax > actAt {
+			if bank.LastActAt+c.actSpacing > actAt {
 				continue
 			}
 			if rank.LastActAt+c.tim.TRRDS > actAt {
@@ -427,15 +443,15 @@ func (c *Controller) pick(q []*Request, now dram.Cycle) *Request {
 		}
 		if hit {
 			// First-ready: serve the oldest hit immediately.
-			if c.dataBusOK(now, c.tim.RowHitLatency()) {
+			if c.dataBusOK(now, c.hitLat) {
 				return r
 			}
 			continue
 		}
 		if oldest == nil {
-			lat := c.tim.RowClosedLatency()
+			lat := c.closedLat
 			if bank.OpenRow != dram.RowNone {
-				lat = c.tim.RowMissLatency()
+				lat = c.missLat
 			}
 			if c.dataBusOK(now, lat) {
 				oldest = r
@@ -454,7 +470,7 @@ func (c *Controller) dataBusOK(now dram.Cycle, latency dram.Cycle) bool {
 // service starts request r at cycle now, updating all timing state and
 // firing the tracker hook if an ACT was issued.
 func (c *Controller) service(r *Request, now dram.Cycle) {
-	fb := c.geo.FlatBank(r.Loc)
+	fb := int(r.bank)
 	bank := &c.banks[fb]
 	rank := &c.ranks[r.Loc.Rank]
 
@@ -463,16 +479,16 @@ func (c *Controller) service(r *Request, now dram.Cycle) {
 	conflict := false
 	switch {
 	case bank.OpenRow == r.Loc.Row:
-		latency = c.tim.RowHitLatency()
+		latency = c.hitLat
 		c.stats.RowHits++
 	case bank.OpenRow == dram.RowNone:
-		latency = c.tim.RowClosedLatency()
+		latency = c.closedLat
 		bank.LastActAt = now
 		rank.LastActAt = now
 		activated = true
 		c.stats.RowMisses++
 	default:
-		latency = c.tim.RowMissLatency()
+		latency = c.missLat
 		actAt := now + c.tim.TRP
 		bank.LastActAt = actAt
 		rank.LastActAt = actAt
@@ -533,7 +549,7 @@ func (c *Controller) service(r *Request, now dram.Cycle) {
 	}
 
 	if c.blame != nil {
-		c.emitServe(r, fb, now, dataEnd, latency-c.tim.RowHitLatency(), activated, conflict, opener)
+		c.emitServe(r, fb, now, dataEnd, latency-c.hitLat, activated, conflict, opener)
 	}
 
 	if activated {

@@ -644,13 +644,16 @@ func (h *hierarchy) flush(now dram.Cycle) {
 func (h *hierarchy) Access(now dram.Cycle, core int, req *mem.Request) (dram.Cycle, *mem.Request, bool) {
 	addr := req.Addr
 	if cpu.IsNC(addr) {
-		// Non-cacheable: straight to DRAM.
-		req.Addr = cpu.StripNC(addr)
-		req.Loc = h.geo.Decompose(req.Addr)
-		if !h.ctrls[req.Loc.Channel].Enqueue(req, now) {
-			req.Addr = addr // restore tag for the retry
+		// Non-cacheable: straight to DRAM. Check for room before decoding
+		// the address: a core stalled on a full queue retries every cycle.
+		pa := cpu.StripNC(addr)
+		ctrl := h.ctrls[h.geo.Channel(pa)]
+		if !ctrl.CanEnqueue() {
 			return 0, nil, false
 		}
+		req.Addr = pa
+		req.Loc = h.geo.Decompose(pa)
+		ctrl.Enqueue(req, now)
 		return 0, req, true
 	}
 
@@ -662,11 +665,8 @@ func (h *hierarchy) Access(now dram.Cycle, core int, req *mem.Request) (dram.Cyc
 	// A miss needs a fill slot in the target channel's queue; check
 	// before touching the LLC so backpressured misses don't allocate
 	// lines they never fetched.
-	if !h.llc.Contains(line) {
-		loc := h.geo.Decompose(addr)
-		if !h.ctrls[loc.Channel].CanEnqueue() {
-			return 0, nil, false
-		}
+	if !h.llc.Contains(line) && !h.ctrls[h.geo.Channel(addr)].CanEnqueue() {
+		return 0, nil, false
 	}
 	res := h.llc.Access(line, req.IsWrite)
 	if res.Evicted && res.EvictedDirty {
