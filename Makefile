@@ -166,10 +166,12 @@ simbench-test:
 bench-mix:
 	$(GO) run ./cmd/dapper-mix -profile tiny -mixes 4 -attackers 1 -tracker none,dapper-h -nrh 500 -seed 1 -out mix-bench -bench BENCH_mix.json
 
-# One iteration of every benchmark: a smoke reproduction of each table
-# and figure under the reduced bench profile.
+# One iteration of every benchmark in every package: a smoke
+# reproduction of each table and figure under the reduced bench profile,
+# plus the package microbenchmarks (saturated controller, flatmap), so
+# none of them can rot unnoticed.
 bench-smoke:
-	$(GO) test -run=NONE -bench=. -benchtime=1x .
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
 # Benchmark the cycle vs event engine on one figure plus the batched
 # sweep runner on an 8-point NRH sweep, and append the timestamped

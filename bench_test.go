@@ -1,5 +1,5 @@
-// Benchmarks: one per table and figure of the paper's evaluation (see
-// DESIGN.md §3). Each benchmark regenerates its table under a reduced
+// Benchmarks: one per table and figure of the paper's evaluation (the
+// ids `dapper-experiments -list` prints). Each benchmark regenerates its table under a reduced
 // quick profile and reports the headline metric so `go test -bench=.`
 // doubles as a smoke reproduction. Full-scale tables come from
 // `go run ./cmd/dapper-experiments -exp <id> -profile full`.

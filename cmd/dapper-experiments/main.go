@@ -8,7 +8,9 @@
 //	dapper-experiments -exp all -out results/            # JSONL + CSV records
 //	dapper-experiments -list
 //
-// Experiment ids follow DESIGN.md §3 (fig1..fig17, tab1..tab4, sec-h).
+// Experiment ids name the paper's tables and figures (fig1..fig17,
+// tab1..tab4) plus the §VI-C security analysis (sec-h); -list prints
+// them.
 // Simulations fan out over -jobs workers via internal/harness; table
 // output is byte-identical for any worker count. Progress and timing go
 // to stderr so stdout stays clean for the tables.

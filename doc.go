@@ -383,6 +383,7 @@
 // whole module must lint clean. The analyzers are themselves tested
 // against want-comment fixtures (internal/analysis/analysistest).
 //
-// See README.md for a quickstart, DESIGN.md for the system inventory and
-// EXPERIMENTS.md for paper-vs-measured results.
+// See README.md for a quickstart. `dapper-experiments -list` prints the
+// experiment index, and each rendered table's notes set the paper's
+// values beside the measured ones.
 package dapper

@@ -99,8 +99,7 @@ func MappingCaptureH(d *core.DapperH, geo dram.Geometry, seed uint64, maxACTs ui
 		// would let the check activation self-complete table 2 and
 		// need only ONE correct guess for table 1, improving the
 		// per-trial odds from Equation 6's (2/N)^2 to ~2/N. We model
-		// the published protocol and record the stronger variant in
-		// EXPERIMENTS.md.)
+		// the published protocol, not the stronger variant.)
 		for i := uint32(0); i < nm-2 && res.ACTs < maxACTs; i++ {
 			act(target)
 		}

@@ -8,7 +8,7 @@ import (
 )
 
 // --- Counter saturation and reset-counter semantics (the dense-attack
-// corner documented in EXPERIMENTS.md) ---------------------------------
+// corner of the refresh attack) ----------------------------------------
 
 func TestDapperHCountersSaturateAtNM(t *testing.T) {
 	cfg := testConfig()
@@ -54,7 +54,7 @@ func TestDapperHNoMitigationStormUnderDenseHammering(t *testing.T) {
 	// rate (ACTs/NM), not one-per-activation. This property holds at
 	// the paper's 8192-group scale; small group counts (scaled test
 	// geometries) raise the reset-counter inheritance rate and with it
-	// the multiple (see EXPERIMENTS.md reproduction notes).
+	// the multiple (see the saturated-counter rule in DapperH.mitigate).
 	cfg := Config{Geometry: dram.Baseline(), NRH: 500, Seed: 42}
 	d, err := NewDapperH(0, cfg)
 	if err != nil {

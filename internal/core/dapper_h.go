@@ -148,11 +148,10 @@ func (d *DapperH) mitigate(rk *hRank, loc dram.Loc, g1, g2 uint64, buf []rh.Acti
 	// this group's reset value, so its evidence is not portable — and
 	// inheriting it would let dense hot groups pin each other's
 	// counters at NM-1 and re-trigger on every activation (the
-	// feedback loop the refresh attack would otherwise sustain; see
-	// EXPERIMENTS.md reproduction notes). Worst case a non-inherited
-	// member accrues NM further counted activations before its own
-	// trigger: 2*NM = NRH, the same bound the NM = NRH/2 window-reset
-	// argument relies on (§V-C).
+	// feedback loop the refresh attack would otherwise sustain). Worst
+	// case a non-inherited member accrues NM further counted
+	// activations before its own trigger: 2*NM = NRH, the same bound
+	// the NM = NRH/2 window-reset argument relies on (§V-C).
 	var reset1 uint32
 	for i := uint64(0); i < size; i++ {
 		orig := rk.cipher1.Decrypt(base1 + i)

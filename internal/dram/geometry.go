@@ -61,7 +61,7 @@ func Baseline() Geometry {
 
 // Scaled returns the baseline geometry with rowsPerBank rows per bank.
 // Experiments that need structure-reset dynamics within a short window
-// shrink the row space proportionally (see DESIGN.md §2.6).
+// shrink the row space; per-command timing stays physical.
 func Scaled(rowsPerBank uint32) Geometry {
 	g := Baseline()
 	g.RowsPerBank = rowsPerBank

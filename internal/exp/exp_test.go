@@ -10,7 +10,7 @@ import (
 )
 
 func TestRegistryComplete(t *testing.T) {
-	// Every experiment in DESIGN.md's index must be registered.
+	// Every table and figure of the paper's evaluation must be registered.
 	want := []string{
 		"tab1", "fig1", "fig3", "fig4", "fig5", "tab2", "fig9", "fig10",
 		"fig11", "fig12", "fig13", "tab3", "tab4", "fig14", "fig15",
@@ -119,8 +119,8 @@ func TestTab1Static(t *testing.T) {
 }
 
 // Simulation-backed experiments: plumbing checks under the tiny profile
-// (shape quality is validated by the quick/full profiles and recorded in
-// EXPERIMENTS.md).
+// (shape quality needs the quick or full profile;
+// TestShapeDapperHNeutralizesRefreshAttack checks one cheap shape).
 func TestSimBackedExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiments skipped in -short")

@@ -7,8 +7,8 @@ import (
 )
 
 // Profile scopes an experiment run: which workloads, which thresholds,
-// and how long to simulate. EXPERIMENTS.md records which profile
-// produced each table.
+// and how long to simulate. cmd/dapper-experiments prints the profile
+// name above the tables it produced.
 type Profile struct {
 	Name string
 
@@ -32,7 +32,7 @@ type Profile struct {
 	// DapperGeometry for the DAPPER streaming/refresh experiments:
 	// fewer rows per bank so whole-rank attack dynamics (a full
 	// streaming pass) fit the measurement window; per-command timing
-	// stays physical (DESIGN.md §2.6).
+	// stays physical.
 	DapperGeometry dram.Geometry
 	// DapperWarmup/DapperMeasure: windows for the scaled-geometry runs.
 	DapperWarmup  dram.Cycle

@@ -8,7 +8,8 @@ import (
 // Generator produces one table/figure under a profile.
 type Generator func(Profile) (*Table, error)
 
-// registry maps experiment ids (DESIGN.md §3) to generators.
+// registry maps experiment ids (one per paper table and figure, plus
+// sec-h) to generators.
 var registry = map[string]Generator{
 	"tab1":  Tab1,
 	"fig1":  Fig1,

@@ -270,7 +270,7 @@ func (r *runner) dapperSpec(w workloads.Workload, ts trackerSpec, kind attack.Ki
 		// whole-rank pass must fit the window). Refresh attacks and
 		// benign runs use the full geometry: the scaled one
 		// concentrates hot rows into few groups and overstates
-		// reset-counter inheritance (see EXPERIMENTS.md notes).
+		// reset-counter inheritance.
 		s.geo = r.p.Geometry
 		s.warmup = r.p.Warmup
 		s.measure = r.p.Measure

@@ -357,8 +357,15 @@ func (c *Controller) nextAttempt(now dram.Cycle) dram.Cycle {
 // mirrors pick's constraints exactly: bank/rank availability, tRC and
 // tRRD spacing (plus the PRAC tax), throttling, and data-bus occupancy.
 //
+// The scan stops at a floor no request can beat: every candidate is at
+// least now+1 and at least dataBusFreeAt minus its own latency, and
+// missLat is the longest latency because Timing.Validate rejects
+// non-positive TRP, TRCD and TCL (so hitLat < closedLat < missLat).
+// Skipped requests would only consult NextAllowed, a pure query.
+//
 //dapper:hot
 func (c *Controller) earliestReady(q []*Request, now dram.Cycle) dram.Cycle {
+	floor := max(now+1, c.dataBusFreeAt-c.missLat)
 	best := dram.Never
 	for _, r := range q {
 		bank := &c.banks[r.bank]
@@ -384,6 +391,9 @@ func (c *Controller) earliestReady(q []*Request, now dram.Cycle) dram.Cycle {
 		t = max(t, c.dataBusFreeAt-lat)
 		if t < best {
 			best = t
+			if best <= floor {
+				break
+			}
 		}
 	}
 	return best
@@ -410,8 +420,18 @@ func (c *Controller) trySchedule(now dram.Cycle) bool {
 // pick implements FR-FCFS over a queue: the oldest row-buffer hit that
 // can start now, else the oldest request that can start now.
 //
+// When the data bus cannot take a hit's burst, no row hit can start now,
+// because hitLat is the shortest latency (Timing.Validate rejects
+// non-positive TRP, TRCD and TCL). FR-FCFS then reduces to the oldest
+// startable request, which is the first startable non-hit in queue
+// order, so the scan returns it as soon as it is found. Once the oldest
+// startable non-hit is known, later non-hits cannot win and are not
+// checked; skipping their NextAllowed queries is safe because the
+// rh.Throttler contract makes them pure.
+//
 //dapper:hot
 func (c *Controller) pick(q []*Request, now dram.Cycle) *Request {
+	hitsBlocked := !c.dataBusOK(now, c.hitLat)
 	var oldest *Request
 	for _, r := range q {
 		bank := &c.banks[r.bank]
@@ -422,41 +442,34 @@ func (c *Controller) pick(q []*Request, now dram.Cycle) *Request {
 		if rank.BlockedUntil > now {
 			continue
 		}
-		hit := bank.OpenRow == r.Loc.Row
-		if !hit {
-			// Needs an ACT: respect tRC, tRRD and throttling.
-			actAt := now
-			if bank.OpenRow != dram.RowNone {
-				actAt = now + c.tim.TRP
-			}
-			if bank.LastActAt+c.actSpacing > actAt {
-				continue
-			}
-			if rank.LastActAt+c.tim.TRRDS > actAt {
-				continue
-			}
-			if c.throt != nil && !r.Injected {
-				if c.throt.NextAllowed(now, r.Loc) > now {
-					continue
-				}
-			}
-		}
-		if hit {
+		if bank.OpenRow == r.Loc.Row {
 			// First-ready: serve the oldest hit immediately.
-			if c.dataBusOK(now, c.hitLat) {
+			if !hitsBlocked {
 				return r
 			}
 			continue
 		}
-		if oldest == nil {
-			lat := c.closedLat
-			if bank.OpenRow != dram.RowNone {
-				lat = c.missLat
-			}
-			if c.dataBusOK(now, lat) {
-				oldest = r
-			}
+		if oldest != nil {
+			continue
 		}
+		// Needs an ACT: respect tRC, tRRD, throttling and the data bus.
+		actAt, lat := now, c.closedLat
+		if bank.OpenRow != dram.RowNone {
+			actAt, lat = now+c.tim.TRP, c.missLat
+		}
+		if bank.LastActAt+c.actSpacing > actAt || rank.LastActAt+c.tim.TRRDS > actAt {
+			continue
+		}
+		if c.throt != nil && !r.Injected && c.throt.NextAllowed(now, r.Loc) > now {
+			continue
+		}
+		if !c.dataBusOK(now, lat) {
+			continue
+		}
+		if hitsBlocked {
+			return r
+		}
+		oldest = r
 	}
 	return oldest
 }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dapper/internal/dram"
@@ -19,12 +20,97 @@ func bankLoc(geo dram.Geometry, fb int, row uint32) dram.Loc {
 	}
 }
 
+// refEarliestReady is earliestReady without the floor exit: a full scan
+// of q, kept as the oracle the early-exit version must match.
+func refEarliestReady(c *Controller, q []*Request, now dram.Cycle) dram.Cycle {
+	best := dram.Never
+	for _, r := range q {
+		bank := &c.banks[r.bank]
+		rank := &c.ranks[r.Loc.Rank]
+		t := now + 1
+		t = max(t, bank.ReadyAt)
+		t = max(t, bank.BlockedUntil)
+		t = max(t, rank.BlockedUntil)
+		lat := c.hitLat
+		if bank.OpenRow != r.Loc.Row {
+			var actDelay dram.Cycle
+			lat = c.closedLat
+			if bank.OpenRow != dram.RowNone {
+				actDelay = c.tim.TRP
+				lat = c.missLat
+			}
+			t = max(t, bank.LastActAt+c.actSpacing-actDelay)
+			t = max(t, rank.LastActAt+c.tim.TRRDS-actDelay)
+			if c.throt != nil && !r.Injected {
+				t = max(t, c.throt.NextAllowed(t, r.Loc))
+			}
+		}
+		t = max(t, c.dataBusFreeAt-lat)
+		if t < best {
+			best = t
+		}
+	}
+	return best
+}
+
+// refPick is pick without the blocked-hits exit: a full FR-FCFS scan of
+// q, kept as the oracle the early-exit version must match.
+func refPick(c *Controller, q []*Request, now dram.Cycle) *Request {
+	var oldest *Request
+	for _, r := range q {
+		bank := &c.banks[r.bank]
+		if bank.AvailableAt(now) > now {
+			continue
+		}
+		rank := &c.ranks[r.Loc.Rank]
+		if rank.BlockedUntil > now {
+			continue
+		}
+		hit := bank.OpenRow == r.Loc.Row
+		if !hit {
+			actAt := now
+			if bank.OpenRow != dram.RowNone {
+				actAt = now + c.tim.TRP
+			}
+			if bank.LastActAt+c.actSpacing > actAt {
+				continue
+			}
+			if rank.LastActAt+c.tim.TRRDS > actAt {
+				continue
+			}
+			if c.throt != nil && !r.Injected {
+				if c.throt.NextAllowed(now, r.Loc) > now {
+					continue
+				}
+			}
+		}
+		if hit {
+			if c.dataBusOK(now, c.hitLat) {
+				return r
+			}
+			continue
+		}
+		if oldest == nil {
+			lat := c.closedLat
+			if bank.OpenRow != dram.RowNone {
+				lat = c.missLat
+			}
+			if c.dataBusOK(now, lat) {
+				oldest = r
+			}
+		}
+	}
+	return oldest
+}
+
 // TestEarliestReadyMatchesPick pins the contract the event engine rests
 // on: over a frozen controller state, earliestReady(q, now) is exactly
 // the first cycle after now at which pick(q, t) starts some request.
 // States are randomized over open, closed and conflicting banks, blocked
 // banks and ranks, tRC/tRRD spacing (with and without a PRAC tax), a busy
 // data bus, a throttling tracker, and demand plus injected requests.
+// At every probed cycle both scans must also agree with their full-scan
+// references, and both early exits must fire often enough to matter.
 func TestEarliestReadyMatchesPick(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const now = dram.Cycle(100_000)
@@ -33,6 +119,19 @@ func TestEarliestReadyMatchesPick(t *testing.T) {
 		return now - dram.Cycle(before) + dram.Cycle(rng.Intn(before+after+1))
 	}
 	waited := 0
+	floorExits, hitExits := 0, 0
+	// check asserts both scans match their references at (q, at) and
+	// returns pick's choice.
+	check := func(trial, qi int, c *Controller, q []*Request, at dram.Cycle) *Request {
+		if got, want := c.earliestReady(q, at), refEarliestReady(c, q, at); got != want {
+			t.Fatalf("trial %d queue %d: earliestReady(%d) = %d, full scan %d", trial, qi, at, got, want)
+		}
+		r := c.pick(q, at)
+		if want := refPick(c, q, at); r != want {
+			t.Fatalf("trial %d queue %d: pick(%d) = %p, full scan %p", trial, qi, at, r, want)
+		}
+		return r
+	}
 	for trial := 0; trial < 400; trial++ {
 		geo := dram.Baseline()
 		tim := dram.DDR5()
@@ -90,25 +189,50 @@ func TestEarliestReadyMatchesPick(t *testing.T) {
 			if want <= now || want > now+4000 {
 				t.Fatalf("trial %d queue %d: earliestReady %d outside (now, now+4000]", trial, qi, want)
 			}
+			// The floor exit skips part of the queue when the full scan
+			// of all but the last request already reaches the floor.
+			if floor := max(now+1, c.dataBusFreeAt-c.missLat); refEarliestReady(c, q[:len(q)-1], now) <= floor {
+				floorExits++
+			}
+			check(trial, qi, c, q, now)
 			for at := now + 1; at < want; at++ {
-				if r := c.pick(q, at); r != nil {
+				if r := check(trial, qi, c, q, at); r != nil {
 					t.Fatalf("trial %d queue %d: pick starts %+v at %d, before earliestReady %d",
 						trial, qi, r.Loc, at, want)
 				}
 			}
-			if c.pick(q, want) == nil {
+			r := check(trial, qi, c, q, want)
+			if r == nil {
 				t.Fatalf("trial %d queue %d: pick starts nothing at earliestReady %d", trial, qi, want)
+			}
+			// The blocked-hits exit returns before a queued row hit.
+			if !c.dataBusOK(want, c.hitLat) && rowHitAfter(c, q, r) {
+				hitExits++
 			}
 			if want > now+1 {
 				waited++
 			}
 		}
 	}
-	// Most states must make the scheduler wait, or the comparison above
-	// proves little.
+	// Most states must make the scheduler wait, and both early exits must
+	// fire, or the comparisons above prove little.
 	if waited < 300 {
 		t.Fatalf("only %d queues had to wait; the generator is too lenient", waited)
 	}
+	if floorExits < 20 || hitExits < 20 {
+		t.Fatalf("early exits taken: floor %d, blocked hits %d; want at least 20 each", floorExits, hitExits)
+	}
+}
+
+// rowHitAfter reports whether some request queued behind r in q hits its
+// bank's open row.
+func rowHitAfter(c *Controller, q []*Request, r *Request) bool {
+	for i := slices.Index(q, r) + 1; i < len(q); i++ {
+		if c.banks[q[i].bank].OpenRow == q[i].Loc.Row {
+			return true
+		}
+	}
+	return false
 }
 
 // BenchmarkControllerSaturated drives one controller the way the event

@@ -7,7 +7,7 @@
 // write fraction — chosen per workload to span the same spectrum the
 // paper's Figure 3 shows (429.mcf and 510.parest as the most
 // memory-intensive outliers, SPEC integer codes as the cache-resident
-// tail). See DESIGN.md §2 for the substitution rationale.
+// tail).
 package workloads
 
 import (
