@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test test-race test-engine-equivalence fuzz-smoke audit-smoke mix-smoke telemetry-smoke blame-smoke batch-smoke serve-smoke simbench-test bench-mix bench-smoke bench-compare bench-check adversary-smoke bench-adversary ci
+.PHONY: all build vet lint test test-race test-engine-equivalence fuzz-smoke audit-smoke mix-smoke telemetry-smoke blame-smoke batch-smoke simbench-test bench-mix bench-smoke bench-compare bench-check adversary-smoke bench-adversary ci
 
 all: build vet lint test
 
@@ -100,59 +100,42 @@ blame-smoke:
 # (TestEngineEquivalenceBatched* in sim and exp); this target keeps the
 # cmd wiring honest end to end. The sweep includes a throttler
 # (blockhammer) so the fallback path executes too.
+#
+# The pool run is also the cold pass of a -cache leg. A warm rerun must
+# serve every point from the cache and write the same JSONL (elapsed
+# and cached normalised away). Then one entry is overwritten with {}
+# and the sweep rerun: the cache must quarantine it (a *.corrupt file
+# appears), re-simulate exactly that point, and still match.
+BATCH_SMOKE = $(GO) run ./cmd/dapper-batch -profile tiny -trackers none,dapper-h,hydra,blockhammer -workloads 429.mcf -nrh 500,1000 -window-us 10 -attr
 batch-smoke:
-	$(GO) run ./cmd/dapper-batch -profile tiny -trackers none,dapper-h,hydra,blockhammer -workloads 429.mcf -nrh 500,1000 -window-us 10 -attr -batch -out batch-smoke/batched
-	$(GO) run ./cmd/dapper-batch -profile tiny -trackers none,dapper-h,hydra,blockhammer -workloads 429.mcf -nrh 500,1000 -window-us 10 -attr -out batch-smoke/pool
+	@rm -rf batch-smoke
+	$(BATCH_SMOKE) -batch -out batch-smoke/batched
+	$(BATCH_SMOKE) -cache batch-smoke/cache -out batch-smoke/pool > batch-smoke/pool.txt
 	@sed 's/"elapsed_ns":[0-9]*//' batch-smoke/batched/batch.jsonl > batch-smoke/batched-stripped.jsonl
 	@sed 's/"elapsed_ns":[0-9]*//' batch-smoke/pool/batch.jsonl > batch-smoke/pool-stripped.jsonl
 	@cmp batch-smoke/batched-stripped.jsonl batch-smoke/pool-stripped.jsonl \
 		&& echo "batch-smoke: batched and pool JSONL identical (elapsed aside)" \
 		|| { echo "batch-smoke FAILED: batched and pool outputs differ"; exit 1; }
-
-# Sweep-service smoke: start a dapper-serve daemon on an ephemeral
-# port, submit a tiny sweep over HTTP, and byte-compare the streamed
-# records against the same sweep through dapper-batch's pool path
-# (elapsed/cached normalized away — the only fields that may differ).
-# Then corrupt one store entry, restart the daemon on the same store,
-# and resubmit: the service must quarantine the bad entry (a *.corrupt
-# file appears), re-simulate that point, and still match the pool
-# bytes. This exercises the whole PR-10 chain end to end — envelope
-# verification, quarantine-and-heal, store persistence across daemon
-# restarts, and the HTTP record fabric.
-serve-smoke:
-	$(GO) build -o bin/dapper-serve ./cmd/dapper-serve
-	$(GO) build -o bin/dapper-batch ./cmd/dapper-batch
-	@rm -rf serve-smoke && mkdir -p serve-smoke
-	@set -e; \
-	./bin/dapper-serve -addr localhost:0 -addr-file serve-smoke/addr -store serve-smoke/store -rate 0 2> serve-smoke/daemon1.log & \
-	pid=$$!; trap "kill $$pid 2>/dev/null || true" EXIT; \
-	for i in $$(seq 1 100); do [ -s serve-smoke/addr ] && break; sleep 0.1; done; \
-	[ -s serve-smoke/addr ] || { echo "serve-smoke FAILED: daemon never bound"; cat serve-smoke/daemon1.log; exit 1; }; \
-	./bin/dapper-serve -client -server http://$$(cat serve-smoke/addr) \
-		-trackers none,dapper-h -workloads 429.mcf -nrh 500 -profile tiny -out serve-smoke/client1; \
-	kill $$pid; wait $$pid 2>/dev/null || true; trap - EXIT; \
-	./bin/dapper-batch -profile tiny -trackers none,dapper-h -workloads 429.mcf -nrh 500 -out serve-smoke/pool; \
+	$(BATCH_SMOKE) -cache batch-smoke/cache -out batch-smoke/warm > batch-smoke/warm.txt
+	@entry=$$(ls batch-smoke/cache/*.json | head -1); echo '{}' > $$entry
+	$(BATCH_SMOKE) -cache batch-smoke/cache -out batch-smoke/healed > batch-smoke/healed.txt
+	@set -e; n=$$(wc -l < batch-smoke/pool/batch.jsonl); \
 	norm='s/"elapsed_ns":[0-9]*/"elapsed_ns":0/; s/"cached":true/"cached":false/'; \
-	sed "$$norm" serve-smoke/client1/records.jsonl > serve-smoke/client1-norm.jsonl; \
-	sed "$$norm" serve-smoke/pool/batch.jsonl > serve-smoke/pool-norm.jsonl; \
-	cmp serve-smoke/client1-norm.jsonl serve-smoke/pool-norm.jsonl \
-		|| { echo "serve-smoke FAILED: service and pool records differ"; exit 1; }; \
-	echo "serve-smoke: service and pool JSONL identical (elapsed/cached aside)"; \
-	entry=$$(ls serve-smoke/store/*.json | grep -v index.json | head -1); \
-	echo '{}' > $$entry; \
-	./bin/dapper-serve -addr localhost:0 -addr-file serve-smoke/addr2 -store serve-smoke/store -rate 0 2> serve-smoke/daemon2.log & \
-	pid2=$$!; trap "kill $$pid2 2>/dev/null || true" EXIT; \
-	for i in $$(seq 1 100); do [ -s serve-smoke/addr2 ] && break; sleep 0.1; done; \
-	[ -s serve-smoke/addr2 ] || { echo "serve-smoke FAILED: restarted daemon never bound"; cat serve-smoke/daemon2.log; exit 1; }; \
-	./bin/dapper-serve -client -server http://$$(cat serve-smoke/addr2) \
-		-trackers none,dapper-h -workloads 429.mcf -nrh 500 -profile tiny -out serve-smoke/client2; \
-	kill $$pid2; wait $$pid2 2>/dev/null || true; trap - EXIT; \
-	sed "$$norm" serve-smoke/client2/records.jsonl > serve-smoke/client2-norm.jsonl; \
-	cmp serve-smoke/client2-norm.jsonl serve-smoke/pool-norm.jsonl \
-		|| { echo "serve-smoke FAILED: post-corruption records differ"; exit 1; }; \
-	ls serve-smoke/store/*.corrupt >/dev/null 2>&1 \
-		|| { echo "serve-smoke FAILED: corrupted entry was not quarantined"; exit 1; }; \
-	echo "serve-smoke: corrupted entry quarantined, re-simulated, records still identical"
+	for leg in pool warm healed; do sed "$$norm" batch-smoke/$$leg/batch.jsonl > batch-smoke/$$leg-norm.jsonl; done; \
+	grep -q "($$n simulated, 0 cache hits" batch-smoke/pool.txt \
+		|| { echo "batch-smoke FAILED: cold pass did not simulate all $$n points"; cat batch-smoke/pool.txt; exit 1; }; \
+	grep -q "(0 simulated, $$n cache hits" batch-smoke/warm.txt \
+		|| { echo "batch-smoke FAILED: warm rerun did not serve all $$n points from the cache"; cat batch-smoke/warm.txt; exit 1; }; \
+	cmp batch-smoke/pool-norm.jsonl batch-smoke/warm-norm.jsonl \
+		|| { echo "batch-smoke FAILED: warm rerun JSONL differs"; exit 1; }; \
+	echo "batch-smoke: warm rerun served $$n/$$n points from the cache, JSONL identical (elapsed/cached aside)"; \
+	ls batch-smoke/cache/*.corrupt >/dev/null 2>&1 \
+		|| { echo "batch-smoke FAILED: corrupted entry was not quarantined"; exit 1; }; \
+	grep -q "(1 simulated, $$((n - 1)) cache hits" batch-smoke/healed.txt \
+		|| { echo "batch-smoke FAILED: heal rerun did not re-simulate exactly one point"; cat batch-smoke/healed.txt; exit 1; }; \
+	cmp batch-smoke/pool-norm.jsonl batch-smoke/healed-norm.jsonl \
+		|| { echo "batch-smoke FAILED: post-corruption JSONL differs"; exit 1; }; \
+	echo "batch-smoke: corrupted entry quarantined, re-simulated, JSONL still identical"
 
 # The benchmark's own tests (simbench is a separate module, so plain
 # `go test ./...` skips it): chiefly the completeness check that every
@@ -199,4 +182,4 @@ adversary-smoke:
 bench-adversary:
 	$(GO) run ./cmd/dapper-adversary -tracker dapper-h -profile tiny -budget 16 -seed 1 -out adversary-bench -bench BENCH_adversary.json
 
-ci: build vet lint test test-race test-engine-equivalence audit-smoke mix-smoke telemetry-smoke blame-smoke batch-smoke serve-smoke simbench-test fuzz-smoke bench-smoke bench-check adversary-smoke bench-adversary bench-mix
+ci: build vet lint test test-race test-engine-equivalence audit-smoke mix-smoke telemetry-smoke blame-smoke batch-smoke simbench-test fuzz-smoke bench-smoke bench-check adversary-smoke bench-adversary bench-mix

@@ -54,7 +54,7 @@ func main() {
 	objectiveName := flag.String("objective", "perf", "search objective: perf (worst slowdown) or escapes (security-guarantee violations via the shadow oracle)")
 	budget := flag.Int("budget", 32, "candidate evaluations per tracker")
 	seed := flag.Uint64("seed", 1, "search + workload seed (same seed and budget = byte-identical reports)")
-	profile := flag.String("profile", "quick", "tiny, quick or full (windows, geometry)")
+	profile := flag.String("profile", "quick", "tiny, quick, full or bench (windows, geometry)")
 	engineName := flag.String("engine", "event", "simulation engine: event or cycle")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "parallel simulation workers (<=0 = NumCPU)")
 	cacheDir := flag.String("cache", "", "disk result-cache directory")
@@ -73,16 +73,9 @@ func main() {
 		return
 	}
 
-	var p exp.Profile
-	switch *profile {
-	case "tiny":
-		p = exp.Tiny()
-	case "quick":
-		p = exp.Quick()
-	case "full":
-		p = exp.Full()
-	default:
-		fatal(fmt.Errorf("unknown profile %q (tiny|quick|full)", *profile))
+	p, err := exp.ProfileByName(*profile)
+	if err != nil {
+		fatal(err)
 	}
 	engine, err := sim.ParseEngine(*engineName)
 	if err != nil {

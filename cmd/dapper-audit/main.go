@@ -49,7 +49,7 @@ func main() {
 	modes := flag.String("mode", "vrr-br1,rfmsb", "comma list of mitigation modes")
 	nrhs := flag.String("nrh", "125", "comma list of RowHammer thresholds")
 	wname := flag.String("workload", "429.mcf", "benign workload co-running with the attacker")
-	profile := flag.String("profile", "tiny", "tiny, quick or full (windows, geometry)")
+	profile := flag.String("profile", "tiny", "tiny, quick, full or bench (windows, geometry)")
 	seed := flag.Uint64("seed", 1, "workload/attack seed")
 	engineName := flag.String("engine", "event", "simulation engine: event or cycle")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "parallel simulation workers (<=0 = NumCPU)")
@@ -70,16 +70,9 @@ func main() {
 		return
 	}
 
-	var p exp.Profile
-	switch *profile {
-	case "tiny":
-		p = exp.Tiny()
-	case "quick":
-		p = exp.Quick()
-	case "full":
-		p = exp.Full()
-	default:
-		fatal(fmt.Errorf("unknown profile %q (tiny|quick|full)", *profile))
+	p, err := exp.ProfileByName(*profile)
+	if err != nil {
+		fatal(err)
 	}
 	engine, err := sim.ParseEngine(*engineName)
 	if err != nil {

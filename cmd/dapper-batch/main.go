@@ -48,7 +48,7 @@ func main() {
 	nrhs := flag.String("nrh", "500", "comma list of RowHammer thresholds")
 	attackName := flag.String("attack", "none", "companion attack kind ('none' = benign run)")
 	modeName := flag.String("mode", "VRR-BR1", "mitigation mode (VRR-BR1|VRR-BR2|RFMsb|DRFMsb)")
-	profile := flag.String("profile", "quick", "quick or full (windows, geometry, seed)")
+	profile := flag.String("profile", "quick", "tiny, quick, full or bench (windows, geometry, seed)")
 	seed := flag.Uint64("seed", 0, "override the profile's workload/attack trace seed (0 = profile default)")
 	engineName := flag.String("engine", "event", "simulation engine: event (time-skipping, default) or cycle (per-cycle reference)")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "parallel simulation workers (<=0 = NumCPU)")

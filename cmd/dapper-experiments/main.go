@@ -31,7 +31,7 @@ import (
 
 func main() {
 	expID := flag.String("exp", "all", "experiment id (see -list) or 'all'")
-	profile := flag.String("profile", "quick", "quick or full")
+	profile := flag.String("profile", "quick", "tiny, quick, full or bench")
 	seed := flag.Uint64("seed", 0, "override the profile's workload/attack trace seed (0 = profile default)")
 	engineName := flag.String("engine", "event", "simulation engine: event (time-skipping, default) or cycle (per-cycle reference)")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "parallel simulation workers (<=0 = NumCPU)")
@@ -47,14 +47,9 @@ func main() {
 		return
 	}
 
-	var p exp.Profile
-	switch *profile {
-	case "quick":
-		p = exp.Quick()
-	case "full":
-		p = exp.Full()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown profile %q (quick|full)\n", *profile)
+	p, err := exp.ProfileByName(*profile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	engine, err := sim.ParseEngine(*engineName)

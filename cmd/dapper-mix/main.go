@@ -54,7 +54,7 @@ func main() {
 	intensive := flag.Int("intensive", -1, "benign slots from the >=2-RBMPKI group (-1 = seeded random split)")
 	nrhs := flag.String("nrh", "500", "comma list of RowHammer thresholds")
 	modeName := flag.String("mode", "VRR-BR1", "mitigation mode (VRR-BR1|VRR-BR2|RFMsb|DRFMsb)")
-	profile := flag.String("profile", "tiny", "tiny, quick or full (windows, geometry)")
+	profile := flag.String("profile", "tiny", "tiny, quick, full or bench (windows, geometry)")
 	seed := flag.Uint64("seed", 1, "mix-generation + workload/attack seed")
 	engineName := flag.String("engine", "event", "simulation engine: event or cycle")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "parallel simulation workers (<=0 = NumCPU)")
@@ -76,16 +76,9 @@ func main() {
 		return
 	}
 
-	var p exp.Profile
-	switch *profile {
-	case "tiny":
-		p = exp.Tiny()
-	case "quick":
-		p = exp.Quick()
-	case "full":
-		p = exp.Full()
-	default:
-		fatal(fmt.Errorf("unknown profile %q (tiny|quick|full)", *profile))
+	p, err := exp.ProfileByName(*profile)
+	if err != nil {
+		fatal(err)
 	}
 	engine, err := sim.ParseEngine(*engineName)
 	if err != nil {

@@ -39,21 +39,11 @@
 // drives the paper's figures this way; cmd/dapper-batch runs arbitrary
 // tracker x workload x NRH sweeps from flags straight to JSONL/CSV.
 //
-// internal/serve lifts the same pipeline into a service
-// (cmd/dapper-serve): an HTTP/JSON job API over a persistent store.
-// Sweep specs arrive as exp.SweepSpec payloads that normalize and
-// expand into exactly the BatchRequest the flags build — shared
-// descriptors, shared cache keys — so records streamed over HTTP are
-// byte-identical to the pool path's JSONL (modulo wall-clock fields).
-// The store is the disk cache plus a claim-file protocol: cooperating
-// daemons on one directory O_EXCL-claim each missing key, simulate it
-// once, and break claims whose owners crashed; cache entries live in
-// versioned checksummed envelopes, with corrupt files quarantined to
-// *.corrupt and re-simulated, LRU bounds on both tiers, and an
-// advisory index for cheap reopen. Submissions are rate-limited per
-// client and backpressured on queue depth (429 + Retry-After).
-// `make serve-smoke` gates service-vs-pool byte equality and the
-// quarantine-and-heal path in CI.
+// Each -cache entry is a versioned, checksummed envelope written via a
+// temp file and rename. An entry that fails verification is
+// quarantined to *.corrupt and re-simulated, and opening a cache sweeps
+// temp files and quarantines older than 15 minutes left by crashed
+// runs. `make batch-smoke` gates the quarantine-and-heal path in CI.
 //
 // # Event-driven simulation engine (internal/sim, internal/mem, internal/cpu)
 //

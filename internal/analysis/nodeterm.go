@@ -48,7 +48,6 @@ func DapperTiers(pkgPath string) Tier {
 		pkgPath == "dapper/internal/exp",
 		pkgPath == "dapper/internal/cache",
 		pkgPath == "dapper/internal/diag",
-		pkgPath == "dapper/internal/serve",
 		pkgPath == "dapper/internal/goldentest",
 		strings.HasPrefix(pkgPath, "dapper/cmd/"):
 		return TierHarness

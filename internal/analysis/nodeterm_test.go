@@ -38,7 +38,6 @@ func TestDapperTiers(t *testing.T) {
 		{"dapper/internal/shiny", analysis.TierCore},
 		{"dapper/internal/harness", analysis.TierHarness},
 		{"dapper/internal/exp", analysis.TierHarness},
-		{"dapper/internal/serve", analysis.TierHarness},
 		{"dapper/cmd/dapper-batch", analysis.TierHarness},
 		{"dapper/internal/analysis", analysis.TierNone},
 		{"dapper/internal/analysis/load", analysis.TierNone},

@@ -2,8 +2,7 @@
 // endpoint serving expvar (/debug/vars, including a "harness" variable
 // with the pool's live counters) and pprof (/debug/pprof/). Commands
 // attach it behind a -debug-addr flag; it is purely observational and
-// never alters results. The debug mux is reusable: dapper-serve mounts
-// it under its own API server instead of opening a second port.
+// never alters results.
 package diag
 
 import (
@@ -25,8 +24,8 @@ var (
 	// statsHolder carries the currently-registered pool stats function.
 	// expvar names are process-global and panic on duplicates, so the
 	// "harness" variable is published once and reads through this
-	// holder — repeated Serve/RegisterStats calls (tests, a daemon
-	// swapping pools) swap the holder instead of re-publishing.
+	// holder — repeated Serve/RegisterStats calls (tests) swap the
+	// holder instead of re-publishing.
 	statsHolder atomic.Value // of func() harness.Stats
 )
 
@@ -61,10 +60,9 @@ func publish(name string, f expvar.Func) {
 	}
 }
 
-// NewMux returns the debug mux: expvar under /debug/vars and the pprof
-// family under /debug/pprof/. Serve wraps it in its own listener;
-// dapper-serve mounts it on the API server's mux.
-func NewMux() *http.ServeMux {
+// newMux returns the debug mux: expvar under /debug/vars and the pprof
+// family under /debug/pprof/.
+func newMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -75,8 +73,8 @@ func NewMux() *http.ServeMux {
 	return mux
 }
 
-// Server is a running debug endpoint with a shutdown path: tests and
-// daemons release the socket instead of abandoning it to process exit.
+// Server is a running debug endpoint with a shutdown path: callers
+// release the socket instead of abandoning it to process exit.
 type Server struct {
 	srv *http.Server
 	// ln is closed directly on Close/Shutdown: http.Server only learns
@@ -97,7 +95,7 @@ func Serve(addr string, stats func() harness.Stats) (*Server, error) {
 		return nil, fmt.Errorf("diag: listen %s: %w", addr, err)
 	}
 	s := &Server{
-		srv:  &http.Server{Handler: NewMux()},
+		srv:  &http.Server{Handler: newMux()},
 		ln:   ln,
 		addr: ln.Addr().String(),
 	}

@@ -71,7 +71,7 @@ func TestServeExposesHarnessVarsAndPprof(t *testing.T) {
 }
 
 // TestServerCloseReleasesSocket pins the PR-10 leak fix: Serve used to
-// abandon its listener until process exit, so tests and daemons could
+// abandon its listener until process exit, so a caller could
 // never rebind. Close must free the port for an immediate re-listen.
 func TestServerCloseReleasesSocket(t *testing.T) {
 	srv, err := Serve("localhost:0", nil)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -64,6 +65,23 @@ func TestProfiles(t *testing.T) {
 	}
 	if len(Full().Workloads) != 57 {
 		t.Fatal("full profile must cover all 57 workloads")
+	}
+}
+
+// TestProfileByName: every -profile selector resolves to its
+// constructor, and an unknown name is an error, not a zero Profile.
+func TestProfileByName(t *testing.T) {
+	for _, want := range []Profile{Tiny(), Quick(), Full(), Bench()} {
+		got, err := ProfileByName(want.Name)
+		if err != nil {
+			t.Fatalf("%s: %v", want.Name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s resolved to profile %q", want.Name, got.Name)
+		}
+	}
+	if _, err := ProfileByName("huge"); err == nil {
+		t.Fatal("unknown profile accepted")
 	}
 }
 

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+
 	"dapper/internal/dram"
 	"dapper/internal/sim"
 	"dapper/internal/workloads"
@@ -139,5 +141,22 @@ func Tiny() Profile {
 		DapperWarmup:   dram.US(5),
 		DapperMeasure:  dram.US(30),
 		Seed:           1,
+	}
+}
+
+// ProfileByName resolves a -profile selector shared by the cmds
+// ("tiny", "quick", "full", "bench").
+func ProfileByName(name string) (Profile, error) {
+	switch name {
+	case "tiny":
+		return Tiny(), nil
+	case "quick":
+		return Quick(), nil
+	case "full":
+		return Full(), nil
+	case "bench":
+		return Bench(), nil
+	default:
+		return Profile{}, fmt.Errorf("exp: unknown profile %q (tiny|quick|full|bench)", name)
 	}
 }

@@ -1,14 +1,12 @@
 package harness
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -22,24 +20,11 @@ import (
 // re-simulated instead of being served as silent zero/partial results.
 const cacheSchema = "dapper-cache-v1"
 
-// indexSchema tags the advisory on-disk index.
-const indexSchema = "dapper-index-v1"
-
-const (
-	// orphanTTL is how old a put-* temp file (a crashed or failed Put)
-	// or a *.corrupt quarantine file must be before NewCache sweeps it.
-	// The grace period keeps a sweep in one process from deleting a
-	// temp file another process is writing right now.
-	orphanTTL = 15 * time.Minute
-	// defaultEvictionGrace protects recently-written disk entries from
-	// eviction: in a shared cache directory another process may have
-	// just written them, and "just written" must never mean "first
-	// evicted".
-	defaultEvictionGrace = 10 * time.Second
-	// indexEvery bounds how many disk mutations may pass between
-	// advisory index rewrites.
-	indexEvery = 64
-)
+// orphanTTL is how old a put-* temp file (a crashed or failed Put) or
+// a *.corrupt quarantine file must be before NewCache sweeps it. The
+// grace period keeps a sweep in one process from deleting a temp file
+// another process is writing right now.
+const orphanTTL = 15 * time.Minute
 
 // envelope is the versioned on-disk entry: the payload (a sim.Result
 // as JSON) wrapped with the schema tag, the descriptor key it serves,
@@ -53,101 +38,39 @@ type envelope struct {
 	Payload  json.RawMessage `json:"payload"`
 }
 
-// CacheStats is a snapshot of a cache's counters and occupancy.
+// CacheStats is a snapshot of a cache's counters.
 type CacheStats struct {
-	MemEntries  int    `json:"mem_entries"`
-	DiskEntries int    `json:"disk_entries"`
-	DiskBytes   int64  `json:"disk_bytes"`
 	Hits        uint64 `json:"hits"`
 	Misses      uint64 `json:"misses"`
 	Quarantined uint64 `json:"quarantined"`
-	EvictedMem  uint64 `json:"evicted_mem"`
-	EvictedDisk uint64 `json:"evicted_disk"`
-}
-
-// CacheOptions configures a Cache beyond the directory.
-type CacheOptions struct {
-	// Dir backs the cache with a directory of envelope files; "" keeps
-	// it memory-only.
-	Dir string
-	// MaxMemEntries bounds the in-memory map (LRU eviction); <=0 means
-	// unbounded. Disk entries survive memory eviction, so a re-Get of
-	// an evicted key is a disk hit, not a re-simulation.
-	MaxMemEntries int
-	// MaxDiskBytes bounds the disk tier (LRU by file mtime; Get
-	// touches entries); <=0 means unbounded. The bound is approximate:
-	// entries younger than EvictionGrace are never evicted, so a burst
-	// of writes can briefly overshoot.
-	MaxDiskBytes int64
-	// EvictionGrace is the minimum age before a disk entry becomes
-	// evictable (0 = the 10s default, <0 = no grace; tests only).
-	EvictionGrace time.Duration
 }
 
 // Cache memoizes simulation results by descriptor key. The in-memory
 // map always participates; when dir is non-empty each result is also
 // persisted as <dir>/<key>.json inside a versioned, checksummed
 // envelope, so a rerun of the same experiment suite (same profile,
-// same code) resimulates nothing — and a shared cache directory can
-// back many cooperating processes (dapper-serve's result store).
+// same code) resimulates nothing. Two processes may share one
+// directory: writes are atomic renames and reads verify the envelope.
 type Cache struct {
-	dir     string
-	maxMem  int
-	maxDisk int64
-	grace   time.Duration
+	dir string
 
 	mu          sync.Mutex
-	mem         map[string]*list.Element
-	lru         *list.List // front = most recently used
-	index       map[string]int64
-	diskBytes   int64
-	dirtyPuts   int
+	mem         map[string]sim.Result
 	hits        uint64
 	miss        uint64
 	quarantined uint64
-	evictedMem  uint64
-	evictedDisk uint64
 }
 
-type memEntry struct {
-	key string
-	res sim.Result
-}
-
-// NewCache returns an unbounded cache; dir == "" keeps it memory-only.
+// NewCache returns a cache; dir == "" keeps it memory-only. Opening a
+// disk-backed cache sweeps aged put-* temp files orphaned by crashed
+// writers.
 func NewCache(dir string) (*Cache, error) {
-	return NewCacheOpts(CacheOptions{Dir: dir})
-}
-
-// NewCacheOpts builds a cache from options. Opening a disk-backed
-// cache sweeps aged put-* temp files orphaned by crashed writers and
-// loads (or rebuilds by scanning) the advisory index.
-func NewCacheOpts(opts CacheOptions) (*Cache, error) {
-	grace := opts.EvictionGrace
-	switch {
-	case grace == 0:
-		grace = defaultEvictionGrace
-	case grace < 0:
-		grace = 0
-	}
-	c := &Cache{
-		dir:     opts.Dir,
-		maxMem:  opts.MaxMemEntries,
-		maxDisk: opts.MaxDiskBytes,
-		grace:   grace,
-		mem:     make(map[string]*list.Element),
-		lru:     list.New(),
-		index:   make(map[string]int64),
-	}
+	c := &Cache{dir: dir, mem: make(map[string]sim.Result)}
 	if c.dir != "" {
 		if err := os.MkdirAll(c.dir, 0o755); err != nil {
 			return nil, fmt.Errorf("harness: cache dir: %w", err)
 		}
 		c.sweepOrphans()
-		if !c.loadIndex() {
-			c.rescanDisk()
-		}
-		c.persistIndex()
 	}
 	return c, nil
 }
@@ -156,37 +79,28 @@ func NewCacheOpts(opts CacheOptions) (*Cache, error) {
 // then disk (populating memory on a disk hit). A disk entry that fails
 // envelope verification — wrong schema, wrong key, checksum mismatch,
 // or undecodable JSON — is quarantined (renamed to *.corrupt) and
-// reported as a miss, so a corrupted shared store heals by
-// re-simulating instead of serving garbage or re-parsing the same bad
-// file on every lookup.
-//
-//dapper:wallclock disk hits touch the entry's mtime so eviction is least-recently-used; timestamps never reach a Result
+// reported as a miss, so a corrupted store heals by re-simulating
+// instead of serving garbage or re-parsing the same bad file on every
+// lookup.
 func (c *Cache) Get(key string) (sim.Result, bool) {
 	c.mu.Lock()
-	if el, ok := c.mem[key]; ok {
-		c.lru.MoveToFront(el)
+	if res, ok := c.mem[key]; ok {
 		c.hits++
-		res := el.Value.(*memEntry).res
 		c.mu.Unlock()
 		return res, true
 	}
 	c.mu.Unlock()
 	if c.dir != "" {
 		path := c.path(key)
-		data, err := os.ReadFile(path)
-		if err == nil {
-			res, ok := decodeEnvelope(key, data)
-			if !ok {
-				c.quarantine(key, path)
-			} else {
-				now := time.Now()
-				_ = os.Chtimes(path, now, now) // best-effort LRU touch
+		if data, err := os.ReadFile(path); err == nil {
+			if res, ok := decodeEnvelope(key, data); ok {
 				c.mu.Lock()
-				c.memInsert(key, res)
+				c.mem[key] = res
 				c.hits++
 				c.mu.Unlock()
 				return res, true
 			}
+			c.quarantine(path)
 		}
 	}
 	c.mu.Lock()
@@ -201,7 +115,7 @@ func (c *Cache) Get(key string) (sim.Result, bool) {
 // files; the entry is wrapped in the versioned checksummed envelope.
 func (c *Cache) Put(key string, res sim.Result) error {
 	c.mu.Lock()
-	c.memInsert(key, res)
+	c.mem[key] = res
 	c.mu.Unlock()
 	if c.dir == "" {
 		return nil
@@ -237,97 +151,28 @@ func (c *Cache) Put(key string, res sim.Result) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("harness: cache write: %w", err)
 	}
-	c.mu.Lock()
-	c.diskBytes += int64(len(data)) - c.index[key]
-	c.index[key] = int64(len(data))
-	c.dirtyPuts++
-	needEvict := c.maxDisk > 0 && c.diskBytes > c.maxDisk
-	needIndex := c.dirtyPuts >= indexEvery
-	c.mu.Unlock()
-	if needEvict {
-		c.evictDisk()
-	}
-	if needIndex {
-		c.persistIndex()
-	}
 	return nil
 }
 
-// Hits reports successful lookups.
-func (c *Cache) Hits() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits
-}
-
-// Misses reports failed lookups.
-func (c *Cache) Misses() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.miss
-}
-
-// Stats returns a snapshot of the cache's counters and occupancy.
+// Stats returns a snapshot of the cache's counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{
-		MemEntries:  len(c.mem),
-		DiskEntries: len(c.index),
-		DiskBytes:   c.diskBytes,
-		Hits:        c.hits,
-		Misses:      c.miss,
-		Quarantined: c.quarantined,
-		EvictedMem:  c.evictedMem,
-		EvictedDisk: c.evictedDisk,
-	}
+	return CacheStats{Hits: c.hits, Misses: c.miss, Quarantined: c.quarantined}
 }
 
-// Dir returns the backing directory ("" for memory-only caches).
-func (c *Cache) Dir() string { return c.dir }
-
-// Close persists the advisory index. The cache remains usable; Close
-// exists so long-running daemons can checkpoint on graceful stop.
-func (c *Cache) Close() error {
-	c.persistIndex()
-	return nil
-}
-
-// memInsert adds or refreshes a memory entry and evicts LRU entries
-// beyond the bound. Caller holds c.mu.
-func (c *Cache) memInsert(key string, res sim.Result) {
-	if el, ok := c.mem[key]; ok {
-		el.Value.(*memEntry).res = res
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.mem[key] = c.lru.PushFront(&memEntry{key: key, res: res})
-	if c.maxMem <= 0 {
-		return
-	}
-	for c.lru.Len() > c.maxMem {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		c.lru.Remove(back)
-		delete(c.mem, back.Value.(*memEntry).key)
-		c.evictedMem++
-	}
-}
+// Close returns nil: Put writes every entry through, so nothing is
+// pending.
+func (c *Cache) Close() error { return nil }
 
 // quarantine renames a failed-verification entry to <path>.corrupt so
 // the next lookup misses cleanly instead of re-reading the bad bytes.
 // Rename keeps the evidence for postmortems; the orphan sweep removes
 // aged quarantine files.
-func (c *Cache) quarantine(key, path string) {
+func (c *Cache) quarantine(path string) {
 	_ = os.Rename(path, path+".corrupt")
 	c.mu.Lock()
 	c.quarantined++
-	if size, ok := c.index[key]; ok {
-		c.diskBytes -= size
-		delete(c.index, key)
-	}
 	c.mu.Unlock()
 }
 
@@ -354,7 +199,7 @@ func decodeEnvelope(key string, data []byte) (sim.Result, bool) {
 
 // sweepOrphans removes put-* temp files and *.corrupt quarantine files
 // older than orphanTTL: crashed or failed Puts must not litter a
-// long-lived shared store forever. Young temp files are left alone —
+// reused cache directory forever. Young temp files are left alone —
 // another process may be mid-write.
 //
 //dapper:wallclock file ages gate the orphan sweep only; nothing reaches a Result
@@ -375,171 +220,6 @@ func (c *Cache) sweepOrphans() {
 		}
 		_ = os.Remove(filepath.Join(c.dir, name))
 	}
-}
-
-// diskEntryKey maps an entry filename to its descriptor key ("" for
-// non-entry files: the index, temp files, quarantines).
-func diskEntryKey(name string) string {
-	if name == "index.json" || !strings.HasSuffix(name, ".json") {
-		return ""
-	}
-	return strings.TrimSuffix(name, ".json")
-}
-
-// rescanDisk rebuilds the index from the directory. Caller must not
-// hold c.mu.
-func (c *Cache) rescanDisk() {
-	entries, err := os.ReadDir(c.dir)
-	if err != nil {
-		return
-	}
-	index := make(map[string]int64)
-	var bytes int64
-	for _, e := range entries {
-		key := diskEntryKey(e.Name())
-		if key == "" || e.IsDir() {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		index[key] = info.Size()
-		bytes += info.Size()
-	}
-	c.mu.Lock()
-	c.index = index
-	c.diskBytes = bytes
-	c.mu.Unlock()
-}
-
-// indexFile is the advisory on-disk index: entry sizes keyed by
-// descriptor key, so a huge store reopens without a full rescan and
-// external tools can see occupancy. The entry files remain the source
-// of truth — Get always falls through to the file, so a stale index
-// (another process wrote entries since) only under-reports stats
-// until the next rewrite.
-type indexFile struct {
-	Schema  string           `json:"schema"`
-	Entries map[string]int64 `json:"entries"`
-}
-
-// loadIndex reads the advisory index; false means rebuild by scan.
-func (c *Cache) loadIndex() bool {
-	data, err := os.ReadFile(filepath.Join(c.dir, "index.json"))
-	if err != nil {
-		return false
-	}
-	var idx indexFile
-	if json.Unmarshal(data, &idx) != nil || idx.Schema != indexSchema || idx.Entries == nil {
-		return false
-	}
-	var bytes int64
-	for _, size := range idx.Entries {
-		bytes += size
-	}
-	c.mu.Lock()
-	c.index = idx.Entries
-	c.diskBytes = bytes
-	c.mu.Unlock()
-	return true
-}
-
-// persistIndex writes the advisory index via temp + rename.
-func (c *Cache) persistIndex() {
-	if c.dir == "" {
-		return
-	}
-	c.mu.Lock()
-	snapshot := make(map[string]int64, len(c.index))
-	for k, v := range c.index {
-		snapshot[k] = v
-	}
-	c.dirtyPuts = 0
-	c.mu.Unlock()
-	data, err := json.Marshal(indexFile{Schema: indexSchema, Entries: snapshot})
-	if err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(c.dir, "put-index-*")
-	if err != nil {
-		return
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(c.dir, "index.json")); err != nil {
-		os.Remove(tmp.Name())
-	}
-}
-
-// evictDisk rescans the directory (the authoritative view in a shared
-// store: other processes write entries this process never saw) and
-// deletes least-recently-used entries until the tier fits the budget.
-// Entries younger than the eviction grace are never deleted, so an
-// entry another process just wrote survives this process's eviction
-// pass even when the budget says otherwise.
-//
-//dapper:wallclock mtime ordering implements disk LRU; timestamps never reach a Result
-func (c *Cache) evictDisk() {
-	entries, err := os.ReadDir(c.dir)
-	if err != nil {
-		return
-	}
-	type diskEntry struct {
-		key   string
-		size  int64
-		mtime time.Time
-	}
-	var all []diskEntry
-	var total int64
-	for _, e := range entries {
-		key := diskEntryKey(e.Name())
-		if key == "" || e.IsDir() {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		all = append(all, diskEntry{key: key, size: info.Size(), mtime: info.ModTime()})
-		total += info.Size()
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].mtime.Before(all[j].mtime) })
-	cutoff := time.Now().Add(-c.grace)
-	index := make(map[string]int64, len(all))
-	for _, e := range all {
-		index[e.key] = e.size
-	}
-	var evicted uint64
-	for _, e := range all {
-		if c.maxDisk <= 0 || total <= c.maxDisk {
-			break
-		}
-		if e.mtime.After(cutoff) {
-			// Everything after this entry is younger still: stop.
-			break
-		}
-		if os.Remove(c.path(e.key)) == nil {
-			total -= e.size
-			delete(index, e.key)
-			evicted++
-		}
-	}
-	c.mu.Lock()
-	c.index = index
-	c.diskBytes = total
-	c.evictedDisk += evicted
-	// Disk eviction must not leave evicted keys pinned in memory
-	// forever in a bounded configuration; the memory LRU already
-	// bounds that tier independently.
-	c.mu.Unlock()
 }
 
 func (c *Cache) path(key string) string {

@@ -138,171 +138,14 @@ func TestCacheSweepsOrphanTempFiles(t *testing.T) {
 	}
 }
 
-// TestCacheMemoryLRUBound: the in-memory map stays bounded, evicted
-// entries fall back to disk, and re-Gets re-admit them.
-func TestCacheMemoryLRUBound(t *testing.T) {
-	dir := t.TempDir()
-	c, err := NewCacheOpts(CacheOptions{Dir: dir, MaxMemEntries: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 12; i++ {
-		if err := c.Put(fmt.Sprintf("k%d", i), testResult(float64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.Stats()
-	if st.MemEntries != 4 {
-		t.Fatalf("mem entries = %d, want 4", st.MemEntries)
-	}
-	if st.EvictedMem != 8 {
-		t.Fatalf("evicted = %d, want 8", st.EvictedMem)
-	}
-	// Memory-evicted entries are still disk hits.
-	for i := 0; i < 12; i++ {
-		if res, ok := c.Get(fmt.Sprintf("k%d", i)); !ok || res.IPC[0] != float64(i) {
-			t.Fatalf("k%d: ok=%v res=%+v", i, ok, res)
-		}
-	}
-	// Memory-only bounded cache: eviction loses the entry entirely —
-	// but never corrupts the survivors.
-	m, err := NewCacheOpts(CacheOptions{MaxMemEntries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Put("a", testResult(1))
-	m.Put("b", testResult(2))
-	m.Put("c", testResult(3))
-	if _, ok := m.Get("a"); ok {
-		t.Fatal("LRU entry a must be evicted")
-	}
-	if res, ok := m.Get("c"); !ok || res.IPC[0] != 3 {
-		t.Fatal("newest entry lost")
-	}
-}
-
-// TestCacheDiskLRUEviction: the disk tier stays near the byte budget,
-// evicting oldest-mtime entries first, and never touches entries
-// younger than the eviction grace.
-func TestCacheDiskLRUEviction(t *testing.T) {
-	dir := t.TempDir()
-	probe, err := NewCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := probe.Put("size-probe", testResult(0)); err != nil {
-		t.Fatal(err)
-	}
-	entrySize := probe.Stats().DiskBytes
-	if entrySize <= 0 {
-		t.Fatal("probe entry has no size")
-	}
-	os.Remove(filepath.Join(dir, "size-probe.json"))
-
-	c, err := NewCacheOpts(CacheOptions{
-		Dir:           dir,
-		MaxDiskBytes:  4 * entrySize,
-		EvictionGrace: -1, // everything evictable immediately
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-time.Hour)
-	for i := 0; i < 10; i++ {
-		key := fmt.Sprintf("k%d", i)
-		if err := c.Put(key, testResult(float64(i))); err != nil {
-			t.Fatal(err)
-		}
-		// Age each entry so mtime order equals put order.
-		ts := old.Add(time.Duration(i) * time.Minute)
-		if err := os.Chtimes(filepath.Join(dir, key+".json"), ts, ts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.Stats()
-	if st.DiskBytes > 5*entrySize {
-		t.Fatalf("disk bytes = %d, want <= %d", st.DiskBytes, 5*entrySize)
-	}
-	if st.EvictedDisk == 0 {
-		t.Fatal("no disk evictions recorded")
-	}
-	// The newest entries must survive; k9 was written last.
-	if _, err := os.Stat(filepath.Join(dir, "k9.json")); err != nil {
-		t.Fatal("newest entry evicted")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "k0.json")); !os.IsNotExist(err) {
-		t.Fatal("oldest entry survived a full-budget eviction")
-	}
-
-	// With the default grace, a fresh write is immune even over budget.
-	g, err := NewCacheOpts(CacheOptions{Dir: t.TempDir(), MaxDiskBytes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Put("fresh", testResult(1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := g.Get("fresh"); !ok {
-		t.Fatal("entry younger than the eviction grace was evicted")
-	}
-}
-
-// TestCacheIndexPersistsAndRebuilds: Close writes the advisory index,
-// a reopen loads it, and a deleted index falls back to a scan with
-// identical occupancy numbers.
-func TestCacheIndexPersistsAndRebuilds(t *testing.T) {
-	dir := t.TempDir()
-	c, err := NewCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := c.Put(fmt.Sprintf("k%d", i), testResult(float64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := c.Stats()
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "index.json")); err != nil {
-		t.Fatalf("index.json not written: %v", err)
-	}
-	fromIndex, err := NewCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fromIndex.Stats(); got.DiskEntries != want.DiskEntries || got.DiskBytes != want.DiskBytes {
-		t.Fatalf("index reopen: %+v, want entries/bytes of %+v", got, want)
-	}
-	os.Remove(filepath.Join(dir, "index.json"))
-	fromScan, err := NewCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fromScan.Stats(); got.DiskEntries != want.DiskEntries || got.DiskBytes != want.DiskBytes {
-		t.Fatalf("scan reopen: %+v, want entries/bytes of %+v", got, want)
-	}
-	// The index file must never be served as a cache entry.
-	if _, ok := fromScan.Get("index"); ok {
-		t.Fatal("index.json served as an entry")
-	}
-}
-
-// TestCacheSharedDirMultiInstance is the multi-process shared-store
-// satellite (run under -race in CI): two Cache instances over one
-// directory doing concurrent Put/Get/evict must never tear a read, and
-// eviction must never delete an entry the other instance just wrote.
+// TestCacheSharedDirMultiInstance is the shared-directory satellite
+// (run under -race in CI): two Cache instances over one directory
+// doing concurrent Put/Get must never tear a read, and a reader must
+// never quarantine an entry another instance is rewriting.
 func TestCacheSharedDirMultiInstance(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *Cache {
-		c, err := NewCacheOpts(CacheOptions{
-			Dir: dir,
-			// A tight budget so eviction passes actually run; the default
-			// grace protects just-written entries.
-			MaxDiskBytes:  1,
-			MaxMemEntries: 8,
-		})
+		c, err := NewCache(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,12 +170,17 @@ func TestCacheSharedDirMultiInstance(t *testing.T) {
 						t.Errorf("put %s: %v", key, err)
 						return
 					}
-					// An immediate re-read must be a hit with untorn content:
-					// the entry was just written, so the grace window shields
-					// it from the other instance's eviction.
-					res, ok := c.Get(key)
-					if !ok {
-						t.Errorf("just-written %s missing (evicted or torn)", key)
+					// An immediate re-read through a fresh instance goes to
+					// disk while other writers rename over the same entry: it
+					// must be a hit with untorn content.
+					fresh, err := NewCache(dir)
+					if err != nil {
+						t.Errorf("open %s: %v", dir, err)
+						return
+					}
+					res, ok := fresh.Get(key)
+					if !ok || fresh.Stats().Quarantined != 0 {
+						t.Errorf("just-written %s missing or quarantined (torn)", key)
 						return
 					}
 					if res.IPC[0] != want || res.Cycles != 1000 {

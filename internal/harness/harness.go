@@ -25,7 +25,6 @@
 package harness
 
 import (
-	"context"
 	"runtime"
 
 	"dapper/internal/sim"
@@ -56,16 +55,6 @@ type Options struct {
 	// cache hits, sink flushes) for Chrome-trace export. Purely
 	// observational: results, ordering and caching are unaffected.
 	Tracer *telemetry.Tracer
-	// Context, if non-nil, cancels dispatch: queued jobs complete their
-	// futures with the context's error instead of running once it is
-	// done. Jobs already executing run to completion (simulations are
-	// not interruptible mid-run).
-	Context context.Context
-	// Retry re-runs jobs whose Run returned an error marked with
-	// MarkTransient, with exponential backoff. The zero value never
-	// retries; simulation errors are deterministic and should not be
-	// marked transient.
-	Retry RetryPolicy
 }
 
 func (o Options) workers() int { return NormalizeJobs(o.Workers) }

@@ -182,8 +182,8 @@ func TestCacheMemoryRoundTrip(t *testing.T) {
 	if !ok || got.IPC[0] != 1.5 || got.Cycles != 1000 {
 		t.Fatalf("round trip: ok=%v got=%+v", ok, got)
 	}
-	if c.Hits() != 1 || c.Misses() != 1 {
-		t.Fatalf("hits=%d misses=%d, want 1/1", c.Hits(), c.Misses())
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("hits=%d misses=%d, want 1/1", st.Hits, st.Misses)
 	}
 }
 

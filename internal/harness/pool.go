@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -38,19 +36,6 @@ func (f *Future) Wait() (sim.Result, error) {
 	return f.res, f.err
 }
 
-// WaitCtx blocks until the job completes or ctx is done, whichever
-// comes first. A ctx error abandons the wait, not the job: the job
-// still runs to completion in the pool (simulations are not
-// interruptible mid-run) and its result stays cached.
-func (f *Future) WaitCtx(ctx context.Context) (sim.Result, error) {
-	select {
-	case <-f.done:
-		return f.res, f.err
-	case <-ctx.Done():
-		return sim.Result{}, ctx.Err()
-	}
-}
-
 // Cached reports (after Wait) whether the result came from the cache.
 func (f *Future) Cached() bool {
 	<-f.done
@@ -59,37 +44,6 @@ func (f *Future) Cached() bool {
 
 // Desc returns the job's descriptor.
 func (f *Future) Desc() Descriptor { return f.desc }
-
-// transientError marks an error as retryable by the pool's retry
-// policy. Simulation errors are deterministic (same inputs, same
-// failure) and must not be marked; infrastructure errors — a shared
-// store hiccup, a remote claim timeout — may be.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return "transient: " + e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// MarkTransient wraps err so the pool's RetryPolicy retries it.
-func MarkTransient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err is marked retryable.
-func IsTransient(err error) bool {
-	var te *transientError
-	return errors.As(err, &te)
-}
-
-// RetryPolicy retries jobs whose Run returned a transient error (see
-// MarkTransient). Attempts is the number of retries after the first
-// try; Backoff is the first retry's delay, doubling per retry.
-type RetryPolicy struct {
-	Attempts int
-	Backoff  time.Duration
-}
 
 // Stats summarizes a pool's activity.
 type Stats struct {
@@ -104,12 +58,6 @@ type Stats struct {
 	// gauge, not a counter (expvar/debug endpoints poll it live).
 	Inflight int
 	Errors   int // jobs that returned an error
-	// Retries counts re-executions of jobs whose previous attempt
-	// returned a transient error.
-	Retries int
-	// Cancelled counts jobs completed with the pool context's error
-	// without ever running.
-	Cancelled int
 	// CacheWriteErrors counts failed memoization writes; the runs
 	// themselves still succeed.
 	CacheWriteErrors int
@@ -152,8 +100,6 @@ type Pool struct {
 	onResult   func(Descriptor, sim.Result)
 	tracer     *telemetry.Tracer
 	workers    int
-	ctx        context.Context
-	retry      RetryPolicy
 	wg         sync.WaitGroup
 
 	// cbMu serializes completion bookkeeping + progress callback so
@@ -181,8 +127,6 @@ func NewPool(opts Options) *Pool {
 		onResult:   opts.OnResult,
 		tracer:     opts.Tracer,
 		workers:    n,
-		ctx:        opts.Context,
-		retry:      opts.Retry,
 		futures:    make(map[string]*Future),
 		elapsed:    make(map[string]time.Duration),
 	}
@@ -258,13 +202,6 @@ func (p *Pool) worker(lane int) {
 func (p *Pool) execute(lane int, item queued) {
 	f, job := item.f, item.job
 	defer p.wg.Done()
-	if p.ctx != nil && p.ctx.Err() != nil {
-		p.mu.Lock()
-		p.stats.Cancelled++
-		p.mu.Unlock()
-		p.finish(f, p.ctx.Err(), 0)
-		return
-	}
 	if p.cache != nil {
 		lookupStart := time.Now()
 		res, ok := p.cache.Get(f.key)
@@ -285,7 +222,7 @@ func (p *Pool) execute(lane int, item queued) {
 	p.stats.Inflight++
 	p.mu.Unlock()
 	start := time.Now()
-	res, err := p.runWithRetry(job)
+	res, err := job.Run()
 	end := time.Now()
 	p.mu.Lock()
 	p.stats.Inflight--
@@ -316,54 +253,6 @@ func (p *Pool) execute(lane int, item queued) {
 		}
 	}
 	p.finish(f, err, elapsed)
-}
-
-// runWithRetry executes the job, re-running it with exponential
-// backoff while the error is transient and the retry budget lasts.
-//
-//dapper:wallclock backoff sleeps pace retries of transient infrastructure errors; no timestamp reaches a Result
-func (p *Pool) runWithRetry(job Job) (sim.Result, error) {
-	res, err := job.Run()
-	if err == nil || p.retry.Attempts <= 0 {
-		return res, err
-	}
-	backoff := p.retry.Backoff
-	if backoff <= 0 {
-		backoff = 50 * time.Millisecond
-	}
-	for attempt := 0; attempt < p.retry.Attempts && IsTransient(err); attempt++ {
-		if !sleepCtx(p.ctx, backoff) {
-			return res, p.ctx.Err()
-		}
-		backoff *= 2
-		p.mu.Lock()
-		p.stats.Retries++
-		p.mu.Unlock()
-		res, err = job.Run()
-		if err == nil {
-			return res, nil
-		}
-	}
-	return res, err
-}
-
-// sleepCtx sleeps for d unless ctx is done first; it reports whether
-// the full sleep elapsed.
-//
-//dapper:wallclock retry backoff timer; never observable in a Result
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if ctx == nil {
-		time.Sleep(d)
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
 
 func (p *Pool) finish(f *Future, err error, elapsed time.Duration) {

@@ -1,10 +1,8 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,134 +40,5 @@ func TestPoolBoundedDispatch(t *testing.T) {
 	pool.Wait()
 	if st := pool.Stats(); st.Ran != backlog {
 		t.Fatalf("ran %d, want %d", st.Ran, backlog)
-	}
-}
-
-// TestPoolContextCancelsQueuedJobs: cancelling the pool context fails
-// queued jobs fast with the context error instead of running them,
-// while already-running jobs complete normally.
-func TestPoolContextCancelsQueuedJobs(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{})
-	release := make(chan struct{})
-	pool := NewPool(Options{Workers: 1, Context: ctx})
-	var ran atomic.Int64
-	running := pool.Submit(Job{Desc: testDesc("running", 500), Run: func() (sim.Result, error) {
-		close(started)
-		<-release
-		ran.Add(1)
-		return testResult(1), nil
-	}})
-	queued := make([]*Future, 8)
-	for i := range queued {
-		queued[i] = pool.Submit(Job{Desc: testDesc(fmt.Sprintf("queued-%d", i), 500),
-			Run: func() (sim.Result, error) {
-				ran.Add(1)
-				return testResult(2), nil
-			}})
-	}
-	<-started
-	cancel()
-	close(release)
-	pool.Wait()
-	if _, err := running.Wait(); err != nil {
-		t.Fatalf("already-running job must complete: %v", err)
-	}
-	for i, f := range queued {
-		if _, err := f.Wait(); err != context.Canceled {
-			t.Fatalf("queued job %d: err = %v, want context.Canceled", i, err)
-		}
-	}
-	if ran.Load() != 1 {
-		t.Fatalf("ran %d jobs after cancel, want 1 (the in-flight one)", ran.Load())
-	}
-	if st := pool.Stats(); st.Cancelled != 8 || st.Errors != 8 {
-		t.Fatalf("stats = %+v, want 8 cancelled/errored", st)
-	}
-}
-
-// TestFutureWaitCtx: a context-bounded wait returns the context error
-// without abandoning the job, and a completed future returns its
-// result under any context.
-func TestFutureWaitCtx(t *testing.T) {
-	release := make(chan struct{})
-	pool := NewPool(Options{Workers: 1})
-	f := pool.Submit(Job{Desc: testDesc("slow", 500), Run: func() (sim.Result, error) {
-		<-release
-		return testResult(7), nil
-	}})
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	if _, err := f.WaitCtx(ctx); err != context.DeadlineExceeded {
-		t.Fatalf("err = %v, want deadline exceeded", err)
-	}
-	close(release)
-	if res, err := f.WaitCtx(context.Background()); err != nil || res.IPC[0] != 7 {
-		t.Fatalf("completed wait: res=%+v err=%v", res, err)
-	}
-}
-
-// TestPoolRetriesTransientErrors: a Run failing with a MarkTransient
-// error is retried with backoff until it succeeds; a permanent error
-// is not retried; and the retry budget is finite.
-func TestPoolRetriesTransientErrors(t *testing.T) {
-	var attempts atomic.Int64
-	pool := NewPool(Options{Workers: 1, Retry: RetryPolicy{Attempts: 4, Backoff: time.Millisecond}})
-	f := pool.Submit(Job{Desc: testDesc("flaky", 500), Run: func() (sim.Result, error) {
-		if attempts.Add(1) < 3 {
-			return sim.Result{}, MarkTransient(fmt.Errorf("store hiccup"))
-		}
-		return testResult(9), nil
-	}})
-	res, err := f.Wait()
-	if err != nil || res.IPC[0] != 9 {
-		t.Fatalf("res=%+v err=%v", res, err)
-	}
-	if attempts.Load() != 3 {
-		t.Fatalf("attempts = %d, want 3", attempts.Load())
-	}
-	if st := pool.Stats(); st.Retries != 2 || st.Errors != 0 || st.Ran != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-
-	var permAttempts atomic.Int64
-	pf := pool.Submit(Job{Desc: testDesc("perm", 500), Run: func() (sim.Result, error) {
-		permAttempts.Add(1)
-		return sim.Result{}, fmt.Errorf("deterministic sim failure")
-	}})
-	if _, err := pf.Wait(); err == nil {
-		t.Fatal("permanent error swallowed")
-	}
-	if permAttempts.Load() != 1 {
-		t.Fatalf("permanent error retried %d times", permAttempts.Load())
-	}
-
-	var exhausted atomic.Int64
-	ef := pool.Submit(Job{Desc: testDesc("exhausted", 500), Run: func() (sim.Result, error) {
-		exhausted.Add(1)
-		return sim.Result{}, MarkTransient(fmt.Errorf("always down"))
-	}})
-	if _, err := ef.Wait(); err == nil || !IsTransient(err) {
-		t.Fatalf("exhausted retries: err = %v, want the transient error", err)
-	}
-	if exhausted.Load() != 5 { // 1 try + 4 retries
-		t.Fatalf("attempts = %d, want 5", exhausted.Load())
-	}
-}
-
-// TestTransientMarking: the marker survives wrapping and nil stays nil.
-func TestTransientMarking(t *testing.T) {
-	if MarkTransient(nil) != nil {
-		t.Fatal("MarkTransient(nil) must be nil")
-	}
-	err := MarkTransient(fmt.Errorf("base"))
-	if !IsTransient(err) {
-		t.Fatal("marked error not transient")
-	}
-	if !IsTransient(fmt.Errorf("wrapped: %w", err)) {
-		t.Fatal("wrapping must preserve transience")
-	}
-	if IsTransient(fmt.Errorf("plain")) {
-		t.Fatal("plain error reported transient")
 	}
 }
