@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test test-race test-engine-equivalence fuzz-smoke audit-smoke mix-smoke telemetry-smoke blame-smoke batch-smoke simbench-test bench-mix bench-smoke bench-compare bench-check adversary-smoke bench-adversary ci
+.PHONY: all build vet lint test test-race test-engine-equivalence fuzz-smoke audit-smoke mix-smoke telemetry-smoke blame-smoke batch-smoke simbench-test bench-smoke bench-compare bench-check adversary-smoke ci
 
 all: build vet lint test
 
@@ -57,7 +57,7 @@ fuzz-smoke:
 # matrix in audit-smoke/ is byte-identical across reruns and across
 # -engine event/cycle; CI uploads it as an artifact.
 audit-smoke:
-	$(GO) run ./cmd/dapper-audit -profile tiny -tracker all -attack hammer,refresh,streaming -mode vrr-br1,rfmsb -nrh 125 -seed 1 -check -out audit-smoke
+	$(GO) run ./cmd/dapper audit -profile tiny -tracker all -attack hammer,refresh,streaming -mode vrr-br1,rfmsb -nrh 125 -seed 1 -check -out audit-smoke
 
 # Heterogeneous mix smoke: two seeded 4-core mixes with two focused
 # hammers each, swept over every registered tracker at NRH 125 with the
@@ -68,7 +68,7 @@ audit-smoke:
 # across reruns and across -engine event/cycle; CI uploads it as an
 # artifact.
 mix-smoke:
-	$(GO) run ./cmd/dapper-mix -profile tiny -mixes 2 -cores 4 -attackers 2 -attack hammer -tracker all -nrh 125 -seed 1 -audit -check -out mix-smoke
+	$(GO) run ./cmd/dapper mix -profile tiny -mixes 2 -cores 4 -attackers 2 -attack hammer -tracker all -nrh 125 -seed 1 -audit -check -out mix-smoke
 
 # Telemetry smoke: one small windowed run rendered to
 # telemetry-smoke/timeline.{jsonl,csv} with -check gating the series
@@ -78,8 +78,8 @@ mix-smoke:
 # sweep with the harness tracer attached, so telemetry-smoke/tel/
 # carries a Perfetto-viewable trace.json CI uploads as an artifact.
 telemetry-smoke:
-	$(GO) run ./cmd/dapper-timeline -tracker dapper-h -attack refresh -nrh 500 -warmup 5 -measure 60 -window 10 -rows-per-bank 1024 -seed 1 -check -out telemetry-smoke
-	$(GO) run ./cmd/dapper-batch -profile tiny -trackers dapper-h,none -workloads 429.mcf -nrh 500 -attack refresh -window-us 10 -telemetry telemetry-smoke/tel -out telemetry-smoke
+	$(GO) run ./cmd/dapper timeline -tracker dapper-h -attack refresh -nrh 500 -warmup 5 -measure 60 -window 10 -rows-per-bank 1024 -seed 1 -check -out telemetry-smoke
+	$(GO) run ./cmd/dapper batch -profile tiny -tracker dapper-h,none -workload 429.mcf -nrh 500 -attack refresh -window 10 -telemetry telemetry-smoke/tel -out telemetry-smoke
 
 # Slowdown-attribution smoke: every registered tracker attributed under
 # the focused hammer at NRH 125 on a reduced geometry (seconds).
@@ -90,7 +90,7 @@ telemetry-smoke:
 # JSONL/CSV/ASCII plus the core→core blame matrices; CI uploads the
 # directory as an artifact.
 blame-smoke:
-	$(GO) run ./cmd/dapper-blame -tracker all -attack hammer -nrh 125 -rows-per-bank 1024 -warmup 5 -measure 60 -window 10 -seed 1 -check -out blame-smoke
+	$(GO) run ./cmd/dapper blame -tracker all -attack hammer -nrh 125 -rows-per-bank 1024 -warmup 5 -measure 60 -window 10 -seed 1 -check -out blame-smoke
 
 # Batched sweep smoke: the same tiny sweep through both runners — the
 # lockstep batch runner (-batch: decode once, replay non-perturbing
@@ -106,7 +106,7 @@ blame-smoke:
 # and cached normalised away). Then one entry is overwritten with {}
 # and the sweep rerun: the cache must quarantine it (a *.corrupt file
 # appears), re-simulate exactly that point, and still match.
-BATCH_SMOKE = $(GO) run ./cmd/dapper-batch -profile tiny -trackers none,dapper-h,hydra,blockhammer -workloads 429.mcf -nrh 500,1000 -window-us 10 -attr
+BATCH_SMOKE = $(GO) run ./cmd/dapper batch -profile tiny -tracker none,dapper-h,hydra,blockhammer -workload 429.mcf -nrh 500,1000 -attack none -window 10 -attr
 batch-smoke:
 	@rm -rf batch-smoke
 	$(BATCH_SMOKE) -batch -out batch-smoke/batched
@@ -143,12 +143,6 @@ batch-smoke:
 simbench-test:
 	cd simbench && $(GO) test ./...
 
-# Benchmark mix-sweep throughput (cells per second) and record it in
-# BENCH_mix.json (BenchmarkMix in bench_test.go is the in-process
-# equivalent, covered by bench-smoke).
-bench-mix:
-	$(GO) run ./cmd/dapper-mix -profile tiny -mixes 4 -attackers 1 -tracker none,dapper-h -nrh 500 -seed 1 -out mix-bench -bench BENCH_mix.json
-
 # One iteration of every benchmark in every package: a smoke
 # reproduction of each table and figure under the reduced bench profile,
 # plus the package microbenchmarks (saturated controller, flatmap), so
@@ -156,12 +150,12 @@ bench-mix:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# Benchmark the cycle vs event engine on one figure plus the batched
+# Benchmark the cycle vs event engine on fig11 plus the batched
 # sweep runner on an 8-point NRH sweep, and append the timestamped
 # report to the BENCH_engine.json trajectory (a JSON array; the perf
 # history travels with the repo).
 bench-compare:
-	$(GO) run ./cmd/dapper-engine-bench -exp fig11 -out BENCH_engine.json
+	$(GO) run ./cmd/dapper engine-bench -out .
 
 # Gate the perf trajectory instead of extending it: re-run the
 # telemetry-off benchmarks and fail if the event-over-cycle speedup
@@ -169,17 +163,12 @@ bench-compare:
 # recorded BENCH_engine.json point (ratios, not wall-clock, so the
 # gates hold across machine speeds).
 bench-check:
-	$(GO) run ./cmd/dapper-engine-bench -exp fig11 -out BENCH_engine.json -check
+	$(GO) run ./cmd/dapper engine-bench -out . -check
 
 # Worst-case attack search smoke: a deterministic tiny-profile search
 # against two trackers (fixed seed, well under a minute). CI uploads
 # the resilience reports it writes to adversary-smoke/.
 adversary-smoke:
-	$(GO) run ./cmd/dapper-adversary -tracker hydra,comet -profile tiny -budget 10 -seed 1 -out adversary-smoke
+	$(GO) run ./cmd/dapper adversary -tracker hydra,comet -profile tiny -budget 10 -seed 1 -out adversary-smoke
 
-# Benchmark adversary throughput (candidate evaluations per second)
-# and record it in BENCH_adversary.json.
-bench-adversary:
-	$(GO) run ./cmd/dapper-adversary -tracker dapper-h -profile tiny -budget 16 -seed 1 -out adversary-bench -bench BENCH_adversary.json
-
-ci: build vet lint test test-race test-engine-equivalence audit-smoke mix-smoke telemetry-smoke blame-smoke batch-smoke simbench-test fuzz-smoke bench-smoke bench-check adversary-smoke bench-adversary bench-mix
+ci: build vet lint test test-race test-engine-equivalence audit-smoke mix-smoke telemetry-smoke blame-smoke batch-smoke simbench-test fuzz-smoke bench-smoke bench-check adversary-smoke

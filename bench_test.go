@@ -1,8 +1,8 @@
 // Benchmarks: one per table and figure of the paper's evaluation (the
-// ids `dapper-experiments -list` prints). Each benchmark regenerates its table under a reduced
+// ids `dapper list experiments` prints). Each benchmark regenerates its table under a reduced
 // quick profile and reports the headline metric so `go test -bench=.`
 // doubles as a smoke reproduction. Full-scale tables come from
-// `go run ./cmd/dapper-experiments -exp <id> -profile full`.
+// `go run ./cmd/dapper experiments -exp <id> -profile full`.
 package dapper_test
 
 import (
@@ -17,7 +17,7 @@ import (
 
 // benchProfile is the shared trimmed quick profile sized so every
 // benchmark completes in seconds (exp.Bench, also used by
-// cmd/dapper-engine-bench).
+// `dapper engine-bench`).
 func benchProfile() exp.Profile {
 	return exp.Bench()
 }
@@ -127,7 +127,7 @@ func BenchmarkFig11CycleEngine(b *testing.B) { runExpProfile(b, "fig11", cyclePr
 // BenchmarkMix runs a heterogeneous mix sweep (two seeded mixes, one
 // with an attacker, over the insecure baseline and DAPPER-H) through
 // the harness with a fresh pool per iteration — the scenario engine's
-// end-to-end cost, tracked in BENCH_mix.json via `make bench-mix`.
+// end-to-end cost, run once per CI build by `make bench-smoke`.
 func BenchmarkMix(b *testing.B) {
 	p := benchProfile()
 	specs := []mix.Spec{

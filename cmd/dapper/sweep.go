@@ -1,0 +1,472 @@
+package main
+
+import (
+	"fmt"
+	"io"
+	"math"
+	"path/filepath"
+	"sort"
+	"time"
+
+	"dapper/internal/adversary"
+	"dapper/internal/attack"
+	"dapper/internal/dram"
+	"dapper/internal/exp"
+	"dapper/internal/harness"
+	"dapper/internal/mix"
+	"dapper/internal/secaudit"
+	"dapper/internal/sim"
+)
+
+// runExperiments regenerates the paper's tables and figures (fig1..fig17,
+// tab1..tab4, sec-h). Simulations fan out over -jobs workers; the tables
+// on stdout are byte-identical for any worker count.
+func runExperiments(c *cli) error {
+	p, err := c.resolveProfile()
+	if err != nil {
+		return err
+	}
+	ids := []string{c.exp}
+	if c.exp == "all" {
+		ids = exp.Order()
+	} else if _, err := exp.Lookup(c.exp); err != nil {
+		return flagErr("exp", err)
+	}
+	sinks, err := harness.FileSinks(c.out, "results.jsonl", "results.csv")
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(c.stdout, "profile: %s (%d workloads, sweep %v)\n\n", p.Name, len(p.Workloads), p.NRHSweep)
+	st, err := c.withPool(sinks, func(pool *harness.Pool) error {
+		for _, id := range ids {
+			//dapper:wallclock per-figure elapsed time for the stderr progress line only
+			start := time.Now()
+			tb, err := exp.Generate(id, p, pool)
+			if err != nil {
+				return fmt.Errorf("%s: %w", id, err)
+			}
+			//dapper:wallclock progress display on stderr, byte-exact tables go to stdout
+			fmt.Fprintf(c.stderr, "\r%s: %.1fs\n", id, time.Since(start).Seconds())
+			tb.Fprint(c.stdout)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(c.stderr, "simulations: %d ran, %d cache hits, %d deduplicated (of %d requests) on %d workers\n",
+		st.Ran, st.CacheHits, st.Submitted-st.Unique, st.Submitted, c.jobs)
+	fmt.Fprintf(c.stderr, "records: %s\n", filepath.Join(c.out, "results.{jsonl,csv}"))
+	return nil
+}
+
+// runBatch runs an arbitrary tracker x workload x NRH sweep straight to
+// batch.{jsonl,csv}: every combination is one cached, parallel
+// simulation, or one lockstep point with -batch.
+func runBatch(c *cli) error {
+	p, err := c.resolveProfile()
+	if err != nil {
+		return err
+	}
+	if c.window < 0 {
+		return flagErr("window", fmt.Errorf("must be non-negative (microseconds, 0 = off), got %g", c.window))
+	}
+	p.TelemetryWindow = dram.US(c.window)
+	req := exp.BatchRequest{Profile: p}
+	if req.Trackers, err = c.trackerIDs(); err != nil {
+		return err
+	}
+	if req.Workloads, err = c.workloads(); err != nil {
+		return err
+	}
+	if req.NRHs, err = c.nrhs(); err != nil {
+		return err
+	}
+	if req.Mode, err = only("mode", c.modes); err != nil {
+		return err
+	}
+	atk, err := only("attack", c.attacks)
+	if err != nil {
+		return err
+	}
+	if atk.Point.Params != (attack.Params{}) {
+		return flagErr("attack", fmt.Errorf("batch sweeps attack kinds; %q is a parametric point (use audit, mix or blame)", atk.Name))
+	}
+	req.Attack = atk.Point.Kind
+	sinks, err := harness.FileSinks(c.out, "batch.jsonl", "batch.csv")
+	if err != nil {
+		return err
+	}
+	//dapper:wallclock sweep elapsed-time for the summary line only
+	start := time.Now()
+	if c.batch {
+		opts, _, err := c.harnessOptions(sinks)
+		if err != nil {
+			return err
+		}
+		_, st, err := exp.BatchedSweep(req, opts)
+		fmt.Fprintln(c.stderr)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(c.stdout, "%d points in %d lockstep groups (%d replayed, %d full runs, %d cache hits) in %.1fs on %d workers\n",
+			st.Points, st.Groups, st.Lockstep, st.FullRuns, st.CacheHits,
+			//dapper:wallclock elapsed seconds printed in the run summary, not written to any sink
+			time.Since(start).Seconds(), c.jobs)
+		reasons := make([]string, 0, len(st.Reasons))
+		for r := range st.Reasons {
+			reasons = append(reasons, r)
+		}
+		sort.Strings(reasons)
+		for _, r := range reasons {
+			fmt.Fprintf(c.stdout, "  %-22s %d\n", r, st.Reasons[r])
+		}
+	} else {
+		jobs, err := req.Jobs()
+		if err != nil {
+			return err
+		}
+		failed := 0
+		st, err := c.withPool(sinks, func(pool *harness.Pool) error {
+			futures := make([]*harness.Future, len(jobs))
+			for i, job := range jobs {
+				futures[i] = pool.Submit(job)
+			}
+			for _, f := range futures {
+				if _, err := f.Wait(); err != nil {
+					fmt.Fprintf(c.stderr, "\n%s: %v\n", f.Desc(), err)
+					failed++
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(c.stdout, "%d runs (%d simulated, %d cache hits, %d deduplicated) in %.1fs on %d workers\n",
+			st.Submitted, st.Ran, st.CacheHits, st.Submitted-st.Unique,
+			//dapper:wallclock elapsed seconds printed in the run summary, not written to any sink
+			time.Since(start).Seconds(), c.jobs)
+		if failed > 0 {
+			return fmt.Errorf("%d runs failed", failed)
+		}
+	}
+	fmt.Fprintf(c.stdout, "wrote %s and %s\n", filepath.Join(c.out, "batch.jsonl"), filepath.Join(c.out, "batch.csv"))
+	return nil
+}
+
+// runAudit runs the shadow security oracle over a tracker x attack x
+// mode x NRH sweep and writes audit-matrix.{jsonl,csv}: one row per cell
+// with the oracle verdict next to the headline activity counters. The
+// matrix carries no engine tag and no wall-clock, so a rerun — or a run
+// on the other -engine — writes byte-identical files. -check fails
+// unless the insecure baseline ("none") escapes and every real tracker
+// holds.
+func runAudit(c *cli) error {
+	p, err := c.resolveProfile()
+	if err != nil {
+		return err
+	}
+	req := exp.SecurityRequest{Profile: p, CountInjected: c.countInjected}
+	if req.Trackers, err = c.trackerIDs(); err != nil {
+		return err
+	}
+	if req.Attacks, err = c.attacks(); err != nil {
+		return err
+	}
+	if req.Modes, err = c.modes(); err != nil {
+		return err
+	}
+	if req.NRHs, err = c.nrhs(); err != nil {
+		return err
+	}
+	if req.Workload, err = only("workload", c.workloads); err != nil {
+		return err
+	}
+	sweep, cells, err := req.Jobs()
+	if err != nil {
+		return err
+	}
+
+	rows := make([]secaudit.MatrixRow, len(cells))
+	escapes := make(map[string]uint64)
+	st, err := c.withPool(nil, func(pool *harness.Pool) error {
+		futs := make([]*harness.Future, len(sweep))
+		for i, job := range sweep {
+			futs[i] = pool.Submit(job)
+		}
+		for i, f := range futs {
+			cell := cells[i]
+			res, err := f.Wait()
+			if err != nil {
+				return fmt.Errorf("audit %s/%s: %w", cell.Tracker, cell.Attack, err)
+			}
+			rep := res.Audit
+			if rep == nil {
+				return fmt.Errorf("audit %s/%s: run carried no audit report (stale cache entry?)", cell.Tracker, cell.Attack)
+			}
+			rows[i] = secaudit.MatrixRow{
+				Tracker: cell.Tracker, TrackerName: cell.TrackerName,
+				Mode: cell.Mode.String(), NRH: cell.NRH, Attack: cell.Attack,
+				Workload: cell.Workload, Profile: p.Name,
+				Secure: rep.Secure(), Escapes: rep.Escapes,
+				EscapedRows: rep.EscapedRows, MaxCount: rep.MaxCount, Margin: rep.Margin,
+				ACTs: rep.ACTs, InjectedACTs: rep.InjectedACTs,
+				Mitigations: rep.Mitigations, Refreshes: rep.Refreshes,
+				BulkResets: rep.BulkResets, Throttled: res.Tracker.Throttled,
+			}
+			if a := res.Attribution; a != nil {
+				rows[i].Attr = true
+				for _, core := range sim.BenignCores(len(a.Cores)) {
+					m := a.Cores[core].Mem
+					rows[i].BlameMitigation += m.Mitigation
+					rows[i].BlameInject += m.Inject
+					rows[i].BlameThrottle += m.Throttle
+				}
+			}
+			escapes[cell.Tracker] += rep.Escapes
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if err := c.writeFile("audit-matrix.jsonl", func(w io.Writer) error { return secaudit.WriteMatrixJSONL(w, rows) }); err != nil {
+		return err
+	}
+	if err := c.writeFile("audit-matrix.csv", func(w io.Writer) error { return secaudit.WriteMatrixCSV(w, rows) }); err != nil {
+		return err
+	}
+
+	fmt.Fprintf(c.stdout, "conformance matrix: %d cells (%d unique runs, %d simulated, %d cache hits)\n",
+		len(rows), st.Unique, st.Ran, st.CacheHits)
+	for _, id := range req.Trackers {
+		verdict := "secure (0 escapes)"
+		if n := escapes[id]; n > 0 {
+			verdict = fmt.Sprintf("INSECURE (%d escapes)", n)
+		}
+		fmt.Fprintf(c.stdout, "  %-12s %s\n", id, verdict)
+	}
+	if !c.check {
+		return nil
+	}
+	var failures []string
+	for _, id := range req.Trackers {
+		n := escapes[id]
+		if id == "none" && n == 0 {
+			failures = append(failures, "insecure baseline 'none' showed no escapes — the oracle or the tailored attacks lost their teeth")
+		}
+		if id != "none" && n > 0 {
+			failures = append(failures, fmt.Sprintf("tracker %q let %d escapes through", id, n))
+		}
+	}
+	if err := checkFailures(c, failures); err != nil {
+		return err
+	}
+	fmt.Fprintln(c.stdout, "conformance check passed: baseline escapes, every tracker holds")
+	return nil
+}
+
+// checkFailures prints each -check failure on stderr and turns any of
+// them into an error.
+func checkFailures(c *cli, failures []string) error {
+	for _, f := range failures {
+		fmt.Fprintf(c.stderr, "check FAILED: %s\n", f)
+	}
+	if len(failures) > 0 {
+		return fmt.Errorf("check failed (%d violations)", len(failures))
+	}
+	return nil
+}
+
+// runMix sweeps seeded heterogeneous mixes (stratified by the paper's
+// >= 2-RBMPKI memory-intensity grouping, -attackers attackers on seeded
+// random cores) over tracker x mix x NRH, scored by weighted/harmonic
+// speedup and fairness against per-core isolated baselines, into
+// mix-report.{jsonl,csv}. The report is byte-identical across reruns and
+// engines. -check fails on non-finite or out-of-bounds metrics and,
+// with -audit, on conformance violations.
+func runMix(c *cli) error {
+	p, err := c.resolveProfile()
+	if err != nil {
+		return err
+	}
+	req := exp.MixRequest{Profile: p, Audit: c.audit}
+	if req.Trackers, err = c.trackerIDs(); err != nil {
+		return err
+	}
+	if req.NRHs, err = c.nrhs(); err != nil {
+		return err
+	}
+	if req.Mode, err = only("mode", c.modes); err != nil {
+		return err
+	}
+	atk, err := only("attack", c.attacks)
+	if err != nil {
+		return err
+	}
+	if c.mixes <= 0 || c.cores <= 0 {
+		return usageError{fmt.Errorf("-mixes and -cores must be positive (got %d, %d)", c.mixes, c.cores)}
+	}
+	req.Mixes = make([]mix.Spec, c.mixes)
+	for i := range req.Mixes {
+		req.Mixes[i], err = mix.Generate(mix.GenConfig{
+			Cores:     c.cores,
+			Attackers: c.attackers,
+			Attack:    mix.Slot{Attack: atk.Point.Kind.String(), Params: atk.Point.Params},
+			Intensive: c.intensive,
+			Seed:      c.seed + uint64(i),
+		})
+		if err != nil {
+			return usageError{err}
+		}
+	}
+
+	var rows []mix.ReportRow
+	st, err := c.withPool(nil, func(pool *harness.Pool) error {
+		rows, err = exp.RunMixSweep(req, pool)
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	if err := c.writeFile("mix-report.jsonl", func(w io.Writer) error { return mix.WriteReportJSONL(w, rows) }); err != nil {
+		return err
+	}
+	if err := c.writeFile("mix-report.csv", func(w io.Writer) error { return mix.WriteReportCSV(w, rows) }); err != nil {
+		return err
+	}
+
+	fmt.Fprintf(c.stdout, "mix sweep: %d mixes x %d trackers x %d NRHs = %d cells (%d unique runs, %d simulated, %d cache hits)\n",
+		len(req.Mixes), len(req.Trackers), len(req.NRHs), len(rows), st.Unique, st.Ran, st.CacheHits)
+	for _, sp := range req.Mixes {
+		fmt.Fprintf(c.stdout, "  %s  %s (%d intensive, %d attackers)\n",
+			sp.ID(), sp.Label(), sp.Intensive(), sp.Attackers())
+	}
+	if !c.check {
+		return nil
+	}
+	var failures []string
+	escapes := make(map[string]uint64)
+	audited := false
+	for _, r := range rows {
+		n := float64(len(r.PerCore))
+		for _, v := range []float64{r.Weighted, r.Harmonic, r.Fairness} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				failures = append(failures, fmt.Sprintf("%s/%s nrh=%d: non-finite metrics", r.Tracker, r.Mix, r.NRH))
+				break
+			}
+		}
+		// A fully-starved benign core is a legitimate attack outcome,
+		// so the lower bounds admit zero.
+		if r.Weighted < 0 || r.Weighted > 1.5*n {
+			failures = append(failures, fmt.Sprintf("%s/%s nrh=%d: weighted speedup %g outside [0, 1.5*%g]", r.Tracker, r.Mix, r.NRH, r.Weighted, n))
+		}
+		if r.Fairness < 0 || r.Fairness > 1 {
+			failures = append(failures, fmt.Sprintf("%s/%s nrh=%d: fairness %g outside [0,1]", r.Tracker, r.Mix, r.NRH, r.Fairness))
+		}
+		if r.Audited {
+			audited = true
+			escapes[r.Tracker] += r.Escapes
+		}
+	}
+	verdict := "metrics in bounds"
+	if audited {
+		// Real trackers must always hold; demanding escapes from the
+		// insecure baseline is only meaningful when the sweep both
+		// included it and ran attacker slots with the escape-forcing
+		// focused hammer — a refresh attacker at NRH 500 in a short
+		// window honestly cannot escape, and that must not read as a
+		// check failure.
+		basePresent := false
+		for _, id := range req.Trackers {
+			basePresent = basePresent || id == "none"
+		}
+		baselineGate := atk.Name == "hammer" && c.attackers > 0 && basePresent
+		for _, id := range req.Trackers {
+			n := escapes[id]
+			if id == "none" && baselineGate && n == 0 {
+				failures = append(failures, fmt.Sprintf("insecure baseline 'none' showed no escapes under %d-hammer mixes", c.attackers))
+			}
+			if id != "none" && n > 0 {
+				failures = append(failures, fmt.Sprintf("tracker %q let %d escapes through", id, n))
+			}
+		}
+		if baselineGate {
+			verdict += ", baseline escapes, every tracker holds"
+		} else {
+			verdict += ", every tracker holds"
+			fmt.Fprintln(c.stderr, "note: baseline-escape gate skipped (needs 'none' in -tracker, attacker slots, and the escape-forcing 'hammer')")
+		}
+	}
+	if err := checkFailures(c, failures); err != nil {
+		return err
+	}
+	fmt.Fprintln(c.stdout, "mix check passed: "+verdict)
+	return nil
+}
+
+// runAdversary searches the parametric attack space for worst-case
+// attacks against each tracker and writes adversary-<tracker>.{jsonl,csv}:
+// the worst-found parameters, their benign-core slowdown against the
+// paper's hand-crafted tailored attack, and the full search trace. The
+// same -seed and -budget produce byte-identical reports.
+func runAdversary(c *cli) error {
+	p, err := c.resolveProfile()
+	if err != nil {
+		return err
+	}
+	ids, err := c.trackerIDs()
+	if err != nil {
+		return err
+	}
+	opts := adversary.Options{Profile: p, Budget: c.budget, Seed: c.seed}
+	if opts.NRH, err = only("nrh", c.nrhs); err != nil {
+		return err
+	}
+	if opts.Mode, err = only("mode", c.modes); err != nil {
+		return err
+	}
+	if opts.Objective, err = adversary.ParseObjective(c.objective); err != nil {
+		return flagErr("objective", err)
+	}
+	if opts.Workload, err = only("workload", c.workloads); err != nil {
+		return err
+	}
+	if c.mixCores > 0 {
+		sp, err := mix.Generate(mix.GenConfig{Cores: c.mixCores, Intensive: c.intensive, Seed: c.seed})
+		if err != nil {
+			return usageError{err}
+		}
+		opts.Mix = &sp
+		fmt.Fprintf(c.stderr, "background mix %s: %s\n", sp.ID(), sp.Label())
+	}
+
+	evals, baselines := 0, 0
+	st, err := c.withPool(nil, func(pool *harness.Pool) error {
+		for _, id := range ids {
+			opts.TrackerID = id
+			rep, err := adversary.Search(opts, pool)
+			if err != nil {
+				return err
+			}
+			evals += rep.Evals
+			baselines += rep.BaselineRuns
+			fmt.Fprint(c.stderr, "\r\033[K")
+			if err := c.writeFile("adversary-"+rep.Tracker+".jsonl", rep.WriteJSONL); err != nil {
+				return err
+			}
+			if err := c.writeFile("adversary-"+rep.Tracker+".csv", rep.WriteCSV); err != nil {
+				return err
+			}
+			fmt.Fprintln(c.stdout, rep.Summary())
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(c.stderr, "%d evaluations + %d baseline submissions (%d simulated, %d cache hits) on %d workers\n",
+		evals, baselines, st.Ran, st.CacheHits, c.jobs)
+	return nil
+}

@@ -9,8 +9,9 @@
 // (internal/attack), analytic security and storage models
 // (internal/analytic), an energy model (internal/energy) and an
 // experiment harness that regenerates every table and figure of the
-// paper's evaluation (internal/exp, cmd/dapper-experiments,
-// bench_test.go).
+// paper's evaluation (internal/exp, `dapper experiments`,
+// bench_test.go). Every entry point is a subcommand of cmd/dapper over
+// one shared flag set; cmd/dapper-lint is the only other binary.
 //
 // # Experiment orchestration (internal/harness)
 //
@@ -35,8 +36,8 @@
 // collect pass records every simulation the generator will request, the
 // pool executes them in parallel, and a replay pass rebuilds the table
 // from memoized results — walking exactly the serial code path, so
-// tables are byte-identical to a serial run. cmd/dapper-experiments
-// drives the paper's figures this way; cmd/dapper-batch runs arbitrary
+// tables are byte-identical to a serial run. `dapper experiments`
+// drives the paper's figures this way; `dapper batch` runs arbitrary
 // tracker x workload x NRH sweeps from flags straight to JSONL/CSV.
 //
 // Each -cache entry is a versioned, checksummed envelope written via a
@@ -124,14 +125,12 @@
 //
 // A 30-second taste (tiny profile, three trackers):
 //
-//	go run ./cmd/dapper-adversary -tracker hydra,comet,dapper-h -profile tiny -budget 10 -seed 1
+//	go run ./cmd/dapper adversary -tracker hydra,comet,dapper-h -profile tiny -budget 10 -seed 1
 //
 // `make adversary-smoke` runs the CI-pinned variant and uploads the
-// JSONL reports as a CI artifact; `make bench-adversary` tracks search
-// throughput (candidate evaluations per second) in BENCH_adversary.json.
-// See examples/adversary for the in-process API.
+// JSONL reports as a CI artifact. See examples/adversary for the in-process API.
 //
-// # Shadow security oracle (internal/secaudit, cmd/dapper-audit)
+// # Shadow security oracle (internal/secaudit, dapper audit)
 //
 // Performance is only half of a defense evaluation; the other half is
 // whether the tracker actually holds its guarantee. internal/secaudit
@@ -157,10 +156,10 @@
 // exp.SecurityRequest fans a tracker x attack x mode x NRH conformance
 // sweep through the harness (runs carrying the oracle are tagged in the
 // cache key via Descriptor.Audit, so audited and unaudited results
-// never alias), and cmd/dapper-audit renders the sweep as a
+// never alias), and `dapper audit` renders the sweep as a
 // deterministic JSONL/CSV conformance matrix:
 //
-//	go run ./cmd/dapper-audit -profile tiny -tracker all -nrh 125 -check
+//	go run ./cmd/dapper audit -profile tiny -tracker all -attack hammer,refresh,streaming -nrh 125 -check
 //
 // -check enforces the conformance expectation: the insecure baseline
 // ("none") must escape under the tailored attacks while every real
@@ -172,7 +171,7 @@
 // the conformance matrix's focused-hammer point alongside the
 // hand-written kinds. See examples/secaudit for the in-process API.
 //
-// # Heterogeneous workload mixes (internal/mix, cmd/dapper-mix)
+// # Heterogeneous workload mixes (internal/mix, dapper mix)
 //
 // The paper's scenario shapes are homogeneous: n copies of one
 // workload, at most one attacker pinned to the last core
@@ -199,14 +198,14 @@
 // deduplicated and shared across the sweep; harness.Descriptor carries
 // the full canonical mix encoding in its new Mix tag — note: adding
 // the tag re-hashed every cache key, so pre-mix disk caches are
-// invalid). cmd/dapper-mix renders a sweep as a deterministic
+// invalid). `dapper mix` renders a sweep as a deterministic
 // JSONL/CSV report, byte-identical across reruns and across -engine
 // event/cycle:
 //
-//	go run ./cmd/dapper-mix -profile tiny -mixes 2 -attackers 2 -attack hammer -nrh 125 -audit -check
+//	go run ./cmd/dapper mix -profile tiny -mixes 2 -attackers 2 -attack hammer -tracker all -nrh 125 -audit -check
 //
 // The adversary search composes with mixes: adversary.Options.Mix (or
-// dapper-adversary -mix-cores) swaps the homogeneous background for a
+// `dapper adversary -mix-cores`) swaps the homogeneous background for a
 // heterogeneous benign mix, grafting each candidate attacker onto it
 // as one extra core, so worst-case search runs against realistic
 // co-runners. The engine-equivalence matrix extends to mixes too
@@ -215,7 +214,7 @@
 // every tracker must hold, and all metrics must stay in bounds. See
 // examples/mix for the in-process API.
 //
-// # Observability (internal/telemetry, internal/diag, cmd/dapper-timeline)
+// # Observability (internal/telemetry, internal/diag, dapper timeline)
 //
 // Every number above is a steady-state average over the measurement
 // window; internal/telemetry adds the dynamics, at two levels.
@@ -244,7 +243,7 @@
 // telemetry-off engine benchmark and fails CI if the event-over-cycle
 // speedup ratio regresses >10% versus the committed BENCH_engine.json.
 //
-// cmd/dapper-timeline renders one windowed run to timeline.{jsonl,csv}
+// `dapper timeline` renders one windowed run to timeline.{jsonl,csv}
 // — the data behind mitigation-rate-vs-time and IPC-vs-time figures —
 // and its -check replays the run on the other engine to assert
 // byte-identical series plus the conservation containments
@@ -259,7 +258,7 @@
 // https://ui.perfetto.dev for a lane-per-worker timeline of a sweep —
 // and harness.Pool.Stats exposes live submitted/deduplicated/ran/
 // cache-hit/error counters with elapsed-time aggregates. Every sweep
-// cmd (dapper-batch, dapper-adversary, dapper-mix, dapper-audit) takes
+// subcommand (experiments, batch, audit, mix, adversary) takes
 // -telemetry dir/ to write trace.json + counters.json after the run,
 // and -debug-addr to serve the same counters live over HTTP
 // (internal/diag: expvar at /debug/vars plus the pprof handlers) while
@@ -267,7 +266,7 @@
 // recorded outside the result path and the export is sorted, so equal
 // span sets serialize identically.
 //
-// # Slowdown attribution (telemetry.Attribution, cmd/dapper-blame)
+// # Slowdown attribution (telemetry.Attribution, dapper blame)
 //
 // Telemetry says when the benign cores slowed down; attribution says
 // why, and who. Setting sim.Config.Attribution (off by default, -attr
@@ -310,7 +309,7 @@
 // tracker in sim, exp and adversary attribution equivalence tests,
 // part of `make test-engine-equivalence`.
 //
-// cmd/dapper-blame renders one attributed run per tracker as
+// `dapper blame` renders one attributed run per tracker as
 // blame-<id>.{jsonl,csv,txt} plus blame-matrix-<id>.csv (ASCII CPI
 // stacks and bucket bars included), and -check replays the run on the
 // other engine asserting byte-identical attribution plus conservation
@@ -373,7 +372,7 @@
 // whole module must lint clean. The analyzers are themselves tested
 // against want-comment fixtures (internal/analysis/analysistest).
 //
-// See README.md for a quickstart. `dapper-experiments -list` prints the
+// See README.md for a quickstart. `dapper list experiments` prints the
 // experiment index, and each rendered table's notes set the paper's
 // values beside the measured ones.
 package dapper

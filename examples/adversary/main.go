@@ -1,6 +1,6 @@
 // Adversary example: search the parametric attack space for the
 // worst-case performance attack against Hydra, in-process. The same
-// machinery backs cmd/dapper-adversary; this is the ~30-second
+// machinery backs `dapper adversary`; this is the ~30-second
 // tiny-profile taste.
 //
 //	go run ./examples/adversary
@@ -42,7 +42,7 @@ func main() {
 		rep.Reference.Label, rep.Reference.Slowdown, (rep.Gain-1)*100, rep.Evals)
 
 	// The full trace (and a summary line) stream as JSONL — the same
-	// format cmd/dapper-adversary writes to adversary-<tracker>.jsonl.
+	// format `dapper adversary` writes to adversary-<tracker>.jsonl.
 	fmt.Println("\nsearch trace:")
 	rep.Trace = rep.Trace[:3] // first rungs only, for the example
 	if err := rep.WriteJSONL(os.Stdout); err != nil {

@@ -6,7 +6,7 @@
 // side-by-side: the attacked run's extra wait cycles decompose into
 // queue time spent behind the attacker's serves and the mitigation
 // blocks it triggered, charged to it in the matrix. The same Attribution backs
-// cmd/dapper-blame's JSONL/CSV/matrix output; this is the in-process
+// `dapper blame`'s JSONL/CSV/matrix output; this is the in-process
 // taste.
 //
 //	go run ./examples/blame

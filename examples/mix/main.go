@@ -2,7 +2,7 @@
 // internal/mix — a seeded stratified random mix and a hand-placed
 // two-attacker mix — sweep them over two trackers through the harness,
 // and read the weighted-speedup metric block. The same machinery backs
-// cmd/dapper-mix's report; this is the in-process taste.
+// `dapper mix`'s report; this is the in-process taste.
 //
 //	go run ./examples/mix
 package main

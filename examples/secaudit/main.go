@@ -1,7 +1,7 @@
 // Secaudit example: attach the shadow security oracle to two runs —
 // the insecure baseline and DAPPER-H — under the focused double-row
 // hammer, and compare verdicts. The same machinery backs
-// cmd/dapper-audit's conformance matrix; this is the in-process taste.
+// `dapper audit`'s conformance matrix; this is the in-process taste.
 //
 //	go run ./examples/secaudit
 package main

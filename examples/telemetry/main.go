@@ -3,7 +3,7 @@
 // under the same refresh-synchronized performance attack, and plot
 // mitigation rate versus time next to the benign cores' IPC — the
 // dynamics view behind the paper's steady-state averages. The same
-// Series backs cmd/dapper-timeline's JSONL/CSV output; this is the
+// Series backs `dapper timeline`'s JSONL/CSV output; this is the
 // in-process taste, with an ASCII plot instead of a file.
 //
 //	go run ./examples/telemetry

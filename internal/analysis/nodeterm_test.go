@@ -38,7 +38,7 @@ func TestDapperTiers(t *testing.T) {
 		{"dapper/internal/shiny", analysis.TierCore},
 		{"dapper/internal/harness", analysis.TierHarness},
 		{"dapper/internal/exp", analysis.TierHarness},
-		{"dapper/cmd/dapper-batch", analysis.TierHarness},
+		{"dapper/cmd/dapper", analysis.TierHarness},
 		{"dapper/internal/analysis", analysis.TierNone},
 		{"dapper/internal/analysis/load", analysis.TierNone},
 		{"dapper/examples/quickstart", analysis.TierNone},

@@ -66,7 +66,7 @@ func KnownTrackers() []string {
 
 // TrackerFactory resolves a flag-friendly tracker id into a
 // sim.TrackerFactory (nil for "none", which sim treats as the insecure
-// baseline), for one-shot commands like dapper-timeline that bypass
+// baseline), for one-shot commands like `dapper timeline` that bypass
 // the sweep machinery.
 func TrackerFactory(id string, geo dram.Geometry, nrh uint32, mode rh.MitigationMode) (sim.TrackerFactory, error) {
 	build, ok := trackerBuilders[id]
@@ -77,7 +77,7 @@ func TrackerFactory(id string, geo dram.Geometry, nrh uint32, mode rh.Mitigation
 }
 
 // BatchRequest describes an arbitrary tracker x workload x NRH sweep
-// (cmd/dapper-batch). Every combination becomes one job; geometry and
+// (`dapper batch`). Every combination becomes one job; geometry and
 // windows follow the same attack-dependent selection the paper's
 // figures use (dapperGeoFor).
 type BatchRequest struct {
@@ -152,7 +152,7 @@ func (req BatchRequest) Jobs() ([]harness.Job, error) {
 
 // ResolveWorkloads parses a workload selector: "all", "rep"
 // (the representative 12), or a comma-free single workload name.
-// cmd/dapper-batch splits comma lists before calling this.
+// `dapper batch` splits comma lists before calling this.
 func ResolveWorkloads(sel string) ([]workloads.Workload, error) {
 	switch sel {
 	case "all":

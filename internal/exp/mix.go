@@ -196,7 +196,7 @@ type MixCell struct {
 	Spec     mix.Spec
 }
 
-// MixRequest describes a tracker x mix x NRH sweep (cmd/dapper-mix):
+// MixRequest describes a tracker x mix x NRH sweep (`dapper mix`):
 // every combination runs the full heterogeneous spec, and every benign
 // slot contributes one isolated-baseline run, content-addressed and
 // shared across trackers and NRHs by the pool.

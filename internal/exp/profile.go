@@ -9,7 +9,7 @@ import (
 )
 
 // Profile scopes an experiment run: which workloads, which thresholds,
-// and how long to simulate. cmd/dapper-experiments prints the profile
+// and how long to simulate. `dapper experiments` prints the profile
 // name above the tables it produced.
 type Profile struct {
 	Name string
@@ -88,7 +88,7 @@ func Quick() Profile {
 
 // Full returns the paper-scale profile: all 57 workloads, the full
 // threshold sweep, longer windows. Hours of CPU; used by
-// cmd/dapper-experiments -profile full.
+// `dapper experiments -profile full`.
 func Full() Profile {
 	all := workloads.All()
 	return Profile{
@@ -108,7 +108,7 @@ func Full() Profile {
 }
 
 // Bench returns the trimmed quick profile every benchmark runs
-// (bench_test.go's figure benchmarks and cmd/dapper-engine-bench's
+// (bench_test.go's figure benchmarks and `dapper engine-bench`'s
 // engine comparison share it, so BENCH_engine.json measures the same
 // workload set as BenchmarkFigN).
 func Bench() Profile {

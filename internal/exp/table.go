@@ -1,7 +1,7 @@
 // Package exp implements the experiment harness: one generator per
 // table and figure of the paper's evaluation (registry.go holds the
 // index). Each generator runs the required simulations under a Profile
-// (quick or full) and renders a Table that cmd/dapper-experiments and
+// (quick or full) and renders a Table that `dapper experiments` and
 // bench_test.go print.
 package exp
 

@@ -19,7 +19,7 @@
 // studies): per-core speedups against per-core isolated baselines,
 // aggregated into weighted speedup, harmonic speedup and fairness
 // (Compute), and renders sweep results as deterministic JSONL/CSV
-// reports (WriteReportJSONL/WriteReportCSV, cmd/dapper-mix).
+// reports (WriteReportJSONL/WriteReportCSV, `dapper mix`).
 package mix
 
 import (

@@ -31,7 +31,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatalf("distinct specs share ID %s", a.ID())
 	}
 	// Seeds 0 and 1 must not collapse onto one stream (a plain nonzero
-	// clamp would): cmd/dapper-mix derives mix i's seed as seed+i, so a
+	// clamp would): `dapper mix` derives mix i's seed as seed+i, so a
 	// collision silently halves the swept scenario count.
 	z := MustGenerate(GenConfig{Cores: 6, Attackers: 2, Intensive: 2, Seed: 0})
 	o := MustGenerate(GenConfig{Cores: 6, Attackers: 2, Intensive: 2, Seed: 1})

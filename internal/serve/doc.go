@@ -1,5 +1,5 @@
 // Package serve is empty. The sweep service it held was removed; run
-// sweeps with dapper-batch or dapper-experiments and -cache instead.
+// sweeps with `dapper batch` or `dapper experiments` and -cache instead.
 //
 // The directory stays, with no code, only because the benchmark's
 // host-time layer map (packageLayer in simbench/layers.go) still has a
