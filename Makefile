@@ -11,7 +11,7 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific static contracts (internal/analysis): nodeterm,
-# maporder, descriptorsync and hotpath, compiled into cmd/dapper-lint.
+# maporder and hotpath, compiled into cmd/dapper-lint.
 # The binary doubles as a `go vet -vettool`. gofmt must be clean (the
 # //dapper: annotations are gofmt-stable), and govulncheck runs when
 # installed (CI installs it; the offline dev container may not have it).

@@ -1,5 +1,5 @@
 // Command dapper-lint runs the project's static-contract analyzers
-// (internal/analysis: nodeterm, maporder, descriptorsync, hotpath)
+// (internal/analysis: nodeterm, maporder, hotpath)
 // over Go packages. It has two personalities:
 //
 //   - standalone multichecker (what `make lint` uses):

@@ -95,3 +95,37 @@ func TestListTrackers(t *testing.T) {
 		t.Errorf("exit %d, stdout %q", code, stdout)
 	}
 }
+
+// TestSimModeReachesController: -mode must change what the controller
+// issues, not only the tracker's bookkeeping — PARA under the refresh
+// attack refreshes two victim rows per mitigation with VRR-BR2.
+func TestSimModeReachesController(t *testing.T) {
+	sim := func(mode string) string {
+		t.Helper()
+		code, stdout, stderr := invoke("sim", "-tracker", "para", "-mode", mode, "-nrh", "125",
+			"-attack", "refresh", "-rows-per-bank", "2048", "-warmup", "5", "-measure", "20")
+		if code != 0 {
+			t.Fatalf("-mode %s: exit %d: %s", mode, code, stderr)
+		}
+		return stdout
+	}
+	if br1, br2 := sim("VRR-BR1"), sim("VRR-BR2"); br1 == br2 {
+		t.Errorf("-mode VRR-BR2 printed the same run as VRR-BR1:\n%s", br1)
+	}
+}
+
+// TestSimBadGeometryFailsLoudly: a geometry DAPPER-H cannot be built
+// for is reported as an error before anything simulates, not a panic
+// inside a worker.
+func TestSimBadGeometryFailsLoudly(t *testing.T) {
+	code, stdout, stderr := invoke("sim", "-tracker", "none,dapper-h", "-rows-per-bank", "100")
+	if code == 0 {
+		t.Fatal("exit 0, want non-zero")
+	}
+	if !strings.Contains(stderr, "dapper-h") || !strings.Contains(stderr, "power of two") {
+		t.Errorf("stderr %q does not name the tracker and the geometry fault", stderr)
+	}
+	if stdout != "" {
+		t.Errorf("a run simulated before the fault was reported:\n%s", stdout)
+	}
+}

@@ -7,13 +7,10 @@ import (
 	"io"
 
 	"dapper/internal/attack"
-	"dapper/internal/cpu"
 	"dapper/internal/dram"
 	"dapper/internal/exp"
-	"dapper/internal/rh"
 	"dapper/internal/sim"
 	"dapper/internal/telemetry"
-	"dapper/internal/workloads"
 )
 
 // single is the one-run shape sim, timeline and blame share: three
@@ -22,95 +19,79 @@ import (
 // paper's figures use.
 type single struct {
 	trackers []string
-	w        workloads.Workload
 	attack   exp.SecurityAttack
-	geo      dram.Geometry
-	nrh      uint32
-	mode     rh.MitigationMode
-	engine   sim.Engine
-	seed     uint64
-
-	warmup, measure, window dram.Cycle
-	attribution             bool
+	run      exp.Run // every field but the tracker
 }
 
-// resolveSingle resolves the flags of a one-run subcommand. -window is read
-// only by the subcommands that take it; the others leave it zero.
+// resolveSingle resolves the flags of a one-run subcommand and rejects
+// a run any of its trackers cannot be built for before anything
+// simulates. -window is read only by the subcommands that take it; the
+// others leave it zero.
 func (c *cli) resolveSingle() (single, error) {
-	s := single{
-		seed:    c.seed,
-		geo:     dram.Baseline(),
-		warmup:  dram.US(c.warmup),
-		measure: dram.US(c.measure),
-		window:  dram.US(c.window),
-	}
+	s := single{run: exp.Run{
+		Geometry:        dram.Baseline(),
+		Seed:            c.seed,
+		Warmup:          dram.US(c.warmup),
+		Measure:         dram.US(c.measure),
+		TelemetryWindow: dram.US(c.window),
+	}}
 	var err error
 	if s.trackers, err = c.trackerIDs(); err != nil {
 		return s, err
 	}
-	if s.w, err = only("workload", c.workloads); err != nil {
+	w, err := only("workload", c.workloads)
+	if err != nil {
 		return s, err
 	}
+	s.run.Workload = w.Name
 	if s.attack, err = only("attack", c.attacks); err != nil {
 		return s, err
 	}
-	if s.nrh, err = only("nrh", c.nrhs); err != nil {
+	s.run.Attack = s.attack.Point
+	s.run.Benign4 = s.attack.Point.Kind == attack.None
+	if s.run.NRH, err = only("nrh", c.nrhs); err != nil {
 		return s, err
 	}
-	if s.mode, err = only("mode", c.modes); err != nil {
+	if s.run.Mode, err = only("mode", c.modes); err != nil {
 		return s, err
 	}
-	if s.engine, err = c.resolveEngine(); err != nil {
+	if s.run.Engine, err = c.resolveEngine(); err != nil {
 		return s, err
 	}
 	if c.window < 0 {
 		return s, flagErr("window", fmt.Errorf("must be non-negative (microseconds), got %g", c.window))
 	}
 	if c.rowsPerBank != 0 {
-		s.geo = dram.Scaled(uint32(c.rowsPerBank))
+		s.run.Geometry = dram.Scaled(uint32(c.rowsPerBank))
+	}
+	for _, id := range s.trackers {
+		if err := s.runFor(id).Validate(); err != nil {
+			return s, usageError{fmt.Errorf("%s: %w", id, err)}
+		}
 	}
 	return s, nil
 }
 
-// run simulates tracker id on engine.
-func (s single) run(id string, engine sim.Engine) (sim.Result, error) {
-	factory, err := exp.TrackerFactory(id, s.geo, s.nrh, s.mode)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	pt := s.attack.Point
-	var traces []cpu.Trace
-	if pt.Kind == attack.None {
-		traces = sim.BenignTraces(s.w, 4, s.geo, s.seed)
-	} else {
-		traces = append(sim.BenignTraces(s.w, 3, s.geo, s.seed), attack.MustTrace(attack.Config{
-			Geometry: s.geo, NRH: s.nrh, Kind: pt.Kind, Params: pt.Params, Seed: s.seed,
-		}))
-	}
-	return sim.Run(sim.Config{
-		Geometry:        s.geo,
-		Traces:          traces,
-		Tracker:         factory,
-		Warmup:          s.warmup,
-		Measure:         s.measure,
-		Engine:          engine,
-		TelemetryWindow: s.window,
-		Attribution:     s.attribution,
-	})
+// runFor is the run of tracker id.
+func (s single) runFor(id string) exp.Run {
+	r := s.run
+	r.Tracker = id
+	return r
 }
 
 // runChecked simulates tracker id on the -engine and, with check,
 // replays it on the other engine: the two Results must marshal to the
 // same bytes, attribution and windowed series included.
 func (s single) runChecked(id string, check bool) (sim.Result, error) {
-	res, err := s.run(id, s.engine)
+	r := s.runFor(id)
+	res, err := r.Exec()
 	if err != nil || !check {
 		return res, err
 	}
-	other := otherEngine(s.engine)
-	replay, err := s.run(id, other)
+	r.Engine = otherEngine(r.Engine)
+	replay, err := r.Exec()
 	if err != nil {
-		return res, fmt.Errorf("%s replay: %w", other, err)
+		return res, fmt.Errorf("%s replay: %w", r.Engine, err)
 	}
 	a, err := json.Marshal(res)
 	if err != nil {
@@ -121,7 +102,7 @@ func (s single) runChecked(id string, check bool) (sim.Result, error) {
 		return res, err
 	}
 	if !bytes.Equal(a, b) {
-		return res, fmt.Errorf("engines diverge: %s and %s results are not byte-identical", s.engine.OrDefault(), other)
+		return res, fmt.Errorf("engines diverge: %s and %s results are not byte-identical", s.run.Engine.OrDefault(), r.Engine)
 	}
 	return res, nil
 }
@@ -147,12 +128,12 @@ func runSim(c *cli) error {
 		return err
 	}
 	for _, id := range s.trackers {
-		res, err := s.run(id, s.engine)
+		res, err := s.runFor(id).Exec()
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}
 		fmt.Fprintf(c.stdout, "workload=%s tracker=%s attack=%s NRH=%d window=%.0fus\n",
-			s.w.Name, res.TrackerNames[0], s.attack.Name, s.nrh, c.measure)
+			s.run.Workload, res.TrackerNames[0], s.attack.Name, s.run.NRH, c.measure)
 		for i, ipc := range res.IPC {
 			role := "benign"
 			if i == 3 && s.attack.Point.Kind != attack.None {
@@ -201,11 +182,11 @@ func runTimeline(c *cli) error {
 			return fmt.Errorf("%s: run produced no series (TelemetryWindow not plumbed?)", id)
 		}
 		if c.check {
-			if err := checkSeries(ser, res, s.measure); err != nil {
+			if err := checkSeries(ser, res, s.run.Measure); err != nil {
 				return fmt.Errorf("%s: %w", id, err)
 			}
 			fmt.Fprintf(c.stdout, "check passed: %d windows, invariants hold, ACT conserved (%d), %s == %s byte-identical\n",
-				ser.NumWindows(), ser.Totals.DemandACT+ser.Totals.InjACT, s.engine.OrDefault(), otherEngine(s.engine))
+				ser.NumWindows(), ser.Totals.DemandACT+ser.Totals.InjACT, s.run.Engine.OrDefault(), otherEngine(s.run.Engine))
 		}
 		name := "timeline"
 		if len(s.trackers) > 1 {
@@ -222,7 +203,7 @@ func runTimeline(c *cli) error {
 			}
 		}
 		fmt.Fprintf(c.stdout, "workload=%s tracker=%s attack=%s NRH=%d: %d windows of %dus over %d cycles (VRR=%d RFMsb=%d DRFMsb=%d bulk=%d)\n",
-			s.w.Name, res.TrackerNames[0], s.attack.Name, s.nrh, ser.NumWindows(), int64(c.window),
+			s.run.Workload, res.TrackerNames[0], s.attack.Name, s.run.NRH, ser.NumWindows(), int64(c.window),
 			ser.Cycles, ser.Totals.VRR, ser.Totals.RFMsb, ser.Totals.DRFMsb, ser.Totals.Bulk)
 	}
 	return nil
@@ -266,7 +247,7 @@ func runBlame(c *cli) error {
 	if err != nil {
 		return err
 	}
-	s.attribution = true
+	s.run.Attribution = true
 	for _, id := range s.trackers {
 		res, err := s.runChecked(id, c.check)
 		if err != nil {
@@ -305,7 +286,7 @@ func runBlame(c *cli) error {
 			// Core labels: the benign workload copies plus the attacker slot.
 			labels := make([]string, len(a.Cores))
 			for i := range labels {
-				labels[i] = s.w.Name
+				labels[i] = s.run.Workload
 			}
 			if s.attack.Point.Kind != attack.None {
 				labels[len(labels)-1] = "!" + s.attack.Name
@@ -322,7 +303,7 @@ func runBlame(c *cli) error {
 			blameInj += m.Inject
 		}
 		fmt.Fprintf(c.stdout, "%-12s attack=%s NRH=%d: benign wait %d (mitigation %d, inject %d)%s\n",
-			res.TrackerNames[0], s.attack.Name, s.nrh, benignWait, blameMit, blameInj, verdict)
+			res.TrackerNames[0], s.attack.Name, s.run.NRH, benignWait, blameMit, blameInj, verdict)
 	}
 	return nil
 }

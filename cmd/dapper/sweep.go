@@ -313,7 +313,7 @@ func runMix(c *cli) error {
 		req.Mixes[i], err = mix.Generate(mix.GenConfig{
 			Cores:     c.cores,
 			Attackers: c.attackers,
-			Attack:    mix.Slot{Attack: atk.Point.Kind.String(), Params: atk.Point.Params},
+			Attack:    atk.Point.Slot(),
 			Intensive: c.intensive,
 			Seed:      c.seed + uint64(i),
 		})

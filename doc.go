@@ -23,7 +23,10 @@
 // A harness.Job pairs a Descriptor — the deterministic, hashable
 // identity of one run (tracker + params, workload, attack, geometry,
 // timing, NRH, mode, windows, seed) — with a closure producing the
-// sim.Result. A harness.Pool fans jobs out over a bounded worker set
+// sim.Result. Every job comes from one value, exp.Run: its fields are
+// every input a Result depends on, and only its methods derive the
+// Descriptor, the traces, the sim.Config and the job, so a key and the
+// simulation it names cannot drift apart. A harness.Pool fans jobs out over a bounded worker set
 // (runtime.NumCPU() by default, -jobs flag), deduplicating by
 // descriptor key so baselines shared between figures execute once. A
 // harness.Cache memoizes results content-addressed by the descriptor
@@ -114,7 +117,7 @@
 // over a projected search space (adversary.NewSpace), successive
 // halving over shortened measurement horizons, then coordinate
 // hill-climbing on the survivors at the full horizon. Each candidate
-// evaluation is one harness job (exp.AdversaryJob), so the pool
+// evaluation is one harness job (an exp.Run), so the pool
 // parallelizes, deduplicates and caches them; harness.Descriptor folds
 // the canonical param-vector encoding into the cache key
 // (AttackParams), making revisited points free while keeping nearby
@@ -193,7 +196,7 @@
 // instruction streams are identical and the ratio isolates contention
 // — and mix.Compute aggregates per-core speedups into weighted
 // speedup, harmonic speedup and fairness (min/max per-core slowdown).
-// exp.MixJob/MixBaselineJob/RunMixSweep fan tracker x mix x NRH sweeps
+// exp.RunMixSweep fans tracker x mix x NRH sweeps (exp.Run with a Mix)
 // through the harness (baselines are tracker-independent descriptors,
 // deduplicated and shared across the sweep; harness.Descriptor carries
 // the full canonical mix encoding in its new Mix tag — note: adding
@@ -328,12 +331,14 @@
 //
 // Three invariants carry the whole evaluation — runs are
 // deterministic, cache keys are complete, serialized artifacts are
-// byte-stable — and each was previously enforced only by tests
-// catching violations after the fact. internal/analysis mechanizes
-// them as compile-time contracts: four project-specific analyzers on a
-// stdlib-only go/analysis-style framework (no x/tools dependency;
-// packages load through `go list -export` and type-check against the
-// build cache's export data, so the suite runs offline).
+// byte-stable. Complete keys hold by construction (exp.Run derives
+// each job's key and its simulation from one value; a test perturbs
+// every leaf of Run and requires the key to move). internal/analysis
+// mechanizes the other two as compile-time contracts: three
+// project-specific analyzers on a stdlib-only go/analysis-style
+// framework (no x/tools dependency; packages load through `go list
+// -export` and type-check against the build cache's export data, so
+// the suite runs offline).
 //
 //   - nodeterm forbids wall-clock reads (time.Now/Since/...), global
 //     math/rand, environment reads and goroutine spawning inside the
@@ -347,16 +352,6 @@
 //     into output. The collect-then-sort idiom is recognized: an
 //     append is fine when a sort.*/slices.* call on the same slice
 //     follows in the same block.
-//   - descriptorsync cross-references the fields of sim.Config,
-//     attack.Params/Pattern and mix.Spec/Slot against
-//     harness.Descriptor through a checked mapping table
-//     (analysis.DapperContract): every knob must be keyed, canonically
-//     encoded, derived or explicitly pinned, and every Descriptor
-//     field accounted for — a new sweepable knob that does not reach
-//     the cache key is a lint error, not a silent cache-aliasing bug.
-//     internal/harness's reflection backstop test mutates every field
-//     and requires Key()/Canonical() to move, so the name-level table
-//     and value-level behavior gate each other.
 //   - hotpath forbids allocation, fmt, closures and interface boxing
 //     in functions marked //dapper:hot (the telemetry probes and
 //     observer taps on the simulator's per-access paths).

@@ -1,4 +1,4 @@
-// Blame example: turn on slowdown attribution (sim.Config.Attribution)
+// Blame example: turn on slowdown attribution (exp.Run.Attribution)
 // and ask the question the averages can't answer — *why* is the benign
 // core slow? Two DAPPER-H runs at the NRH-125 audit operating point,
 // one benign co-run and one with the focused hammer on the fourth
@@ -16,13 +16,9 @@ import (
 	"fmt"
 	"os"
 
-	"dapper/internal/attack"
 	"dapper/internal/dram"
 	"dapper/internal/exp"
-	"dapper/internal/rh"
-	"dapper/internal/sim"
 	"dapper/internal/telemetry"
-	"dapper/internal/workloads"
 )
 
 const (
@@ -31,40 +27,30 @@ const (
 	measureUS = 60
 )
 
-// run simulates DAPPER-H with attribution attached: three benign
-// copies of 429.mcf plus either an idle-slot fourth copy (benign) or
-// the focused double-row hammer.
+// run simulates DAPPER-H with attribution attached: four benign
+// copies of 429.mcf, or three plus the focused double-row hammer.
 func run(hammer bool) (*telemetry.Attribution, []string) {
-	geo := dram.Scaled(1024)
-	factory, err := exp.TrackerFactory("dapper-h", geo, nrh, rh.VRR1)
-	if err != nil {
-		panic(err)
+	r := exp.Run{
+		Tracker:     "dapper-h",
+		NRH:         nrh,
+		Workload:    "429.mcf",
+		Benign4:     true,
+		Geometry:    dram.Scaled(1024),
+		Warmup:      dram.US(warmupUS),
+		Measure:     dram.US(measureUS),
+		Seed:        1,
+		Attribution: true,
 	}
-	w, err := workloads.ByName("429.mcf")
-	if err != nil {
-		panic(err)
-	}
-	labels := []string{w.Name, w.Name, w.Name, w.Name}
-	benign := sim.BenignTraces(w, 4, geo, 1)
+	labels := []string{r.Workload, r.Workload, r.Workload, r.Workload}
 	if hammer {
 		sa, err := exp.ParseAuditAttack("hammer")
 		if err != nil {
 			panic(err)
 		}
-		benign = sim.BenignTraces(w, 3, geo, 1)
-		benign = append(benign, attack.MustTrace(attack.Config{
-			Geometry: geo, NRH: nrh, Kind: sa.Point.Kind, Params: sa.Point.Params, Seed: 1,
-		}))
+		r.Attack, r.Benign4 = sa.Point, false
 		labels[3] = "!hammer"
 	}
-	res, err := sim.Run(sim.Config{
-		Geometry:    geo,
-		Traces:      benign,
-		Tracker:     factory,
-		Warmup:      dram.US(warmupUS),
-		Measure:     dram.US(measureUS),
-		Attribution: true,
-	})
+	res, err := r.Exec()
 	if err != nil {
 		panic(err)
 	}

@@ -1,5 +1,5 @@
 // Telemetry example: turn on the in-sim cycle-windowed sampler
-// (sim.Config.TelemetryWindow), run DAPPER-H and the insecure baseline
+// (exp.Run.TelemetryWindow), run DAPPER-H and the insecure baseline
 // under the same refresh-synchronized performance attack, and plot
 // mitigation rate versus time next to the benign cores' IPC — the
 // dynamics view behind the paper's steady-state averages. The same
@@ -16,10 +16,7 @@ import (
 	"dapper/internal/attack"
 	"dapper/internal/dram"
 	"dapper/internal/exp"
-	"dapper/internal/rh"
-	"dapper/internal/sim"
 	"dapper/internal/telemetry"
-	"dapper/internal/workloads"
 )
 
 const (
@@ -32,27 +29,17 @@ const (
 // run simulates three benign copies of 429.mcf plus one attacker core
 // with the windowed sampler attached, and returns the embedded series.
 func run(tracker string) *telemetry.Series {
-	geo := dram.Scaled(1024)
-	factory, err := exp.TrackerFactory(tracker, geo, nrh, rh.VRR1)
-	if err != nil {
-		panic(err)
-	}
-	w, err := workloads.ByName("429.mcf")
-	if err != nil {
-		panic(err)
-	}
-	traces := sim.BenignTraces(w, 3, geo, 1)
-	traces = append(traces, attack.MustTrace(attack.Config{
-		Geometry: geo, NRH: nrh, Kind: attack.Refresh, Seed: 1,
-	}))
-	res, err := sim.Run(sim.Config{
-		Geometry:        geo,
-		Traces:          traces,
-		Tracker:         factory,
+	res, err := exp.Run{
+		Tracker:         tracker,
+		NRH:             nrh,
+		Workload:        "429.mcf",
+		Attack:          exp.AttackPoint{Kind: attack.Refresh},
+		Geometry:        dram.Scaled(1024),
 		Warmup:          dram.US(warmupUS),
 		Measure:         dram.US(window),
+		Seed:            1,
 		TelemetryWindow: dram.US(windowUS),
-	})
+	}.Exec()
 	if err != nil {
 		panic(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"dapper/internal/attack"
 	"dapper/internal/dram"
 	"dapper/internal/exp"
-	"dapper/internal/rh"
 	"dapper/internal/sim"
 	"dapper/internal/workloads"
 )
@@ -47,14 +46,10 @@ func TestEngineEquivalenceAttributionParametric(t *testing.T) {
 		params := space.Params(v)
 		t.Run(id, func(t *testing.T) {
 			mk := func(engine sim.Engine) sim.Result {
-				pe := p
-				pe.Engine = engine
-				pt := exp.AttackPoint{Kind: attack.Parametric, Params: params}
-				j, err := exp.AdversaryJob(pe, id, w, 500, rh.VRR1, pt, dram.US(25))
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := j.Run()
+				r := p.BaseRun()
+				r.Tracker, r.NRH, r.Workload, r.Engine, r.Measure = id, 500, w.Name, engine, dram.US(25)
+				r.Attack = exp.AttackPoint{Kind: attack.Parametric, Params: params}
+				res, err := r.Exec()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -97,28 +92,13 @@ func TestEngineEquivalenceParametric(t *testing.T) {
 		params := space.Params(v)
 		t.Run(id, func(t *testing.T) {
 			mk := func(engine sim.Engine, audited bool) sim.Result {
-				pe := p
-				pe.Engine = engine
-				pt := exp.AttackPoint{Kind: attack.Parametric, Params: params}
-				var res sim.Result
-				if audited {
-					j, err := exp.SecurityJob(pe, id, w, 500, rh.VRR1, pt, dram.US(25), false)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err = j.Run()
-					if err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					j, err := exp.AdversaryJob(pe, id, w, 500, rh.VRR1, pt, dram.US(25))
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err = j.Run()
-					if err != nil {
-						t.Fatal(err)
-					}
+				r := p.BaseRun()
+				r.Tracker, r.NRH, r.Workload, r.Engine, r.Measure = id, 500, w.Name, engine, dram.US(25)
+				r.Attack = exp.AttackPoint{Kind: attack.Parametric, Params: params}
+				r.Audit = audited
+				res, err := r.Exec()
+				if err != nil {
+					t.Fatal(err)
 				}
 				return res
 			}

@@ -52,7 +52,7 @@ type Options struct {
 	// Mix, when non-nil, replaces the homogeneous three-copies-of-
 	// Workload background with a heterogeneous benign mix: every
 	// candidate is grafted onto it as one extra core
-	// (exp.AdversaryMixJob), so the search hunts worst cases against
+	// (one more mix slot), so the search hunts worst cases against
 	// realistic co-runners. Slowdown is then measured over the mix's
 	// benign cores against the same-mix idle-companion baseline;
 	// Workload is ignored. The mix must be benign-only (idle "none"
@@ -61,7 +61,12 @@ type Options struct {
 	// Objective is what the search maximizes (ObjectivePerf if empty).
 	Objective Objective
 	// Profile supplies geometry, windows, workload seed and engine; the
-	// full horizon is Profile.Measure.
+	// full horizon is Profile.Measure. Every evaluation uses
+	// Profile.Geometry: a search compares candidates against one fixed
+	// system, and the row working-set size is itself a searched
+	// dimension, so a candidate that would need the DAPPER figures'
+	// scaled banks simply uses fewer rows. To search on a scaled system
+	// outright, set Profile.Geometry to dram.Scaled(...).
 	Profile exp.Profile
 	// Budget bounds candidate evaluations (default 32). The hand-written
 	// seed points always run even if they overflow a tiny budget, so the
@@ -143,15 +148,17 @@ type evaluator struct {
 // from the cache — but every request still charges the budget, keeping
 // eval counts independent of cache state.
 func (ev *evaluator) evalBatch(cands []*candidate, kinds []attack.Kind, measure dram.Cycle, rung int) error {
-	p := ev.opts.Profile
-	audited := ev.opts.Objective == ObjectiveEscapes
-	var baseJob harness.Job
-	var err error
+	// The insecure baseline: an idle companion core (or idle extra
+	// slot) at the profile NRH, tracker-independent so the pool
+	// deduplicates it across every searched tracker.
+	baseRun := ev.opts.Profile.BaseRun()
+	baseRun.Measure = measure
 	if bg := ev.opts.Mix; bg != nil {
-		baseJob, err = exp.AdversaryMixBaselineJob(p, *bg, measure)
+		baseRun.Mix = bg.WithSlot(exp.AttackPoint{}.Slot())
 	} else {
-		baseJob = exp.AdversaryBaselineJob(p, ev.opts.Workload, measure)
+		baseRun.Workload = ev.opts.Workload.Name
 	}
+	baseJob, err := baseRun.Job()
 	if err != nil {
 		return err
 	}
@@ -163,19 +170,15 @@ func (ev *evaluator) evalBatch(cands []*candidate, kinds []attack.Kind, measure 
 		if kinds != nil && kinds[i] != attack.Parametric {
 			pt = exp.AttackPoint{Kind: kinds[i]}
 		}
-		var job harness.Job
-		var err error
-		switch {
-		case ev.opts.Mix != nil:
-			job, err = exp.AdversaryMixJob(p, ev.opts.TrackerID, *ev.opts.Mix,
-				ev.opts.NRH, ev.opts.Mode, pt, measure, audited)
-		case audited:
-			job, err = exp.SecurityJob(p, ev.opts.TrackerID, ev.opts.Workload,
-				ev.opts.NRH, ev.opts.Mode, pt, measure, false)
-		default:
-			job, err = exp.AdversaryJob(p, ev.opts.TrackerID, ev.opts.Workload,
-				ev.opts.NRH, ev.opts.Mode, pt, measure)
+		run := baseRun
+		run.Tracker, run.NRH, run.Mode = ev.opts.TrackerID, ev.opts.NRH, ev.opts.Mode
+		run.Audit = ev.opts.Objective == ObjectiveEscapes
+		if bg := ev.opts.Mix; bg != nil {
+			run.Mix = bg.WithSlot(pt.Slot())
+		} else {
+			run.Attack = pt
 		}
+		job, err := run.Job()
 		if err != nil {
 			return err
 		}
@@ -260,8 +263,8 @@ func Search(opts Options, pool *harness.Pool) (*Report, error) {
 		}
 		// The candidate must be the only attacker: a background attacker
 		// would run its trace at opts.NRH in treatment runs but at the
-		// profile NRH in the baseline (AdversaryMixBaselineJob), letting
-		// NRH-sized background patterns corrupt the slowdown attribution.
+		// profile NRH in the baseline, letting NRH-sized background
+		// patterns corrupt the slowdown attribution.
 		if opts.Mix.Attackers() > 0 {
 			return nil, fmt.Errorf("adversary: background mix %s contains attacker slots; the searched candidate must be the only attacker", opts.Mix.ID())
 		}

@@ -1,6 +1,6 @@
 // Package analysis is the project's static-contract checker: a small,
 // dependency-free re-implementation of the golang.org/x/tools
-// go/analysis vocabulary (Analyzer, Pass, Diagnostic) plus the four
+// go/analysis vocabulary (Analyzer, Pass, Diagnostic) plus the three
 // DAPPER-specific analyzers that mechanize conventions every other
 // package relies on but, before this suite, only comments enforced:
 //
@@ -11,10 +11,6 @@
 //   - maporder: bytes that reach a sink, a hash, or an error message
 //     must never depend on Go's randomized map iteration order (see
 //     maporder.go for the sorted-keys idiom it recognizes).
-//   - descriptorsync: every sim.Config knob must be folded into
-//     harness.Descriptor's cache key, via the checked mapping table in
-//     descriptorsync.go — adding a knob without extending the key is a
-//     lint failure, not a silent cache-aliasing bug.
 //   - hotpath: functions annotated //dapper:hot (the telemetry probe
 //     and observer paths whose disabled cost PR 6's bench gate keeps
 //     under 2%) must not allocate, format, or box into interfaces.

@@ -6,7 +6,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		NewNodeterm(NodetermConfig{TierOf: DapperTiers}),
 		Maporder,
-		NewDescriptorSync(DapperContract),
 		Hotpath,
 	}
 }

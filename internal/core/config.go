@@ -60,8 +60,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// validate checks the configuration.
-func (c Config) validate() error {
+// Validate checks the configuration (with defaults applied), so a bad
+// geometry or threshold is reported before any tracker is built.
+func (c Config) Validate() error {
+	c = c.withDefaults()
 	if err := c.Geometry.Validate(); err != nil {
 		return err
 	}

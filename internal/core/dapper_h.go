@@ -43,7 +43,7 @@ type hRank struct {
 // NewDapperH builds a DAPPER-H tracker for one channel.
 func NewDapperH(channel int, cfg Config) (*DapperH, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Geometry.BanksPerRank() > 64 {

@@ -42,7 +42,7 @@ type sRank struct {
 // NewDapperS builds a DAPPER-S tracker for one channel.
 func NewDapperS(channel int, cfg Config) (*DapperS, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	shift := uint(0)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dapper/internal/attack"
+	"dapper/internal/harness"
 )
 
 // TestAdversaryJobDescriptor: parametric evaluations must carry their
@@ -13,51 +14,49 @@ func TestAdversaryJobDescriptor(t *testing.T) {
 	p := Tiny()
 	w := p.Workloads[0]
 	params := attack.Params{Steady: attack.Pattern{Rows: 128, HotFrac: 0.5, HotRows: 2}}
-	pj, err := AdversaryJob(p, "hydra", w, 500, 0,
-		AttackPoint{Kind: attack.Parametric, Params: params}, 0)
-	if err != nil {
-		t.Fatal(err)
+	desc := func(tracker string, pt AttackPoint) harness.Descriptor {
+		t.Helper()
+		r := p.BaseRun()
+		r.Tracker, r.Workload, r.Attack = tracker, w.Name, pt
+		job, err := r.Job()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job.Desc
 	}
-	if pj.Desc.Attack != "parametric" || pj.Desc.AttackParams != params.Canonical() {
-		t.Fatalf("parametric descriptor = %+v", pj.Desc)
+	pd := desc("hydra", AttackPoint{Kind: attack.Parametric, Params: params})
+	if pd.Attack != "parametric" || pd.AttackParams != params.Canonical() {
+		t.Fatalf("parametric descriptor = %+v", pd)
 	}
-	if pj.Desc.Measure != p.Measure {
-		t.Fatalf("measure 0 must default to the profile's %d, got %d", p.Measure, pj.Desc.Measure)
+	nd := desc("hydra", AttackPoint{Kind: attack.HydraConflict})
+	if nd.AttackParams != "" {
+		t.Fatalf("native kind leaked attack params: %q", nd.AttackParams)
 	}
-
-	nj, err := AdversaryJob(p, "hydra", w, 500, 0,
-		AttackPoint{Kind: attack.HydraConflict}, p.Measure/2)
-	if err != nil {
-		t.Fatal(err)
+	if nd != p.perfAttackRun(w, "hydra", attack.HydraConflict, p.NRH).Desc() {
+		t.Fatal("native-kind evaluation keys apart from the figure run")
 	}
-	if nj.Desc.AttackParams != "" {
-		t.Fatalf("native kind leaked attack params: %q", nj.Desc.AttackParams)
-	}
-	if nj.Desc.Measure != p.Measure/2 {
-		t.Fatalf("horizon override ignored: %d", nj.Desc.Measure)
-	}
-	if pj.Desc.Key() == nj.Desc.Key() {
+	if pd.Key() == nd.Key() {
 		t.Fatal("parametric and native runs alias one cache key")
 	}
 
 	other := params
 	other.Steady.Rows = 129
-	oj, err := AdversaryJob(p, "hydra", w, 500, 0,
-		AttackPoint{Kind: attack.Parametric, Params: other}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oj.Desc.Key() == pj.Desc.Key() {
+	if desc("hydra", AttackPoint{Kind: attack.Parametric, Params: other}).Key() == pd.Key() {
 		t.Fatal("nearby search points alias one cache key")
 	}
 
-	if _, err := AdversaryJob(p, "nope", w, 500, 0, AttackPoint{}, 0); err == nil {
+	r := p.BaseRun()
+	r.Tracker, r.Workload = "nope", w.Name
+	if _, err := r.Job(); err == nil {
 		t.Fatal("unknown tracker accepted")
 	}
+	r.Tracker, r.Attack = "hydra", AttackPoint{Kind: attack.Refresh, Params: params}
+	if _, err := r.Job(); err == nil {
+		t.Fatal("params on a native kind accepted (they would alias the plain run's key)")
+	}
 
-	base := AdversaryBaselineJob(p, w, 0)
-	if base.Desc.Tracker != "none" || base.Desc.Attack != "none" {
-		t.Fatalf("baseline descriptor = %+v", base.Desc)
+	if base := desc("none", AttackPoint{}); base.Tracker != "none" || base.Attack != "none" {
+		t.Fatalf("baseline descriptor = %+v", base)
 	}
 }
 

@@ -7,9 +7,7 @@ import (
 
 	"dapper/internal/attack"
 	"dapper/internal/dram"
-	"dapper/internal/rh"
 	"dapper/internal/sim"
-	"dapper/internal/workloads"
 )
 
 // TestEngineEquivalenceAttributionSweep extends the engine-equivalence
@@ -25,10 +23,6 @@ import (
 func TestEngineEquivalenceAttributionSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix is seconds-long; skipped in -short")
-	}
-	w, err := workloads.ByName("ycsb_a")
-	if err != nil {
-		t.Fatal(err)
 	}
 	geo := dram.Baseline()
 	const nrh = 125
@@ -67,28 +61,27 @@ func TestEngineEquivalenceAttributionSweep(t *testing.T) {
 		}
 	}
 	for _, id := range []string{"dapper-h", "blockhammer", "hydra"} {
-		ts := trackerBuilders[id](geo, nrh, rh.VRR1)
 		for _, atk := range []string{"none", "hammer"} {
 			t.Run(id+"/"+atk, func(t *testing.T) {
 				mk := func(engine sim.Engine) sim.Result {
-					s := runSpec{
-						workload: w,
-						geo:      geo,
-						nrh:      nrh,
-						tracker:  ts,
-						warmup:   dram.US(5),
-						measure:  dram.US(25),
-						seed:     3,
-						engine:   engine,
-						benign4:  atk == "none",
+					r := Run{
+						Tracker:  id,
+						NRH:      nrh,
+						Workload: "ycsb_a",
+						Benign4:  atk == "none",
+						Geometry: geo,
+						Warmup:   dram.US(5),
+						Measure:  dram.US(25),
+						Seed:     3,
+						Engine:   engine,
 
-						telemetryWindow: dram.US(5),
-						attribution:     true,
+						TelemetryWindow: dram.US(5),
+						Attribution:     true,
 					}
 					if atk == "hammer" {
-						s.attack, s.attackParams = attack.Parametric, hammerParams()
+						r.Attack = AttackPoint{Kind: attack.Parametric, Params: hammerParams()}
 					}
-					res, err := run(s)
+					res, err := r.Exec()
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -105,11 +98,9 @@ func TestEngineEquivalenceAttributionSweep(t *testing.T) {
 			p.Engine = engine
 			p.Attribution = true
 			p.TelemetryWindow = dram.US(5)
-			job, err := MixJob(p, "dapper-h", sp, 500, rh.VRR1, 0, false, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := job.Run()
+			r := p.BaseRun()
+			r.Tracker, r.Mix = "dapper-h", sp
+			res, err := r.Exec()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,13 +6,12 @@ import (
 	"time"
 
 	"dapper/internal/attack"
-	"dapper/internal/cpu"
 	"dapper/internal/harness"
 	"dapper/internal/sim"
 )
 
 // BatchedSweep executes a BatchRequest through sim.RunBatch instead of
-// one sim.Run per point: specs that share a memory-request stream
+// one sim.Run per point: runs that share a memory-request stream
 // (same workload traces, geometry and windows — everything except the
 // tracker under test) are grouped, their traces decoded once, and all
 // trackers in the group advanced in lockstep behind a single system
@@ -23,13 +22,13 @@ import (
 //
 // Descriptors — and therefore cache keys — are shared with Jobs: a
 // sweep half-served from a disk cache stays coherent no matter which
-// runner populated it. Records are delivered to opt.Sinks in spec
+// runner populated it. Records are delivered to opt.Sinks in sweep
 // order (tracker-major, then NRH, then workload), matching the pool's
 // submission-order guarantee.
 
 // BatchStats summarizes how a BatchedSweep executed.
 type BatchStats struct {
-	// Points is the total number of sweep points (specs).
+	// Points is the total number of sweep points (runs).
 	Points int
 	// Groups is the number of shared-stream groups actually simulated
 	// (fully-cached groups are skipped).
@@ -46,46 +45,29 @@ type BatchStats struct {
 	Reasons map[string]int
 }
 
-// batchGroup is one shared-stream group: indices into the spec slice,
-// in spec order (the first member's spec defines the base config).
+// batchGroup is one shared-stream group: indices into the run slice,
+// in sweep order (the first member's config is the base config).
 type batchGroup struct {
 	key     string
 	members []int
 }
 
-// streamKey identifies the memory-request stream a spec drives: its
+// streamKey identifies the memory-request stream a run drives: its
 // descriptor with the tracker identity erased. NRH participates only
 // when an attack trace is generated from it; benign sweeps share one
 // stream across the whole NRH axis.
-func streamKey(s runSpec) string {
-	d := s.descriptor()
+func streamKey(run Run) string {
+	d := run.Desc()
 	d.Tracker = ""
 	d.Mode = ""
-	if s.attack == attack.None {
+	if run.Attack.Kind == attack.None {
 		d.NRH = 0
 	}
 	return d.Key()
 }
 
-// batchTraces builds the group's shared trace set exactly as run()
-// would for the group's first spec.
-func batchTraces(s runSpec) ([]cpu.Trace, error) {
-	if s.benign4 {
-		return sim.BenignTraces(s.workload, 4, s.geo, s.seed), nil
-	}
-	traces := sim.BenignTraces(s.workload, 3, s.geo, s.seed)
-	atk, err := attack.NewTrace(attack.Config{
-		Geometry: s.geo, NRH: s.nrh, Kind: s.attack,
-		Params: s.attackParams, Seed: s.seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return append(traces, atk), nil
-}
-
 // BatchedSweep runs the request's sweep through the lockstep batch
-// runner and returns the completed records in spec order plus
+// runner and returns the completed records in sweep order plus
 // execution statistics. Sinks in opt are flushed and closed before
 // returning. Workers bounds concurrent groups; Cache is consulted
 // per point and populated with fresh results; OnProgress/OnResult
@@ -93,11 +75,11 @@ func batchTraces(s runSpec) ([]cpu.Trace, error) {
 //
 //dapper:wallclock times group execution for Record.Elapsed and progress reporting; simulated results are pure functions of the descriptors
 func BatchedSweep(req BatchRequest, opt harness.Options) ([]harness.Record, BatchStats, error) {
-	specs, err := req.specs()
+	runs, err := req.runs()
 	if err != nil {
 		return nil, BatchStats{}, err
 	}
-	stats := BatchStats{Points: len(specs), Reasons: make(map[string]int)}
+	stats := BatchStats{Points: len(runs), Reasons: make(map[string]int)}
 
 	type slot struct {
 		res     sim.Result
@@ -106,14 +88,16 @@ func BatchedSweep(req BatchRequest, opt harness.Options) ([]harness.Record, Batc
 		cached  bool
 		filled  bool
 	}
-	slots := make([]slot, len(specs))
-	keys := make([]string, len(specs))
+	slots := make([]slot, len(runs))
+	descs := make([]harness.Descriptor, len(runs))
+	keys := make([]string, len(runs))
 
 	// Serve cache hits first; group only what still needs simulating.
 	var groups []*batchGroup
 	byKey := make(map[string]*batchGroup)
-	for i, s := range specs {
-		keys[i] = s.descriptor().Key()
+	for i, run := range runs {
+		descs[i] = run.Desc()
+		keys[i] = descs[i].Key()
 		if opt.Cache != nil {
 			if res, ok := opt.Cache.Get(keys[i]); ok {
 				slots[i] = slot{res: res, cached: true, filled: true}
@@ -121,7 +105,7 @@ func BatchedSweep(req BatchRequest, opt harness.Options) ([]harness.Record, Batc
 				continue
 			}
 		}
-		gk := streamKey(s)
+		gk := streamKey(run)
 		g, ok := byKey[gk]
 		if !ok {
 			g = &batchGroup{key: gk}
@@ -140,10 +124,10 @@ func BatchedSweep(req BatchRequest, opt harness.Options) ([]harness.Record, Batc
 	finishPoint := func(i int) {
 		done++
 		if opt.OnProgress != nil {
-			opt.OnProgress(done, len(specs))
+			opt.OnProgress(done, len(runs))
 		}
 		if opt.OnResult != nil && slots[i].filled {
-			opt.OnResult(specs[i].descriptor(), slots[i].res)
+			opt.OnResult(descs[i], slots[i].res)
 		}
 	}
 
@@ -162,33 +146,19 @@ func BatchedSweep(req BatchRequest, opt harness.Options) ([]harness.Record, Batc
 				return
 			}
 
-			first := specs[g.members[0]]
-			traces, err := batchTraces(first)
-			if err == nil && len(traces) == 0 {
-				err = fmt.Errorf("exp: no traces for %s", first.workload.Name)
-			}
+			first := runs[g.members[0]]
+			cfg, err := first.config()
 			var (
 				results  []sim.Result
 				outcomes []sim.BatchOutcome
 				per      time.Duration
 			)
 			if err == nil {
-				cfg := sim.Config{
-					Geometry:        first.geo,
-					LLCBytes:        first.llcBytes,
-					Traces:          traces,
-					Warmup:          first.warmup,
-					Measure:         first.measure,
-					Engine:          first.engine,
-					TelemetryWindow: first.telemetryWindow,
-					Attribution:     first.attribution,
-				}
+				// The first member's tracker rides along in cfg; every
+				// point below overrides it.
 				points := make([]sim.BatchPoint, len(g.members))
 				for j, si := range g.members {
-					points[j] = sim.BatchPoint{
-						Tracker: specs[si].tracker.Factory,
-						Mode:    specs[si].tracker.Mode,
-					}
+					points[j].Tracker, points[j].Mode = runs[si].tracker()
 				}
 				start := time.Now()
 				results, outcomes, err = sim.RunBatch(cfg, points)
@@ -201,7 +171,7 @@ func BatchedSweep(req BatchRequest, opt harness.Options) ([]harness.Record, Batc
 			defer mu.Unlock()
 			if err != nil {
 				if firstErr == nil {
-					firstErr = fmt.Errorf("exp: batched group %s: %w", first.workload.Name, err)
+					firstErr = fmt.Errorf("exp: batched group %s: %w", first.Workload, err)
 				}
 				return
 			}
@@ -221,7 +191,7 @@ func BatchedSweep(req BatchRequest, opt harness.Options) ([]harness.Record, Batc
 	// Cached points report progress after the simulated ones so the
 	// callback still sees strictly increasing counts.
 	mu.Lock()
-	for i := range specs {
+	for i := range runs {
 		if slots[i].cached {
 			finishPoint(i)
 		}
@@ -235,11 +205,11 @@ func BatchedSweep(req BatchRequest, opt harness.Options) ([]harness.Record, Batc
 		return nil, stats, firstErr
 	}
 
-	records := make([]harness.Record, len(specs))
-	for i, s := range specs {
+	records := make([]harness.Record, len(runs))
+	for i := range runs {
 		records[i] = harness.Record{
 			Key:     keys[i],
-			Desc:    s.descriptor(),
+			Desc:    descs[i],
 			Cached:  slots[i].cached,
 			Elapsed: slots[i].elapsed,
 			Result:  slots[i].res,

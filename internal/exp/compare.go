@@ -8,42 +8,34 @@ import (
 	"dapper/internal/core"
 	"dapper/internal/dram"
 	"dapper/internal/rh"
-	"dapper/internal/sim"
 	"dapper/internal/stats"
 )
 
-// sweepRow runs one tracker configuration across the NRH sweep for one
-// scenario and returns the per-threshold mean normalized perf.
-func sweepRow(r *runner, mk func(nrh uint32) trackerSpec, kind attack.Kind, benign4 bool) ([]float64, error) {
-	var out []float64
-	for _, nrh := range r.p.NRHSweep {
-		var vals []float64
-		for _, w := range r.p.SweepWorkloads {
-			np, _, _, err := r.normalized(r.dapperSpec(w, mk(nrh), kind, nrh, benign4))
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, np)
-		}
-		out = append(out, stats.Mean(vals))
-	}
-	return out, nil
-}
-
-func addSweepRows(t *Table, r *runner, rows []struct {
+// sweepScenario is one row of an NRH-sweep figure: a tracker id and
+// mode under one DAPPER-figure scenario.
+type sweepScenario struct {
 	name    string
-	mk      func(nrh uint32) trackerSpec
+	tracker string
+	mode    rh.MitigationMode
 	kind    attack.Kind
 	benign4 bool
-}) error {
+}
+
+// addSweepRows adds one row per scenario: the sweep-workload mean
+// normalized perf at each threshold of the NRH sweep.
+func addSweepRows(t *Table, r *runner, rows []sweepScenario) error {
 	for _, sc := range rows {
-		vals, err := sweepRow(r, sc.mk, sc.kind, sc.benign4)
-		if err != nil {
-			return err
-		}
 		row := []string{sc.name}
-		for _, v := range vals {
-			row = append(row, norm(v))
+		for _, nrh := range r.p.NRHSweep {
+			var vals []float64
+			for _, w := range r.p.SweepWorkloads {
+				np, _, _, err := r.dapperNormalized(w, sc.tracker, sc.mode, sc.kind, nrh, sc.benign4)
+				if err != nil {
+					return err
+				}
+				vals = append(vals, np)
+			}
+			row = append(row, norm(stats.Mean(vals)))
 		}
 		t.AddRow(row...)
 	}
@@ -62,22 +54,10 @@ func Fig14(p Profile) (*Table, error) {
 	r := newRunner(p)
 	t := &Table{ID: "fig14", Title: "BlockHammer vs DAPPER-H (benign)", Header: []string{"Config"}}
 	sweepHeader(t, p)
-	geo := dapperGeoFor(p, attack.None) // all rows are benign scenarios
-	err := addSweepRows(t, r, []struct {
-		name    string
-		mk      func(nrh uint32) trackerSpec
-		kind    attack.Kind
-		benign4 bool
-	}{
-		{"BlockHammer", func(n uint32) trackerSpec {
-			return trackerSpec{Name: "BlockHammer", Factory: blockhammerFactory(geo, n)}
-		}, attack.None, true},
-		{"DAPPER-H", func(n uint32) trackerSpec {
-			return trackerSpec{Name: "DAPPER-H", Factory: dapperHFactory(geo, n, rh.VRR1)}
-		}, attack.None, true},
-		{"DAPPER-H-DRFMsb", func(n uint32) trackerSpec {
-			return trackerSpec{Name: "DAPPER-H", Factory: dapperHFactory(geo, n, rh.DRFMsb), Mode: rh.DRFMsb}
-		}, attack.None, true},
+	err := addSweepRows(t, r, []sweepScenario{
+		{"BlockHammer", "blockhammer", rh.VRR1, attack.None, true},
+		{"DAPPER-H", "dapper-h", rh.VRR1, attack.None, true},
+		{"DAPPER-H-DRFMsb", "dapper-h", rh.DRFMsb, attack.None, true},
 	})
 	if err != nil {
 		return nil, err
@@ -88,36 +68,14 @@ func Fig14(p Profile) (*Table, error) {
 
 // probabilisticRows builds the PARA/PrIDE/DAPPER-H row set shared by
 // Figures 15 and 16.
-func probabilisticRows(geo dram.Geometry, kind attack.Kind, benign4 bool) []struct {
-	name    string
-	mk      func(nrh uint32) trackerSpec
-	kind    attack.Kind
-	benign4 bool
-} {
-	return []struct {
-		name    string
-		mk      func(nrh uint32) trackerSpec
-		kind    attack.Kind
-		benign4 bool
-	}{
-		{"PARA", func(n uint32) trackerSpec {
-			return trackerSpec{Name: "PARA", Factory: paraFactory(geo, n, rh.VRR1, 11)}
-		}, kind, benign4},
-		{"PARA-DRFMsb", func(n uint32) trackerSpec {
-			return trackerSpec{Name: "PARA", Factory: paraFactory(geo, n, rh.DRFMsb, 11), Mode: rh.DRFMsb}
-		}, kind, benign4},
-		{"PrIDE", func(n uint32) trackerSpec {
-			return trackerSpec{Name: "PrIDE", Factory: prideFactory(geo, n, rh.VRR1, 13)}
-		}, kind, benign4},
-		{"PrIDE-RFMsb", func(n uint32) trackerSpec {
-			return trackerSpec{Name: "PrIDE", Factory: prideFactory(geo, n, rh.RFMsb, 13), Mode: rh.RFMsb}
-		}, kind, benign4},
-		{"DAPPER-H", func(n uint32) trackerSpec {
-			return trackerSpec{Name: "DAPPER-H", Factory: dapperHFactory(geo, n, rh.VRR1)}
-		}, kind, benign4},
-		{"DAPPER-H-DRFMsb", func(n uint32) trackerSpec {
-			return trackerSpec{Name: "DAPPER-H", Factory: dapperHFactory(geo, n, rh.DRFMsb), Mode: rh.DRFMsb}
-		}, kind, benign4},
+func probabilisticRows(kind attack.Kind, benign4 bool) []sweepScenario {
+	return []sweepScenario{
+		{"PARA", "para", rh.VRR1, kind, benign4},
+		{"PARA-DRFMsb", "para", rh.DRFMsb, kind, benign4},
+		{"PrIDE", "pride", rh.VRR1, kind, benign4},
+		{"PrIDE-RFMsb", "pride", rh.RFMsb, kind, benign4},
+		{"DAPPER-H", "dapper-h", rh.VRR1, kind, benign4},
+		{"DAPPER-H-DRFMsb", "dapper-h", rh.DRFMsb, kind, benign4},
 	}
 }
 
@@ -127,7 +85,7 @@ func Fig15(p Profile) (*Table, error) {
 	r := newRunner(p)
 	t := &Table{ID: "fig15", Title: "PARA/PrIDE vs DAPPER-H (benign)", Header: []string{"Config"}}
 	sweepHeader(t, p)
-	if err := addSweepRows(t, r, probabilisticRows(dapperGeoFor(p, attack.None), attack.None, true)); err != nil {
+	if err := addSweepRows(t, r, probabilisticRows(attack.None, true)); err != nil {
 		return nil, err
 	}
 	t.AddNote("paper at NRH=500: PARA 3%%, PrIDE 7%%, PARA-DRFMsb 18%%, PrIDE-RFMsb 12%%, DAPPER-H <0.3%%")
@@ -140,7 +98,7 @@ func Fig16(p Profile) (*Table, error) {
 	r := newRunner(p)
 	t := &Table{ID: "fig16", Title: "PARA/PrIDE vs DAPPER-H (under Perf-Attack)", Header: []string{"Config"}}
 	sweepHeader(t, p)
-	if err := addSweepRows(t, r, probabilisticRows(dapperGeoFor(p, attack.Refresh), attack.Refresh, false)); err != nil {
+	if err := addSweepRows(t, r, probabilisticRows(attack.Refresh, false)); err != nil {
 		return nil, err
 	}
 	t.AddNote("paper at NRH=125: PARA 15%%, PrIDE 23%%, DAPPER-H 6%%")
@@ -153,32 +111,13 @@ func Fig17(p Profile) (*Table, error) {
 	r := newRunner(p)
 	t := &Table{ID: "fig17", Title: "PRAC vs DAPPER-H", Header: []string{"Config"}}
 	sweepHeader(t, p)
-	bGeo := dapperGeoFor(p, attack.None)
-	aGeo := dapperGeoFor(p, attack.Refresh)
-	err := addSweepRows(t, r, []struct {
-		name    string
-		mk      func(nrh uint32) trackerSpec
-		kind    attack.Kind
-		benign4 bool
-	}{
-		{"PRAC", func(n uint32) trackerSpec {
-			return trackerSpec{Name: "PRAC", Factory: pracFactory(bGeo, n)}
-		}, attack.None, true},
-		{"PRAC-Perf", func(n uint32) trackerSpec {
-			return trackerSpec{Name: "PRAC", Factory: pracFactory(aGeo, n)}
-		}, attack.Refresh, false},
-		{"DAPPER-H", func(n uint32) trackerSpec {
-			return trackerSpec{Name: "DAPPER-H", Factory: dapperHFactory(bGeo, n, rh.VRR1)}
-		}, attack.None, true},
-		{"DAPPER-H-DRFMsb", func(n uint32) trackerSpec {
-			return trackerSpec{Name: "DAPPER-H", Factory: dapperHFactory(bGeo, n, rh.DRFMsb), Mode: rh.DRFMsb}
-		}, attack.None, true},
-		{"DAPPER-H-Refresh", func(n uint32) trackerSpec {
-			return trackerSpec{Name: "DAPPER-H", Factory: dapperHFactory(aGeo, n, rh.VRR1)}
-		}, attack.Refresh, false},
-		{"DAPPER-H-DRFMsb-Refresh", func(n uint32) trackerSpec {
-			return trackerSpec{Name: "DAPPER-H", Factory: dapperHFactory(aGeo, n, rh.DRFMsb), Mode: rh.DRFMsb}
-		}, attack.Refresh, false},
+	err := addSweepRows(t, r, []sweepScenario{
+		{"PRAC", "prac", rh.VRR1, attack.None, true},
+		{"PRAC-Perf", "prac", rh.VRR1, attack.Refresh, false},
+		{"DAPPER-H", "dapper-h", rh.VRR1, attack.None, true},
+		{"DAPPER-H-DRFMsb", "dapper-h", rh.DRFMsb, attack.None, true},
+		{"DAPPER-H-Refresh", "dapper-h", rh.VRR1, attack.Refresh, false},
+		{"DAPPER-H-DRFMsb-Refresh", "dapper-h", rh.DRFMsb, attack.Refresh, false},
 	})
 	if err != nil {
 		return nil, err
@@ -259,5 +198,3 @@ func SecH(p Profile) (*Table, error) {
 	t.AddNote("paper: 99.99%% prevention per tREFW at 8K groups")
 	return t, nil
 }
-
-var _ = sim.NopFactory // keep sim imported for future spec extensions

@@ -14,8 +14,6 @@ import (
 // attacks (streaming, refresh), per suite.
 func Fig9(p Profile) (*Table, error) {
 	r := newRunner(p)
-	tsStream := trackerSpec{Name: "DAPPER-S", Factory: dapperSFactory(dapperGeoFor(p, attack.StreamingSweep), p.NRH, rh.VRR1)}
-	tsRefresh := trackerSpec{Name: "DAPPER-S", Factory: dapperSFactory(dapperGeoFor(p, attack.Refresh), p.NRH, rh.VRR1)}
 	t := &Table{
 		ID:     "fig9",
 		Title:  fmt.Sprintf("DAPPER-S slowdown under Mapping-Agnostic attacks, NRH=%d", p.NRH),
@@ -24,12 +22,12 @@ func Fig9(p Profile) (*Table, error) {
 	stream := map[string]float64{}
 	refr := map[string]float64{}
 	for _, w := range p.Workloads {
-		np, _, _, err := r.normalized(r.dapperSpec(w, tsStream, attack.StreamingSweep, p.NRH, false))
+		np, _, _, err := r.dapperNormalized(w, "dapper-s", rh.VRR1, attack.StreamingSweep, p.NRH, false)
 		if err != nil {
 			return nil, err
 		}
 		stream[w.Name] = np
-		np, _, _, err = r.normalized(r.dapperSpec(w, tsRefresh, attack.Refresh, p.NRH, false))
+		np, _, _, err = r.dapperNormalized(w, "dapper-s", rh.VRR1, attack.Refresh, p.NRH, false)
 		if err != nil {
 			return nil, err
 		}
@@ -64,8 +62,6 @@ func Fig9(p Profile) (*Table, error) {
 // attacks, per workload.
 func Fig10(p Profile) (*Table, error) {
 	r := newRunner(p)
-	tsStream := trackerSpec{Name: "DAPPER-H", Factory: dapperHFactory(dapperGeoFor(p, attack.StreamingSweep), p.NRH, rh.VRR1)}
-	tsRefresh := trackerSpec{Name: "DAPPER-H", Factory: dapperHFactory(dapperGeoFor(p, attack.Refresh), p.NRH, rh.VRR1)}
 	t := &Table{
 		ID:     "fig10",
 		Title:  fmt.Sprintf("DAPPER-H normalized perf under Mapping-Agnostic attacks, NRH=%d", p.NRH),
@@ -73,11 +69,11 @@ func Fig10(p Profile) (*Table, error) {
 	}
 	var sAll, fAll []float64
 	for _, w := range p.Workloads {
-		sNP, _, _, err := r.normalized(r.dapperSpec(w, tsStream, attack.StreamingSweep, p.NRH, false))
+		sNP, _, _, err := r.dapperNormalized(w, "dapper-h", rh.VRR1, attack.StreamingSweep, p.NRH, false)
 		if err != nil {
 			return nil, err
 		}
-		fNP, _, _, err := r.normalized(r.dapperSpec(w, tsRefresh, attack.Refresh, p.NRH, false))
+		fNP, _, _, err := r.dapperNormalized(w, "dapper-h", rh.VRR1, attack.Refresh, p.NRH, false)
 		if err != nil {
 			return nil, err
 		}
@@ -99,7 +95,6 @@ func Fig10(p Profile) (*Table, error) {
 // homogeneous copies), per workload.
 func Fig11(p Profile) (*Table, error) {
 	r := newRunner(p)
-	ts := trackerSpec{Name: "DAPPER-H", Factory: dapperHFactory(p.Geometry, p.NRH, rh.VRR1)}
 	t := &Table{
 		ID:     "fig11",
 		Title:  fmt.Sprintf("DAPPER-H on benign applications, NRH=%d", p.NRH),
@@ -107,9 +102,9 @@ func Fig11(p Profile) (*Table, error) {
 	}
 	var all []float64
 	for _, w := range p.Workloads {
-		s := r.perfAttackSpec(w, ts, attack.None, p.NRH)
-		s.benign4 = true
-		np, _, _, err := r.normalized(s)
+		run := p.perfAttackRun(w, "dapper-h", attack.None, p.NRH)
+		run.Benign4 = true
+		np, _, _, err := r.normalized(run, false)
 		if err != nil {
 			return nil, err
 		}
@@ -126,29 +121,6 @@ func Fig11(p Profile) (*Table, error) {
 	return t, nil
 }
 
-// dapperHSweep runs DAPPER-H (mode) across the NRH sweep for one
-// scenario, returning mean normalized perf per threshold.
-func dapperHSweep(r *runner, mode rh.MitigationMode, kind attack.Kind, benign4 bool) ([]float64, error) {
-	var out []float64
-	for _, nrh := range r.p.NRHSweep {
-		ts := trackerSpec{
-			Name:    "DAPPER-H",
-			Factory: dapperHFactory(dapperGeoFor(r.p, kind), nrh, mode),
-			Mode:    mode,
-		}
-		var vals []float64
-		for _, w := range r.p.SweepWorkloads {
-			np, _, _, err := r.normalized(r.dapperSpec(w, ts, kind, nrh, benign4))
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, np)
-		}
-		out = append(out, stats.Mean(vals))
-	}
-	return out, nil
-}
-
 // Fig12 reproduces Figure 12: DAPPER-H sensitivity to NRH under benign,
 // streaming, and refresh scenarios.
 func Fig12(p Profile) (*Table, error) {
@@ -158,28 +130,14 @@ func Fig12(p Profile) (*Table, error) {
 		Title:  "DAPPER-H sensitivity to RowHammer threshold",
 		Header: []string{"Scenario"},
 	}
-	for _, nrh := range p.NRHSweep {
-		t.Header = append(t.Header, fmt.Sprintf("NRH=%d", nrh))
-	}
-	rows := []struct {
-		name    string
-		kind    attack.Kind
-		benign4 bool
-	}{
-		{"DAPPER-H (benign)", attack.None, true},
-		{"DAPPER-H-Streaming", attack.StreamingSweep, false},
-		{"DAPPER-H-Refresh", attack.Refresh, false},
-	}
-	for _, sc := range rows {
-		vals, err := dapperHSweep(r, rh.VRR1, sc.kind, sc.benign4)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{sc.name}
-		for _, v := range vals {
-			row = append(row, norm(v))
-		}
-		t.AddRow(row...)
+	sweepHeader(t, p)
+	err := addSweepRows(t, r, []sweepScenario{
+		{"DAPPER-H (benign)", "dapper-h", rh.VRR1, attack.None, true},
+		{"DAPPER-H-Streaming", "dapper-h", rh.VRR1, attack.StreamingSweep, false},
+		{"DAPPER-H-Refresh", "dapper-h", rh.VRR1, attack.Refresh, false},
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.AddNote("paper: <1%% slowdown at NRH>=500; up to 6%% at NRH=125 under the refresh attack")
 	return t, nil
@@ -194,17 +152,8 @@ func Fig13(p Profile) (*Table, error) {
 		Title:  "DAPPER-H blast radius and DRFMsb sensitivity",
 		Header: []string{"Config"},
 	}
-	for _, nrh := range p.NRHSweep {
-		t.Header = append(t.Header, fmt.Sprintf("NRH=%d", nrh))
-	}
-	modes := []struct {
-		name string
-		mode rh.MitigationMode
-	}{
-		{"DAPPER-H", rh.VRR1},
-		{"DAPPER-H-BR2", rh.VRR2},
-		{"DAPPER-H-DRFMsb", rh.DRFMsb},
-	}
+	sweepHeader(t, p)
+	var rows []sweepScenario
 	for _, sc := range []struct {
 		suffix  string
 		kind    attack.Kind
@@ -213,17 +162,19 @@ func Fig13(p Profile) (*Table, error) {
 		{"", attack.None, true},
 		{"-Refresh", attack.Refresh, false},
 	} {
-		for _, m := range modes {
-			vals, err := dapperHSweep(r, m.mode, sc.kind, sc.benign4)
-			if err != nil {
-				return nil, err
-			}
-			row := []string{m.name + sc.suffix}
-			for _, v := range vals {
-				row = append(row, norm(v))
-			}
-			t.AddRow(row...)
+		for _, m := range []struct {
+			name string
+			mode rh.MitigationMode
+		}{
+			{"DAPPER-H", rh.VRR1},
+			{"DAPPER-H-BR2", rh.VRR2},
+			{"DAPPER-H-DRFMsb", rh.DRFMsb},
+		} {
+			rows = append(rows, sweepScenario{m.name + sc.suffix, "dapper-h", m.mode, sc.kind, sc.benign4})
 		}
+	}
+	if err := addSweepRows(t, r, rows); err != nil {
+		return nil, err
 	}
 	t.AddNote("paper: at NRH=500 under refresh, BR1 ~1%%, BR2 ~2%%, DRFMsb ~8%%; DRFMsb grows to 27%% at NRH=125")
 	return t, nil
@@ -249,16 +200,15 @@ func Tab4(p Profile) (*Table, error) {
 			{attack.StreamingSweep, false},
 			{attack.Refresh, false},
 		} {
-			geo := dapperGeoFor(p, sc.kind)
-			ts := trackerSpec{Name: "DAPPER-H", Factory: dapperHFactory(geo, nrh, rh.VRR1)}
 			var vals []float64
 			for _, w := range p.SweepWorkloads {
-				_, treat, base, err := r.normalized(r.dapperSpec(w, ts, sc.kind, nrh, sc.benign4))
+				run := p.dapperRun(w, "dapper-h", rh.VRR1, sc.kind, nrh, sc.benign4)
+				_, treat, base, err := r.normalized(run, true)
 				if err != nil {
 					return nil, err
 				}
 				ov := model.Overhead(treat.Counters, base.Counters, treat.Cycles,
-					geo.Channels, rh.VRR1)
+					run.Geometry.Channels, rh.VRR1)
 				vals = append(vals, ov)
 			}
 			row = append(row, pct(stats.Mean(vals)))

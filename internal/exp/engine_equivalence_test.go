@@ -6,9 +6,7 @@ import (
 
 	"dapper/internal/attack"
 	"dapper/internal/dram"
-	"dapper/internal/rh"
 	"dapper/internal/sim"
-	"dapper/internal/workloads"
 )
 
 // TestEngineEquivalenceAllTrackers is the full safety-net matrix for the
@@ -24,35 +22,24 @@ func TestEngineEquivalenceAllTrackers(t *testing.T) {
 	geo := dram.Baseline()
 	const nrh = 500
 	for _, id := range KnownTrackers() {
-		ts := trackerBuilders[id](geo, nrh, rh.VRR1)
-		kinds := []attack.Kind{attack.None}
-		if name := ts.Name; name != "" {
-			kinds = append(kinds, attack.ForTracker(name))
-		} else {
-			kinds = append(kinds, attack.CacheThrash)
-		}
+		kinds := []attack.Kind{attack.None, attack.ForTracker(trackerDefs[id].name)}
 		for _, kind := range kinds {
 			t.Run(id+"/"+kind.String(), func(t *testing.T) {
 				mk := func(engine sim.Engine) sim.Result {
-					w, err := workloads.ByName("ycsb_a")
+					res, err := Run{
+						Tracker:  id,
+						NRH:      nrh,
+						Workload: "ycsb_a",
+						Attack:   AttackPoint{Kind: kind},
+						Benign4:  kind == attack.None,
+						Geometry: geo,
+						Warmup:   dram.US(5),
+						Measure:  dram.US(25),
+						Seed:     3,
+						Engine:   engine,
+					}.Exec()
 					if err != nil {
 						t.Fatal(err)
-					}
-					s := runSpec{
-						workload: w,
-						geo:      geo,
-						nrh:      nrh,
-						tracker:  ts,
-						attack:   kind,
-						benign4:  kind == attack.None,
-						warmup:   dram.US(5),
-						measure:  dram.US(25),
-						seed:     3,
-						engine:   engine,
-					}
-					res, runErr := run(s)
-					if runErr != nil {
-						t.Fatal(runErr)
 					}
 					return res
 				}

@@ -87,13 +87,14 @@ func TestProfileByName(t *testing.T) {
 
 func TestDapperGeoSelection(t *testing.T) {
 	p := Quick()
-	if dapperGeoFor(p, attack.StreamingSweep) != p.DapperGeometry {
-		t.Fatal("streaming must use the scaled geometry")
+	w := p.Workloads[0]
+	if r := p.dapperRun(w, "dapper-h", rh.VRR1, attack.StreamingSweep, p.NRH, false); r.Geometry != p.DapperGeometry || r.Measure != p.DapperMeasure {
+		t.Fatal("streaming must use the scaled geometry and its windows")
 	}
-	if dapperGeoFor(p, attack.Refresh) != p.Geometry {
+	if r := p.dapperRun(w, "dapper-h", rh.VRR1, attack.Refresh, p.NRH, false); r.Geometry != p.Geometry || r.Measure != p.Measure {
 		t.Fatal("refresh must use the full geometry")
 	}
-	if dapperGeoFor(p, attack.None) != p.Geometry {
+	if r := p.dapperRun(w, "dapper-h", rh.VRR1, attack.None, p.NRH, true); r.Geometry != p.Geometry {
 		t.Fatal("benign must use the full geometry")
 	}
 }
@@ -205,15 +206,11 @@ func TestShapeDapperHNeutralizesRefreshAttack(t *testing.T) {
 	p.Warmup = dram.US(80)
 	r := newRunner(p)
 	w := p.Workloads[0]
-	geo := dapperGeoFor(p, attack.Refresh)
-
-	tsS := trackerSpec{Name: "DAPPER-S", Factory: dapperSFactory(geo, p.NRH, rh.VRR1)}
-	npS, _, _, err := r.normalized(r.dapperSpec(w, tsS, attack.Refresh, p.NRH, false))
+	npS, _, _, err := r.dapperNormalized(w, "dapper-s", rh.VRR1, attack.Refresh, p.NRH, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tsH := trackerSpec{Name: "DAPPER-H", Factory: dapperHFactory(geo, p.NRH, rh.VRR1)}
-	npH, _, _, err := r.normalized(r.dapperSpec(w, tsH, attack.Refresh, p.NRH, false))
+	npH, _, _, err := r.dapperNormalized(w, "dapper-h", rh.VRR1, attack.Refresh, p.NRH, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,36 +9,47 @@ import (
 	"dapper/internal/workloads"
 )
 
-// perfAttackMatrix runs the Figure 1/3 data set: for every workload, the
-// cache-thrashing reference (no tracker) and each scalable tracker under
-// its tailored Perf-Attack, all normalized to the insecure baseline.
-// Returned map: config name -> workload name -> normalized perf.
-func perfAttackMatrix(r *runner, nrh uint32) (map[string]map[string]float64, []string, error) {
-	trackers := scalableTrackers(r.p.Geometry, nrh, 0)
-	configs := []string{"Cache Thrashing"}
-	for _, ts := range trackers {
-		configs = append(configs, ts.Name)
+// perfAttackConfig is one Figures 1/3/4/5 configuration: the
+// cache-thrashing reference on the insecure system, or a scalable
+// tracker under its tailored Perf-Attack.
+type perfAttackConfig struct {
+	name, tracker string
+	kind          attack.Kind
+}
+
+// perfAttackConfigs returns the cache-thrashing reference followed by
+// the four scalable baseline trackers.
+func perfAttackConfigs() []perfAttackConfig {
+	cfgs := []perfAttackConfig{{"Cache Thrashing", "none", attack.CacheThrash}}
+	for _, id := range []string{"hydra", "start", "abacus", "comet"} {
+		name := trackerDefs[id].name
+		cfgs = append(cfgs, perfAttackConfig{name, id, attack.ForTracker(name)})
 	}
-	out := make(map[string]map[string]float64, len(configs))
-	for _, c := range configs {
-		out[c] = make(map[string]float64)
+	return cfgs
+}
+
+// perfAttackMatrix runs the Figure 1/3 data set: for every workload,
+// each perfAttackConfig normalized to the insecure baseline with an
+// idle companion. Returned map: config name -> workload name ->
+// normalized perf.
+func perfAttackMatrix(r *runner, nrh uint32) (map[string]map[string]float64, []string, error) {
+	cfgs := perfAttackConfigs()
+	out := make(map[string]map[string]float64, len(cfgs))
+	var names []string
+	for _, c := range cfgs {
+		out[c.name] = make(map[string]float64)
+		names = append(names, c.name)
 	}
 	for _, w := range r.p.Workloads {
-		np, _, _, err := r.normalized(r.perfAttackSpec(w, trackerSpec{}, attack.CacheThrash, nrh))
-		if err != nil {
-			return nil, nil, err
-		}
-		out["Cache Thrashing"][w.Name] = np
-		for _, ts := range trackers {
-			kind := attack.ForTracker(ts.Name)
-			np, _, _, err := r.normalized(r.perfAttackSpec(w, ts, kind, nrh))
+		for _, c := range cfgs {
+			np, _, _, err := r.normalized(r.p.perfAttackRun(w, c.tracker, c.kind, nrh), false)
 			if err != nil {
 				return nil, nil, err
 			}
-			out[ts.Name][w.Name] = np
+			out[c.name][w.Name] = np
 		}
 	}
-	return out, configs, nil
+	return out, names, nil
 }
 
 // Fig1 reproduces Figure 1: normalized performance per suite under
@@ -134,32 +145,12 @@ func Fig4(p Profile) (*Table, error) {
 	for _, nrh := range sweep {
 		t.Header = append(t.Header, fmt.Sprintf("NRH=%d", nrh))
 	}
-	type cfg struct {
-		name string
-		kind attack.Kind
-		mk   func(nrh uint32) trackerSpec
-	}
-	cfgs := []cfg{
-		{"Cache Thrashing", attack.CacheThrash, func(uint32) trackerSpec { return trackerSpec{} }},
-		{"Hydra", attack.HydraConflict, func(n uint32) trackerSpec {
-			return trackerSpec{Name: "Hydra", Factory: hydraFactory(p.Geometry, n)}
-		}},
-		{"START", attack.StreamingSweep, func(n uint32) trackerSpec {
-			return trackerSpec{Name: "START", Factory: startFactory(p.Geometry, n, 0)}
-		}},
-		{"ABACUS", attack.DistinctRows, func(n uint32) trackerSpec {
-			return trackerSpec{Name: "ABACUS", Factory: abacusFactory(p.Geometry, n)}
-		}},
-		{"CoMeT", attack.RATThrash, func(n uint32) trackerSpec {
-			return trackerSpec{Name: "CoMeT", Factory: cometFactory(p.Geometry, n)}
-		}},
-	}
-	for _, c := range cfgs {
+	for _, c := range perfAttackConfigs() {
 		row := []string{c.name}
 		for _, nrh := range sweep {
 			var vals []float64
 			for _, w := range p.SweepWorkloads {
-				np, _, _, err := r.normalized(r.perfAttackSpec(w, c.mk(nrh), c.kind, nrh))
+				np, _, _, err := r.normalized(p.perfAttackRun(w, c.tracker, c.kind, nrh), false)
 				if err != nil {
 					return nil, err
 				}
@@ -193,35 +184,15 @@ func Fig5(p Profile) (*Table, error) {
 	for _, mb := range sizes {
 		t.Header = append(t.Header, fmt.Sprintf("%dMB/core", mb))
 	}
-	type cfg struct {
-		name string
-		kind attack.Kind
-		mk   func() trackerSpec
-	}
-	cfgs := []cfg{
-		{"Cache Thrashing", attack.CacheThrash, func() trackerSpec { return trackerSpec{} }},
-		{"Hydra", attack.HydraConflict, func() trackerSpec {
-			return trackerSpec{Name: "Hydra", Factory: hydraFactory(geo, p.NRH)}
-		}},
-		{"START", attack.StreamingSweep, func() trackerSpec {
-			return trackerSpec{Name: "START", Factory: startFactory(geo, p.NRH, 0)}
-		}},
-		{"ABACUS", attack.DistinctRows, func() trackerSpec {
-			return trackerSpec{Name: "ABACUS", Factory: abacusFactory(geo, p.NRH)}
-		}},
-		{"CoMeT", attack.RATThrash, func() trackerSpec {
-			return trackerSpec{Name: "CoMeT", Factory: cometFactory(geo, p.NRH)}
-		}},
-	}
-	for _, c := range cfgs {
+	for _, c := range perfAttackConfigs() {
 		row := []string{c.name}
 		for _, mb := range sizes {
 			var vals []float64
 			for _, w := range p.SweepWorkloads {
-				s := r.perfAttackSpec(w, c.mk(), c.kind, p.NRH)
-				s.geo = geo
-				s.llcBytes = mb << 20 * 4 // per-core x 4 cores
-				np, _, _, err := r.normalized(s)
+				run := p.perfAttackRun(w, c.tracker, c.kind, p.NRH)
+				run.Geometry = geo
+				run.LLCBytes = mb << 20 * 4 // per-core x 4 cores
+				np, _, _, err := r.normalized(run, false)
 				if err != nil {
 					return nil, err
 				}

@@ -11,11 +11,11 @@ import (
 type execMode int
 
 const (
-	// modeSerial runs each spec inline (the legacy path; used when no
+	// modeSerial runs each request inline (the legacy path; used when no
 	// harness is attached, e.g. by unit tests calling generators
 	// directly).
 	modeSerial execMode = iota
-	// modeCollect records every requested spec as a harness.Job and
+	// modeCollect records every requested run as a harness.Job and
 	// returns placeholder results; the generator's table output is
 	// discarded.
 	modeCollect
@@ -36,24 +36,25 @@ type harnessCtx struct {
 	results map[string]sim.Result
 }
 
-// record notes one spec during the collect pass (once per key).
-func (h *harnessCtx) record(s runSpec) {
-	d := s.descriptor()
-	key := d.Key()
+// record notes one run during the collect pass (once per key).
+func (h *harnessCtx) record(run Run) error {
+	job, err := run.Job()
+	if err != nil {
+		return err
+	}
+	key := job.Desc.Key()
 	if h.seen[key] {
-		return
+		return nil
 	}
 	h.seen[key] = true
 	h.keys = append(h.keys, key)
-	h.jobs = append(h.jobs, harness.Job{
-		Desc: d,
-		Run:  func() (sim.Result, error) { return run(s) },
-	})
+	h.jobs = append(h.jobs, job)
+	return nil
 }
 
-// lookup serves one spec during the replay pass.
-func (h *harnessCtx) lookup(s runSpec) (sim.Result, error) {
-	d := s.descriptor()
+// lookup serves one run during the replay pass.
+func (h *harnessCtx) lookup(run Run) (sim.Result, error) {
+	d := run.Desc()
 	res, ok := h.results[d.Key()]
 	if !ok {
 		return sim.Result{}, fmt.Errorf("exp: replay miss for %s (collect/replay divergence)", d)

@@ -32,12 +32,27 @@ func mixTestSpecs() []mix.Spec {
 // MustGenerateMix keeps the test specs terse.
 func MustGenerateMix(cfg mix.GenConfig) mix.Spec { return mix.MustGenerate(cfg) }
 
+// mixRun is tracker id over sp at nrh on profile p.
+func mixRun(p Profile, id string, sp mix.Spec, nrh uint32, audit bool) Run {
+	r := p.BaseRun()
+	r.Tracker, r.Mix, r.NRH, r.Audit = id, sp, nrh, audit
+	return r
+}
+
+// isoRun is core's isolated baseline in sp on profile p.
+func isoRun(p Profile, sp mix.Spec, core int) Run {
+	r := p.BaseRun()
+	r.Mix, r.Isolated, r.IsoCore = sp, true, core
+	return r
+}
+
 func TestMixJobDescriptorsDistinct(t *testing.T) {
 	p := Tiny()
 	specs := mixTestSpecs()
 	keys := map[string]string{}
-	add := func(name string, job harness.Job, err error) {
+	add := func(name string, r Run) {
 		t.Helper()
+		job, err := r.Job()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,17 +63,13 @@ func TestMixJobDescriptorsDistinct(t *testing.T) {
 		keys[k] = name
 	}
 	for _, id := range []string{"none", "dapper-h"} {
-		for si, sp := range specs {
-			job, err := MixJob(p, id, sp, 500, rh.VRR1, 0, false, false)
-			add(id+"/"+sp.ID(), job, err)
-			_ = si
+		for _, sp := range specs {
+			add(id+"/"+sp.ID(), mixRun(p, id, sp, 500, false))
 		}
 	}
 	// Same tracker, different NRH and audit flag must also key apart.
-	job, err := MixJob(p, "dapper-h", specs[0], 125, rh.VRR1, 0, false, false)
-	add("nrh125", job, err)
-	job, err = MixJob(p, "dapper-h", specs[0], 500, rh.VRR1, 0, true, false)
-	add("audited", job, err)
+	add("nrh125", mixRun(p, "dapper-h", specs[0], 125, false))
+	add("audited", mixRun(p, "dapper-h", specs[0], 500, true))
 }
 
 func TestMixBaselineSharedAcrossTrackersAndMixes(t *testing.T) {
@@ -68,25 +79,21 @@ func TestMixBaselineSharedAcrossTrackersAndMixes(t *testing.T) {
 	// once for the whole sweep.
 	a := mix.Spec{Slots: []mix.Slot{{Workload: "429.mcf"}, {Workload: "ycsb_a"}, {Attack: "refresh"}}}
 	b := mix.Spec{Slots: []mix.Slot{{Workload: "429.mcf"}, {Workload: "470.lbm"}, {Attack: "streaming"}}}
-	ja, err := MixBaselineJob(p, a, 0, 0)
-	if err != nil {
-		t.Fatal(err)
+	key := func(r Run) string {
+		t.Helper()
+		job, err := r.Job()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job.Desc.Key()
 	}
-	jb, err := MixBaselineJob(p, b, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ja.Desc.Key() != jb.Desc.Key() {
+	if key(isoRun(p, a, 0)) != key(isoRun(p, b, 0)) {
 		t.Fatal("identical (workload, slot, slot-count) baselines must share a cache key")
 	}
-	jc, err := MixBaselineJob(p, a, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jc.Desc.Key() == ja.Desc.Key() {
+	if key(isoRun(p, a, 1)) == key(isoRun(p, a, 0)) {
 		t.Fatal("different slots must not share a baseline key")
 	}
-	if _, err := MixBaselineJob(p, a, 2, 0); err == nil {
+	if _, err := isoRun(p, a, 2).Job(); err == nil {
 		t.Fatal("attacker slot must have no baseline job")
 	}
 }
@@ -106,11 +113,7 @@ func TestEngineEquivalenceMixes(t *testing.T) {
 			mk := func(engine sim.Engine) sim.Result {
 				p := Tiny()
 				p.Engine = engine
-				job, err := MixJob(p, id, sp, 500, rh.VRR1, 0, true, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := job.Run()
+				res, err := mixRun(p, id, sp, 500, true).Exec()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -225,11 +228,7 @@ func TestMixSecauditTwoAttackerConformance(t *testing.T) {
 	}
 	escapes := func(id string) uint64 {
 		p := Tiny()
-		job, err := MixJob(p, id, sp, 125, rh.VRR1, 0, true, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := job.Run()
+		res, err := mixRun(p, id, sp, 125, true).Exec()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,0 +1,287 @@
+package exp
+
+import (
+	"fmt"
+
+	"dapper/internal/attack"
+	"dapper/internal/cpu"
+	"dapper/internal/dram"
+	"dapper/internal/harness"
+	"dapper/internal/mix"
+	"dapper/internal/rh"
+	"dapper/internal/secaudit"
+	"dapper/internal/sim"
+	"dapper/internal/workloads"
+)
+
+// AttackPoint names an attacker: either a hand-written kind or an
+// explicit point in the parametric space.
+type AttackPoint struct {
+	Kind   attack.Kind
+	Params attack.Params // consulted when Kind == attack.Parametric
+}
+
+// Slot returns the mix slot that drives the point.
+func (pt AttackPoint) Slot() mix.Slot {
+	if pt.Kind == attack.Parametric {
+		return mix.Slot{Attack: pt.Kind.String(), Params: pt.Params}
+	}
+	return mix.Slot{Attack: pt.Kind.String()}
+}
+
+// Run is one simulation request: every input a sim.Result depends on.
+// It is a plain value, and only its own methods derive anything from
+// it — the cache identity (Desc), the traces, the sim.Config and the
+// harness job — so a run's key and the simulation it names cannot
+// drift apart.
+type Run struct {
+	// Tracker is a KnownTrackers id ("none" = insecure baseline); Mode
+	// the mitigation command it issues. A tracker that ignores the mode
+	// runs, and keys, at VRR-BR1.
+	Tracker string            `json:"tracker"`
+	Mode    rh.MitigationMode `json:"mode"`
+	NRH     uint32            `json:"nrh"`
+
+	// Workload names the benign workload of a homogeneous run: three
+	// copies plus the Attack companion core (attack.None = idle), or
+	// four copies with Benign4, which takes no attack.
+	Workload string      `json:"workload,omitempty"`
+	Attack   AttackPoint `json:"attack"`
+	Benign4  bool        `json:"benign4,omitempty"`
+
+	// Mix, when it has slots, replaces the homogeneous shape with one
+	// core per slot (Workload, Attack and Benign4 stay zero). With
+	// Isolated, only benign slot IsoCore runs, alone on the machine at
+	// its in-mix placement: the per-core isolated baseline.
+	Mix      mix.Spec `json:"mix"`
+	Isolated bool     `json:"isolated,omitempty"`
+	IsoCore  int      `json:"iso_core,omitempty"`
+
+	Geometry dram.Geometry `json:"geometry"`
+	LLCBytes int           `json:"llc_bytes,omitempty"` // 0 = default 8MB
+
+	Warmup  dram.Cycle `json:"warmup"`
+	Measure dram.Cycle `json:"measure"`
+	Seed    uint64     `json:"seed"`
+	Engine  sim.Engine `json:"engine,omitempty"` // event if empty
+
+	// Audit attaches the shadow security oracle (internal/secaudit) and
+	// embeds its report in the Result; CountInjected, on audited runs
+	// only, also charges tracker counter traffic against its ledger.
+	Audit         bool `json:"audit,omitempty"`
+	CountInjected bool `json:"count_injected,omitempty"`
+
+	// TelemetryWindow > 0 attaches the in-sim windowed sampler (the
+	// Result gains a Series); Attribution the slowdown-attribution layer
+	// (CPI stacks and the blame matrix).
+	TelemetryWindow dram.Cycle `json:"telemetry_window,omitempty"`
+	Attribution     bool       `json:"attribution,omitempty"`
+}
+
+// auditTag versions the oracle for cache keys: bump it whenever the
+// ledger semantics change so stale audited results never get replayed.
+const auditTag = "v1"
+
+// Validate rejects a run that names an unknown tracker or workload, a
+// configuration its tracker cannot be built with, or a field its shape
+// does not use (which would otherwise silently alias another run's
+// key).
+func (r Run) Validate() error {
+	def, err := lookupTracker(r.Tracker)
+	if err != nil {
+		return err
+	}
+	if err := r.Geometry.Validate(); err != nil {
+		return err
+	}
+	if def.check != nil {
+		if err := def.check(r.Geometry, r.NRH, r.Mode); err != nil {
+			return err
+		}
+	}
+	if r.CountInjected && !r.Audit {
+		return fmt.Errorf("exp: counting injected traffic needs an audited run")
+	}
+	if r.IsoCore != 0 && !r.Isolated {
+		return fmt.Errorf("exp: iso core %d set on a run that is not an isolated baseline", r.IsoCore)
+	}
+	if len(r.Mix.Slots) > 0 {
+		if r.Workload != "" || r.Attack != (AttackPoint{}) || r.Benign4 {
+			return fmt.Errorf("exp: a mix run takes no workload, attack or benign4")
+		}
+		if err := r.Mix.Validate(); err != nil {
+			return err
+		}
+		if r.Isolated && (r.IsoCore < 0 || r.IsoCore >= len(r.Mix.Slots) || !r.Mix.Slots[r.IsoCore].Benign()) {
+			return fmt.Errorf("exp: isolated baseline core %d is not a benign slot of %s", r.IsoCore, r.Mix.Label())
+		}
+		return nil
+	}
+	if r.Isolated {
+		return fmt.Errorf("exp: an isolated baseline needs a mix")
+	}
+	if _, err := workloads.ByName(r.Workload); err != nil {
+		return err
+	}
+	if r.Benign4 && r.Attack.Kind != attack.None {
+		return fmt.Errorf("exp: benign4 runs four workload copies and takes no attack (got %s)", r.Attack.Kind)
+	}
+	if r.Attack.Kind != attack.Parametric {
+		if r.Attack.Params != (attack.Params{}) {
+			return fmt.Errorf("exp: attack %s takes no parametric point", r.Attack.Kind)
+		}
+		return nil
+	}
+	return r.Attack.Params.Validate()
+}
+
+// mode is the mitigation mode the run's tracker issues.
+func (r Run) mode() rh.MitigationMode {
+	if trackerDefs[r.Tracker].modal {
+		return r.Mode
+	}
+	return rh.VRR1
+}
+
+// Desc returns the run's deterministic identity for the harness cache
+// and deduplication.
+func (r Run) Desc() harness.Descriptor {
+	d := harness.Descriptor{
+		Tracker:   trackerDefs[r.Tracker].name,
+		Mode:      r.mode().String(),
+		NRH:       r.NRH,
+		Workload:  r.Workload,
+		Attack:    r.Attack.Kind.String(),
+		Benign4:   r.Benign4,
+		Geometry:  r.Geometry,
+		Timing:    "ddr5",
+		LLCBytes:  r.LLCBytes,
+		Warmup:    r.Warmup,
+		Measure:   r.Measure,
+		Seed:      r.Seed,
+		Engine:    string(r.Engine.OrDefault()),
+		Telemetry: harness.TelemetryTag(r.TelemetryWindow),
+		Attr:      harness.AttrTag(r.Attribution),
+	}
+	if r.Attack.Kind == attack.Parametric {
+		d.AttackParams = r.Attack.Params.Canonical()
+	}
+	if r.Audit {
+		d.Audit = auditTag
+		if r.CountInjected {
+			d.Audit += "+inj"
+		}
+	}
+	switch {
+	case r.Isolated:
+		// Tracker-independent and keyed by slot position, so one pool
+		// shares it across every tracker and NRH of a sweep and across
+		// mixes that give the same workload the same slot.
+		d.Workload = r.Mix.Slots[r.IsoCore].Workload
+		d.Mix = fmt.Sprintf("iso:%d/%d", r.IsoCore, len(r.Mix.Slots))
+	case len(r.Mix.Slots) > 0:
+		// The full canonical slot encoding: no two distinct mixes, and
+		// no mix and homogeneous run, can alias a cached result.
+		d.Workload, d.Attack, d.Mix = r.Mix.ID(), "mix", r.Mix.Canonical()
+	}
+	return d
+}
+
+// traces builds one trace per simulated core.
+func (r Run) traces() ([]cpu.Trace, error) {
+	switch {
+	case r.Isolated:
+		t, err := r.Mix.IsolatedTrace(r.Geometry, r.Seed, r.IsoCore)
+		return []cpu.Trace{t}, err
+	case len(r.Mix.Slots) > 0:
+		return r.Mix.Traces(r.Geometry, r.NRH, r.Seed)
+	}
+	w, err := workloads.ByName(r.Workload)
+	if err != nil {
+		return nil, err
+	}
+	if r.Benign4 {
+		return sim.BenignTraces(w, 4, r.Geometry, r.Seed), nil
+	}
+	atk, err := attack.NewTrace(attack.Config{
+		Geometry: r.Geometry, NRH: r.NRH, Kind: r.Attack.Kind,
+		Params: r.Attack.Params, Seed: r.Seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return append(sim.BenignTraces(w, 3, r.Geometry, r.Seed), atk), nil
+}
+
+// tracker returns the run's per-channel tracker factory (nil for the
+// insecure baseline) and the mode it issues.
+func (r Run) tracker() (sim.TrackerFactory, rh.MitigationMode) {
+	mode := r.mode()
+	build := trackerDefs[r.Tracker].build
+	if build == nil {
+		return nil, mode
+	}
+	geo, nrh := r.Geometry, r.NRH
+	return func(ch int) rh.Tracker { return build(ch, geo, nrh, mode) }, mode
+}
+
+// config validates the run and builds its sim.Config (without the
+// audit oracle, which Exec attaches).
+func (r Run) config() (sim.Config, error) {
+	if err := r.Validate(); err != nil {
+		return sim.Config{}, err
+	}
+	traces, err := r.traces()
+	if err != nil {
+		return sim.Config{}, err
+	}
+	factory, mode := r.tracker()
+	return sim.Config{
+		Geometry:        r.Geometry,
+		LLCBytes:        r.LLCBytes,
+		Tracker:         factory,
+		Mode:            mode,
+		Traces:          traces,
+		Warmup:          r.Warmup,
+		Measure:         r.Measure,
+		Engine:          r.Engine,
+		TelemetryWindow: r.TelemetryWindow,
+		Attribution:     r.Attribution,
+	}, nil
+}
+
+// Exec simulates the run, with the shadow security oracle attached and
+// its report embedded in the Result when the run is audited.
+func (r Run) Exec() (sim.Result, error) {
+	cfg, err := r.config()
+	if err != nil {
+		return sim.Result{}, err
+	}
+	if !r.Audit {
+		return sim.Run(cfg)
+	}
+	audit, err := secaudit.New(secaudit.Config{
+		Geometry:      r.Geometry,
+		NRH:           r.NRH,
+		Mode:          cfg.Mode,
+		CountInjected: r.CountInjected,
+	})
+	if err != nil {
+		return sim.Result{}, err
+	}
+	cfg.Observer = audit.Observer
+	res, err := sim.Run(cfg)
+	if err != nil {
+		return res, err
+	}
+	res.Audit = audit.Report()
+	return res, nil
+}
+
+// Job validates the run and wraps it as a harness job.
+func (r Run) Job() (harness.Job, error) {
+	if err := r.Validate(); err != nil {
+		return harness.Job{}, err
+	}
+	return harness.Job{Desc: r.Desc(), Run: r.Exec}, nil
+}

@@ -5,10 +5,8 @@ import (
 	"strings"
 
 	"dapper/internal/attack"
-	"dapper/internal/dram"
 	"dapper/internal/harness"
 	"dapper/internal/rh"
-	"dapper/internal/sim"
 	"dapper/internal/workloads"
 )
 
@@ -92,47 +90,25 @@ func (req SecurityRequest) Jobs() ([]harness.Job, []SecurityCell, error) {
 		len(req.Modes) == 0 || len(req.NRHs) == 0 {
 		return nil, nil, fmt.Errorf("exp: security sweep needs at least one tracker, attack, mode and NRH")
 	}
-	p := req.Profile
 	var jobs []harness.Job
 	var cells []SecurityCell
 	for _, id := range req.Trackers {
-		build, ok := trackerBuilders[id]
-		if !ok {
-			return nil, nil, fmt.Errorf("exp: unknown tracker %q (known: %v)", id, KnownTrackers())
+		name, err := TrackerName(id)
+		if err != nil {
+			return nil, nil, err
 		}
 		for _, mode := range req.Modes {
 			for _, nrh := range req.NRHs {
-				ts := build(p.Geometry, nrh, mode)
-				name := ts.Name
-				if ts.Factory == nil {
-					name = "none"
-				}
 				for _, atk := range req.Attacks {
-					if atk.Point.Kind == attack.Parametric {
-						if err := atk.Point.Params.Validate(); err != nil {
-							return nil, nil, err
-						}
+					run := req.Profile.BaseRun()
+					run.Tracker, run.Mode, run.NRH = id, mode, nrh
+					run.Workload, run.Attack = req.Workload.Name, atk.Point
+					run.Audit, run.CountInjected = true, req.CountInjected
+					job, err := run.Job()
+					if err != nil {
+						return nil, nil, err
 					}
-					s := runSpec{
-						workload:        req.Workload,
-						geo:             p.Geometry,
-						nrh:             nrh,
-						tracker:         ts,
-						attack:          atk.Point.Kind,
-						attackParams:    atk.Point.Params,
-						warmup:          p.Warmup,
-						measure:         p.Measure,
-						seed:            p.Seed,
-						engine:          p.Engine,
-						audit:           true,
-						auditInjected:   req.CountInjected,
-						telemetryWindow: p.TelemetryWindow,
-						attribution:     p.Attribution,
-					}
-					jobs = append(jobs, harness.Job{
-						Desc: s.descriptor(),
-						Run:  func() (sim.Result, error) { return run(s) },
-					})
+					jobs = append(jobs, job)
 					cells = append(cells, SecurityCell{
 						Tracker: id, TrackerName: name, Mode: mode,
 						NRH: nrh, Attack: atk.Name, Workload: req.Workload.Name,
@@ -142,44 +118,4 @@ func (req SecurityRequest) Jobs() ([]harness.Job, []SecurityCell, error) {
 		}
 	}
 	return jobs, cells, nil
-}
-
-// SecurityJob builds a single audited run outside a sweep: the co-run
-// shape of SecurityRequest for one (tracker, attack, mode, NRH) cell at
-// an overridable horizon (0 = Profile.Measure). The adversary search's
-// escape objective evaluates candidates through this.
-func SecurityJob(p Profile, trackerID string, w workloads.Workload, nrh uint32,
-	mode rh.MitigationMode, pt AttackPoint, measure dram.Cycle, countInjected bool) (harness.Job, error) {
-	build, ok := trackerBuilders[trackerID]
-	if !ok {
-		return harness.Job{}, fmt.Errorf("exp: unknown tracker %q (known: %v)", trackerID, KnownTrackers())
-	}
-	if pt.Kind == attack.Parametric {
-		if err := pt.Params.Validate(); err != nil {
-			return harness.Job{}, err
-		}
-	}
-	if measure == 0 {
-		measure = p.Measure
-	}
-	s := runSpec{
-		workload:        w,
-		geo:             p.Geometry,
-		nrh:             nrh,
-		tracker:         build(p.Geometry, nrh, mode),
-		attack:          pt.Kind,
-		attackParams:    pt.Params,
-		warmup:          p.Warmup,
-		measure:         measure,
-		seed:            p.Seed,
-		engine:          p.Engine,
-		audit:           true,
-		auditInjected:   countInjected,
-		telemetryWindow: p.TelemetryWindow,
-		attribution:     p.Attribution,
-	}
-	return harness.Job{
-		Desc: s.descriptor(),
-		Run:  func() (sim.Result, error) { return run(s) },
-	}, nil
 }

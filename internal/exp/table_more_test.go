@@ -47,20 +47,20 @@ func TestPctAndNormFormatting(t *testing.T) {
 
 func TestBaselineCacheReuse(t *testing.T) {
 	// The runner must compute one baseline per (workload, geometry,
-	// scenario) and reuse it: run the same spec twice and confirm the
+	// scenario) and reuse it: run the same request twice and confirm the
 	// cache is hit (identical Result pointer semantics are not exposed,
 	// so check by count of cache entries).
 	p := Tiny()
 	r := newRunner(p)
 	w := p.Workloads[0]
-	s := r.perfAttackSpec(w, trackerSpec{}, 0, p.NRH)
-	if _, err := r.baseline(s); err != nil {
+	run := p.perfAttackRun(w, "none", 0, p.NRH)
+	if _, err := r.baseline(run, false); err != nil {
 		t.Fatal(err)
 	}
 	if len(r.bases) != 1 {
 		t.Fatalf("cache entries = %d", len(r.bases))
 	}
-	if _, err := r.baseline(s); err != nil {
+	if _, err := r.baseline(run, false); err != nil {
 		t.Fatal(err)
 	}
 	if len(r.bases) != 1 {

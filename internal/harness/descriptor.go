@@ -11,9 +11,9 @@ import (
 // Descriptor is the deterministic identity of one simulation run: every
 // knob that can change a sim.Result. Two runs with equal descriptors
 // are interchangeable, which is what makes the content-addressed cache
-// and cross-figure deduplication sound. Keep this in sync with how
-// internal/exp builds sim.Configs — any new knob must be added here (or
-// folded into Extra) before it is allowed to vary.
+// and cross-figure deduplication sound. Descriptors are derived from
+// exp.Run (Run.Desc), the same value its sim.Config is built from, so a
+// new run input reaches the key where it reaches the simulation.
 type Descriptor struct {
 	// Tracker is the canonical tracker name ("none" for the insecure
 	// baseline); Mode the mitigation command flavor.
@@ -77,9 +77,6 @@ type Descriptor struct {
 	// alias an attribution-off cache entry; the tag also versions the
 	// attribution schema so its evolution invalidates stale records.
 	Attr string `json:"attr,omitempty"`
-
-	// Extra disambiguates runs varied by a knob not listed above.
-	Extra string `json:"extra,omitempty"`
 }
 
 // TelemetryTag returns the canonical Descriptor.Telemetry encoding for
@@ -105,13 +102,15 @@ func AttrTag(on bool) string {
 func (d Descriptor) Key() string {
 	h := sha256.New()
 	g := d.Geometry
+	// The empty "|extra=" suffix is a retired field's slot: keeping it
+	// keeps every existing key, and so every warm cache, valid.
 	fmt.Fprintf(h,
 		"tracker=%s|mode=%s|nrh=%d|workload=%s|attack=%s|aparams=%s|benign4=%t|"+
-			"geo=%d.%d.%d.%d.%d.%d.%d|timing=%s|llc=%d|warmup=%d|measure=%d|seed=%d|engine=%s|audit=%s|mix=%s|telemetry=%s|attr=%s|extra=%s",
+			"geo=%d.%d.%d.%d.%d.%d.%d|timing=%s|llc=%d|warmup=%d|measure=%d|seed=%d|engine=%s|audit=%s|mix=%s|telemetry=%s|attr=%s|extra=",
 		d.Tracker, d.Mode, d.NRH, d.Workload, d.Attack, d.AttackParams, d.Benign4,
 		g.Channels, g.Ranks, g.BankGroups, g.BanksPerGroup, g.RowsPerBank,
 		g.RowBytes, g.LineBytes,
-		d.Timing, d.LLCBytes, d.Warmup, d.Measure, d.Seed, d.Engine, d.Audit, d.Mix, d.Telemetry, d.Attr, d.Extra)
+		d.Timing, d.LLCBytes, d.Warmup, d.Measure, d.Seed, d.Engine, d.Audit, d.Mix, d.Telemetry, d.Attr)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

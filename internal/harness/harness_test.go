@@ -84,9 +84,6 @@ func TestDescriptorKeySensitivity(t *testing.T) {
 	d.Seed = 2
 	variants["seed"] = d
 	d = base
-	d.Extra = "x"
-	variants["extra"] = d
-	d = base
 	d.AttackParams = "s(r1...)"
 	variants["attack_params"] = d
 	d = base

@@ -6,22 +6,18 @@ import (
 	"strings"
 	"testing"
 
-	"dapper/internal/analysis"
 	"dapper/internal/attack"
 	"dapper/internal/dram"
 	"dapper/internal/harness"
 	"dapper/internal/mix"
-	"dapper/internal/sim"
 )
 
-// This file is the dynamic backstop behind the descriptorsync
-// analyzer: the static contract table (analysis.DapperContract) pins
-// field NAMES, and these tests pin field BEHAVIOR — every Descriptor
-// field must perturb Key(), every attack.Params and mix.Spec leaf must
-// perturb its Canonical() encoding, and the contract's field sets must
-// match the real struct types via reflection. A new field that dodges
-// the linter (e.g. added together with a stale table edit) still trips
-// one of these.
+// These tests pin cache-key coverage at the encoder level: every
+// Descriptor leaf must perturb Key(), and every attack.Params and
+// mix.Slot leaf must perturb its Canonical() encoding. A field added to
+// one of these types without reaching its encoding trips one of them.
+// exp.TestRunKeyCoversEveryLeaf checks the same from the run side,
+// through Run.Desc().Key().
 
 // leafPaths enumerates index paths to every leaf field, descending
 // into struct-typed fields so each nested knob gets its own mutation.
@@ -71,7 +67,7 @@ func perturb(t *testing.T, v reflect.Value) {
 // TestDescriptorKeyCoversEveryField mutates each Descriptor leaf in
 // turn and requires the content address to move. A field that Key()
 // silently drops would let two distinct experiment points alias one
-// cache entry — the exact bug class descriptorsync exists to stop.
+// cache entry and serve a stale result for the new point.
 func TestDescriptorKeyCoversEveryField(t *testing.T) {
 	base := harness.Descriptor{
 		Tracker: "graphene", Mode: "rfm", NRH: 500,
@@ -79,7 +75,7 @@ func TestDescriptorKeyCoversEveryField(t *testing.T) {
 		AttackParams: "s(r2)", Geometry: dram.Baseline(), Timing: "ddr5",
 		LLCBytes: 1 << 23, Warmup: 1000, Measure: 4000, Seed: 7,
 		Engine: "event", Audit: "v1", Mix: "c0=stream", Telemetry: "w20000",
-		Extra: "note",
+		Attr: harness.AttrTag(true),
 	}
 	if base.Key() != base.Key() {
 		t.Fatal("Descriptor.Key is not deterministic")
@@ -151,70 +147,5 @@ func TestMixCanonicalCoversEverySlotField(t *testing.T) {
 	swapped := mix.Spec{Slots: []mix.Slot{base.Slots[1], base.Slots[0]}}
 	if swapped.Canonical() == base.Canonical() {
 		t.Error("slot order does not affect Spec.Canonical(); per-core placement would alias")
-	}
-}
-
-// exportedFieldNames returns the type's exported field names, sorted.
-func exportedFieldNames(t reflect.Type) []string {
-	var names []string
-	for i := 0; i < t.NumField(); i++ {
-		if f := t.Field(i); f.IsExported() {
-			names = append(names, f.Name)
-		}
-	}
-	slices.Sort(names)
-	return names
-}
-
-// TestContractTablesMatchRealTypes cross-checks the descriptorsync
-// contract table against the live types with reflection. The static
-// analyzer performs the same comparison from export data at lint time;
-// this keeps plain `go test` authoritative even where the linter is
-// not wired in.
-func TestContractTablesMatchRealTypes(t *testing.T) {
-	liveTypes := map[string]reflect.Type{
-		"dapper/internal/sim.Config":     reflect.TypeOf(sim.Config{}),
-		"dapper/internal/attack.Params":  reflect.TypeOf(attack.Params{}),
-		"dapper/internal/attack.Pattern": reflect.TypeOf(attack.Pattern{}),
-		"dapper/internal/mix.Spec":       reflect.TypeOf(mix.Spec{}),
-		"dapper/internal/mix.Slot":       reflect.TypeOf(mix.Slot{}),
-	}
-
-	c := analysis.DapperContract
-	if err := c.Validate(); err != nil {
-		t.Fatalf("production contract table is internally inconsistent: %v", err)
-	}
-
-	// Descriptor fields: exact set match, both directions.
-	gotDesc := exportedFieldNames(reflect.TypeOf(harness.Descriptor{}))
-	wantDesc := slices.Clone(c.DescriptorFields)
-	slices.Sort(wantDesc)
-	if !slices.Equal(gotDesc, wantDesc) {
-		t.Errorf("contract DescriptorFields = %v, real Descriptor has %v", wantDesc, gotDesc)
-	}
-
-	seen := make(map[string]bool)
-	for _, sc := range c.Structs {
-		full := sc.Pkg + "." + sc.Name
-		seen[full] = true
-		rt, ok := liveTypes[full]
-		if !ok {
-			t.Errorf("contract watches %s, which this backstop does not know; add it to liveTypes", full)
-			continue
-		}
-		got := exportedFieldNames(rt)
-		var want []string
-		for name := range sc.Fields {
-			want = append(want, name)
-		}
-		slices.Sort(want)
-		if !slices.Equal(got, want) {
-			t.Errorf("%s: contract maps fields %v, real struct has %v", full, want, got)
-		}
-	}
-	for full := range liveTypes {
-		if !seen[full] {
-			t.Errorf("%s is cache-key-relevant but has no contract entry", full)
-		}
 	}
 }

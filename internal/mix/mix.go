@@ -37,6 +37,8 @@ import (
 // Slot is one core's assignment: exactly one of Workload (a benign
 // workload name from the table) or Attack (an attack.Kind name; "none"
 // is an idle companion, "parametric" consults Params) must be set.
+// Params stays zero on every other slot, so it never hides outside the
+// canonical encoding.
 type Slot struct {
 	Workload string        `json:"workload,omitempty"`
 	Attack   string        `json:"attack,omitempty"`
@@ -80,15 +82,19 @@ func (sp Spec) Validate() error {
 			if _, err := workloads.ByName(s.Workload); err != nil {
 				return fmt.Errorf("mix: slot %d: %w", i, err)
 			}
+			if s.Params != (attack.Params{}) {
+				return fmt.Errorf("mix: slot %d: workload %q takes no attack params", i, s.Workload)
+			}
 		default:
 			k, err := attack.ParseKind(s.Attack)
 			if err != nil {
 				return fmt.Errorf("mix: slot %d: %w", i, err)
 			}
-			if k == attack.Parametric {
-				if err := s.Params.Validate(); err != nil {
-					return fmt.Errorf("mix: slot %d: %w", i, err)
-				}
+			if k != attack.Parametric && s.Params != (attack.Params{}) {
+				return fmt.Errorf("mix: slot %d: attack %s takes no params", i, k)
+			}
+			if err := s.Params.Validate(); err != nil {
+				return fmt.Errorf("mix: slot %d: %w", i, err)
 			}
 		}
 	}

@@ -119,6 +119,10 @@ func TestSpecValidate(t *testing.T) {
 		"unknown attack":   {Slots: []Slot{{Attack: "no-such"}}},
 		"bad params": {Slots: []Slot{{Attack: "parametric",
 			Params: attack.Params{Steady: attack.Pattern{HotFrac: math.NaN()}}}}},
+		"params on a workload": {Slots: []Slot{{Workload: "429.mcf",
+			Params: attack.Params{Steady: attack.Pattern{HotRows: 2}}}}},
+		"params on a native kind": {Slots: []Slot{{Attack: "refresh",
+			Params: attack.Params{Steady: attack.Pattern{HotRows: 2}}}}},
 	} {
 		if err := sp.Validate(); err == nil {
 			t.Fatalf("%s: expected validation error", name)
