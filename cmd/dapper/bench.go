@@ -87,9 +87,9 @@ type report struct {
 	EventSeconds float64 `json:"event_seconds"`
 	Speedup      float64 `json:"speedup"`
 	// AttrEventSeconds times the event engine with attribution ON and
-	// AttrOverhead is its fractional cost over the attribution-off run
-	// — trajectory data, not gated (the gated quantity is the
-	// attribution-OFF overhead hiding in EventSeconds).
+	// AttrOverhead is its fractional cost over the sink-free run —
+	// trajectory data, not gated (the gated quantity is the
+	// detached-sink overhead hiding in EventSeconds).
 	AttrEventSeconds float64 `json:"attr_event_seconds,omitempty"`
 	AttrOverhead     float64 `json:"attr_overhead,omitempty"`
 	// Batched-runner throughput: the same NRH sweep timed as serial
@@ -273,11 +273,12 @@ func timeBatch(repeat int) (indepS, batchS float64, points, lockstep int, err er
 // -attr-budget. The ratios — not wall-clock seconds — are the gated
 // quantities, so the checks hold on machines faster or slower than the
 // one that recorded the baseline, and each measurement is timed -repeat
-// times with the best kept. All benchmarked runs are telemetry-off and
-// attribution-off, so the -attr-budget gate is the attribution-off
-// overhead budget: the nil-probe checks the attribution layer leaves on
-// the hot paths must stay under it. The attribution-ON cost is recorded
-// (attr_event_seconds / attr_overhead) as trajectory data, ungated.
+// times with the best kept. No benchmarked run attaches a controller
+// sink (no audit, telemetry or attribution), so the -attr-budget gate
+// is the detached-sink overhead budget: the nil-sink checks the
+// controller leaves on its hot paths must stay under it. The
+// attribution-ON cost is recorded (attr_event_seconds / attr_overhead)
+// as trajectory data, ungated.
 func runEngineBench(c *cli) error {
 	repeat := max(c.repeat, 1)
 	fmt.Fprintf(c.stderr, "benchmarking %s: cycle engine...\n", benchExp)
@@ -340,12 +341,12 @@ func runEngineBench(c *cli) error {
 			return fmt.Errorf("check FAILED: speedup regressed >10%% (%.2fx -> %.2fx); the event engine lost its advantage",
 				base.Speedup, r.Speedup)
 		}
-		// The attribution-off overhead gate: all benchmarked runs keep
-		// attribution off, so any growth in normalized event-engine
-		// time (cycle-time units, hence machine-portable) is nil-probe
-		// cost left on the hot paths.
+		// The detached-sink overhead gate: no benchmarked run attaches a
+		// sink, so any growth in normalized event-engine time
+		// (cycle-time units, hence machine-portable) is nil-sink cost
+		// left on the hot paths.
 		if overhead := base.Speedup/r.Speedup - 1; overhead > c.attrBudget {
-			return fmt.Errorf("check FAILED: attribution-off event-engine overhead %.1f%% exceeds the %.1f%% budget (normalized time %.4f -> %.4f)",
+			return fmt.Errorf("check FAILED: detached-sink event-engine overhead %.1f%% exceeds the %.1f%% budget (normalized time %.4f -> %.4f)",
 				100*overhead, 100*c.attrBudget, 1/base.Speedup, 1/r.Speedup)
 		}
 		// The batched-runner gate activates once the trajectory has a
@@ -354,7 +355,7 @@ func runEngineBench(c *cli) error {
 			return fmt.Errorf("check FAILED: batched-runner speedup regressed >10%% (%.2fx -> %.2fx) on the %d-point sweep",
 				base.BatchSpeedup, r.BatchSpeedup, points)
 		}
-		fmt.Fprintf(c.stdout, "check passed: engine speedup within 10%% of baseline, attribution-off overhead within %.1f%% (attr-on costs %.1f%%), batch speedup %.2fx (%d/%d lockstep)\n",
+		fmt.Fprintf(c.stdout, "check passed: engine speedup within 10%% of baseline, detached-sink overhead within %.1f%% (attr-on costs %.1f%%), batch speedup %.2fx (%d/%d lockstep)\n",
 			100*c.attrBudget, 100*r.AttrOverhead, r.BatchSpeedup, lockstep, points)
 		return nil
 	}

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	"dapper/internal/dram"
 	"dapper/internal/exp"
 	"dapper/internal/rh"
 	"dapper/internal/sim"
@@ -145,7 +146,7 @@ var flagDefs = map[string]func(*flag.FlagSet, *cli){
 		fs.IntVar(&c.repeat, "repeat", 3, "timings per engine; the best is kept")
 	},
 	"attr-budget": func(fs *flag.FlagSet, c *cli) {
-		fs.Float64Var(&c.attrBudget, "attr-budget", 0.02, "with -check: allowed growth of normalized event-engine time vs baseline (the attribution-off overhead budget)")
+		fs.Float64Var(&c.attrBudget, "attr-budget", 0.02, "with -check: allowed growth of normalized event-engine time vs baseline (the detached-sink overhead budget)")
 	},
 }
 
@@ -155,6 +156,20 @@ type usageError struct{ error }
 // flagErr reports a bad value of flag name.
 func flagErr(name string, err error) error {
 	return usageError{fmt.Errorf("-%s: %w", name, err)}
+}
+
+// cycles converts microsecond flag name to DRAM cycles. A negative
+// value, or a non-zero one below one cycle, is an error rather than a
+// silent zero; with positive, zero is an error too.
+func cycles(name string, us float64, positive bool) (dram.Cycle, error) {
+	if !(us >= 0) || (us != 0 || positive) && us*1e3*dram.CyclesPerNs < 1 {
+		want := "0 or at least one cycle"
+		if positive {
+			want = "at least one cycle"
+		}
+		return 0, flagErr(name, fmt.Errorf("must be %s (%.2g microseconds), got %g", want, 1e-3/dram.CyclesPerNs, us))
+	}
+	return dram.US(us), nil
 }
 
 // splitList splits a comma-list flag value.

@@ -32,11 +32,18 @@ func TestBadInvocationsNameTheirFlag(t *testing.T) {
 		{[]string{"experiments", "-exp", "fig99"}, "-exp"},
 		{[]string{"list", "nothing"}, "trackers, workloads, experiments"},
 		{[]string{"sim", "stray"}, `unexpected argument "stray"`},
+		{[]string{"sim", "-warmup", "-5", "-measure", "10", "-rows-per-bank", "2048"}, "-warmup"},
+		{[]string{"sim", "-measure", "-3"}, "-measure"},
+		{[]string{"sim", "-measure", "0"}, "-measure"},
+		{[]string{"sim", "-warmup", "0"}, "-warmup"},
+		{[]string{"timeline", "-window", "0.0001"}, "-window"},
+		{[]string{"blame", "-window", "0.0001"}, "-window"},
+		{[]string{"batch", "-profile", "tiny", "-window", "-1"}, "-window"},
 	}
 	for _, tc := range cases {
 		code, _, stderr := invoke(tc.args...)
-		if code == 0 {
-			t.Errorf("%v: exit 0, want non-zero", tc.args)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
 		}
 		if !strings.Contains(stderr, tc.want) {
 			t.Errorf("%v: stderr %q does not mention %q", tc.args, stderr, tc.want)

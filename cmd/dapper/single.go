@@ -28,14 +28,17 @@ type single struct {
 // simulates. -window is read only by the subcommands that take it; the
 // others leave it zero.
 func (c *cli) resolveSingle() (single, error) {
-	s := single{run: exp.Run{
-		Geometry:        dram.Baseline(),
-		Seed:            c.seed,
-		Warmup:          dram.US(c.warmup),
-		Measure:         dram.US(c.measure),
-		TelemetryWindow: dram.US(c.window),
-	}}
+	s := single{run: exp.Run{Geometry: dram.Baseline(), Seed: c.seed}}
 	var err error
+	if s.run.Warmup, err = cycles("warmup", c.warmup, true); err != nil {
+		return s, err
+	}
+	if s.run.Measure, err = cycles("measure", c.measure, true); err != nil {
+		return s, err
+	}
+	if s.run.TelemetryWindow, err = cycles("window", c.window, false); err != nil {
+		return s, err
+	}
 	if s.trackers, err = c.trackerIDs(); err != nil {
 		return s, err
 	}
@@ -57,9 +60,6 @@ func (c *cli) resolveSingle() (single, error) {
 	}
 	if s.run.Engine, err = c.resolveEngine(); err != nil {
 		return s, err
-	}
-	if c.window < 0 {
-		return s, flagErr("window", fmt.Errorf("must be non-negative (microseconds), got %g", c.window))
 	}
 	if c.rowsPerBank != 0 {
 		s.run.Geometry = dram.Scaled(uint32(c.rowsPerBank))

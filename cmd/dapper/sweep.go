@@ -10,7 +10,6 @@ import (
 
 	"dapper/internal/adversary"
 	"dapper/internal/attack"
-	"dapper/internal/dram"
 	"dapper/internal/exp"
 	"dapper/internal/harness"
 	"dapper/internal/mix"
@@ -68,10 +67,9 @@ func runBatch(c *cli) error {
 	if err != nil {
 		return err
 	}
-	if c.window < 0 {
-		return flagErr("window", fmt.Errorf("must be non-negative (microseconds, 0 = off), got %g", c.window))
+	if p.TelemetryWindow, err = cycles("window", c.window, false); err != nil {
+		return err
 	}
-	p.TelemetryWindow = dram.US(c.window)
 	req := exp.BatchRequest{Profile: p}
 	if req.Trackers, err = c.trackerIDs(); err != nil {
 		return err

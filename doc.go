@@ -140,13 +140,15 @@
 // is an independent oracle for exactly that property: no DRAM row may
 // absorb NRH hammering activations between two refreshes of that row.
 //
-// The oracle implements rh.Observer, a passive tap every memory
-// controller exposes (mem.Controller.SetObserver, wired through
-// sim.Config.Observer): it sees every ACT, every mitigation command
-// with its blast radius (VRR at the mode's radius, Same-Bank RFM/DRFM
+// The oracle implements rh.Sink, the one passive event tap every
+// memory controller exposes (mem.Controller.SetSink, wired through
+// sim.Config.Sink and teed by rh.Tee with the telemetry and
+// attribution folds). Of that stream it folds every ACT, every
+// mitigation command with its blast radius (VRR at the mode's radius, Same-Bank RFM/DRFM
 // fanned across bank groups), every per-rank REF — whose slots cycle
 // over the row space, giving each row its tREFW refresh boundary — and
-// every bulk structure-reset sweep. From these it keeps a per-(channel,
+// every bulk structure-reset sweep, and passes the performance-side
+// events through. From these it keeps a per-(channel,
 // rank, bank) victim-side ledger: an ACT on row R charges R's
 // neighbors; refreshing a row zeroes its charge; a row reaching NRH
 // unrefreshed is an Escape. The report (secaudit.Report) carries
@@ -229,22 +231,25 @@
 // kind, controller queue occupancy, and tracker table occupancy and
 // reset counts into a telemetry.Series embedded in sim.Result. The
 // fold is exact under time-skip: components report increments at event
-// boundaries through small probe hooks symmetric to rh.Observer
-// (mem.Controller.SetProbe, cpu.Core.SetProbe, with the event engine's
-// closed-form catch-ups emitting multi-cycle segments of identical
-// per-cycle semantics), so the event and cycle engines produce
+// boundaries — each controller through its one rh.Sink stream (ACT,
+// mitigation, REF and bulk events plus queue and table samples), each
+// core through cpu.Core.SetProbe, with the event engine's closed-form
+// catch-ups emitting multi-cycle segments of identical per-cycle
+// semantics — so the event and cycle engines produce
 // byte-identical Series — enforced tracker-by-tracker in
 // sim.TestEngineEquivalenceTelemetry, part of
 // `make test-engine-equivalence`. Each series carries independently
 // accumulated grand totals, and sim.Run cross-checks them against the
 // final DRAM command counters on every windowed run: a fold that drops
-// or double-counts an event fails the run instead of skewing a figure. Windowed runs
-// fold the window into harness.Descriptor's cache key (Telemetry tag),
-// so telemetry-on and telemetry-off results never alias; when the
-// window is off the probes are nil and the hot paths pay only a nil
-// check, a cost gated by `make bench-check`, which re-times the
-// telemetry-off engine benchmark and fails CI if the event-over-cycle
+// or double-counts an event fails the run instead of skewing a figure.
+// Windowed runs fold the window into harness.Descriptor's cache key
+// (Telemetry tag), so telemetry-on and telemetry-off results never
+// alias; with no consumer on, no sink attaches and the hot paths pay
+// only a nil check, a cost gated by `make bench-check`, which re-times
+// the sink-free engine benchmark and fails CI if the event-over-cycle
 // speedup ratio regresses >10% versus the committed BENCH_engine.json.
+// sim.TestEngineEquivalenceSinkStream also compares the raw event
+// stream, not just its folds, across the engines.
 //
 // `dapper timeline` renders one windowed run to timeline.{jsonl,csv}
 // — the data behind mitigation-rate-vs-time and IPC-vs-time figures —
@@ -273,8 +278,9 @@
 //
 // Telemetry says when the benign cores slowed down; attribution says
 // why, and who. Setting sim.Config.Attribution (off by default, -attr
-// on the sweep cmds) attaches a second probe layer that classifies
-// every cycle and every cycle of memory wait:
+// on the sweep cmds) attaches a third fold to the same sink, plus the
+// core probes' stall split, that classifies every cycle and every cycle
+// of memory wait:
 //
 //   - Per-core CPI stacks (telemetry.CPIStack): each non-retiring
 //     cycle is either dispatch (instructions retired), stall.rob (the
@@ -289,9 +295,12 @@
 //     intrinsic service, row conflict, queue time behind other
 //     demand, injected tracker traffic, mitigation blocks (VRR/RFM
 //     the defense issued), refresh, bulk resets, throttling and
-//     scheduling gaps. The controller keeps a per-bank ledger of
+//     scheduling gaps. telemetry.BlameRecorder folds the controller's
+//     serve and block events — block causes and BlockHammer's
+//     throttle-gate times travel in the events, and each bank's row
+//     opener is rebuilt from the serves — into a per-bank ledger of
 //     blocking segments (first claimer wins, so overlapping causes
-//     never double-bill) and the buckets sum exactly to the measured
+//     never double-bill), and the buckets sum exactly to the measured
 //     wait: conservation is asserted by Attribution.Validate on every
 //     run, per window and grand total.
 //   - The N×N blame matrix (Attribution.Matrix): wait cycles with an
@@ -306,9 +315,9 @@
 // per-window lanes (Series.Blame), cross-checked against the grand
 // totals by Attribution.CheckSeries. Attribution folds into the cache
 // key (Descriptor's Attr tag) so attributed and plain results never
-// alias, and with the flag off the probes are nil — the hot paths pay
-// a nil check, gated by the same `make bench-check` budget as
-// telemetry. Byte-identical engine equivalence is enforced tracker-by-
+// alias, and with the flag off the fold is not attached — the hot
+// paths pay a nil check, gated by the same `make bench-check` budget
+// as telemetry. Byte-identical engine equivalence is enforced tracker-by-
 // tracker in sim, exp and adversary attribution equivalence tests,
 // part of `make test-engine-equivalence`.
 //
@@ -353,8 +362,9 @@
 //     append is fine when a sort.*/slices.* call on the same slice
 //     follows in the same block.
 //   - hotpath forbids allocation, fmt, closures and interface boxing
-//     in functions marked //dapper:hot (the telemetry probes and
-//     observer taps on the simulator's per-access paths).
+//     in functions marked //dapper:hot (the controller's event emit,
+//     rh.Tee's fan-out, the telemetry sink and the core probes on the
+//     simulator's per-access paths).
 //
 // Escape hatches are annotations with mandatory one-line
 // justifications — `//dapper:wallclock <why>`, `//dapper:env <why>`,

@@ -40,9 +40,9 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		// The oracle is an rh.Observer factory handed to sim.Config: it
-		// shadows every controller's ACT/mitigation/refresh stream and
-		// never influences the simulation.
+		// The oracle is an rh.Sink factory handed to sim.Config: it
+		// folds the ACT/mitigation/refresh events of every controller's
+		// one event stream and never influences the simulation.
 		audit := secaudit.MustNew(secaudit.Config{Geometry: geo, NRH: nrh, Mode: rh.VRR1})
 		cfg := sim.Config{
 			Geometry: geo,
@@ -50,7 +50,7 @@ func main() {
 			Warmup:   dram.US(5),
 			Measure:  dram.US(30),
 			Tracker:  tracker,
-			Observer: audit.Observer,
+			Sink:     audit.Sink,
 		}
 		sim.MustRun(cfg)
 		rep := audit.Report()

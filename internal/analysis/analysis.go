@@ -11,9 +11,10 @@
 //   - maporder: bytes that reach a sink, a hash, or an error message
 //     must never depend on Go's randomized map iteration order (see
 //     maporder.go for the sorted-keys idiom it recognizes).
-//   - hotpath: functions annotated //dapper:hot (the telemetry probe
-//     and observer paths whose disabled cost PR 6's bench gate keeps
-//     under 2%) must not allocate, format, or box into interfaces.
+//   - hotpath: functions annotated //dapper:hot (the controller event
+//     sink and core probe paths whose detached cost the bench gate
+//     keeps under 2%) must not allocate, format, or box into
+//     interfaces.
 //
 // The suite is compiled into cmd/dapper-lint, which runs both as a
 // standalone multichecker (`go run ./cmd/dapper-lint ./...`, what

@@ -5,9 +5,9 @@ import (
 	"go/types"
 )
 
-// Hotpath enforces the //dapper:hot contract: the telemetry probe and
-// observer methods sit on the per-ACT / per-retire paths whose
-// telemetry-off cost PR 6's bench gate holds under 2%, so an annotated
+// Hotpath enforces the //dapper:hot contract: the controller event sink
+// and the core probe sit on the per-ACT / per-retire paths whose
+// detached cost the bench gate holds under 2%, so an annotated
 // function must stay allocation-free and monomorphic. Banned inside a
 // hot function: make/new, slice and map composite literals (and &T{}),
 // append, closures, defer/go statements, any fmt call, and implicit

@@ -99,6 +99,9 @@ func (r Run) Validate() error {
 			return err
 		}
 	}
+	if r.Warmup < 0 || r.Measure < 0 || r.TelemetryWindow < 0 {
+		return fmt.Errorf("exp: negative warmup %d, measure %d or telemetry window %d", r.Warmup, r.Measure, r.TelemetryWindow)
+	}
 	if r.CountInjected && !r.Audit {
 		return fmt.Errorf("exp: counting injected traffic needs an audited run")
 	}
@@ -269,7 +272,7 @@ func (r Run) Exec() (sim.Result, error) {
 	if err != nil {
 		return sim.Result{}, err
 	}
-	cfg.Observer = audit.Observer
+	cfg.Sink = audit.Sink
 	res, err := sim.Run(cfg)
 	if err != nil {
 		return res, err

@@ -312,3 +312,23 @@ func TestRunKeyContinuity(t *testing.T) {
 		}
 	}
 }
+
+// TestRunValidateRejectsNegativeWindows pins that a negative warmup,
+// measure or telemetry window fails validation instead of reaching the
+// simulator.
+func TestRunValidateRejectsNegativeWindows(t *testing.T) {
+	for _, mut := range []func(*Run){
+		func(r *Run) { r.Warmup = -1 },
+		func(r *Run) { r.Measure = -1 },
+		func(r *Run) { r.TelemetryWindow = -1 },
+	} {
+		r := leafBases()["refresh"]
+		if err := r.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		mut(&r)
+		if err := r.Validate(); err == nil {
+			t.Errorf("Validate accepted %+v", r)
+		}
+	}
+}

@@ -24,17 +24,20 @@ func goldenSeries() *telemetry.Series {
 	if err != nil {
 		panic(err)
 	}
-	obs := rec.Observer(0)
-	obs.ObserveACT(dram.US(2), dram.Loc{}, false)
-	obs.ObserveACT(dram.US(12), dram.Loc{}, true)
-	obs.ObserveMitigation(dram.US(13), rh.RefreshVictims, dram.Loc{}, 7)
-	obs.ObserveRefresh(dram.US(22), 0)
-	obs.ObserveBulkRefresh(dram.US(31), 0)
-	cp := rec.ControllerProbe(0)
-	cp.QueueSample(dram.US(4), 3, 1)
-	cp.QueueSample(dram.US(18), 0, 0)
-	cp.TableSample(dram.US(15), 12, 64, 0)
-	cp.TableSample(dram.US(30), 4, 64, 1)
+	sink := rec.Sink(0)
+	for _, e := range []rh.Event{
+		{Kind: rh.EvACT, At: dram.US(2)},
+		{Kind: rh.EvACT, At: dram.US(12), Injected: true},
+		{Kind: rh.EvMitigation, At: dram.US(13), Action: rh.RefreshVictims, Row: 7},
+		{Kind: rh.EvRefresh, At: dram.US(22)},
+		{Kind: rh.EvBulk, At: dram.US(31)},
+		{Kind: rh.EvQueue, At: dram.US(4), Demand: 3, InjectedQueue: 1},
+		{Kind: rh.EvQueue, At: dram.US(18)},
+		{Kind: rh.EvTable, At: dram.US(15), Table: rh.TableOccupancy{Used: 12, Capacity: 64}},
+		{Kind: rh.EvTable, At: dram.US(30), Table: rh.TableOccupancy{Used: 4, Capacity: 64, Resets: 1}},
+	} {
+		sink.Event(e)
+	}
 	rec.CoreProbe(0).CoreSegment(0, dram.US(35), uint64(dram.US(35))*2, dram.US(30), false)
 	rec.CoreProbe(1).CoreSegment(0, dram.US(35), 0, 0, false)
 	return rec.Finish()

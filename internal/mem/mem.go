@@ -9,7 +9,6 @@ package mem
 import (
 	"dapper/internal/dram"
 	"dapper/internal/rh"
-	"dapper/internal/telemetry"
 )
 
 // Request is one 64B memory transaction. Cores (and trackers, for
@@ -27,10 +26,10 @@ type Request struct {
 	DoneAt     dram.Cycle
 	Done       bool
 	bank       int32 // flat bank index of Loc, cached by Enqueue (fits in Done's padding)
-	// ThrottleFreeAt, set at enqueue on attribution runs with a
-	// throttling tracker, is the first cycle the throttle would have
-	// admitted this request's activation — the blame recorder charges
-	// queue gaps before it to the Throttle bucket.
+	// ThrottleFreeAt, set at enqueue when a sink is attached and the
+	// tracker throttles, is the first cycle the throttle would have
+	// admitted this request's activation; serve events carry it so the
+	// blame layer can charge queue gaps before it to throttling.
 	ThrottleFreeAt dram.Cycle
 }
 
@@ -54,21 +53,13 @@ type Controller struct {
 	tracker rh.Tracker
 	throt   rh.Throttler // non-nil if tracker throttles
 	mode    rh.MitigationMode
-	obs     rh.Observer               // optional security-event tap (nil = none)
-	probe   telemetry.ControllerProbe // optional telemetry tap (nil = none)
-	blame   telemetry.BlameProbe      // optional attribution tap (nil = none)
-	tblRep  rh.TableReporter          // cached tracker table-occupancy view
+	sink    rh.Sink          // optional event tap (nil = none)
+	tblRep  rh.TableReporter // tracker's table view, polled only with a sink
 
 	// Latencies derived from tim once, so the per-request scheduling
 	// scan reads fields instead of copying tim into its methods.
 	hitLat, closedLat, missLat dram.Cycle
 	actSpacing                 dram.Cycle // same-bank ACT-to-ACT: tRC plus the PRAC tax
-
-	// openers, allocated only with a blame probe attached, tracks per
-	// flat bank who opened the currently open row: a core id, -1 for
-	// none / a write-back, -2 for injected counter traffic. It is what
-	// lets a row-buffer conflict name its culprit.
-	openers []int16
 
 	banks []dram.Bank
 	ranks []dram.Rank
@@ -130,62 +121,29 @@ func NewController(channel int, geo dram.Geometry, tim dram.Timing, tracker rh.T
 	return c
 }
 
-// SetObserver attaches a passive security-event observer (nil detaches).
-// Observers see every ACT, mitigation command, auto-refresh and bulk
-// sweep this controller issues; they cannot influence scheduling. Attach
-// before the first Tick so the observed stream is complete.
-func (c *Controller) SetObserver(o rh.Observer) { c.obs = o }
-
-// SetProbe attaches a telemetry probe (nil detaches): queue-population
-// samples on every enqueue/dequeue, and — when the tracker implements
-// rh.TableReporter — a table-occupancy sample after each periodic
-// tracker tick. Like the observer, the probe is purely passive and
-// costs one nil check per event when detached. Attach before the first
-// Tick so the sampled stream is complete.
-func (c *Controller) SetProbe(p telemetry.ControllerProbe) {
-	c.probe = p
+// SetSink attaches the passive event sink (nil detaches): it sees every
+// ACT, mitigation command, auto-refresh, bulk sweep, queue change,
+// tracker-table snapshot, serve and bank block this controller issues,
+// and cannot influence scheduling. Attach before the first Tick so the
+// stream is complete.
+func (c *Controller) SetSink(s rh.Sink) {
+	c.sink = s
 	c.tblRep = nil
-	if p != nil {
-		if tr, ok := c.tracker.(rh.TableReporter); ok {
-			c.tblRep = tr
-		}
+	if s != nil {
+		c.tblRep, _ = c.tracker.(rh.TableReporter)
 	}
 }
 
-// SetBlameProbe attaches the slowdown-attribution probe (nil
-// detaches): one ServeEvent per request leaving the queue and one
-// BlameBlock per bank-blocking interval (mitigation, REF, bulk sweep).
-// Purely passive; a detached probe costs one nil check per event,
-// which the bench gate holds under 2%. Attach before the first Tick.
-func (c *Controller) SetBlameProbe(p telemetry.BlameProbe) {
-	c.blame = p
-	c.openers = nil
-	if p != nil {
-		c.openers = make([]int16, len(c.banks))
-		for i := range c.openers {
-			c.openers[i] = -1
-		}
-	}
-}
-
-// blameBlock reports a bank-blocking interval to the blame probe; the
-// nil guard is the entire attribution-off cost on the mitigation path.
+// emit hands e to the sink. It inlines, and the compiler builds e only
+// past the nil check, so a detached sink costs one branch per event,
+// which the bench gate holds under 2%. Event fields that take more than
+// loads to compute (the serve watermark, table snapshots) are guarded
+// at their call sites.
 //
 //dapper:hot
-func (c *Controller) blameBlock(fb int, from, to dram.Cycle, cause telemetry.BlameCause, culprit int) {
-	if c.blame != nil {
-		c.blame.BlameBlock(fb, from, to, cause, culprit)
-	}
-}
-
-// sampleQueue reports the post-change queue population to the probe.
-// It runs on every enqueue/dequeue; the nil guard is the entire
-// telemetry-off cost, which the bench gate holds under 2%.
-//
-//dapper:hot
-func (c *Controller) sampleQueue(now dram.Cycle) {
-	if c.probe != nil {
-		c.probe.QueueSample(now, len(c.queue), len(c.injected))
+func (c *Controller) emit(e rh.Event) {
+	if c.sink != nil {
+		c.sink.Event(e)
 	}
 }
 
@@ -194,9 +152,6 @@ func (c *Controller) Counters() dram.Counters { return c.counters }
 
 // Stats returns controller performance counters.
 func (c *Controller) Stats() Stats { return c.stats }
-
-// QueueLen returns the number of pending core requests.
-func (c *Controller) QueueLen() int { return len(c.queue) }
 
 // CanEnqueue reports whether the core queue has room.
 func (c *Controller) CanEnqueue() bool { return len(c.queue) < c.queueCap }
@@ -212,7 +167,7 @@ func (c *Controller) Enqueue(r *Request, now dram.Cycle) bool {
 		c.injected = append(c.injected, r)
 		c.resetConsider(now + 1)
 		c.version++
-		c.sampleQueue(now)
+		c.emit(rh.Event{Kind: rh.EvQueue, At: now, Demand: len(c.queue), InjectedQueue: len(c.injected)})
 		return true
 	}
 	if len(c.queue) >= c.queueCap {
@@ -222,13 +177,13 @@ func (c *Controller) Enqueue(r *Request, now dram.Cycle) bool {
 	r.EnqueuedAt = now
 	r.bank = int32(c.geo.FlatBank(r.Loc))
 	r.ThrottleFreeAt = 0
-	if c.blame != nil && c.throt != nil {
+	if c.sink != nil && c.throt != nil {
 		r.ThrottleFreeAt = c.throt.NextAllowed(now, r.Loc)
 	}
 	c.queue = append(c.queue, r)
 	c.resetConsider(now + 1)
 	c.version++
-	c.sampleQueue(now)
+	c.emit(rh.Event{Kind: rh.EvQueue, At: now, Demand: len(c.queue), InjectedQueue: len(c.injected)})
 	return true
 }
 
@@ -287,14 +242,12 @@ func (c *Controller) refreshTick(now dram.Cycle) {
 			base := r * c.geo.BanksPerRank()
 			for b := 0; b < c.geo.BanksPerRank(); b++ {
 				c.banks[base+b].Block(until)
-				c.blameBlock(base+b, at, until, telemetry.CauseREF, -1)
+				c.emit(rh.Event{Kind: rh.EvBlock, At: at, Until: until, Bank: base + b, Cause: rh.BlockREF, Core: -1})
 			}
 			rk.NextRefAt += c.tim.TREFI
 			c.counters.REF++
 			c.stats.Refreshes++
-			if c.obs != nil {
-				c.obs.ObserveRefresh(at, r)
-			}
+			c.emit(rh.Event{Kind: rh.EvRefresh, At: at, Rank: r})
 			c.resetConsider(now) // attempt again this very tick
 		}
 	}
@@ -304,8 +257,7 @@ func (c *Controller) refreshTick(now dram.Cycle) {
 		c.applyActions(at, c.actBuf, -1)
 		c.nextTrackerTick += c.tim.TREFI
 		if c.tblRep != nil {
-			occ := c.tblRep.TableOccupancy()
-			c.probe.TableSample(at, occ.Used, occ.Capacity, occ.Resets)
+			c.emit(rh.Event{Kind: rh.EvTable, At: at, Table: c.tblRep.TableOccupancy()})
 		}
 	}
 }
@@ -405,13 +357,13 @@ func (c *Controller) trySchedule(now dram.Cycle) bool {
 	if r := c.pick(c.injected, now); r != nil {
 		c.service(r, now)
 		c.removeInjected(r)
-		c.sampleQueue(now)
+		c.emit(rh.Event{Kind: rh.EvQueue, At: now, Demand: len(c.queue), InjectedQueue: len(c.injected)})
 		return true
 	}
 	if r := c.pick(c.queue, now); r != nil {
 		c.service(r, now)
 		c.removeQueued(r)
-		c.sampleQueue(now)
+		c.emit(rh.Event{Kind: rh.EvQueue, At: now, Demand: len(c.queue), InjectedQueue: len(c.injected)})
 		return true
 	}
 	return false
@@ -509,19 +461,6 @@ func (c *Controller) service(r *Request, now dram.Cycle) {
 		conflict = true
 		c.stats.RowMisses++
 	}
-	// Capture who opened the row this request conflicts with before
-	// the bank state mutates, and record the new opener.
-	opener := -1
-	if c.openers != nil {
-		opener = int(c.openers[fb])
-		if activated {
-			if r.Injected {
-				c.openers[fb] = -2
-			} else {
-				c.openers[fb] = int16(r.Core)
-			}
-		}
-	}
 	bank.OpenRow = r.Loc.Row
 
 	dataStart := now + latency
@@ -561,15 +500,13 @@ func (c *Controller) service(r *Request, now dram.Cycle) {
 		c.stats.TotalReadWait += dataEnd - r.EnqueuedAt
 	}
 
-	if c.blame != nil {
-		c.emitServe(r, fb, now, dataEnd, latency-c.hitLat, activated, conflict, opener)
+	if c.sink != nil {
+		c.emitServe(r, fb, now, dataEnd, latency-c.hitLat, activated, conflict)
 	}
 
 	if activated {
 		c.counters.ACT++
-		if c.obs != nil {
-			c.obs.ObserveACT(bank.LastActAt, r.Loc, r.Injected)
-		}
+		c.emit(rh.Event{Kind: rh.EvACT, At: bank.LastActAt, Loc: r.Loc, Injected: r.Injected})
 		if !r.Injected {
 			c.actBuf = c.tracker.OnActivate(bank.LastActAt, r.Loc, c.actBuf[:0])
 			c.applyActions(bank.LastActAt, c.actBuf, r.Core)
@@ -577,17 +514,22 @@ func (c *Controller) service(r *Request, now dram.Cycle) {
 	}
 }
 
-// emitServe reports one serve to the blame probe (c.blame non-nil).
-// r is still in its queue here, so the pruning watermark scan skips it
-// by identity; with both queues otherwise empty the watermark is `now`
-// — never a future cycle, since future-dated block segments must
-// survive until every waiter that could overlap them has been served.
-func (c *Controller) emitServe(r *Request, fb int, now, dataEnd, extra dram.Cycle, activated, conflict bool, opener int) {
+// emitServe reports one serve (c.sink non-nil). r is still in its
+// queue here, so the watermark skips it by identity; with both queues
+// otherwise empty the watermark is `now` — never a future cycle, since
+// future-dated block segments must survive until every waiter that
+// could overlap them has been served. The demand queue stays in
+// EnqueuedAt order (Enqueue appends at the non-decreasing current
+// cycle; removal keeps order), so its oldest other waiter is at index 0
+// or 1; only the injected queue, enqueued at future apply times, needs
+// a scan.
+func (c *Controller) emitServe(r *Request, fb int, now, dataEnd, extra dram.Cycle, activated, conflict bool) {
 	minEnq := now
 	first := true
-	for _, q := range c.queue {
-		if q != r && (first || q.EnqueuedAt < minEnq) {
+	for _, q := range c.queue[:min(2, len(c.queue))] {
+		if q != r {
 			minEnq, first = q.EnqueuedAt, false
+			break
 		}
 	}
 	for _, q := range c.injected {
@@ -599,17 +541,17 @@ func (c *Controller) emitServe(r *Request, fb int, now, dataEnd, extra dram.Cycl
 	if activated && !r.Injected {
 		tf = r.ThrottleFreeAt
 	}
-	c.blame.BlameServe(telemetry.ServeEvent{
+	c.sink.Event(rh.Event{
+		Kind:         rh.EvServe,
 		Bank:         fb,
 		Core:         r.Core,
 		Injected:     r.Injected,
 		IsWrite:      r.IsWrite,
 		Enqueued:     r.EnqueuedAt,
-		Start:        now,
-		DataEnd:      dataEnd,
+		At:           now,
+		Until:        dataEnd,
 		Extra:        extra,
 		Conflict:     conflict,
-		Opener:       opener,
 		ThrottleFree: tf,
 		MinEnqueued:  minEnq,
 	})
@@ -617,8 +559,8 @@ func (c *Controller) emitServe(r *Request, fb int, now, dataEnd, extra dram.Cycl
 
 // applyActions executes tracker actions: mitigation blocking and
 // injected counter traffic. culprit is the core whose activation
-// triggered the actions (-1 for periodic tracker ticks); the blame
-// layer charges mitigation blocks to it.
+// triggered the actions (-1 for periodic tracker ticks); block events
+// name it as their culprit.
 func (c *Controller) applyActions(now dram.Cycle, acts []rh.Action, culprit int) {
 	for i := range acts {
 		a := &acts[i]
@@ -628,17 +570,17 @@ func (c *Controller) applyActions(now dram.Cycle, acts []rh.Action, culprit int)
 			if c.mode == rh.VRR2 {
 				dur = c.tim.TVRR2
 			}
-			c.blockBank(a.Loc, dur, now, telemetry.CauseVRR, culprit)
+			c.blockBank(a.Loc, dur, now, culprit)
 			c.counters.VRR++
-			c.observeMitigation(now, a)
+			c.emit(rh.Event{Kind: rh.EvMitigation, At: now, Action: a.Kind, Loc: a.Loc, Row: a.Row})
 		case rh.RefreshVictimsRFMsb:
-			c.blockSameBank(a.Loc, c.tim.TRFMsb, now, telemetry.CauseRFMsb, culprit)
+			c.blockSameBank(a.Loc, c.tim.TRFMsb, now, culprit)
 			c.counters.RFMsb++
-			c.observeMitigation(now, a)
+			c.emit(rh.Event{Kind: rh.EvMitigation, At: now, Action: a.Kind, Loc: a.Loc, Row: a.Row})
 		case rh.RefreshVictimsDRFMsb:
-			c.blockSameBank(a.Loc, c.tim.TDRFMsb, now, telemetry.CauseDRFMsb, culprit)
+			c.blockSameBank(a.Loc, c.tim.TDRFMsb, now, culprit)
 			c.counters.DRFMsb++
-			c.observeMitigation(now, a)
+			c.emit(rh.Event{Kind: rh.EvMitigation, At: now, Action: a.Kind, Loc: a.Loc, Row: a.Row})
 		case rh.BulkRefreshRank:
 			c.bulkRefreshRank(now, a.Loc.Rank, culprit)
 		case rh.BulkRefreshChannel:
@@ -668,17 +610,11 @@ func (c *Controller) applyActions(now dram.Cycle, acts []rh.Action, culprit int)
 	}
 }
 
-func (c *Controller) observeMitigation(now dram.Cycle, a *rh.Action) {
-	if c.obs != nil {
-		c.obs.ObserveMitigation(now, a.Kind, a.Loc, a.Row)
-	}
-}
-
 // blockBank blocks the single bank of loc for dur, starting when the
 // bank next comes free (mitigations queue behind in-flight work). now is
-// the cycle the triggering action is applied at; cause/culprit feed the
-// blame layer.
-func (c *Controller) blockBank(loc dram.Loc, dur, now dram.Cycle, cause telemetry.BlameCause, culprit int) {
+// the cycle the triggering mitigation is applied at; culprit is the core
+// whose activation triggered it.
+func (c *Controller) blockBank(loc dram.Loc, dur, now dram.Cycle, culprit int) {
 	fb := c.geo.FlatBank(loc)
 	bank := &c.banks[fb]
 	start := bank.ReadyAt
@@ -686,17 +622,17 @@ func (c *Controller) blockBank(loc dram.Loc, dur, now dram.Cycle, cause telemetr
 		start = bank.BlockedUntil
 	}
 	bank.Block(start + dur)
-	c.blameBlock(fb, start, start+dur, cause, culprit)
+	c.emit(rh.Event{Kind: rh.EvBlock, At: start, Until: start + dur, Bank: fb, Cause: rh.BlockMitigation, Core: culprit})
 	c.resetConsider(now)
 }
 
 // blockSameBank blocks the same bank index across every bank group of
 // loc's rank (RFMsb/DRFMsb semantics, §VI-G).
-func (c *Controller) blockSameBank(loc dram.Loc, dur, now dram.Cycle, cause telemetry.BlameCause, culprit int) {
+func (c *Controller) blockSameBank(loc dram.Loc, dur, now dram.Cycle, culprit int) {
 	for bg := 0; bg < c.geo.BankGroups; bg++ {
 		l := loc
 		l.BankGroup = bg
-		c.blockBank(l, dur, now, cause, culprit)
+		c.blockBank(l, dur, now, culprit)
 	}
 }
 
@@ -710,13 +646,11 @@ func (c *Controller) bulkRefreshRank(now dram.Cycle, rankID int, culprit int) {
 	base := rankID * c.geo.BanksPerRank()
 	for b := 0; b < c.geo.BanksPerRank(); b++ {
 		c.banks[base+b].Block(until)
-		c.blameBlock(base+b, now, until, telemetry.CauseBulk, culprit)
+		c.emit(rh.Event{Kind: rh.EvBlock, At: now, Until: until, Bank: base + b, Cause: rh.BlockBulk, Core: culprit})
 	}
 	c.counters.BulkEvents++
 	c.counters.BulkRows += uint64(c.geo.BanksPerRank()) * uint64(c.geo.RowsPerBank)
-	if c.obs != nil {
-		c.obs.ObserveBulkRefresh(now, rankID)
-	}
+	c.emit(rh.Event{Kind: rh.EvBulk, At: now, Rank: rankID})
 	c.resetConsider(now)
 }
 
@@ -733,8 +667,8 @@ func (c *Controller) removeInjected(r *Request) {
 	for i, q := range c.injected {
 		if q == r {
 			c.injected = append(c.injected[:i], c.injected[i+1:]...)
-			// Injected requests are controller-owned (service, telemetry
-			// and blame all consumed the values above), so recycle them;
+			// Injected requests are controller-owned (service and the
+			// sink consumed the values above), so recycle them;
 			// tracker counter traffic otherwise allocates one Request per
 			// RCC/counter-cache miss for the whole run.
 			if len(c.reqPool) < 128 {

@@ -166,7 +166,9 @@ type Tracker interface {
 // and with no intervening activations it must keep returning the same
 // permission time until that time has passed. The event-driven engine
 // relies on both properties to predict when a throttled request becomes
-// schedulable without polling every cycle.
+// schedulable without polling every cycle, and a controller with a Sink
+// attached also queries it at enqueue for the serve events' throttle
+// gate.
 type Throttler interface {
 	NextAllowed(now dram.Cycle, loc dram.Loc) dram.Cycle
 }
@@ -204,9 +206,9 @@ type TableOccupancy struct {
 // TableReporter is an optional Tracker extension for designs with a
 // bounded counting table worth watching under attack (CoMeT's RAT,
 // Hydra's RCC, DAPPER's group counters). TableOccupancy must be a pure
-// query; the telemetry layer polls it on the tracker's tick cadence and
-// only when a probe is attached, so implementations may do O(table)
-// work.
+// query: the controller polls it after every periodic tracker tick
+// whenever a Sink is attached (an audited run included), so
+// implementations may do O(table) work but must not change state.
 type TableReporter interface {
 	TableOccupancy() TableOccupancy
 }

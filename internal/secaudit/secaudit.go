@@ -1,4 +1,4 @@
-// Package secaudit is the shadow security oracle: an rh.Observer that
+// Package secaudit is the shadow security oracle: an rh.Sink that
 // watches the memory controllers' activation / mitigation / refresh
 // event stream and independently checks the property every RowHammer
 // tracker exists to provide — that no DRAM row absorbs NRH hammering
@@ -14,7 +14,7 @@
 // defense failed for that row. The margin (1 - MaxCount/NRH) says how
 // close the tracker let any row get.
 //
-// The ledger is driven only by observer events, never by tracker
+// The ledger is driven only by sink events, never by tracker
 // internals, so it audits trackers as black boxes — and because the
 // controllers emit an identical event stream under both simulation
 // engines, equal audit reports across engines are a second, independent
@@ -126,7 +126,7 @@ func (r *Report) Summary() string {
 		r.Escapes, r.EscapedRows, r.MaxCount, r.NRH)
 }
 
-// Audit owns one shadow ledger per channel. Create it, hand Observer to
+// Audit owns one shadow ledger per channel. Create it, hand Sink to
 // sim.Config, run, then call Report.
 type Audit struct {
 	cfg   Config
@@ -161,9 +161,8 @@ func MustNew(cfg Config) *Audit {
 	return a
 }
 
-// Observer returns the per-channel observer, matching
-// sim.ObserverFactory.
-func (a *Audit) Observer(channel int) rh.Observer { return a.chans[channel] }
+// Sink returns the per-channel sink, matching sim.SinkFactory.
+func (a *Audit) Sink(channel int) rh.Sink { return a.chans[channel] }
 
 // Report merges the per-channel ledgers into the audit verdict.
 func (a *Audit) Report() *Report {
@@ -214,7 +213,7 @@ func (a *Audit) Report() *Report {
 	return r
 }
 
-// channelAuditor implements rh.Observer for one channel. Ledger keys
+// channelAuditor implements rh.Sink for one channel. Ledger keys
 // pack (flat bank, row); charge and escape state are per charge period
 // (reset whenever the row is refreshed), escapedEver spans the run.
 type channelAuditor struct {
@@ -259,9 +258,25 @@ func (c *channelAuditor) key(fb int, row uint32) uint64 {
 	return uint64(fb)<<32 | uint64(row)
 }
 
-// ObserveACT implements rh.Observer: charge the activated row's
-// neighbors and flag any that reach NRH.
-func (c *channelAuditor) ObserveACT(now dram.Cycle, loc dram.Loc, injected bool) {
+// Event implements rh.Sink: the ledger folds activations, mitigation
+// commands, auto-refreshes and bulk sweeps; the performance-side kinds
+// pass through.
+func (c *channelAuditor) Event(e rh.Event) {
+	switch e.Kind {
+	case rh.EvACT:
+		c.activate(e.At, e.Loc, e.Injected)
+	case rh.EvMitigation:
+		c.mitigate(e.Action, e.Loc, e.Row)
+	case rh.EvRefresh:
+		c.refresh(e.Rank)
+	case rh.EvBulk:
+		c.bulkRefresh(e.Rank)
+	}
+}
+
+// activate charges the activated row's neighbors and flags any that
+// reach NRH.
+func (c *channelAuditor) activate(now dram.Cycle, loc dram.Loc, injected bool) {
 	if injected {
 		c.injActs++
 		if !c.cfg.CountInjected {
@@ -299,13 +314,12 @@ func (c *channelAuditor) ObserveACT(now dram.Cycle, loc dram.Loc, injected bool)
 	}
 }
 
-// ObserveMitigation implements rh.Observer: a victim-refresh command
-// clears the refreshed rows' charge. RefreshVictims covers the
+// mitigate clears the rows a victim-refresh command refreshed. RefreshVictims covers the
 // aggressor's neighbors in its own bank at the mode's blast radius;
 // the Same-Bank RFM/DRFM commands apply the refresh to the same bank
 // index in every bank group of the rank, mirroring the controller's
 // blocking semantics.
-func (c *channelAuditor) ObserveMitigation(_ dram.Cycle, kind rh.ActionKind, loc dram.Loc, row uint32) {
+func (c *channelAuditor) mitigate(kind rh.ActionKind, loc dram.Loc, row uint32) {
 	c.mitigations++
 	br := c.cfg.Mode.BlastRadius()
 	sameBank := false
@@ -327,11 +341,11 @@ func (c *channelAuditor) ObserveMitigation(_ dram.Cycle, kind rh.ActionKind, loc
 	}
 }
 
-// ObserveRefresh implements rh.Observer: each REF command refreshes the
+// refresh advances the rank's REF slot: each REF command refreshes the
 // rank's next row segment (slot s covers rows
 // [s*rows/segments, (s+1)*rows/segments) of every bank), closing those
 // rows' charge periods.
-func (c *channelAuditor) ObserveRefresh(_ dram.Cycle, rank int) {
+func (c *channelAuditor) refresh(rank int) {
 	c.refreshes++
 	slot := c.refSlots[rank] % c.segments
 	c.refSlots[rank]++
@@ -352,9 +366,8 @@ func (c *channelAuditor) ObserveRefresh(_ dram.Cycle, rank int) {
 	}
 }
 
-// ObserveBulkRefresh implements rh.Observer: a rank-wide sweep resets
-// every ledger entry in the rank.
-func (c *channelAuditor) ObserveBulkRefresh(_ dram.Cycle, rank int) {
+// bulkRefresh resets every ledger entry in the swept rank.
+func (c *channelAuditor) bulkRefresh(rank int) {
 	c.bulkResets++
 	base := rank * c.cfg.Geometry.BanksPerRank()
 	limit := base + c.cfg.Geometry.BanksPerRank()

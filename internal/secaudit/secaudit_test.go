@@ -24,13 +24,31 @@ func testConfig(nrh uint32) secaudit.Config {
 
 func loc(row uint32) dram.Loc { return dram.Loc{Row: row} }
 
+// act, mitigate, refresh and bulk feed the oracle the ledger's four
+// event kinds.
+func act(s rh.Sink, at dram.Cycle, l dram.Loc, injected bool) {
+	s.Event(rh.Event{Kind: rh.EvACT, At: at, Loc: l, Injected: injected})
+}
+
+func mitigate(s rh.Sink, at dram.Cycle, kind rh.ActionKind, l dram.Loc, row uint32) {
+	s.Event(rh.Event{Kind: rh.EvMitigation, At: at, Action: kind, Loc: l, Row: row})
+}
+
+func refresh(s rh.Sink, at dram.Cycle, rank int) {
+	s.Event(rh.Event{Kind: rh.EvRefresh, At: at, Rank: rank})
+}
+
+func bulk(s rh.Sink, at dram.Cycle, rank int) {
+	s.Event(rh.Event{Kind: rh.EvBulk, At: at, Rank: rank})
+}
+
 // TestChargeAndEscape drives the ledger directly: hammering one row NRH
 // times must flag both neighbors exactly once each.
 func TestChargeAndEscape(t *testing.T) {
 	a := secaudit.MustNew(testConfig(10))
-	o := a.Observer(0)
+	o := a.Sink(0)
 	for i := 0; i < 12; i++ {
-		o.ObserveACT(dram.Cycle(i), loc(100), false)
+		act(o, dram.Cycle(i), loc(100), false)
 	}
 	r := a.Report()
 	if r.Escapes != 2 || r.EscapedRows != 2 {
@@ -54,13 +72,13 @@ func TestChargeAndEscape(t *testing.T) {
 // charge, and that the blast radius follows the mode.
 func TestMitigationResets(t *testing.T) {
 	a := secaudit.MustNew(testConfig(10))
-	o := a.Observer(0)
+	o := a.Sink(0)
 	for i := 0; i < 9; i++ {
-		o.ObserveACT(dram.Cycle(i), loc(100), false)
+		act(o, dram.Cycle(i), loc(100), false)
 	}
-	o.ObserveMitigation(9, rh.RefreshVictims, loc(100), 100)
+	mitigate(o, 9, rh.RefreshVictims, loc(100), 100)
 	for i := 0; i < 9; i++ {
-		o.ObserveACT(dram.Cycle(20+i), loc(100), false)
+		act(o, dram.Cycle(20+i), loc(100), false)
 	}
 	r := a.Report()
 	if r.Escapes != 0 {
@@ -75,16 +93,16 @@ func TestMitigationResets(t *testing.T) {
 // groups like the controller's blocking does.
 func TestSameBankMitigation(t *testing.T) {
 	a := secaudit.MustNew(testConfig(10))
-	o := a.Observer(0)
+	o := a.Sink(0)
 	other := dram.Loc{BankGroup: 5, Row: 100}
 	for i := 0; i < 9; i++ {
-		o.ObserveACT(dram.Cycle(i), other, false)
+		act(o, dram.Cycle(i), other, false)
 	}
 	// RFM targeting bank group 0 still covers bank group 5 (same bank
 	// index within the rank).
-	o.ObserveMitigation(9, rh.RefreshVictimsRFMsb, loc(100), 100)
+	mitigate(o, 9, rh.RefreshVictimsRFMsb, loc(100), 100)
 	for i := 0; i < 9; i++ {
-		o.ObserveACT(dram.Cycle(20+i), other, false)
+		act(o, dram.Cycle(20+i), other, false)
 	}
 	if r := a.Report(); r.Escapes != 0 {
 		t.Fatalf("RFMsb reset did not cover sibling bank groups: %+v", r)
@@ -101,16 +119,16 @@ func TestRefreshBoundary(t *testing.T) {
 	cfg.Timing = dram.DDR5()
 	cfg.Timing.TREFW = 8 * cfg.Timing.TREFI
 	a := secaudit.MustNew(cfg)
-	o := a.Observer(0)
+	o := a.Sink(0)
 	for i := 0; i < 9; i++ {
-		o.ObserveACT(dram.Cycle(i), loc(4), false)
+		act(o, dram.Cycle(i), loc(4), false)
 	}
 	// Slots 0/1/2 cover rows 0..5: rows 3 and 5 (the victims) reset.
 	for i := 0; i < 3; i++ {
-		o.ObserveRefresh(dram.Cycle(100+i), 0)
+		refresh(o, dram.Cycle(100+i), 0)
 	}
 	for i := 0; i < 9; i++ {
-		o.ObserveACT(dram.Cycle(200+i), loc(4), false)
+		act(o, dram.Cycle(200+i), loc(4), false)
 	}
 	r := a.Report()
 	if r.Escapes != 0 {
@@ -125,15 +143,15 @@ func TestRefreshBoundary(t *testing.T) {
 // only that rank.
 func TestBulkRefreshResets(t *testing.T) {
 	a := secaudit.MustNew(testConfig(10))
-	o := a.Observer(0)
+	o := a.Sink(0)
 	rank1 := dram.Loc{Rank: 1, Row: 100}
 	for i := 0; i < 9; i++ {
-		o.ObserveACT(dram.Cycle(i), loc(100), false)
-		o.ObserveACT(dram.Cycle(i), rank1, false)
+		act(o, dram.Cycle(i), loc(100), false)
+		act(o, dram.Cycle(i), rank1, false)
 	}
-	o.ObserveBulkRefresh(50, 0) // rank 0 only
-	o.ObserveACT(60, loc(100), false)
-	o.ObserveACT(60, rank1, false)
+	bulk(o, 50, 0) // rank 0 only
+	act(o, 60, loc(100), false)
+	act(o, 60, rank1, false)
 	r := a.Report()
 	if r.Escapes != 2 {
 		t.Fatalf("rank-0 sweep should spare rank 1 (2 escapes there), got %+v", r)
@@ -152,9 +170,9 @@ func TestInjectedAccounting(t *testing.T) {
 		cfg := testConfig(10)
 		cfg.CountInjected = count
 		a := secaudit.MustNew(cfg)
-		o := a.Observer(0)
+		o := a.Sink(0)
 		for i := 0; i < 10; i++ {
-			o.ObserveACT(dram.Cycle(i), loc(100), true)
+			act(o, dram.Cycle(i), loc(100), true)
 		}
 		r := a.Report()
 		if r.InjectedACTs != 10 || r.ACTs != 0 {
@@ -207,7 +225,7 @@ func runAudited(t *testing.T, tracker sim.TrackerFactory, mode rh.MitigationMode
 		Mode:     mode,
 		Tracker:  tracker,
 		Engine:   engine,
-		Observer: audit.Observer,
+		Sink:     audit.Sink,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +260,7 @@ func TestOracleEndToEnd(t *testing.T) {
 				t.Fatalf("oracle diverges across engines:\n event: %s\n cycle: %s", je, jc)
 			}
 			if !reflect.DeepEqual(resEvent, resCycle) {
-				t.Fatalf("results diverge across engines with observer attached")
+				t.Fatalf("results diverge across engines with the oracle attached")
 			}
 		})
 	}
@@ -281,6 +299,6 @@ func TestObserverIsPassive(t *testing.T) {
 	}
 	with.Audit = nil
 	if !reflect.DeepEqual(with, without) {
-		t.Fatalf("observer perturbed the simulation:\n with:    %+v\n without: %+v", with, without)
+		t.Fatalf("the oracle perturbed the simulation:\n with:    %+v\n without: %+v", with, without)
 	}
 }

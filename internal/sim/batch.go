@@ -16,15 +16,15 @@
 // tracker-owned fields (Stats, Name, table-occupancy telemetry).
 //
 // RunBatch exploits this: the lead point runs at full fidelity with a
-// recording shim capturing every tracker input (and, when needed, the
-// security-event observer stream); each eligible follower then replays
-// the recorded inputs into its own tracker instance, comparing emitted
-// actions element-wise. The first mismatch is a divergence: the
-// follower's feedback would have changed the stream, so it reruns
-// independently (over the already-decoded trace buffers — decode still
-// happens once). Throttlers always run independently: NextAllowed is
-// consulted on the scheduling hot path, where "would this point have
-// delayed the request" cannot be answered from the lead's stream.
+// recording shim capturing every tracker input; each eligible follower
+// then replays the recorded inputs into its own tracker instance,
+// comparing emitted actions element-wise. The first mismatch is a
+// divergence: the follower's feedback would have changed the stream, so
+// it reruns independently (over the already-decoded trace buffers —
+// decode still happens once). Throttlers always run independently:
+// NextAllowed is consulted on the scheduling hot path, where "would
+// this point have delayed the request" cannot be answered from the
+// lead's stream.
 package sim
 
 import (
@@ -34,15 +34,15 @@ import (
 	"dapper/internal/cpu"
 	"dapper/internal/dram"
 	"dapper/internal/rh"
+	"dapper/internal/telemetry"
 )
 
 // BatchPoint is one sweep point in a RunBatch call: a tracker
-// configuration plus its mitigation mode and optional per-channel
-// observer. The base Config's Tracker/Mode/Observer are ignored.
+// configuration plus its mitigation mode. The base Config's
+// Tracker/Mode are ignored.
 type BatchPoint struct {
-	Tracker  TrackerFactory
-	Mode     rh.MitigationMode
-	Observer ObserverFactory
+	Tracker TrackerFactory
+	Mode    rh.MitigationMode
 }
 
 // FallbackReason says why a point did not ride the lead's stream.
@@ -122,35 +122,14 @@ type recEvent struct {
 	nAct int32 // actions emitted, stored flat in chanRecord.acts
 }
 
-// Recorded observer events (only captured when an eligible follower
-// has an Observer to replay them into).
-const (
-	oACT uint8 = iota
-	oMit
-	oRef
-	oBulk
-)
-
-type obsEvent struct {
-	kind     uint8
-	now      dram.Cycle
-	loc      dram.Loc
-	row      uint32
-	akind    rh.ActionKind
-	rank     int
-	injected bool
-}
-
 // chanRecord is one channel's recorded stream.
 type chanRecord struct {
 	events []recEvent
 	acts   []rh.Action
-	obs    []obsEvent
 }
 
 type batchRecorder struct {
-	chans     []chanRecord
-	recordObs bool
+	chans []chanRecord
 }
 
 // recordingTracker wraps the lead's per-channel tracker. It forwards
@@ -219,26 +198,6 @@ func (r *batchRecorder) wrapTracker(ch int, t rh.Tracker) rh.Tracker {
 	return &rt
 }
 
-type recordingObserver struct {
-	rec *chanRecord
-}
-
-func (o *recordingObserver) ObserveACT(now dram.Cycle, loc dram.Loc, injected bool) {
-	o.rec.obs = append(o.rec.obs, obsEvent{kind: oACT, now: now, loc: loc, injected: injected})
-}
-
-func (o *recordingObserver) ObserveMitigation(now dram.Cycle, kind rh.ActionKind, loc dram.Loc, row uint32) {
-	o.rec.obs = append(o.rec.obs, obsEvent{kind: oMit, now: now, loc: loc, row: row, akind: kind})
-}
-
-func (o *recordingObserver) ObserveRefresh(now dram.Cycle, rank int) {
-	o.rec.obs = append(o.rec.obs, obsEvent{kind: oRef, now: now, rank: rank})
-}
-
-func (o *recordingObserver) ObserveBulkRefresh(now dram.Cycle, rank int) {
-	o.rec.obs = append(o.rec.obs, obsEvent{kind: oBulk, now: now, rank: rank})
-}
-
 // pointTraits are the stream-shaping properties of a configuration,
 // probed from a throwaway channel-0 instance.
 type pointTraits struct {
@@ -267,11 +226,15 @@ func probeTraits(f TrackerFactory) pointTraits {
 // independent run (same decoded buffers) on any action divergence.
 // Results are positionally parallel to points and byte-identical to
 // what sim.Run would produce for each configuration; outcomes say
-// which path produced each one. base's Tracker, Mode and Observer
-// fields are ignored.
+// which path produced each one. base's Tracker and Mode fields are
+// ignored; a base Sink is an error, since a replayed point has no
+// controller stream to tap.
 func RunBatch(base Config, points []BatchPoint) ([]Result, []BatchOutcome, error) {
 	if len(points) == 0 {
 		return nil, nil, fmt.Errorf("sim: RunBatch needs at least one point")
+	}
+	if base.Sink != nil {
+		return nil, nil, fmt.Errorf("sim: RunBatch takes no Sink (replayed points have no controller stream); run audited points with Run")
 	}
 	base = base.withDefaults()
 	if len(base.Traces) == 0 {
@@ -315,7 +278,6 @@ func RunBatch(base Config, points []BatchPoint) ([]Result, []BatchOutcome, error
 		cfg := base
 		cfg.Tracker = pts[i].Tracker
 		cfg.Mode = pts[i].Mode
-		cfg.Observer = pts[i].Observer
 		cfg.Traces = cursors()
 		res, err := Run(cfg)
 		if err != nil {
@@ -337,7 +299,6 @@ func RunBatch(base Config, points []BatchPoint) ([]Result, []BatchOutcome, error
 	}
 
 	eligible := make([]bool, len(pts))
-	needObs := false
 	for i := range pts {
 		switch {
 		case i == lead:
@@ -352,23 +313,15 @@ func RunBatch(base Config, points []BatchPoint) ([]Result, []BatchOutcome, error
 			outcomes[i] = BatchOutcome{Reason: FallbackLLCReserve}
 		default:
 			eligible[i] = true
-			if pts[i].Observer != nil {
-				needObs = true
-			}
 		}
 	}
 
-	rec := &batchRecorder{chans: make([]chanRecord, base.Geometry.Channels), recordObs: needObs}
-	var extraObs func(int) rh.Observer
-	if needObs {
-		extraObs = func(ch int) rh.Observer { return &recordingObserver{rec: &rec.chans[ch]} }
-	}
+	rec := &batchRecorder{chans: make([]chanRecord, base.Geometry.Channels)}
 	leadCfg := base
 	leadCfg.Tracker = pts[lead].Tracker
 	leadCfg.Mode = pts[lead].Mode
-	leadCfg.Observer = pts[lead].Observer
 	leadCfg.Traces = cursors()
-	leadRes, err := run(leadCfg, rec.wrapTracker, extraObs)
+	leadRes, err := run(leadCfg, rec.wrapTracker)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -394,46 +347,37 @@ func RunBatch(base Config, points []BatchPoint) ([]Result, []BatchOutcome, error
 	return results, outcomes, nil
 }
 
-// tableTrack accumulates a replayed follower's table-occupancy samples
-// per telemetry window, mirroring the live recorder (last sample in a
-// window wins; the track exists only once a sample lands).
-type tableTrack struct {
-	sampled bool
-	seen    []bool
-	used    []int
-	resets  []uint64
-	cap     int
-}
-
 // replay advances one eligible point's trackers through the recorded
 // stream. On full action agreement it assembles the point's Result
 // from the lead's (cloned) system-side fields plus the follower's own
 // tracker-side fields; on the first mismatch it reports divergence.
+// Table-occupancy telemetry is tracker-side: the follower's snapshots,
+// taken where the live controller takes them (right after each
+// periodic tick), fold through a telemetry Recorder of the lead's
+// window grid.
 func (r *batchRecorder) replay(p BatchPoint, lead Result) (Result, dram.Cycle, bool) {
-	nWin := 0
-	var window dram.Cycle
-	if lead.Series != nil {
-		nWin = lead.Series.NumWindows()
-		window = lead.Series.Window
+	var tables *telemetry.Recorder
+	if s := lead.Series; s != nil {
+		var err error
+		tables, err = telemetry.NewRecorder(telemetry.RecorderConfig{
+			Cores: len(s.Cores), Channels: len(r.chans), Window: s.Window, End: s.Cycles, Warmup: s.Warmup,
+		})
+		if err != nil {
+			return Result{}, 0, false
+		}
 	}
 	var warm, fin rh.Stats
 	names := make([]string, 0, len(r.chans))
-	tables := make([]tableTrack, len(r.chans))
 	buf := make([]rh.Action, 0, 64)
 
 	for ch := range r.chans {
 		cr := &r.chans[ch]
 		tr := p.Tracker(ch)
 		names = append(names, tr.Name())
-		tab, isTab := tr.(rh.TableReporter)
-		var tt *tableTrack
-		if isTab && nWin > 0 {
-			tables[ch] = tableTrack{
-				seen:   make([]bool, nWin),
-				used:   make([]int, nWin),
-				resets: make([]uint64, nWin),
-			}
-			tt = &tables[ch]
+		tab, _ := tr.(rh.TableReporter)
+		var sink rh.Sink
+		if tab != nil && tables != nil {
+			sink = tables.Sink(ch)
 		}
 		statsMark := 0
 		ai := 0
@@ -456,23 +400,8 @@ func (r *batchRecorder) replay(p BatchPoint, lead Result) (Result, dram.Cycle, b
 						return Result{}, ev.now, false
 					}
 				}
-				if ev.kind == evTick && tt != nil {
-					// The live controller samples occupancy right after
-					// each periodic tick (tracker state cannot change
-					// between Tick returning and the sample).
-					occ := tab.TableOccupancy()
-					w := 0
-					if ev.now >= 0 {
-						w = int(ev.now / window)
-						if w >= nWin {
-							w = nWin - 1
-						}
-					}
-					tt.sampled = true
-					tt.seen[w] = true
-					tt.used[w] = occ.Used
-					tt.resets[w] = occ.Resets
-					tt.cap = occ.Capacity
+				if ev.kind == evTick && sink != nil {
+					sink.Event(rh.Event{Kind: rh.EvTable, At: ev.now, Table: tab.TableOccupancy()})
 				}
 			case evStats:
 				s := tr.Stats()
@@ -491,31 +420,6 @@ func (r *batchRecorder) replay(p BatchPoint, lead Result) (Result, dram.Cycle, b
 		}
 	}
 
-	// Lockstep confirmed: only now touch the point's observer, so a
-	// diverging point's observer (e.g. a security audit accumulating
-	// state) never sees a partial stream before its independent rerun.
-	if p.Observer != nil {
-		for ch := range r.chans {
-			o := p.Observer(ch)
-			if o == nil {
-				continue
-			}
-			for i := range r.chans[ch].obs {
-				e := &r.chans[ch].obs[i]
-				switch e.kind {
-				case oACT:
-					o.ObserveACT(e.now, e.loc, e.injected)
-				case oMit:
-					o.ObserveMitigation(e.now, e.akind, e.loc, e.row)
-				case oRef:
-					o.ObserveRefresh(e.now, e.rank)
-				case oBulk:
-					o.ObserveBulkRefresh(e.now, e.rank)
-				}
-			}
-		}
-	}
-
 	res := Result{
 		IPC:          slices.Clone(lead.IPC),
 		Instructions: slices.Clone(lead.Instructions),
@@ -530,31 +434,12 @@ func (r *batchRecorder) replay(p BatchPoint, lead Result) (Result, dram.Cycle, b
 	if lead.Attribution != nil {
 		res.Attribution = lead.Attribution.Clone()
 	}
-	if lead.Series != nil {
+	if tables != nil {
+		own := tables.Finish()
 		s := lead.Series.Clone()
 		for ch := range s.Channels {
-			cs := &s.Channels[ch]
-			tt := &tables[ch]
-			if tt.sampled {
-				// Forward-fill exactly like the live recorder's Finish.
-				filledUsed := make([]int, nWin)
-				filledResets := make([]uint64, nWin)
-				used, resets := -1, uint64(0)
-				for w := 0; w < nWin; w++ {
-					if tt.seen[w] {
-						used, resets = tt.used[w], tt.resets[w]
-					}
-					filledUsed[w] = used
-					filledResets[w] = resets
-				}
-				cs.TableUsed = filledUsed
-				cs.TableResets = filledResets
-				cs.TableCap = tt.cap
-			} else {
-				cs.TableUsed = nil
-				cs.TableResets = nil
-				cs.TableCap = 0
-			}
+			cs, o := &s.Channels[ch], &own.Channels[ch]
+			cs.TableUsed, cs.TableResets, cs.TableCap = o.TableUsed, o.TableResets, o.TableCap
 		}
 		res.Series = s
 	}

@@ -10,7 +10,6 @@ import (
 	"dapper/internal/cpu"
 	"dapper/internal/dram"
 	"dapper/internal/rh"
-	"dapper/internal/secaudit"
 	"dapper/internal/trackers/abacus"
 	"dapper/internal/trackers/blockhammer"
 	"dapper/internal/trackers/hydra"
@@ -174,70 +173,15 @@ func TestEngineEquivalenceBatched(t *testing.T) {
 	}
 }
 
-// TestEngineEquivalenceBatchedAudit extends the matrix to the observer
-// stream: a security audit attached to a batched point must reach the
-// same verdict as one attached to an independent run, for both a
-// lockstep point (replayed observer events) and a diverging one (the
-// fallback must not leak the partial lead stream into the audit).
-func TestEngineEquivalenceBatchedAudit(t *testing.T) {
+// TestRunBatchRejectsSink pins that a base Config with a Sink is an
+// error, not silently dropped: replayed points have no controller
+// stream for it to tap.
+func TestRunBatchRejectsSink(t *testing.T) {
 	g := dram.Baseline()
-	// NRH 16 hydra injects counter traffic under any workload, so the
-	// audited tracker point is guaranteed to diverge from the insecure
-	// lead and take the fallback path.
-	newTracker := func(ch int) rh.Tracker {
-		return hydra.New(ch, hydra.Config{Geometry: g, NRH: 16})
-	}
-	newAudit := func() *secaudit.Audit {
-		a, err := secaudit.New(secaudit.Config{Geometry: g, NRH: 500})
-		if err != nil {
-			panic(err)
-		}
-		return a
-	}
-
-	for _, hammer := range []bool{false, true} {
-		name := "benign-lockstep"
-		if hammer {
-			name = "hammer-diverged"
-		}
-		t.Run(name, func(t *testing.T) {
-			batchAudits := []*secaudit.Audit{newAudit(), newAudit()}
-			points := []BatchPoint{
-				{}, // insecure lead
-				{Tracker: nil, Observer: batchAudits[0].Observer},
-				{Tracker: newTracker, Observer: batchAudits[1].Observer},
-			}
-			_, outcomes, err := RunBatch(batchBaseConfig(t, g, hammer), points)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !outcomes[1].Lockstep {
-				t.Fatalf("audited nop point fell back: %+v", outcomes[1])
-			}
-			if outcomes[2].Reason != FallbackDiverged {
-				t.Fatalf("audited hydra point: outcome %+v, want divergence fallback", outcomes[2])
-			}
-
-			for i := 1; i <= 2; i++ {
-				indep := newAudit()
-				cfg := batchBaseConfig(t, g, hammer)
-				cfg.Tracker = points[i].Tracker
-				cfg.Observer = indep.Observer
-				MustRun(cfg)
-				wantJS, err := json.Marshal(indep.Report())
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotJS, err := json.Marshal(batchAudits[i-1].Report())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(wantJS, gotJS) {
-					t.Fatalf("point %d (outcome %+v): audit reports diverge:\n want %s\n got  %s",
-						i, outcomes[i], wantJS, gotJS)
-				}
-			}
-		})
+	cfg := batchBaseConfig(t, g, false)
+	cfg.Sink = func(int) rh.Sink { return nil }
+	if _, _, err := RunBatch(cfg, []BatchPoint{{}, {}}); err == nil {
+		t.Fatal("RunBatch accepted a base Config with a Sink")
 	}
 }
 

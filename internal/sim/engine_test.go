@@ -258,6 +258,75 @@ func TestEngineEquivalenceAttribution(t *testing.T) {
 	}
 }
 
+// recordSink keeps one channel's raw controller event stream.
+type recordSink struct{ events []rh.Event }
+
+func (r *recordSink) Event(e rh.Event) { r.events = append(r.events, e) }
+
+// TestEngineEquivalenceSinkStream checks the raw controller stream, not
+// just its folds: every rh.Event, per channel and in order, must be
+// identical under both engines. One point throttles (BlockHammer's gate
+// times ride the serve events), one injects counter traffic (Hydra at a
+// low NRH).
+func TestEngineEquivalenceSinkStream(t *testing.T) {
+	g := dram.Baseline()
+	for _, sc := range []engineScenario{
+		{"blockhammer-refresh", func(ch int) rh.Tracker {
+			return blockhammer.New(ch, blockhammer.Config{Geometry: g, NRH: 500})
+		}, attack.Refresh},
+		{"hydra-low-nrh", func(ch int) rh.Tracker {
+			return hydra.New(ch, hydra.Config{Geometry: g, NRH: 64})
+		}, attack.HydraConflict},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			record := func(e Engine) []recordSink {
+				recs := make([]recordSink, g.Channels)
+				cfg := scenarioConfig(t, g, sc)
+				cfg.Warmup, cfg.Measure = dram.US(5), dram.US(25)
+				cfg.Engine = e
+				cfg.Sink = func(ch int) rh.Sink { return &recs[ch] }
+				MustRun(cfg)
+				return recs
+			}
+			want, got := record(EngineCycle), record(EngineEvent)
+			kinds := map[rh.EventKind]int{}
+			throttled, injected := 0, 0
+			for ch := range want {
+				w, e := want[ch].events, got[ch].events
+				for i := 0; i < min(len(w), len(e)); i++ {
+					if w[i] != e[i] {
+						t.Fatalf("channel %d event %d differs:\n cycle: %+v\n event: %+v", ch, i, w[i], e[i])
+					}
+				}
+				if len(w) != len(e) {
+					t.Fatalf("channel %d: cycle engine emitted %d events, event engine %d", ch, len(w), len(e))
+				}
+				for _, ev := range w {
+					kinds[ev.Kind]++
+					if ev.Kind == rh.EvServe && ev.ThrottleFree > 0 {
+						throttled++
+					}
+					if ev.Kind == rh.EvACT && ev.Injected {
+						injected++
+					}
+				}
+			}
+			// The point must exercise what it is here for.
+			for _, k := range []rh.EventKind{rh.EvACT, rh.EvRefresh, rh.EvQueue, rh.EvServe, rh.EvBlock} {
+				if kinds[k] == 0 {
+					t.Errorf("stream has no events of kind %d", k)
+				}
+			}
+			if sc.name == "blockhammer-refresh" && throttled == 0 {
+				t.Error("no serve carried a throttle gate")
+			}
+			if sc.name == "hydra-low-nrh" && injected == 0 {
+				t.Error("no injected activation in the stream")
+			}
+		})
+	}
+}
+
 // TestEngineDeterminism runs the same config twice under each engine and
 // requires identical Results.
 func TestEngineDeterminism(t *testing.T) {

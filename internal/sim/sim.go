@@ -24,10 +24,10 @@ type TrackerFactory func(channel int) rh.Tracker
 // NopFactory is the insecure baseline.
 func NopFactory(channel int) rh.Tracker { return rh.NewNop() }
 
-// ObserverFactory builds one passive security-event observer per
-// channel (internal/secaudit's shadow oracle is the main implementer).
-// Returning nil for a channel leaves that channel unobserved.
-type ObserverFactory func(channel int) rh.Observer
+// SinkFactory builds one passive controller event sink per channel
+// (internal/secaudit's shadow oracle is the main implementer).
+// Returning nil for a channel leaves that channel's stream untapped.
+type SinkFactory func(channel int) rh.Sink
 
 // Engine selects the simulation loop strategy. Both engines produce
 // byte-identical Results (the equivalence test matrix enforces this);
@@ -86,16 +86,17 @@ type Config struct {
 	Measure dram.Cycle
 	// Engine selects the loop strategy (EngineEvent if empty).
 	Engine Engine
-	// Observer, if non-nil, taps every controller's security-relevant
-	// event stream (ACTs, mitigations, refreshes, bulk sweeps). Purely
-	// passive: attaching an observer never changes the Result's other
-	// fields, and the observed stream is identical under both engines.
-	Observer ObserverFactory
+	// Sink, if non-nil, taps every controller's event stream (see
+	// rh.Sink), teed with the telemetry and attribution folds when those
+	// are on. Purely passive: attaching a sink never changes the
+	// Result's other fields, and the stream is identical under both
+	// engines.
+	Sink SinkFactory
 	// TelemetryWindow, when positive, turns on the cycle-windowed
 	// telemetry sampler: Result.Series carries per-window time-series
 	// (IPC, stall fraction, ACT and mitigation rates, queue and tracker
 	// table occupancy) folded at this window width. Zero (the default)
-	// disables collection entirely — no probes attach, and the only cost
+	// disables collection entirely — no sink attaches, and the only cost
 	// on any hot path is a nil check. The fold is exact under time-skip,
 	// so the Series is byte-identical across engines and reruns.
 	TelemetryWindow dram.Cycle
@@ -104,7 +105,7 @@ type Config struct {
 	// ROB-full vs backpressure), per-core memory-blame breakdowns, and
 	// the N×N core→core interference blame matrix. When TelemetryWindow
 	// is also set, windowed blame series and the stall split ride
-	// Result.Series. Off (the default), no blame probes attach and the
+	// Result.Series. Off (the default), no blame fold attaches and the
 	// only cost on any hot path is a nil check. The attribution is
 	// exact arithmetic on event timestamps: byte-identical across
 	// engines, and conservation-checked on every run (CPI buckets sum
@@ -170,16 +171,19 @@ type Result struct {
 
 // Run executes the simulation.
 func Run(cfg Config) (Result, error) {
-	return run(cfg, nil, nil)
+	return run(cfg, nil)
 }
 
-// run is Run with two batched-runner hooks: wrapT, applied to each
+// run is Run with the batched runner's hook: wrapT, applied to each
 // per-channel tracker right after construction (before the optional
 // TimingTaxer/LLCReserver extensions are probed, so a wrapper's
-// forwarded values are the ones the system sees), and extraObs, an
-// additional per-channel observer teed into the security-event stream.
-// Both nil reproduces Run exactly.
-func run(cfg Config, wrapT func(channel int, t rh.Tracker) rh.Tracker, extraObs func(channel int) rh.Observer) (Result, error) {
+// forwarded values are the ones the system sees). A nil wrapT
+// reproduces Run exactly.
+func run(cfg Config, wrapT func(channel int, t rh.Tracker) rh.Tracker) (Result, error) {
+	if cfg.Warmup < 0 || cfg.Measure < 0 || cfg.TelemetryWindow < 0 {
+		return Result{}, fmt.Errorf("sim: negative warmup %d, measure %d or telemetry window %d",
+			cfg.Warmup, cfg.Measure, cfg.TelemetryWindow)
+	}
 	cfg = cfg.withDefaults()
 	if err := cfg.Geometry.Validate(); err != nil {
 		return Result{}, err
@@ -247,23 +251,17 @@ func run(cfg Config, wrapT func(channel int, t rh.Tracker) rh.Tracker, extraObs 
 	controllers := make([]*mem.Controller, cfg.Geometry.Channels)
 	for ch := range controllers {
 		controllers[ch] = mem.NewController(ch, cfg.Geometry, timing, trackers[ch], cfg.Mode)
-		var obs rh.Observer
-		if cfg.Observer != nil {
-			obs = cfg.Observer(ch)
-		}
-		if extraObs != nil {
-			obs = rh.Tee(obs, extraObs(ch))
+		var sinks []rh.Sink
+		if cfg.Sink != nil {
+			sinks = append(sinks, cfg.Sink(ch))
 		}
 		if rec != nil {
-			obs = rh.Tee(obs, rec.Observer(ch))
-			controllers[ch].SetProbe(rec.ControllerProbe(ch))
+			sinks = append(sinks, rec.Sink(ch))
 		}
 		if blameRec != nil {
-			controllers[ch].SetBlameProbe(blameRec.Probe(ch))
+			sinks = append(sinks, blameRec.Sink(ch))
 		}
-		if obs != nil {
-			controllers[ch].SetObserver(obs)
-		}
+		controllers[ch].SetSink(rh.Tee(sinks...))
 	}
 
 	llc, err := cache.NewBySize(llcBytes, cfg.LLCWays, cfg.Geometry.LineBytes)

@@ -37,6 +37,24 @@ func TestRunRequiresTraces(t *testing.T) {
 	}
 }
 
+// TestNegativeWindowsRejected pins that a negative warmup, measure or
+// telemetry window is a configuration error, not a panic or a silent
+// default.
+func TestNegativeWindowsRejected(t *testing.T) {
+	g := dram.Baseline()
+	for _, mut := range []func(*Config){
+		func(c *Config) { c.Warmup = -5 },
+		func(c *Config) { c.Measure = -3 },
+		func(c *Config) { c.TelemetryWindow = -1 },
+	} {
+		cfg := quickCfg(BenignTraces(mustWorkload(t, "429.mcf"), 4, g, 1))
+		mut(&cfg)
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("Run accepted warmup %d, measure %d, window %d", cfg.Warmup, cfg.Measure, cfg.TelemetryWindow)
+		}
+	}
+}
+
 func TestComputeBoundWorkloadHighIPC(t *testing.T) {
 	// Every memory record is a dependent blocking load, so even light
 	// workloads pay some exposed latency; compute-bound still lands

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dapper/internal/dram"
+	"dapper/internal/rh"
 )
 
 // This file is the slowdown-attribution layer: exact cycle accounting
@@ -14,8 +15,8 @@ import (
 //   - MemBlame partitions every demand read's queue+service wait into
 //     blame sources (row conflicts with a culprit core, mitigation
 //     blocks, REF, tracker-injected traffic, throttling, residual
-//     scheduling), folded from controller serve/block events by the
-//     BlameRecorder below.
+//     scheduling), folded from the controller's serve and block events
+//     by the BlameRecorder below.
 //
 // Both are conservation-checked (buckets sum exactly to cycles / to
 // the controller's TotalReadWait) and, like the Series fold, depend
@@ -250,36 +251,41 @@ func (b *BlameSeries) bucketSlices() [numBlameBuckets][]uint64 {
 	}
 }
 
-// BlameCause tags one bank-ledger segment with why the bank was busy.
-type BlameCause uint8
+// blameCause tags one bank-ledger segment with why the bank was busy.
+type blameCause uint8
 
 const (
-	// CauseServeDemand: the bank was serving another demand request
+	// causeServeDemand: the bank was serving another demand request
 	// (culprit = its core, or -1 for a write-back).
-	CauseServeDemand BlameCause = iota
-	// CauseServeInject: the bank was serving tracker counter traffic.
-	CauseServeInject
-	// CauseVRR / CauseRFMsb / CauseDRFMsb: mitigation block (culprit =
-	// the core whose activation triggered it, -1 for periodic ticks).
-	CauseVRR
-	CauseRFMsb
-	CauseDRFMsb
-	// CauseREF: per-rank auto-refresh block.
-	CauseREF
-	// CauseBulk: whole-rank structure-reset sweep.
-	CauseBulk
+	causeServeDemand blameCause = iota
+	// causeServeInject: the bank was serving tracker counter traffic.
+	causeServeInject
+	// causeMitigation: a VRR/RFMsb/DRFMsb block (culprit = the core
+	// whose activation triggered it, -1 for periodic ticks).
+	causeMitigation
+	// causeREF: per-rank auto-refresh block.
+	causeREF
+	// causeBulk: whole-rank structure-reset sweep.
+	causeBulk
 )
 
-// bucketOf maps a segment cause to its MemBlame bucket.
-func (c BlameCause) bucket() int {
+// blockCauses maps a block event's cause to its ledger cause.
+var blockCauses = [...]blameCause{
+	rh.BlockMitigation: causeMitigation,
+	rh.BlockREF:        causeREF,
+	rh.BlockBulk:       causeBulk,
+}
+
+// bucket maps a segment cause to its MemBlame bucket.
+func (c blameCause) bucket() int {
 	switch c {
-	case CauseServeDemand:
+	case causeServeDemand:
 		return bucketQueueDemand
-	case CauseServeInject:
+	case causeServeInject:
 		return bucketInject
-	case CauseVRR, CauseRFMsb, CauseDRFMsb:
+	case causeMitigation:
 		return bucketMitigation
-	case CauseREF:
+	case causeREF:
 		return bucketREF
 	default:
 		return bucketBulk
@@ -289,62 +295,19 @@ func (c BlameCause) bucket() int {
 // matrixEligible reports whether a culprit core can be charged in the
 // blame matrix for this cause (injected serves and REF are system
 // traffic: the Inject/REF buckets carry them).
-func (c BlameCause) matrixEligible() bool {
+func (c blameCause) matrixEligible() bool {
 	switch c {
-	case CauseServeDemand, CauseVRR, CauseRFMsb, CauseDRFMsb, CauseBulk:
+	case causeServeDemand, causeMitigation, causeBulk:
 		return true
 	}
 	return false
-}
-
-// ServeEvent reports one request leaving a controller's queue for
-// service; the BlameRecorder both decomposes the waiter's delay (for
-// demand reads) and claims the service interval in the bank ledger so
-// later waiters can blame it.
-type ServeEvent struct {
-	// Bank is the flat bank index within the channel.
-	Bank int
-	// Core is the requesting core (-1 for write-backs).
-	Core     int
-	Injected bool
-	IsWrite  bool
-	// Enqueued/Start/DataEnd delimit the request's life: queue wait is
-	// [Enqueued, Start), service [Start, DataEnd).
-	Enqueued dram.Cycle
-	Start    dram.Cycle
-	DataEnd  dram.Cycle
-	// Extra is the service latency above the open-row hit floor (0 for
-	// a hit, tRCD for a closed bank, tRP+tRCD for a conflict).
-	Extra dram.Cycle
-	// Conflict marks a row-buffer conflict; Opener is who left the
-	// conflicting row open (core id, -1 none/write-back, -2 injected).
-	Conflict bool
-	Opener   int
-	// ThrottleFree is the first cycle the tracker's throttle would have
-	// admitted this request's activation (0 = not throttle-gated; the
-	// controller passes it only for requests that needed an ACT).
-	ThrottleFree dram.Cycle
-	// MinEnqueued is the earliest enqueue cycle still waiting in this
-	// channel (the serve excluded) — the ledger pruning watermark.
-	MinEnqueued dram.Cycle
-}
-
-// BlameProbe receives one memory channel's blame events. Like the
-// other probes it is passive, single-threaded and costs one nil check
-// per event when detached.
-type BlameProbe interface {
-	BlameServe(ev ServeEvent)
-	// BlameBlock claims [from, to) of a bank for a blocking cause
-	// (mitigation, REF, bulk sweep). culprit is the triggering core
-	// (-1 for none).
-	BlameBlock(bank int, from, to dram.Cycle, cause BlameCause, culprit int)
 }
 
 // blameSeg is one claimed interval of a bank's busy timeline.
 type blameSeg struct {
 	from, to dram.Cycle
 	culprit  int16
-	cause    BlameCause
+	cause    blameCause
 }
 
 // bankLedger is one bank's cause-tagged busy timeline: sorted,
@@ -375,7 +338,7 @@ func (l *bankLedger) prune(floor dram.Cycle) {
 // the last segment's start) appends; future-dated mitigation blocks
 // can leave a later REF landing before them, which takes the general
 // insertion path.
-func (l *bankLedger) claim(from, to dram.Cycle, cause BlameCause, culprit int16) {
+func (l *bankLedger) claim(from, to dram.Cycle, cause blameCause, culprit int16) {
 	if from >= to {
 		return
 	}
@@ -432,7 +395,7 @@ type BlameRecorderConfig struct {
 // BlameRecorder folds controller serve/block events into per-core
 // MemBlame breakdowns, the core→core blame matrix, and (optionally)
 // windowed blame series. One recorder serves the whole system: attach
-// Probe(ch) to channel ch's controller. Single-threaded, wall-clock
+// Sink(ch) to channel ch's controller. Single-threaded, wall-clock
 // free, and exact: every decomposition is interval arithmetic on event
 // timestamps, so both engines produce byte-identical results.
 type BlameRecorder struct {
@@ -441,6 +404,11 @@ type BlameRecorder struct {
 
 	banks  []bankLedger // cfg.Channels * cfg.BanksPerChannel
 	floors []dram.Cycle // per-channel pruning watermark
+	// openers tracks, per bank (indexed like banks), who opened the
+	// currently open row: a core id, -1 for none or a write-back, -2 for
+	// injected counter traffic. It is what lets a row-buffer conflict
+	// name its culprit.
+	openers []int16
 
 	totals []blameBuckets
 	matrix [][]uint64
@@ -461,6 +429,10 @@ func NewBlameRecorder(cfg BlameRecorderConfig) (*BlameRecorder, error) {
 	r := &BlameRecorder{cfg: cfg}
 	r.banks = make([]bankLedger, cfg.Channels*cfg.BanksPerChannel)
 	r.floors = make([]dram.Cycle, cfg.Channels)
+	r.openers = make([]int16, len(r.banks))
+	for i := range r.openers {
+		r.openers[i] = -1
+	}
 	r.totals = make([]blameBuckets, cfg.Cores)
 	r.matrix = make([][]uint64, cfg.Cores)
 	for i := range r.matrix {
@@ -482,67 +454,77 @@ func NewBlameRecorder(cfg BlameRecorderConfig) (*BlameRecorder, error) {
 	return r, nil
 }
 
-// Probe returns the BlameProbe tap for channel ch's controller.
-func (r *BlameRecorder) Probe(ch int) BlameProbe { return &chanBlame{r: r, ch: ch} }
+// Sink returns the rh.Sink folding channel ch's serve and block events
+// (the other kinds are the telemetry Recorder's).
+func (r *BlameRecorder) Sink(ch int) rh.Sink { return &chanBlame{r: r, ch: ch} }
 
 type chanBlame struct {
 	r  *BlameRecorder
 	ch int
 }
 
-func (p *chanBlame) BlameServe(ev ServeEvent) { p.r.serve(p.ch, ev) }
-
-func (p *chanBlame) BlameBlock(bank int, from, to dram.Cycle, cause BlameCause, culprit int) {
-	r := p.r
-	led := &r.banks[p.ch*r.cfg.BanksPerChannel+bank]
-	led.prune(r.floors[p.ch])
-	led.claim(from, to, cause, int16(culprit))
+func (p *chanBlame) Event(e rh.Event) {
+	switch e.Kind {
+	case rh.EvServe:
+		p.r.serve(p.ch, e)
+	case rh.EvBlock:
+		r := p.r
+		led := &r.banks[p.ch*r.cfg.BanksPerChannel+e.Bank]
+		led.prune(r.floors[p.ch])
+		led.claim(e.At, e.Until, blockCauses[e.Cause], int16(e.Core))
+	}
 }
 
-// serve handles one ServeEvent: decompose the waiter's delay (demand
-// reads only — the core-visible wait TotalReadWait accounts), claim
-// the service interval, and advance the pruning watermark.
-func (r *BlameRecorder) serve(ch int, ev ServeEvent) {
-	led := &r.banks[ch*r.cfg.BanksPerChannel+ev.Bank]
+// serve handles one serve event: decompose the waiter's delay (demand
+// reads only — the core-visible wait TotalReadWait accounts), claim the
+// service interval, record the bank's new opener, and advance the
+// pruning watermark.
+func (r *BlameRecorder) serve(ch int, ev rh.Event) {
+	b := ch*r.cfg.BanksPerChannel + ev.Bank
+	led := &r.banks[b]
 	if !ev.Injected && !ev.IsWrite && ev.Core >= 0 {
-		r.decompose(ev, led)
+		r.decompose(ev, r.openers[b], led)
 	}
-	cause, culprit := CauseServeDemand, ev.Core
+	cause, culprit := causeServeDemand, ev.Core
 	if ev.Injected {
-		cause, culprit = CauseServeInject, -2
+		cause, culprit = causeServeInject, -2
+	}
+	if ev.Extra > 0 { // the serve activated its row
+		r.openers[b] = int16(culprit)
 	}
 	led.prune(r.floors[ch])
-	led.claim(ev.Start, ev.DataEnd, cause, int16(culprit))
+	led.claim(ev.At, ev.Until, cause, int16(culprit))
 	if ev.MinEnqueued > r.floors[ch] {
 		r.floors[ch] = ev.MinEnqueued
 	}
 }
 
-// decompose splits one demand read's [Enqueued, DataEnd) wait into
-// blame buckets: ledger overlaps for the queue part, throttle/sched
-// for the uncovered gaps, intrinsic+extra for the service part. The
-// pieces tile the wait exactly, which is what makes the grand-total
-// conservation against TotalReadWait an equality.
-func (r *BlameRecorder) decompose(ev ServeEvent, led *bankLedger) {
+// decompose splits one demand read's [Enqueued, Until) wait into blame
+// buckets: ledger overlaps for the queue part, throttle/sched for the
+// uncovered gaps, intrinsic+extra for the service part, a conflict's
+// extra charged to opener. The pieces tile the wait exactly, which is
+// what makes the grand-total conservation against TotalReadWait an
+// equality.
+func (r *BlameRecorder) decompose(ev rh.Event, opener int16, led *bankLedger) {
 	v := ev.Core
-	// Queue part [Enqueued, Start): ledger segments, gaps in between.
+	// Queue part [Enqueued, At): ledger segments, gaps in between.
 	i := 0
 	for i < len(led.segs) && led.segs[i].to <= ev.Enqueued {
 		i++
 	}
 	cur := ev.Enqueued
-	for ; i < len(led.segs) && cur < ev.Start; i++ {
+	for ; i < len(led.segs) && cur < ev.At; i++ {
 		s := led.segs[i]
-		if s.from >= ev.Start {
+		if s.from >= ev.At {
 			break
 		}
 		if s.from > cur {
-			r.gap(v, ev, cur, s.from)
+			r.gap(v, ev.ThrottleFree, cur, s.from)
 			cur = s.from
 		}
 		end := s.to
-		if end > ev.Start {
-			end = ev.Start
+		if end > ev.At {
+			end = ev.At
 		}
 		if end > cur {
 			r.addAttr(v, s.cause.bucket(), cur, end)
@@ -552,32 +534,32 @@ func (r *BlameRecorder) decompose(ev ServeEvent, led *bankLedger) {
 			cur = end
 		}
 	}
-	if cur < ev.Start {
-		r.gap(v, ev, cur, ev.Start)
+	if cur < ev.At {
+		r.gap(v, ev.ThrottleFree, cur, ev.At)
 	}
-	// Service part [Start, DataEnd): the extra (conflict/closed
+	// Service part [At, Until): the extra (conflict/closed
 	// activate cost) first — the precharge+activate physically precede
 	// the column access — then the intrinsic floor.
 	if ev.Extra > 0 {
 		b := bucketIntrinsic // closed-bank activate: nobody's fault
 		if ev.Conflict {
 			b = bucketConflict
-			if ev.Opener == -2 {
+			if opener == -2 {
 				b = bucketInject
-			} else if ev.Opener >= 0 {
-				r.matrix[v][ev.Opener] += uint64(ev.Extra)
+			} else if opener >= 0 {
+				r.matrix[v][opener] += uint64(ev.Extra)
 			}
 		}
-		r.addAttr(v, b, ev.Start, ev.Start+ev.Extra)
+		r.addAttr(v, b, ev.At, ev.At+ev.Extra)
 	}
-	r.addAttr(v, bucketIntrinsic, ev.Start+ev.Extra, ev.DataEnd)
+	r.addAttr(v, bucketIntrinsic, ev.At+ev.Extra, ev.Until)
 }
 
 // gap attributes an uncovered queue gap: the throttle-gated prefix to
 // Throttle, the rest to Sched.
-func (r *BlameRecorder) gap(v int, ev ServeEvent, from, to dram.Cycle) {
-	if ev.ThrottleFree > from {
-		te := ev.ThrottleFree
+func (r *BlameRecorder) gap(v int, throttleFree, from, to dram.Cycle) {
+	if throttleFree > from {
+		te := throttleFree
 		if te > to {
 			te = to
 		}

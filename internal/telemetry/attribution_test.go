@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dapper/internal/dram"
+	"dapper/internal/rh"
 )
 
 func segs(l *bankLedger) []blameSeg { return l.segs }
@@ -14,29 +15,29 @@ func segs(l *bankLedger) []blameSeg { return l.segs }
 // cycles, so decompositions over the ledger never double-charge.
 func TestBankLedgerClaimComplement(t *testing.T) {
 	var l bankLedger
-	l.claim(10, 20, CauseServeDemand, 0)
-	l.claim(30, 40, CauseVRR, 1)
+	l.claim(10, 20, causeServeDemand, 0)
+	l.claim(30, 40, causeMitigation, 1)
 	// Overlaps both existing segments and the gaps around them: only
 	// [5,10), [20,30) and [40,45) are still unclaimed.
-	l.claim(5, 45, CauseREF, -1)
+	l.claim(5, 45, causeREF, -1)
 	want := []blameSeg{
-		{from: 5, to: 10, culprit: -1, cause: CauseREF},
-		{from: 10, to: 20, culprit: 0, cause: CauseServeDemand},
-		{from: 20, to: 30, culprit: -1, cause: CauseREF},
-		{from: 30, to: 40, culprit: 1, cause: CauseVRR},
-		{from: 40, to: 45, culprit: -1, cause: CauseREF},
+		{from: 5, to: 10, culprit: -1, cause: causeREF},
+		{from: 10, to: 20, culprit: 0, cause: causeServeDemand},
+		{from: 20, to: 30, culprit: -1, cause: causeREF},
+		{from: 30, to: 40, culprit: 1, cause: causeMitigation},
+		{from: 40, to: 45, culprit: -1, cause: causeREF},
 	}
 	if !reflect.DeepEqual(segs(&l), want) {
 		t.Fatalf("ledger after overlapping claim:\n got  %+v\n want %+v", segs(&l), want)
 	}
 	// Fully covered claim adds nothing.
-	l.claim(12, 38, CauseBulk, 2)
+	l.claim(12, 38, causeBulk, 2)
 	if !reflect.DeepEqual(segs(&l), want) {
 		t.Fatalf("fully-covered claim mutated the ledger: %+v", segs(&l))
 	}
 	// Fast path: append at or after the last end.
-	l.claim(45, 50, CauseServeInject, -2)
-	if got := segs(&l)[len(segs(&l))-1]; got != (blameSeg{from: 45, to: 50, culprit: -2, cause: CauseServeInject}) {
+	l.claim(45, 50, causeServeInject, -2)
+	if got := segs(&l)[len(segs(&l))-1]; got != (blameSeg{from: 45, to: 50, culprit: -2, cause: causeServeInject}) {
 		t.Fatalf("append fast path: %+v", got)
 	}
 }
@@ -47,11 +48,11 @@ func TestBankLedgerClaimComplement(t *testing.T) {
 // slot in ahead of it, keeping the ledger sorted.
 func TestBankLedgerFutureDatedBlock(t *testing.T) {
 	var l bankLedger
-	l.claim(100, 150, CauseVRR, 3) // future-dated mitigation
-	l.claim(20, 60, CauseREF, -1)  // lands before it
+	l.claim(100, 150, causeMitigation, 3) // future-dated mitigation
+	l.claim(20, 60, causeREF, -1)         // lands before it
 	want := []blameSeg{
-		{from: 20, to: 60, culprit: -1, cause: CauseREF},
-		{from: 100, to: 150, culprit: 3, cause: CauseVRR},
+		{from: 20, to: 60, culprit: -1, cause: causeREF},
+		{from: 100, to: 150, culprit: 3, cause: causeMitigation},
 	}
 	if !reflect.DeepEqual(segs(&l), want) {
 		t.Fatalf("out-of-order claim:\n got  %+v\n want %+v", segs(&l), want)
@@ -62,11 +63,11 @@ func TestBankLedgerFutureDatedBlock(t *testing.T) {
 // before the floor vanish, segments straddling it survive whole.
 func TestBankLedgerPrune(t *testing.T) {
 	var l bankLedger
-	l.claim(0, 10, CauseServeDemand, 0)
-	l.claim(10, 20, CauseREF, -1)
-	l.claim(30, 50, CauseVRR, 1)
+	l.claim(0, 10, causeServeDemand, 0)
+	l.claim(10, 20, causeREF, -1)
+	l.claim(30, 50, causeMitigation, 1)
 	l.prune(25)
-	want := []blameSeg{{from: 30, to: 50, culprit: 1, cause: CauseVRR}}
+	want := []blameSeg{{from: 30, to: 50, culprit: 1, cause: causeMitigation}}
 	if !reflect.DeepEqual(segs(&l), want) {
 		t.Fatalf("prune(25):\n got  %+v\n want %+v", segs(&l), want)
 	}
@@ -94,16 +95,17 @@ func newTestRecorder(t *testing.T, window, end dram.Cycle) *BlameRecorder {
 // conflict extra charged to the opener, and the intrinsic floor.
 func TestBlameRecorderDecomposition(t *testing.T) {
 	r := newTestRecorder(t, 0, 1000)
-	p := r.Probe(0)
-	// Core 1's serve occupies [0,30); a VRR triggered by core 1 blocks
-	// [30,50); core 0's request, enqueued at 0, waits through both, a
-	// throttle window to 60, a sched gap to 70, then pays a conflict
-	// (opener = core 1) and serves.
-	p.BlameServe(ServeEvent{Bank: 0, Core: 1, Enqueued: 0, Start: 0, DataEnd: 30, MinEnqueued: 0})
-	p.BlameBlock(0, 30, 50, CauseVRR, 1)
-	p.BlameServe(ServeEvent{
-		Bank: 0, Core: 0, Enqueued: 0, Start: 70, DataEnd: 100,
-		Extra: 12, Conflict: true, Opener: 1, ThrottleFree: 60, MinEnqueued: 70,
+	p := r.Sink(0)
+	// Core 1's serve occupies [0,30) and opens the row (it activated:
+	// Extra > 0); a VRR triggered by core 1 blocks [30,50); core 0's
+	// request, enqueued at 0, waits through both, a throttle window to
+	// 60, a sched gap to 70, then pays a conflict (opener = core 1) and
+	// serves.
+	p.Event(rh.Event{Kind: rh.EvServe, Bank: 0, Core: 1, Enqueued: 0, At: 0, Until: 30, Extra: 12})
+	p.Event(rh.Event{Kind: rh.EvBlock, Bank: 0, At: 30, Until: 50, Cause: rh.BlockMitigation, Core: 1})
+	p.Event(rh.Event{
+		Kind: rh.EvServe, Bank: 0, Core: 0, Enqueued: 0, At: 70, Until: 100,
+		Extra: 12, Conflict: true, ThrottleFree: 60, MinEnqueued: 70,
 	})
 	a := r.Finish()
 	m := a.Cores[0].Mem
@@ -138,11 +140,13 @@ func TestBlameRecorderDecomposition(t *testing.T) {
 // was injected both land in Inject, and neither enters the matrix.
 func TestBlameRecorderInjectBlame(t *testing.T) {
 	r := newTestRecorder(t, 0, 1000)
-	p := r.Probe(0)
-	p.BlameServe(ServeEvent{Bank: 0, Core: -1, Injected: true, Enqueued: 0, Start: 0, DataEnd: 25, MinEnqueued: 0})
-	p.BlameServe(ServeEvent{
-		Bank: 0, Core: 0, Enqueued: 0, Start: 25, DataEnd: 60,
-		Extra: 15, Conflict: true, Opener: -2, MinEnqueued: 25,
+	p := r.Sink(0)
+	// The injected serve activates (Extra > 0), so it opens the row
+	// core 0 then conflicts with.
+	p.Event(rh.Event{Kind: rh.EvServe, Bank: 0, Core: -1, Injected: true, Enqueued: 0, At: 0, Until: 25, Extra: 15})
+	p.Event(rh.Event{
+		Kind: rh.EvServe, Bank: 0, Core: 0, Enqueued: 0, At: 25, Until: 60,
+		Extra: 15, Conflict: true, MinEnqueued: 25,
 	})
 	a := r.Finish()
 	m := a.Cores[0].Mem
@@ -165,11 +169,11 @@ func TestBlameRecorderInjectBlame(t *testing.T) {
 // exactly at window boundaries, and window sums equal the grand totals.
 func TestBlameRecorderWindowFold(t *testing.T) {
 	r := newTestRecorder(t, 100, 300)
-	p := r.Probe(0)
+	p := r.Sink(0)
 	// Core 0 queues behind core 1's serve spanning two windows, then
 	// serves across the second boundary.
-	p.BlameServe(ServeEvent{Bank: 0, Core: 1, Enqueued: 50, Start: 50, DataEnd: 150, MinEnqueued: 50})
-	p.BlameServe(ServeEvent{Bank: 0, Core: 0, Enqueued: 50, Start: 150, DataEnd: 250, MinEnqueued: 150})
+	p.Event(rh.Event{Kind: rh.EvServe, Bank: 0, Core: 1, Enqueued: 50, At: 50, Until: 150, MinEnqueued: 50})
+	p.Event(rh.Event{Kind: rh.EvServe, Bank: 0, Core: 0, Enqueued: 50, At: 150, Until: 250, MinEnqueued: 150})
 	ws := r.WindowSeries()
 	a := r.Finish()
 	m := a.Cores[0].Mem
@@ -192,12 +196,12 @@ func TestBlameRecorderWindowFold(t *testing.T) {
 // past it — and window sums still equal the grand totals exactly.
 func TestBlameRecorderEndLump(t *testing.T) {
 	r := newTestRecorder(t, 100, 200)
-	p := r.Probe(0)
+	p := r.Sink(0)
 	// Serve straddling the end: intrinsic [150,260) has 50 in-window
 	// cycles and 60 past the cutoff.
-	p.BlameServe(ServeEvent{Bank: 0, Core: 0, Enqueued: 150, Start: 150, DataEnd: 260, MinEnqueued: 150})
+	p.Event(rh.Event{Kind: rh.EvServe, Bank: 0, Core: 0, Enqueued: 150, At: 150, Until: 260, MinEnqueued: 150})
 	// A second read whose whole service lies past the end.
-	p.BlameServe(ServeEvent{Bank: 0, Core: 0, Enqueued: 260, Start: 260, DataEnd: 300, MinEnqueued: 260})
+	p.Event(rh.Event{Kind: rh.EvServe, Bank: 0, Core: 0, Enqueued: 260, At: 260, Until: 300, MinEnqueued: 260})
 	ws := r.WindowSeries()
 	a := r.Finish()
 	m := a.Cores[0].Mem

@@ -30,12 +30,11 @@ type RecorderConfig struct {
 }
 
 // Recorder folds the in-sim event stream into a windowed Series. It is
-// wired per component: Observer(ch) and ControllerProbe(ch) attach to
-// channel ch's memory controller, CoreProbe(i) to core i. All methods
-// are single-threaded (the simulator is), and every fold is plain cycle
-// arithmetic on event timestamps — no wall clock, no sampling — so the
-// result depends only on the event stream, which both engines emit
-// identically.
+// wired per component: Sink(ch) attaches to channel ch's memory
+// controller, CoreProbe(i) to core i. All methods are single-threaded
+// (the simulator is), and every fold is plain cycle arithmetic on event
+// timestamps — no wall clock, no sampling — so the result depends only
+// on the event stream, which both engines emit identically.
 type Recorder struct {
 	cfg  RecorderConfig
 	nWin int
@@ -180,90 +179,67 @@ func (r *Recorder) catchUpOcc(c *chanAcc, t dram.Cycle) {
 	c.occAt = t
 }
 
-// --- rh.Observer wiring ---
+// --- rh.Sink wiring ---
 
-type chanObserver struct {
+type chanSink struct {
 	r  *Recorder
 	ch int
 }
 
-// Observer returns the rh.Observer tap folding channel ch's activation,
-// mitigation and refresh stream into the Series. Compose it with other
-// observers (e.g. the security oracle) via rh.Tee.
-func (r *Recorder) Observer(ch int) rh.Observer { return &chanObserver{r: r, ch: ch} }
+// Sink returns the rh.Sink folding channel ch's activations,
+// mitigations, refreshes, sweeps, queue samples and table samples into
+// the Series (serve and block events are the BlameRecorder's). Compose
+// it with other sinks (e.g. the security oracle) via rh.Tee.
+func (r *Recorder) Sink(ch int) rh.Sink { return &chanSink{r: r, ch: ch} }
 
-// ObserveACT folds one activation; it runs once per ACT whenever
-// telemetry is on, so it must stay allocation-free (//dapper:hot).
+// Event folds one controller event; it runs once per ACT and per queue
+// change whenever telemetry is on, so it must stay allocation-free
+// (//dapper:hot).
 //
 //dapper:hot
-func (o *chanObserver) ObserveACT(now dram.Cycle, loc dram.Loc, injected bool) {
-	c := &o.r.channels[o.ch]
-	w := o.r.windowOf(now)
-	if injected {
-		c.injACT[w]++
-		o.r.totals.InjACT++
-	} else {
-		c.demandACT[w]++
-		o.r.totals.DemandACT++
+func (s *chanSink) Event(e rh.Event) {
+	r := s.r
+	c := &r.channels[s.ch]
+	switch e.Kind {
+	case rh.EvACT:
+		w := r.windowOf(e.At)
+		if e.Injected {
+			c.injACT[w]++
+			r.totals.InjACT++
+		} else {
+			c.demandACT[w]++
+			r.totals.DemandACT++
+		}
+	case rh.EvMitigation:
+		w := r.windowOf(e.At)
+		switch e.Action {
+		case rh.RefreshVictimsRFMsb:
+			c.rfmsb[w]++
+			r.totals.RFMsb++
+		case rh.RefreshVictimsDRFMsb:
+			c.drfmsb[w]++
+			r.totals.DRFMsb++
+		default:
+			c.vrr[w]++
+			r.totals.VRR++
+		}
+	case rh.EvRefresh:
+		c.ref[r.windowOf(e.At)]++
+		r.totals.REF++
+	case rh.EvBulk:
+		c.bulk[r.windowOf(e.At)]++
+		r.totals.Bulk++
+	case rh.EvQueue:
+		r.catchUpOcc(c, e.At)
+		c.demandLevel, c.injLevel = e.Demand, e.InjectedQueue
+	case rh.EvTable:
+		w := r.windowOf(e.At)
+		c.hasTable = true
+		c.tableSeen[w] = true
+		c.tableUsed[w] = e.Table.Used
+		c.tableResets[w] = e.Table.Resets
+		c.tableCap = e.Table.Capacity
 	}
-}
-
-//dapper:hot
-func (o *chanObserver) ObserveMitigation(now dram.Cycle, kind rh.ActionKind, loc dram.Loc, row uint32) {
-	c := &o.r.channels[o.ch]
-	w := o.r.windowOf(now)
-	switch kind {
-	case rh.RefreshVictimsRFMsb:
-		c.rfmsb[w]++
-		o.r.totals.RFMsb++
-	case rh.RefreshVictimsDRFMsb:
-		c.drfmsb[w]++
-		o.r.totals.DRFMsb++
-	default:
-		c.vrr[w]++
-		o.r.totals.VRR++
-	}
-}
-
-//dapper:hot
-func (o *chanObserver) ObserveRefresh(now dram.Cycle, rank int) {
-	o.r.channels[o.ch].ref[o.r.windowOf(now)]++
-	o.r.totals.REF++
-}
-
-//dapper:hot
-func (o *chanObserver) ObserveBulkRefresh(now dram.Cycle, rank int) {
-	o.r.channels[o.ch].bulk[o.r.windowOf(now)]++
-	o.r.totals.Bulk++
-}
-
-// --- ControllerProbe wiring ---
-
-type ctrlProbe struct {
-	r  *Recorder
-	ch int
-}
-
-// ControllerProbe returns the probe folding channel ch's queue and
-// tracker-table samples.
-func (r *Recorder) ControllerProbe(ch int) ControllerProbe { return &ctrlProbe{r: r, ch: ch} }
-
-//dapper:hot
-func (p *ctrlProbe) QueueSample(now dram.Cycle, demand, injected int) {
-	c := &p.r.channels[p.ch]
-	p.r.catchUpOcc(c, now)
-	c.demandLevel, c.injLevel = demand, injected
-}
-
-//dapper:hot
-func (p *ctrlProbe) TableSample(now dram.Cycle, used, capacity int, resets uint64) {
-	c := &p.r.channels[p.ch]
-	w := p.r.windowOf(now)
-	c.hasTable = true
-	c.tableSeen[w] = true
-	c.tableUsed[w] = used
-	c.tableResets[w] = resets
-	c.tableCap = capacity
 }
 
 // --- CoreProbe wiring ---
@@ -317,10 +293,6 @@ func (p *coreProbe) CoreSegment(from, to dram.Cycle, retired uint64, dispCycles 
 	p.r.totals.Retired += retired
 	p.r.totals.Stalls += uint64((to - from) - dispCycles)
 }
-
-// Totals returns the grand totals accumulated so far (the conservation
-// oracle sim.Run checks against the DRAM counters).
-func (r *Recorder) Totals() Totals { return r.totals }
 
 // Finish closes all integrators at the run end and assembles the
 // Series. Call exactly once, after the last event.

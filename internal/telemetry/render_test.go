@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"dapper/internal/dram"
 	"dapper/internal/rh"
 )
 
@@ -19,10 +18,10 @@ func renderFixture(t *testing.T) *Series {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := rec.Observer(0)
-	obs.ObserveACT(3, dram.Loc{}, false)
-	obs.ObserveMitigation(12, rh.RefreshVictims, dram.Loc{}, 1)
-	rec.ControllerProbe(0).TableSample(5, 2, 8, 0)
+	sink := rec.Sink(0)
+	sink.Event(rh.Event{Kind: rh.EvACT, At: 3})
+	sink.Event(rh.Event{Kind: rh.EvMitigation, At: 12, Action: rh.RefreshVictims, Row: 1})
+	sink.Event(rh.Event{Kind: rh.EvTable, At: 5, Table: rh.TableOccupancy{Used: 2, Capacity: 8}})
 	rec.CoreProbe(0).CoreSegment(0, 25, 25, 20, false)
 	return rec.Finish()
 }

@@ -11,9 +11,8 @@
 // Recorder closes windows by cycle arithmetic, so the event and cycle
 // engines produce byte-identical Series and two runs with the same seed
 // and configuration are byte-identical too. Collection rides the
-// existing rh.Observer controller tap plus the small symmetric Probe
-// hooks on mem.Controller and cpu.Core — the first concrete step toward
-// the plugin observer architecture on the roadmap.
+// controller's one rh.Sink event stream (teed with the security oracle
+// and the attribution layer) plus the CoreProbe hook on cpu.Core.
 //
 // Harness level (wall-clock): a Tracer records per-job spans (queue
 // wait, execution on a worker lane, cache hits, sink flush) from
@@ -28,28 +27,6 @@ import (
 
 	"dapper/internal/dram"
 )
-
-// ControllerProbe receives one memory-channel controller's telemetry
-// events. Symmetric to rh.Observer but for performance-side state the
-// observer deliberately does not expose. Implementations need no
-// locking (controllers are single-threaded); a nil probe disables
-// collection at zero cost on the scheduling hot path.
-type ControllerProbe interface {
-	// QueueSample fires whenever the controller's queue population
-	// changes: demand is the bounded core-request queue length, injected
-	// the tracker counter-traffic queue length. now is the cycle the
-	// change applies at; samples may arrive with slightly out-of-order
-	// timestamps (injected counter traffic is enqueued at its future
-	// activation-apply time), and consumers must clamp monotonically —
-	// both engines emit the identical sequence, so any deterministic
-	// clamping rule preserves engine equivalence.
-	QueueSample(now dram.Cycle, demand, injected int)
-	// TableSample fires after each tracker periodic tick (tREFI cadence)
-	// for trackers exposing rh.TableReporter: a point-in-time snapshot
-	// of the tracker's counting-structure occupancy and its cumulative
-	// reset count.
-	TableSample(now dram.Cycle, used, capacity int, resets uint64)
-}
 
 // CoreProbe receives one core's retirement progress as exact segments.
 type CoreProbe interface {

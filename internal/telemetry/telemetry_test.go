@@ -107,17 +107,21 @@ func TestSingleCycleSegmentsMatchFold(t *testing.T) {
 
 func TestObserverEventsAndClamping(t *testing.T) {
 	r := mustRecorder(t, RecorderConfig{Cores: 1, Channels: 2, Window: 10, End: 30})
-	o0 := r.Observer(0)
-	o1 := r.Observer(1)
-	o0.ObserveACT(0, dram.Loc{}, false)
-	o0.ObserveACT(12, dram.Loc{}, true)
-	o0.ObserveACT(35, dram.Loc{}, false) // past End → final window
-	o1.ObserveACT(-1, dram.Loc{}, false) // before 0 → first window
-	o0.ObserveMitigation(9, rh.RefreshVictims, dram.Loc{}, 0)
-	o0.ObserveMitigation(19, rh.RefreshVictimsRFMsb, dram.Loc{}, 0)
-	o1.ObserveMitigation(29, rh.RefreshVictimsDRFMsb, dram.Loc{}, 0)
-	o0.ObserveRefresh(15, 0)
-	o1.ObserveBulkRefresh(25, 1)
+	s0 := r.Sink(0)
+	s1 := r.Sink(1)
+	s0.Event(rh.Event{Kind: rh.EvACT, At: 0})
+	s0.Event(rh.Event{Kind: rh.EvACT, At: 12, Injected: true})
+	s0.Event(rh.Event{Kind: rh.EvACT, At: 35}) // past End → final window
+	s1.Event(rh.Event{Kind: rh.EvACT, At: -1}) // before 0 → first window
+	s0.Event(rh.Event{Kind: rh.EvMitigation, At: 9, Action: rh.RefreshVictims})
+	s0.Event(rh.Event{Kind: rh.EvMitigation, At: 19, Action: rh.RefreshVictimsRFMsb})
+	s1.Event(rh.Event{Kind: rh.EvMitigation, At: 29, Action: rh.RefreshVictimsDRFMsb})
+	s0.Event(rh.Event{Kind: rh.EvRefresh, At: 15})
+	s1.Event(rh.Event{Kind: rh.EvBulk, At: 25, Rank: 1})
+	// Serve and block events are the blame fold's: they leave the
+	// Series untouched.
+	s0.Event(rh.Event{Kind: rh.EvServe, At: 3, Until: 9})
+	s0.Event(rh.Event{Kind: rh.EvBlock, At: 3, Until: 9})
 
 	s := r.Finish()
 	ch0, ch1 := s.Channels[0], s.Channels[1]
@@ -144,11 +148,11 @@ func TestObserverEventsAndClamping(t *testing.T) {
 
 func TestQueueOccupancyIntegration(t *testing.T) {
 	r := mustRecorder(t, RecorderConfig{Cores: 1, Channels: 1, Window: 10, End: 30})
-	p := r.ControllerProbe(0)
+	p := r.Sink(0)
 	// Level 0 until cycle 5, then 3 demand / 1 injected until 18, then
 	// 2/0 until run end.
-	p.QueueSample(5, 3, 1)
-	p.QueueSample(18, 2, 0)
+	p.Event(rh.Event{Kind: rh.EvQueue, At: 5, Demand: 3, InjectedQueue: 1})
+	p.Event(rh.Event{Kind: rh.EvQueue, At: 18, Demand: 2})
 	s := r.Finish()
 	ch := s.Channels[0]
 	// Demand: [5,10)*3=15 in w0; [10,18)*3 + [18,20)*2 = 28 in w1; [20,30)*2=20 in w2.
@@ -167,9 +171,9 @@ func TestQueueOccupancyClampsBackwardTimestamps(t *testing.T) {
 	// later demand event can then arrive with an earlier timestamp. The
 	// integrator must clamp monotonically, not go backward.
 	r := mustRecorder(t, RecorderConfig{Cores: 1, Channels: 1, Window: 10, End: 20})
-	p := r.ControllerProbe(0)
-	p.QueueSample(12, 4, 0)
-	p.QueueSample(8, 1, 0) // timestamp before the integrator head: level applies from 12
+	p := r.Sink(0)
+	p.Event(rh.Event{Kind: rh.EvQueue, At: 12, Demand: 4})
+	p.Event(rh.Event{Kind: rh.EvQueue, At: 8, Demand: 1}) // timestamp before the integrator head: level applies from 12
 	s := r.Finish()
 	ch := s.Channels[0]
 	// [0,12) level 0, then the clamped sample sets level 1 from 12 on:
@@ -181,9 +185,9 @@ func TestQueueOccupancyClampsBackwardTimestamps(t *testing.T) {
 
 func TestQueueOccupancyPastEndClamped(t *testing.T) {
 	r := mustRecorder(t, RecorderConfig{Cores: 1, Channels: 1, Window: 10, End: 20})
-	p := r.ControllerProbe(0)
-	p.QueueSample(15, 2, 0)
-	p.QueueSample(99, 7, 7) // past End: integrates [15,20) at level 2, then nothing
+	p := r.Sink(0)
+	p.Event(rh.Event{Kind: rh.EvQueue, At: 15, Demand: 2})
+	p.Event(rh.Event{Kind: rh.EvQueue, At: 99, Demand: 7, InjectedQueue: 7}) // past End: integrates [15,20) at level 2, then nothing
 	s := r.Finish()
 	ch := s.Channels[0]
 	if ch.QueueOccCycles[1] != 10 || ch.QueueOccCycles[0] != 0 {
@@ -196,10 +200,10 @@ func TestQueueOccupancyPastEndClamped(t *testing.T) {
 
 func TestTableSamplesForwardFill(t *testing.T) {
 	r := mustRecorder(t, RecorderConfig{Cores: 1, Channels: 1, Window: 10, End: 50})
-	p := r.ControllerProbe(0)
-	p.TableSample(12, 5, 64, 0)
-	p.TableSample(17, 7, 64, 0) // same window: last sample wins
-	p.TableSample(34, 2, 64, 1)
+	p := r.Sink(0)
+	p.Event(rh.Event{Kind: rh.EvTable, At: 12, Table: rh.TableOccupancy{Used: 5, Capacity: 64}})
+	p.Event(rh.Event{Kind: rh.EvTable, At: 17, Table: rh.TableOccupancy{Used: 7, Capacity: 64}}) // same window: last sample wins
+	p.Event(rh.Event{Kind: rh.EvTable, At: 34, Table: rh.TableOccupancy{Used: 2, Capacity: 64, Resets: 1}})
 	s := r.Finish()
 	ch := s.Channels[0]
 	wantUsed := []int{-1, 7, 7, 2, 2}
@@ -247,7 +251,7 @@ func contains(s, sub string) bool {
 func TestValidateCatchesCorruption(t *testing.T) {
 	build := func() *Series {
 		r := mustRecorder(t, RecorderConfig{Cores: 1, Channels: 1, Window: 10, End: 30})
-		r.Observer(0).ObserveACT(5, dram.Loc{}, false)
+		r.Sink(0).Event(rh.Event{Kind: rh.EvACT, At: 5})
 		r.CoreProbe(0).CoreSegment(0, 10, 20, 10, false)
 		return r.Finish()
 	}

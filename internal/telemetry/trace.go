@@ -58,13 +58,6 @@ func (t *Tracer) Span(lane int, name, cat string, start, end time.Time, args map
 	t.mu.Unlock()
 }
 
-// SpanCount returns the number of spans recorded so far.
-func (t *Tracer) SpanCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
-}
-
 // chromeEvent is one entry of the Chrome trace-event format (the JSON
 // array flavor; "X" = complete span, "M" = metadata).
 type chromeEvent struct {
