@@ -71,26 +71,28 @@ mix-smoke:
 	$(GO) run ./cmd/dapper mix -profile tiny -mixes 2 -cores 4 -attackers 2 -attack hammer -tracker all -nrh 125 -seed 1 -audit -check -out mix-smoke
 
 # Telemetry smoke: one small windowed run rendered to
-# telemetry-smoke/timeline.{jsonl,csv} with -check gating the series
+# telemetry-smoke/timeline-dapper-h.{jsonl,csv,txt} plus
+# timeline-dapper-h-matrix.csv, with -check gating the series
 # invariants (monotone window grid, per-window sums equal to grand
-# totals, ACT/mitigation conservation against the final DRAM counters)
-# and cross-engine byte equality of the series — then a tiny batch
-# sweep with the harness tracer attached, so telemetry-smoke/tel/
-# carries a Perfetto-viewable trace.json CI uploads as an artifact.
+# totals, ACT/mitigation containment against the DRAM counters), the
+# attribution's conservation and cross-engine byte equality — then a
+# tiny batch sweep with the harness tracer attached, so
+# telemetry-smoke/tel/ carries a Perfetto-viewable trace.json CI uploads
+# as an artifact.
 telemetry-smoke:
 	$(GO) run ./cmd/dapper timeline -tracker dapper-h -attack refresh -nrh 500 -warmup 5 -measure 60 -window 10 -rows-per-bank 1024 -seed 1 -check -out telemetry-smoke
 	$(GO) run ./cmd/dapper batch -profile tiny -tracker dapper-h,none -workload 429.mcf -nrh 500 -attack refresh -window 10 -telemetry telemetry-smoke/tel -out telemetry-smoke
 
-# Slowdown-attribution smoke: every registered tracker attributed under
-# the focused hammer at NRH 125 on a reduced geometry (seconds).
-# -check gates conservation on each run (CPI stacks sum to cycles,
-# blame buckets sum exactly to memory wait, per window and grand
-# total) and cross-engine byte equality of the attribution and the
-# windowed stacks. blame-smoke/ holds per-tracker CPI-stack
-# JSONL/CSV/ASCII plus the core→core blame matrices; CI uploads the
-# directory as an artifact.
+# Slowdown-attribution smoke: the same timeline report for every
+# registered tracker under the focused hammer at NRH 125 on a reduced
+# geometry (seconds). -check gates conservation on each run (CPI stacks
+# sum to cycles, blame buckets sum exactly to memory wait, per window
+# and grand total) and cross-engine byte equality of the attribution
+# and the windowed stacks. blame-smoke/ holds per-tracker
+# timeline-<id>.{jsonl,csv,txt} plus the core→core blame matrices
+# (timeline-<id>-matrix.csv); CI uploads the directory as an artifact.
 blame-smoke:
-	$(GO) run ./cmd/dapper blame -tracker all -attack hammer -nrh 125 -rows-per-bank 1024 -warmup 5 -measure 60 -window 10 -seed 1 -check -out blame-smoke
+	$(GO) run ./cmd/dapper timeline -tracker all -attack hammer -nrh 125 -rows-per-bank 1024 -warmup 5 -measure 60 -window 10 -seed 1 -check -out blame-smoke
 
 # Batched sweep smoke: the same tiny sweep through both runners — the
 # lockstep batch runner (-batch: decode once, replay non-perturbing

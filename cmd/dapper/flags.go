@@ -98,7 +98,7 @@ var flagDefs = map[string]func(*flag.FlagSet, *cli){
 		fs.BoolVar(&c.check, "check", false, "turn the subcommand's correctness gates into a non-zero exit")
 	},
 	"format": func(fs *flag.FlagSet, c *cli) {
-		fs.StringVar(&c.format, "format", "all", "output format: jsonl, csv, ascii (blame only) or all")
+		fs.StringVar(&c.format, "format", "all", "timeline output: jsonl (series + attribution), csv (series + blame matrix), ascii (CPI and blame stacks) or all")
 	},
 	"exp": func(fs *flag.FlagSet, c *cli) {
 		fs.StringVar(&c.exp, "exp", "all", "experiment id (dapper list experiments) or 'all'")

@@ -11,8 +11,7 @@
 //	dapper mix -profile tiny -mixes 2 -attackers 2 -attack hammer -tracker all -audit -check
 //	dapper adversary -tracker hydra,comet -profile tiny -budget 10
 //	dapper sim -workload ycsb_a -tracker comet -attack rat-thrash
-//	dapper timeline -tracker dapper-h -attack refresh -check
-//	dapper blame -tracker dapper-h,none -attack hammer -nrh 125
+//	dapper timeline -tracker dapper-h,none -attack hammer -nrh 125 -check
 //	dapper attack -treset 18
 //	dapper engine-bench -check
 //	dapper list trackers|workloads|experiments
@@ -73,10 +72,8 @@ var commands = []command{
 		with([]string{"tracker", "workload", "nrh", "mode", "mix-cores", "intensive", "objective", "budget", "attr"}, poolFlags), runAdversary},
 	{"sim", "one simulation per tracker, printed as IPC, DRAM and tracker statistics",
 		runFlags, runSim},
-	{"timeline", "cycle-windowed time-series of one run to -out/timeline.{jsonl,csv}",
+	{"timeline", "one run per tracker as a windowed series, CPI stacks and blame matrix to -out/timeline-<tracker>.*",
 		with(runFlags, []string{"window", "out", "format", "check"}), runTimeline},
-	{"blame", "per-core CPI stacks and the interference blame matrix of one run per tracker",
-		with(runFlags, []string{"window", "out", "format", "check"}), runBlame},
 	{"attack", "analytic Mapping-Capturing attack tables and Monte-Carlo probes",
 		[]string{"treset", "groups", "trials", "seed"}, runAttack},
 	{"engine-bench", "time fig11 under both engines plus the batched runner into -out/BENCH_engine.json",

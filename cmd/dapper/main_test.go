@@ -1,10 +1,16 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"dapper/internal/telemetry"
 )
 
 // invoke runs one dapper invocation in process.
@@ -26,9 +32,9 @@ func TestBadInvocationsNameTheirFlag(t *testing.T) {
 		{[]string{"experiments", "-profile", "bogus"}, "-profile"},
 		{[]string{"batch", "-engine", "bogus"}, "-engine"},
 		{[]string{"timeline", "-engine", "bogus"}, "-engine"},
-		{[]string{"blame", "-tracker", "dapper-h,nosuch"}, "-tracker"},
+		{[]string{"timeline", "-tracker", "dapper-h,nosuch"}, "-tracker"},
 		{[]string{"sim", "-workload", "rep"}, "-workload"},
-		{[]string{"timeline", "-format", "ascii"}, "-format"},
+		{[]string{"timeline", "-format", "xml"}, "-format"},
 		{[]string{"experiments", "-exp", "fig99"}, "-exp"},
 		{[]string{"list", "nothing"}, "trackers, workloads, experiments"},
 		{[]string{"sim", "stray"}, `unexpected argument "stray"`},
@@ -37,7 +43,6 @@ func TestBadInvocationsNameTheirFlag(t *testing.T) {
 		{[]string{"sim", "-measure", "0"}, "-measure"},
 		{[]string{"sim", "-warmup", "0"}, "-warmup"},
 		{[]string{"timeline", "-window", "0.0001"}, "-window"},
-		{[]string{"blame", "-window", "0.0001"}, "-window"},
 		{[]string{"batch", "-profile", "tiny", "-window", "-1"}, "-window"},
 	}
 	for _, tc := range cases {
@@ -93,6 +98,86 @@ func TestSimAttackNoneRunsFourBenignCores(t *testing.T) {
 	}
 	if strings.Contains(stdout, "attacker") {
 		t.Errorf("benign-only run printed an attacker core:\n%s", stdout)
+	}
+}
+
+// TestTimelineReportCarriesSeriesAndBlame: one timeline run per tracker
+// writes all four report files, every "window" line carries the series
+// cells and the blame buckets together, and each bucket's window sum is
+// the core's whole-run total on its "core" line.
+func TestTimelineReportCarriesSeriesAndBlame(t *testing.T) {
+	out := t.TempDir()
+	code, stdout, stderr := invoke("timeline", "-tracker", "dapper-h,none", "-attack", "hammer", "-nrh", "125",
+		"-rows-per-bank", "1024", "-warmup", "5", "-measure", "20", "-window", "5", "-check", "-out", out)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	if n := strings.Count(stdout, "check passed"); n != 2 {
+		t.Errorf("%d check verdicts, want 2:\n%s", n, stdout)
+	}
+	for _, id := range []string{"dapper-h", "none"} {
+		for _, suffix := range []string{".jsonl", ".csv", ".txt", "-matrix.csv"} {
+			if _, err := os.Stat(filepath.Join(out, "timeline-"+id+suffix)); err != nil {
+				t.Errorf("%s: %v", id, err)
+			}
+		}
+		f, err := os.Open(filepath.Join(out, "timeline-"+id+".jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		var windows int
+		var sums []map[string]uint64
+		var cores []telemetry.MemBlame
+		sc := bufio.NewScanner(f)
+		sc.Buffer(nil, 1<<20)
+		for sc.Scan() {
+			var line struct {
+				Type  string
+				Cores []map[string]float64
+				Mem   telemetry.MemBlame
+			}
+			if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+				t.Fatal(err)
+			}
+			switch line.Type {
+			case "window":
+				windows++
+				if sums == nil {
+					sums = make([]map[string]uint64, len(line.Cores))
+					for i := range sums {
+						sums[i] = map[string]uint64{}
+					}
+				}
+				for i, cell := range line.Cores {
+					if _, ok := cell["ipc"]; !ok {
+						t.Errorf("%s window %d core %d has no ipc", id, windows-1, i)
+					}
+					for _, name := range telemetry.BlameBucketNames {
+						v, ok := cell[name]
+						if !ok {
+							t.Errorf("%s window %d core %d has no %s bucket", id, windows-1, i, name)
+						}
+						sums[i][name] += uint64(v)
+					}
+				}
+			case "core":
+				cores = append(cores, line.Mem)
+			}
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if windows != 5 || len(cores) != len(sums) {
+			t.Fatalf("%s: %d windows and %d core lines for %d cores, want 5 windows", id, windows, len(cores), len(sums))
+		}
+		for i, m := range cores {
+			for b, v := range m.Buckets() {
+				if name := telemetry.BlameBucketNames[b]; sums[i][name] != v {
+					t.Errorf("%s core %d %s: windows sum %d, core line %d", id, i, name, sums[i][name], v)
+				}
+			}
+		}
 	}
 }
 

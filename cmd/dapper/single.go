@@ -13,7 +13,7 @@ import (
 	"dapper/internal/telemetry"
 )
 
-// single is the one-run shape sim, timeline and blame share: three
+// single is the one-run shape sim and timeline share: three
 // benign copies of a workload plus the attacker on the fourth core, or
 // four benign copies when the attack is "none" — the same co-run the
 // paper's figures use.
@@ -132,7 +132,7 @@ func runSim(c *cli) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}
-		fmt.Fprintf(c.stdout, "workload=%s tracker=%s attack=%s NRH=%d window=%.0fus\n",
+		fmt.Fprintf(c.stdout, "workload=%s tracker=%s attack=%s NRH=%d measure=%gus\n",
 			s.run.Workload, res.TrackerNames[0], s.attack.Name, s.run.NRH, c.measure)
 		for i, ipc := range res.IPC {
 			role := "benign"
@@ -154,92 +154,19 @@ func runSim(c *cli) error {
 	return nil
 }
 
-// runTimeline renders each tracker's run as a cycle-windowed
-// time-series (per-core IPC and stall fraction, per-channel demand vs
-// injected ACT rate, mitigation rate by kind, queue and tracker-table
-// occupancy) to timeline.{jsonl,csv}, or timeline-<tracker>.* when
-// -tracker names several. -check re-verifies the series invariants,
-// gates ACT/mitigation conservation against the run's DRAM counters,
-// and replays the run on the other engine.
+// runTimeline renders each tracker's run as one report: the
+// cycle-windowed time-series (per-core IPC, stall split and memory-wait
+// blame; per-channel demand vs injected ACT rate, mitigation rate by
+// kind, queue and tracker-table occupancy), the per-core CPI stacks and
+// the core-to-core blame matrix, to timeline-<tracker>.{jsonl,csv,txt}
+// and timeline-<tracker>-matrix.csv. -check re-verifies the series
+// invariants and the attribution's conservation, gates the series
+// totals against the run's DRAM counters, and replays the run on the
+// other engine.
 func runTimeline(c *cli) error {
 	if c.window <= 0 {
 		return flagErr("window", fmt.Errorf("must be positive (microseconds), got %g", c.window))
 	}
-	if err := c.checkFormat("jsonl", "csv"); err != nil {
-		return err
-	}
-	s, err := c.resolveSingle()
-	if err != nil {
-		return err
-	}
-	for _, id := range s.trackers {
-		res, err := s.runChecked(id, c.check)
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-		ser := res.Series
-		if ser == nil {
-			return fmt.Errorf("%s: run produced no series (TelemetryWindow not plumbed?)", id)
-		}
-		if c.check {
-			if err := checkSeries(ser, res, s.run.Measure); err != nil {
-				return fmt.Errorf("%s: %w", id, err)
-			}
-			fmt.Fprintf(c.stdout, "check passed: %d windows, invariants hold, ACT conserved (%d), %s == %s byte-identical\n",
-				ser.NumWindows(), ser.Totals.DemandACT+ser.Totals.InjACT, s.run.Engine.OrDefault(), otherEngine(s.run.Engine))
-		}
-		name := "timeline"
-		if len(s.trackers) > 1 {
-			name += "-" + id
-		}
-		if c.wants("jsonl") {
-			if err := c.writeFile(name+".jsonl", func(w io.Writer) error { return telemetry.WriteSeriesJSONL(w, ser) }); err != nil {
-				return err
-			}
-		}
-		if c.wants("csv") {
-			if err := c.writeFile(name+".csv", func(w io.Writer) error { return telemetry.WriteSeriesCSV(w, ser) }); err != nil {
-				return err
-			}
-		}
-		fmt.Fprintf(c.stdout, "workload=%s tracker=%s attack=%s NRH=%d: %d windows of %dus over %d cycles (VRR=%d RFMsb=%d DRFMsb=%d bulk=%d)\n",
-			s.run.Workload, res.TrackerNames[0], s.attack.Name, s.run.NRH, ser.NumWindows(), int64(c.window),
-			ser.Cycles, ser.Totals.VRR, ser.Totals.RFMsb, ser.Totals.DRFMsb, ser.Totals.Bulk)
-	}
-	return nil
-}
-
-// checkSeries re-checks the window grid and the per-window sums against
-// the series' own grand totals; the exact grand-total-vs-DRAM-counter
-// gate already ran inside sim.Run. What remains checkable here is
-// containment: the series covers warmup + measure, so its totals can
-// never undercount the measure-only deltas in res.Counters.
-func checkSeries(ser *telemetry.Series, res sim.Result, measure dram.Cycle) error {
-	if err := ser.Validate(); err != nil {
-		return fmt.Errorf("series invariants: %w", err)
-	}
-	if ser.Cycles != ser.Warmup+measure {
-		return fmt.Errorf("series span %d != warmup %d + measure %d", ser.Cycles, ser.Warmup, measure)
-	}
-	if acts := ser.Totals.DemandACT + ser.Totals.InjACT; acts < res.Counters.ACT {
-		return fmt.Errorf("ACT conservation: whole-run series %d (demand %d + injected %d) < measure-window counter %d",
-			acts, ser.Totals.DemandACT, ser.Totals.InjACT, res.Counters.ACT)
-	}
-	if ser.Totals.VRR < res.Counters.VRR || ser.Totals.REF < res.Counters.REF {
-		return fmt.Errorf("mitigation conservation: series VRR=%d REF=%d < measure-window VRR=%d REF=%d",
-			ser.Totals.VRR, ser.Totals.REF, res.Counters.VRR, res.Counters.REF)
-	}
-	return nil
-}
-
-// runBlame answers "why is it slow?": one attribution-enabled run per
-// tracker, rendered as per-core CPI stacks, the memory-wait blame
-// breakdown and the core-to-core blame matrix (blame-<tracker>.{jsonl,
-// csv,txt} and blame-matrix-<tracker>.csv). -check validates the
-// attribution (CPI stacks partition cycles, blame buckets sum to each
-// core's wait), folds the windowed blame back onto the grand totals and
-// replays the run on the other engine.
-func runBlame(c *cli) error {
 	if err := c.checkFormat("jsonl", "csv", "ascii"); err != nil {
 		return err
 	}
@@ -253,32 +180,34 @@ func runBlame(c *cli) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}
-		a := res.Attribution
-		if a == nil {
-			return fmt.Errorf("%s: run produced no attribution (Config.Attribution not plumbed?)", id)
+		ser, a := res.Series, res.Attribution
+		if ser == nil || a == nil {
+			return fmt.Errorf("%s: run produced no series or no attribution", id)
 		}
-		verdict := ""
 		if c.check {
+			if err := checkSeries(ser, res, s.run.Measure); err != nil {
+				return fmt.Errorf("%s: %w", id, err)
+			}
 			if err := a.Validate(); err != nil {
 				return fmt.Errorf("%s: attribution invariants: %w", id, err)
 			}
-			if ser := res.Series; ser != nil {
-				if err := a.CheckSeries(ser); err != nil {
-					return fmt.Errorf("%s: windowed blame: %w", id, err)
-				}
+			if err := a.CheckSeries(ser); err != nil {
+				return fmt.Errorf("%s: windowed blame: %w", id, err)
 			}
-			verdict = " [check passed: conserved + engine byte-identical]"
+			fmt.Fprintf(c.stdout, "check passed: %d windows, invariants hold, ACT conserved (%d), blame conserved, %s == %s byte-identical\n",
+				ser.NumWindows(), ser.Totals.DemandACT+ser.Totals.InjACT, s.run.Engine.OrDefault(), otherEngine(s.run.Engine))
 		}
+		name := "timeline-" + id
 		if c.wants("jsonl") {
-			if err := c.writeFile("blame-"+id+".jsonl", func(w io.Writer) error { return telemetry.WriteBlameJSONL(w, a, res.Series) }); err != nil {
+			if err := c.writeFile(name+".jsonl", func(w io.Writer) error { return telemetry.WriteSeriesJSONL(w, ser, a) }); err != nil {
 				return err
 			}
 		}
 		if c.wants("csv") {
-			if err := c.writeFile("blame-"+id+".csv", func(w io.Writer) error { return telemetry.WriteBlameCSV(w, a) }); err != nil {
+			if err := c.writeFile(name+".csv", func(w io.Writer) error { return telemetry.WriteSeriesCSV(w, ser) }); err != nil {
 				return err
 			}
-			if err := c.writeFile("blame-matrix-"+id+".csv", func(w io.Writer) error { return telemetry.WriteBlameMatrixCSV(w, a) }); err != nil {
+			if err := c.writeFile(name+"-matrix.csv", func(w io.Writer) error { return telemetry.WriteBlameMatrixCSV(w, a) }); err != nil {
 				return err
 			}
 		}
@@ -291,19 +220,51 @@ func runBlame(c *cli) error {
 			if s.attack.Point.Kind != attack.None {
 				labels[len(labels)-1] = "!" + s.attack.Name
 			}
-			if err := c.writeFile("blame-"+id+".txt", func(w io.Writer) error { return telemetry.RenderBlameASCII(w, a, labels) }); err != nil {
+			if err := c.writeFile(name+".txt", func(w io.Writer) error { return telemetry.RenderBlameASCII(w, a, labels) }); err != nil {
 				return err
 			}
 		}
-		var benignWait, blameMit, blameInj uint64
+		var wait, mit, inj uint64
 		for _, core := range sim.BenignCores(len(a.Cores)) {
 			m := a.Cores[core].Mem
-			benignWait += m.Total
-			blameMit += m.Mitigation
-			blameInj += m.Inject
+			wait += m.Total
+			mit += m.Mitigation
+			inj += m.Inject
 		}
-		fmt.Fprintf(c.stdout, "%-12s attack=%s NRH=%d: benign wait %d (mitigation %d, inject %d)%s\n",
-			res.TrackerNames[0], s.attack.Name, s.run.NRH, benignWait, blameMit, blameInj, verdict)
+		fmt.Fprintf(c.stdout, "workload=%s tracker=%s attack=%s NRH=%d: %d windows of %gus over %d cycles (VRR=%d RFMsb=%d DRFMsb=%d bulk=%d), benign wait %d (mitigation %d, inject %d)\n",
+			s.run.Workload, res.TrackerNames[0], s.attack.Name, s.run.NRH, ser.NumWindows(), c.window,
+			ser.Cycles, ser.Totals.VRR, ser.Totals.RFMsb, ser.Totals.DRFMsb, ser.Totals.Bulk, wait, mit, inj)
+	}
+	return nil
+}
+
+// checkSeries re-checks the window grid and the per-window sums against
+// the series' own grand totals; the exact grand-total-vs-DRAM-counter
+// gate already ran inside sim.Run. What remains checkable here is
+// containment: the series covers warmup + measure, so none of its
+// totals can undercount the measure-only deltas in res.Counters.
+func checkSeries(ser *telemetry.Series, res sim.Result, measure dram.Cycle) error {
+	if err := ser.Validate(); err != nil {
+		return fmt.Errorf("series invariants: %w", err)
+	}
+	if ser.Cycles != ser.Warmup+measure {
+		return fmt.Errorf("series span %d != warmup %d + measure %d", ser.Cycles, ser.Warmup, measure)
+	}
+	t, ct := ser.Totals, res.Counters
+	for _, g := range []struct {
+		name          string
+		series, count uint64
+	}{
+		{"ACT", t.DemandACT + t.InjACT, ct.ACT},
+		{"VRR", t.VRR, ct.VRR},
+		{"RFMsb", t.RFMsb, ct.RFMsb},
+		{"DRFMsb", t.DRFMsb, ct.DRFMsb},
+		{"bulk", t.Bulk, ct.BulkEvents},
+		{"REF", t.REF, ct.REF},
+	} {
+		if g.series < g.count {
+			return fmt.Errorf("%s conservation: whole-run series %d < measure-window counter %d", g.name, g.series, g.count)
+		}
 	}
 	return nil
 }

@@ -251,14 +251,18 @@
 // sim.TestEngineEquivalenceSinkStream also compares the raw event
 // stream, not just its folds, across the engines.
 //
-// `dapper timeline` renders one windowed run to timeline.{jsonl,csv}
-// — the data behind mitigation-rate-vs-time and IPC-vs-time figures —
+// `dapper timeline` renders one windowed, attributed run per tracker
+// as one report (see the attribution section below for its files) —
+// the data behind mitigation-rate-vs-time and IPC-vs-time figures —
 // and its -check replays the run on the other engine to assert
-// byte-identical series plus the conservation containments
+// byte-identical Results plus the series invariants and the
+// containment of every measure-window DRAM counter (ACT, VRR, RFMsb,
+// DRFMsb, bulk, REF) in the whole-run series totals
 // (`make telemetry-smoke` is the CI-pinned variant). See
 // examples/telemetry for the in-process fold: DAPPER-H's mitigation
 // rate ramping up under the refresh attack while benign IPC collapses,
-// next to the flat insecure baseline.
+// next to the flat insecure baseline, followed by both runs' CPI and
+// blame stacks.
 //
 // Harness level and wall-clock: telemetry.Tracer records per-job spans
 // (queue wait, execution on a worker lane, cache hit, sink flush) from
@@ -274,7 +278,7 @@
 // recorded outside the result path and the export is sorted, so equal
 // span sets serialize identically.
 //
-// # Slowdown attribution (telemetry.Attribution, dapper blame)
+// # Slowdown attribution (telemetry.Attribution, dapper timeline)
 //
 // Telemetry says when the benign cores slowed down; attribution says
 // why, and who. Setting sim.Config.Attribution (off by default, -attr
@@ -321,20 +325,25 @@
 // tracker in sim, exp and adversary attribution equivalence tests,
 // part of `make test-engine-equivalence`.
 //
-// `dapper blame` renders one attributed run per tracker as
-// blame-<id>.{jsonl,csv,txt} plus blame-matrix-<id>.csv (ASCII CPI
-// stacks and bucket bars included), and -check replays the run on the
-// other engine asserting byte-identical attribution plus conservation
-// (`make blame-smoke` is the CI-pinned variant, with the matrix
-// uploaded as an artifact). The sweep reports carry the headline
+// `dapper timeline` always attributes, and one renderer
+// (internal/telemetry/render.go) writes each tracker's report:
+// timeline-<id>.jsonl (a typed "window" line per window with the series
+// cells plus each core's stall split and blame buckets, then the
+// whole-run "core" and "matrix" lines), timeline-<id>.csv (the same
+// windows as columns), timeline-<id>.txt (ASCII CPI stacks, bucket bars
+// and the matrix) and timeline-<id>-matrix.csv. Its -check adds
+// Attribution.Validate and Attribution.CheckSeries to the series gates
+// and the other-engine replay (`make blame-smoke` runs it for every
+// tracker under the focused hammer, with the matrices uploaded as an
+// artifact). The sweep reports carry the headline
 // buckets as columns: mix rows (blame_conflict/inject/mitigation/
 // throttle/mem_wait), audit matrix rows and adversary evals
 // (blame_mitigation/blame_inject — whether a found slowdown flows
 // through the defense itself or through plain bandwidth contention).
 // Live, internal/diag's BlameAgg taps harness.Options.OnResult and
 // serves the accumulating per-core stacks at /debug/vars under
-// "blame" while a sweep runs. See examples/blame for the in-process
-// taste: DAPPER-H benign vs hammered at NRH 125, side by side.
+// "blame" while a sweep runs. examples/telemetry prints the stacks of
+// an attacked DAPPER-H run next to the insecure baseline's.
 //
 // # Static contracts (internal/analysis, cmd/dapper-lint)
 //

@@ -143,7 +143,7 @@ func Tab2(Profile) (*Table, error) {
 			row.AttackTime,
 		)
 	}
-	t.AddNote("effective ACT interval 3.75ns reproduces the published rows (DESIGN.md substitution #5)")
+	t.AddNote("effective ACT interval 3.75ns (tRRD_S 2.5ns derated by refresh and command-bus overheads; see analytic.SParams) reproduces the published rows")
 	return t, nil
 }
 

@@ -131,9 +131,6 @@ func (m MemBlame) Buckets() [numBlameBuckets]uint64 {
 	}
 }
 
-// NumBlameBuckets is the bucket count, exported for renderers.
-const NumBlameBuckets = numBlameBuckets
-
 // CoreAttribution is one core's slowdown attribution.
 type CoreAttribution struct {
 	CPI CPIStack `json:"cpi"`

@@ -29,7 +29,7 @@ func renderFixture(t *testing.T) *Series {
 func TestWriteSeriesJSONL(t *testing.T) {
 	s := renderFixture(t)
 	var buf bytes.Buffer
-	if err := WriteSeriesJSONL(&buf, s); err != nil {
+	if err := WriteSeriesJSONL(&buf, s, nil); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -37,7 +37,8 @@ func TestWriteSeriesJSONL(t *testing.T) {
 		t.Fatalf("got %d lines, want %d windows", len(lines), s.NumWindows())
 	}
 	var first struct {
-		Window int `json:"window"`
+		Type   string `json:"type"`
+		Window int    `json:"window"`
 		Start  int64
 		End    int64
 		Cores  []struct {
@@ -52,7 +53,7 @@ func TestWriteSeriesJSONL(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
 		t.Fatal(err)
 	}
-	if first.Window != 0 || first.End != 10 {
+	if first.Type != "window" || first.Window != 0 || first.End != 10 {
 		t.Errorf("first window = %+v", first)
 	}
 	if first.Channels[0].DemandACT != 1 {
@@ -104,14 +105,18 @@ func TestRenderOmitsTableColumnsWithoutReporter(t *testing.T) {
 	if err := WriteSeriesCSV(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(buf.String(), "table_used") {
-		t.Error("CSV must omit table columns when no tracker reports occupancy")
+	for _, col := range []string{"table_used", "stall_rob", "blame_"} {
+		if strings.Contains(buf.String(), col) {
+			t.Errorf("CSV must omit %s columns when nothing reports them", col)
+		}
 	}
 	buf.Reset()
-	if err := WriteSeriesJSONL(&buf, s); err != nil {
+	if err := WriteSeriesJSONL(&buf, s, nil); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(buf.String(), "table_used") {
-		t.Error("JSONL must omit table fields when no tracker reports occupancy")
+	for _, field := range []string{"table_used", "stall_rob", "intrinsic"} {
+		if strings.Contains(buf.String(), field) {
+			t.Errorf("JSONL must omit %s fields when nothing reports them", field)
+		}
 	}
 }
