@@ -95,8 +95,8 @@ type report struct {
 	// Batched-runner throughput: the same NRH sweep timed as serial
 	// independent event-engine runs vs one exp.BatchedSweep pass.
 	// BatchSpeedup = BatchIndepSeconds / BatchSeconds; LockstepPoints
-	// counts how many of BatchPoints replayed against the lead's
-	// recorded stream instead of running a full simulation.
+	// counts how many of BatchPoints shadowed the lead's tracker calls
+	// instead of running a full simulation.
 	BatchPoints       int     `json:"batch_points,omitempty"`
 	LockstepPoints    int     `json:"lockstep_points,omitempty"`
 	BatchIndepSeconds float64 `json:"batch_indep_seconds,omitempty"`
@@ -177,8 +177,8 @@ func timeRun(engine sim.Engine, attr bool, repeat int) (float64, error) {
 // batchSweepRequest is the batched-runner benchmark: one tracker
 // (DAPPER-H, the paper's subject) across an 8-point NRH sweep of one
 // bench workload under benign load. All points share one trace stream,
-// so the batched runner decodes once, runs the lead fully, and replays
-// the rest in lockstep; the independent path simulates all 8.
+// so the pool runs the lead fully and the other seven shadow it in
+// lockstep; the independent path simulates all 8.
 func batchSweepRequest() exp.BatchRequest {
 	p := benchProfile(sim.EngineEvent, false)
 	return exp.BatchRequest{

@@ -33,7 +33,6 @@ type cli struct {
 	attrBudget                        float64
 	rowsPerBank                       uint
 	attr, check, audit, countInjected bool
-	batch                             bool
 }
 
 // flagDefs declares every flag exactly once. A flag's default and help
@@ -102,9 +101,6 @@ var flagDefs = map[string]func(*flag.FlagSet, *cli){
 	},
 	"exp": func(fs *flag.FlagSet, c *cli) {
 		fs.StringVar(&c.exp, "exp", "all", "experiment id (dapper list experiments) or 'all'")
-	},
-	"batch": func(fs *flag.FlagSet, c *cli) {
-		fs.BoolVar(&c.batch, "batch", false, "advance all tracker configs sharing a trace stream in lockstep (sim.RunBatch): decode once, full runs only for the lead and diverging points; results stay byte-identical")
 	},
 	"count-injected": func(fs *flag.FlagSet, c *cli) {
 		fs.BoolVar(&c.countInjected, "count-injected", false, "charge tracker counter traffic in the oracle ledger")

@@ -62,8 +62,8 @@ func with(groups ...[]string) []string {
 var commands = []command{
 	{"experiments", "regenerate the paper's tables and figures (records to -out/results.{jsonl,csv})",
 		[]string{"exp", "profile", "seed", "engine", "jobs", "cache", "out"}, runExperiments},
-	{"batch", "tracker x workload x NRH sweep to -out/batch.{jsonl,csv} (-batch = lockstep runner)",
-		with([]string{"tracker", "workload", "nrh", "attack", "mode", "window", "attr", "batch"}, poolFlags), runBatch},
+	{"batch", "tracker x workload x NRH sweep to -out/batch.{jsonl,csv}",
+		with([]string{"tracker", "workload", "nrh", "attack", "mode", "window", "attr"}, poolFlags), runBatch},
 	{"audit", "tracker x attack x mode x NRH security conformance matrix",
 		with([]string{"tracker", "workload", "nrh", "attack", "mode", "attr", "count-injected", "check"}, poolFlags), runAudit},
 	{"mix", "heterogeneous tracker x mix x NRH sweeps, weighted-speedup metrics",
@@ -213,8 +213,8 @@ func (c *cli) withPool(sinks []harness.Sink, fn func(*harness.Pool) error) (harn
 	return st, err
 }
 
-// harnessOptions is the worker, cache and progress wiring shared by the
-// pool and the batched runner, plus the blame aggregator observing
+// harnessOptions is the worker, cache and progress wiring of every
+// sweep subcommand's pool, plus the blame aggregator observing
 // every result. It resolves -jobs in place, so summaries print the
 // worker count actually used.
 func (c *cli) harnessOptions(sinks []harness.Sink) (harness.Options, *diag.BlameAgg, error) {

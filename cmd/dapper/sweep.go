@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"dapper/internal/adversary"
@@ -53,15 +52,15 @@ func runExperiments(c *cli) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(c.stderr, "simulations: %d ran, %d cache hits, %d deduplicated (of %d requests) on %d workers\n",
-		st.Ran, st.CacheHits, st.Submitted-st.Unique, st.Submitted, c.jobs)
+	fmt.Fprintf(c.stderr, "simulations: %d ran, %d lockstep, %d cache hits, %d deduplicated (of %d requests) on %d workers\n",
+		st.Ran, st.Lockstep, st.CacheHits, st.Submitted-st.Unique, st.Submitted, c.jobs)
 	fmt.Fprintf(c.stderr, "records: %s\n", filepath.Join(c.out, "results.{jsonl,csv}"))
 	return nil
 }
 
 // runBatch runs an arbitrary tracker x workload x NRH sweep straight to
-// batch.{jsonl,csv}: every combination is one cached, parallel
-// simulation, or one lockstep point with -batch.
+// batch.{jsonl,csv}: every combination is one cached point, and the
+// points that share a stream run as one lockstep simulation.
 func runBatch(c *cli) error {
 	p, err := c.resolveProfile()
 	if err != nil {
@@ -95,59 +94,37 @@ func runBatch(c *cli) error {
 	if err != nil {
 		return err
 	}
+	jobs, err := req.Jobs()
+	if err != nil {
+		return err
+	}
 	//dapper:wallclock sweep elapsed-time for the summary line only
 	start := time.Now()
-	if c.batch {
-		opts, _, err := c.harnessOptions(sinks)
-		if err != nil {
-			return err
+	failed := 0
+	st, err := c.withPool(sinks, func(pool *harness.Pool) error {
+		futures := make([]*harness.Future, len(jobs))
+		for i, job := range jobs {
+			futures[i] = pool.Submit(job)
 		}
-		_, st, err := exp.BatchedSweep(req, opts)
-		fmt.Fprintln(c.stderr)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(c.stdout, "%d points in %d lockstep groups (%d replayed, %d full runs, %d cache hits) in %.1fs on %d workers\n",
-			st.Points, st.Groups, st.Lockstep, st.FullRuns, st.CacheHits,
-			//dapper:wallclock elapsed seconds printed in the run summary, not written to any sink
-			time.Since(start).Seconds(), c.jobs)
-		reasons := make([]string, 0, len(st.Reasons))
-		for r := range st.Reasons {
-			reasons = append(reasons, r)
-		}
-		sort.Strings(reasons)
-		for _, r := range reasons {
-			fmt.Fprintf(c.stdout, "  %-22s %d\n", r, st.Reasons[r])
-		}
-	} else {
-		jobs, err := req.Jobs()
-		if err != nil {
-			return err
-		}
-		failed := 0
-		st, err := c.withPool(sinks, func(pool *harness.Pool) error {
-			futures := make([]*harness.Future, len(jobs))
-			for i, job := range jobs {
-				futures[i] = pool.Submit(job)
+		for _, f := range futures {
+			if _, err := f.Wait(); err != nil {
+				fmt.Fprintf(c.stderr, "\n%s: %v\n", f.Desc(), err)
+				failed++
 			}
-			for _, f := range futures {
-				if _, err := f.Wait(); err != nil {
-					fmt.Fprintf(c.stderr, "\n%s: %v\n", f.Desc(), err)
-					failed++
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
 		}
-		fmt.Fprintf(c.stdout, "%d runs (%d simulated, %d cache hits, %d deduplicated) in %.1fs on %d workers\n",
-			st.Submitted, st.Ran, st.CacheHits, st.Submitted-st.Unique,
-			//dapper:wallclock elapsed seconds printed in the run summary, not written to any sink
-			time.Since(start).Seconds(), c.jobs)
-		if failed > 0 {
-			return fmt.Errorf("%d runs failed", failed)
-		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	// "simulated" counts every point a simulation produced: full runs
+	// and the lockstep points that rode a lead's.
+	fmt.Fprintf(c.stdout, "%d runs (%d simulated, %d cache hits, %d deduplicated; %d full runs, %d lockstep) in %.1fs on %d workers\n",
+		st.Submitted, st.Ran+st.Lockstep, st.CacheHits, st.Submitted-st.Unique, st.Ran, st.Lockstep,
+		//dapper:wallclock elapsed seconds printed in the run summary, not written to any sink
+		time.Since(start).Seconds(), c.jobs)
+	if failed > 0 {
+		return fmt.Errorf("%d runs failed", failed)
 	}
 	fmt.Fprintf(c.stdout, "wrote %s and %s\n", filepath.Join(c.out, "batch.jsonl"), filepath.Join(c.out, "batch.csv"))
 	return nil

@@ -33,7 +33,15 @@
 // hash, optionally persisted as JSON under a -cache directory so a
 // rerun of the same suite simulates nothing. Completed records stream
 // to pluggable harness.Sinks (in-memory, JSONL, CSV) in submission
-// order, keeping file output deterministic at any worker count.
+// order, keeping file output deterministic at any worker count. The
+// pool is the one sweep executor: dispatch starts at the first Wait or
+// Close, and the jobs submitted by then that drive the same memory
+// stream (harness.Job.Stream, filled by exp.Run.Job for unaudited runs
+// without telemetry or attribution) run as one sim.Batch simulation,
+// the other trackers shadowing the lead's in lockstep on a second
+// goroutine. A member that throttles or diverges runs alone with its
+// own Job.Run, so every Result stays byte-identical to an independent
+// run.
 //
 // Generators fan out via exp.Generate's collect/replay scheme: a
 // collect pass records every simulation the generator will request, the

@@ -23,9 +23,7 @@ type BatchRequest struct {
 }
 
 // runs expands the request into validated runs in deterministic sweep
-// order (tracker-major, then NRH, then workload). Jobs and
-// BatchedSweep both build on this expansion, so the two execution
-// paths share descriptors — and therefore cache keys — exactly.
+// order (tracker-major, then NRH, then workload).
 func (req BatchRequest) runs() ([]Run, error) {
 	if len(req.Trackers) == 0 || len(req.Workloads) == 0 || len(req.NRHs) == 0 {
 		return nil, fmt.Errorf("exp: batch needs at least one tracker, workload and NRH")

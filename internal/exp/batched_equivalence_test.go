@@ -2,24 +2,25 @@ package exp
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"dapper/internal/attack"
-	"dapper/internal/dram"
 	"dapper/internal/harness"
+	"dapper/internal/mix"
 	"dapper/internal/rh"
 	"dapper/internal/sim"
 )
 
 // batchedTestRequest builds a small sweep exercising both grouping
 // regimes: benign (one stream per workload, the NRH axis shares it)
-// and attacked (one stream per workload x NRH). Telemetry and
-// attribution are on so the comparison covers the full Result surface.
+// and attacked (one stream per workload x NRH). It carries no
+// telemetry or attribution, since runs with either run alone.
 func batchedTestRequest(kind attack.Kind) BatchRequest {
 	p := Tiny()
-	p.TelemetryWindow = dram.US(10)
-	p.Attribution = true
 	return BatchRequest{
 		Trackers:  []string{"none", "hydra", "dapper-h", "blockhammer"},
 		Workloads: p.Workloads,
@@ -32,10 +33,10 @@ func batchedTestRequest(kind attack.Kind) BatchRequest {
 
 // TestEngineEquivalenceBatchedSweep is the exp-level half of the
 // batched safety net: for every sweep point, the record produced by
-// BatchedSweep (lockstep replay or fallback) must carry a Result
-// byte-identical to the one the serial Jobs path produces, and the
-// descriptor sequence must alias the Jobs descriptors exactly (same
-// identities, same order), so both runners share cache keys.
+// BatchedSweep (lead, lockstep or lone run) must carry a Result
+// byte-identical to the one job.Run produces independently, and the
+// descriptor sequence must match the Jobs descriptors exactly (same
+// identities, same order).
 func TestEngineEquivalenceBatchedSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is seconds-long; skipped in -short")
@@ -61,9 +62,8 @@ func TestEngineEquivalenceBatchedSweep(t *testing.T) {
 			}
 
 			for i, job := range jobs {
-				// Descriptor aliasing backstop: the batched runner must
-				// address the cache with exactly the identities the pool
-				// path would use, in the same order.
+				// The sweep must address the cache with exactly the Jobs
+				// identities, in the same order.
 				if records[i].Desc != job.Desc {
 					t.Fatalf("record %d descriptor diverges:\n batched: %+v\n jobs:    %+v",
 						i, records[i].Desc, job.Desc)
@@ -93,21 +93,17 @@ func TestEngineEquivalenceBatchedSweep(t *testing.T) {
 				t.Fatalf("stats don't cover the sweep: %+v", stats)
 			}
 			// Benign sweeps share one stream per workload; with an attack
-			// the NRH axis splits the streams.
-			wantGroups := len(req.Workloads)
+			// the NRH axis splits the streams. Each stream has a lead, and
+			// blockhammer throttles, so it runs alone at every NRH.
+			groups := len(req.Workloads)
 			if kind != attack.None {
-				wantGroups = len(req.Workloads) * len(req.NRHs)
+				groups = len(req.Workloads) * len(req.NRHs)
 			}
-			if stats.Groups != wantGroups {
-				t.Fatalf("got %d groups, want %d (stats %+v)", stats.Groups, wantGroups, stats)
-			}
-			// blockhammer throttles, so every sweep has fallback points;
-			// the insecure lead also counts as a full run.
-			if stats.FullRuns == 0 || stats.Reasons[string(sim.FallbackThrottler)] == 0 {
-				t.Fatalf("expected throttler fallbacks in stats %+v", stats)
+			if want := groups + len(req.Workloads)*len(req.NRHs); stats.FullRuns < want {
+				t.Fatalf("%d full runs, want at least %d leads and throttlers: %+v", stats.FullRuns, want, stats)
 			}
 			if kind == attack.None && stats.Lockstep == 0 {
-				t.Fatalf("benign sweep replayed nothing in lockstep: %+v", stats)
+				t.Fatalf("benign sweep ran nothing in lockstep: %+v", stats)
 			}
 		})
 	}
@@ -137,7 +133,7 @@ func TestEngineEquivalenceBatchedSweepCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warmStats.CacheHits != len(warm) || warmStats.Groups != 0 {
+	if warmStats.CacheHits != len(warm) || warmStats.FullRuns+warmStats.Lockstep != 0 {
 		t.Fatalf("warm sweep resimulated: %+v", warmStats)
 	}
 	for i := range cold {
@@ -151,7 +147,7 @@ func TestEngineEquivalenceBatchedSweepCache(t *testing.T) {
 		}
 	}
 
-	// The pool path must hit the batched runner's entries.
+	// A plain pool over the same cache must hit every entry.
 	jobs, err := req.Jobs()
 	if err != nil {
 		t.Fatal(err)
@@ -166,5 +162,201 @@ func TestEngineEquivalenceBatchedSweepCache(t *testing.T) {
 	}
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStreamKeyImpliesSameTraces pins the grouping contract the pool
+// relies on: runs that share a stream key drive the same traces. For
+// each run shape, every tracker, mode and NRH variant of the shape is
+// built; any two with equal keys must yield identical first 20K
+// records on every core, so runs whose traces differ get different
+// keys. Shapes whose traces ignore NRH must also share one key, or the
+// pool would never group them.
+func TestStreamKeyImpliesSameTraces(t *testing.T) {
+	const records = 20000
+	hom := Tiny().BaseRun()
+	hom.Workload = "429.mcf"
+	benign4 := hom
+	benign4.Benign4 = true
+	// hydra-conflict is the hand-written kind whose trace NRH sizes.
+	conflict := hom
+	conflict.Attack = AttackPoint{Kind: attack.HydraConflict}
+	parametric := hom
+	parametric.Attack = AttackPoint{Kind: attack.Parametric, Params: fullParams()}
+	mixed := hom
+	mixed.Workload = ""
+	mixed.Mix = mix.Spec{Slots: []mix.Slot{{Workload: "429.mcf"}, {Workload: "433.milc"}, {Attack: attack.HydraConflict.String()}}}
+	iso := mixed
+	iso.Isolated, iso.IsoCore = true, 1
+
+	shapes := []struct {
+		name string
+		run  Run
+		// nrhKey: the key keeps NRH (the shape has an attacker);
+		// nrhTrace: the traces really differ across NRH.
+		nrhKey, nrhTrace bool
+	}{
+		{"benign", hom, false, false},
+		{"benign4", benign4, false, false},
+		{"attack", conflict, true, true},
+		{"parametric", parametric, true, false},
+		{"mix-attacker", mixed, true, true},
+		{"isolated", iso, false, false},
+	}
+	digestOf := make(map[string]string) // stream key -> trace digest
+	for _, sh := range shapes {
+		keys := make(map[string]bool)
+		byNRH := make(map[uint32]string)
+		for _, tracker := range []string{"none", "dapper-h"} {
+			for _, mode := range []rh.MitigationMode{rh.VRR1, rh.VRR2} {
+				for _, nrh := range []uint32{125, 500} {
+					r := sh.run
+					r.Tracker, r.Mode, r.NRH = tracker, mode, nrh
+					if err := r.Validate(); err != nil {
+						t.Fatalf("%s: %v", sh.name, err)
+					}
+					traces, err := r.traces()
+					if err != nil {
+						t.Fatalf("%s: %v", sh.name, err)
+					}
+					h := sha256.New()
+					for _, tr := range traces {
+						for i := 0; i < records; i++ {
+							fmt.Fprintf(h, "%+v;", tr.Next())
+						}
+						h.Write([]byte("|"))
+					}
+					digest := hex.EncodeToString(h.Sum(nil))
+					key := streamKey(r)
+					if prev, ok := digestOf[key]; ok && prev != digest {
+						t.Errorf("%s %s/%s/NRH %d: shares stream key %s with a run whose traces differ", sh.name, tracker, mode, nrh, key)
+					}
+					digestOf[key] = digest
+					keys[key] = true
+					byNRH[nrh] = digest
+				}
+			}
+		}
+		if want := 1; !sh.nrhKey && len(keys) != want {
+			t.Errorf("%s: %d stream keys across tracker, mode and NRH, want %d", sh.name, len(keys), want)
+		}
+		if sh.nrhTrace && byNRH[125] == byNRH[500] {
+			t.Errorf("%s: NRH no longer shapes the attacker trace, so the shape cannot guard the NRH key", sh.name)
+		}
+	}
+}
+
+// TestEngineEquivalencePoolGroups is the pool-level cross-check of stream
+// grouping: submitting a job set and then waiting must give the same
+// per-future outcome (Result, error, cache hit) and the same counters
+// with one worker and with two, and every Result must equal the job's
+// independent Run. The set has a throttler (blockhammer), a diverging
+// tracker (hydra at NRH 16), a cached lead with uncached followers and
+// an uncached lead with a cached follower.
+func TestEngineEquivalencePoolGroups(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a dozen tiny runs; skipped in -short")
+	}
+	p := Tiny()
+	run := func(workload, tracker string, kind attack.Kind, nrh uint32) Run {
+		r := p.BaseRun()
+		r.Workload, r.Tracker, r.Attack, r.NRH = workload, tracker, AttackPoint{Kind: kind}, nrh
+		return r
+	}
+	w0, w1 := p.Workloads[0].Name, p.Workloads[1].Name
+	runs := []Run{
+		run(w0, "none", attack.None, 500),
+		run(w0, "dapper-h", attack.None, 500),
+		run(w0, "dapper-h", attack.None, 1000),
+		run(w0, "blockhammer", attack.None, 500),
+		run(w0, "hydra", attack.None, 16),
+		run(w1, "none", attack.None, 500), // cached lead
+		run(w1, "dapper-h", attack.None, 500),
+		run(w1, "dapper-h", attack.None, 1000),
+		run(w0, "none", attack.Refresh, 500),
+		run(w0, "dapper-h", attack.Refresh, 500), // cached follower
+		run(w0, "hydra", attack.Refresh, 500),
+	}
+	cachedRuns := map[int]bool{5: true, 9: true}
+
+	jobs := make([]harness.Job, len(runs))
+	want := make([][]byte, len(runs))
+	for i, r := range runs {
+		job, err := r.Job()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job.Stream == nil {
+			t.Fatalf("%s: unaudited run without telemetry has no stream", job.Desc)
+		}
+		jobs[i] = job
+		res, err := job.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = json.Marshal(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	type outcome struct {
+		result string
+		err    error
+		cached bool
+	}
+	var outcomes [2][]outcome
+	var stats [2]harness.Stats
+	for wi, workers := range []int{1, 2} {
+		cache, err := harness.NewCache("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range cachedRuns {
+			var res sim.Result
+			if err := json.Unmarshal(want[i], &res); err != nil {
+				t.Fatal(err)
+			}
+			if err := cache.Put(jobs[i].Desc.Key(), res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pool := harness.NewPool(harness.Options{Workers: workers, Cache: cache})
+		futures := make([]*harness.Future, len(jobs))
+		for i, job := range jobs {
+			futures[i] = pool.Submit(job)
+		}
+		for i, f := range futures {
+			res, err := f.Wait()
+			js, _ := json.Marshal(res)
+			outcomes[wi] = append(outcomes[wi], outcome{string(js), err, f.Cached()})
+			if err != nil {
+				t.Fatalf("workers %d: %s: %v", workers, f.Desc(), err)
+			}
+			if !bytes.Equal(js, want[i]) {
+				t.Errorf("workers %d: %s: pooled result diverges from job.Run:\n want %s\n got  %s", workers, f.Desc(), want[i], js)
+			}
+			if f.Cached() != cachedRuns[i] {
+				t.Errorf("workers %d: %s: cached %v, want %v", workers, f.Desc(), f.Cached(), cachedRuns[i])
+			}
+		}
+		if err := pool.Close(); err != nil {
+			t.Fatal(err)
+		}
+		stats[wi] = pool.Stats()
+	}
+	for i := range jobs {
+		if outcomes[0][i] != outcomes[1][i] {
+			t.Errorf("%s: outcome differs between 1 and 2 workers", jobs[i].Desc)
+		}
+	}
+	s1, s2 := stats[0], stats[1]
+	if s1.Ran != s2.Ran || s1.Lockstep != s2.Lockstep || s1.CacheHits != s2.CacheHits {
+		t.Errorf("grouping depends on the worker count: %+v vs %+v", s1, s2)
+	}
+	// Full runs: the three leads, blockhammer and the diverged hydra.
+	// Lockstep: both benign dapper-h points on w0, dapper-h 1000 on w1
+	// and the quiet hydra under the tiny refresh attack.
+	if s1.Ran != 5 || s1.Lockstep != 4 || s1.CacheHits != len(cachedRuns) {
+		t.Errorf("got %d full, %d lockstep, %d cached; want 5, 4, %d", s1.Ran, s1.Lockstep, s1.CacheHits, len(cachedRuns))
 	}
 }

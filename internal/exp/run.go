@@ -281,10 +281,22 @@ func (r Run) Exec() (sim.Result, error) {
 	return res, nil
 }
 
-// Job validates the run and wraps it as a harness job.
+// Job validates the run and wraps it as a harness job. An unaudited
+// run with no telemetry and no attribution also describes its stream,
+// so the pool can run it in lockstep with the runs that share it; the
+// others depend on more than their stream and tracker, and run alone.
 func (r Run) Job() (harness.Job, error) {
 	if err := r.Validate(); err != nil {
 		return harness.Job{}, err
 	}
-	return harness.Job{Desc: r.Desc(), Run: r.Exec}, nil
+	job := harness.Job{Desc: r.Desc(), Run: r.Exec}
+	if !r.Audit && r.TelemetryWindow == 0 && !r.Attribution {
+		tracker, mode := r.tracker()
+		job.Stream = &harness.Stream{
+			Key:    streamKey(r),
+			Config: r.config,
+			Point:  sim.BatchPoint{Tracker: tracker, Mode: mode},
+		}
+	}
+	return job, nil
 }

@@ -5,11 +5,16 @@
 // The moving parts, in data-flow order:
 //
 //	Job   — one simulation request: a Descriptor (the deterministic,
-//	        hashable identity of the run) plus a Run closure that
-//	        produces the sim.Result.
+//	        hashable identity of the run), a Run closure that produces
+//	        the sim.Result alone, and optionally the Stream it drives.
 //	Pool  — a bounded worker pool (runtime.NumCPU() workers by
-//	        default). Submissions are deduplicated by descriptor key,
-//	        so shared baselines across figures execute once.
+//	        default) and the one sweep executor. Submissions are
+//	        deduplicated by descriptor key, so shared baselines across
+//	        figures execute once. Dispatch starts at the first Wait or
+//	        Close; jobs with equal Stream keys then run as one lockstep
+//	        simulation (a sim.Batch, its followers replayed on a second
+//	        goroutine), and the members it cannot serve run alone with
+//	        Job.Run.
 //	Cache — a content-addressed result store keyed by the descriptor
 //	        hash: always an in-memory map, optionally backed by a
 //	        directory of JSON files so whole experiment suites can be

@@ -29,15 +29,21 @@ func TestPoolBoundedDispatch(t *testing.T) {
 				return testResult(float64(i)), nil
 			}})
 	}
-	// Give the workers a moment to spin up and park on the release
-	// channel, then measure.
+	// Dispatch starts at the first Wait: wait on one goroutine, give the
+	// workers a moment to spin up and park on the release channel, then
+	// measure.
+	waited := make(chan struct{})
+	go func() {
+		pool.Wait()
+		close(waited)
+	}()
 	time.Sleep(20 * time.Millisecond)
 	if got := runtime.NumGoroutine(); got > base+workers+16 {
 		t.Fatalf("goroutines = %d with a %d-job backlog (baseline %d, workers %d): dispatch is not bounded",
 			got, backlog, base, workers)
 	}
 	close(release)
-	pool.Wait()
+	<-waited
 	if st := pool.Stats(); st.Ran != backlog {
 		t.Fatalf("ran %d, want %d", st.Ran, backlog)
 	}

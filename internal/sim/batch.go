@@ -1,7 +1,7 @@
-// Batched multi-config execution: decode and replay a workload's
-// instruction stream once, advance many tracker configurations in
-// lockstep against it, and fall back to full independent runs for the
-// points whose behavior would have perturbed the shared stream.
+// Batched multi-config execution: advance many tracker configurations
+// in lockstep behind one system simulation of a shared stream, and
+// report which points could not ride it so the caller runs those
+// independently.
 //
 // The batching rests on the tracker contract's narrow influence
 // surface. A tracker can change system evolution only through (a) the
@@ -11,35 +11,50 @@
 // neither throttling, the whole system trajectory is a function of the
 // action stream alone: if a follower configuration emits exactly the
 // actions the lead emitted at every tracker invocation, every
-// controller, core, cache and telemetry state transition is identical
-// by induction, and its Result equals the lead's except for the
-// tracker-owned fields (Stats, Name, table-occupancy telemetry).
+// controller, core and cache state transition is identical by
+// induction, and its Result equals the lead's except for the
+// tracker-owned fields (Stats, TrackerNames).
 //
-// RunBatch exploits this: the lead point runs at full fidelity with a
-// recording shim capturing every tracker input; each eligible follower
-// then replays the recorded inputs into its own tracker instance,
-// comparing emitted actions element-wise. The first mismatch is a
-// divergence: the follower's feedback would have changed the stream, so
-// it reruns independently (over the already-decoded trace buffers —
-// decode still happens once). Throttlers always run independently:
-// NextAllowed is consulted on the scheduling hot path, where "would
-// this point have delayed the request" cannot be answered from the
-// lead's stream.
+// A Batch exploits this with shadow trackers. The lead point runs at
+// full fidelity; each of its per-channel trackers is wrapped so every
+// OnActivate/Tick input, with the actions the lead returned for it,
+// and every Stats() snapshot is appended to a bounded chunk of compact
+// events. Each full chunk is handed over, and every live follower
+// replays it into its own tracker instances, comparing its actions
+// element-wise and taking its own Stats() where the lead took its
+// snapshots. The first mismatch is a divergence: the follower's
+// feedback would have changed the stream, so it is dropped and the
+// caller reruns it. Nothing is kept for the whole run, so memory is a
+// chunk or two however long the run is.
+//
+// The lead and the replay share nothing but the chunks, so a caller
+// may replay on another goroutine while the lead fills the next chunk
+// (the harness does); each half is single-threaded, and the replay
+// sees the chunks in order, so no follower Result depends on timing.
+// RunBatch is the inline composition.
+//
+// The shadow is a tracker wrapper, not an rh.Sink consumer, because it
+// needs what the sink does not carry: the inputs of every tracker call
+// (Tick included) and the exact action list the lead's tracker
+// returned at that call site, before the controller schedules it. The
+// sink sees issued commands, after queueing and timing have reordered
+// and delayed them, so it cannot say what one invocation returned.
+//
+// Throttlers never follow: NextAllowed is consulted on the scheduling
+// hot path, where "would this point have delayed the request" cannot
+// be answered from the lead's stream.
 package sim
 
 import (
 	"fmt"
 	"slices"
 
-	"dapper/internal/cpu"
 	"dapper/internal/dram"
 	"dapper/internal/rh"
-	"dapper/internal/telemetry"
 )
 
-// BatchPoint is one sweep point in a RunBatch call: a tracker
-// configuration plus its mitigation mode. The base Config's
-// Tracker/Mode are ignored.
+// BatchPoint is one sweep point in a Batch: a tracker configuration
+// plus its mitigation mode. The base Config's Tracker/Mode are ignored.
 type BatchPoint struct {
 	Tracker TrackerFactory
 	Mode    rh.MitigationMode
@@ -49,12 +64,10 @@ type BatchPoint struct {
 type FallbackReason string
 
 const (
-	// FallbackNone: the point replayed in lockstep.
-	FallbackNone FallbackReason = ""
 	// FallbackLead: the point was the lead, running the stream itself.
 	FallbackLead FallbackReason = "lead"
 	// FallbackThrottler: the tracker throttles (rh.Throttler), so its
-	// scheduling influence cannot be checked against a recorded stream.
+	// scheduling influence cannot be checked against the lead's stream.
 	FallbackThrottler FallbackReason = "throttler"
 	// FallbackMode: the point's mitigation mode differs from the lead's
 	// (mode changes mitigation timings, hence the stream).
@@ -63,151 +76,85 @@ const (
 	FallbackActTax FallbackReason = "act-tax-mismatch"
 	// FallbackLLCReserve: the point reserves a different LLC fraction.
 	FallbackLLCReserve FallbackReason = "llc-reserve-mismatch"
-	// FallbackDiverged: replay found an action mismatch; the point was
-	// rerun independently.
+	// FallbackDiverged: the shadow found an action mismatch.
 	FallbackDiverged FallbackReason = "diverged"
 )
 
-// BatchOutcome reports how one point's Result was produced. Lockstep
-// results are byte-identical to an independent Run of the same
-// configuration (the equivalence tests enforce this); fallback results
-// ARE independent runs.
+// BatchOutcome reports how one point fared. Lead and lockstep results
+// are byte-identical to an independent Run of the same configuration
+// (the equivalence tests enforce this); every other point has no
+// Result and must be run independently.
 type BatchOutcome struct {
-	Lockstep   bool
-	Reason     FallbackReason
-	DivergedAt dram.Cycle // first mismatching tracker invocation (diverged only)
+	Lockstep bool
+	Reason   FallbackReason // empty for a lockstep point
 }
 
-// traceBuffer caches one trace's decoded records so every run in the
-// batch (lead and fallbacks alike) replays the exact same stream
-// without re-decoding.
-type traceBuffer struct {
-	src  cpu.Trace
-	recs []cpu.Record
-}
+// Served reports whether the batch produced the point's Result.
+func (o BatchOutcome) Served() bool { return o.Lockstep || o.Reason == FallbackLead }
 
-func (b *traceBuffer) get(i int) cpu.Record {
-	for len(b.recs) <= i {
-		b.recs = append(b.recs, b.src.Next())
-	}
-	return b.recs[i]
-}
+// chunkEvents is a chunk's capacity. Smaller chunks cost more hand-offs
+// per run; larger ones cost memory and catch a divergence later.
+const chunkEvents = 4096
 
-// traceCursor is one run's read position over a shared traceBuffer.
-type traceCursor struct {
-	b *traceBuffer
-	i int
-}
-
-func (c *traceCursor) Next() cpu.Record {
-	r := c.b.get(c.i)
-	c.i++
-	return r
-}
-
-// Recorded tracker-input events. evStats marks a Stats() call — the
-// engine snapshots tracker stats exactly twice (warmup boundary and
-// run end), so replay recovers the follower's measured-window delta by
-// reading its own Stats() at the same two points in the stream.
+// Shadow event kinds: a tracker call, or the engine's Stats() snapshot.
 const (
 	evAct uint8 = iota
 	evTick
-	evStats
+	evSnap
 )
 
-type recEvent struct {
-	kind uint8
+// shadowEvent is one lead tracker call, packed: a Loc narrowed to the
+// field widths batchable geometries fit (see fitsShadow).
+type shadowEvent struct {
 	now  dram.Cycle
-	loc  dram.Loc
-	nAct int32 // actions emitted, stored flat in chanRecord.acts
+	row  uint32
+	nAct uint32 // actions the lead returned, stored flat in Chunk.acts
+	col  uint16
+	ch   uint8 // the wrapper's channel: which follower tracker replays it
+	// locCh, rank, bg and bank are the rest of the activated Loc.
+	locCh, rank, bg, bank uint8
+	kind                  uint8
 }
 
-// chanRecord is one channel's recorded stream.
-type chanRecord struct {
-	events []recEvent
+func (e *shadowEvent) loc() dram.Loc {
+	return dram.Loc{Channel: int(e.locCh), Rank: int(e.rank), BankGroup: int(e.bg),
+		Bank: int(e.bank), Row: e.row, Col: int(e.col)}
+}
+
+// fitsShadow reports whether every Loc of g packs into a shadowEvent.
+func fitsShadow(g dram.Geometry) bool {
+	return g.Channels <= 256 && g.Ranks <= 256 && g.BankGroups <= 256 &&
+		g.BanksPerGroup <= 256 && g.BlocksPerRow() <= 1<<16
+}
+
+// Chunk is a bounded run of the lead's shadow events on its way to the
+// followers. A caller that runs many batches keeps its chunks and
+// reuses them.
+type Chunk struct {
+	events []shadowEvent
 	acts   []rh.Action
 }
 
-type batchRecorder struct {
-	chans []chanRecord
-}
+// NewChunk returns an empty chunk.
+func NewChunk() *Chunk { return &Chunk{events: make([]shadowEvent, 0, chunkEvents)} }
 
-// recordingTracker wraps the lead's per-channel tracker. It forwards
-// everything and records every input plus the emitted actions. It
-// always implements TimingTaxer and LLCReserver (forwarding the
-// inner's value or the 0 default — indistinguishable from absence) and
-// never Throttler (the lead is chosen non-throttling). TableReporter
-// is forwarded conditionally via recordingTableTracker: the controller
-// type-asserts it, and an unconditional implementation would make
-// non-table trackers emit spurious table samples.
-type recordingTracker struct {
-	inner rh.Tracker
-	rec   *chanRecord
-}
-
-func (r *recordingTracker) Name() string { return r.inner.Name() }
-
-func (r *recordingTracker) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) []rh.Action {
-	start := len(buf)
-	out := r.inner.OnActivate(now, loc, buf)
-	r.rec.events = append(r.rec.events, recEvent{kind: evAct, now: now, loc: loc, nAct: int32(len(out) - start)})
-	r.rec.acts = append(r.rec.acts, out[start:]...)
-	return out
-}
-
-func (r *recordingTracker) Tick(now dram.Cycle, buf []rh.Action) []rh.Action {
-	start := len(buf)
-	out := r.inner.Tick(now, buf)
-	r.rec.events = append(r.rec.events, recEvent{kind: evTick, now: now, nAct: int32(len(out) - start)})
-	r.rec.acts = append(r.rec.acts, out[start:]...)
-	return out
-}
-
-func (r *recordingTracker) Stats() rh.Stats {
-	r.rec.events = append(r.rec.events, recEvent{kind: evStats})
-	return r.inner.Stats()
-}
-
-func (r *recordingTracker) ActTax() dram.Cycle {
-	if t, ok := r.inner.(rh.TimingTaxer); ok {
-		return t.ActTax()
-	}
-	return 0
-}
-
-func (r *recordingTracker) LLCReservedFraction() float64 {
-	if t, ok := r.inner.(rh.LLCReserver); ok {
-		return t.LLCReservedFraction()
-	}
-	return 0
-}
-
-type recordingTableTracker struct {
-	recordingTracker
-}
-
-func (r *recordingTableTracker) TableOccupancy() rh.TableOccupancy {
-	return r.inner.(rh.TableReporter).TableOccupancy()
-}
-
-func (r *batchRecorder) wrapTracker(ch int, t rh.Tracker) rh.Tracker {
-	rt := recordingTracker{inner: t, rec: &r.chans[ch]}
-	if _, ok := t.(rh.TableReporter); ok {
-		return &recordingTableTracker{rt}
-	}
-	return &rt
+// follower is one eligible point shadowing the lead.
+type follower struct {
+	point     int
+	trackers  []rh.Tracker // per channel
+	warm, fin rh.Stats     // summed Stats() at the two snapshots
+	snaps     int          // snapshot events replayed
 }
 
 // pointTraits are the stream-shaping properties of a configuration,
-// probed from a throwaway channel-0 instance.
+// probed from its channel-0 instance.
 type pointTraits struct {
 	throttler bool
 	tax       dram.Cycle
 	reserve   float64
 }
 
-func probeTraits(f TrackerFactory) pointTraits {
-	t := f(0)
+func probeTraits(t rh.Tracker) pointTraits {
 	var tr pointTraits
 	_, tr.throttler = t.(rh.Throttler)
 	if x, ok := t.(rh.TimingTaxer); ok {
@@ -219,231 +166,283 @@ func probeTraits(f TrackerFactory) pointTraits {
 	return tr
 }
 
-// RunBatch executes every point against base's workload, decoding the
-// trace stream once. The first non-throttling point runs at full
-// fidelity as the lead; every other compatible point replays the
-// lead's recorded tracker inputs in lockstep, falling back to an
-// independent run (same decoded buffers) on any action divergence.
-// Results are positionally parallel to points and byte-identical to
-// what sim.Run would produce for each configuration; outcomes say
-// which path produced each one. base's Tracker and Mode fields are
-// ignored; a base Sink is an error, since a replayed point has no
-// controller stream to tap.
-func RunBatch(base Config, points []BatchPoint) ([]Result, []BatchOutcome, error) {
+// Batch is one lockstep group: the first non-throttling point leads,
+// and every compatible point shadows it. Lead and Replay are its two
+// halves (see the package comment); Results reads both once Lead has
+// returned and every chunk it handed over has been replayed.
+type Batch struct {
+	base     Config
+	pts      []BatchPoint
+	lead     int        // -1 when every point throttles
+	leadT0   rh.Tracker // the lead's probed channel-0 tracker
+	outcomes []BatchOutcome
+	live     []*follower
+	out      []*follower // diverged, in drop order
+	buf      []rh.Action
+	leadRes  Result
+}
+
+// NewBatch probes the points and sets up the followers. base's Tracker
+// and Mode are ignored. A base Sink, TelemetryWindow or Attribution is
+// an error: a follower has no controller stream to tap and no windowed
+// state of its own, so runs that carry them run alone.
+func NewBatch(base Config, points []BatchPoint) (*Batch, error) {
 	if len(points) == 0 {
-		return nil, nil, fmt.Errorf("sim: RunBatch needs at least one point")
+		return nil, fmt.Errorf("sim: a batch needs at least one point")
 	}
-	if base.Sink != nil {
-		return nil, nil, fmt.Errorf("sim: RunBatch takes no Sink (replayed points have no controller stream); run audited points with Run")
+	if base.Sink != nil || base.TelemetryWindow != 0 || base.Attribution {
+		return nil, fmt.Errorf("sim: a batch takes no Sink, telemetry or attribution (followers have no controller stream); run such points with Run")
 	}
 	base = base.withDefaults()
-	if len(base.Traces) == 0 {
-		return nil, nil, fmt.Errorf("sim: no traces")
+	if !fitsShadow(base.Geometry) {
+		return nil, fmt.Errorf("sim: geometry %+v is too large for shadow events; run the points with Run", base.Geometry)
 	}
+	b := &Batch{base: base, pts: slices.Clone(points), lead: -1, outcomes: make([]BatchOutcome, len(points))}
 
-	pts := slices.Clone(points)
-	for i := range pts {
-		if pts[i].Tracker == nil {
-			pts[i].Tracker = NopFactory
+	// Each point's probed channel-0 instance is still fresh (the traits
+	// are pure getters), so the point that runs reuses it as its channel
+	// 0 tracker instead of building another.
+	probes := make([]rh.Tracker, len(b.pts))
+	traits := make([]pointTraits, len(b.pts))
+	for i := range b.pts {
+		if b.pts[i].Tracker == nil {
+			b.pts[i].Tracker = NopFactory
+		}
+		probes[i] = b.pts[i].Tracker(0)
+		traits[i] = probeTraits(probes[i])
+		if b.lead < 0 && !traits[i].throttler {
+			b.lead = i
 		}
 	}
-
-	bufs := make([]*traceBuffer, len(base.Traces))
-	for i, t := range base.Traces {
-		bufs[i] = &traceBuffer{src: t}
-	}
-	cursors := func() []cpu.Trace {
-		out := make([]cpu.Trace, len(bufs))
-		for i, b := range bufs {
-			out[i] = &traceCursor{b: b}
+	if b.lead < 0 {
+		// Every point throttles: there is no shared stream to ride.
+		for i := range b.outcomes {
+			b.outcomes[i] = BatchOutcome{Reason: FallbackThrottler}
 		}
-		return out
+		return b, nil
 	}
-
-	traits := make([]pointTraits, len(pts))
-	for i := range pts {
-		traits[i] = probeTraits(pts[i].Tracker)
-	}
-	lead := -1
-	for i := range pts {
-		if !traits[i].throttler {
-			lead = i
-			break
-		}
-	}
-
-	results := make([]Result, len(pts))
-	outcomes := make([]BatchOutcome, len(pts))
-	runIndependent := func(i int) error {
-		cfg := base
-		cfg.Tracker = pts[i].Tracker
-		cfg.Mode = pts[i].Mode
-		cfg.Traces = cursors()
-		res, err := Run(cfg)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	}
-
-	if lead < 0 {
-		// Every point throttles: there is no shared stream to record.
-		for i := range pts {
-			outcomes[i] = BatchOutcome{Reason: FallbackThrottler}
-			if err := runIndependent(i); err != nil {
-				return nil, nil, err
-			}
-		}
-		return results, outcomes, nil
-	}
-
-	eligible := make([]bool, len(pts))
-	for i := range pts {
+	lead := b.lead
+	b.leadT0 = probes[lead]
+	for i := range b.pts {
 		switch {
 		case i == lead:
-			outcomes[i] = BatchOutcome{Reason: FallbackLead}
+			b.outcomes[i] = BatchOutcome{Reason: FallbackLead}
 		case traits[i].throttler:
-			outcomes[i] = BatchOutcome{Reason: FallbackThrottler}
-		case pts[i].Mode != pts[lead].Mode:
-			outcomes[i] = BatchOutcome{Reason: FallbackMode}
+			b.outcomes[i] = BatchOutcome{Reason: FallbackThrottler}
+		case b.pts[i].Mode != b.pts[lead].Mode:
+			b.outcomes[i] = BatchOutcome{Reason: FallbackMode}
 		case traits[i].tax != traits[lead].tax:
-			outcomes[i] = BatchOutcome{Reason: FallbackActTax}
+			b.outcomes[i] = BatchOutcome{Reason: FallbackActTax}
 		case traits[i].reserve != traits[lead].reserve:
-			outcomes[i] = BatchOutcome{Reason: FallbackLLCReserve}
+			b.outcomes[i] = BatchOutcome{Reason: FallbackLLCReserve}
 		default:
-			eligible[i] = true
+			f := &follower{point: i, trackers: make([]rh.Tracker, base.Geometry.Channels)}
+			f.trackers[0] = probes[i]
+			for ch := 1; ch < len(f.trackers); ch++ {
+				f.trackers[ch] = b.pts[i].Tracker(ch)
+			}
+			b.live = append(b.live, f)
 		}
 	}
+	return b, nil
+}
 
-	rec := &batchRecorder{chans: make([]chanRecord, base.Geometry.Channels)}
-	leadCfg := base
-	leadCfg.Tracker = pts[lead].Tracker
-	leadCfg.Mode = pts[lead].Mode
-	leadCfg.Traces = cursors()
-	leadRes, err := run(leadCfg, rec.wrapTracker)
+// Lead simulates the lead point, filling c with its shadow events.
+// Each full chunk, and the last partial one, goes to hand, which
+// returns an empty chunk to fill next; Lead never touches a chunk
+// after handing it over. Without followers nothing is handed over.
+func (b *Batch) Lead(c *Chunk, hand func(*Chunk) *Chunk) error {
+	if b.lead < 0 {
+		return nil
+	}
+	cfg := b.base
+	cfg.Mode = b.pts[b.lead].Mode
+	cfg.Tracker = func(ch int) rh.Tracker { // run builds each channel once
+		if ch == 0 {
+			return b.leadT0
+		}
+		return b.pts[b.lead].Tracker(ch)
+	}
+	sh := &shadow{cur: c, hand: hand}
+	var wrap func(int, rh.Tracker) rh.Tracker
+	if len(b.live) > 0 {
+		wrap = func(ch int, t rh.Tracker) rh.Tracker { return &shadowTracker{inner: t, sh: sh, ch: uint8(ch)} }
+	}
+	res, err := run(cfg, wrap)
+	if err != nil {
+		return err
+	}
+	if len(sh.cur.events) > 0 {
+		hand(sh.cur)
+	}
+	b.leadRes = res
+	return nil
+}
+
+// Replay feeds c to every live follower, drops the ones that diverge,
+// and empties c. Chunks must arrive in the order Lead handed them over.
+func (b *Batch) Replay(c *Chunk) {
+	live := b.live[:0]
+	for _, f := range b.live {
+		if b.replay(f, c) {
+			live = append(live, f)
+		} else {
+			b.out = append(b.out, f)
+		}
+	}
+	b.live = live
+	c.events, c.acts = c.events[:0], c.acts[:0]
+}
+
+// replay feeds c to one follower, reporting whether it emitted exactly
+// the lead's actions.
+func (b *Batch) replay(f *follower, c *Chunk) bool {
+	ai := 0
+	for i := range c.events {
+		ev := &c.events[i]
+		t := f.trackers[ev.ch]
+		switch ev.kind {
+		case evAct:
+			b.buf = t.OnActivate(ev.now, ev.loc(), b.buf[:0])
+		case evTick:
+			b.buf = t.Tick(ev.now, b.buf[:0])
+		case evSnap:
+			// The engine snapshots every channel at warmup, then again
+			// at the end.
+			dst := &f.fin
+			if f.snaps < len(f.trackers) {
+				dst = &f.warm
+			}
+			accumStats(dst, t.Stats())
+			f.snaps++
+			continue
+		}
+		want := c.acts[ai : ai+int(ev.nAct)]
+		ai += int(ev.nAct)
+		if !slices.Equal(b.buf, want) {
+			return false
+		}
+	}
+	return true
+}
+
+// Results returns one Result per point, positionally parallel to the
+// points, and each point's outcome. A point has a Result only when its
+// outcome is Served (the lead, or a follower that matched the lead's
+// actions to the end), and that Result is byte-identical to what Run
+// would produce for it; the caller runs every other point
+// independently.
+func (b *Batch) Results() ([]Result, []BatchOutcome, error) {
+	results := make([]Result, len(b.pts))
+	if b.lead < 0 {
+		return results, b.outcomes, nil
+	}
+	lead := b.leadRes
+	results[b.lead] = lead
+	for _, f := range b.out {
+		b.outcomes[f.point] = BatchOutcome{Reason: FallbackDiverged}
+	}
+	for _, f := range b.live {
+		if f.snaps != 2*len(f.trackers) {
+			return nil, nil, fmt.Errorf("sim: a follower saw %d tracker snapshots, want 2 per channel", f.snaps)
+		}
+		res := Result{
+			IPC:          slices.Clone(lead.IPC),
+			Instructions: slices.Clone(lead.Instructions),
+			Cycles:       lead.Cycles,
+			Counters:     lead.Counters,
+			Mem:          lead.Mem,
+			LLCHitRate:   lead.LLCHitRate,
+			Tracker:      f.fin,
+		}
+		subStats(&res.Tracker, f.warm)
+		for _, t := range f.trackers {
+			res.TrackerNames = append(res.TrackerNames, t.Name())
+		}
+		results[f.point] = res
+		b.outcomes[f.point] = BatchOutcome{Lockstep: true}
+	}
+	return results, b.outcomes, nil
+}
+
+// RunBatch runs a Batch inline: each chunk is replayed as soon as the
+// lead fills it.
+func RunBatch(base Config, points []BatchPoint) ([]Result, []BatchOutcome, error) {
+	b, err := NewBatch(base, points)
 	if err != nil {
 		return nil, nil, err
 	}
-	results[lead] = leadRes
-
-	for i := range pts {
-		if i == lead {
-			continue
-		}
-		if eligible[i] {
-			res, divergedAt, ok := rec.replay(pts[i], leadRes)
-			if ok {
-				results[i] = res
-				outcomes[i] = BatchOutcome{Lockstep: true}
-				continue
-			}
-			outcomes[i] = BatchOutcome{Reason: FallbackDiverged, DivergedAt: divergedAt}
-		}
-		if err := runIndependent(i); err != nil {
-			return nil, nil, err
-		}
+	if err := b.Lead(NewChunk(), func(c *Chunk) *Chunk { b.Replay(c); return c }); err != nil {
+		return nil, nil, err
 	}
-	return results, outcomes, nil
+	return b.Results()
 }
 
-// replay advances one eligible point's trackers through the recorded
-// stream. On full action agreement it assembles the point's Result
-// from the lead's (cloned) system-side fields plus the follower's own
-// tracker-side fields; on the first mismatch it reports divergence.
-// Table-occupancy telemetry is tracker-side: the follower's snapshots,
-// taken where the live controller takes them (right after each
-// periodic tick), fold through a telemetry Recorder of the lead's
-// window grid.
-func (r *batchRecorder) replay(p BatchPoint, lead Result) (Result, dram.Cycle, bool) {
-	var tables *telemetry.Recorder
-	if s := lead.Series; s != nil {
-		var err error
-		tables, err = telemetry.NewRecorder(telemetry.RecorderConfig{
-			Cores: len(s.Cores), Channels: len(r.chans), Window: s.Window, End: s.Cycles, Warmup: s.Warmup,
-		})
-		if err != nil {
-			return Result{}, 0, false
-		}
-	}
-	var warm, fin rh.Stats
-	names := make([]string, 0, len(r.chans))
-	buf := make([]rh.Action, 0, 64)
+// shadow is the lead side every channel's wrapper shares.
+type shadow struct {
+	cur  *Chunk
+	hand func(*Chunk) *Chunk
+}
 
-	for ch := range r.chans {
-		cr := &r.chans[ch]
-		tr := p.Tracker(ch)
-		names = append(names, tr.Name())
-		tab, _ := tr.(rh.TableReporter)
-		var sink rh.Sink
-		if tab != nil && tables != nil {
-			sink = tables.Sink(ch)
-		}
-		statsMark := 0
-		ai := 0
-		for e := range cr.events {
-			ev := &cr.events[e]
-			switch ev.kind {
-			case evAct, evTick:
-				if ev.kind == evAct {
-					buf = tr.OnActivate(ev.now, ev.loc, buf[:0])
-				} else {
-					buf = tr.Tick(ev.now, buf[:0])
-				}
-				want := cr.acts[ai : ai+int(ev.nAct)]
-				ai += int(ev.nAct)
-				if len(buf) != len(want) {
-					return Result{}, ev.now, false
-				}
-				for k := range want {
-					if buf[k] != want[k] {
-						return Result{}, ev.now, false
-					}
-				}
-				if ev.kind == evTick && sink != nil {
-					sink.Event(rh.Event{Kind: rh.EvTable, At: ev.now, Table: tab.TableOccupancy()})
-				}
-			case evStats:
-				s := tr.Stats()
-				if statsMark == 0 {
-					accumStats(&warm, s)
-				} else {
-					accumStats(&fin, s)
-				}
-				statsMark++
-			}
-		}
-		if statsMark != 2 {
-			// The engines snapshot exactly twice; anything else means the
-			// recording is unusable — rerun independently.
-			return Result{}, 0, false
-		}
+func (s *shadow) record(ev shadowEvent, acts []rh.Action) {
+	c := s.cur
+	ev.nAct = uint32(len(acts))
+	c.events = append(c.events, ev)
+	c.acts = append(c.acts, acts...)
+	if len(c.events) == cap(c.events) {
+		s.cur = s.hand(c)
 	}
+}
 
-	res := Result{
-		IPC:          slices.Clone(lead.IPC),
-		Instructions: slices.Clone(lead.Instructions),
-		Cycles:       lead.Cycles,
-		Counters:     lead.Counters,
-		Mem:          lead.Mem,
-		LLCHitRate:   lead.LLCHitRate,
-		TrackerNames: names,
+// shadowTracker wraps one of the lead's per-channel trackers when there
+// are followers: it forwards everything and records every input plus
+// the emitted actions, and every Stats() snapshot. It
+// always implements TimingTaxer and LLCReserver (forwarding the inner's
+// value or the 0 default, indistinguishable from absence) and never
+// Throttler (the lead is chosen non-throttling). A batch takes no sink,
+// so the controller never polls TableReporter and the wrapper need not
+// forward it.
+type shadowTracker struct {
+	inner rh.Tracker
+	sh    *shadow
+	ch    uint8
+}
+
+func (w *shadowTracker) Name() string { return w.inner.Name() }
+
+func (w *shadowTracker) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) []rh.Action {
+	start := len(buf)
+	out := w.inner.OnActivate(now, loc, buf)
+	w.sh.record(shadowEvent{now: now, row: loc.Row, col: uint16(loc.Col), ch: w.ch,
+		locCh: uint8(loc.Channel), rank: uint8(loc.Rank), bg: uint8(loc.BankGroup),
+		bank: uint8(loc.Bank), kind: evAct}, out[start:])
+	return out
+}
+
+func (w *shadowTracker) Tick(now dram.Cycle, buf []rh.Action) []rh.Action {
+	start := len(buf)
+	out := w.inner.Tick(now, buf)
+	w.sh.record(shadowEvent{now: now, ch: w.ch, kind: evTick}, out[start:])
+	return out
+}
+
+func (w *shadowTracker) Stats() rh.Stats {
+	w.sh.record(shadowEvent{ch: w.ch, kind: evSnap}, nil)
+	return w.inner.Stats()
+}
+
+func (w *shadowTracker) ActTax() dram.Cycle {
+	if t, ok := w.inner.(rh.TimingTaxer); ok {
+		return t.ActTax()
 	}
-	subStats(&fin, warm)
-	res.Tracker = fin
-	if lead.Attribution != nil {
-		res.Attribution = lead.Attribution.Clone()
+	return 0
+}
+
+func (w *shadowTracker) LLCReservedFraction() float64 {
+	if t, ok := w.inner.(rh.LLCReserver); ok {
+		return t.LLCReservedFraction()
 	}
-	if tables != nil {
-		own := tables.Finish()
-		s := lead.Series.Clone()
-		for ch := range s.Channels {
-			cs, o := &s.Channels[ch], &own.Channels[ch]
-			cs.TableUsed, cs.TableResets, cs.TableCap = o.TableUsed, o.TableResets, o.TableCap
-		}
-		res.Series = s
-	}
-	return res, 0, true
+	return 0
 }
 
 func accumStats(dst *rh.Stats, s rh.Stats) {

@@ -74,22 +74,21 @@ func batchBaseConfig(t *testing.T, g dram.Geometry, hammer bool) Config {
 		traces = BenignTraces(mustWorkload(t, "429.mcf"), 4, g, 3)
 	}
 	return Config{
-		Geometry:        g,
-		Traces:          traces,
-		Warmup:          dram.US(20),
-		Measure:         dram.US(60),
-		TelemetryWindow: dram.US(10),
-		Attribution:     true,
+		Geometry: g,
+		Traces:   traces,
+		Warmup:   dram.US(20),
+		Measure:  dram.US(60),
 	}
 }
 
 // TestEngineEquivalenceBatched is the batched runner's safety net:
-// every point's Result — lockstep or fallback — must be byte-identical
-// (JSON) to an independent sim.Run of the same configuration, with
-// telemetry and attribution on. The benign half exercises lockstep
-// replay (trackers that stay quiet emit the lead's empty action
-// stream); the hammer half forces the divergence fallback (mitigating
-// trackers disagree with the insecure lead's stream).
+// every Result RunBatch serves (the lead's and each lockstep point's)
+// must be byte-identical (JSON) to an independent sim.Run of the same
+// configuration, and every other point must come back without one,
+// for its caller to run. The benign half exercises lockstep shadowing
+// (trackers that stay quiet emit the lead's empty action stream); the
+// hammer half forces divergence (mitigating trackers disagree with the
+// insecure lead's stream).
 func TestEngineEquivalenceBatched(t *testing.T) {
 	g := dram.Baseline()
 	for _, hammer := range []bool{false, true} {
@@ -111,6 +110,12 @@ func TestEngineEquivalenceBatched(t *testing.T) {
 			lockstep := 0
 			for i := range pts {
 				t.Run(pts[i].name, func(t *testing.T) {
+					if !outcomes[i].Served() {
+						if results[i].IPC != nil {
+							t.Fatalf("unserved point (outcome %+v) carries a Result", outcomes[i])
+						}
+						return
+					}
 					cfg := batchBaseConfig(t, g, hammer)
 					cfg.Tracker = pts[i].point.Tracker
 					cfg.Mode = pts[i].point.Mode
@@ -173,21 +178,27 @@ func TestEngineEquivalenceBatched(t *testing.T) {
 	}
 }
 
-// TestRunBatchRejectsSink pins that a base Config with a Sink is an
-// error, not silently dropped: replayed points have no controller
-// stream for it to tap.
+// TestRunBatchRejectsSink pins that a base Config with a Sink,
+// telemetry or attribution is an error, not silently dropped: followers
+// have no controller stream to tap.
 func TestRunBatchRejectsSink(t *testing.T) {
 	g := dram.Baseline()
-	cfg := batchBaseConfig(t, g, false)
-	cfg.Sink = func(int) rh.Sink { return nil }
-	if _, _, err := RunBatch(cfg, []BatchPoint{{}, {}}); err == nil {
-		t.Fatal("RunBatch accepted a base Config with a Sink")
+	for name, set := range map[string]func(*Config){
+		"sink":        func(c *Config) { c.Sink = func(int) rh.Sink { return nil } },
+		"telemetry":   func(c *Config) { c.TelemetryWindow = dram.US(10) },
+		"attribution": func(c *Config) { c.Attribution = true },
+	} {
+		cfg := batchBaseConfig(t, g, false)
+		set(&cfg)
+		if _, _, err := RunBatch(cfg, []BatchPoint{{}, {}}); err == nil {
+			t.Errorf("RunBatch accepted a base Config with %s", name)
+		}
 	}
 }
 
 // TestEngineEquivalenceBatchedAllThrottlers pins the no-lead path:
-// when every point throttles there is no shared stream, and each point
-// must still come back as a byte-identical independent run.
+// when every point throttles there is no shared stream, so RunBatch
+// simulates nothing and hands every point back unserved.
 func TestEngineEquivalenceBatchedAllThrottlers(t *testing.T) {
 	g := dram.Baseline()
 	mk := func(nrh uint32) TrackerFactory {
@@ -200,17 +211,38 @@ func TestEngineEquivalenceBatchedAllThrottlers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, nrh := range []uint32{500, 1000} {
-		if outcomes[i].Lockstep || outcomes[i].Reason != FallbackThrottler {
+	for i := range points {
+		if outcomes[i].Served() || outcomes[i].Reason != FallbackThrottler {
 			t.Errorf("point %d: outcome %+v, want throttler fallback", i, outcomes[i])
 		}
-		cfg := batchBaseConfig(t, g, true)
-		cfg.Tracker = mk(nrh)
-		want := MustRun(cfg)
-		wantJS, _ := json.Marshal(want)
-		gotJS, _ := json.Marshal(results[i])
-		if !bytes.Equal(wantJS, gotJS) {
-			t.Errorf("point %d: batched result diverges from independent run", i)
+		if results[i].IPC != nil {
+			t.Errorf("point %d: a throttler got a Result without a lead", i)
 		}
+	}
+}
+
+// TestRunBatchLeadWithoutFollowers pins the path where no point can
+// follow the lead (a throttler and a mode mismatch): RunBatch still
+// serves the lead's Result, byte-identical to Run, and hands the rest
+// back.
+func TestRunBatchLeadWithoutFollowers(t *testing.T) {
+	g := dram.Baseline()
+	points := []BatchPoint{{}, {Tracker: func(ch int) rh.Tracker {
+		return blockhammer.New(ch, blockhammer.Config{Geometry: g, NRH: 500})
+	}}, {Mode: rh.VRR2}}
+	results, outcomes, err := RunBatch(batchBaseConfig(t, g, false), points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []FallbackReason{FallbackLead, FallbackThrottler, FallbackMode}
+	for i := range points {
+		if outcomes[i].Reason != want[i] {
+			t.Errorf("point %d: outcome %+v, want %q", i, outcomes[i], want[i])
+		}
+	}
+	wantJS, _ := json.Marshal(MustRun(batchBaseConfig(t, g, false)))
+	gotJS, _ := json.Marshal(results[0])
+	if !bytes.Equal(wantJS, gotJS) {
+		t.Error("lead result diverges from an independent run")
 	}
 }

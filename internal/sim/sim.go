@@ -530,14 +530,7 @@ func snapshot(cores []*cpu.Core, ctrls []*mem.Controller, trackers []rh.Tracker,
 		s.mem.Refreshes += st.Refreshes
 	}
 	for _, t := range trackers {
-		ts := t.Stats()
-		s.tracker.Activations += ts.Activations
-		s.tracker.Mitigations += ts.Mitigations
-		s.tracker.VictimRefreshes += ts.VictimRefreshes
-		s.tracker.BulkResets += ts.BulkResets
-		s.tracker.InjectedReads += ts.InjectedReads
-		s.tracker.InjectedWrites += ts.InjectedWrites
-		s.tracker.Throttled += ts.Throttled
+		accumStats(&s.tracker, t.Stats())
 	}
 	s.llcHit = llc.Hits()
 	s.llcAcc = llc.Hits() + llc.Misses()
