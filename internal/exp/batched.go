@@ -29,21 +29,23 @@ type BatchStats struct {
 // descriptor with the tracker identity erased, and NRH erased too when
 // no trace depends on it. Benign sweeps then share one stream across
 // the whole NRH axis, while attack and mix-with-attacker runs, whose
-// attacker traces are sized by NRH, keep one stream per NRH.
+// attacker traces are sized by NRH, keep one stream per NRH (Run.Job
+// gives attacker runs no stream, but the key stays right for them).
 func streamKey(run Run) string {
 	d := run.Desc()
 	d.Tracker = ""
 	d.Mode = ""
-	if !run.tracesUseNRH() {
+	if !run.hasAttacker() {
 		d.NRH = 0
 	}
 	return d.Key()
 }
 
-// tracesUseNRH reports whether any of the run's traces depends on its
-// NRH: an attacker's may (hand-written kinds size their hammering by
-// it), a benign workload's or an idle companion's does not.
-func (r Run) tracesUseNRH() bool {
+// hasAttacker reports whether any of the run's traces is an attacker's.
+// Only an attacker's trace may depend on NRH (hand-written kinds size
+// their hammering by it); a benign workload's or an idle companion's
+// does not.
+func (r Run) hasAttacker() bool {
 	switch {
 	case r.Isolated:
 		return false

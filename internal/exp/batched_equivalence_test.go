@@ -251,8 +251,9 @@ func TestStreamKeyImpliesSameTraces(t *testing.T) {
 // per-future outcome (Result, error, cache hit) and the same counters
 // with one worker and with two, and every Result must equal the job's
 // independent Run. The set has a throttler (blockhammer), a diverging
-// tracker (hydra at NRH 16), a cached lead with uncached followers and
-// an uncached lead with a cached follower.
+// tracker (hydra at NRH 16), a cached lead with uncached followers, an
+// uncached lead with a cached follower, and attack runs, which carry no
+// stream and run alone.
 func TestEngineEquivalencePoolGroups(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a dozen tiny runs; skipped in -short")
@@ -266,7 +267,7 @@ func TestEngineEquivalencePoolGroups(t *testing.T) {
 	w0, w1 := p.Workloads[0].Name, p.Workloads[1].Name
 	runs := []Run{
 		run(w0, "none", attack.None, 500),
-		run(w0, "dapper-h", attack.None, 500),
+		run(w0, "dapper-h", attack.None, 500), // cached follower
 		run(w0, "dapper-h", attack.None, 1000),
 		run(w0, "blockhammer", attack.None, 500),
 		run(w0, "hydra", attack.None, 16),
@@ -274,10 +275,10 @@ func TestEngineEquivalencePoolGroups(t *testing.T) {
 		run(w1, "dapper-h", attack.None, 500),
 		run(w1, "dapper-h", attack.None, 1000),
 		run(w0, "none", attack.Refresh, 500),
-		run(w0, "dapper-h", attack.Refresh, 500), // cached follower
+		run(w0, "dapper-h", attack.Refresh, 500), // cached, alone
 		run(w0, "hydra", attack.Refresh, 500),
 	}
-	cachedRuns := map[int]bool{5: true, 9: true}
+	cachedRuns := map[int]bool{1: true, 5: true, 9: true}
 
 	jobs := make([]harness.Job, len(runs))
 	want := make([][]byte, len(runs))
@@ -286,8 +287,9 @@ func TestEngineEquivalencePoolGroups(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if job.Stream == nil {
-			t.Fatalf("%s: unaudited run without telemetry has no stream", job.Desc)
+		if attacked := r.Attack.Kind != attack.None; (job.Stream == nil) != attacked {
+			t.Fatalf("%s: has stream %v, want %v (an unaudited run without telemetry has one unless it is attacked)",
+				job.Desc, job.Stream != nil, !attacked)
 		}
 		jobs[i] = job
 		res, err := job.Run()
@@ -353,10 +355,10 @@ func TestEngineEquivalencePoolGroups(t *testing.T) {
 	if s1.Ran != s2.Ran || s1.Lockstep != s2.Lockstep || s1.CacheHits != s2.CacheHits {
 		t.Errorf("grouping depends on the worker count: %+v vs %+v", s1, s2)
 	}
-	// Full runs: the three leads, blockhammer and the diverged hydra.
-	// Lockstep: both benign dapper-h points on w0, dapper-h 1000 on w1
-	// and the quiet hydra under the tiny refresh attack.
-	if s1.Ran != 5 || s1.Lockstep != 4 || s1.CacheHits != len(cachedRuns) {
-		t.Errorf("got %d full, %d lockstep, %d cached; want 5, 4, %d", s1.Ran, s1.Lockstep, s1.CacheHits, len(cachedRuns))
+	// Full runs: the two benign leads, blockhammer, the diverged hydra
+	// and the two uncached attack runs. Lockstep: dapper-h 1000 on w0
+	// and on w1.
+	if s1.Ran != 6 || s1.Lockstep != 2 || s1.CacheHits != len(cachedRuns) {
+		t.Errorf("got %d full, %d lockstep, %d cached; want 6, 2, %d", s1.Ran, s1.Lockstep, s1.CacheHits, len(cachedRuns))
 	}
 }

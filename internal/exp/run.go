@@ -282,15 +282,20 @@ func (r Run) Exec() (sim.Result, error) {
 }
 
 // Job validates the run and wraps it as a harness job. An unaudited
-// run with no telemetry and no attribution also describes its stream,
-// so the pool can run it in lockstep with the runs that share it; the
-// others depend on more than their stream and tracker, and run alone.
+// run with no telemetry, no attribution and no attacker also describes
+// its stream, so the pool can run it in lockstep with the runs that
+// share it. The others run alone. An audited, telemetry or attribution
+// run depends on more than its stream and tracker. An attacker drives
+// the mitigating trackers to act, so whether a follower rides its
+// stream turns on the trace seed: on the perf-attack point set, 7 of
+// the 96 groups over seeds 1-12 kept a follower, and each group that
+// lost it cost more than running its members alone.
 func (r Run) Job() (harness.Job, error) {
 	if err := r.Validate(); err != nil {
 		return harness.Job{}, err
 	}
 	job := harness.Job{Desc: r.Desc(), Run: r.Exec}
-	if !r.Audit && r.TelemetryWindow == 0 && !r.Attribution {
+	if !r.Audit && r.TelemetryWindow == 0 && !r.Attribution && !r.hasAttacker() {
 		tracker, mode := r.tracker()
 		job.Stream = &harness.Stream{
 			Key:    streamKey(r),

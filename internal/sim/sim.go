@@ -655,8 +655,9 @@ func (h *hierarchy) Access(now dram.Cycle, core int, req *mem.Request) (dram.Cyc
 	line := addr / uint64(h.geo.LineBytes)
 	// A miss needs a fill slot in the target channel's queue; check
 	// before touching the LLC so backpressured misses don't allocate
-	// lines they never fetched.
-	if !h.llc.Contains(line) && !h.ctrls[h.geo.Channel(addr)].CanEnqueue() {
+	// lines they never fetched. The queue test goes first: it is cheap,
+	// and it spares the set scan on every access whose queue has room.
+	if !h.ctrls[h.geo.Channel(addr)].CanEnqueue() && !h.llc.Contains(line) {
 		return 0, nil, false
 	}
 	res := h.llc.Access(line, req.IsWrite)
