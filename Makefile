@@ -10,14 +10,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static contracts (internal/analysis): nodeterm,
-# maporder and hotpath, compiled into cmd/dapper-lint.
-# The binary doubles as a `go vet -vettool`. gofmt must be clean (the
-# //dapper: annotations are gofmt-stable), and govulncheck runs when
-# installed (CI installs it; the offline dev container may not have it).
+# Formatting and known vulnerabilities. gofmt must be clean, and
+# govulncheck runs when installed (CI installs it; an offline machine
+# may not have it). The project's own contracts are tests
+# (contracts_test.go and the AllocsPerRun hot-path tests), so they run
+# in `make test`.
 lint:
-	$(GO) build -o bin/dapper-lint ./cmd/dapper-lint
-	./bin/dapper-lint ./...
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	@if command -v govulncheck >/dev/null 2>&1; then \

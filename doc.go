@@ -11,7 +11,7 @@
 // experiment harness that regenerates every table and figure of the
 // paper's evaluation (internal/exp, `dapper experiments`,
 // bench_test.go). Every entry point is a subcommand of cmd/dapper over
-// one shared flag set; cmd/dapper-lint is the only other binary.
+// one shared flag set; it is the module's only binary.
 //
 // # Experiment orchestration (internal/harness)
 //
@@ -353,46 +353,39 @@
 // "blame" while a sweep runs. examples/telemetry prints the stacks of
 // an attacked DAPPER-H run next to the insecure baseline's.
 //
-// # Static contracts (internal/analysis, cmd/dapper-lint)
+// # Static contracts (contracts_test.go)
 //
 // Three invariants carry the whole evaluation — runs are
 // deterministic, cache keys are complete, serialized artifacts are
 // byte-stable. Complete keys hold by construction (exp.Run derives
 // each job's key and its simulation from one value; a test perturbs
-// every leaf of Run and requires the key to move). internal/analysis
-// mechanizes the other two as compile-time contracts: three
-// project-specific analyzers on a stdlib-only go/analysis-style
-// framework (no x/tools dependency; packages load through `go list
-// -export` and type-check against the build cache's export data, so
-// the suite runs offline).
+// every leaf of Run and requires the key to move). The other two are
+// plain tests over the module's own non-test source, so `go test ./...`
+// fails on a violation and names its position:
 //
-//   - nodeterm forbids wall-clock reads (time.Now/Since/...), global
-//     math/rand, environment reads and goroutine spawning inside the
-//     deterministic core packages. Packages are tiered
-//     (analysis.DapperTiers): sim core packages get the full ban — and
-//     any new package defaults there, so fresh code is born strict —
-//     while harness/cmd packages may spawn goroutines and may touch
-//     the clock or environment only under an annotation.
-//   - maporder flags `for range` over a map whose body sends, formats,
-//     hashes or appends to an outer slice — iteration order would leak
-//     into output. The collect-then-sort idiom is recognized: an
-//     append is fine when a sort.*/slices.* call on the same slice
-//     follows in the same block.
-//   - hotpath forbids allocation, fmt, closures and interface boxing
-//     in functions marked //dapper:hot (the controller's event emit,
-//     rh.Tee's fan-out, the telemetry sink and the core probes on the
-//     simulator's per-access paths).
+//   - TestContractNodeterm forbids wall-clock reads (time.Now, Since,
+//     Sleep, timers), global math/rand, environment reads and, in the
+//     core tier, goroutine spawning. It parses source without a type
+//     checker and flags any reference to a banned function, so a
+//     method value (now := time.Now) counts like a call. One switch
+//     (tierOf) tiers packages: cmd, harness, exp, diag and goldentest
+//     may spawn goroutines, examples are exempt, and every other
+//     package — any new one too — is core.
+//   - TestContractMaporder flags `for range` over a map whose body
+//     sends, formats, hashes or appends to an outer slice, since
+//     iteration order would leak into output. The collect-then-sort
+//     idiom is recognized: an append is fine when a sort.*/slices.*
+//     call on the same slice follows in the same block. It type-checks
+//     against the export data of one `go list -export -deps ./...`.
 //
-// Escape hatches are annotations with mandatory one-line
-// justifications — `//dapper:wallclock <why>`, `//dapper:env <why>`,
-// `//dapper:anyorder <why>` on the offending line, function or range
-// statement; a bare annotation is itself a finding. cmd/dapper-lint
-// compiles the suite into a standalone multichecker (`make lint`, run
-// in CI next to gofmt and govulncheck) that doubles as a
-// `go vet -vettool=bin/dapper-lint ./...` unit checker, and
-// TestRepoLintClean keeps plain `go test ./...` authoritative: the
-// whole module must lint clean. The analyzers are themselves tested
-// against want-comment fixtures (internal/analysis/analysistest).
+// The only exception marker is `//dapper:wallclock <why>`, on the
+// offending line, the line above it or the function's doc comment;
+// the harness tier's elapsed-time measurements use it, and a bare
+// marker is itself a finding. Both checks also run over want-comment
+// fixtures under testdata/contracts. The simulator's per-event paths
+// (the controller's emit, pick and earliestReady, rh.Tee's fan-out,
+// the telemetry sink and core probe) are held allocation-free by
+// testing.AllocsPerRun tests beside them.
 //
 // See README.md for a quickstart. `dapper list experiments` prints the
 // experiment index, and each rendered table's notes set the paper's

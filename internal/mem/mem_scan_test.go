@@ -272,3 +272,41 @@ func BenchmarkControllerSaturated(b *testing.B) {
 		now = c.NextEvent(now)
 	}
 }
+
+// countSink counts events without keeping them.
+type countSink struct{ n int }
+
+func (s *countSink) Event(rh.Event) { s.n++ }
+
+// TestHotPathsDoNotAllocate holds the per-event and per-wake paths to
+// zero allocations: emit with a sink attached, and pick and
+// earliestReady scanning a full queue in which nothing can start (the
+// bank served first is busy, and tRRD holds every other ACT).
+func TestHotPathsDoNotAllocate(t *testing.T) {
+	geo := dram.Baseline()
+	c := NewController(0, geo, dram.DDR5(), rh.NewNop(), rh.VRR1)
+	sink := &countSink{}
+	c.SetSink(sink)
+	for i := range QueueCap {
+		c.Enqueue(reqAt(geo, bankLoc(geo, i%geo.BanksPerChannel(), uint32(i)), false), 0)
+	}
+	c.Tick(1)
+	if c.pick(c.queue, 2) != nil || c.Stats().ReadsServed+c.Stats().WritesServed != 1 {
+		t.Fatal("setup: want one request in service and none startable at cycle 2")
+	}
+	for _, hot := range []struct {
+		name string
+		f    func()
+	}{
+		{"emit", func() { c.emit(rh.Event{Kind: rh.EvACT, At: 2}) }},
+		{"pick", func() { c.pick(c.queue, 2) }},
+		{"earliestReady", func() { c.earliestReady(c.queue, 2) }},
+	} {
+		if n := testing.AllocsPerRun(100, hot.f); n != 0 {
+			t.Errorf("%s allocates %v times per call", hot.name, n)
+		}
+	}
+	if sink.n == 0 {
+		t.Error("emit never reached the sink")
+	}
+}

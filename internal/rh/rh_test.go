@@ -112,3 +112,22 @@ func TestNopTracker(t *testing.T) {
 		t.Fatalf("activations = %d", n.Stats().Activations)
 	}
 }
+
+// countSink counts events without keeping them.
+type countSink struct{ n int }
+
+func (s *countSink) Event(Event) { s.n++ }
+
+// TestTeeEventDoesNotAllocate holds the fan-out on every audited or
+// telemetry-carrying run's per-ACT path to zero allocations.
+func TestTeeEventDoesNotAllocate(t *testing.T) {
+	a, b := &countSink{}, &countSink{}
+	s := Tee(a, nil, b)
+	e := Event{Kind: EvACT, At: 7, Loc: locAt(0, 1, 2, 3, 42)}
+	if n := testing.AllocsPerRun(100, func() { s.Event(e) }); n != 0 {
+		t.Errorf("tee.Event allocates %v times per call", n)
+	}
+	if a.n == 0 || a.n != b.n {
+		t.Errorf("sinks saw %d and %d events, want equal and nonzero", a.n, b.n)
+	}
+}

@@ -131,9 +131,8 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 // windowOf maps an event timestamp to its window, clamping timestamps
 // outside [0, End) into the boundary windows: commands can carry issue
 // cycles slightly past the run end (in-flight at cutoff) and belong to
-// the final window by construction.
-//
-//dapper:hot
+// the final window by construction. TestSinkAndProbeDoNotAllocate holds
+// it allocation-free.
 func (r *Recorder) windowOf(t dram.Cycle) int {
 	if t < 0 {
 		return 0
@@ -145,9 +144,8 @@ func (r *Recorder) windowOf(t dram.Cycle) int {
 }
 
 // addOcc integrates a constant queue level over [from, to), splitting
-// the span across the windows it straddles.
-//
-//dapper:hot
+// the span across the windows it straddles. TestSinkAndProbeDoNotAllocate
+// holds it allocation-free.
 func (r *Recorder) addOcc(dst []uint64, from, to dram.Cycle, level int) {
 	if level == 0 || from >= to {
 		return
@@ -164,9 +162,8 @@ func (r *Recorder) addOcc(dst []uint64, from, to dram.Cycle, level int) {
 }
 
 // catchUpOcc advances channel ch's queue integrator to cycle t (clamped
-// monotone and into [., End]).
-//
-//dapper:hot
+// monotone and into [., End]). TestSinkAndProbeDoNotAllocate holds it
+// allocation-free.
 func (r *Recorder) catchUpOcc(c *chanAcc, t dram.Cycle) {
 	if t > r.cfg.End {
 		t = r.cfg.End
@@ -194,9 +191,7 @@ func (r *Recorder) Sink(ch int) rh.Sink { return &chanSink{r: r, ch: ch} }
 
 // Event folds one controller event; it runs once per ACT and per queue
 // change whenever telemetry is on, so it must stay allocation-free
-// (//dapper:hot).
-//
-//dapper:hot
+// (TestSinkAndProbeDoNotAllocate).
 func (s *chanSink) Event(e rh.Event) {
 	r := s.r
 	c := &r.channels[s.ch]
@@ -253,9 +248,8 @@ type coreProbe struct {
 func (r *Recorder) CoreProbe(core int) CoreProbe { return &coreProbe{r: r, core: core} }
 
 // CoreSegment folds one retirement segment; the event engine calls it
-// per dispatch burst, so it stays allocation-free (//dapper:hot).
-//
-//dapper:hot
+// per dispatch burst, so it stays allocation-free
+// (TestSinkAndProbeDoNotAllocate).
 func (p *coreProbe) CoreSegment(from, to dram.Cycle, retired uint64, dispCycles dram.Cycle, bp bool) {
 	if from >= to {
 		return

@@ -285,3 +285,37 @@ func TestFinishPanicsTwice(t *testing.T) {
 	}()
 	r.Finish()
 }
+
+// TestSinkAndProbeDoNotAllocate holds the channel sink (every event
+// kind) and the core probe to zero allocations on a warmed Recorder:
+// they run per ACT, per queue change and per dispatch burst. Queue
+// events and core segments advance in time on every call, so the
+// occupancy integrator and the window walk do real work each time.
+func TestSinkAndProbeDoNotAllocate(t *testing.T) {
+	r := mustRecorder(t, RecorderConfig{Cores: 1, Channels: 1, Window: 10, End: 100_000})
+	s, p := r.Sink(0), r.CoreProbe(0)
+	at := dram.Cycle(0)
+	for _, e := range []rh.Event{
+		{Kind: rh.EvACT},
+		{Kind: rh.EvACT, Injected: true},
+		{Kind: rh.EvMitigation, Action: rh.RefreshVictims},
+		{Kind: rh.EvMitigation, Action: rh.RefreshVictimsRFMsb},
+		{Kind: rh.EvMitigation, Action: rh.RefreshVictimsDRFMsb},
+		{Kind: rh.EvRefresh},
+		{Kind: rh.EvBulk},
+		{Kind: rh.EvQueue, Demand: 3, InjectedQueue: 1},
+		{Kind: rh.EvTable, Table: rh.TableOccupancy{Used: 2, Capacity: 8}},
+		{Kind: rh.EvServe, Until: 9},
+		{Kind: rh.EvBlock, Until: 9},
+	} {
+		if n := testing.AllocsPerRun(100, func() { at += 13; e.At = at; s.Event(e) }); n != 0 {
+			t.Errorf("Event kind %d allocates %v times per call", e.Kind, n)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { p.CoreSegment(at, at+25, 50, 12, true); at += 25 }); n != 0 {
+		t.Errorf("CoreSegment allocates %v times per call", n)
+	}
+	if at >= r.cfg.End {
+		t.Fatalf("events ran past End (%d): the window walk was clamped", at)
+	}
+}

@@ -1,5 +1,5 @@
 // Package maporder is the fixture for the map-iteration-order
-// analyzer: order may never leak into formatted output, errors,
+// contract: order may never leak into formatted output, errors,
 // writers/hashes, channels, or slices that outlive the loop, and the
 // collect-then-sort idiom is recognized as the fix.
 package maporder
@@ -95,16 +95,11 @@ func sliceRangeIsFine(xs []string, ch chan string) {
 	}
 }
 
+// annotated shows that //dapper:anyorder is no escape hatch: a
+// leaking map loop is always a finding.
 func annotated(m map[string]int, ch chan string) {
 	//dapper:anyorder fixture: the receiver re-sorts before any bytes escape
 	for k := range m {
-		ch <- k
-	}
-}
-
-func annotatedWithoutJustification(m map[string]int, ch chan string) {
-	//dapper:anyorder
-	for k := range m { // want `//dapper:anyorder annotation needs a one-line justification`
-		ch <- k
+		ch <- k // want `channel send inside map iteration`
 	}
 }

@@ -1,6 +1,6 @@
 // Package nodeterm_core is a fixture playing a deterministic-core
-// package (TierCore in the test's tier map): wall clock, global rand,
-// environment reads and goroutines are all findings.
+// package (the core tier): wall clock, global rand, environment reads
+// and goroutines are all findings.
 package nodeterm_core
 
 import (
@@ -20,6 +20,11 @@ func timers() {
 	_ = time.After(1)     // want `time\.After`
 }
 
+func methodValue() time.Time {
+	now := time.Now // want `time\.Now in nodeterm_core`
+	return now()
+}
+
 func durationArithmeticIsFine(d time.Duration) time.Duration {
 	// Pure time.Duration math never reads a clock.
 	return 2*d + time.Millisecond
@@ -28,6 +33,13 @@ func durationArithmeticIsFine(d time.Duration) time.Duration {
 func globalRand() int {
 	r := rand.New(rand.NewSource(1)) // explicitly seeded generator: fine
 	return r.Intn(8) + rand.Intn(8)  // want `global math/rand\.Intn: shared global rand state`
+}
+
+func seededIsFine(r *rand.Rand) int {
+	// A type reference, and a local that shadows the package, are not
+	// the global generator.
+	rand := rand.New(rand.NewSource(int64(r.Intn(8))))
+	return rand.Intn(8)
 }
 
 func shuffled(xs []int) {
@@ -65,7 +77,9 @@ func annotatedWithoutJustification() time.Time {
 	return time.Now() // want `//dapper:wallclock annotation needs a one-line justification`
 }
 
+// envAnnotated shows that //dapper:env is no escape hatch: an
+// environment read is always a finding.
 func envAnnotated() string {
 	//dapper:env fixture: opt-in debug knob, logged into the report header
-	return os.Getenv("DAPPER_DEBUG")
+	return os.Getenv("DAPPER_DEBUG") // want `os\.Getenv in nodeterm_core`
 }

@@ -1,5 +1,5 @@
 // Package nodeterm_exempt is a fixture playing an exempt package
-// (TierNone): nothing here is a finding.
+// (no tier): nothing here is a finding.
 package nodeterm_exempt
 
 import (

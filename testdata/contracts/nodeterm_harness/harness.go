@@ -1,6 +1,7 @@
 // Package nodeterm_harness is a fixture playing an orchestration
-// package (TierHarness): goroutines are its whole point and pass, but
-// unannotated wall-clock reads and environment access still fail.
+// package (the harness tier): goroutines are its whole point and pass,
+// but unannotated wall-clock reads and any environment access still
+// fail.
 package nodeterm_harness
 
 import (
