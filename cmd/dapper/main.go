@@ -71,7 +71,7 @@ var commands = []command{
 	{"adversary", "black-box worst-case attack search (-objective perf|escapes)",
 		with([]string{"tracker", "workload", "nrh", "mode", "mix-cores", "intensive", "objective", "budget", "attr"}, poolFlags), runAdversary},
 	{"sim", "one simulation per tracker, printed as IPC, DRAM and tracker statistics",
-		runFlags, runSim},
+		with(runFlags, []string{"debug-addr"}), runSim},
 	{"timeline", "one run per tracker as a windowed series, CPI stacks and blame matrix to -out/timeline-<tracker>.*",
 		with(runFlags, []string{"window", "out", "format", "check"}), runTimeline},
 	{"attack", "analytic Mapping-Capturing attack tables and Monte-Carlo probes",

@@ -42,6 +42,7 @@ func TestBadInvocationsNameTheirFlag(t *testing.T) {
 		{[]string{"sim", "-measure", "-3"}, "-measure"},
 		{[]string{"sim", "-measure", "0"}, "-measure"},
 		{[]string{"sim", "-warmup", "0"}, "-warmup"},
+		{[]string{"sim", "-debug-addr", "127.0.0.1:-1"}, "-debug-addr"},
 		{[]string{"timeline", "-window", "0.0001"}, "-window"},
 		{[]string{"batch", "-profile", "tiny", "-window", "-1"}, "-window"},
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"dapper/internal/attack"
+	"dapper/internal/diag"
 	"dapper/internal/dram"
 	"dapper/internal/exp"
 	"dapper/internal/sim"
@@ -121,11 +122,20 @@ func (c *cli) checkFormat(formats ...string) error {
 func (c *cli) wants(format string) bool { return c.format == format || c.format == "all" }
 
 // runSim runs one simulation per tracker and prints IPC, DRAM and
-// tracker statistics.
+// tracker statistics. With -debug-addr it serves expvar and pprof while
+// it runs, so a single run can be CPU-profiled from outside.
 func runSim(c *cli) error {
 	s, err := c.resolveSingle()
 	if err != nil {
 		return err
+	}
+	if c.debugAddr != "" {
+		dbg, err := diag.Serve(c.debugAddr, nil)
+		if err != nil {
+			return flagErr("debug-addr", err)
+		}
+		defer dbg.Close()
+		fmt.Fprintf(c.stderr, "debug endpoint on http://%s/debug/pprof/\n", dbg.Addr())
 	}
 	for _, id := range s.trackers {
 		res, err := s.runFor(id).Exec()

@@ -87,16 +87,26 @@
 //   - cpu.Core.NextEvent returns a bubble horizon (the soonest the
 //     trace's next memory access could dispatch at full width), the ROB
 //     head's completion time when the core is full, or dram.Never when
-//     progress depends on the memory system. Core.Step replays skipped
-//     interaction-free cycles exactly, folding steady bubble streams,
-//     head-stalled windows and full-width retire runs in closed form. A
-//     backpressure-stalled core is stepped at every iteration, because
-//     its retry outcome depends on controller state.
+//     progress depends on the memory system. The ROB is a head sequence
+//     number, a count, and a ring of at most 128 memory entries (LLC
+//     hits and in-flight reads): a bubble or posted write is ready from
+//     the cycle after its dispatch, so it takes no slot, dispatching k
+//     of them is count += k, and a head that is not a memory entry is
+//     ready. Core.Step replays skipped interaction-free cycles exactly,
+//     folding full-width retire runs and head-stalled windows in closed
+//     form; a fold walks memory entries only, so a stretch costs
+//     O(memory operations), not O(instructions). A backpressure-stalled
+//     core is stepped at every iteration, because its retry outcome
+//     depends on controller state.
 //   - The engine caches per-component wakes, re-arming a controller's
-//     only when it was ticked or received work (Controller.Version) and
-//     a blocked core's by a read-only re-poll. Warmup and final cycles
-//     are never skipped, so statistics snapshots observe the same
-//     retirement state as the cycle engine.
+//     only when it was ticked or received work (Controller.Version).
+//     Only Controller.Tick sets a request's Done/DoneAt or frees a queue
+//     slot, so a core blocked on an in-flight head (wake dram.Never) is
+//     re-polled, read-only, only on iterations where a controller
+//     ticked, and the LLC write-back backlog is flushed only then or
+//     when its cached earliest completion is due. Warmup and final
+//     cycles are never skipped, so statistics snapshots observe the
+//     same retirement state as the cycle engine.
 //
 // Force `-engine cycle` when validating the event engine itself, when
 // bisecting a suspected engine bug, or when adding a new component that

@@ -5,9 +5,21 @@
 // and START's reserved-LLC counter cache. The cache is keyed by an
 // opaque uint64 (cache-line address or row index); it tracks dirtiness
 // so evictions can generate write-back traffic.
+//
+// Lines are stored flat: one key and one last-use tick per way (16 bytes
+// a line), plus a valid and a dirty bitmask per set, so a cache has at
+// most MaxWays ways. The set index is a mask when the set count is a
+// power of two and a modulus otherwise.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
+
+// MaxWays is the largest associativity: a set's valid and dirty bits
+// are one uint64 each.
+const MaxWays = 64
 
 // Policy selects the replacement policy.
 type Policy int
@@ -35,22 +47,21 @@ type Result struct {
 	EvictedDirty bool   // displaced line needed write-back
 }
 
-type line struct {
-	key     uint64
-	valid   bool
-	dirty   bool
-	lastUse uint64
-}
-
 // Cache is a set-associative cache. Not safe for concurrent use; the
 // simulator is single-threaded per system.
 type Cache struct {
-	cfg    Config
-	lines  []line // sets*ways, row-major by set
-	tick   uint64
-	rng    uint64
-	hits   uint64
-	misses uint64
+	cfg     Config
+	keys    []uint64 // sets*ways, row-major by set
+	lastUse []uint64 // tick of each way's last access, same layout
+	valid   []uint64 // per set, bit w = way w holds a line
+	dirty   []uint64 // per set, bit w = way w's line needs write-back
+	full    uint64   // valid mask of a full set
+	setMask uint64   // Sets-1: the set index mask when pow2
+	pow2    bool     // Sets is a power of two
+	tick    uint64
+	rng     uint64
+	hits    uint64
+	misses  uint64
 }
 
 // New returns a cache with the given configuration.
@@ -58,11 +69,24 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.Sets <= 0 || cfg.Ways <= 0 {
 		return nil, fmt.Errorf("cache: sets (%d) and ways (%d) must be positive", cfg.Sets, cfg.Ways)
 	}
+	if cfg.Ways > MaxWays {
+		return nil, fmt.Errorf("cache: %d ways exceeds the maximum of %d", cfg.Ways, MaxWays)
+	}
 	rng := cfg.Seed
 	if rng == 0 {
 		rng = 0x9E3779B97F4A7C15
 	}
-	return &Cache{cfg: cfg, lines: make([]line, cfg.Sets*cfg.Ways), rng: rng}, nil
+	return &Cache{
+		cfg:     cfg,
+		keys:    make([]uint64, cfg.Sets*cfg.Ways),
+		lastUse: make([]uint64, cfg.Sets*cfg.Ways),
+		valid:   make([]uint64, cfg.Sets),
+		dirty:   make([]uint64, cfg.Sets),
+		full:    ^uint64(0) >> (MaxWays - cfg.Ways),
+		setMask: uint64(cfg.Sets - 1),
+		pow2:    cfg.Sets&(cfg.Sets-1) == 0,
+		rng:     rng,
+	}, nil
 }
 
 // MustNew is New but panics on bad config.
@@ -118,6 +142,9 @@ func (c *Cache) setIndex(key uint64) int {
 	h ^= h >> 17
 	h *= 0xFF51AFD7ED558CCD
 	h ^= h >> 33
+	if c.pow2 {
+		return int(h & c.setMask)
+	}
 	return int(h % uint64(c.cfg.Sets))
 }
 
@@ -128,97 +155,100 @@ func (c *Cache) xorshift() uint64 {
 	return c.rng
 }
 
+// find returns the way of set holding key, or -1.
+func (c *Cache) find(set int, key uint64) int {
+	base, valid := set*c.cfg.Ways, c.valid[set]
+	for w, k := range c.keys[base : base+c.cfg.Ways] {
+		if k == key && valid&(1<<w) != 0 {
+			return w
+		}
+	}
+	return -1
+}
+
 // Access looks up key, allocating on miss, and returns what happened.
-// isWrite marks the line dirty on hit or allocation.
+// isWrite marks the line dirty on hit or allocation. The victim is the
+// first invalid way, else (LRU) the first least-recently-used way or
+// (Random) a uniformly drawn way.
 func (c *Cache) Access(key uint64, isWrite bool) Result {
 	set := c.setIndex(key)
 	base := set * c.cfg.Ways
 	c.tick++
 
-	victim := -1
-	var victimUse uint64 = ^uint64(0)
-	for i := base; i < base+c.cfg.Ways; i++ {
-		ln := &c.lines[i]
-		if ln.valid && ln.key == key {
-			c.hits++
-			ln.lastUse = c.tick
-			if isWrite {
-				ln.dirty = true
-			}
-			return Result{Hit: true}
+	if w := c.find(set, key); w >= 0 {
+		c.hits++
+		c.lastUse[base+w] = c.tick
+		if isWrite {
+			c.dirty[set] |= 1 << w
 		}
-		if !ln.valid {
-			if victim == -1 || c.lines[victim].valid {
-				victim = i
-				victimUse = 0
-			}
-			continue
-		}
-		if ln.lastUse < victimUse && (victim == -1 || c.lines[victim].valid) {
-			victim = i
-			victimUse = ln.lastUse
-		}
+		return Result{Hit: true}
 	}
 	c.misses++
 
-	if c.cfg.Policy == Random && (victim == -1 || c.lines[victim].valid) {
-		victim = base + int(c.xorshift()%uint64(c.cfg.Ways))
-	}
-	if victim == -1 {
-		victim = base
-	}
-
+	var victim int
 	res := Result{}
-	v := &c.lines[victim]
-	if v.valid {
-		res.Evicted = true
-		res.EvictedKey = v.key
-		res.EvictedDirty = v.dirty
+	switch {
+	case c.valid[set] != c.full:
+		victim = bits.TrailingZeros64(^c.valid[set])
+	case c.cfg.Policy == Random:
+		victim = int(c.xorshift() % uint64(c.cfg.Ways))
+	default:
+		use := c.lastUse[base : base+c.cfg.Ways]
+		for w, u := range use {
+			if u < use[victim] {
+				victim = w
+			}
+		}
 	}
-	*v = line{key: key, valid: true, dirty: isWrite, lastUse: c.tick}
+	bit := uint64(1) << victim
+	if c.valid[set]&bit != 0 {
+		res.Evicted = true
+		res.EvictedKey = c.keys[base+victim]
+		res.EvictedDirty = c.dirty[set]&bit != 0
+	}
+	c.keys[base+victim] = key
+	c.lastUse[base+victim] = c.tick
+	c.valid[set] |= bit
+	if isWrite {
+		c.dirty[set] |= bit
+	} else {
+		c.dirty[set] &^= bit
+	}
 	return res
 }
 
 // Contains reports whether key is resident without updating recency or
 // statistics.
 func (c *Cache) Contains(key uint64) bool {
-	base := c.setIndex(key) * c.cfg.Ways
-	for i := base; i < base+c.cfg.Ways; i++ {
-		if c.lines[i].valid && c.lines[i].key == key {
-			return true
-		}
-	}
-	return false
+	return c.find(c.setIndex(key), key) >= 0
 }
 
 // Invalidate drops key if resident, returning whether it was dirty.
 func (c *Cache) Invalidate(key uint64) (present, dirty bool) {
-	base := c.setIndex(key) * c.cfg.Ways
-	for i := base; i < base+c.cfg.Ways; i++ {
-		if c.lines[i].valid && c.lines[i].key == key {
-			d := c.lines[i].dirty
-			c.lines[i] = line{}
-			return true, d
-		}
+	set := c.setIndex(key)
+	w := c.find(set, key)
+	if w < 0 {
+		return false, false
 	}
-	return false, false
+	bit := uint64(1) << w
+	dirty = c.dirty[set]&bit != 0
+	c.valid[set] &^= bit
+	c.dirty[set] &^= bit
+	return true, dirty
 }
 
 // Reset invalidates every line and clears statistics.
 func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
+	clear(c.valid)
+	clear(c.dirty)
 	c.hits, c.misses, c.tick = 0, 0, 0
 }
 
 // Occupancy returns the number of valid lines.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
-			n++
-		}
+	for _, v := range c.valid {
+		n += bits.OnesCount64(v)
 	}
 	return n
 }

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -11,6 +13,15 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := New(Config{Sets: 4, Ways: 0}); err == nil {
 		t.Fatal("expected error")
+	}
+	for _, ways := range []int{65, 1000} {
+		_, err := New(Config{Sets: 4, Ways: ways})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d ways", ways)) {
+			t.Fatalf("%d ways: err = %v, want one naming the way count", ways, err)
+		}
+	}
+	if _, err := New(Config{Sets: 4, Ways: MaxWays}); err != nil {
+		t.Fatalf("%d ways rejected: %v", MaxWays, err)
 	}
 	if _, err := NewBySize(0, 16, 64); err == nil {
 		t.Fatal("expected error")
@@ -218,5 +229,21 @@ func TestSmallWorkingSetHits(t *testing.T) {
 	}
 	if c.HitRate() < 0.85 {
 		t.Fatalf("resident workload hit rate = %v", c.HitRate())
+	}
+}
+
+// TestAccessDoesNotAllocate: hits, fills and evictions allocate nothing
+// under either policy.
+func TestAccessDoesNotAllocate(t *testing.T) {
+	for _, p := range []Policy{LRU, Random} {
+		c := MustNew(Config{Sets: 64, Ways: 16, Policy: p})
+		key := uint64(0)
+		access := func() {
+			c.Access(key%4096, key%3 == 0)
+			key += 7
+		}
+		if a := testing.AllocsPerRun(10_000, access); a != 0 {
+			t.Fatalf("policy %d: Access allocates %.1f times per call", p, a)
+		}
 	}
 }

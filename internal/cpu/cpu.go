@@ -5,6 +5,13 @@
 // hierarchy answers, and the core stalls when the ROB fills — which is
 // how DRAM bandwidth loss (the currency of every Perf-Attack in the
 // paper) becomes IPC loss.
+//
+// The ROB stores only the memory instructions that wait (LLC hits and
+// in-flight reads); bubbles and posted writes are counted, not stored.
+// Driven every cycle, Step costs O(Width). Driven at NextEvent wakes,
+// Step's catch-up folds the skipped cycles in closed form over the
+// memory entries, so a core costs O(memory operations), not
+// O(instructions).
 package cpu
 
 import (
@@ -50,20 +57,47 @@ const Width = 4
 // ROBSize is the reorder-buffer capacity (Table I: 128 entries).
 const ROBSize = 128
 
-type robEntry struct {
+// memEntry is a memory instruction in the ROB: an LLC hit, ready at
+// completeAt, or an in-flight read, ready once pending is done.
+type memEntry struct {
+	seq        uint64 // the instruction's position in dispatch order
 	completeAt dram.Cycle
 	pending    *mem.Request
 }
 
+// readyAt returns the first cycle the entry can retire, or dram.Never
+// while its request has no completion time yet.
+func (e *memEntry) readyAt() dram.Cycle {
+	if e.pending == nil {
+		return e.completeAt
+	}
+	if e.pending.Done {
+		return e.pending.DoneAt
+	}
+	return dram.Never
+}
+
 // Core is one out-of-order core. Not safe for concurrent use.
+//
+// The ROB holds count instructions with sequence numbers head,
+// head+1, ... in dispatch order. Only memory instructions that have to
+// wait (LLC hits and in-flight reads) are stored, in a ring; every
+// other instruction (a bubble or a posted write) is ready from the cycle
+// after its dispatch, and retirement runs before dispatch within a
+// cycle, so it is ready whenever it reaches the head and needs no slot.
+// Dispatching k bubbles is count += k, and retirement and the catch-up
+// folds walk memory entries only.
 type Core struct {
 	id    int
 	trace Trace
 	memIf Memory
 
-	rob   [ROBSize]robEntry
-	head  int // oldest entry
+	head  uint64 // sequence number of the oldest instruction
 	count int
+
+	ring  [ROBSize]memEntry // the ROB's memory instructions, oldest at mhead
+	mhead int
+	mlen  int
 
 	// Trace cursor: bubbles still to dispatch before the next memory
 	// access.
@@ -94,14 +128,6 @@ type Core struct {
 	// that Step, so a gap-driven Step can replay the skipped cycles.
 	lastDispatched int
 	lastStep       dram.Cycle
-
-	// pendingCount tracks live ROB entries holding in-flight memory
-	// requests; maxCompleteAt is an upper bound on live entries'
-	// completion times. Together they gate catchUp's O(1) fast path:
-	// when pendingCount is zero and maxCompleteAt has passed, every live
-	// entry is ready and entries are interchangeable.
-	pendingCount  int
-	maxCompleteAt dram.Cycle
 
 	// probe, when attached, receives the core's exact retirement
 	// trajectory as uniform segments; nil costs one branch per Step.
@@ -180,6 +206,72 @@ func (c *Core) putReq(r *mem.Request) {
 	}
 }
 
+// memHead returns the oldest memory entry, or nil if the ROB holds none.
+func (c *Core) memHead() *memEntry {
+	if c.mlen == 0 {
+		return nil
+	}
+	return &c.ring[c.mhead]
+}
+
+// pushMem records a memory instruction dispatched into the ROB's tail.
+func (c *Core) pushMem(completeAt dram.Cycle, pending *mem.Request) {
+	c.ring[(c.mhead+c.mlen)%ROBSize] = memEntry{seq: c.head + uint64(c.count), completeAt: completeAt, pending: pending}
+	c.mlen++
+	c.count++
+}
+
+// popMem drops the oldest memory entry, returning its request to the pool.
+func (c *Core) popMem() {
+	e := &c.ring[c.mhead]
+	if e.pending != nil {
+		c.putReq(e.pending)
+		e.pending = nil
+	}
+	c.mhead = (c.mhead + 1) % ROBSize
+	c.mlen--
+}
+
+// advance retires the n oldest instructions, which the caller has
+// proved ready, popping the memory entries among them.
+func (c *Core) advance(n int) {
+	c.head += uint64(n)
+	c.count -= n
+	c.retired += uint64(n)
+	for e := c.memHead(); e != nil && e.seq < c.head; e = c.memHead() {
+		c.popMem()
+	}
+}
+
+// retire retires up to Width ready instructions at cycle now, oldest
+// first, stopping at the first memory entry not ready by now.
+func (c *Core) retire(now dram.Cycle) {
+	left := Width
+	for left > 0 && c.count > 0 {
+		n := min(left, c.count)
+		if e := c.memHead(); e != nil {
+			if gap := int(e.seq - c.head); gap > 0 {
+				n = min(n, gap)
+			} else if e.readyAt() > now {
+				return
+			} else {
+				n = 1
+			}
+		}
+		c.advance(n)
+		left -= n
+	}
+}
+
+// dispatchBubbles dispatches up to limit bubbles into the ROB's free
+// slots and returns how many it dispatched.
+func (c *Core) dispatchBubbles(limit int) int {
+	k := min(limit, ROBSize-c.count, c.bubbles)
+	c.count += k
+	c.bubbles -= k
+	return k
+}
+
 // Step advances the core to cycle now: retire up to Width completed
 // instructions, then dispatch up to Width new ones. Step may be driven
 // every cycle, or with gaps when the event engine skipped cycles it
@@ -192,33 +284,13 @@ func (c *Core) Step(now dram.Cycle) {
 	c.lastStep = now
 	c.cycles++
 	retiredBefore := c.retired
-
-	// Retire.
-	for n := 0; n < Width && c.count > 0; n++ {
-		e := &c.rob[c.head]
-		if e.pending != nil {
-			if !e.pending.Done || e.pending.DoneAt > now {
-				break
-			}
-			c.putReq(e.pending)
-			e.pending = nil
-			c.pendingCount--
-		} else if e.completeAt > now {
-			break
-		}
-		c.head = (c.head + 1) % ROBSize
-		c.count--
-		c.retired++
-	}
+	c.retire(now)
 
 	// Dispatch.
 	dispatched := 0
 	for dispatched < Width && c.count < ROBSize {
 		if c.bubbles > 0 {
-			c.rob[(c.head+c.count)%ROBSize] = robEntry{completeAt: now}
-			c.count++
-			c.bubbles--
-			dispatched++
+			dispatched += c.dispatchBubbles(Width - dispatched)
 			continue
 		}
 		if !c.haveMem && c.stalledReq == nil {
@@ -248,28 +320,24 @@ func (c *Core) Step(now dram.Cycle) {
 			break
 		}
 		c.stalledReq = nil
-		if req.IsWrite {
+		switch {
+		case req.IsWrite:
 			c.memWrites++
-			// Posted write: retires immediately; the request object is
-			// owned by the memory system until done, so don't pool it.
-			c.rob[(c.head+c.count)%ROBSize] = robEntry{completeAt: now}
+			// Posted write: retires from the next cycle, like a bubble;
+			// the request object is owned by the memory system until
+			// done, so don't pool it.
+			c.count++
 			if pending == nil {
 				c.putReq(req)
 			}
-		} else {
+		case pending != nil:
 			c.memReads++
-			if pending != nil {
-				c.rob[(c.head+c.count)%ROBSize] = robEntry{pending: pending}
-				c.pendingCount++
-			} else {
-				c.rob[(c.head+c.count)%ROBSize] = robEntry{completeAt: now + lat}
-				if now+lat > c.maxCompleteAt {
-					c.maxCompleteAt = now + lat
-				}
-				c.putReq(req)
-			}
+			c.pushMem(0, pending)
+		default:
+			c.memReads++
+			c.pushMem(now+lat, nil)
+			c.putReq(req)
 		}
-		c.count++
 		dispatched++
 	}
 	bp := c.stalledReq != nil
@@ -296,97 +364,54 @@ func (c *Core) Step(now dram.Cycle) {
 // a bubble run leaves at least Width bubbles pending on every replayed
 // cycle, which means the dispatch loop can never reach the trace's
 // memory record early.
+//
+// Each fold costs O(1) plus the memory entries it passes, so a stretch
+// costs O(memory operations), not O(instructions): only a memory entry
+// can end a fold early, and it does so at most a constant number of
+// times (a partial-width retire cycle, then a head-stalled fold).
 func (c *Core) catchUp(from, to dram.Cycle) {
-	for cyc := from; cyc < to; cyc++ {
-		// Steady bubble stream: every live entry is ready (no in-flight
-		// requests, all completion times passed) and at least Width
-		// bubbles remain per cycle, so each cycle retires Width entries
-		// and dispatches Width interchangeable ready bubbles — net zero.
-		// Fold the whole stretch in O(1).
-		if c.pendingCount == 0 && c.maxCompleteAt <= cyc &&
-			c.count >= Width && c.bubbles >= Width {
-			n := to - cyc
-			if m := dram.Cycle(c.bubbles / Width); m < n {
-				n = m
-			}
-			c.retired += uint64(n) * Width
-			c.bubbles -= int(n) * Width
-			c.cycles += uint64(n)
-			if c.probe != nil {
-				c.probe.CoreSegment(cyc, cyc+n, uint64(n)*Width, n, false)
-			}
-			cyc += n - 1
-			continue
-		}
-		// Retire-active phase: a leading run of ready entries retires at
-		// full width while bubbles dispatch at full width — fold as many
-		// such cycles as the run supports, shifting the ROB window
-		// without touching the retired entries' slots.
+	for cyc := from; cyc < to; {
+		// Retire-active phase: each cycle retires Width instructions and
+		// dispatches Width bubbles, so the ROB keeps its size. Bubbles are
+		// always ready (count >= Width keeps each one behind at least a
+		// full cycle of older instructions), so the fold runs until the
+		// bubbles or the range run out, or a memory entry at position p
+		// is not ready by its retire cycle cyc + p/Width.
 		if c.count >= Width && c.bubbles >= Width {
-			n := to - cyc
-			if m := dram.Cycle(c.bubbles / Width); m < n {
-				n = m
-			}
-			limit := int(n) * Width
-			if limit > c.count {
-				limit = c.count
-			}
-			run := 0
-			for run < limit {
-				e := &c.rob[(c.head+run)%ROBSize]
-				if e.pending != nil || e.completeAt > cyc+dram.Cycle(run/Width) {
+			m := min(to-cyc, dram.Cycle(c.bubbles/Width))
+			for i := 0; i < c.mlen; i++ {
+				e := &c.ring[(c.mhead+i)%ROBSize]
+				p := dram.Cycle(e.seq - c.head)
+				if p >= m*Width {
 					break
 				}
-				run++
-			}
-			if m := dram.Cycle(run / Width); m > 0 {
-				disp := int(m) * Width
-				for k := 0; k < disp; k++ {
-					c.rob[(c.head+c.count+k)%ROBSize] = robEntry{completeAt: cyc}
+				if e.readyAt() > cyc+p/Width {
+					m = p / Width
+					break
 				}
-				c.head = (c.head + disp) % ROBSize
-				c.retired += uint64(disp)
+			}
+			if m > 0 {
+				disp := int(m) * Width
+				c.advance(disp)
+				c.count += disp
 				c.bubbles -= disp
 				c.cycles += uint64(m)
 				if c.probe != nil {
 					c.probe.CoreSegment(cyc, cyc+m, uint64(disp), m, false)
 				}
-				cyc += m - 1
+				cyc += m
 				continue
 			}
 		}
 		// Head-stalled phase: an unready head entry blocks all
 		// retirement until its completion time, so the replayed cycles
 		// only dispatch bubbles (min(Width, room, bubbles) per cycle,
-		// greedily) — fold the stretch in closed form.
-		if c.count > 0 {
-			headReadyAt := c.rob[c.head].completeAt
-			if p := c.rob[c.head].pending; p != nil {
-				headReadyAt = dram.Never // not serviced during the replayed range
-				if p.Done {
-					headReadyAt = p.DoneAt
-				}
-			}
-			if headReadyAt > cyc {
-				n := to - cyc
-				if headReadyAt < to {
-					n = headReadyAt - cyc
-				}
-				disp := int(n) * Width
-				if room := ROBSize - c.count; room < disp {
-					disp = room
-				}
-				if c.bubbles < disp {
-					disp = c.bubbles
-				}
-				for k := 0; k < disp; k++ {
-					// Recording the fold's first cycle as completeAt is
-					// safe: the entry sits behind the unready head, so it
-					// cannot retire before its true dispatch cycle anyway.
-					c.rob[(c.head+c.count+k)%ROBSize] = robEntry{completeAt: cyc}
-				}
-				c.count += disp
-				c.bubbles -= disp
+		// greedily) — fold the stretch in closed form. A head that is not
+		// a memory entry is ready.
+		if e := c.memHead(); e != nil && e.seq == c.head {
+			if headReadyAt := e.readyAt(); headReadyAt > cyc {
+				n := min(to, headReadyAt) - cyc
+				disp := c.dispatchBubbles(int(n) * Width)
 				// A frozen stalledReq means the bubbles drained before the
 				// refused issue (disp is then 0), so the whole stretch is
 				// backpressure retry; otherwise it waits on the ROB head.
@@ -403,35 +428,16 @@ func (c *Core) catchUp(from, to dram.Cycle) {
 					// dispatching prefix is ceil(disp/Width) cycles long.
 					c.probe.CoreSegment(cyc, cyc+n, 0, dram.Cycle((disp+Width-1)/Width), bp)
 				}
-				cyc += n - 1
+				cyc += n
 				continue
 			}
 		}
+		// One cycle at a time otherwise: a partial-width retire, or a
+		// nearly empty ROB or bubble run.
 		c.cycles++
 		retiredBefore := c.retired
-		for n := 0; n < Width && c.count > 0; n++ {
-			e := &c.rob[c.head]
-			if e.pending != nil {
-				if !e.pending.Done || e.pending.DoneAt > cyc {
-					break
-				}
-				c.putReq(e.pending)
-				e.pending = nil
-				c.pendingCount--
-			} else if e.completeAt > cyc {
-				break
-			}
-			c.head = (c.head + 1) % ROBSize
-			c.count--
-			c.retired++
-		}
-		dispatched := 0
-		for dispatched < Width && c.count < ROBSize && c.bubbles > 0 {
-			c.rob[(c.head+c.count)%ROBSize] = robEntry{completeAt: cyc}
-			c.count++
-			c.bubbles--
-			dispatched++
-		}
+		c.retire(cyc)
+		dispatched := c.dispatchBubbles(Width)
 		bp := c.stalledReq != nil
 		if dispatched == 0 {
 			if bp {
@@ -447,6 +453,7 @@ func (c *Core) catchUp(from, to dram.Cycle) {
 			}
 			c.probe.CoreSegment(cyc, cyc+1, c.retired-retiredBefore, disp, bp)
 		}
+		cyc++
 	}
 }
 
@@ -471,22 +478,15 @@ func (c *Core) NextEvent(now dram.Cycle) dram.Cycle {
 		}
 		return now + 1
 	}
-	if c.count > 0 {
-		e := &c.rob[c.head]
-		switch {
-		case e.pending == nil:
-			if e.completeAt <= now {
-				return now + 1 // ready, retirement just capped by Width
-			}
-			return e.completeAt
-		case e.pending.Done:
-			if e.pending.DoneAt <= now {
-				return now + 1
-			}
-			return e.pending.DoneAt
+	if c.count == 0 {
+		return dram.Never
+	}
+	if e := c.memHead(); e != nil && e.seq == c.head {
+		if r := e.readyAt(); r > now {
+			return r
 		}
 	}
-	return dram.Never
+	return now + 1 // a ready head: retirement just capped by Width
 }
 
 // NCAddr marks addresses as non-cacheable via their top bit. Traces set

@@ -253,3 +253,23 @@ func TestTimingValidate(t *testing.T) {
 		t.Fatal("zero Timing must be rejected")
 	}
 }
+
+// TestDecoderDoesNotAllocate covers both decoder paths.
+func TestDecoderDoesNotAllocate(t *testing.T) {
+	odd := Baseline()
+	odd.Channels = 3
+	for _, g := range []Geometry{Baseline(), odd} {
+		d := g.Decoder()
+		addr := uint64(0)
+		var sink Loc
+		decode := func() {
+			sink = d.Decompose(addr)
+			sink.Channel += d.Channel(addr)
+			addr += 4160
+		}
+		if a := testing.AllocsPerRun(1000, decode); a != 0 {
+			t.Fatalf("%s: decoding allocates %.1f times per call", g, a)
+		}
+		_ = sink
+	}
+}

@@ -8,7 +8,10 @@ import "testing"
 // bounds, Channel must agree with Decompose on any address, and the
 // rank-row index space (the domain DAPPER's cipher permutes) must
 // round-trip too. Every attack generator, tracker and
-// the secaudit oracle lean on these bijections.
+// the secaudit oracle lean on these bijections. The precomputed Decoder
+// must equal both Geometry methods on the fuzzed geometry and on its
+// power-of-two rounding, so the shift-and-mask path and the fallback
+// are both covered by every input.
 func FuzzDecompose(f *testing.F) {
 	f.Add(uint64(0), uint8(2), uint8(2), uint8(8), uint8(4), uint32(64*1024), uint16(128))
 	f.Add(uint64(0x12345678), uint8(1), uint8(1), uint8(1), uint8(1), uint32(1), uint16(1))
@@ -30,6 +33,20 @@ func FuzzDecompose(f *testing.F) {
 		if ch, want := g.Channel(addr), g.Decompose(addr).Channel; ch != want {
 			t.Fatalf("Channel(%#x) = %d, Decompose says %d for %s", addr, ch, want, g)
 		}
+		checkDecoder(t, g, addr)
+		p2 := Geometry{
+			Channels:      1 << (chans % 4),
+			Ranks:         1 << (ranks % 4),
+			BankGroups:    1 << (bgs % 5),
+			BanksPerGroup: 1 << (banks % 4),
+			RowsPerBank:   1 << (rowsPB % 21),
+			RowBytes:      64 << (rowLines % 9),
+			LineBytes:     64,
+		}
+		if d := p2.Decoder(); !d.pow2 {
+			t.Fatalf("power-of-two geometry %s decodes by division", p2)
+		}
+		checkDecoder(t, p2, addr)
 		addr %= g.TotalBytes()
 		addr -= addr % uint64(g.LineBytes)
 
@@ -59,4 +76,17 @@ func FuzzDecompose(f *testing.F) {
 			t.Fatalf("rank-row index does not round-trip: %+v vs %+v", l, back)
 		}
 	})
+}
+
+// checkDecoder asserts that g's Decoder agrees with Decompose and
+// Channel on addr.
+func checkDecoder(t *testing.T, g Geometry, addr uint64) {
+	t.Helper()
+	d := g.Decoder()
+	if got, want := d.Decompose(addr), g.Decompose(addr); got != want {
+		t.Fatalf("Decoder().Decompose(%#x) = %+v, Decompose says %+v for %s", addr, got, want, g)
+	}
+	if got, want := d.Channel(addr), g.Channel(addr); got != want {
+		t.Fatalf("Decoder().Channel(%#x) = %d, Channel says %d for %s", addr, got, want, g)
+	}
 }

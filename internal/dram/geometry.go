@@ -6,7 +6,10 @@
 // steps on.
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Cycle is a point in (or duration of) simulated time, in 4GHz CPU
 // cycles: 1 cycle = 0.25ns.
@@ -155,6 +158,66 @@ func (g Geometry) Decompose(addr uint64) Loc {
 // without decoding the rest.
 func (g Geometry) Channel(addr uint64) int {
 	return int(addr / uint64(g.LineBytes) % uint64(g.Channels))
+}
+
+// Decoder is Decompose and Channel for one geometry, precomputed: when
+// every field count and the line size are powers of two, each field is
+// one shift and one mask of the address (no divisions). Otherwise it
+// falls back to the Geometry methods, which stay the reference.
+type Decoder struct {
+	g     Geometry
+	pow2  bool
+	shift [6]uint   // channel, col, bank, bank group, rank, row
+	mask  [6]uint64 // field count - 1
+}
+
+// Decoder returns the geometry's address decoder.
+func (g Geometry) Decoder() Decoder {
+	d := Decoder{g: g}
+	sizes := [...]uint64{uint64(g.Channels), uint64(g.BlocksPerRow()), uint64(g.BanksPerGroup),
+		uint64(g.BankGroups), uint64(g.Ranks), uint64(g.RowsPerBank)}
+	shift := log2(uint64(g.LineBytes))
+	for i, n := range sizes {
+		b := log2(n)
+		if shift < 0 || b < 0 {
+			return d
+		}
+		d.shift[i], d.mask[i] = uint(shift), n-1
+		shift += b
+	}
+	d.pow2 = true
+	return d
+}
+
+// log2 returns k with n == 1<<k, or -1 if n is not a power of two.
+func log2(n uint64) int {
+	if n == 0 || n&(n-1) != 0 {
+		return -1
+	}
+	return bits.TrailingZeros64(n)
+}
+
+// Decompose equals Geometry.Decompose.
+func (d *Decoder) Decompose(addr uint64) Loc {
+	if !d.pow2 {
+		return d.g.Decompose(addr)
+	}
+	return Loc{
+		Channel:   int(addr >> d.shift[0] & d.mask[0]),
+		Col:       int(addr >> d.shift[1] & d.mask[1]),
+		Bank:      int(addr >> d.shift[2] & d.mask[2]),
+		BankGroup: int(addr >> d.shift[3] & d.mask[3]),
+		Rank:      int(addr >> d.shift[4] & d.mask[4]),
+		Row:       uint32(addr >> d.shift[5] & d.mask[5]),
+	}
+}
+
+// Channel equals Geometry.Channel.
+func (d *Decoder) Channel(addr uint64) int {
+	if !d.pow2 {
+		return d.g.Channel(addr)
+	}
+	return int(addr >> d.shift[0] & d.mask[0])
 }
 
 // Compose inverts Decompose, producing the physical address of the

@@ -365,3 +365,42 @@ func TestEngineEquivalenceFourRanks(t *testing.T) {
 		t.Fatalf("engines diverge on 4-rank geometry:\n cycle: %+v\n event: %+v", want, got)
 	}
 }
+
+// writeStream writes one line every few instructions, striding across
+// channels, banks and rows, so in a small LLC nearly every access
+// evicts a dirty line.
+type writeStream struct{ at, bubbles uint64 }
+
+func (w *writeStream) Next() cpu.Record {
+	w.at += 64 * 37
+	return cpu.Record{Bubbles: int(w.bubbles), Addr: w.at % (1 << 34), IsWrite: true}
+}
+
+// TestEngineEquivalenceWriteBacks drives four write streams through a
+// 64KB LLC, so the write-back backlog fills to its cap and stalls the
+// cores while the controllers drain it. The event engine flushes the
+// backlog only on controller ticks or when its earliest completion is
+// due, and must match the per-cycle loop exactly. The streams leave
+// 24-33 instructions between writes, few enough in flight that no
+// channel queue fills: denser streams also refuse fills behind their
+// own write-backs (the open refused-fill bug), which makes the engines
+// differ for that other reason.
+func TestEngineEquivalenceWriteBacks(t *testing.T) {
+	mk := func(e Engine) Config {
+		var traces []cpu.Trace
+		for i := range 4 {
+			traces = append(traces, &writeStream{at: uint64(i) << 30, bubbles: uint64(24 + 3*i)})
+		}
+		cfg := quickCfg(traces)
+		cfg.LLCBytes = 64 << 10
+		cfg.Engine = e
+		return cfg
+	}
+	want, got := MustRun(mk(EngineCycle)), MustRun(mk(EngineEvent))
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("engines diverge:\n cycle: %+v\n event: %+v", want, got)
+	}
+	if want.Counters.WR == 0 {
+		t.Fatal("no write-backs reached DRAM")
+	}
+}

@@ -197,6 +197,9 @@ func run(cfg Config, wrapT func(channel int, t rh.Tracker) rh.Tracker) (Result, 
 	if len(cfg.Traces) == 0 {
 		return Result{}, fmt.Errorf("sim: no traces")
 	}
+	if cfg.LLCWays < 1 || cfg.LLCWays > cache.MaxWays {
+		return Result{}, fmt.Errorf("sim: LLC ways %d outside [1, %d]", cfg.LLCWays, cache.MaxWays)
+	}
 	end := cfg.Warmup + cfg.Measure
 
 	var rec *telemetry.Recorder
@@ -269,10 +272,12 @@ func run(cfg Config, wrapT func(channel int, t rh.Tracker) rh.Tracker) (Result, 
 		return Result{}, err
 	}
 	hier := &hierarchy{
-		geo:    cfg.Geometry,
-		llc:    llc,
-		ctrls:  controllers,
-		llcLat: cfg.LLCLatency,
+		geo:      cfg.Geometry,
+		dec:      cfg.Geometry.Decoder(),
+		llc:      llc,
+		ctrls:    controllers,
+		llcLat:   cfg.LLCLatency,
+		nextDone: dram.Never,
 	}
 
 	cores := make([]*cpu.Core, len(cfg.Traces))
@@ -426,6 +431,10 @@ func checkConservation(s *telemetry.Series, final snapshots, cores []*cpu.Core) 
 //   - all cross-component interactions (enqueue, service completion,
 //     write-back admission) happen at iteration times by construction,
 //     so skipped cycles are provably no-ops for every skipped component.
+//   - only mem.Controller.Tick completes a request or frees a queue
+//     slot, so a core blocked on an in-flight head is re-polled, and the
+//     write-back backlog flushed, only on iterations where a controller
+//     ticked (the backlog also when its earliest completion is due).
 //
 // The warmup and final cycles are never skipped: the statistics
 // snapshots must observe the same retirement state as the cycle engine.
@@ -439,20 +448,24 @@ func runEvent(cfg Config, controllers []*mem.Controller, hier *hierarchy,
 	coreWake := make([]dram.Cycle, nCore)
 
 	for now := dram.Cycle(0); now < end; {
+		ticked := false
 		for ch, c := range controllers {
 			if now >= ctrlWake[ch] {
 				c.Tick(now)
 				ctrlTicked[ch] = true
+				ticked = true
 			}
 		}
-		hier.flush(now)
+		if ticked || now >= hier.nextDone {
+			hier.flush(now)
+		}
 		boundary := now == cfg.Warmup || now == end-1
 		for i, c := range cores {
 			switch {
 			case now >= coreWake[i] || c.Stalled() || boundary:
 				c.Step(now)
 				coreWake[i] = c.NextEvent(now)
-			case coreWake[i] == dram.Never:
+			case coreWake[i] == dram.Never && ticked:
 				// Externally blocked on an in-flight ROB head: re-poll
 				// (read-only) — the controller may just have given the
 				// request its completion time.
@@ -479,8 +492,8 @@ func runEvent(cfg Config, controllers []*mem.Controller, hier *hierarchy,
 				wake = coreWake[i]
 			}
 		}
-		if w := hier.nextEvent(now); w < wake {
-			wake = w
+		if hier.nextDone < wake {
+			wake = hier.nextDone
 		}
 		if wake < now+1 {
 			wake = now + 1
@@ -575,11 +588,15 @@ func subMem(a *mem.Stats, b mem.Stats) {
 // DRAM write-backs via a bounded backlog.
 type hierarchy struct {
 	geo     dram.Geometry
+	dec     dram.Decoder
 	llc     *cache.Cache
 	ctrls   []*mem.Controller
 	llcLat  dram.Cycle
 	backlog []*mem.Request
 	pool    []*mem.Request
+	// nextDone is the earliest completion among the backlog's serviced
+	// write-backs (dram.Never if none), as of the last flush.
+	nextDone dram.Cycle
 }
 
 const backlogCap = 64
@@ -594,24 +611,16 @@ func (h *hierarchy) getReq() *mem.Request {
 	return &mem.Request{}
 }
 
-// nextEvent returns the earliest future cycle at which the backlog
-// changes on its own: the next in-flight write-back completion.
-// Admission retries for not-yet-enqueued write-backs piggyback on
-// controller events (a queue slot only frees when a controller services
-// a request, which is a controller wake).
-func (h *hierarchy) nextEvent(now dram.Cycle) dram.Cycle {
-	next := dram.Never
-	for _, r := range h.backlog {
-		if r.Done && r.DoneAt > now && r.DoneAt < next {
-			next = r.DoneAt
-		}
-	}
-	return next
-}
-
-// flush retires completed write-backs and retries queued ones.
+// flush retires completed write-backs, retries queued ones and
+// recomputes nextDone. Between flushes the backlog changes on its own
+// only at nextDone: a write-back's Done/DoneAt and a queue slot for a
+// refused one both come from a controller Tick (a slot frees only when
+// a controller services a request), and write-backs the cores add are
+// not serviced yet. So the event engine flushes only on iterations
+// where a controller ticked or nextDone is due.
 func (h *hierarchy) flush(now dram.Cycle) {
 	kept := h.backlog[:0]
+	h.nextDone = dram.Never
 	for _, r := range h.backlog {
 		if r.Done && r.DoneAt <= now {
 			if len(h.pool) < 128 {
@@ -619,7 +628,9 @@ func (h *hierarchy) flush(now dram.Cycle) {
 			}
 			continue
 		}
-		if !r.Done && r.EnqueuedAt == -1 {
+		if r.Done {
+			h.nextDone = min(h.nextDone, r.DoneAt)
+		} else if r.EnqueuedAt == -1 {
 			// Not yet admitted: retry.
 			ch := r.Loc.Channel
 			if h.ctrls[ch].CanEnqueue() {
@@ -638,12 +649,12 @@ func (h *hierarchy) Access(now dram.Cycle, core int, req *mem.Request) (dram.Cyc
 		// Non-cacheable: straight to DRAM. Check for room before decoding
 		// the address: a core stalled on a full queue retries every cycle.
 		pa := cpu.StripNC(addr)
-		ctrl := h.ctrls[h.geo.Channel(pa)]
+		ctrl := h.ctrls[h.dec.Channel(pa)]
 		if !ctrl.CanEnqueue() {
 			return 0, nil, false
 		}
 		req.Addr = pa
-		req.Loc = h.geo.Decompose(pa)
+		req.Loc = h.dec.Decompose(pa)
 		ctrl.Enqueue(req, now)
 		return 0, req, true
 	}
@@ -657,14 +668,14 @@ func (h *hierarchy) Access(now dram.Cycle, core int, req *mem.Request) (dram.Cyc
 	// before touching the LLC so backpressured misses don't allocate
 	// lines they never fetched. The queue test goes first: it is cheap,
 	// and it spares the set scan on every access whose queue has room.
-	if !h.ctrls[h.geo.Channel(addr)].CanEnqueue() && !h.llc.Contains(line) {
+	if !h.ctrls[h.dec.Channel(addr)].CanEnqueue() && !h.llc.Contains(line) {
 		return 0, nil, false
 	}
 	res := h.llc.Access(line, req.IsWrite)
 	if res.Evicted && res.EvictedDirty {
 		wb := h.getReq()
 		wb.Addr = res.EvictedKey * uint64(h.geo.LineBytes)
-		wb.Loc = h.geo.Decompose(wb.Addr)
+		wb.Loc = h.dec.Decompose(wb.Addr)
 		wb.IsWrite = true
 		wb.Core = -1
 		wb.EnqueuedAt = -1
@@ -678,7 +689,7 @@ func (h *hierarchy) Access(now dram.Cycle, core int, req *mem.Request) (dram.Cyc
 	}
 	// Miss: fetch the line from DRAM (writes allocate and complete when
 	// the fill returns; the dirty data stays in the LLC).
-	req.Loc = h.geo.Decompose(addr)
+	req.Loc = h.dec.Decompose(addr)
 	wasWrite := req.IsWrite
 	req.IsWrite = false // the DRAM side sees a fill read
 	if !h.ctrls[req.Loc.Channel].Enqueue(req, now) {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"dapper/internal/attack"
@@ -179,6 +181,20 @@ func TestCustomLLCSize(t *testing.T) {
 	}
 	if small.IPC[0] >= big.IPC[0] {
 		t.Fatalf("thrash IPC %.3f >= resident IPC %.3f", small.IPC[0], big.IPC[0])
+	}
+}
+
+// TestRunRejectsLLCWaysOutOfRange: a cache set's valid and dirty bits
+// are one word each, so Run refuses more than 64 ways (or fewer than
+// one) up front, naming the value, instead of building a system.
+func TestRunRejectsLLCWaysOutOfRange(t *testing.T) {
+	for _, ways := range []int{-1, 65, 128} {
+		cfg := quickCfg([]cpu.Trace{&cyclicTrace{span: 64 << 10}})
+		cfg.LLCWays = ways
+		_, err := Run(cfg)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("LLC ways %d ", ways)) {
+			t.Errorf("LLCWays %d: err = %v, want one naming the way count", ways, err)
+		}
 	}
 }
 
