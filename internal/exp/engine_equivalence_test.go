@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"dapper/internal/attack"
+	"dapper/internal/cpu"
 	"dapper/internal/dram"
 	"dapper/internal/sim"
+	"dapper/internal/workloads"
 )
 
 // TestEngineEquivalenceAllTrackers is the full safety-net matrix for the
@@ -54,5 +56,88 @@ func TestEngineEquivalenceAllTrackers(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestEngineEquivalenceTwoAttackers checks every tracker against two
+// attackers at once. Each scenario puts two focused hammers beside two
+// different benign workloads on one four-core system: every core owns
+// one row-aligned quarter of the address space, benign traces stay in
+// their quarter, and the hammers range over all of it. Every known
+// tracker runs audited at NRH 125 on the tiny profile under both
+// engines. The Results must be identical, the insecure baseline must
+// escape, and every real tracker must hold at zero escapes.
+func TestEngineEquivalenceTwoAttackers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("matrix is seconds-long; skipped in -short")
+	}
+	const nrh = 125
+	const hammer = "hammer" // an attacker core
+	scenarios := [][]string{
+		{"464.h264ref", "544.nab", hammer, hammer},
+		{hammer, "tpch6", hammer, "410.bwaves"},
+	}
+	p := Tiny()
+	geo := p.Geometry
+	quarter := geo.TotalBytes() / 4
+	quarter -= quarter % uint64(geo.RowBytes)
+	traces := func(t *testing.T, cores []string) []cpu.Trace {
+		t.Helper()
+		out := make([]cpu.Trace, len(cores))
+		for i, name := range cores {
+			seed := p.Seed + uint64(i)*0x9E37 + 1
+			if name == hammer {
+				tr, err := attack.NewTrace(attack.Config{
+					Geometry: geo, NRH: nrh, Kind: attack.Parametric,
+					Params: hammerParams(), Seed: seed,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[i] = tr
+				continue
+			}
+			w, err := workloads.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = workloads.NewTrace(w, uint64(i)*quarter, quarter, seed)
+		}
+		return out
+	}
+
+	for _, id := range KnownTrackers() {
+		t.Run(id, func(t *testing.T) {
+			for _, cores := range scenarios {
+				mk := func(engine sim.Engine) sim.Result {
+					r := p.BaseRun()
+					r.Tracker, r.NRH, r.Audit, r.Engine = id, nrh, true, engine
+					r.Workload = cores[1] // validates the run; the traces replace its shape
+					cfg, err := r.config()
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.Traces = traces(t, cores)
+					res, err := r.simulate(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				want := mk(sim.EngineCycle)
+				got := mk(sim.EngineEvent)
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("%v: engines diverge\n cycle: %+v\n event: %+v", cores, want, got)
+				}
+				rep := got.Audit
+				t.Logf("%v: %d escapes, max count %d", cores, rep.Escapes, rep.MaxCount)
+				switch {
+				case id == "none" && rep.Escapes == 0:
+					t.Fatalf("%v: the insecure baseline did not escape under two hammers", cores)
+				case id != "none" && rep.Escapes != 0:
+					t.Fatalf("%v: %d escapes under two hammers (max count %d)", cores, rep.Escapes, rep.MaxCount)
+				}
+			}
+		})
 	}
 }

@@ -260,6 +260,11 @@ func (r Run) Exec() (sim.Result, error) {
 	if err != nil {
 		return sim.Result{}, err
 	}
+	return r.simulate(cfg)
+}
+
+// simulate runs cfg, attaching the oracle when the run is audited.
+func (r Run) simulate(cfg sim.Config) (sim.Result, error) {
 	if !r.Audit {
 		return sim.Run(cfg)
 	}
