@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test test-race test-engine-equivalence fuzz-smoke audit-smoke mix-smoke telemetry-smoke blame-smoke batch-smoke simbench-test bench-smoke bench-compare bench-check adversary-smoke ci
+.PHONY: all build vet lint test test-race test-engine-equivalence fuzz-smoke audit-smoke telemetry-smoke blame-smoke batch-smoke simbench-test bench-smoke bench-compare bench-check adversary-smoke ci
 
 all: build vet lint test
 
@@ -33,10 +33,10 @@ test-race:
 	$(GO) test -race ./...
 
 # The event-engine safety net, run explicitly so a regression is named in
-# CI output: sim's scenario matrix, exp's full tracker matrix, and
-# adversary's sampled-parametric-point matrix (with the security oracle
-# attached) must prove the event and cycle engines produce identical
-# Results.
+# CI output: sim's scenario matrix, exp's full tracker matrix (and its
+# two-attackers-at-once conformance check), and adversary's
+# sampled-parametric-point matrix (with the security oracle attached)
+# must prove the event and cycle engines produce identical Results.
 test-engine-equivalence:
 	$(GO) test -run 'TestEngineEquivalence|TestEngineDeterminism' -v -count=1 ./internal/sim ./internal/exp ./internal/adversary
 
@@ -56,17 +56,6 @@ fuzz-smoke:
 # -engine event/cycle; CI uploads it as an artifact.
 audit-smoke:
 	$(GO) run ./cmd/dapper audit -profile tiny -tracker all -attack hammer,refresh,streaming -mode vrr-br1,rfmsb -nrh 125 -seed 1 -check -out audit-smoke
-
-# Heterogeneous mix smoke: two seeded 4-core mixes with two focused
-# hammers each, swept over every registered tracker at NRH 125 with the
-# shadow oracle attached (tiny profile, seconds, deterministic).
-# -check enforces both gates: metrics finite and in bounds, the
-# insecure baseline escapes under the 2-attacker mixes, every real
-# tracker holds at zero. The report in mix-smoke/ is byte-identical
-# across reruns and across -engine event/cycle; CI uploads it as an
-# artifact.
-mix-smoke:
-	$(GO) run ./cmd/dapper mix -profile tiny -mixes 2 -cores 4 -attackers 2 -attack hammer -tracker all -nrh 125 -seed 1 -audit -check -out mix-smoke
 
 # Telemetry smoke: one small windowed run rendered to
 # telemetry-smoke/timeline-dapper-h.{jsonl,csv,txt} plus
@@ -164,4 +153,4 @@ bench-check:
 adversary-smoke:
 	$(GO) run ./cmd/dapper adversary -tracker hydra,comet -profile tiny -budget 10 -seed 1 -out adversary-smoke
 
-ci: build vet lint test test-race test-engine-equivalence audit-smoke mix-smoke telemetry-smoke blame-smoke batch-smoke simbench-test fuzz-smoke bench-smoke bench-check adversary-smoke
+ci: build vet lint test test-race test-engine-equivalence audit-smoke telemetry-smoke blame-smoke batch-smoke simbench-test fuzz-smoke bench-smoke bench-check adversary-smoke

@@ -11,7 +11,6 @@ import (
 
 	"dapper/internal/exp"
 	"dapper/internal/harness"
-	"dapper/internal/mix"
 	"dapper/internal/sim"
 )
 
@@ -123,36 +122,6 @@ func BenchmarkFig1CycleEngine(b *testing.B) { runExpProfile(b, "fig1", cycleProf
 // BenchmarkFig11CycleEngine regenerates Figure 11 on the per-cycle
 // engine.
 func BenchmarkFig11CycleEngine(b *testing.B) { runExpProfile(b, "fig11", cycleProfile()) }
-
-// BenchmarkMix runs a heterogeneous mix sweep (two seeded mixes, one
-// with an attacker, over the insecure baseline and DAPPER-H) through
-// the harness with a fresh pool per iteration — the scenario engine's
-// end-to-end cost, run once per CI build by `make bench-smoke`.
-func BenchmarkMix(b *testing.B) {
-	p := benchProfile()
-	specs := []mix.Spec{
-		mix.MustGenerate(mix.GenConfig{Cores: 4, Attackers: 0, Intensive: 2, Seed: 1}),
-		mix.MustGenerate(mix.GenConfig{Cores: 4, Attackers: 1, Intensive: 1, Seed: 2}),
-	}
-	for i := 0; i < b.N; i++ {
-		pool := harness.NewPool(harness.Options{Workers: runtime.NumCPU()})
-		rows, err := exp.RunMixSweep(exp.MixRequest{
-			Trackers: []string{"none", "dapper-h"},
-			Mixes:    specs,
-			NRHs:     []uint32{500},
-			Profile:  p,
-		}, pool)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := pool.Close(); err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 4 {
-			b.Fatalf("mix sweep produced %d rows, want 4", len(rows))
-		}
-	}
-}
 
 // BenchmarkFig11Parallel regenerates Figure 11 through the harness
 // (collect -> pool -> replay) with one worker per CPU. Compare against

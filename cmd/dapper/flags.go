@@ -25,14 +25,13 @@ type cli struct {
 	tracker, workload, attack, mode, nrh              string
 	format, exp, objective                            string
 
-	seed                              uint64
-	jobs, budget, mixes, cores        int
-	attackers, intensive, mixCores    int
-	groups, trials, repeat            int
-	window, warmup, measure, treset   float64
-	attrBudget                        float64
-	rowsPerBank                       uint
-	attr, check, audit, countInjected bool
+	seed                            uint64
+	jobs, budget                    int
+	groups, trials, repeat          int
+	window, warmup, measure, treset float64
+	attrBudget                      float64
+	rowsPerBank                     uint
+	attr, check, countInjected      bool
 }
 
 // flagDefs declares every flag exactly once. A flag's default and help
@@ -104,24 +103,6 @@ var flagDefs = map[string]func(*flag.FlagSet, *cli){
 	},
 	"count-injected": func(fs *flag.FlagSet, c *cli) {
 		fs.BoolVar(&c.countInjected, "count-injected", false, "charge tracker counter traffic in the oracle ledger")
-	},
-	"mixes": func(fs *flag.FlagSet, c *cli) {
-		fs.IntVar(&c.mixes, "mixes", 4, "number of generated mixes (mix i uses seed+i)")
-	},
-	"cores": func(fs *flag.FlagSet, c *cli) {
-		fs.IntVar(&c.cores, "cores", 4, "slots per mix")
-	},
-	"attackers": func(fs *flag.FlagSet, c *cli) {
-		fs.IntVar(&c.attackers, "attackers", 1, "attacker slots per mix")
-	},
-	"intensive": func(fs *flag.FlagSet, c *cli) {
-		fs.IntVar(&c.intensive, "intensive", -1, "benign mix slots from the >=2-RBMPKI group (-1 = seeded random split)")
-	},
-	"audit": func(fs *flag.FlagSet, c *cli) {
-		fs.BoolVar(&c.audit, "audit", false, "attach the shadow security oracle to every mix run")
-	},
-	"mix-cores": func(fs *flag.FlagSet, c *cli) {
-		fs.IntVar(&c.mixCores, "mix-cores", 0, "search against a heterogeneous benign background mix of this many cores instead of -workload copies (0 = off)")
 	},
 	"objective": func(fs *flag.FlagSet, c *cli) {
 		fs.StringVar(&c.objective, "objective", "perf", "search objective: perf (worst slowdown) or escapes (security-guarantee violations via the shadow oracle)")

@@ -8,7 +8,6 @@
 //	dapper experiments -exp fig11 -profile quick -jobs 8 -cache .simcache
 //	dapper batch -tracker dapper-h,hydra -workload rep -nrh 125,500,2000
 //	dapper audit -profile tiny -tracker all -nrh 125 -check
-//	dapper mix -profile tiny -mixes 2 -attackers 2 -attack hammer -tracker all -audit -check
 //	dapper adversary -tracker hydra,comet -profile tiny -budget 10
 //	dapper sim -workload ycsb_a -tracker comet -attack rat-thrash
 //	dapper timeline -tracker dapper-h,none -attack hammer -nrh 125 -check
@@ -66,10 +65,8 @@ var commands = []command{
 		with([]string{"tracker", "workload", "nrh", "attack", "mode", "window", "attr"}, poolFlags), runBatch},
 	{"audit", "tracker x attack x mode x NRH security conformance matrix",
 		with([]string{"tracker", "workload", "nrh", "attack", "mode", "attr", "count-injected", "check"}, poolFlags), runAudit},
-	{"mix", "heterogeneous tracker x mix x NRH sweeps, weighted-speedup metrics",
-		with([]string{"tracker", "nrh", "attack", "mode", "mixes", "cores", "attackers", "intensive", "attr", "audit", "check"}, poolFlags), runMix},
 	{"adversary", "black-box worst-case attack search (-objective perf|escapes)",
-		with([]string{"tracker", "workload", "nrh", "mode", "mix-cores", "intensive", "objective", "budget", "attr"}, poolFlags), runAdversary},
+		with([]string{"tracker", "workload", "nrh", "mode", "objective", "budget", "attr"}, poolFlags), runAdversary},
 	{"sim", "one simulation per tracker, printed as IPC, DRAM and tracker statistics",
 		with(runFlags, []string{"debug-addr"}), runSim},
 	{"timeline", "one run per tracker as a windowed series, CPI stacks and blame matrix to -out/timeline-<tracker>.*",

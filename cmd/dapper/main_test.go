@@ -45,6 +45,9 @@ func TestBadInvocationsNameTheirFlag(t *testing.T) {
 		{[]string{"sim", "-debug-addr", "127.0.0.1:-1"}, "-debug-addr"},
 		{[]string{"timeline", "-window", "0.0001"}, "-window"},
 		{[]string{"batch", "-profile", "tiny", "-window", "-1"}, "-window"},
+		{[]string{"batch", "-profile", "tiny", "-attack", "hammer"}, "-attack"},
+		{[]string{"adversary", "-mix-cores", "3"}, "-mix-cores"},
+		{[]string{"mix"}, `unknown subcommand "mix"`},
 	}
 	for _, tc := range cases {
 		code, _, stderr := invoke(tc.args...)

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"math"
 	"path/filepath"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"dapper/internal/attack"
 	"dapper/internal/exp"
 	"dapper/internal/harness"
-	"dapper/internal/mix"
 	"dapper/internal/secaudit"
 	"dapper/internal/sim"
 )
@@ -87,7 +85,7 @@ func runBatch(c *cli) error {
 		return err
 	}
 	if atk.Point.Params != (attack.Params{}) {
-		return flagErr("attack", fmt.Errorf("batch sweeps attack kinds; %q is a parametric point (use audit, mix or blame)", atk.Name))
+		return flagErr("attack", fmt.Errorf("batch sweeps attack kinds; %q is a parametric point (use audit or timeline)", atk.Name))
 	}
 	req.Attack = atk.Point.Kind
 	sinks, err := harness.FileSinks(c.out, "batch.jsonl", "batch.csv")
@@ -254,133 +252,6 @@ func checkFailures(c *cli, failures []string) error {
 	return nil
 }
 
-// runMix sweeps seeded heterogeneous mixes (stratified by the paper's
-// >= 2-RBMPKI memory-intensity grouping, -attackers attackers on seeded
-// random cores) over tracker x mix x NRH, scored by weighted/harmonic
-// speedup and fairness against per-core isolated baselines, into
-// mix-report.{jsonl,csv}. The report is byte-identical across reruns and
-// engines. -check fails on non-finite or out-of-bounds metrics and,
-// with -audit, on conformance violations.
-func runMix(c *cli) error {
-	p, err := c.resolveProfile()
-	if err != nil {
-		return err
-	}
-	req := exp.MixRequest{Profile: p, Audit: c.audit}
-	if req.Trackers, err = c.trackerIDs(); err != nil {
-		return err
-	}
-	if req.NRHs, err = c.nrhs(); err != nil {
-		return err
-	}
-	if req.Mode, err = only("mode", c.modes); err != nil {
-		return err
-	}
-	atk, err := only("attack", c.attacks)
-	if err != nil {
-		return err
-	}
-	if c.mixes <= 0 || c.cores <= 0 {
-		return usageError{fmt.Errorf("-mixes and -cores must be positive (got %d, %d)", c.mixes, c.cores)}
-	}
-	req.Mixes = make([]mix.Spec, c.mixes)
-	for i := range req.Mixes {
-		req.Mixes[i], err = mix.Generate(mix.GenConfig{
-			Cores:     c.cores,
-			Attackers: c.attackers,
-			Attack:    atk.Point.Slot(),
-			Intensive: c.intensive,
-			Seed:      c.seed + uint64(i),
-		})
-		if err != nil {
-			return usageError{err}
-		}
-	}
-
-	var rows []mix.ReportRow
-	st, err := c.withPool(nil, func(pool *harness.Pool) error {
-		rows, err = exp.RunMixSweep(req, pool)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	if err := c.writeFile("mix-report.jsonl", func(w io.Writer) error { return mix.WriteReportJSONL(w, rows) }); err != nil {
-		return err
-	}
-	if err := c.writeFile("mix-report.csv", func(w io.Writer) error { return mix.WriteReportCSV(w, rows) }); err != nil {
-		return err
-	}
-
-	fmt.Fprintf(c.stdout, "mix sweep: %d mixes x %d trackers x %d NRHs = %d cells (%d unique runs, %d simulated, %d cache hits)\n",
-		len(req.Mixes), len(req.Trackers), len(req.NRHs), len(rows), st.Unique, st.Ran, st.CacheHits)
-	for _, sp := range req.Mixes {
-		fmt.Fprintf(c.stdout, "  %s  %s (%d intensive, %d attackers)\n",
-			sp.ID(), sp.Label(), sp.Intensive(), sp.Attackers())
-	}
-	if !c.check {
-		return nil
-	}
-	var failures []string
-	escapes := make(map[string]uint64)
-	audited := false
-	for _, r := range rows {
-		n := float64(len(r.PerCore))
-		for _, v := range []float64{r.Weighted, r.Harmonic, r.Fairness} {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				failures = append(failures, fmt.Sprintf("%s/%s nrh=%d: non-finite metrics", r.Tracker, r.Mix, r.NRH))
-				break
-			}
-		}
-		// A fully-starved benign core is a legitimate attack outcome,
-		// so the lower bounds admit zero.
-		if r.Weighted < 0 || r.Weighted > 1.5*n {
-			failures = append(failures, fmt.Sprintf("%s/%s nrh=%d: weighted speedup %g outside [0, 1.5*%g]", r.Tracker, r.Mix, r.NRH, r.Weighted, n))
-		}
-		if r.Fairness < 0 || r.Fairness > 1 {
-			failures = append(failures, fmt.Sprintf("%s/%s nrh=%d: fairness %g outside [0,1]", r.Tracker, r.Mix, r.NRH, r.Fairness))
-		}
-		if r.Audited {
-			audited = true
-			escapes[r.Tracker] += r.Escapes
-		}
-	}
-	verdict := "metrics in bounds"
-	if audited {
-		// Real trackers must always hold; demanding escapes from the
-		// insecure baseline is only meaningful when the sweep both
-		// included it and ran attacker slots with the escape-forcing
-		// focused hammer — a refresh attacker at NRH 500 in a short
-		// window honestly cannot escape, and that must not read as a
-		// check failure.
-		basePresent := false
-		for _, id := range req.Trackers {
-			basePresent = basePresent || id == "none"
-		}
-		baselineGate := atk.Name == "hammer" && c.attackers > 0 && basePresent
-		for _, id := range req.Trackers {
-			n := escapes[id]
-			if id == "none" && baselineGate && n == 0 {
-				failures = append(failures, fmt.Sprintf("insecure baseline 'none' showed no escapes under %d-hammer mixes", c.attackers))
-			}
-			if id != "none" && n > 0 {
-				failures = append(failures, fmt.Sprintf("tracker %q let %d escapes through", id, n))
-			}
-		}
-		if baselineGate {
-			verdict += ", baseline escapes, every tracker holds"
-		} else {
-			verdict += ", every tracker holds"
-			fmt.Fprintln(c.stderr, "note: baseline-escape gate skipped (needs 'none' in -tracker, attacker slots, and the escape-forcing 'hammer')")
-		}
-	}
-	if err := checkFailures(c, failures); err != nil {
-		return err
-	}
-	fmt.Fprintln(c.stdout, "mix check passed: "+verdict)
-	return nil
-}
-
 // runAdversary searches the parametric attack space for worst-case
 // attacks against each tracker and writes adversary-<tracker>.{jsonl,csv}:
 // the worst-found parameters, their benign-core slowdown against the
@@ -407,14 +278,6 @@ func runAdversary(c *cli) error {
 	}
 	if opts.Workload, err = only("workload", c.workloads); err != nil {
 		return err
-	}
-	if c.mixCores > 0 {
-		sp, err := mix.Generate(mix.GenConfig{Cores: c.mixCores, Intensive: c.intensive, Seed: c.seed})
-		if err != nil {
-			return usageError{err}
-		}
-		opts.Mix = &sp
-		fmt.Fprintf(c.stderr, "background mix %s: %s\n", sp.ID(), sp.Label())
 	}
 
 	evals, baselines := 0, 0

@@ -194,48 +194,12 @@
 // the conformance matrix's focused-hammer point alongside the
 // hand-written kinds. See examples/secaudit for the in-process API.
 //
-// # Heterogeneous workload mixes (internal/mix, dapper mix)
-//
-// The paper's scenario shapes are homogeneous: n copies of one
-// workload, at most one attacker pinned to the last core
-// (sim.BenignTraces/AttackScenario). internal/mix generalizes them to
-// the multi-programmed methodology the tracker literature evaluates
-// with: a mix.Spec assigns an arbitrary workload — or an attacker — to
-// every core. Benign slots are confined to equal, row-aligned, disjoint
-// slices of the physical address space; attacker slots (any
-// attack.Kind, or an explicit parametric point, k of them on arbitrary
-// cores) deliberately range over the whole row space. mix.Generate
-// samples mixes reproducibly from the 57-workload table, stratified by
-// the paper's >= 2-RBMPKI memory-intensity grouping, with seeded
-// attacker placement; every spec carries a canonical encoding and a
-// content-derived ID ("mx-<hex>").
-//
-// Mixes are scored the way multi-programmed studies are: each benign
-// slot gets a per-core isolated baseline — the same trace placement,
-// alone on the insecure machine, so the isolated and shared
-// instruction streams are identical and the ratio isolates contention
-// — and mix.Compute aggregates per-core speedups into weighted
-// speedup, harmonic speedup and fairness (min/max per-core slowdown).
-// exp.RunMixSweep fans tracker x mix x NRH sweeps (exp.Run with a Mix)
-// through the harness (baselines are tracker-independent descriptors,
-// deduplicated and shared across the sweep; harness.Descriptor carries
-// the full canonical mix encoding in its new Mix tag — note: adding
-// the tag re-hashed every cache key, so pre-mix disk caches are
-// invalid). `dapper mix` renders a sweep as a deterministic
-// JSONL/CSV report, byte-identical across reruns and across -engine
-// event/cycle:
-//
-//	go run ./cmd/dapper mix -profile tiny -mixes 2 -attackers 2 -attack hammer -tracker all -nrh 125 -audit -check
-//
-// The adversary search composes with mixes: adversary.Options.Mix (or
-// `dapper adversary -mix-cores`) swaps the homogeneous background for a
-// heterogeneous benign mix, grafting each candidate attacker onto it
-// as one extra core, so worst-case search runs against realistic
-// co-runners. The engine-equivalence matrix extends to mixes too
-// (exp.TestEngineEquivalenceMixes), and `make mix-smoke` gates CI on a
-// 2-attacker conformance sweep: the insecure baseline must escape,
-// every tracker must hold, and all metrics must stay in bounds. See
-// examples/mix for the in-process API.
+// Every run above has at most one attacker. The tier-1 test
+// exp.TestEngineEquivalenceTwoAttackers covers two at once: two focused
+// hammers beside two benign workloads, each benign core confined to its
+// row-aligned quarter of the address space, audited at NRH 125 for
+// every tracker under both engines. The insecure baseline must escape
+// and every real tracker must hold at zero.
 //
 // # Observability (internal/telemetry, internal/diag, dapper timeline)
 //
@@ -288,7 +252,7 @@
 // https://ui.perfetto.dev for a lane-per-worker timeline of a sweep —
 // and harness.Pool.Stats exposes live submitted/deduplicated/ran/
 // cache-hit/error counters with elapsed-time aggregates. Every sweep
-// subcommand (experiments, batch, audit, mix, adversary) takes
+// subcommand (experiments, batch, audit, adversary) takes
 // -telemetry dir/ to write trace.json + counters.json after the run,
 // and -debug-addr to serve the same counters live over HTTP
 // (internal/diag: expvar at /debug/vars plus the pprof handlers) while
@@ -354,8 +318,7 @@
 // and the other-engine replay (`make blame-smoke` runs it for every
 // tracker under the focused hammer, with the matrices uploaded as an
 // artifact). The sweep reports carry the headline
-// buckets as columns: mix rows (blame_conflict/inject/mitigation/
-// throttle/mem_wait), audit matrix rows and adversary evals
+// buckets as columns: audit matrix rows and adversary evals
 // (blame_mitigation/blame_inject — whether a found slowdown flows
 // through the defense itself or through plain bandwidth contention).
 // Live, internal/diag's BlameAgg taps harness.Options.OnResult and

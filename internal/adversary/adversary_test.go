@@ -8,7 +8,6 @@ import (
 	"dapper/internal/dram"
 	"dapper/internal/exp"
 	"dapper/internal/harness"
-	"dapper/internal/mix"
 	"dapper/internal/workloads"
 )
 
@@ -164,72 +163,6 @@ func TestSearchReportsAreByteIdentical(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("same seed and budget produced different report bytes")
 	}
-}
-
-// TestSearchWithMixBackground runs the search against a heterogeneous
-// co-runner set: the candidate attacker is grafted onto the mix as one
-// extra core, slowdown is measured over the mix's benign cores, and
-// reports stay deterministic.
-func TestSearchWithMixBackground(t *testing.T) {
-	bg := mix.MustGenerate(mix.GenConfig{Cores: 3, Attackers: 0, Intensive: 1, Seed: 5})
-	mkOpts := func() Options {
-		o := searchOpts("hydra", 8, 3)
-		o.Mix = &bg
-		return o
-	}
-	cache, _ := harness.NewCache("")
-	run := func() (*Report, []byte) {
-		pool := harness.NewPool(harness.Options{Cache: cache})
-		rep, err := Search(mkOpts(), pool)
-		pool.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := rep.WriteJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return rep, buf.Bytes()
-	}
-	rep, a := run()
-	if rep.Mix != bg.ID() {
-		t.Fatalf("report mix = %q, want %q", rep.Mix, bg.ID())
-	}
-	if rep.Workload != bg.Label() {
-		t.Fatalf("report workload = %q, want the mix slot list %q", rep.Workload, bg.Label())
-	}
-	if rep.Best.Slowdown < rep.Reference.Slowdown {
-		t.Fatalf("search lost to the hand-crafted attack under a mix background: %v < %v",
-			rep.Best.Slowdown, rep.Reference.Slowdown)
-	}
-	if _, b := run(); !bytes.Equal(a, b) {
-		t.Fatal("mix-background search is not byte-deterministic")
-	}
-
-	// A background with no benign cores cannot be scored.
-	bad := mix.Spec{Slots: []mix.Slot{{Attack: "refresh"}}}
-	o := mkOpts()
-	o.Mix = &bad
-	if _, err := Search(o, harness.NewPool(harness.Options{})); err == nil {
-		t.Fatal("benign-free background mix must be rejected")
-	}
-	// A background carrying its own attacker would run NRH-sized traces
-	// differently in treatment and baseline; it must be rejected too.
-	withAtk := mix.Spec{Slots: []mix.Slot{{Workload: "429.mcf"}, {Attack: "refresh"}}}
-	o = mkOpts()
-	o.Mix = &withAtk
-	if _, err := Search(o, harness.NewPool(harness.Options{})); err == nil {
-		t.Fatal("attacker-bearing background mix must be rejected")
-	}
-	// Idle companions are NRH-independent and stay allowed.
-	withIdle := mix.Spec{Slots: []mix.Slot{{Workload: "429.mcf"}, {Attack: "none"}}}
-	o = mkOpts()
-	o.Mix = &withIdle
-	pool := harness.NewPool(harness.Options{})
-	if _, err := Search(o, pool); err != nil {
-		t.Fatalf("idle-companion background rejected: %v", err)
-	}
-	pool.Wait()
 }
 
 func TestSearchUnknownTracker(t *testing.T) {

@@ -29,10 +29,7 @@ func goldenReport() *Report {
 		Escapes: 32, MaxCount: 332,
 	}
 	return &Report{
-		Tracker: "hydra", TrackerName: "Hydra",
-		// Workload/Mix pin the mix-background rendering: the slot list in
-		// the workload column, the canonical mix ID in its own field.
-		Workload: "429.mcf+ycsb_a+!refresh", Mix: "mx-0102030405ab",
+		Tracker: "hydra", TrackerName: "Hydra", Workload: "429.mcf",
 		NRH: 500, Profile: "tiny", Seed: 1, Budget: 10,
 		Objective: "escapes",
 		Evals:     3, BaselineRuns: 2,

@@ -56,14 +56,10 @@ type Report struct {
 	Tracker     string `json:"tracker"`      // batch id ("hydra")
 	TrackerName string `json:"tracker_name"` // display name ("Hydra")
 	Workload    string `json:"workload"`
-	// Mix is the background mix's canonical ID when the search ran
-	// against a heterogeneous co-runner set (Options.Mix); Workload then
-	// carries the mix's slot list instead of a single workload name.
-	Mix     string `json:"mix,omitempty"`
-	NRH     uint32 `json:"nrh"`
-	Profile string `json:"profile"`
-	Seed    uint64 `json:"seed"`
-	Budget  int    `json:"budget"`
+	NRH         uint32 `json:"nrh"`
+	Profile     string `json:"profile"`
+	Seed        uint64 `json:"seed"`
+	Budget      int    `json:"budget"`
 	// Objective is what the search maximized ("perf" or "escapes").
 	Objective string `json:"objective,omitempty"`
 	// Evals counts candidate evaluations charged against the budget;
@@ -116,14 +112,14 @@ func (r *Report) WriteJSONL(w io.Writer) error {
 func (r *Report) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{
-		"tracker", "workload", "mix", "label", "rung", "measure", "norm_perf", "slowdown",
+		"tracker", "workload", "label", "rung", "measure", "norm_perf", "slowdown",
 		"escapes", "max_count", "blame_mitigation", "blame_inject", "params",
 	}); err != nil {
 		return err
 	}
 	row := func(e Eval) []string {
 		return []string{
-			r.Tracker, r.Workload, r.Mix, e.Label,
+			r.Tracker, r.Workload, e.Label,
 			strconv.Itoa(e.Rung), strconv.FormatInt(e.Measure, 10),
 			strconv.FormatFloat(e.NormPerf, 'g', -1, 64),
 			strconv.FormatFloat(e.Slowdown, 'g', -1, 64),
@@ -140,7 +136,7 @@ func (r *Report) WriteCSV(w io.Writer) error {
 		}
 	}
 	best := row(r.Best)
-	best[3] = "best:" + r.Best.Label
+	best[2] = "best:" + r.Best.Label
 	if err := cw.Write(best); err != nil {
 		return err
 	}

@@ -9,7 +9,6 @@ import (
 	"dapper/internal/dram"
 	"dapper/internal/exp"
 	"dapper/internal/harness"
-	"dapper/internal/mix"
 	"dapper/internal/rh"
 	"dapper/internal/sim"
 	"dapper/internal/workloads"
@@ -49,15 +48,6 @@ type Options struct {
 	Workload  workloads.Workload
 	NRH       uint32 // 0 = Profile.NRH
 	Mode      rh.MitigationMode
-	// Mix, when non-nil, replaces the homogeneous three-copies-of-
-	// Workload background with a heterogeneous benign mix: every
-	// candidate is grafted onto it as one extra core
-	// (one more mix slot), so the search hunts worst cases against
-	// realistic co-runners. Slowdown is then measured over the mix's
-	// benign cores against the same-mix idle-companion baseline;
-	// Workload is ignored. The mix must be benign-only (idle "none"
-	// slots allowed): the searched candidate is the only attacker.
-	Mix *mix.Spec
 	// Objective is what the search maximizes (ObjectivePerf if empty).
 	Objective Objective
 	// Profile supplies geometry, windows, workload seed and engine; the
@@ -148,16 +138,12 @@ type evaluator struct {
 // from the cache — but every request still charges the budget, keeping
 // eval counts independent of cache state.
 func (ev *evaluator) evalBatch(cands []*candidate, kinds []attack.Kind, measure dram.Cycle, rung int) error {
-	// The insecure baseline: an idle companion core (or idle extra
-	// slot) at the profile NRH, tracker-independent so the pool
-	// deduplicates it across every searched tracker.
+	// The insecure baseline: an idle companion core at the profile NRH,
+	// tracker-independent so the pool deduplicates it across every
+	// searched tracker.
 	baseRun := ev.opts.Profile.BaseRun()
 	baseRun.Measure = measure
-	if bg := ev.opts.Mix; bg != nil {
-		baseRun.Mix = bg.WithSlot(exp.AttackPoint{}.Slot())
-	} else {
-		baseRun.Workload = ev.opts.Workload.Name
-	}
+	baseRun.Workload = ev.opts.Workload.Name
 	baseJob, err := baseRun.Job()
 	if err != nil {
 		return err
@@ -173,11 +159,7 @@ func (ev *evaluator) evalBatch(cands []*candidate, kinds []attack.Kind, measure 
 		run := baseRun
 		run.Tracker, run.NRH, run.Mode = ev.opts.TrackerID, ev.opts.NRH, ev.opts.Mode
 		run.Audit = ev.opts.Objective == ObjectiveEscapes
-		if bg := ev.opts.Mix; bg != nil {
-			run.Mix = bg.WithSlot(pt.Slot())
-		} else {
-			run.Attack = pt
-		}
+		run.Attack = pt
 		job, err := run.Job()
 		if err != nil {
 			return err
@@ -189,9 +171,6 @@ func (ev *evaluator) evalBatch(cands []*candidate, kinds []attack.Kind, measure 
 		return fmt.Errorf("adversary: baseline: %w", err)
 	}
 	benign := sim.BenignCores(4)
-	if ev.opts.Mix != nil {
-		benign = ev.opts.Mix.BenignCores()
-	}
 	for i, f := range futs {
 		res, err := f.Wait()
 		if err != nil {
@@ -252,23 +231,6 @@ func Search(opts Options, pool *harness.Pool) (*Report, error) {
 	name, err := exp.TrackerName(opts.TrackerID)
 	if err != nil {
 		return nil, err
-	}
-	wname, mixID := opts.Workload.Name, ""
-	if opts.Mix != nil {
-		if err := opts.Mix.Validate(); err != nil {
-			return nil, err
-		}
-		if len(opts.Mix.BenignCores()) == 0 {
-			return nil, fmt.Errorf("adversary: background mix %s has no benign cores", opts.Mix.ID())
-		}
-		// The candidate must be the only attacker: a background attacker
-		// would run its trace at opts.NRH in treatment runs but at the
-		// profile NRH in the baseline, letting NRH-sized background
-		// patterns corrupt the slowdown attribution.
-		if opts.Mix.Attackers() > 0 {
-			return nil, fmt.Errorf("adversary: background mix %s contains attacker slots; the searched candidate must be the only attacker", opts.Mix.ID())
-		}
-		wname, mixID = opts.Mix.Label(), opts.Mix.ID()
 	}
 	space := NewSpace(opts.Profile.Geometry)
 	rng := newRNG(opts.Seed)
@@ -423,7 +385,7 @@ func Search(opts Options, pool *harness.Pool) (*Report, error) {
 	}
 	return &Report{
 		Tracker: opts.TrackerID, TrackerName: name,
-		Workload: wname, Mix: mixID, NRH: opts.NRH,
+		Workload: opts.Workload.Name, NRH: opts.NRH,
 		Profile: opts.Profile.Name, Seed: opts.Seed, Budget: opts.Budget,
 		Objective: string(opts.Objective),
 		Evals:     ev.evals, BaselineRuns: ev.bases,

@@ -14,8 +14,7 @@ import (
 // matrix with the slowdown-attribution case: three trackers covering
 // the distinct blame paths (DAPPER-H mitigation blocks, BlockHammer
 // throttling, Hydra counter injection), each under a benign co-run and
-// the focused hammer, plus one sampled heterogeneous mix — all with
-// windowed stacks attached. The event engine's catch-up folds must
+// the focused hammer — all with windowed stacks attached. The event engine's catch-up folds must
 // produce an Attribution and Series byte-identical to the per-cycle
 // reference; the conservation gates (CPI partition, blame-bucket sums,
 // windowed fold-back) already run as hard errors inside sim.Run, so a
@@ -91,21 +90,4 @@ func TestEngineEquivalenceAttributionSweep(t *testing.T) {
 			})
 		}
 	}
-	t.Run("mix", func(t *testing.T) {
-		sp := mixTestSpecs()[0]
-		mk := func(engine sim.Engine) sim.Result {
-			p := Tiny()
-			p.Engine = engine
-			p.Attribution = true
-			p.TelemetryWindow = dram.US(5)
-			r := p.BaseRun()
-			r.Tracker, r.Mix = "dapper-h", sp
-			res, err := r.Exec()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		}
-		checkPair(t, mk(sim.EngineCycle), mk(sim.EngineEvent))
-	})
 }

@@ -7,7 +7,6 @@ import (
 
 	"dapper/internal/attack"
 	"dapper/internal/harness"
-	"dapper/internal/mix"
 )
 
 // BatchStats summarizes how a BatchedSweep executed.
@@ -28,9 +27,9 @@ type BatchStats struct {
 // streamKey identifies the memory-request stream a run drives: its
 // descriptor with the tracker identity erased, and NRH erased too when
 // no trace depends on it. Benign sweeps then share one stream across
-// the whole NRH axis, while attack and mix-with-attacker runs, whose
-// attacker traces are sized by NRH, keep one stream per NRH (Run.Job
-// gives attacker runs no stream, but the key stays right for them).
+// the whole NRH axis, while attack runs, whose attacker traces are
+// sized by NRH, keep one stream per NRH (Run.Job gives attacker runs
+// no stream, but the key stays right for them).
 func streamKey(run Run) string {
 	d := run.Desc()
 	d.Tracker = ""
@@ -41,19 +40,11 @@ func streamKey(run Run) string {
 	return d.Key()
 }
 
-// hasAttacker reports whether any of the run's traces is an attacker's.
-// Only an attacker's trace may depend on NRH (hand-written kinds size
-// their hammering by it); a benign workload's or an idle companion's
-// does not.
+// hasAttacker reports whether the run's companion core attacks. Only an
+// attacker's trace may depend on NRH (hand-written kinds size their
+// hammering by it); a benign workload's or an idle companion's does
+// not.
 func (r Run) hasAttacker() bool {
-	switch {
-	case r.Isolated:
-		return false
-	case len(r.Mix.Slots) > 0:
-		return slices.ContainsFunc(r.Mix.Slots, func(s mix.Slot) bool {
-			return !s.Benign() && s.Attack != attack.None.String()
-		})
-	}
 	return r.Attack.Kind != attack.None
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"dapper/internal/attack"
 	"dapper/internal/harness"
-	"dapper/internal/mix"
 	"dapper/internal/rh"
 	"dapper/internal/sim"
 )
@@ -183,11 +182,6 @@ func TestStreamKeyImpliesSameTraces(t *testing.T) {
 	conflict.Attack = AttackPoint{Kind: attack.HydraConflict}
 	parametric := hom
 	parametric.Attack = AttackPoint{Kind: attack.Parametric, Params: fullParams()}
-	mixed := hom
-	mixed.Workload = ""
-	mixed.Mix = mix.Spec{Slots: []mix.Slot{{Workload: "429.mcf"}, {Workload: "433.milc"}, {Attack: attack.HydraConflict.String()}}}
-	iso := mixed
-	iso.Isolated, iso.IsoCore = true, 1
 
 	shapes := []struct {
 		name string
@@ -200,8 +194,6 @@ func TestStreamKeyImpliesSameTraces(t *testing.T) {
 		{"benign4", benign4, false, false},
 		{"attack", conflict, true, true},
 		{"parametric", parametric, true, false},
-		{"mix-attacker", mixed, true, true},
-		{"isolated", iso, false, false},
 	}
 	digestOf := make(map[string]string) // stream key -> trace digest
 	for _, sh := range shapes {

@@ -7,7 +7,6 @@ import (
 	"dapper/internal/cpu"
 	"dapper/internal/dram"
 	"dapper/internal/harness"
-	"dapper/internal/mix"
 	"dapper/internal/rh"
 	"dapper/internal/secaudit"
 	"dapper/internal/sim"
@@ -19,14 +18,6 @@ import (
 type AttackPoint struct {
 	Kind   attack.Kind
 	Params attack.Params // consulted when Kind == attack.Parametric
-}
-
-// Slot returns the mix slot that drives the point.
-func (pt AttackPoint) Slot() mix.Slot {
-	if pt.Kind == attack.Parametric {
-		return mix.Slot{Attack: pt.Kind.String(), Params: pt.Params}
-	}
-	return mix.Slot{Attack: pt.Kind.String()}
 }
 
 // Run is one simulation request: every input a sim.Result depends on.
@@ -42,20 +33,12 @@ type Run struct {
 	Mode    rh.MitigationMode `json:"mode"`
 	NRH     uint32            `json:"nrh"`
 
-	// Workload names the benign workload of a homogeneous run: three
-	// copies plus the Attack companion core (attack.None = idle), or
-	// four copies with Benign4, which takes no attack.
+	// Workload names the benign workload: three copies plus the Attack
+	// companion core (attack.None = idle), or four copies with Benign4,
+	// which takes no attack.
 	Workload string      `json:"workload,omitempty"`
 	Attack   AttackPoint `json:"attack"`
 	Benign4  bool        `json:"benign4,omitempty"`
-
-	// Mix, when it has slots, replaces the homogeneous shape with one
-	// core per slot (Workload, Attack and Benign4 stay zero). With
-	// Isolated, only benign slot IsoCore runs, alone on the machine at
-	// its in-mix placement: the per-core isolated baseline.
-	Mix      mix.Spec `json:"mix"`
-	Isolated bool     `json:"isolated,omitempty"`
-	IsoCore  int      `json:"iso_core,omitempty"`
 
 	Geometry dram.Geometry `json:"geometry"`
 	LLCBytes int           `json:"llc_bytes,omitempty"` // 0 = default 8MB
@@ -104,24 +87,6 @@ func (r Run) Validate() error {
 	}
 	if r.CountInjected && !r.Audit {
 		return fmt.Errorf("exp: counting injected traffic needs an audited run")
-	}
-	if r.IsoCore != 0 && !r.Isolated {
-		return fmt.Errorf("exp: iso core %d set on a run that is not an isolated baseline", r.IsoCore)
-	}
-	if len(r.Mix.Slots) > 0 {
-		if r.Workload != "" || r.Attack != (AttackPoint{}) || r.Benign4 {
-			return fmt.Errorf("exp: a mix run takes no workload, attack or benign4")
-		}
-		if err := r.Mix.Validate(); err != nil {
-			return err
-		}
-		if r.Isolated && (r.IsoCore < 0 || r.IsoCore >= len(r.Mix.Slots) || !r.Mix.Slots[r.IsoCore].Benign()) {
-			return fmt.Errorf("exp: isolated baseline core %d is not a benign slot of %s", r.IsoCore, r.Mix.Label())
-		}
-		return nil
-	}
-	if r.Isolated {
-		return fmt.Errorf("exp: an isolated baseline needs a mix")
 	}
 	if _, err := workloads.ByName(r.Workload); err != nil {
 		return err
@@ -175,30 +140,11 @@ func (r Run) Desc() harness.Descriptor {
 			d.Audit += "+inj"
 		}
 	}
-	switch {
-	case r.Isolated:
-		// Tracker-independent and keyed by slot position, so one pool
-		// shares it across every tracker and NRH of a sweep and across
-		// mixes that give the same workload the same slot.
-		d.Workload = r.Mix.Slots[r.IsoCore].Workload
-		d.Mix = fmt.Sprintf("iso:%d/%d", r.IsoCore, len(r.Mix.Slots))
-	case len(r.Mix.Slots) > 0:
-		// The full canonical slot encoding: no two distinct mixes, and
-		// no mix and homogeneous run, can alias a cached result.
-		d.Workload, d.Attack, d.Mix = r.Mix.ID(), "mix", r.Mix.Canonical()
-	}
 	return d
 }
 
 // traces builds one trace per simulated core.
 func (r Run) traces() ([]cpu.Trace, error) {
-	switch {
-	case r.Isolated:
-		t, err := r.Mix.IsolatedTrace(r.Geometry, r.Seed, r.IsoCore)
-		return []cpu.Trace{t}, err
-	case len(r.Mix.Slots) > 0:
-		return r.Mix.Traces(r.Geometry, r.NRH, r.Seed)
-	}
 	w, err := workloads.ByName(r.Workload)
 	if err != nil {
 		return nil, err

@@ -2,16 +2,11 @@ package exp
 
 import (
 	"encoding/json"
-	"fmt"
 	"reflect"
-	"regexp"
-	"slices"
-	"strings"
 	"testing"
 
 	"dapper/internal/attack"
 	"dapper/internal/dram"
-	"dapper/internal/mix"
 	"dapper/internal/rh"
 	"dapper/internal/workloads"
 )
@@ -36,7 +31,7 @@ func fullParams() attack.Params {
 }
 
 // leafBases are valid runs that between them make every leaf of Run
-// live: each run shape, audited and not, every mix slot kind. All use
+// live: each run shape, audited and not. All use
 // mode-honouring trackers — the others key at VRR-BR1 by design,
 // because that is the mode they run at.
 func leafBases() map[string]Run {
@@ -55,38 +50,7 @@ func leafBases() map[string]Run {
 
 	benign4 := hom
 	benign4.Tracker, benign4.Benign4 = "para", true
-
-	mixed := hom
-	mixed.Workload = ""
-	mixed.Mix = mix.Spec{Slots: []mix.Slot{
-		{Workload: "429.mcf"},
-		{Workload: "433.milc"},
-		{Attack: attack.Parametric.String(), Params: fullParams()},
-		{Attack: attack.Refresh.String()},
-	}}
-
-	// Two copies of one workload, so moving IsoCore changes nothing but
-	// the slot position.
-	iso := mixed
-	iso.Tracker, iso.Isolated, iso.IsoCore = "pride", true, 1
-	iso.Mix = mix.Spec{Slots: []mix.Slot{{Workload: "429.mcf"}, {Workload: "429.mcf"}, {Attack: attack.Refresh.String()}}}
-	return map[string]Run{
-		"parametric": parametric, "refresh": refresh, "benign4": benign4,
-		"mix": mixed, "iso": iso,
-	}
-}
-
-// cloneRun deep-copies a run so a leaf can be mutated in place.
-func cloneRun(r Run) Run {
-	r.Mix.Slots = slices.Clone(r.Mix.Slots)
-	return r
-}
-
-// grow returns r with one more benign mix slot.
-func grow(r Run) Run {
-	r = cloneRun(r)
-	r.Mix.Slots = append(r.Mix.Slots, mix.Slot{Workload: "ycsb_a"})
-	return r
+	return map[string]Run{"parametric": parametric, "refresh": refresh, "benign4": benign4}
 }
 
 type leaf struct {
@@ -94,35 +58,26 @@ type leaf struct {
 	v    reflect.Value
 }
 
-// runLeaves lists every scalar leaf of v, descending into structs and
-// slice elements.
+// runLeaves lists every scalar leaf of v, descending into structs.
 func runLeaves(v reflect.Value, path string, out *[]leaf) {
-	switch v.Kind() {
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			runLeaves(v.Field(i), path+"."+v.Type().Field(i).Name, out)
-		}
-	case reflect.Slice:
-		for i := 0; i < v.Len(); i++ {
-			runLeaves(v.Index(i), fmt.Sprintf("%s[%d]", path, i), out)
-		}
-	default:
+	if v.Kind() != reflect.Struct {
 		*out = append(*out, leaf{path, v})
+		return
+	}
+	for i := 0; i < v.NumField(); i++ {
+		runLeaves(v.Field(i), path+"."+v.Type().Field(i).Name, out)
 	}
 }
 
-// typeLeaves lists every scalar leaf path of t ("[]" for slice
-// elements): the set TestRunKeyCoversEveryLeaf must cover.
+// typeLeaves lists every scalar leaf path of t: the set
+// TestRunKeyCoversEveryLeaf must cover.
 func typeLeaves(t reflect.Type, path string, out map[string]bool) {
-	switch t.Kind() {
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			typeLeaves(t.Field(i).Type, path+"."+t.Field(i).Name, out)
-		}
-	case reflect.Slice:
-		typeLeaves(t.Elem(), path+"[]", out)
-	default:
+	if t.Kind() != reflect.Struct {
 		out[path] = true
+		return
+	}
+	for i := 0; i < t.NumField(); i++ {
+		typeLeaves(t.Field(i).Type, path+"."+t.Field(i).Name, out)
 	}
 }
 
@@ -167,10 +122,8 @@ func setLeaf(v reflect.Value, x any) {
 	}
 }
 
-var sliceIndex = regexp.MustCompile(`\[\d+\]`)
-
 // TestRunKeyCoversEveryLeaf perturbs every leaf of Run — each
-// attack.Pattern field of both phases, each mix.Slot field — and
+// attack.Pattern field of both phases included — and
 // requires Desc().Key() to move whenever the perturbed run is still
 // valid. A leaf the key dropped would let two distinct simulations
 // alias one cache entry; a leaf that no valid perturbation reaches is
@@ -199,22 +152,15 @@ func TestRunKeyCoversEveryLeaf(t *testing.T) {
 		var probe []leaf
 		runLeaves(reflect.ValueOf(&base).Elem(), "Run", &probe)
 		for i, l := range probe {
-			if base.Isolated && strings.HasPrefix(l.path, "Run.Mix.Slots[") &&
-				!strings.HasPrefix(l.path, fmt.Sprintf("Run.Mix.Slots[%d]", base.IsoCore)) {
-				// An isolated baseline runs one slot alone: the other
-				// slots are not its inputs, and the key deliberately
-				// shares it across mixes that differ only there.
-				continue
-			}
 			for _, x := range candidates(l.v) {
-				r := cloneRun(base)
+				r := base
 				var ls []leaf
 				runLeaves(reflect.ValueOf(&r).Elem(), "Run", &ls)
 				setLeaf(ls[i].v, x)
 				if r.Validate() != nil {
 					continue
 				}
-				covered[sliceIndex.ReplaceAllString(l.path, "[]")] = true
+				covered[l.path] = true
 				if r.Desc().Key() == baseKey {
 					t.Errorf("base %s: setting %s to %v leaves Desc().Key() unchanged", name, l.path, x)
 				}
@@ -228,21 +174,6 @@ func TestRunKeyCoversEveryLeaf(t *testing.T) {
 		}
 	}
 
-	// Slot order and slot count are run inputs too (the count sizes
-	// every core's address slice, isolated baselines included).
-	bases := leafBases()
-	m, iso := bases["mix"], bases["iso"]
-	swapped := cloneRun(m)
-	swapped.Mix.Slots[0], swapped.Mix.Slots[1] = swapped.Mix.Slots[1], swapped.Mix.Slots[0]
-	for what, pair := range map[string][2]Run{
-		"slot order":          {m, swapped},
-		"slot count":          {m, grow(m)},
-		"isolated slot count": {iso, grow(iso)},
-	} {
-		if pair[0].Desc().Key() == pair[1].Desc().Key() {
-			t.Errorf("%s does not reach Desc().Key()", what)
-		}
-	}
 }
 
 // TestRunKeyContinuity pins Desc().Key() for one run per former job
@@ -277,11 +208,6 @@ func TestRunKeyContinuity(t *testing.T) {
 	}}
 	advBase := p.BaseRun()
 	advBase.Workload, advBase.Measure = w.Name, dram.US(10)
-	sp := mix.Spec{Slots: []mix.Slot{{Workload: "429.mcf"}, {Workload: "433.milc"}, {Attack: "parametric", Params: hammerParams()}}}
-	mixed := p.BaseRun()
-	mixed.Tracker, mixed.Mode, mixed.NRH, mixed.Mix, mixed.Audit = "dapper-s", rh.DRFMsb, 125, sp, true
-	iso := p.BaseRun()
-	iso.Mix, iso.Isolated, iso.IsoCore = sp, true, 1
 	fig5 := q.perfAttackRun(w, "start", attack.StreamingSweep, q.NRH)
 	fig5.Geometry.Channels, fig5.Geometry.Ranks, fig5.LLCBytes = 8, 4, 2<<20*4
 
@@ -297,8 +223,6 @@ func TestRunKeyContinuity(t *testing.T) {
 		{"audited hammer +inj", hammer, "b8985ae5ef088125be120c43929d4b6c88ebcd5ba10180ee95a26f263795741c"},
 		{"adversary parametric", adv, "2f2dc8a2db50b652ad6f557907c15d2582101ec3336fb77fd13b81c430c03b79"},
 		{"adversary baseline", advBase, "8c97781f78e6de79126095e5ddd44ef2ec7fd4f3b8d0fcf0060ba15e561853c4"},
-		{"mix", mixed, "d64761c4b1c684f8de9458fc67a1d45acb390635fa0a69bbe94d73cca95228e3"},
-		{"mix iso baseline", iso, "2e87d8daf455465f51ca74b7ea594b1f6f0386605ce33102d8c2900e96db71d5"},
 		{"telemetry + attribution", batch(BatchRequest{Trackers: []string{"dapper-h"}, Workloads: ws, NRHs: []uint32{500}, Attack: attack.Refresh, Profile: tp}),
 			"a49fc830c5b9bc6c6145b84bb236da0bd2031554d25006085898ac50aa3a7570"},
 		{"figure LLC sweep", fig5, "22c52840b7ef8124ada2db09705030a6ff211fbb1ec868be57692dc2bca12a61"},

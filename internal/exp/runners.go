@@ -12,7 +12,7 @@ import (
 // BaseRun returns the run every profile-driven request starts from:
 // the profile's geometry, windows, seed, engine and probes, on the
 // insecure baseline at the profile's NRH. Callers set the tracker and
-// the workload or mix.
+// the workload.
 func (p Profile) BaseRun() Run {
 	return Run{
 		Tracker:         "none",

@@ -1,8 +1,9 @@
 // Package goldentest is the shared byte-exact golden-fixture helper
 // behind every serialized-artifact test (harness sinks, adversary
-// reports, the audit matrix, the mix report). Fixtures live under the
-// calling package's testdata/ directory; run the package's tests with
-// -update to rewrite them after a deliberate, reviewed format change.
+// reports, the audit matrix, pinned simulation Results). Fixtures live
+// under the calling package's testdata/ directory; run the package's
+// tests with -update to rewrite them after a deliberate, reviewed
+// change.
 //
 // Only _test files import this package, so the testing dependency never
 // reaches a shipped binary.

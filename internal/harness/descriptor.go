@@ -55,14 +55,6 @@ type Descriptor struct {
 	// versions the oracle so its evolution invalidates stale reports.
 	Audit string `json:"audit,omitempty"`
 
-	// Mix tags heterogeneous multi-programmed runs: the full canonical
-	// slot encoding (mix.Spec.Canonical()) for a mix run, or an
-	// "iso:<core>/<slots>" tag for a per-core isolated baseline — both
-	// must never alias the homogeneous shapes (3+companion / benign4)
-	// that leave this empty. Folding the complete encoding in keeps two
-	// mixes differing in a single slot from sharing a cache entry.
-	Mix string `json:"mix,omitempty"`
-
 	// Telemetry tags runs collecting the in-sim windowed series: the
 	// canonical window encoding ("w<cycles>", e.g. "w20000" for a 5µs
 	// window) when sim.Config.TelemetryWindow is set, empty otherwise.
@@ -102,15 +94,16 @@ func AttrTag(on bool) string {
 func (d Descriptor) Key() string {
 	h := sha256.New()
 	g := d.Geometry
-	// The empty "|extra=" suffix is a retired field's slot: keeping it
-	// keeps every existing key, and so every warm cache, valid.
+	// The empty "mix=" segment and "|extra=" suffix are retired fields'
+	// slots: keeping them keeps every existing key, and so every warm
+	// cache, valid.
 	fmt.Fprintf(h,
 		"tracker=%s|mode=%s|nrh=%d|workload=%s|attack=%s|aparams=%s|benign4=%t|"+
-			"geo=%d.%d.%d.%d.%d.%d.%d|timing=%s|llc=%d|warmup=%d|measure=%d|seed=%d|engine=%s|audit=%s|mix=%s|telemetry=%s|attr=%s|extra=",
+			"geo=%d.%d.%d.%d.%d.%d.%d|timing=%s|llc=%d|warmup=%d|measure=%d|seed=%d|engine=%s|audit=%s|mix=|telemetry=%s|attr=%s|extra=",
 		d.Tracker, d.Mode, d.NRH, d.Workload, d.Attack, d.AttackParams, d.Benign4,
 		g.Channels, g.Ranks, g.BankGroups, g.BanksPerGroup, g.RowsPerBank,
 		g.RowBytes, g.LineBytes,
-		d.Timing, d.LLCBytes, d.Warmup, d.Measure, d.Seed, d.Engine, d.Audit, d.Mix, d.Telemetry, d.Attr)
+		d.Timing, d.LLCBytes, d.Warmup, d.Measure, d.Seed, d.Engine, d.Audit, d.Telemetry, d.Attr)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

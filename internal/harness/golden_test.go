@@ -43,11 +43,10 @@ func goldenSeries() *telemetry.Series {
 	return rec.Finish()
 }
 
-// goldenRecords is a fixed four-record stream: a plain run, an
-// audited cache hit, a heterogeneous mix run, and a telemetry-tagged
-// run with an embedded windowed series — covering every serialized
-// field including the embedded oracle report, the mix tag, and the
-// series JSON.
+// goldenRecords is a fixed three-record stream: a plain run, an
+// audited cache hit, and a telemetry-tagged run with an embedded
+// windowed series — covering every serialized field including the
+// embedded oracle report and the series JSON.
 func goldenRecords() []Record {
 	d1 := Descriptor{
 		Tracker: "Hydra", Mode: "VRR-BR1", NRH: 500,
@@ -96,23 +95,6 @@ func goldenRecords() []Record {
 			},
 		},
 	}
-	d3 := Descriptor{
-		Tracker: "DAPPER-H", Mode: "VRR-BR1", NRH: 500,
-		Workload: "mx-0102030405ab", Attack: "mix",
-		Mix:      "c0=429.mcf|c1=ycsb_a|c2=!refresh|c3=470.lbm",
-		Geometry: dram.Baseline(), Timing: "ddr5",
-		Warmup: dram.US(5), Measure: dram.US(30), Seed: 1,
-		Engine: "event",
-	}
-	r3 := sim.Result{
-		IPC:          []float64{0.9, 1.1, 0.2, 0.7},
-		Instructions: []uint64{108000, 132000, 24000, 84000},
-		Cycles:       dram.US(30),
-		LLCHitRate:   0.5,
-		TrackerNames: []string{"DAPPER-H", "DAPPER-H"},
-	}
-	r3.Counters.ACT = 9000
-	r3.Counters.VRR = 12
 	d4 := Descriptor{
 		Tracker: "DAPPER-S", Mode: "VRR-BR1", NRH: 500,
 		Workload: "429.mcf", Attack: "refresh",
@@ -132,7 +114,6 @@ func goldenRecords() []Record {
 	return []Record{
 		{Key: d1.Key(), Desc: d1, Cached: false, Elapsed: 1234 * time.Millisecond, Result: r1},
 		{Key: d2.Key(), Desc: d2, Cached: true, Elapsed: 0, Result: r2},
-		{Key: d3.Key(), Desc: d3, Cached: false, Elapsed: 456 * time.Millisecond, Result: r3},
 		{Key: d4.Key(), Desc: d4, Cached: false, Elapsed: 789 * time.Millisecond, Result: r4},
 	}
 }

@@ -86,9 +86,6 @@ func TestDescriptorKeySensitivity(t *testing.T) {
 	d = base
 	d.AttackParams = "s(r1...)"
 	variants["attack_params"] = d
-	d = base
-	d.Mix = "c0=429.mcf|c1=!refresh"
-	variants["mix"] = d
 
 	seen := map[string]string{base.Key(): "base"}
 	for name, v := range variants {
@@ -130,35 +127,6 @@ func TestDescriptorAttackParamsNoAliasing(t *testing.T) {
 	}
 	if mk(base).Key() != mk(base).Key() {
 		t.Fatal("same param vector must key identically (cache reuse)")
-	}
-}
-
-// TestDescriptorMixNoAliasing is the mix-sweep cache regression: a mix
-// run, an isolated-baseline run and the homogeneous shapes that leave
-// Mix empty must never share a cache entry, and two mixes differing in
-// one slot must key apart.
-func TestDescriptorMixNoAliasing(t *testing.T) {
-	mk := func(workload, attackName, mixTag string) Descriptor {
-		d := testDesc(workload, 500)
-		d.Attack = attackName
-		d.Benign4 = false
-		d.Mix = mixTag
-		return d
-	}
-	keys := map[string]string{}
-	for name, d := range map[string]Descriptor{
-		"homogeneous":    mk("429.mcf", "none", ""),
-		"iso-core0":      mk("429.mcf", "none", "iso:0/4"),
-		"iso-core2":      mk("429.mcf", "none", "iso:2/4"),
-		"iso-6slots":     mk("429.mcf", "none", "iso:0/6"),
-		"mix":            mk("mx-a", "mix", "c0=429.mcf|c1=ycsb_a|c2=!refresh"),
-		"mix-other-slot": mk("mx-b", "mix", "c0=429.mcf|c1=ycsb_a|c2=!streaming"),
-	} {
-		k := d.Key()
-		if prev, dup := keys[k]; dup {
-			t.Fatalf("%s aliases %s in the cache key", name, prev)
-		}
-		keys[k] = name
 	}
 }
 

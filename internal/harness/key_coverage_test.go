@@ -9,13 +9,12 @@ import (
 	"dapper/internal/attack"
 	"dapper/internal/dram"
 	"dapper/internal/harness"
-	"dapper/internal/mix"
 )
 
 // These tests pin cache-key coverage at the encoder level: every
-// Descriptor leaf must perturb Key(), and every attack.Params and
-// mix.Slot leaf must perturb its Canonical() encoding. A field added to
-// one of these types without reaching its encoding trips one of them.
+// Descriptor leaf must perturb Key(), and every attack.Params leaf must
+// perturb its Canonical() encoding. A field added to one of these types
+// without reaching its encoding trips one of them.
 // exp.TestRunKeyCoversEveryLeaf checks the same from the run side,
 // through Run.Desc().Key().
 
@@ -74,7 +73,7 @@ func TestDescriptorKeyCoversEveryField(t *testing.T) {
 		Workload: "stream", Attack: "double", Benign4: false,
 		AttackParams: "s(r2)", Geometry: dram.Baseline(), Timing: "ddr5",
 		LLCBytes: 1 << 23, Warmup: 1000, Measure: 4000, Seed: 7,
-		Engine: "event", Audit: "v1", Mix: "c0=stream", Telemetry: "w20000",
+		Engine: "event", Audit: "v1", Telemetry: "w20000",
 		Attr: harness.AttrTag(true),
 	}
 	if base.Key() != base.Key() {
@@ -117,35 +116,5 @@ func TestAttackParamsCanonicalCoversEveryField(t *testing.T) {
 		if p.Canonical() == base.Canonical() {
 			t.Errorf("mutating Params.%s does not change Canonical(); nearby search points would alias", pathName(pt, path))
 		}
-	}
-}
-
-// TestMixCanonicalCoversEverySlotField mutates each Slot leaf on a
-// parametric-attacker slot (the shape where every field is live) and
-// requires Spec.Canonical() to move; slot order and slot count must
-// also be significant.
-func TestMixCanonicalCoversEverySlotField(t *testing.T) {
-	slot := mix.Slot{
-		Attack: attack.Parametric.String(),
-		Params: attack.Params{Steady: attack.Pattern{Rows: 8, HotFrac: 0.25}},
-	}
-	base := mix.Spec{Slots: []mix.Slot{{Workload: "stream"}, slot}}
-	st := reflect.TypeOf(slot)
-	for _, path := range leafPaths(st, nil) {
-		sp := mix.Spec{Slots: slices.Clone(base.Slots)}
-		mut := slot
-		perturb(t, reflect.ValueOf(&mut).Elem().FieldByIndex(path))
-		sp.Slots[1] = mut
-		if sp.Canonical() == base.Canonical() {
-			t.Errorf("mutating Slot.%s does not change Spec.Canonical(); distinct mixes would alias", pathName(st, path))
-		}
-	}
-	grown := mix.Spec{Slots: append(slices.Clone(base.Slots), mix.Slot{Workload: "stream"})}
-	if grown.Canonical() == base.Canonical() {
-		t.Error("adding a slot does not change Spec.Canonical()")
-	}
-	swapped := mix.Spec{Slots: []mix.Slot{base.Slots[1], base.Slots[0]}}
-	if swapped.Canonical() == base.Canonical() {
-		t.Error("slot order does not affect Spec.Canonical(); per-core placement would alias")
 	}
 }
