@@ -173,7 +173,6 @@ func TestRunKeyCoversEveryLeaf(t *testing.T) {
 			t.Errorf("%s: no base run reaches this leaf with a valid perturbation; extend leafBases", path)
 		}
 	}
-
 }
 
 // TestRunKeyContinuity pins Desc().Key() for one run per former job
