@@ -38,7 +38,7 @@ test-race:
 # sampled-parametric-point matrix (with the security oracle attached)
 # must prove the event and cycle engines produce identical Results.
 test-engine-equivalence:
-	$(GO) test -run 'TestEngineEquivalence|TestEngineDeterminism' -v -count=1 ./internal/sim ./internal/exp ./internal/adversary
+	$(GO) test -run 'TestEngineEquivalence|TestEngineDeterminism|TestMixSecaudit' -v -count=1 ./internal/sim ./internal/exp ./internal/adversary
 
 # Short-budget native fuzzing of the two pure-function attack surfaces:
 # parametric trace generation (geometry bounds + replay determinism) and

@@ -195,11 +195,12 @@
 // hand-written kinds. See examples/secaudit for the in-process API.
 //
 // Every run above has at most one attacker. The tier-1 test
-// exp.TestEngineEquivalenceTwoAttackers covers two at once: two focused
-// hammers beside two benign workloads, each benign core confined to its
-// row-aligned quarter of the address space, audited at NRH 125 for
-// every tracker under both engines. The insecure baseline must escape
-// and every real tracker must hold at zero.
+// exp.TestMixSecauditTwoAttackerConformance covers two at once: two
+// focused hammers beside two benign workloads, each benign core confined
+// to its row-aligned quarter of the address space, audited at NRH 125
+// for every tracker. The insecure baseline must escape and every real
+// tracker must hold at zero. exp.TestEngineEquivalenceMixes checks that
+// both engines agree on the same runs.
 //
 // # Observability (internal/telemetry, internal/diag, dapper timeline)
 //

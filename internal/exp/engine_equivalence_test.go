@@ -59,77 +59,97 @@ func TestEngineEquivalenceAllTrackers(t *testing.T) {
 	}
 }
 
-// TestEngineEquivalenceTwoAttackers checks every tracker against two
-// attackers at once. Each scenario puts two focused hammers beside two
-// different benign workloads on one four-core system: every core owns
-// one row-aligned quarter of the address space, benign traces stay in
-// their quarter, and the hammers range over all of it. Every known
-// tracker runs audited at NRH 125 on the tiny profile under both
-// engines. The Results must be identical, the insecure baseline must
-// escape, and every real tracker must hold at zero escapes.
-func TestEngineEquivalenceTwoAttackers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("matrix is seconds-long; skipped in -short")
-	}
-	const nrh = 125
-	const hammer = "hammer" // an attacker core
-	scenarios := [][]string{
-		{"464.h264ref", "544.nab", hammer, hammer},
-		{hammer, "tpch6", hammer, "410.bwaves"},
-	}
+// twoAttackerScenarios put two focused hammers beside two different
+// benign workloads on one four-core system. Every core owns one
+// row-aligned quarter of the address space; benign traces stay in their
+// quarter, and the hammers range over all of it.
+var twoAttackerScenarios = [][]string{
+	{"464.h264ref", "544.nab", twoAttackerHammer, twoAttackerHammer},
+	{twoAttackerHammer, "tpch6", twoAttackerHammer, "410.bwaves"},
+}
+
+const (
+	twoAttackerHammer = "hammer" // an attacker core
+	twoAttackerNRH    = 125
+)
+
+// twoAttackerRun runs tracker id audited at NRH 125 on the tiny profile
+// with one trace per entry of cores.
+func twoAttackerRun(t *testing.T, id string, cores []string, engine sim.Engine) sim.Result {
+	t.Helper()
 	p := Tiny()
 	geo := p.Geometry
 	quarter := geo.TotalBytes() / 4
 	quarter -= quarter % uint64(geo.RowBytes)
-	traces := func(t *testing.T, cores []string) []cpu.Trace {
-		t.Helper()
-		out := make([]cpu.Trace, len(cores))
-		for i, name := range cores {
-			seed := p.Seed + uint64(i)*0x9E37 + 1
-			if name == hammer {
-				tr, err := attack.NewTrace(attack.Config{
-					Geometry: geo, NRH: nrh, Kind: attack.Parametric,
-					Params: hammerParams(), Seed: seed,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				out[i] = tr
-				continue
-			}
-			w, err := workloads.ByName(name)
+	traces := make([]cpu.Trace, len(cores))
+	for i, name := range cores {
+		seed := p.Seed + uint64(i)*0x9E37 + 1
+		if name == twoAttackerHammer {
+			tr, err := attack.NewTrace(attack.Config{
+				Geometry: geo, NRH: twoAttackerNRH, Kind: attack.Parametric,
+				Params: hammerParams(), Seed: seed,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			out[i] = workloads.NewTrace(w, uint64(i)*quarter, quarter, seed)
+			traces[i] = tr
+			continue
 		}
-		return out
+		w, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces[i] = workloads.NewTrace(w, uint64(i)*quarter, quarter, seed)
 	}
+	r := p.BaseRun()
+	r.Tracker, r.NRH, r.Audit, r.Engine = id, twoAttackerNRH, true, engine
+	r.Workload = cores[1] // validates the run; the traces replace its shape
+	cfg, err := r.config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Traces = traces
+	res, err := r.simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
+// TestEngineEquivalenceMixes runs every known tracker on both engines
+// over the two-attacker scenarios. The Results must be identical.
+func TestEngineEquivalenceMixes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("matrix is seconds-long; skipped in -short")
+	}
 	for _, id := range KnownTrackers() {
 		t.Run(id, func(t *testing.T) {
-			for _, cores := range scenarios {
-				mk := func(engine sim.Engine) sim.Result {
-					r := p.BaseRun()
-					r.Tracker, r.NRH, r.Audit, r.Engine = id, nrh, true, engine
-					r.Workload = cores[1] // validates the run; the traces replace its shape
-					cfg, err := r.config()
-					if err != nil {
-						t.Fatal(err)
-					}
-					cfg.Traces = traces(t, cores)
-					res, err := r.simulate(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res
-				}
-				want := mk(sim.EngineCycle)
-				got := mk(sim.EngineEvent)
+			for _, cores := range twoAttackerScenarios {
+				want := twoAttackerRun(t, id, cores, sim.EngineCycle)
+				got := twoAttackerRun(t, id, cores, sim.EngineEvent)
 				if !reflect.DeepEqual(want, got) {
 					t.Fatalf("%v: engines diverge\n cycle: %+v\n event: %+v", cores, want, got)
 				}
-				rep := got.Audit
+			}
+		})
+	}
+}
+
+// TestMixSecauditTwoAttackerConformance checks every known tracker
+// against two attackers at once: under the two-attacker scenarios the
+// insecure baseline must escape, and every real tracker must hold at
+// zero escapes.
+func TestMixSecauditTwoAttackerConformance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("audited runs are seconds-long; skipped in -short")
+	}
+	for _, id := range KnownTrackers() {
+		t.Run(id, func(t *testing.T) {
+			for _, cores := range twoAttackerScenarios {
+				rep := twoAttackerRun(t, id, cores, sim.EngineEvent).Audit
+				if rep == nil {
+					t.Fatalf("%v: audited run carried no report", cores)
+				}
 				t.Logf("%v: %d escapes, max count %d", cores, rep.Escapes, rep.MaxCount)
 				switch {
 				case id == "none" && rep.Escapes == 0:

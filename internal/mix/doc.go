@@ -1,6 +1,6 @@
 // Package mix is empty. The heterogeneous mix engine it held was
 // removed; the one property only it checked, every tracker holding
-// under two attackers at once, is exp's TestEngineEquivalenceTwoAttackers.
+// under two attackers at once, is exp's TestMixSecauditTwoAttackerConformance.
 //
 // The directory stays, with no code, only because the benchmark's
 // host-time layer map (packageLayer in simbench/layers.go) still has a
