@@ -27,6 +27,7 @@ func runExp(b *testing.B, id string) {
 
 func runExpProfile(b *testing.B, id string, p exp.Profile) {
 	b.Helper()
+	b.ReportAllocs()
 	g, err := exp.Lookup(id)
 	if err != nil {
 		b.Fatal(err)

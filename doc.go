@@ -108,6 +108,13 @@
 //     cycles are never skipped, so statistics snapshots observe the
 //     same retirement state as the cycle engine.
 //
+// sim.run alone owns the LLC: snapshots copy its counters and the
+// hierarchy dies with the run. So run defers cache.Release, and the
+// next run whose LLC has the same sets and ways takes its arrays
+// instead of allocating 2 MiB of keys and LRU ticks. Tracker tables
+// stay per run, because tracker ownership is spread across run,
+// lockstep followers and wrappers.
+//
 // Force `-engine cycle` when validating the event engine itself, when
 // bisecting a suspected engine bug, or when adding a new component that
 // does not yet implement the wake-time protocol; in every other case the

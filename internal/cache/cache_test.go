@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -246,4 +247,64 @@ func TestAccessDoesNotAllocate(t *testing.T) {
 			t.Fatalf("policy %d: Access allocates %.1f times per call", p, a)
 		}
 	}
+}
+
+// TestReleaseLeavesCacheUnusable pins Release's contract: counters
+// still read, any later access panics, and a second Release returns
+// nothing to the free list.
+func TestReleaseLeavesCacheUnusable(t *testing.T) {
+	cfg := Config{Sets: 3, Ways: 5}
+	c := MustNew(cfg)
+	c.Access(1, true)
+	c.Release()
+	c.Release()
+	if c.Misses() != 1 {
+		t.Fatalf("Misses after Release = %d, want 1", c.Misses())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Access after Release did not panic")
+			}
+		}()
+		c.Access(1, false)
+	}()
+	a, b := MustNew(cfg), MustNew(cfg)
+	for _, n := range []*Cache{a, b} {
+		if len(n.keys) != cfg.Sets*cfg.Ways || len(n.valid) != cfg.Sets {
+			t.Fatalf("New after a double Release got %d keys and %d sets", len(n.keys), len(n.valid))
+		}
+	}
+}
+
+// TestNewAndReleaseFromManyGoroutines checks that caches built from
+// the free list at once never share arrays: every goroutine finds its
+// cache empty and then holding exactly its own keys.
+func TestNewAndReleaseFromManyGoroutines(t *testing.T) {
+	cfg := Config{Sets: 1, Ways: MaxWays}
+	var wg sync.WaitGroup
+	for g := uint64(0); g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				c := MustNew(cfg)
+				if n := c.Occupancy(); n != 0 {
+					t.Errorf("goroutine %d: new cache holds %d lines", g, n)
+					return
+				}
+				for k := uint64(0); k < MaxWays; k++ {
+					c.Access(g<<32|k, k%2 == 0)
+				}
+				for k := uint64(0); k < MaxWays; k++ {
+					if !c.Contains(g<<32 | k) {
+						t.Errorf("goroutine %d: key %d missing", g, k)
+						return
+					}
+				}
+				c.Release()
+			}
+		}()
+	}
+	wg.Wait()
 }

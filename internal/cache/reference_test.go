@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand/v2"
+	"runtime"
 	"testing"
 )
 
@@ -112,7 +113,15 @@ func (c *refCache) Occupancy() int {
 // streams mix a hot working set (hits, recency updates) with a key
 // space twice the capacity (fills, evictions, dirty write-backs), plus
 // occasional invalidations and one reset.
+//
+// Each case's cache reuses arrays that a different stream left full
+// and dirty, so New must clear them; caches of other shapes released
+// after them must not be taken instead.
 func TestMatchesReferenceModel(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 3 {
+		// The free list must hold all three released caches.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	}
 	cases := []struct {
 		name string
 		cfg  Config
@@ -127,7 +136,19 @@ func TestMatchesReferenceModel(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			// Same sets, other ways; and other sets, same line count.
+			others := []*Cache{
+				MustNew(Config{Sets: tc.cfg.Sets, Ways: tc.cfg.Ways%MaxWays + 1}),
+				MustNew(Config{Sets: 2 * tc.cfg.Sets, Ways: max(tc.cfg.Ways/2, 1)}),
+			}
+			stale := fillDirty(t, tc.cfg)
+			for _, o := range others {
+				o.Release()
+			}
 			got, want := MustNew(tc.cfg), newRef(tc.cfg)
+			if &got.keys[0] != stale {
+				t.Fatal("New did not take the released arrays of its shape")
+			}
 			rng := rand.New(rand.NewPCG(1, uint64(tc.cfg.Sets*tc.cfg.Ways)))
 			span := uint64(4 * tc.cfg.Sets * tc.cfg.Ways)
 			hot := span / 16
@@ -172,4 +193,26 @@ func TestMatchesReferenceModel(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fillDirty drives a cache of cfg's shape with its own seeded stream
+// of writes until every line is valid and dirty, releases it and
+// returns the address of its first key.
+func fillDirty(t *testing.T, cfg Config) *uint64 {
+	t.Helper()
+	c := MustNew(cfg)
+	rng := rand.New(rand.NewPCG(2, uint64(cfg.Sets)))
+	for filled := 0; filled < c.Entries(); {
+		if r := c.Access(rng.Uint64(), true); !r.Hit && !r.Evicted {
+			filled++
+		}
+	}
+	for set, d := range c.dirty {
+		if c.valid[set] != c.full || d != c.full {
+			t.Fatalf("set %d: valid %#x, dirty %#x after the fill", set, c.valid[set], d)
+		}
+	}
+	keys := &c.keys[0]
+	c.Release()
+	return keys
 }

@@ -271,6 +271,9 @@ func run(cfg Config, wrapT func(channel int, t rh.Tracker) rh.Tracker) (Result, 
 	if err != nil {
 		return Result{}, err
 	}
+	// run alone owns the LLC: snapshots copy its counters and the
+	// hierarchy dies with the run, so the next run may take its arrays.
+	defer llc.Release()
 	hier := &hierarchy{
 		geo:      cfg.Geometry,
 		dec:      cfg.Geometry.Decoder(),

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"dapper/internal/attack"
@@ -246,5 +247,27 @@ func TestDeterministicRuns(t *testing.T) {
 		if a.IPC[i] != b.IPC[i] {
 			t.Fatalf("non-deterministic IPC on core %d", i)
 		}
+	}
+}
+
+// TestRunReusesLLCArrays pins that a run hands its LLC arrays to the
+// next: the second of two equal runs allocates less than the arrays
+// themselves (16 bytes a line). Not parallel: TotalAlloc is process
+// wide.
+func TestRunReusesLLCArrays(t *testing.T) {
+	g := dram.Baseline()
+	w := mustWorkload(t, "511.povray")
+	cfg := quickCfg(BenignTraces(w, 4, g, 1))
+	cfg.Measure = dram.US(5)
+	MustRun(cfg)
+	cfg.Traces = BenignTraces(w, 4, g, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	MustRun(cfg)
+	runtime.ReadMemStats(&after)
+	cfg = cfg.withDefaults()
+	llcBytes := uint64(16 * cfg.LLCBytes / g.LineBytes)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= llcBytes {
+		t.Fatalf("second run allocated %d bytes, LLC arrays are %d", got, llcBytes)
 	}
 }
