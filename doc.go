@@ -13,6 +13,16 @@
 // bench_test.go). Every entry point is a subcommand of cmd/dapper over
 // one shared flag set; it is the module's only binary.
 //
+// The trackers' modelled SRAM and their in-simulator layout differ on
+// purpose. core.Config's StorageBytesS and StorageBytesH report the
+// hardware cost at the paper's widths: 1-byte counters up to NM 255
+// and one bit per bank, 96KB per 32GB channel for DAPPER-H (§VI-H).
+// The simulator stores each DAPPER-H group in one 8-byte entry (two
+// 16-bit counters and a 32-bit bit-vector) and DAPPER-S's counters in
+// 16 bits. One layout thus serves every NRH up to 131071 and up to 32
+// banks per rank; the constructors refuse anything larger with an
+// error.
+//
 // # Experiment orchestration (internal/harness)
 //
 // Every figure is dozens-to-hundreds of independent sim.Run calls.

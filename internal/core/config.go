@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"dapper/internal/dram"
@@ -70,6 +71,9 @@ func (c Config) Validate() error {
 	if c.NRH < 4 {
 		return fmt.Errorf("core: NRH %d too small", c.NRH)
 	}
+	if c.NM() > math.MaxUint16 {
+		return fmt.Errorf("core: NRH %d too large: NM %d exceeds the 16-bit group counters (NRH <= 131071)", c.NRH, c.NM())
+	}
 	rows := c.Geometry.RowsPerRank()
 	if rows&(rows-1) != 0 {
 		return fmt.Errorf("core: rows per rank (%d) must be a power of two for the cipher domain", rows)
@@ -79,6 +83,18 @@ func (c Config) Validate() error {
 	}
 	if rows%uint64(c.GroupSize) != 0 {
 		return fmt.Errorf("core: group size %d must divide the row space %d", c.GroupSize, rows)
+	}
+	return nil
+}
+
+// ValidateH is Validate plus DAPPER-H's own limit: its per-bank
+// bit-vector has 32 bits.
+func (c Config) ValidateH() error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	if n := c.Geometry.BanksPerRank(); n > 32 {
+		return fmt.Errorf("core: DAPPER-H's bit-vector supports at most 32 banks per rank, got %d", n)
 	}
 	return nil
 }
@@ -115,7 +131,10 @@ func (c Config) StorageBytesS() int {
 // StorageBytesH returns DAPPER-H SRAM per channel: two RGC tables plus
 // the per-bank bit-vector for table 1 (one bit per bank per entry).
 // With the baseline geometry and NRH 500 this is 96KB per 32GB channel,
-// the paper's headline cost (§VI-H).
+// the paper's headline cost (§VI-H). This models the hardware at the
+// paper's widths; the simulator deliberately stores 8 bytes per group
+// instead (two 16-bit counters and a 32-bit bit-vector, see hEntry), so
+// one layout serves every NM and bank count it accepts.
 func (c Config) StorageBytesH() int {
 	perRankTables := 2 * c.NumGroups() * counterBytes(c.NM())
 	perRankBitvec := c.NumGroups() * c.Geometry.BanksPerRank() / 8

@@ -480,12 +480,50 @@ func TestDapperHDRFMsbModeEmitsDRFMActions(t *testing.T) {
 }
 
 func TestDapperHRejectsTooManyBanks(t *testing.T) {
-	cfg := testConfig()
-	cfg.Geometry.BankGroups = 32
-	cfg.Geometry.BanksPerGroup = 4 // 128 banks > 64-bit bit-vector
-	cfg.Geometry.RowsPerBank = 512 // keep power-of-two row space
-	if _, err := NewDapperH(0, cfg); err == nil {
-		t.Fatal("should reject > 64 banks per rank")
+	// The bit-vector has one bit per bank in 32 bits: 32 banks per rank
+	// fit, 33 and up are refused. Every row space here is a power of
+	// two that Validate accepts, so a refusal comes from the bank count.
+	for _, tc := range []struct {
+		groups, perGroup int
+		rows             uint32
+		ok               bool
+	}{
+		{8, 4, 2048, true},  // 32 banks: the baseline
+		{8, 8, 1024, false}, // 64 banks
+		{32, 4, 512, false}, // 128 banks
+	} {
+		cfg := testConfig()
+		cfg.Geometry.BankGroups = tc.groups
+		cfg.Geometry.BanksPerGroup = tc.perGroup
+		cfg.Geometry.RowsPerBank = tc.rows
+		banks := tc.groups * tc.perGroup
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%d banks per rank: Validate: %v", banks, err)
+		}
+		if _, err := NewDapperH(0, cfg); (err == nil) != tc.ok {
+			t.Errorf("%d banks per rank: NewDapperH err = %v, want ok = %v", banks, err, tc.ok)
+		}
+		if err := cfg.ValidateH(); (err == nil) != tc.ok {
+			t.Errorf("%d banks per rank: ValidateH = %v, want ok = %v", banks, err, tc.ok)
+		}
+	}
+}
+
+func TestDapperCountersBoundNRH(t *testing.T) {
+	// Both trackers count in 16 bits, so NM = NRH/2 may be at most
+	// 65535: NRH 131070 is accepted, NRH 131072 refused.
+	for _, tc := range []struct {
+		nrh uint32
+		ok  bool
+	}{{131070, true}, {131071, true}, {131072, false}} {
+		cfg := testConfig()
+		cfg.NRH = tc.nrh
+		if _, err := NewDapperS(0, cfg); (err == nil) != tc.ok {
+			t.Errorf("DAPPER-S at NRH %d: err = %v, want ok = %v", tc.nrh, err, tc.ok)
+		}
+		if _, err := NewDapperH(0, cfg); (err == nil) != tc.ok {
+			t.Errorf("DAPPER-H at NRH %d: err = %v, want ok = %v", tc.nrh, err, tc.ok)
+		}
 	}
 }
 

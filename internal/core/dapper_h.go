@@ -20,7 +20,7 @@ import (
 type DapperH struct {
 	cfg     Config
 	channel int
-	nm      uint32
+	nm      uint16
 	shift   uint
 	ranks   []hRank
 	nextRst dram.Cycle
@@ -35,19 +35,22 @@ type DapperH struct {
 type hRank struct {
 	cipher1 *llbc.Cipher
 	cipher2 *llbc.Cipher
-	rgc1    []uint32
-	rgc2    []uint32
-	bitvec  []uint64 // per table-1 entry: one bit per bank in the rank
+	tab     []hEntry // indexed by group id: tab[g1] for table 1, tab[g2] for table 2
+}
+
+// hEntry packs one group id's state into 8 bytes, so an ACT touches two
+// cache lines, not three. ValidateH keeps NM within the 16-bit counters
+// and the rank's banks within the 32-bit bit-vector.
+type hEntry struct {
+	bitvec     uint32 // table-1 entry's per-bank filter
+	rgc1, rgc2 uint16
 }
 
 // NewDapperH builds a DAPPER-H tracker for one channel.
 func NewDapperH(channel int, cfg Config) (*DapperH, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.ValidateH(); err != nil {
 		return nil, err
-	}
-	if cfg.Geometry.BanksPerRank() > 64 {
-		return nil, fmt.Errorf("core: bit-vector supports at most 64 banks per rank, got %d", cfg.Geometry.BanksPerRank())
 	}
 	shift := uint(0)
 	for 1<<shift != cfg.GroupSize {
@@ -59,20 +62,17 @@ func NewDapperH(channel int, cfg Config) (*DapperH, error) {
 	d := &DapperH{
 		cfg:     cfg,
 		channel: channel,
-		nm:      cfg.NM(),
+		nm:      uint16(cfg.NM()),
 		shift:   shift,
 		ranks:   make([]hRank, cfg.Geometry.Ranks),
 		nextRst: cfg.ResetWindow,
 	}
-	ng := cfg.NumGroups()
 	for r := range d.ranks {
 		seed := cfg.Seed ^ uint64(channel)<<32 ^ uint64(r)<<16
 		d.ranks[r] = hRank{
 			cipher1: llbc.MustNew(cfg.AddressBits(), seed),
 			cipher2: llbc.MustNew(cfg.AddressBits(), seed^0xD0E5C0DE),
-			rgc1:    make([]uint32, ng),
-			rgc2:    make([]uint32, ng),
-			bitvec:  make([]uint64, ng),
+			tab:     make([]hEntry, cfg.NumGroups()),
 		}
 	}
 	return d, nil
@@ -98,29 +98,27 @@ func (d *DapperH) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) []rh
 	// needed. Saturation also bounds the reset-counter values computed
 	// during mitigation, which otherwise ratchet upward when many hot
 	// groups cross-inherit each other's counts (see mitigate).
-	mask := uint64(1) << bank
-	if rk.bitvec[g1]&mask == 0 {
+	e1, e2 := &rk.tab[g1], &rk.tab[g2]
+	mask := uint32(1) << bank
+	if e1.bitvec&mask == 0 {
 		// First activation from this bank since the last table-1
 		// increment: set the bit and count only in table 2. This is
 		// what defeats the streaming attack — bank-interleaved sweeps
 		// keep flipping fresh bits instead of inflating RGC1.
-		rk.bitvec[g1] |= mask
-		if rk.rgc2[g2] < d.nm {
-			rk.rgc2[g2]++
-		}
+		e1.bitvec |= mask
 	} else {
 		// Repeat activation from the same bank: count in both tables
 		// and restart the bank filter for this group.
-		if rk.rgc1[g1] < d.nm {
-			rk.rgc1[g1]++
+		if e1.rgc1 < d.nm {
+			e1.rgc1++
 		}
-		if rk.rgc2[g2] < d.nm {
-			rk.rgc2[g2]++
-		}
-		rk.bitvec[g1] = mask
+		e1.bitvec = mask
+	}
+	if e2.rgc2 < d.nm {
+		e2.rgc2++
 	}
 
-	if rk.rgc1[g1] >= d.nm && rk.rgc2[g2] >= d.nm {
+	if e1.rgc1 >= d.nm && e2.rgc2 >= d.nm {
 		buf = d.mitigate(rk, loc, g1, g2, buf)
 	}
 	return buf
@@ -152,14 +150,14 @@ func (d *DapperH) mitigate(rk *hRank, loc dram.Loc, g1, g2 uint64, buf []rh.Acti
 	// case a non-inherited member accrues NM further counted
 	// activations before its own trigger: 2*NM = NRH, the same bound
 	// the NM = NRH/2 window-reset argument relies on (§V-C).
-	var reset1 uint32
+	var reset1 uint16
 	for i := uint64(0); i < size; i++ {
 		orig := rk.cipher1.Decrypt(base1 + i)
 		og2 := rk.cipher2.Encrypt(orig) >> d.shift
 		if og2 == g2 {
 			continue // shared row
 		}
-		if c := rk.rgc2[og2]; c > reset1 && c < d.nm {
+		if c := rk.tab[og2].rgc2; c > reset1 && c < d.nm {
 			reset1 = c
 		}
 	}
@@ -167,7 +165,7 @@ func (d *DapperH) mitigate(rk *hRank, loc dram.Loc, g1, g2 uint64, buf []rh.Acti
 	// Walk group 2: refresh shared rows (members whose table-1 group is
 	// g1), and compute table 2's reset counter from the table-1 counts
 	// of its non-shared members.
-	var reset2 uint32
+	var reset2 uint16
 	shared := 0
 	for i := uint64(0); i < size; i++ {
 		orig := rk.cipher2.Decrypt(base2 + i)
@@ -179,7 +177,7 @@ func (d *DapperH) mitigate(rk *hRank, loc dram.Loc, g1, g2 uint64, buf []rh.Acti
 			shared++
 			continue
 		}
-		if c := rk.rgc1[og1]; c > reset2 && c < d.nm {
+		if c := rk.tab[og1].rgc1; c > reset2 && c < d.nm {
 			reset2 = c
 		}
 	}
@@ -187,9 +185,9 @@ func (d *DapperH) mitigate(rk *hRank, loc dram.Loc, g1, g2 uint64, buf []rh.Acti
 		d.singleSharedMitigations++
 	}
 
-	rk.rgc1[g1] = reset1
-	rk.rgc2[g2] = reset2
-	rk.bitvec[g1] = 0
+	rk.tab[g1].rgc1 = reset1
+	rk.tab[g1].bitvec = 0
+	rk.tab[g2].rgc2 = reset2
 	return buf
 }
 
@@ -203,11 +201,7 @@ func (d *DapperH) Tick(now dram.Cycle, buf []rh.Action) []rh.Action {
 	d.epoch++
 	for r := range d.ranks {
 		rk := &d.ranks[r]
-		for i := range rk.rgc1 {
-			rk.rgc1[i] = 0
-			rk.rgc2[i] = 0
-			rk.bitvec[i] = 0
-		}
+		clear(rk.tab)
 		base := d.cfg.Seed ^ d.epoch*0x9E3779B97F4A7C15 ^ uint64(d.channel)<<32 ^ uint64(r)<<16
 		rk.cipher1.Rekey(base)
 		rk.cipher2.Rekey(base ^ 0xD0E5C0DE)
@@ -223,13 +217,13 @@ func (d *DapperH) Stats() rh.Stats { return d.stats }
 func (d *DapperH) TableOccupancy() rh.TableOccupancy {
 	occ := rh.TableOccupancy{Resets: d.epoch}
 	for r := range d.ranks {
-		rk := &d.ranks[r]
-		occ.Capacity += len(rk.rgc1) + len(rk.rgc2)
-		for i := range rk.rgc1 {
-			if rk.rgc1[i] != 0 {
+		tab := d.ranks[r].tab
+		occ.Capacity += 2 * len(tab)
+		for _, e := range tab {
+			if e.rgc1 != 0 {
 				occ.Used++
 			}
-			if rk.rgc2[i] != 0 {
+			if e.rgc2 != 0 {
 				occ.Used++
 			}
 		}
@@ -253,7 +247,7 @@ func (d *DapperH) Counts(loc dram.Loc) (uint32, uint32) {
 	idx := d.cfg.Geometry.RankRowIndex(loc)
 	g1 := rk.cipher1.Encrypt(idx) >> d.shift
 	g2 := rk.cipher2.Encrypt(idx) >> d.shift
-	return rk.rgc1[g1], rk.rgc2[g2]
+	return uint32(rk.tab[g1].rgc1), uint32(rk.tab[g2].rgc2)
 }
 
 // GroupsOf returns the row's (group1, group2) ids in the current
@@ -266,5 +260,5 @@ func (d *DapperH) GroupsOf(loc dram.Loc) (uint64, uint64) {
 
 // BitvecEntry exposes a table-1 bit-vector entry (test hook).
 func (d *DapperH) BitvecEntry(rank int, g1 uint64) uint64 {
-	return d.ranks[rank].bitvec[g1]
+	return uint64(d.ranks[rank].tab[g1].bitvec)
 }

@@ -24,7 +24,7 @@ import (
 type DapperS struct {
 	cfg     Config
 	channel int
-	nm      uint32
+	nm      uint16
 	shift   uint // log2(GroupSize): hashed -> group
 	ranks   []sRank
 	nextRst dram.Cycle
@@ -36,7 +36,7 @@ type DapperS struct {
 
 type sRank struct {
 	cipher *llbc.Cipher
-	rgc    []uint32
+	rgc    []uint16 // counters reset at NM <= 65535 (Validate)
 }
 
 // NewDapperS builds a DAPPER-S tracker for one channel.
@@ -55,7 +55,7 @@ func NewDapperS(channel int, cfg Config) (*DapperS, error) {
 	d := &DapperS{
 		cfg:     cfg,
 		channel: channel,
-		nm:      cfg.NM(),
+		nm:      uint16(cfg.NM()),
 		shift:   shift,
 		ranks:   make([]sRank, cfg.Geometry.Ranks),
 		nextRst: cfg.ResetWindow,
@@ -64,7 +64,7 @@ func NewDapperS(channel int, cfg Config) (*DapperS, error) {
 		seed := cfg.Seed ^ uint64(channel)<<32 ^ uint64(r)<<16
 		d.ranks[r] = sRank{
 			cipher: llbc.MustNew(cfg.AddressBits(), seed),
-			rgc:    make([]uint32, cfg.NumGroups()),
+			rgc:    make([]uint16, cfg.NumGroups()),
 		}
 	}
 	return d, nil
@@ -112,9 +112,7 @@ func (d *DapperS) Tick(now dram.Cycle, buf []rh.Action) []rh.Action {
 	d.epoch++
 	for r := range d.ranks {
 		rk := &d.ranks[r]
-		for i := range rk.rgc {
-			rk.rgc[i] = 0
-		}
+		clear(rk.rgc)
 		rk.cipher.Rekey(d.cfg.Seed ^ d.epoch*0x9E3779B97F4A7C15 ^ uint64(d.channel)<<32 ^ uint64(r)<<16)
 	}
 	return buf
@@ -144,7 +142,7 @@ func (d *DapperS) TableOccupancy() rh.TableOccupancy {
 func (d *DapperS) GroupCount(loc dram.Loc) uint32 {
 	rk := &d.ranks[loc.Rank]
 	hashed := rk.cipher.Encrypt(d.cfg.Geometry.RankRowIndex(loc))
-	return rk.rgc[hashed>>d.shift]
+	return uint32(rk.rgc[hashed>>d.shift])
 }
 
 // GroupOf returns the group id of a row in the current mapping (test

@@ -236,6 +236,41 @@ func TestRunKeyContinuity(t *testing.T) {
 	}
 }
 
+// TestRunRejectsTrackerLimits pins that a configuration the DAPPER
+// constructors refuse (NM beyond the 16-bit counters, more banks per
+// rank than DAPPER-H's 32-bit bit-vector) fails Validate and Exec with
+// an error instead of panicking in the tracker factory.
+func TestRunRejectsTrackerLimits(t *testing.T) {
+	wide := Tiny().BaseRun().Geometry
+	wide.BankGroups, wide.BanksPerGroup = 8, 8 // 64 banks per rank
+	for _, tc := range []struct {
+		tracker string
+		nrh     uint32
+		geo     *dram.Geometry
+	}{
+		{"dapper-h", 131072, nil},
+		{"dapper-s", 131072, nil},
+		{"dapper-h", 500, &wide},
+	} {
+		r := leafBases()["refresh"]
+		r.Tracker, r.NRH = tc.tracker, tc.nrh
+		if tc.geo != nil {
+			r.Geometry = *tc.geo
+		}
+		if err := r.Validate(); err == nil {
+			t.Errorf("%s at NRH %d, %d banks: Validate accepted", tc.tracker, tc.nrh, r.Geometry.BanksPerRank())
+		}
+		if _, err := r.Exec(); err == nil {
+			t.Errorf("%s at NRH %d, %d banks: Exec returned no error", tc.tracker, tc.nrh, r.Geometry.BanksPerRank())
+		}
+	}
+	r := leafBases()["refresh"]
+	r.NRH = 131070
+	if err := r.Validate(); err != nil {
+		t.Errorf("dapper-h at NRH 131070: %v", err)
+	}
+}
+
 // TestRunValidateRejectsNegativeWindows pins that a negative warmup,
 // measure or telemetry window fails validation instead of reaching the
 // simulator.

@@ -62,19 +62,24 @@ var trackerDefs = map[string]trackerDef{
 		build: func(ch int, geo dram.Geometry, nrh uint32, mode rh.MitigationMode) rh.Tracker {
 			return mustTracker(core.NewDapperS(ch, core.Config{Geometry: geo, NRH: nrh, Mode: mode}))
 		}},
-	"dapper-h": {name: "DAPPER-H", modal: true, check: checkDapper,
+	"dapper-h": {name: "DAPPER-H", modal: true, check: checkDapperH,
 		build: func(ch int, geo dram.Geometry, nrh uint32, mode rh.MitigationMode) rh.Tracker {
 			return mustTracker(core.NewDapperH(ch, core.Config{Geometry: geo, NRH: nrh, Mode: mode}))
 		}},
 }
 
-// checkDapper validates the DAPPER-S/H configuration a run would build.
+// checkDapper validates the DAPPER-S configuration a run would build.
 func checkDapper(geo dram.Geometry, nrh uint32, mode rh.MitigationMode) error {
 	return core.Config{Geometry: geo, NRH: nrh, Mode: mode}.Validate()
 }
 
-// mustTracker unwraps a constructor whose configuration checkDapper
-// already accepted.
+// checkDapperH validates the DAPPER-H configuration a run would build.
+func checkDapperH(geo dram.Geometry, nrh uint32, mode rh.MitigationMode) error {
+	return core.Config{Geometry: geo, NRH: nrh, Mode: mode}.ValidateH()
+}
+
+// mustTracker unwraps a constructor whose configuration checkDapper or
+// checkDapperH already accepted.
 func mustTracker(t rh.Tracker, err error) rh.Tracker {
 	if err != nil {
 		panic(err)
