@@ -1,11 +1,18 @@
 GO ?= go
 
-.PHONY: all build vet lint test test-race test-engine-equivalence fuzz-smoke audit-smoke telemetry-smoke blame-smoke batch-smoke simbench-test bench-smoke bench-compare bench-check adversary-smoke ci
+.PHONY: all build loc vet lint test test-race test-engine-equivalence fuzz-smoke audit-smoke telemetry-smoke blame-smoke batch-smoke simbench-test bench-smoke bench-compare bench-check adversary-smoke ci
 
 all: build vet lint test
 
 build:
 	$(GO) build ./...
+
+# Non-test Go lines, the size figure ROADMAP tracks: every line (code,
+# comments and blanks) of every .go file except *_test.go files, outside
+# simbench/ (its own module), any testdata/ directory and hidden
+# directories.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './simbench/*' ! -path '*/testdata/*' ! -path './.*' -exec cat {} + | wc -l
 
 vet:
 	$(GO) vet ./...
@@ -153,4 +160,4 @@ bench-check:
 adversary-smoke:
 	$(GO) run ./cmd/dapper adversary -tracker hydra,comet -profile tiny -budget 10 -seed 1 -out adversary-smoke
 
-ci: build vet lint test test-race test-engine-equivalence audit-smoke telemetry-smoke blame-smoke batch-smoke simbench-test fuzz-smoke bench-smoke bench-check adversary-smoke
+ci: build loc vet lint test test-race test-engine-equivalence audit-smoke telemetry-smoke blame-smoke batch-smoke simbench-test fuzz-smoke bench-smoke bench-check adversary-smoke

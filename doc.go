@@ -13,6 +13,13 @@
 // bench_test.go). Every entry point is a subcommand of cmd/dapper over
 // one shared flag set; it is the module's only binary.
 //
+// Every tracker is built from what a run supplies: the channel, the
+// geometry, NRH and the mitigation mode, plus the LLC size for START
+// (exp's tracker registry). Each tracker package fixes its sizing at the
+// paper's constants, such as DAPPER's 256-row groups rekeyed every tREFW
+// and BlockHammer's 1K-counter, 4-hash Bloom filters. The DRAM timing is
+// Table I's DDR5 set (dram.DDR5) throughout.
+//
 // The trackers' modelled SRAM and their in-simulator layout differ on
 // purpose. core.Config's StorageBytesS and StorageBytesH report the
 // hardware cost at the paper's widths: 1-byte counters up to NM 255

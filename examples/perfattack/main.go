@@ -51,14 +51,14 @@ func main() {
 		"insecure + thrash", sim.NormalizedPerf(thrash, base, sim.BenignCores(4)))
 
 	hy := runCfg(func(ch int) rh.Tracker {
-		return hydra.New(ch, hydra.Config{Geometry: geo, NRH: nrh})
+		return hydra.New(ch, geo, nrh)
 	}, attack.HydraConflict)
 	fmt.Printf("%-28s %-9.3f RCC thrash: %d counter reads, %d writes\n",
 		"Hydra + tailored attack", sim.NormalizedPerf(hy, base, sim.BenignCores(4)),
 		hy.Counters.InjRD, hy.Counters.InjWR)
 
 	cm := runCfg(func(ch int) rh.Tracker {
-		return comet.New(ch, comet.Config{Geometry: geo, NRH: nrh})
+		return comet.New(ch, geo, nrh)
 	}, attack.RATThrash)
 	fmt.Printf("%-28s %-9.3f RAT thrash: %d mitigations; early resets block 2.4ms each\n",
 		"CoMeT + tailored attack", sim.NormalizedPerf(cm, base, sim.BenignCores(4)),

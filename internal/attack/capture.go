@@ -90,7 +90,7 @@ func MappingCaptureH(d *core.DapperH, geo dram.Geometry, seed uint64, maxACTs ui
 		return len(buf) > 0
 	}
 
-	win := d.Config().ResetWindow
+	win := dram.DDR5().TREFW // DAPPER-H's rekey period
 	for res.ACTs < maxACTs {
 		// Hammer NM-2 times, per the paper's protocol. (Reproduction
 		// note: under the exact Figure-8 bit-vector semantics the first

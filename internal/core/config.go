@@ -21,8 +21,15 @@ import (
 	"dapper/internal/rh"
 )
 
-// DefaultGroupSize is the paper's row-group size (256 rows per RGC).
-const DefaultGroupSize = 256
+// groupSize is the paper's row-group size: 256 rows per RGC, so a
+// hashed row index shifted right by groupShift is its group id.
+const (
+	groupSize  = 1 << groupShift
+	groupShift = 8
+)
+
+// resetWindow is the structure reset + rekey period (tREFW).
+var resetWindow = dram.DDR5().TREFW
 
 // Config parameterises a DAPPER tracker.
 type Config struct {
@@ -32,39 +39,24 @@ type Config struct {
 	// NRH is the RowHammer threshold; the mitigation threshold NM is
 	// NRH/2 (§V-C).
 	NRH uint32
-	// GroupSize is the rows per row-group counter (default 256).
-	GroupSize int
 	// Mode selects the mitigation command (VRR-BR1 default; §VI-G
 	// evaluates BR2 and DRFMsb).
 	Mode rh.MitigationMode
-	// ResetWindow is the structure reset + rekey period. DAPPER-H uses
-	// tREFW. DAPPER-S's mapping-capture resistance wants a short treset
-	// (Table II evaluates 12-36us) but its tracking security requires
-	// tREFW; the paper leaves this tension as DAPPER-S's motivating
-	// flaw, so the parameter is exposed and defaults to tREFW.
-	ResetWindow dram.Cycle
 	// Seed keys the cipher(s); reseeded on every reset window.
 	Seed uint64
 }
 
-// withDefaults fills zero fields.
+// withDefaults fills a zero Seed.
 func (c Config) withDefaults() Config {
-	if c.GroupSize == 0 {
-		c.GroupSize = DefaultGroupSize
-	}
-	if c.ResetWindow == 0 {
-		c.ResetWindow = dram.DDR5().TREFW
-	}
 	if c.Seed == 0 {
 		c.Seed = 0xDA99E4
 	}
 	return c
 }
 
-// Validate checks the configuration (with defaults applied), so a bad
-// geometry or threshold is reported before any tracker is built.
+// Validate checks the configuration, so a bad geometry or threshold is
+// reported before any tracker is built.
 func (c Config) Validate() error {
-	c = c.withDefaults()
 	if err := c.Geometry.Validate(); err != nil {
 		return err
 	}
@@ -78,11 +70,8 @@ func (c Config) Validate() error {
 	if rows&(rows-1) != 0 {
 		return fmt.Errorf("core: rows per rank (%d) must be a power of two for the cipher domain", rows)
 	}
-	if c.GroupSize <= 0 || uint64(c.GroupSize) > rows {
-		return fmt.Errorf("core: group size %d invalid for %d rows", c.GroupSize, rows)
-	}
-	if rows%uint64(c.GroupSize) != 0 {
-		return fmt.Errorf("core: group size %d must divide the row space %d", c.GroupSize, rows)
+	if rows < groupSize {
+		return fmt.Errorf("core: rows per rank (%d) must hold at least one %d-row group", rows, groupSize)
 	}
 	return nil
 }
@@ -102,19 +91,10 @@ func (c Config) ValidateH() error {
 // NM returns the mitigation threshold (NRH / 2, §V-C).
 func (c Config) NM() uint32 { return c.NRH / 2 }
 
-// groupSize returns GroupSize with the default applied, so the derived
-// accessors work on raw configs too.
-func (c Config) groupSize() int {
-	if c.GroupSize == 0 {
-		return DefaultGroupSize
-	}
-	return c.GroupSize
-}
-
 // NumGroups returns the RGC table size (rows per rank / group size; 8K
 // in the baseline).
 func (c Config) NumGroups() int {
-	return int(c.Geometry.RowsPerRank() / uint64(c.groupSize()))
+	return int(c.Geometry.RowsPerRank() / groupSize)
 }
 
 // AddressBits returns the cipher domain width (21 bits for 2M rows).

@@ -84,7 +84,7 @@ func TestDapperSWithDRFMsbMode(t *testing.T) {
 	cfg.Mode = rh.DRFMsb
 	d, _ := NewDapperS(0, cfg)
 	acts := hammer(d, locFor(0, 0, 0, 9), int(cfg.NM()))
-	if len(acts) != cfg.GroupSize && len(acts) != 256 {
+	if len(acts) != groupSize {
 		t.Fatalf("group mitigation size = %d", len(acts))
 	}
 	for _, a := range acts {
@@ -144,7 +144,7 @@ func TestDapperSStreamingVulnerability(t *testing.T) {
 	if d.Stats().Mitigations < 200 {
 		t.Fatalf("streaming pass triggered only %d mitigations", d.Stats().Mitigations)
 	}
-	if refreshed < 200*cfg.GroupSize/2 {
+	if refreshed < 200*groupSize/2 {
 		t.Fatalf("streaming refreshed only %d rows", refreshed)
 	}
 }

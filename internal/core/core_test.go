@@ -36,12 +36,15 @@ func hammer(tr rh.Tracker, loc dram.Loc, n int) []rh.Action {
 // --- Config ---------------------------------------------------------------
 
 func TestConfigDefaults(t *testing.T) {
-	c := testConfig().withDefaults()
-	if c.GroupSize != 256 {
-		t.Fatalf("group size = %d", c.GroupSize)
+	if groupSize != 256 {
+		t.Fatalf("group size = %d", groupSize)
 	}
-	if c.ResetWindow != dram.DDR5().TREFW {
-		t.Fatalf("reset window = %d", c.ResetWindow)
+	if resetWindow != dram.DDR5().TREFW {
+		t.Fatalf("reset window = %d", resetWindow)
+	}
+	c := Config{Geometry: testGeometry(), NRH: 500}.withDefaults()
+	if c.Seed != 0xDA99E4 {
+		t.Fatalf("seed = %#x", c.Seed)
 	}
 	if c.NM() != 250 {
 		t.Fatalf("NM = %d", c.NM())
@@ -49,12 +52,12 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestConfigNumGroups(t *testing.T) {
-	c := testConfig().withDefaults()
+	c := testConfig()
 	if c.NumGroups() != 256 { // 64K rows / 256
 		t.Fatalf("groups = %d", c.NumGroups())
 	}
 	// Baseline: 2M rows / 256 = 8K groups, 21 address bits.
-	b := Config{Geometry: dram.Baseline(), NRH: 500}.withDefaults()
+	b := Config{Geometry: dram.Baseline(), NRH: 500}
 	if b.NumGroups() != 8192 {
 		t.Fatalf("baseline groups = %d", b.NumGroups())
 	}
@@ -66,7 +69,7 @@ func TestConfigNumGroups(t *testing.T) {
 func TestConfigStorageMatchesPaper(t *testing.T) {
 	// Paper §VI-H: per 32GB channel (2 ranks), DAPPER-H uses 32KB of
 	// RGC tables + 64KB of bit-vectors = 96KB.
-	b := Config{Geometry: dram.Baseline(), NRH: 500}.withDefaults()
+	b := Config{Geometry: dram.Baseline(), NRH: 500}
 	if got := b.StorageBytesH(); got != 96*1024 {
 		t.Fatalf("DAPPER-H storage = %dKB, want 96KB", got/1024)
 	}
@@ -83,9 +86,9 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("tiny NRH must fail")
 	}
 	bad = testConfig()
-	bad.GroupSize = 100 // not a divisor / power of two
+	bad.Geometry.RowsPerBank = 4 // 128 rows per rank: less than one group
 	if _, err := NewDapperS(0, bad); err == nil {
-		t.Fatal("bad group size must fail")
+		t.Fatal("a rank smaller than one group must fail")
 	}
 	bad = testConfig()
 	bad.Geometry.RowsPerBank = 1000 // rows per rank not a power of two
@@ -115,7 +118,7 @@ func TestDapperSMitigatesWholeGroupAtNM(t *testing.T) {
 	d, _ := NewDapperS(0, cfg)
 	loc := locFor(0, 0, 0, 100)
 	acts := hammer(d, loc, int(cfg.NM()))
-	// Paper Figure 6b: all GroupSize rows of the group are refreshed.
+	// Paper Figure 6b: all 256 rows of the group are refreshed.
 	if len(acts) != 256 {
 		t.Fatalf("refreshed %d rows, want 256", len(acts))
 	}
@@ -187,54 +190,57 @@ func TestDapperSGroupCounterSharedAcrossRows(t *testing.T) {
 	}
 }
 
+// groupsOfS returns the DAPPER-S group ids of 32 rows of one bank.
+func groupsOfS(d *DapperS) []uint64 {
+	var out []uint64
+	for row := uint32(0); row < 32; row++ {
+		out = append(out, d.GroupOf(locFor(0, 0, 0, row)))
+	}
+	return out
+}
+
+// TestDapperSResetWindowClearsAndRekeys pins the reset period at tREFW:
+// the tick at tREFW clears the table and rekeys the cipher.
 func TestDapperSResetWindowClearsAndRekeys(t *testing.T) {
-	cfg := testConfig()
-	cfg.ResetWindow = 1000
-	d, _ := NewDapperS(0, cfg)
+	d, _ := NewDapperS(0, testConfig())
 	loc := locFor(0, 0, 0, 5)
 	hammer(d, loc, 100)
-	gBefore := d.GroupOf(loc)
+	before := groupsOfS(d)
 	if d.GroupCount(loc) != 100 {
 		t.Fatalf("count = %d", d.GroupCount(loc))
 	}
-	d.Tick(1000, nil)
+	d.Tick(dram.DDR5().TREFW, nil)
 	if d.GroupCount(loc) != 0 {
 		t.Fatal("reset did not clear counters")
 	}
-	// Rekey almost surely moves the row to a different group.
-	changed := false
-	for row := uint32(0); row < 16; row++ {
-		l := locFor(0, 0, 0, row)
-		_ = l
-	}
-	if d.GroupOf(loc) != gBefore {
-		changed = true
-	}
-	// A single row might coincidentally stay; check a handful.
-	if !changed {
-		same := 0
-		for row := uint32(0); row < 32; row++ {
-			l := locFor(0, 0, 0, row)
-			d2, _ := NewDapperS(0, cfg)
-			if d.GroupOf(l) == d2.GroupOf(l) {
-				same++
-			}
+	// Rekey almost surely moves a row to a different group; a single
+	// row might coincidentally stay, so check a handful.
+	same := 0
+	for i, g := range groupsOfS(d) {
+		if g == before[i] {
+			same++
 		}
-		if same > 28 {
-			t.Fatal("rekey did not change mapping")
-		}
+	}
+	if same > 28 {
+		t.Fatalf("rekey at tREFW left %d/32 mappings unchanged", same)
 	}
 }
 
+// TestDapperSTickBeforeWindowNoop: a tick one cycle short of tREFW
+// neither clears the table nor rekeys.
 func TestDapperSTickBeforeWindowNoop(t *testing.T) {
-	cfg := testConfig()
-	cfg.ResetWindow = 10_000
-	d, _ := NewDapperS(0, cfg)
+	d, _ := NewDapperS(0, testConfig())
 	loc := locFor(0, 0, 0, 5)
 	hammer(d, loc, 50)
-	d.Tick(9_999, nil)
+	before := groupsOfS(d)
+	d.Tick(dram.DDR5().TREFW-1, nil)
 	if d.GroupCount(loc) != 50 {
 		t.Fatal("early tick reset the table")
+	}
+	for i, g := range groupsOfS(d) {
+		if g != before[i] {
+			t.Fatalf("early tick rekeyed row %d", i)
+		}
 	}
 }
 
@@ -412,30 +418,43 @@ func TestDapperHResetCountersPreserveSurvivors(t *testing.T) {
 	}
 }
 
+// TestDapperHWindowResetClearsEverything pins the reset period at
+// tREFW: a tick one cycle short keeps both counters, the tick at tREFW
+// clears them.
 func TestDapperHWindowResetClearsEverything(t *testing.T) {
-	cfg := testConfig()
-	cfg.ResetWindow = 5000
-	d, _ := NewDapperH(0, cfg)
+	d, _ := NewDapperH(0, testConfig())
 	loc := locFor(0, 0, 0, 42)
 	hammer(d, loc, 100)
-	d.Tick(5000, nil)
+	w := dram.DDR5().TREFW
+	d.Tick(w-1, nil)
+	if c1, c2 := d.Counts(loc); c1 != 99 || c2 != 100 {
+		t.Fatalf("counts after a tick before tREFW = (%d, %d), want (99, 100)", c1, c2)
+	}
+	d.Tick(w, nil)
 	c1, c2 := d.Counts(loc)
 	if c1 != 0 || c2 != 0 {
 		t.Fatalf("counts after window reset = (%d, %d)", c1, c2)
 	}
 }
 
+// TestDapperHRekeyChangesGroups: both ciphers keep their keys through
+// a tick one cycle short of tREFW and rekey at tREFW.
 func TestDapperHRekeyChangesGroups(t *testing.T) {
-	cfg := testConfig()
-	cfg.ResetWindow = 100
-	d, _ := NewDapperH(0, cfg)
+	d, _ := NewDapperH(0, testConfig())
 	changed := 0
 	var before [][2]uint64
 	for row := uint32(0); row < 32; row++ {
 		g1, g2 := d.GroupsOf(locFor(0, 0, 0, row))
 		before = append(before, [2]uint64{g1, g2})
 	}
-	d.Tick(100, nil)
+	w := dram.DDR5().TREFW
+	d.Tick(w-1, nil)
+	for row := uint32(0); row < 32; row++ {
+		if g1, g2 := d.GroupsOf(locFor(0, 0, 0, row)); g1 != before[row][0] || g2 != before[row][1] {
+			t.Fatalf("tick before tREFW rekeyed row %d", row)
+		}
+	}
+	d.Tick(w, nil)
 	for row := uint32(0); row < 32; row++ {
 		g1, g2 := d.GroupsOf(locFor(0, 0, 0, row))
 		if g1 != before[row][0] || g2 != before[row][1] {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"dapper/internal/dram"
 	"dapper/internal/llbc"
 	"dapper/internal/rh"
@@ -16,12 +14,11 @@ import (
 // members' counts across the reset via per-table reset counters
 // (Figure 8, steps 3-4), and a per-bank bit-vector on table 1 filters
 // the cross-bank streaming pattern (§VI-B.2). Tables, bit-vectors and
-// keys are reset every ResetWindow (tREFW).
+// keys are reset every tREFW.
 type DapperH struct {
 	cfg     Config
 	channel int
 	nm      uint16
-	shift   uint
 	ranks   []hRank
 	nextRst dram.Cycle
 	epoch   uint64
@@ -52,20 +49,12 @@ func NewDapperH(channel int, cfg Config) (*DapperH, error) {
 	if err := cfg.ValidateH(); err != nil {
 		return nil, err
 	}
-	shift := uint(0)
-	for 1<<shift != cfg.GroupSize {
-		shift++
-		if shift > 32 {
-			return nil, fmt.Errorf("core: group size %d must be a power of two", cfg.GroupSize)
-		}
-	}
 	d := &DapperH{
 		cfg:     cfg,
 		channel: channel,
 		nm:      uint16(cfg.NM()),
-		shift:   shift,
 		ranks:   make([]hRank, cfg.Geometry.Ranks),
-		nextRst: cfg.ResetWindow,
+		nextRst: resetWindow,
 	}
 	for r := range d.ranks {
 		seed := cfg.Seed ^ uint64(channel)<<32 ^ uint64(r)<<16
@@ -89,8 +78,8 @@ func (d *DapperH) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) []rh
 	d.stats.Activations++
 	rk := &d.ranks[loc.Rank]
 	idx := d.cfg.Geometry.RankRowIndex(loc)
-	g1 := rk.cipher1.Encrypt(idx) >> d.shift
-	g2 := rk.cipher2.Encrypt(idx) >> d.shift
+	g1 := rk.cipher1.Encrypt(idx) >> groupShift
+	g2 := rk.cipher2.Encrypt(idx) >> groupShift
 	bank := uint(d.cfg.Geometry.BankInRank(loc))
 
 	// Counters saturate at NM: they are 1-byte structures in hardware
@@ -131,9 +120,8 @@ func (d *DapperH) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) []rh
 func (d *DapperH) mitigate(rk *hRank, loc dram.Loc, g1, g2 uint64, buf []rh.Action) []rh.Action {
 	d.stats.Mitigations++
 	kind := d.cfg.Mode.ActionKind()
-	size := uint64(d.cfg.GroupSize)
-	base1 := g1 << d.shift
-	base2 := g2 << d.shift
+	base1 := g1 << groupShift
+	base2 := g2 << groupShift
 
 	// Walk group 1: the reset counter for table 1 is the maximum
 	// table-2 count among members that are NOT shared with group 2
@@ -151,9 +139,9 @@ func (d *DapperH) mitigate(rk *hRank, loc dram.Loc, g1, g2 uint64, buf []rh.Acti
 	// activations before its own trigger: 2*NM = NRH, the same bound
 	// the NM = NRH/2 window-reset argument relies on (§V-C).
 	var reset1 uint16
-	for i := uint64(0); i < size; i++ {
+	for i := uint64(0); i < groupSize; i++ {
 		orig := rk.cipher1.Decrypt(base1 + i)
-		og2 := rk.cipher2.Encrypt(orig) >> d.shift
+		og2 := rk.cipher2.Encrypt(orig) >> groupShift
 		if og2 == g2 {
 			continue // shared row
 		}
@@ -167,9 +155,9 @@ func (d *DapperH) mitigate(rk *hRank, loc dram.Loc, g1, g2 uint64, buf []rh.Acti
 	// of its non-shared members.
 	var reset2 uint16
 	shared := 0
-	for i := uint64(0); i < size; i++ {
+	for i := uint64(0); i < groupSize; i++ {
 		orig := rk.cipher2.Decrypt(base2 + i)
-		og1 := rk.cipher1.Encrypt(orig) >> d.shift
+		og1 := rk.cipher1.Encrypt(orig) >> groupShift
 		if og1 == g1 {
 			mloc := d.cfg.Geometry.FromRankRowIndex(loc.Channel, loc.Rank, orig)
 			buf = append(buf, rh.Action{Kind: kind, Loc: mloc, Row: mloc.Row})
@@ -191,13 +179,13 @@ func (d *DapperH) mitigate(rk *hRank, loc dram.Loc, g1, g2 uint64, buf []rh.Acti
 	return buf
 }
 
-// Tick implements rh.Tracker: full reset + rekey every ResetWindow
-// (tREFW), Figure 8 initialization semantics.
+// Tick implements rh.Tracker: full reset + rekey every tREFW, Figure 8
+// initialization semantics.
 func (d *DapperH) Tick(now dram.Cycle, buf []rh.Action) []rh.Action {
 	if now < d.nextRst {
 		return buf
 	}
-	d.nextRst += d.cfg.ResetWindow
+	d.nextRst += resetWindow
 	d.epoch++
 	for r := range d.ranks {
 		rk := &d.ranks[r]
@@ -245,8 +233,8 @@ func (d *DapperH) SingleSharedFraction() float64 {
 func (d *DapperH) Counts(loc dram.Loc) (uint32, uint32) {
 	rk := &d.ranks[loc.Rank]
 	idx := d.cfg.Geometry.RankRowIndex(loc)
-	g1 := rk.cipher1.Encrypt(idx) >> d.shift
-	g2 := rk.cipher2.Encrypt(idx) >> d.shift
+	g1 := rk.cipher1.Encrypt(idx) >> groupShift
+	g2 := rk.cipher2.Encrypt(idx) >> groupShift
 	return uint32(rk.tab[g1].rgc1), uint32(rk.tab[g2].rgc2)
 }
 
@@ -255,7 +243,7 @@ func (d *DapperH) Counts(loc dram.Loc) (uint32, uint32) {
 func (d *DapperH) GroupsOf(loc dram.Loc) (uint64, uint64) {
 	rk := &d.ranks[loc.Rank]
 	idx := d.cfg.Geometry.RankRowIndex(loc)
-	return rk.cipher1.Encrypt(idx) >> d.shift, rk.cipher2.Encrypt(idx) >> d.shift
+	return rk.cipher1.Encrypt(idx) >> groupShift, rk.cipher2.Encrypt(idx) >> groupShift
 }
 
 // BitvecEntry exposes a table-1 bit-vector entry (test hook).

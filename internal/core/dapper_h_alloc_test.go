@@ -41,7 +41,7 @@ func TestDapperHOnActivateDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]rh.Action, 0, DefaultGroupSize)
+	buf := make([]rh.Action, 0, groupSize)
 	locs := []dram.Loc{locFor(0, 0, 0, 7), locFor(1, 3, 2, 900), locFor(0, 5, 1, 33)}
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -58,12 +58,13 @@ func TestDapperHOnActivateDoesNotAllocate(t *testing.T) {
 
 // BenchmarkDapperHOnActivate times one ACT (ns/op) on the baseline
 // geometry at NRH 500: uniform traffic across both ranks and all banks,
-// with every 16th ACT hammering one row, and a rekey every 65,536 ACTs
-// so the tables do not fill up. The hammered row mitigates about 16
+// with every 16th ACT hammering one row, and a clock strided by
+// tREFW/65,536 per ACT, so a rekey every ~65,536 ACTs keeps the tables
+// from filling up. The hammered row mitigates about 16
 // times per window, so both paths are in the mix.
 func BenchmarkDapperHOnActivate(b *testing.B) {
 	geo := dram.Baseline()
-	d, err := NewDapperH(0, Config{Geometry: geo, NRH: 500, ResetWindow: 1 << 16})
+	d, err := NewDapperH(0, Config{Geometry: geo, NRH: 500})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -78,11 +79,12 @@ func BenchmarkDapperHOnActivate(b *testing.B) {
 			locs[i] = locFor(1, 3, 2, 1000)
 		}
 	}
-	buf := make([]rh.Action, 0, DefaultGroupSize)
+	buf := make([]rh.Action, 0, groupSize)
+	stride := resetWindow >> 16
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		now := dram.Cycle(i)
+		now := dram.Cycle(i) * stride
 		buf = d.Tick(now, buf[:0])
 		buf = d.OnActivate(now, locs[i%len(locs)], buf[:0])
 	}

@@ -18,7 +18,6 @@ type refDapperH struct {
 	cfg     Config
 	channel int
 	nm      uint32
-	shift   uint
 	ranks   []refHRank
 	nextRst dram.Cycle
 	epoch   uint64
@@ -37,17 +36,12 @@ type refHRank struct {
 
 func newRefDapperH(channel int, cfg Config) *refDapperH {
 	cfg = cfg.withDefaults()
-	shift := uint(0)
-	for 1<<shift != cfg.GroupSize {
-		shift++
-	}
 	d := &refDapperH{
 		cfg:     cfg,
 		channel: channel,
 		nm:      cfg.NM(),
-		shift:   shift,
 		ranks:   make([]refHRank, cfg.Geometry.Ranks),
-		nextRst: cfg.ResetWindow,
+		nextRst: resetWindow,
 	}
 	ng := cfg.NumGroups()
 	for r := range d.ranks {
@@ -67,8 +61,8 @@ func (d *refDapperH) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) [
 	d.stats.Activations++
 	rk := &d.ranks[loc.Rank]
 	idx := d.cfg.Geometry.RankRowIndex(loc)
-	g1 := rk.cipher1.Encrypt(idx) >> d.shift
-	g2 := rk.cipher2.Encrypt(idx) >> d.shift
+	g1 := rk.cipher1.Encrypt(idx) >> groupShift
+	g2 := rk.cipher2.Encrypt(idx) >> groupShift
 	mask := uint64(1) << uint(d.cfg.Geometry.BankInRank(loc))
 	if rk.bitvec[g1]&mask == 0 {
 		rk.bitvec[g1] |= mask
@@ -93,11 +87,10 @@ func (d *refDapperH) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) [
 func (d *refDapperH) mitigate(rk *refHRank, loc dram.Loc, g1, g2 uint64, buf []rh.Action) []rh.Action {
 	d.stats.Mitigations++
 	kind := d.cfg.Mode.ActionKind()
-	size := uint64(d.cfg.GroupSize)
 	var reset1 uint32
-	for i := uint64(0); i < size; i++ {
-		orig := rk.cipher1.Decrypt(g1<<d.shift + i)
-		og2 := rk.cipher2.Encrypt(orig) >> d.shift
+	for i := uint64(0); i < groupSize; i++ {
+		orig := rk.cipher1.Decrypt(g1<<groupShift + i)
+		og2 := rk.cipher2.Encrypt(orig) >> groupShift
 		if og2 == g2 {
 			continue
 		}
@@ -107,9 +100,9 @@ func (d *refDapperH) mitigate(rk *refHRank, loc dram.Loc, g1, g2 uint64, buf []r
 	}
 	var reset2 uint32
 	shared := 0
-	for i := uint64(0); i < size; i++ {
-		orig := rk.cipher2.Decrypt(g2<<d.shift + i)
-		og1 := rk.cipher1.Encrypt(orig) >> d.shift
+	for i := uint64(0); i < groupSize; i++ {
+		orig := rk.cipher2.Decrypt(g2<<groupShift + i)
+		og1 := rk.cipher1.Encrypt(orig) >> groupShift
 		if og1 == g1 {
 			mloc := d.cfg.Geometry.FromRankRowIndex(loc.Channel, loc.Rank, orig)
 			buf = append(buf, rh.Action{Kind: kind, Loc: mloc, Row: mloc.Row})
@@ -134,7 +127,7 @@ func (d *refDapperH) Tick(now dram.Cycle, buf []rh.Action) []rh.Action {
 	if now < d.nextRst {
 		return buf
 	}
-	d.nextRst += d.cfg.ResetWindow
+	d.nextRst += resetWindow
 	d.epoch++
 	for r := range d.ranks {
 		rk := &d.ranks[r]
@@ -177,13 +170,14 @@ func (d *refDapperH) SingleSharedFraction() float64 {
 func (d *refDapperH) Counts(loc dram.Loc) (uint32, uint32) {
 	rk := &d.ranks[loc.Rank]
 	idx := d.cfg.Geometry.RankRowIndex(loc)
-	return rk.rgc1[rk.cipher1.Encrypt(idx)>>d.shift], rk.rgc2[rk.cipher2.Encrypt(idx)>>d.shift]
+	return rk.rgc1[rk.cipher1.Encrypt(idx)>>groupShift], rk.rgc2[rk.cipher2.Encrypt(idx)>>groupShift]
 }
 
 // TestDapperHMatchesReference drives the packed tracker and the
 // three-slice reference with the same seeded ACT streams (hot rows
 // mixed with uniform traffic over both ranks and all 32 banks, Ticks
-// every cycle across at least two rekeys) and requires identical
+// before every ACT on a clock strided so that a window of steps spans
+// one tREFW, across at least two rekeys) and requires identical
 // actions, Stats, SingleSharedFraction, TableOccupancy, Counts and
 // BitvecEntry after every call, plus identical full tables after every
 // mitigation and rekey.
@@ -202,13 +196,15 @@ func checkAgainstReference(t *testing.T, nrh uint32, seed uint64) {
 	cfg.NRH, cfg.Seed = nrh, seed
 	cfg.Geometry.RowsPerBank = 512 // 64 groups per rank: cheap full-table checks
 	// Windows long enough for the hottest row (10 of 16 ACTs) to cross
-	// NM at NRH 131070 (~66K ACTs), and a little over two of them.
+	// NM at NRH 131070 (~66K ACTs), and a little over two of them. The
+	// clock advances tREFW/window per step, so each window of steps
+	// ends in a rekey.
 	window := 10000
 	if nrh > 1000 {
-		window = 120000
+		window = 128000
 	}
 	steps := 2*window + window/10
-	cfg.ResetWindow = dram.Cycle(window)
+	stride := resetWindow / dram.Cycle(window)
 	got, err := NewDapperH(0, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -234,13 +230,18 @@ func checkAgainstReference(t *testing.T, nrh uint32, seed uint64) {
 
 	var gotBuf, wantBuf []rh.Action
 	for i := 0; i < steps; i++ {
-		now := dram.Cycle(i)
-		gotBuf = got.Tick(now, gotBuf[:0])
-		wantBuf = want.Tick(now, wantBuf[:0])
-		if i > 0 && now%cfg.ResetWindow == 0 {
-			compareTables(t, got, want, i)
+		now := dram.Cycle(i) * stride
+		// Tick a cycle before the step's clock and at it, so a rekey
+		// that fires a cycle early or late shows.
+		for _, at := range []dram.Cycle{now - 1, now} {
+			epoch := got.epoch
+			gotBuf = got.Tick(at, gotBuf[:0])
+			wantBuf = want.Tick(at, wantBuf[:0])
+			if got.epoch != epoch {
+				compareTables(t, got, want, i)
+			}
+			compareObservables(t, got, want, gotBuf, wantBuf, hot[0], i)
 		}
-		compareObservables(t, got, want, gotBuf, wantBuf, hot[0], i)
 
 		// Most ACTs hammer the first hot row from its one bank, so it
 		// counts in both tables; the other hot rows and uniform

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"dapper/internal/dram"
 	"dapper/internal/llbc"
 	"dapper/internal/rh"
@@ -10,28 +8,25 @@ import (
 
 // DapperS is the single-hash tracker template of §V. Each rank's rows
 // are permuted by a keyed LLBC; the hashed space is divided into groups
-// of GroupSize rows, each with one SRAM counter. When a group counter
+// of 256 rows, each with one SRAM counter. When a group counter
 // reaches NM (= NRH/2) the tracker decrypts all member rows back to
 // their original addresses, refreshes every one of them, and zeroes the
 // counter (Figure 6). The table is cleared and the cipher rekeyed every
-// ResetWindow.
+// tREFW.
 //
 // DAPPER-S is deliberately a stepping stone: it defeats the counter-
 // traffic attacks of §III-B but remains vulnerable to mapping-agnostic
-// streaming/refresh attacks (§V-E) and, with a long reset window, to
+// streaming/refresh attacks (§V-E) and, with its tREFW reset window, to
 // mapping-capturing attacks (§V-D, Table II). DAPPER-H closes those
 // holes.
 type DapperS struct {
 	cfg     Config
 	channel int
 	nm      uint16
-	shift   uint // log2(GroupSize): hashed -> group
 	ranks   []sRank
 	nextRst dram.Cycle
 	epoch   uint64
 	stats   rh.Stats
-
-	victimBuf []uint32
 }
 
 type sRank struct {
@@ -45,20 +40,12 @@ func NewDapperS(channel int, cfg Config) (*DapperS, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	shift := uint(0)
-	for 1<<shift != cfg.GroupSize {
-		shift++
-		if shift > 32 {
-			return nil, fmt.Errorf("core: group size %d must be a power of two", cfg.GroupSize)
-		}
-	}
 	d := &DapperS{
 		cfg:     cfg,
 		channel: channel,
 		nm:      uint16(cfg.NM()),
-		shift:   shift,
 		ranks:   make([]sRank, cfg.Geometry.Ranks),
-		nextRst: cfg.ResetWindow,
+		nextRst: resetWindow,
 	}
 	for r := range d.ranks {
 		seed := cfg.Seed ^ uint64(channel)<<32 ^ uint64(r)<<16
@@ -83,16 +70,16 @@ func (d *DapperS) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) []rh
 	rk := &d.ranks[loc.Rank]
 	idx := d.cfg.Geometry.RankRowIndex(loc)
 	hashed := rk.cipher.Encrypt(idx)
-	g := hashed >> d.shift
+	g := hashed >> groupShift
 	rk.rgc[g]++
 	if rk.rgc[g] < d.nm {
 		return buf
 	}
 	// Mitigation: refresh every member row of the group (Figure 6b).
 	d.stats.Mitigations++
-	base := g << d.shift
+	base := g << groupShift
 	kind := d.cfg.Mode.ActionKind()
-	for i := uint64(0); i < uint64(d.cfg.GroupSize); i++ {
+	for i := uint64(0); i < groupSize; i++ {
 		orig := rk.cipher.Decrypt(base + i)
 		mloc := d.cfg.Geometry.FromRankRowIndex(loc.Channel, loc.Rank, orig)
 		buf = append(buf, rh.Action{Kind: kind, Loc: mloc, Row: mloc.Row})
@@ -102,13 +89,12 @@ func (d *DapperS) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) []rh
 	return buf
 }
 
-// Tick implements rh.Tracker: clear the table and rekey every
-// ResetWindow.
+// Tick implements rh.Tracker: clear the table and rekey every tREFW.
 func (d *DapperS) Tick(now dram.Cycle, buf []rh.Action) []rh.Action {
 	if now < d.nextRst {
 		return buf
 	}
-	d.nextRst += d.cfg.ResetWindow
+	d.nextRst += resetWindow
 	d.epoch++
 	for r := range d.ranks {
 		rk := &d.ranks[r]
@@ -142,12 +128,12 @@ func (d *DapperS) TableOccupancy() rh.TableOccupancy {
 func (d *DapperS) GroupCount(loc dram.Loc) uint32 {
 	rk := &d.ranks[loc.Rank]
 	hashed := rk.cipher.Encrypt(d.cfg.Geometry.RankRowIndex(loc))
-	return uint32(rk.rgc[hashed>>d.shift])
+	return uint32(rk.rgc[hashed>>groupShift])
 }
 
 // GroupOf returns the group id of a row in the current mapping (test
 // and attack-analysis hook; a real attacker cannot read this).
 func (d *DapperS) GroupOf(loc dram.Loc) uint64 {
 	rk := &d.ranks[loc.Rank]
-	return rk.cipher.Encrypt(d.cfg.Geometry.RankRowIndex(loc)) >> d.shift
+	return rk.cipher.Encrypt(d.cfg.Geometry.RankRowIndex(loc)) >> groupShift
 }

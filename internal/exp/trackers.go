@@ -31,23 +31,27 @@ type trackerDef struct {
 	build func(ch int, geo dram.Geometry, nrh uint32, mode rh.MitigationMode) rh.Tracker
 }
 
+// startLLCBytes is the LLC START reserves its counter region from: Table
+// I's 8 MB, whatever LLC the run simulates.
+const startLLCBytes = 8 << 20
+
 // trackerDefs maps flag-friendly tracker ids to their definitions.
 var trackerDefs = map[string]trackerDef{
 	"none": {name: "none"},
 	"hydra": {name: "Hydra", build: func(ch int, geo dram.Geometry, nrh uint32, _ rh.MitigationMode) rh.Tracker {
-		return hydra.New(ch, hydra.Config{Geometry: geo, NRH: nrh})
+		return hydra.New(ch, geo, nrh)
 	}},
 	"start": {name: "START", build: func(ch int, geo dram.Geometry, nrh uint32, _ rh.MitigationMode) rh.Tracker {
-		return start.New(ch, start.Config{Geometry: geo, NRH: nrh})
+		return start.New(ch, geo, nrh, startLLCBytes)
 	}},
 	"abacus": {name: "ABACUS", build: func(ch int, geo dram.Geometry, nrh uint32, _ rh.MitigationMode) rh.Tracker {
-		return abacus.New(ch, abacus.Config{Geometry: geo, NRH: nrh})
+		return abacus.New(ch, geo, nrh)
 	}},
 	"comet": {name: "CoMeT", build: func(ch int, geo dram.Geometry, nrh uint32, _ rh.MitigationMode) rh.Tracker {
-		return comet.New(ch, comet.Config{Geometry: geo, NRH: nrh})
+		return comet.New(ch, geo, nrh)
 	}},
 	"blockhammer": {name: "BlockHammer", build: func(ch int, geo dram.Geometry, nrh uint32, _ rh.MitigationMode) rh.Tracker {
-		return blockhammer.New(ch, blockhammer.Config{Geometry: geo, NRH: nrh})
+		return blockhammer.New(ch, geo, nrh)
 	}},
 	"para": {name: "PARA", modal: true, build: func(ch int, geo dram.Geometry, nrh uint32, mode rh.MitigationMode) rh.Tracker {
 		return para.NewPARA(ch, geo, nrh, mode, 11)
@@ -56,7 +60,7 @@ var trackerDefs = map[string]trackerDef{
 		return para.NewPrIDE(ch, geo, nrh, mode, 13)
 	}},
 	"prac": {name: "PRAC", build: func(ch int, geo dram.Geometry, nrh uint32, _ rh.MitigationMode) rh.Tracker {
-		return prac.New(ch, prac.Config{Geometry: geo, NRH: nrh})
+		return prac.New(ch, geo, nrh)
 	}},
 	"dapper-s": {name: "DAPPER-S", modal: true, check: checkDapper,
 		build: func(ch int, geo dram.Geometry, nrh uint32, mode rh.MitigationMode) rh.Tracker {

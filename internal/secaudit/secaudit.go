@@ -37,12 +37,13 @@ import (
 // mitigation threshold (NM = NRH/2 covers two adjacent aggressors).
 const hammerRadius = 1
 
-// Config scopes one audit.
+// maxRecords bounds Report.Worst.
+const maxRecords = 32
+
+// Config scopes one audit. The per-row auto-refresh boundaries follow
+// DDR5's tREFI and tREFW (dram.DDR5).
 type Config struct {
 	Geometry dram.Geometry
-	// Timing supplies tREFI/tREFW for the per-row auto-refresh
-	// boundaries (dram.DDR5() if zero).
-	Timing dram.Timing
 	// NRH is the RowHammer threshold the tracker under audit is
 	// configured for; charge reaching NRH is an escape.
 	NRH uint32
@@ -55,18 +56,6 @@ type Config struct {
 	// OnActivate, so charging them audits a property no evaluated design
 	// claims; the report still tallies them separately.
 	CountInjected bool
-	// MaxRecords bounds Report.Worst (default 32).
-	MaxRecords int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Timing == (dram.Timing{}) {
-		c.Timing = dram.DDR5()
-	}
-	if c.MaxRecords == 0 {
-		c.MaxRecords = 32
-	}
-	return c
 }
 
 // Escape is one detected guarantee violation: the moment a row's
@@ -109,7 +98,7 @@ type Report struct {
 	Margin   float64 `json:"margin"`
 
 	// Worst lists the earliest escapes in (cycle, location) order,
-	// truncated to MaxRecords.
+	// truncated to 32 records.
 	Worst []Escape `json:"worst,omitempty"`
 }
 
@@ -135,11 +124,7 @@ type Audit struct {
 
 // New builds an audit for a system configuration.
 func New(cfg Config) (*Audit, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Geometry.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Timing.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.NRH == 0 {
@@ -206,8 +191,8 @@ func (a *Audit) Report() *Report {
 		}
 		return a.Row < b.Row
 	})
-	if len(worst) > a.cfg.MaxRecords {
-		worst = worst[:a.cfg.MaxRecords]
+	if len(worst) > maxRecords {
+		worst = worst[:maxRecords]
 	}
 	r.Worst = worst
 	return r
@@ -220,7 +205,7 @@ type channelAuditor struct {
 	channel int
 	cfg     Config
 	// segments is how many REF slots cycle over the row space (tREFW /
-	// tREFI: 8192 for DDR5).
+	// tREFI: 8205 for DDR5).
 	segments uint64
 	refSlots []uint64 // per rank: REFs observed so far
 
@@ -239,14 +224,11 @@ type channelAuditor struct {
 }
 
 func newChannelAuditor(channel int, cfg Config) *channelAuditor {
-	segs := uint64(cfg.Timing.TREFW / cfg.Timing.TREFI)
-	if segs == 0 {
-		segs = 1
-	}
+	t := dram.DDR5()
 	return &channelAuditor{
 		channel:     channel,
 		cfg:         cfg,
-		segments:    segs,
+		segments:    uint64(t.TREFW / t.TREFI),
 		refSlots:    make([]uint64, cfg.Geometry.Ranks),
 		damage:      make(map[uint64]uint32),
 		escaped:     make(map[uint64]struct{}),
@@ -304,7 +286,7 @@ func (c *channelAuditor) activate(now dram.Cycle, loc dram.Loc, injected bool) {
 		c.escapedEver[k] = struct{}{}
 		c.escapes++
 		// Bound the per-channel detail; counters above stay exact.
-		if len(c.records) < c.cfg.MaxRecords {
+		if len(c.records) < maxRecords {
 			c.records = append(c.records, Escape{
 				Channel: c.channel, Rank: loc.Rank,
 				BankGroup: loc.BankGroup, Bank: loc.Bank,

@@ -114,10 +114,10 @@ func TestSameBankMitigation(t *testing.T) {
 // neighbors are refreshed and the charge restarts.
 func TestRefreshBoundary(t *testing.T) {
 	cfg := testConfig(10)
-	cfg.Geometry = dram.Scaled(16) // 16 rows/bank
-	// 8 REF slots per tREFW: each REF refreshes 2 rows.
-	cfg.Timing = dram.DDR5()
-	cfg.Timing.TREFW = 8 * cfg.Timing.TREFI
+	// DDR5 has tREFW/tREFI = 8205 REF slots per window; with twice as
+	// many rows per bank, each REF refreshes 2 rows.
+	timing := dram.DDR5()
+	cfg.Geometry = dram.Scaled(2 * uint32(timing.TREFW/timing.TREFI))
 	a := secaudit.MustNew(cfg)
 	o := a.Sink(0)
 	for i := 0; i < 9; i++ {

@@ -32,14 +32,14 @@ func batchPoints(g dram.Geometry) []namedBatchPoint {
 		{"nop-lead", BatchPoint{}},
 		{"nop-twin", BatchPoint{}},
 		{"hydra", BatchPoint{Tracker: func(ch int) rh.Tracker {
-			return hydra.New(ch, hydra.Config{Geometry: g, NRH: 500})
+			return hydra.New(ch, g, 500)
 		}}},
 		// NRH 16 transitions row groups to per-row tracking within any
 		// workload's first few microseconds; the injected counter fetches
 		// disagree with the insecure lead's empty stream, so this point
 		// always exercises the divergence fallback.
 		{"hydra-low-diverges", BatchPoint{Tracker: func(ch int) rh.Tracker {
-			return hydra.New(ch, hydra.Config{Geometry: g, NRH: 16})
+			return hydra.New(ch, g, 16)
 		}}},
 		{"dapper-h", BatchPoint{Tracker: func(ch int) rh.Tracker {
 			d, err := core.NewDapperH(ch, core.Config{Geometry: g, NRH: 500})
@@ -49,16 +49,16 @@ func batchPoints(g dram.Geometry) []namedBatchPoint {
 			return d
 		}}},
 		{"abacus", BatchPoint{Tracker: func(ch int) rh.Tracker {
-			return abacus.New(ch, abacus.Config{Geometry: g, NRH: 500})
+			return abacus.New(ch, g, 500)
 		}}},
 		{"start-llc", BatchPoint{Tracker: func(ch int) rh.Tracker {
-			return start.New(ch, start.Config{Geometry: g, NRH: 500})
+			return start.New(ch, g, 500, 8<<20)
 		}}},
 		{"prac-tax", BatchPoint{Tracker: func(ch int) rh.Tracker {
-			return prac.New(ch, prac.Config{Geometry: g, NRH: 500})
+			return prac.New(ch, g, 500)
 		}}},
 		{"blockhammer-throttle", BatchPoint{Tracker: func(ch int) rh.Tracker {
-			return blockhammer.New(ch, blockhammer.Config{Geometry: g, NRH: 500})
+			return blockhammer.New(ch, g, 500)
 		}}},
 		{"nop-vrr2", BatchPoint{Mode: rh.VRR2}},
 	}
@@ -203,7 +203,7 @@ func TestEngineEquivalenceBatchedAllThrottlers(t *testing.T) {
 	g := dram.Baseline()
 	mk := func(nrh uint32) TrackerFactory {
 		return func(ch int) rh.Tracker {
-			return blockhammer.New(ch, blockhammer.Config{Geometry: g, NRH: nrh})
+			return blockhammer.New(ch, g, nrh)
 		}
 	}
 	points := []BatchPoint{{Tracker: mk(500)}, {Tracker: mk(1000)}}
@@ -228,7 +228,7 @@ func TestEngineEquivalenceBatchedAllThrottlers(t *testing.T) {
 func TestRunBatchLeadWithoutFollowers(t *testing.T) {
 	g := dram.Baseline()
 	points := []BatchPoint{{}, {Tracker: func(ch int) rh.Tracker {
-		return blockhammer.New(ch, blockhammer.Config{Geometry: g, NRH: 500})
+		return blockhammer.New(ch, g, 500)
 	}}, {Mode: rh.VRR2}}
 	results, outcomes, err := RunBatch(batchBaseConfig(t, g, false), points)
 	if err != nil {

@@ -36,15 +36,6 @@ func TestParseEngine(t *testing.T) {
 	}
 }
 
-func TestPartialTimingRejected(t *testing.T) {
-	g := dram.Baseline()
-	cfg := quickCfg(BenignTraces(mustWorkload(t, "429.mcf"), 4, g, 1))
-	cfg.Timing = dram.Timing{TRC: dram.NS(48)} // everything else zero
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("partially-filled Timing must be rejected, not silently run")
-	}
-}
-
 func TestUnknownEngineRejected(t *testing.T) {
 	g := dram.Baseline()
 	cfg := quickCfg(BenignTraces(mustWorkload(t, "429.mcf"), 4, g, 1))
@@ -75,13 +66,13 @@ func engineScenarios(g dram.Geometry) []engineScenario {
 		// BlockHammer exercises the throttling wake-time bound, Hydra the
 		// injected counter traffic, CoMeT the bulk structure resets.
 		{"blockhammer-refresh", func(ch int) rh.Tracker {
-			return blockhammer.New(ch, blockhammer.Config{Geometry: g, NRH: 500})
+			return blockhammer.New(ch, g, 500)
 		}, attack.Refresh},
 		{"hydra-conflict", func(ch int) rh.Tracker {
-			return hydra.New(ch, hydra.Config{Geometry: g, NRH: 500})
+			return hydra.New(ch, g, 500)
 		}, attack.HydraConflict},
 		{"comet-rat-thrash", func(ch int) rh.Tracker {
-			return comet.New(ch, comet.Config{Geometry: g, NRH: 500})
+			return comet.New(ch, g, 500)
 		}, attack.RATThrash},
 	}
 }
@@ -272,10 +263,10 @@ func TestEngineEquivalenceSinkStream(t *testing.T) {
 	g := dram.Baseline()
 	for _, sc := range []engineScenario{
 		{"blockhammer-refresh", func(ch int) rh.Tracker {
-			return blockhammer.New(ch, blockhammer.Config{Geometry: g, NRH: 500})
+			return blockhammer.New(ch, g, 500)
 		}, attack.Refresh},
 		{"hydra-low-nrh", func(ch int) rh.Tracker {
-			return hydra.New(ch, hydra.Config{Geometry: g, NRH: 64})
+			return hydra.New(ch, g, 64)
 		}, attack.HydraConflict},
 	} {
 		t.Run(sc.name, func(t *testing.T) {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"dapper/internal/attack"
 	"dapper/internal/cpu"
 	"dapper/internal/dram"
 	"dapper/internal/workloads"
@@ -18,16 +17,9 @@ func BenignTraces(w workloads.Workload, n int, geo dram.Geometry, seed uint64) [
 	return traces
 }
 
-// AttackScenario builds the paper's Perf-Attack co-run: n-1 benign
-// copies of w plus the attacker on the last core.
-func AttackScenario(w workloads.Workload, n int, geo dram.Geometry, nrh uint32, kind attack.Kind, seed uint64) []cpu.Trace {
-	traces := BenignTraces(w, n-1, geo, seed)
-	traces = append(traces, attack.MustTrace(attack.Config{Geometry: geo, NRH: nrh, Kind: kind}))
-	return traces
-}
-
-// BenignCores returns the core indices holding benign workloads for a
-// trace set built by AttackScenario (all but the last).
+// BenignCores returns the core indices holding benign workloads in an
+// n-core attack run: all but the last, where exp's Run puts the
+// attacker.
 func BenignCores(n int) []int {
 	cores := make([]int, n-1)
 	for i := range cores {

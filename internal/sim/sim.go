@@ -66,15 +66,18 @@ func ParseEngine(s string) (Engine, error) {
 	return "", fmt.Errorf("sim: unknown engine %q (event|cycle)", s)
 }
 
-// Config describes one simulation run.
+// llcWays and llcLatency fix the shared LLC at Table I's 16 ways and
+// 10 ns hit latency.
+const llcWays = 16
+
+var llcLatency = dram.NS(10)
+
+// Config describes one simulation run. The DRAM timing is always Table
+// I's DDR5 set (dram.DDR5).
 type Config struct {
 	Geometry dram.Geometry
-	Timing   dram.Timing
-	// LLCBytes/LLCWays size the shared cache (Table I: 8MB, 16-way).
+	// LLCBytes sizes the shared cache (Table I: 8MB).
 	LLCBytes int
-	LLCWays  int
-	// LLCLatency is the hit latency.
-	LLCLatency dram.Cycle
 	// Tracker builds the per-channel tracker (NopFactory if nil).
 	Tracker TrackerFactory
 	Mode    rh.MitigationMode
@@ -118,18 +121,9 @@ func (c Config) withDefaults() Config {
 	if c.Geometry.Channels == 0 {
 		c.Geometry = dram.Baseline()
 	}
-	if c.Timing == (dram.Timing{}) {
-		c.Timing = dram.DDR5()
-	}
 	c.Engine = c.Engine.OrDefault()
 	if c.LLCBytes == 0 {
 		c.LLCBytes = 8 << 20
-	}
-	if c.LLCWays == 0 {
-		c.LLCWays = 16
-	}
-	if c.LLCLatency == 0 {
-		c.LLCLatency = dram.NS(10)
 	}
 	if c.Tracker == nil {
 		c.Tracker = NopFactory
@@ -188,17 +182,11 @@ func run(cfg Config, wrapT func(channel int, t rh.Tracker) rh.Tracker) (Result, 
 	if err := cfg.Geometry.Validate(); err != nil {
 		return Result{}, err
 	}
-	if err := cfg.Timing.Validate(); err != nil {
-		return Result{}, err
-	}
 	if _, err := ParseEngine(string(cfg.Engine)); err != nil {
 		return Result{}, err
 	}
 	if len(cfg.Traces) == 0 {
 		return Result{}, fmt.Errorf("sim: no traces")
-	}
-	if cfg.LLCWays < 1 || cfg.LLCWays > cache.MaxWays {
-		return Result{}, fmt.Errorf("sim: LLC ways %d outside [1, %d]", cfg.LLCWays, cache.MaxWays)
 	}
 	end := cfg.Warmup + cfg.Measure
 
@@ -242,7 +230,7 @@ func run(cfg Config, wrapT func(channel int, t rh.Tracker) rh.Tracker) (Result, 
 
 	// Optional tracker extensions: PRAC's ACT tax and START's LLC
 	// reservation.
-	timing := cfg.Timing
+	timing := dram.DDR5()
 	if taxer, ok := trackers[0].(rh.TimingTaxer); ok {
 		timing.PRACActTax = taxer.ActTax()
 	}
@@ -267,7 +255,7 @@ func run(cfg Config, wrapT func(channel int, t rh.Tracker) rh.Tracker) (Result, 
 		controllers[ch].SetSink(rh.Tee(sinks...))
 	}
 
-	llc, err := cache.NewBySize(llcBytes, cfg.LLCWays, cfg.Geometry.LineBytes)
+	llc, err := cache.NewBySize(llcBytes, llcWays, cfg.Geometry.LineBytes)
 	if err != nil {
 		return Result{}, err
 	}
@@ -279,7 +267,6 @@ func run(cfg Config, wrapT func(channel int, t rh.Tracker) rh.Tracker) (Result, 
 		dec:      cfg.Geometry.Decoder(),
 		llc:      llc,
 		ctrls:    controllers,
-		llcLat:   cfg.LLCLatency,
 		nextDone: dram.Never,
 	}
 
@@ -594,7 +581,6 @@ type hierarchy struct {
 	dec     dram.Decoder
 	llc     *cache.Cache
 	ctrls   []*mem.Controller
-	llcLat  dram.Cycle
 	backlog []*mem.Request
 	pool    []*mem.Request
 	// nextDone is the earliest completion among the backlog's serviced
@@ -688,7 +674,7 @@ func (h *hierarchy) Access(now dram.Cycle, core int, req *mem.Request) (dram.Cyc
 		h.backlog = append(h.backlog, wb)
 	}
 	if res.Hit {
-		return h.llcLat, nil, true
+		return llcLatency, nil, true
 	}
 	// Miss: fetch the line from DRAM (writes allocate and complete when
 	// the fill returns; the dirty data stays in the LLC).

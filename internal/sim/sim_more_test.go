@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"dapper/internal/attack"
@@ -24,7 +22,7 @@ func TestHydraAttackGeneratesCounterTraffic(t *testing.T) {
 	cfg.Warmup = dram.US(200)
 	cfg.Measure = dram.US(300)
 	cfg.Tracker = func(ch int) rh.Tracker {
-		return hydra.New(ch, hydra.Config{Geometry: g, NRH: 500})
+		return hydra.New(ch, g, 500)
 	}
 	res := MustRun(cfg)
 	if res.Counters.InjRD < 1000 {
@@ -43,7 +41,7 @@ func TestCoMeTAttackForcesBulkResets(t *testing.T) {
 	cfg.Warmup = dram.US(5) // catch the first reset inside the window
 	cfg.Measure = dram.US(600)
 	cfg.Tracker = func(ch int) rh.Tracker {
-		return comet.New(ch, comet.Config{Geometry: g, NRH: 500})
+		return comet.New(ch, g, 500)
 	}
 	res := MustRun(cfg)
 	if res.Tracker.BulkResets == 0 {
@@ -66,7 +64,7 @@ func TestCoMeTAttackCrushesBenignPerf(t *testing.T) {
 	}
 	base := mk(attack.None, nil)
 	hit := mk(attack.RATThrash, func(ch int) rh.Tracker {
-		return comet.New(ch, comet.Config{Geometry: g, NRH: 500})
+		return comet.New(ch, g, 500)
 	})
 	np := NormalizedPerf(hit, base, BenignCores(4))
 	if np > 0.4 {
@@ -120,7 +118,7 @@ func TestBlockHammerThrottlesInFullSystem(t *testing.T) {
 	}
 	free := mk(nil)
 	throttled := mk(func(ch int) rh.Tracker {
-		return blockhammer.New(ch, blockhammer.Config{Geometry: g, NRH: 500})
+		return blockhammer.New(ch, g, 500)
 	})
 	if throttled.Counters.ACT >= free.Counters.ACT/2 {
 		t.Fatalf("BlockHammer barely throttled: %d vs %d ACTs",
@@ -181,35 +179,5 @@ func TestCustomLLCSize(t *testing.T) {
 	}
 	if small.IPC[0] >= big.IPC[0] {
 		t.Fatalf("thrash IPC %.3f >= resident IPC %.3f", small.IPC[0], big.IPC[0])
-	}
-}
-
-// TestRunRejectsLLCWaysOutOfRange: a cache set's valid and dirty bits
-// are one word each, so Run refuses more than 64 ways (or fewer than
-// one) up front, naming the value, instead of building a system.
-func TestRunRejectsLLCWaysOutOfRange(t *testing.T) {
-	for _, ways := range []int{-1, 65, 128} {
-		cfg := quickCfg([]cpu.Trace{&cyclicTrace{span: 64 << 10}})
-		cfg.LLCWays = ways
-		_, err := Run(cfg)
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("LLC ways %d ", ways)) {
-			t.Errorf("LLCWays %d: err = %v, want one naming the way count", ways, err)
-		}
-	}
-}
-
-func TestAttackScenarioHelper(t *testing.T) {
-	g := dram.Baseline()
-	w := mustWorkload(t, "ycsb_a")
-	traces := AttackScenario(w, 4, g, 500, attack.Refresh, 1)
-	if len(traces) != 4 {
-		t.Fatalf("scenario has %d traces", len(traces))
-	}
-	// Last trace is the attacker: non-cacheable records.
-	if rec := traces[3].Next(); !rec.NonCacheable {
-		t.Fatal("attacker trace should be non-cacheable")
-	}
-	if rec := traces[0].Next(); rec.NonCacheable {
-		t.Fatal("benign trace should be cacheable")
 	}
 }

@@ -158,7 +158,7 @@ func TestSTARTReservesLLC(t *testing.T) {
 	w := mustWorkload(t, "473.astar")
 	cfg := quickCfg(BenignTraces(w, 4, g, 1))
 	cfg.Tracker = func(ch int) rh.Tracker {
-		return start.New(ch, start.Config{Geometry: g, NRH: 500})
+		return start.New(ch, g, 500, 8<<20)
 	}
 	withStart := MustRun(cfg)
 	without := MustRun(quickCfg(BenignTraces(w, 4, g, 1)))
@@ -174,7 +174,7 @@ func TestPRACTaxSlowsMemoryBoundWork(t *testing.T) {
 	base := MustRun(quickCfg(BenignTraces(w, 4, g, 1)))
 	cfg := quickCfg(BenignTraces(w, 4, g, 1))
 	cfg.Tracker = func(ch int) rh.Tracker {
-		return prac.New(ch, prac.Config{Geometry: g, NRH: 500})
+		return prac.New(ch, g, 500)
 	}
 	withPrac := MustRun(cfg)
 	np := NormalizedPerf(withPrac, base, []int{0, 1, 2, 3})

@@ -17,20 +17,12 @@ import (
 	"dapper/internal/sketch"
 )
 
-// Config parameterises ABACUS.
-type Config struct {
-	Geometry dram.Geometry
-	NRH      uint32
-	// Entries is the Misra-Gries table size; zero selects the paper's
-	// sizing for the given NRH (§III-A: 309/617/1233/2466/4931/9783 for
-	// NRH 4K/2K/1K/500/250/125).
-	Entries     int
-	ResetWindow dram.Cycle
-	Seed        uint64
-}
+// resetWindow is the periodic structure reset (tREFW).
+var resetWindow = dram.DDR5().TREFW
 
-// EntriesFor returns the paper's MG table sizing for a threshold.
-func EntriesFor(nrh uint32) int {
+// entriesFor returns the paper's Misra-Gries table size for a threshold
+// (§III-A: 309/617/1233/2466/4931/9783 for NRH 4K/2K/1K/500/250/125).
+func entriesFor(nrh uint32) int {
 	switch {
 	case nrh >= 4000:
 		return 309
@@ -47,25 +39,10 @@ func EntriesFor(nrh uint32) int {
 	}
 }
 
-func (c Config) withDefaults() Config {
-	if c.Entries == 0 {
-		c.Entries = EntriesFor(c.NRH)
-	}
-	if c.ResetWindow == 0 {
-		c.ResetWindow = dram.DDR5().TREFW
-	}
-	if c.Seed == 0 {
-		c.Seed = 0xABAC05
-	}
-	return c
-}
-
-// NM returns the mitigation threshold NRH/2.
-func (c Config) NM() uint32 { return c.NRH / 2 }
-
 // Tracker is one channel's ABACUS instance.
 type Tracker struct {
-	cfg      Config
+	geo      dram.Geometry
+	nm       uint32 // mitigation threshold NRH/2
 	channel  int
 	mg       *sketch.MisraGries
 	bitvec   *flatmap.Table[uint64] // per tracked row: banks seen since last count
@@ -75,14 +52,15 @@ type Tracker struct {
 }
 
 // New builds an ABACUS tracker for one channel.
-func New(channel int, cfg Config) *Tracker {
-	cfg = cfg.withDefaults()
+func New(channel int, geo dram.Geometry, nrh uint32) *Tracker {
+	entries := entriesFor(nrh)
 	return &Tracker{
-		cfg:     cfg,
+		geo:     geo,
+		nm:      nrh / 2,
 		channel: channel,
-		mg:      sketch.NewMisraGries(cfg.Entries),
-		bitvec:  flatmap.New[uint64](cfg.Entries),
-		nextRst: cfg.ResetWindow,
+		mg:      sketch.NewMisraGries(entries),
+		bitvec:  flatmap.New[uint64](entries),
+		nextRst: resetWindow,
 	}
 }
 
@@ -93,7 +71,7 @@ func (t *Tracker) Name() string { return "ABACUS" }
 func (t *Tracker) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) []rh.Action {
 	t.stats.Activations++
 	key := uint64(loc.Row)
-	bank := uint(t.cfg.Geometry.FlatBank(loc))
+	bank := uint(t.geo.FlatBank(loc))
 	mask := uint64(1) << bank
 
 	if t.mg.Tracked(key) {
@@ -108,7 +86,7 @@ func (t *Tracker) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) []rh
 		// filter.
 		*bv = mask
 		count := t.mg.Add(key)
-		if count >= t.cfg.NM() {
+		if count >= t.nm {
 			buf = t.mitigateRow(loc, buf)
 			t.mg.SetCount(key, t.mg.Spillover())
 		}
@@ -121,7 +99,7 @@ func (t *Tracker) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) []rh
 	// spillover has overflowed, so refresh everything and reset
 	// (§III-B, D.2).
 	count := t.mg.Add(key)
-	if count >= t.cfg.NM() {
+	if count >= t.nm {
 		return t.overflowReset(buf)
 	}
 	if t.mg.Tracked(key) {
@@ -146,7 +124,7 @@ func (t *Tracker) overflowReset(buf []rh.Action) []rh.Action {
 // potential aggressor.
 func (t *Tracker) mitigateRow(loc dram.Loc, buf []rh.Action) []rh.Action {
 	t.stats.Mitigations++
-	g := t.cfg.Geometry
+	g := t.geo
 	for rk := 0; rk < g.Ranks; rk++ {
 		for bg := 0; bg < g.BankGroups; bg++ {
 			for b := 0; b < g.BanksPerGroup; b++ {
@@ -169,7 +147,7 @@ func (t *Tracker) Tick(now dram.Cycle, buf []rh.Action) []rh.Action {
 	if now < t.nextRst {
 		return buf
 	}
-	t.nextRst += t.cfg.ResetWindow
+	t.nextRst += resetWindow
 	t.resetStructures()
 	return buf
 }

@@ -13,12 +13,12 @@ import (
 // working set must not touch the allocator. Batched sweeps replay this
 // cycle N times per point.
 func TestTickResetDoesNotAllocate(t *testing.T) {
-	tr := New(0, testCfg())
+	tr := newTest(4000)
 	buf := make([]rh.Action, 0, 256)
 	drive := func() {
-		// More distinct rows than table entries (64): exercises insert,
+		// More distinct rows than table entries (309): exercises insert,
 		// replacement, spillover rebuild, and the bit-vector filter.
-		for r := uint32(0); r < 100; r++ {
+		for r := uint32(0); r < 400; r++ {
 			for j := 0; j < 3; j++ {
 				buf = tr.OnActivate(dram.Cycle(r)*4+dram.Cycle(j), loc(0, 0, 0, r), buf[:0])
 			}
@@ -26,7 +26,7 @@ func TestTickResetDoesNotAllocate(t *testing.T) {
 	}
 	drive() // grow structures to steady state
 
-	w := tr.cfg.ResetWindow
+	w := resetWindow
 	cyc := w
 	allocs := testing.AllocsPerRun(10, func() {
 		cyc += w

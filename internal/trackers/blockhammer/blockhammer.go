@@ -16,53 +16,27 @@ import (
 	"dapper/internal/sketch"
 )
 
-// Config parameterises BlockHammer.
-type Config struct {
-	Geometry dram.Geometry
-	NRH      uint32
-	// FilterCounters is the CBF size per bank (original design: 1K
-	// counters, 4 hashes).
-	FilterCounters int
-	FilterHashes   int
-	// Window is the observation window (tREFW); epochs are Window/2.
-	Window dram.Cycle
-	Seed   uint64
-}
+// BlockHammer's sizing, from the original design: one 1K-counter,
+// 4-hash counting Bloom filter per bank and epoch.
+const (
+	filterCounters = 1024
+	filterHashes   = 4
+	seed           = 0xB70C4
+)
 
-func (c Config) withDefaults() Config {
-	if c.FilterCounters == 0 {
-		c.FilterCounters = 1024
-	}
-	if c.FilterHashes == 0 {
-		c.FilterHashes = 4
-	}
-	if c.Window == 0 {
-		c.Window = dram.DDR5().TREFW
-	}
-	if c.Seed == 0 {
-		c.Seed = 0xB70C4
-	}
-	return c
-}
-
-// NBL returns the blacklisting threshold (NRH/2: a row halfway to the
-// threshold within a window gets paced).
-func (c Config) NBL() uint32 { return c.NRH / 2 }
-
-// Delay returns the enforced minimum spacing between activations of a
-// blacklisted row: the remaining budget (NRH - NBL) spread over a full
-// window, i.e. 2*tREFW/NRH.
-func (c Config) Delay() dram.Cycle {
-	w := c.Window
-	if w == 0 {
-		w = dram.DDR5().TREFW
-	}
-	return 2 * w / dram.Cycle(c.NRH)
-}
+// window is the observation window (tREFW); epochs are window/2.
+var window = dram.DDR5().TREFW
 
 // Tracker is one channel's BlockHammer instance.
 type Tracker struct {
-	cfg      Config
+	geo dram.Geometry
+	// nbl is the blacklisting threshold (NRH/2: a row halfway to the
+	// threshold within a window gets paced).
+	nbl uint32
+	// delay is the enforced minimum spacing between activations of a
+	// blacklisted row: the remaining budget (NRH - NBL) spread over a
+	// full window, i.e. 2*tREFW/NRH.
+	delay    dram.Cycle
 	channel  int
 	filters  []*sketch.CountingBloom    // per flat bank, active epoch
 	previous []*sketch.CountingBloom    // previous epoch (history term)
@@ -72,19 +46,20 @@ type Tracker struct {
 }
 
 // New builds a BlockHammer instance for one channel.
-func New(channel int, cfg Config) *Tracker {
-	cfg = cfg.withDefaults()
+func New(channel int, geo dram.Geometry, nrh uint32) *Tracker {
 	t := &Tracker{
-		cfg:      cfg,
+		geo:      geo,
+		nbl:      nrh / 2,
+		delay:    2 * window / dram.Cycle(nrh),
 		channel:  channel,
-		filters:  make([]*sketch.CountingBloom, cfg.Geometry.BanksPerChannel()),
-		previous: make([]*sketch.CountingBloom, cfg.Geometry.BanksPerChannel()),
-		lastAct:  flatmap.New[dram.Cycle](cfg.FilterCounters),
-		epochEnd: cfg.Window / 2,
+		filters:  make([]*sketch.CountingBloom, geo.BanksPerChannel()),
+		previous: make([]*sketch.CountingBloom, geo.BanksPerChannel()),
+		lastAct:  flatmap.New[dram.Cycle](filterCounters),
+		epochEnd: window / 2,
 	}
 	for b := range t.filters {
-		t.filters[b] = sketch.NewCountingBloom(cfg.FilterCounters, cfg.FilterHashes, cfg.Seed^uint64(channel)<<20^uint64(b))
-		t.previous[b] = sketch.NewCountingBloom(cfg.FilterCounters, cfg.FilterHashes, cfg.Seed^uint64(channel)<<20^uint64(b)^0xEE)
+		t.filters[b] = sketch.NewCountingBloom(filterCounters, filterHashes, seed^uint64(channel)<<20^uint64(b))
+		t.previous[b] = sketch.NewCountingBloom(filterCounters, filterHashes, seed^uint64(channel)<<20^uint64(b)^0xEE)
 	}
 	return t
 }
@@ -101,10 +76,10 @@ func (t *Tracker) estimate(fb int, row uint32) uint32 {
 }
 
 // NextAllowed implements rh.Throttler: blacklisted rows are paced to
-// Delay() between activations.
+// delay between activations.
 func (t *Tracker) NextAllowed(now dram.Cycle, loc dram.Loc) dram.Cycle {
-	fb := t.cfg.Geometry.FlatBank(loc)
-	if t.estimate(fb, loc.Row) < t.cfg.NBL() {
+	fb := t.geo.FlatBank(loc)
+	if t.estimate(fb, loc.Row) < t.nbl {
 		return now
 	}
 	k := key(fb, loc.Row)
@@ -112,7 +87,7 @@ func (t *Tracker) NextAllowed(now dram.Cycle, loc dram.Loc) dram.Cycle {
 	if !ok {
 		return now
 	}
-	allowed := last + t.cfg.Delay()
+	allowed := last + t.delay
 	if allowed < now {
 		return now
 	}
@@ -124,22 +99,22 @@ func (t *Tracker) NextAllowed(now dram.Cycle, loc dram.Loc) dram.Cycle {
 // alone keeps every row below NRH per window.
 func (t *Tracker) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) []rh.Action {
 	t.stats.Activations++
-	fb := t.cfg.Geometry.FlatBank(loc)
+	fb := t.geo.FlatBank(loc)
 	k := key(fb, loc.Row)
 	est := t.filters[fb].Add(k)
-	if est+t.previous[fb].Estimate(k)/2 >= t.cfg.NBL() {
+	if est+t.previous[fb].Estimate(k)/2 >= t.nbl {
 		t.lastAct.Set(k, now)
 		t.stats.Throttled++
 	}
 	return buf
 }
 
-// Tick implements rh.Tracker: rotate filter epochs every Window/2.
+// Tick implements rh.Tracker: rotate filter epochs every tREFW/2.
 func (t *Tracker) Tick(now dram.Cycle, buf []rh.Action) []rh.Action {
 	if now < t.epochEnd {
 		return buf
 	}
-	t.epochEnd += t.cfg.Window / 2
+	t.epochEnd += window / 2
 	t.filters, t.previous = t.previous, t.filters
 	for b := range t.filters {
 		t.filters[b].Reset()
@@ -153,6 +128,6 @@ func (t *Tracker) Stats() rh.Stats { return t.stats }
 
 // Blacklisted reports whether a row is currently paced (test hook).
 func (t *Tracker) Blacklisted(loc dram.Loc) bool {
-	fb := t.cfg.Geometry.FlatBank(loc)
-	return t.estimate(fb, loc.Row) >= t.cfg.NBL()
+	fb := t.geo.FlatBank(loc)
+	return t.estimate(fb, loc.Row) >= t.nbl
 }

@@ -7,10 +7,10 @@ import (
 	"dapper/internal/rh"
 )
 
-func testCfg() Config {
+func newTest(nrh uint32) *Tracker {
 	g := dram.Baseline()
 	g.RowsPerBank = 2048
-	return Config{Geometry: g, NRH: 500}
+	return New(0, g, nrh)
 }
 
 func loc(rank, bg, bank int, row uint32) dram.Loc {
@@ -18,18 +18,18 @@ func loc(rank, bg, bank int, row uint32) dram.Loc {
 }
 
 func TestThresholdAndDelay(t *testing.T) {
-	c := testCfg()
-	if c.NBL() != 250 {
-		t.Fatalf("NBL = %d", c.NBL())
+	tr := newTest(500)
+	if tr.nbl != 250 {
+		t.Fatalf("NBL = %d", tr.nbl)
 	}
 	// Delay = 2*tREFW/NRH = 2*32ms/500 = 128us.
-	if c.Delay() != dram.US(128) {
-		t.Fatalf("delay = %d cycles", c.Delay())
+	if tr.delay != dram.US(128) {
+		t.Fatalf("delay = %d cycles", tr.delay)
 	}
 }
 
 func TestColdRowNotThrottled(t *testing.T) {
-	tr := New(0, testCfg())
+	tr := newTest(500)
 	l := loc(0, 0, 0, 5)
 	if got := tr.NextAllowed(100, l); got != 100 {
 		t.Fatalf("cold row delayed to %d", got)
@@ -37,7 +37,7 @@ func TestColdRowNotThrottled(t *testing.T) {
 }
 
 func TestHammeredRowGetsBlacklistedAndPaced(t *testing.T) {
-	tr := New(0, testCfg())
+	tr := newTest(500)
 	l := loc(0, 0, 0, 5)
 	for i := 0; i < 260; i++ {
 		tr.OnActivate(dram.Cycle(i), l, nil)
@@ -50,7 +50,7 @@ func TestHammeredRowGetsBlacklistedAndPaced(t *testing.T) {
 		t.Fatalf("blacklisted row allowed immediately (next=%d)", next)
 	}
 	// Pacing enforces the full delay from the last ACT.
-	if next < 259+testCfg().Delay() {
+	if next < 259+tr.delay {
 		t.Fatalf("delay too short: %d", next)
 	}
 }
@@ -58,12 +58,11 @@ func TestHammeredRowGetsBlacklistedAndPaced(t *testing.T) {
 func TestThrottlingBoundsActivationRate(t *testing.T) {
 	// Simulate the controller honoring NextAllowed: the row must not
 	// exceed NRH activations within the window.
-	cfg := testCfg()
-	tr := New(0, cfg)
+	tr := newTest(500)
 	l := loc(0, 0, 0, 9)
 	now := dram.Cycle(0)
 	acts := 0
-	for now < cfg.Window {
+	for now < dram.DDR5().TREFW {
 		allowed := tr.NextAllowed(now, l)
 		if allowed > now {
 			now = allowed
@@ -73,13 +72,13 @@ func TestThrottlingBoundsActivationRate(t *testing.T) {
 		acts++
 		now += dram.NS(48) // tRC-limited hammering
 	}
-	if acts >= int(cfg.NRH)+10 {
-		t.Fatalf("throttled row achieved %d ACTs in one window (NRH=%d)", acts, cfg.NRH)
+	if acts >= 500+10 {
+		t.Fatalf("throttled row achieved %d ACTs in one window (NRH=500)", acts)
 	}
 }
 
 func TestNeverIssuesRefreshes(t *testing.T) {
-	tr := New(0, testCfg())
+	tr := newTest(500)
 	l := loc(0, 0, 0, 5)
 	for i := 0; i < 1000; i++ {
 		if acts := tr.OnActivate(dram.Cycle(i), l, nil); len(acts) != 0 {
@@ -92,9 +91,7 @@ func TestFalsePositivesUnderManyRows(t *testing.T) {
 	// Load the per-bank filter with many distinct rows: estimates for
 	// untouched rows should start crossing NBL at low thresholds — the
 	// false-positive mechanism behind BlockHammer's benign overhead.
-	cfg := testCfg()
-	cfg.NRH = 125 // NBL = 62
-	tr := New(0, cfg)
+	tr := newTest(125) // NBL = 62
 	for pass := 0; pass < 80; pass++ {
 		for r := uint32(0); r < 512; r++ {
 			tr.OnActivate(dram.Cycle(pass*512+int(r)), loc(0, 0, 0, r), nil)
@@ -111,26 +108,35 @@ func TestFalsePositivesUnderManyRows(t *testing.T) {
 	}
 }
 
+// TestEpochRotationClearsOldCounts pins the epoch at tREFW/2: a tick
+// one cycle short keeps the counts, each tick at an epoch end rotates.
 func TestEpochRotationClearsOldCounts(t *testing.T) {
-	cfg := testCfg()
-	cfg.Window = 2000 // epochs of 1000
-	tr := New(0, cfg)
+	tr := newTest(500)
 	l := loc(0, 0, 0, 7)
 	for i := 0; i < 300; i++ {
 		tr.OnActivate(dram.Cycle(i), l, nil)
 	}
-	if !tr.Blacklisted(l) {
-		t.Fatal("not blacklisted before rotation")
+	epoch := dram.DDR5().TREFW / 2
+	tr.Tick(epoch-1, nil)
+	if got := tr.estimate(0, l.Row); got != 300 || !tr.Blacklisted(l) {
+		t.Fatalf("estimate %d before the first rotation, want 300 and blacklisted", got)
 	}
-	tr.Tick(1000, nil) // rotate: counts move to history (halved)
-	tr.Tick(2000, nil) // rotate again: counts gone
-	if tr.Blacklisted(l) {
-		t.Fatal("blacklist survived two epoch rotations")
+	tr.Tick(epoch, nil) // rotate: counts move to history (halved)
+	if got := tr.estimate(0, l.Row); got != 150 {
+		t.Fatalf("estimate %d after one rotation, want 150", got)
+	}
+	tr.Tick(2*epoch-1, nil)
+	if got := tr.estimate(0, l.Row); got != 150 {
+		t.Fatalf("estimate %d before the second rotation, want 150", got)
+	}
+	tr.Tick(2*epoch, nil) // rotate again: counts gone
+	if got := tr.estimate(0, l.Row); got != 0 || tr.Blacklisted(l) {
+		t.Fatalf("estimate %d after two epoch rotations, want 0", got)
 	}
 }
 
 func TestThrottledStatCounts(t *testing.T) {
-	tr := New(0, testCfg())
+	tr := newTest(500)
 	l := loc(0, 0, 0, 5)
 	for i := 0; i < 300; i++ {
 		tr.OnActivate(dram.Cycle(i), l, nil)
@@ -141,7 +147,7 @@ func TestThrottledStatCounts(t *testing.T) {
 }
 
 func TestName(t *testing.T) {
-	if New(0, testCfg()).Name() != "BlockHammer" {
+	if newTest(500).Name() != "BlockHammer" {
 		t.Fatal("name")
 	}
 }

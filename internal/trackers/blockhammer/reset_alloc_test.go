@@ -12,7 +12,7 @@ import (
 // a full re-run of the same working set must not touch the allocator.
 // Batched sweeps replay this cycle N times per point.
 func TestTickResetDoesNotAllocate(t *testing.T) {
-	tr := New(0, testCfg())
+	tr := newTest(500)
 	buf := make([]rh.Action, 0, 8)
 	l := loc(0, 0, 0, 7)
 	drive := func() {
@@ -25,7 +25,7 @@ func TestTickResetDoesNotAllocate(t *testing.T) {
 	}
 	drive() // grow structures to steady state
 
-	epoch := tr.cfg.Window / 2
+	epoch := window / 2
 	cyc := epoch
 	allocs := testing.AllocsPerRun(10, func() {
 		cyc += epoch

@@ -17,54 +17,18 @@ import (
 	"dapper/internal/sketch"
 )
 
-// Config parameterises CoMeT per the original design.
-type Config struct {
-	Geometry dram.Geometry
-	NRH      uint32
-	// Hashes x CountersPerHash is the per-bank Count-Min Sketch (4x512).
-	Hashes          int
-	CountersPerHash int
-	// RATEntries is the Recent Aggressor Table size (128).
-	RATEntries int
-	// MissHistory is the sliding window for the miss-rate trigger (256).
-	MissHistory int
-	// MissRateReset triggers an early reset (0.25).
-	MissRateReset float64
-	// ResetPeriod is the periodic full reset (tREFW/3).
-	ResetPeriod dram.Cycle
-	Seed        uint64
-}
+// CoMeT's sizing, from the original design.
+const (
+	hashes          = 4    // Count-Min Sketch rows per bank
+	countersPerHash = 512  // counters per sketch row
+	ratEntries      = 128  // Recent Aggressor Table size
+	missHistory     = 256  // sliding window of the miss-rate trigger
+	missRateReset   = 0.25 // miss rate that triggers an early reset
+	seed            = 0xC03E7
+)
 
-func (c Config) withDefaults() Config {
-	if c.Hashes == 0 {
-		c.Hashes = 4
-	}
-	if c.CountersPerHash == 0 {
-		c.CountersPerHash = 512
-	}
-	if c.RATEntries == 0 {
-		c.RATEntries = 128
-	}
-	if c.MissHistory == 0 {
-		c.MissHistory = 256
-	}
-	if c.MissRateReset == 0 {
-		c.MissRateReset = 0.25
-	}
-	if c.ResetPeriod == 0 {
-		c.ResetPeriod = dram.DDR5().TREFW / 3
-	}
-	if c.Seed == 0 {
-		c.Seed = 0xC03E7
-	}
-	return c
-}
-
-// NCT returns the sketch mitigation threshold (NRH/4, §III-A).
-func (c Config) NCT() uint32 { return c.NRH / 4 }
-
-// NM returns the RAT re-mitigation threshold (NRH/2).
-func (c Config) NM() uint32 { return c.NRH / 2 }
+// resetPeriod is the periodic full reset (tREFW/3).
+var resetPeriod = dram.DDR5().TREFW / 3
 
 // ratEntry is one exact-counter entry with LRU bookkeeping.
 type ratEntry struct {
@@ -75,7 +39,9 @@ type ratEntry struct {
 
 // Tracker is one channel's CoMeT instance.
 type Tracker struct {
-	cfg      Config
+	geo      dram.Geometry
+	nct      uint32 // sketch mitigation threshold NRH/4 (§III-A)
+	nm       uint32 // RAT re-mitigation threshold NRH/2
 	channel  int
 	sketches []*sketch.CountMin // per flat bank
 	rat      []ratEntry         // per channel, LRU
@@ -95,18 +61,19 @@ type Tracker struct {
 }
 
 // New builds a CoMeT tracker for one channel.
-func New(channel int, cfg Config) *Tracker {
-	cfg = cfg.withDefaults()
+func New(channel int, geo dram.Geometry, nrh uint32) *Tracker {
 	t := &Tracker{
-		cfg:       cfg,
+		geo:       geo,
+		nct:       nrh / 4,
+		nm:        nrh / 2,
 		channel:   channel,
-		sketches:  make([]*sketch.CountMin, cfg.Geometry.BanksPerChannel()),
-		rat:       make([]ratEntry, 0, cfg.RATEntries),
-		history:   make([]bool, cfg.MissHistory),
-		nextReset: cfg.ResetPeriod,
+		sketches:  make([]*sketch.CountMin, geo.BanksPerChannel()),
+		rat:       make([]ratEntry, 0, ratEntries),
+		history:   make([]bool, missHistory),
+		nextReset: resetPeriod,
 	}
 	for b := range t.sketches {
-		t.sketches[b] = sketch.NewCountMin(cfg.Hashes, cfg.CountersPerHash, cfg.Seed^uint64(channel)<<20^uint64(b))
+		t.sketches[b] = sketch.NewCountMin(hashes, countersPerHash, seed^uint64(channel)<<20^uint64(b))
 	}
 	return t
 }
@@ -126,7 +93,7 @@ func (t *Tracker) ratFind(key uint64) *ratEntry {
 // ratInsert adds key, evicting the LRU entry when full.
 func (t *Tracker) ratInsert(key uint64) {
 	t.ratTick++
-	if len(t.rat) < t.cfg.RATEntries {
+	if len(t.rat) < ratEntries {
 		t.rat = append(t.rat, ratEntry{key: key, used: t.ratTick})
 		return
 	}
@@ -158,13 +125,13 @@ func (t *Tracker) recordHistory(miss bool) bool {
 	if !t.histFilled {
 		return false
 	}
-	return float64(t.misses)/float64(len(t.history)) > t.cfg.MissRateReset
+	return float64(t.misses)/float64(len(t.history)) > missRateReset
 }
 
 // OnActivate implements rh.Tracker.
 func (t *Tracker) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) []rh.Action {
 	t.stats.Activations++
-	fb := t.cfg.Geometry.FlatBank(loc)
+	fb := t.geo.FlatBank(loc)
 	key := uint64(fb)<<32 | uint64(loc.Row)
 
 	if e := t.ratFind(key); e != nil {
@@ -172,7 +139,7 @@ func (t *Tracker) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) []rh
 		t.ratTick++
 		e.used = t.ratTick
 		e.count++
-		if e.count >= t.cfg.NM() {
+		if e.count >= t.nm {
 			e.count = 0
 			t.stats.Mitigations++
 			t.stats.VictimRefreshes++
@@ -185,7 +152,7 @@ func (t *Tracker) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) []rh
 	}
 
 	est := t.sketches[fb].Add(key)
-	if est < t.cfg.NCT() {
+	if est < t.nct {
 		return buf
 	}
 	// Saturated sketch counter and the row is not in the RAT: mitigate
@@ -218,8 +185,8 @@ func (t *Tracker) reset(now dram.Cycle, buf []rh.Action, early bool) []rh.Action
 	}
 	t.histPos, t.misses, t.histFilled = 0, 0, false
 	// Refreshing all rows takes ~2.4ms; don't re-trigger until done.
-	t.cooldownTil = now + dram.DDR5().BulkSweep(t.cfg.Geometry.RowsPerBank)
-	for rk := 0; rk < t.cfg.Geometry.Ranks; rk++ {
+	t.cooldownTil = now + dram.DDR5().BulkSweep(t.geo.RowsPerBank)
+	for rk := 0; rk < t.geo.Ranks; rk++ {
 		buf = append(buf, rh.Action{Kind: rh.BulkRefreshRank, Loc: dram.Loc{Channel: t.channel, Rank: rk}})
 	}
 	return buf
@@ -230,7 +197,7 @@ func (t *Tracker) Tick(now dram.Cycle, buf []rh.Action) []rh.Action {
 	if now < t.nextReset {
 		return buf
 	}
-	t.nextReset += t.cfg.ResetPeriod
+	t.nextReset += resetPeriod
 	return t.reset(now, buf, false)
 }
 
@@ -243,7 +210,7 @@ func (t *Tracker) Stats() rh.Stats { return t.stats }
 func (t *Tracker) TableOccupancy() rh.TableOccupancy {
 	return rh.TableOccupancy{
 		Used:     len(t.rat),
-		Capacity: t.cfg.RATEntries,
+		Capacity: ratEntries,
 		Resets:   t.earlyRst + t.periodRst,
 	}
 }

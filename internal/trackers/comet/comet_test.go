@@ -7,10 +7,10 @@ import (
 	"dapper/internal/rh"
 )
 
-func testCfg() Config {
+func newTest() *Tracker {
 	g := dram.Baseline()
 	g.RowsPerBank = 2048
-	return Config{Geometry: g, NRH: 500}
+	return New(0, g, 500)
 }
 
 func loc(rank, bg, bank int, row uint32) dram.Loc {
@@ -18,14 +18,14 @@ func loc(rank, bg, bank int, row uint32) dram.Loc {
 }
 
 func TestThresholds(t *testing.T) {
-	c := testCfg()
-	if c.NCT() != 125 || c.NM() != 250 {
-		t.Fatalf("NCT=%d NM=%d", c.NCT(), c.NM())
+	tr := newTest()
+	if tr.nct != 125 || tr.nm != 250 {
+		t.Fatalf("NCT=%d NM=%d", tr.nct, tr.nm)
 	}
 }
 
 func TestNoMitigationBelowNCT(t *testing.T) {
-	tr := New(0, testCfg())
+	tr := newTest()
 	l := loc(0, 0, 0, 10)
 	for i := 0; i < 124; i++ {
 		if acts := tr.OnActivate(dram.Cycle(i), l, nil); len(acts) != 0 {
@@ -35,7 +35,7 @@ func TestNoMitigationBelowNCT(t *testing.T) {
 }
 
 func TestMitigationAtNCTAndRATTakeover(t *testing.T) {
-	tr := New(0, testCfg())
+	tr := newTest()
 	l := loc(0, 0, 0, 10)
 	var first []rh.Action
 	for i := 0; i < 125; i++ {
@@ -59,7 +59,7 @@ func TestMitigationAtNCTAndRATTakeover(t *testing.T) {
 }
 
 func TestSecurityBound(t *testing.T) {
-	tr := New(0, testCfg())
+	tr := newTest()
 	l := loc(1, 2, 1, 999)
 	since := 0
 	for i := 0; i < 2000; i++ {
@@ -76,19 +76,23 @@ func TestSecurityBound(t *testing.T) {
 	}
 }
 
+// TestPeriodicResetIssuesBulkRefresh pins the reset period at tREFW/3:
+// nothing fires one cycle short of it, the rank sweeps fire at it.
 func TestPeriodicResetIssuesBulkRefresh(t *testing.T) {
-	cfg := testCfg()
-	cfg.ResetPeriod = 1000
-	tr := New(0, cfg)
-	acts := tr.Tick(1000, nil)
+	tr := newTest()
+	w := dram.DDR5().TREFW / 3
+	if acts := tr.Tick(w-1, nil); len(acts) != 0 || tr.PeriodicResets() != 0 {
+		t.Fatalf("tick before tREFW/3 reset the tracker: %v", acts)
+	}
+	acts := tr.Tick(w, nil)
 	bulk := 0
 	for _, a := range acts {
 		if a.Kind == rh.BulkRefreshRank {
 			bulk++
 		}
 	}
-	if bulk != cfg.Geometry.Ranks {
-		t.Fatalf("bulk refreshes = %d, want %d", bulk, cfg.Geometry.Ranks)
+	if bulk != tr.geo.Ranks {
+		t.Fatalf("bulk refreshes = %d, want %d", bulk, tr.geo.Ranks)
 	}
 	if tr.PeriodicResets() != 1 {
 		t.Fatal("periodic reset not counted")
@@ -98,8 +102,7 @@ func TestPeriodicResetIssuesBulkRefresh(t *testing.T) {
 func TestRATThrashTriggersEarlyReset(t *testing.T) {
 	// The paper's Perf-Attack: cycle more aggressors than the RAT holds
 	// (192 > 128) so the miss-history rate exceeds 25% -> early reset.
-	cfg := testCfg()
-	tr := New(0, cfg)
+	tr := newTest()
 	rows := 192
 	var sawBulk bool
 	for pass := 0; pass < 400 && !sawBulk; pass++ {
@@ -124,7 +127,7 @@ func TestRATThrashTriggersEarlyReset(t *testing.T) {
 func TestBenignFewAggressorsNoEarlyReset(t *testing.T) {
 	// A handful of hot rows (well within RAT capacity) must never force
 	// an early reset.
-	tr := New(0, testCfg())
+	tr := newTest()
 	for i := 0; i < 50000; i++ {
 		l := loc(0, 0, 0, uint32(i%16))
 		acts := tr.OnActivate(dram.Cycle(i), l, nil)
@@ -137,24 +140,31 @@ func TestBenignFewAggressorsNoEarlyReset(t *testing.T) {
 }
 
 func TestResetClearsSketch(t *testing.T) {
-	cfg := testCfg()
-	cfg.ResetPeriod = 10_000
-	tr := New(0, cfg)
+	tr := newTest()
 	l := loc(0, 0, 0, 10)
 	for i := 0; i < 120; i++ {
 		tr.OnActivate(dram.Cycle(i), l, nil)
 	}
-	tr.Tick(10_000, nil)
+	w := dram.DDR5().TREFW / 3
+	tr.Tick(w-1, nil)
+	// Before the reset the sketch still holds 120: the 125th ACT mitigates.
+	for i := 0; i < 4; i++ {
+		tr.OnActivate(w-1, l, nil)
+	}
+	if acts := tr.OnActivate(w-1, l, nil); len(acts) != 1 {
+		t.Fatalf("sketch lost counts before tREFW/3: 125th ACT gave %v", acts)
+	}
+	tr.Tick(w, nil)
 	// After reset the sketch is empty: 124 more ACTs stay silent.
 	for i := 0; i < 124; i++ {
-		if acts := tr.OnActivate(dram.Cycle(10_001+i), l, nil); len(acts) != 0 {
+		if acts := tr.OnActivate(w+1+dram.Cycle(i), l, nil); len(acts) != 0 {
 			t.Fatalf("action after reset at %d: %v", i, acts)
 		}
 	}
 }
 
 func TestName(t *testing.T) {
-	if New(0, testCfg()).Name() != "CoMeT" {
+	if newTest().Name() != "CoMeT" {
 		t.Fatal("name")
 	}
 }

@@ -16,49 +16,22 @@ import (
 	"dapper/internal/rh"
 )
 
-// Config parameterises Hydra per the original design.
-type Config struct {
-	Geometry dram.Geometry
-	NRH      uint32
-	// GroupSize is rows per group counter (original design: 128).
-	GroupSize int
-	// RCCEntries is the Row Counter Cache capacity per rank (4K).
-	RCCEntries int
-	// RCCWays is the RCC associativity (32, random eviction).
-	RCCWays int
-	// ResetWindow clears all structures (tREFW).
-	ResetWindow dram.Cycle
-	Seed        uint64
-}
+// Hydra's sizing, from the original design.
+const (
+	groupSize  = 128     // rows per group counter
+	rccEntries = 4096    // Row Counter Cache entries per rank
+	rccWays    = 32      // RCC associativity (random eviction)
+	seed       = 0x44D8A // keys the RCC's eviction choices
+)
 
-func (c Config) withDefaults() Config {
-	if c.GroupSize == 0 {
-		c.GroupSize = 128
-	}
-	if c.RCCEntries == 0 {
-		c.RCCEntries = 4096
-	}
-	if c.RCCWays == 0 {
-		c.RCCWays = 32
-	}
-	if c.ResetWindow == 0 {
-		c.ResetWindow = dram.DDR5().TREFW
-	}
-	if c.Seed == 0 {
-		c.Seed = 0x44D8A
-	}
-	return c
-}
-
-// NM returns the mitigation threshold NRH/2.
-func (c Config) NM() uint32 { return c.NRH / 2 }
-
-// NGC returns the group-counter threshold: 80% of NM (§III-A).
-func (c Config) NGC() uint32 { return c.NM() * 8 / 10 }
+// resetWindow is the structure reset period (tREFW).
+var resetWindow = dram.DDR5().TREFW
 
 // Tracker is one channel's Hydra instance.
 type Tracker struct {
-	cfg     Config
+	geo     dram.Geometry
+	nm      uint32 // mitigation threshold NRH/2
+	ngc     uint32 // group-counter threshold: 80% of NM (§III-A)
 	channel int
 	ranks   []rankState
 	nextRst dram.Cycle
@@ -73,25 +46,27 @@ type rankState struct {
 }
 
 // New builds a Hydra tracker for one channel.
-func New(channel int, cfg Config) *Tracker {
-	cfg = cfg.withDefaults()
+func New(channel int, geo dram.Geometry, nrh uint32) *Tracker {
+	nm := nrh / 2
 	t := &Tracker{
-		cfg:     cfg,
+		geo:     geo,
+		nm:      nm,
+		ngc:     nm * 8 / 10,
 		channel: channel,
-		ranks:   make([]rankState, cfg.Geometry.Ranks),
-		nextRst: cfg.ResetWindow,
+		ranks:   make([]rankState, geo.Ranks),
+		nextRst: resetWindow,
 	}
-	groups := int(cfg.Geometry.RowsPerRank()) / cfg.GroupSize
+	groups := int(geo.RowsPerRank()) / groupSize
 	for r := range t.ranks {
 		t.ranks[r] = rankState{
 			gct: make([]uint32, groups),
 			rcc: cache.MustNew(cache.Config{
-				Sets:   cfg.RCCEntries / cfg.RCCWays,
-				Ways:   cfg.RCCWays,
+				Sets:   rccEntries / rccWays,
+				Ways:   rccWays,
 				Policy: cache.Random,
-				Seed:   cfg.Seed ^ uint64(channel)<<24 ^ uint64(r),
+				Seed:   seed ^ uint64(channel)<<24 ^ uint64(r),
 			}),
-			rct: flatmap.New[uint32](4 * cfg.RCCEntries),
+			rct: flatmap.New[uint32](4 * rccEntries),
 		}
 	}
 	return t
@@ -104,17 +79,17 @@ func (t *Tracker) Name() string { return "Hydra" }
 func (t *Tracker) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) []rh.Action {
 	t.stats.Activations++
 	rk := &t.ranks[loc.Rank]
-	idx := t.cfg.Geometry.RankRowIndex(loc)
-	g := idx / uint64(t.cfg.GroupSize)
+	idx := t.geo.RankRowIndex(loc)
+	g := idx / groupSize
 
-	if rk.gct[g] < t.cfg.NGC() {
+	if rk.gct[g] < t.ngc {
 		// Group-tracking phase: cheap, SRAM-only.
 		rk.gct[g]++
-		if rk.gct[g] == t.cfg.NGC() {
+		if rk.gct[g] == t.ngc {
 			// Transition to per-row tracking: rows inherit the group
 			// count (conservative, as in the original design).
-			base := g * uint64(t.cfg.GroupSize)
-			for i := uint64(0); i < uint64(t.cfg.GroupSize); i++ {
+			base := g * groupSize
+			for i := uint64(0); i < groupSize; i++ {
 				rk.rct.Set(base+i, rk.gct[g])
 			}
 		}
@@ -134,7 +109,7 @@ func (t *Tracker) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) []rh
 	}
 	cnt := rk.rct.Ref(idx)
 	*cnt++
-	if *cnt >= t.cfg.NM() {
+	if *cnt >= t.nm {
 		*cnt = 0
 		t.stats.Mitigations++
 		t.stats.VictimRefreshes++
@@ -147,7 +122,7 @@ func (t *Tracker) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) []rh
 // region: counters pack 32 to a cache line, lines stripe across the
 // channel's banks at the top of the row space.
 func (t *Tracker) counterLoc(idx uint64) dram.Loc {
-	g := t.cfg.Geometry
+	g := t.geo
 	line := idx / 32
 	banks := uint64(g.BanksPerChannel())
 	bank := int(line % banks)
@@ -167,7 +142,7 @@ func (t *Tracker) Tick(now dram.Cycle, buf []rh.Action) []rh.Action {
 	if now < t.nextRst {
 		return buf
 	}
-	t.nextRst += t.cfg.ResetWindow
+	t.nextRst += resetWindow
 	t.resets++
 	for r := range t.ranks {
 		rk := &t.ranks[r]
@@ -190,23 +165,19 @@ func (t *Tracker) TableOccupancy() rh.TableOccupancy {
 	occ := rh.TableOccupancy{Resets: t.resets}
 	for r := range t.ranks {
 		occ.Used += t.ranks[r].rcc.Occupancy()
-		occ.Capacity += t.cfg.RCCEntries
+		occ.Capacity += rccEntries
 	}
 	return occ
 }
 
-// RCCHitRate reports the row-counter-cache hit rate (observability for
-// the Perf-Attack experiments).
-func (t *Tracker) RCCHitRate(rank int) float64 { return t.ranks[rank].rcc.HitRate() }
-
 // GroupCount exposes a GCT entry (test hook).
 func (t *Tracker) GroupCount(loc dram.Loc) uint32 {
-	idx := t.cfg.Geometry.RankRowIndex(loc)
-	return t.ranks[loc.Rank].gct[idx/uint64(t.cfg.GroupSize)]
+	idx := t.geo.RankRowIndex(loc)
+	return t.ranks[loc.Rank].gct[idx/groupSize]
 }
 
 // RowCount exposes a per-row counter (test hook).
 func (t *Tracker) RowCount(loc dram.Loc) uint32 {
-	v, _ := t.ranks[loc.Rank].rct.Get(t.cfg.Geometry.RankRowIndex(loc))
+	v, _ := t.ranks[loc.Rank].rct.Get(t.geo.RankRowIndex(loc))
 	return v
 }

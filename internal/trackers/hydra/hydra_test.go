@@ -7,28 +7,30 @@ import (
 	"dapper/internal/rh"
 )
 
-func testCfg() Config {
+func testGeo() dram.Geometry {
 	g := dram.Baseline()
 	g.RowsPerBank = 2048
-	return Config{Geometry: g, NRH: 500}
+	return g
 }
+
+func newTest() *Tracker { return New(0, testGeo(), 500) }
 
 func loc(rank, bg, bank int, row uint32) dram.Loc {
 	return dram.Loc{Rank: rank, BankGroup: bg, Bank: bank, Row: row}
 }
 
 func TestThresholds(t *testing.T) {
-	c := testCfg()
-	if c.NM() != 250 {
-		t.Fatalf("NM = %d", c.NM())
+	tr := newTest()
+	if tr.nm != 250 {
+		t.Fatalf("NM = %d", tr.nm)
 	}
-	if c.NGC() != 200 { // 0.8 * 250
-		t.Fatalf("NGC = %d", c.NGC())
+	if tr.ngc != 200 { // 0.8 * 250
+		t.Fatalf("NGC = %d", tr.ngc)
 	}
 }
 
 func TestGroupPhaseNoCounterTraffic(t *testing.T) {
-	tr := New(0, testCfg())
+	tr := newTest()
 	l := loc(0, 0, 0, 100)
 	var acts []rh.Action
 	for i := 0; i < 150; i++ { // below NGC=200
@@ -43,7 +45,7 @@ func TestGroupPhaseNoCounterTraffic(t *testing.T) {
 }
 
 func TestTransitionToPerRowTracking(t *testing.T) {
-	tr := New(0, testCfg())
+	tr := newTest()
 	l := loc(0, 0, 0, 100)
 	for i := 0; i < 200; i++ {
 		tr.OnActivate(dram.Cycle(i), l, nil)
@@ -55,7 +57,7 @@ func TestTransitionToPerRowTracking(t *testing.T) {
 }
 
 func TestMitigationAtNM(t *testing.T) {
-	tr := New(0, testCfg())
+	tr := newTest()
 	l := loc(0, 0, 0, 100)
 	var mitigated []rh.Action
 	for i := 0; i < 260; i++ {
@@ -79,7 +81,7 @@ func TestMitigationAtNM(t *testing.T) {
 
 func TestRowHammerSecurityBound(t *testing.T) {
 	// A hammered row must be refreshed before NRH activations.
-	tr := New(0, testCfg())
+	tr := newTest()
 	l := loc(1, 3, 2, 500)
 	since := 0
 	for i := 0; i < 1500; i++ {
@@ -99,8 +101,7 @@ func TestRowHammerSecurityBound(t *testing.T) {
 func TestRCCMissesInjectCounterTraffic(t *testing.T) {
 	// Warm up one group into per-row mode, then touch many distinct
 	// per-row-tracked rows to overflow the 4K-entry RCC.
-	cfg := testCfg()
-	tr := New(0, cfg)
+	tr := newTest()
 	// Push 40 groups (128 rows each = 5120 rows > 4096 RCC entries)
 	// into per-row mode. Groups are consecutive 128-row blocks.
 	for g := 0; g < 40; g++ {
@@ -128,7 +129,7 @@ func TestRCCMissesInjectCounterTraffic(t *testing.T) {
 
 func TestRCCHitsNoCounterTraffic(t *testing.T) {
 	// A single hot per-row-tracked row stays cached: no traffic.
-	tr := New(0, testCfg())
+	tr := newTest()
 	l := loc(0, 0, 0, 100)
 	for i := 0; i < 200; i++ { // to per-row mode
 		tr.OnActivate(0, l, nil)
@@ -144,15 +145,15 @@ func TestRCCHitsNoCounterTraffic(t *testing.T) {
 }
 
 func TestCounterLocInReservedRegion(t *testing.T) {
-	cfg := testCfg()
-	tr := New(0, cfg)
+	g := testGeo()
+	tr := New(0, g, 500)
 	seen := map[int]bool{}
 	for i := uint64(0); i < 64*32; i += 32 {
 		l := tr.counterLoc(i)
-		if l.Row < cfg.Geometry.RowsPerBank-256 {
+		if l.Row < g.RowsPerBank-256 {
 			t.Fatalf("counter row %d outside reserved top region", l.Row)
 		}
-		seen[cfg.Geometry.FlatBank(l)] = true
+		seen[g.FlatBank(l)] = true
 	}
 	// Counter lines should stripe across many banks.
 	if len(seen) < 32 {
@@ -160,22 +161,27 @@ func TestCounterLocInReservedRegion(t *testing.T) {
 	}
 }
 
+// TestResetWindowClears pins the reset period at tREFW: a tick one
+// cycle short leaves the counters alone, the tick at tREFW clears them.
 func TestResetWindowClears(t *testing.T) {
-	cfg := testCfg()
-	cfg.ResetWindow = 1000
-	tr := New(0, cfg)
+	tr := newTest()
 	l := loc(0, 0, 0, 100)
 	for i := 0; i < 220; i++ {
 		tr.OnActivate(dram.Cycle(i), l, nil)
 	}
-	tr.Tick(1000, nil)
+	w := dram.DDR5().TREFW
+	tr.Tick(w-1, nil)
+	if tr.GroupCount(l) != 200 || tr.RowCount(l) != 220 {
+		t.Fatalf("tick before tREFW changed counters: group %d, row %d", tr.GroupCount(l), tr.RowCount(l))
+	}
+	tr.Tick(w, nil)
 	if tr.GroupCount(l) != 0 || tr.RowCount(l) != 0 {
 		t.Fatal("reset did not clear counters")
 	}
 }
 
 func TestName(t *testing.T) {
-	if New(0, testCfg()).Name() != "Hydra" {
+	if newTest().Name() != "Hydra" {
 		t.Fatal("name")
 	}
 }

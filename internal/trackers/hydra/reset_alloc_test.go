@@ -12,7 +12,7 @@ import (
 // tREFW reset plus a full re-run of the same working set must not touch
 // the allocator. Batched sweeps replay this cycle N times per point.
 func TestTickResetDoesNotAllocate(t *testing.T) {
-	tr := New(0, testCfg())
+	tr := newTest()
 	buf := make([]rh.Action, 0, 64)
 	l := loc(0, 0, 0, 100)
 	drive := func() {
@@ -24,7 +24,7 @@ func TestTickResetDoesNotAllocate(t *testing.T) {
 	}
 	drive() // grow structures to steady state
 
-	w := tr.cfg.ResetWindow
+	w := resetWindow
 	cyc := w
 	allocs := testing.AllocsPerRun(10, func() {
 		cyc += w

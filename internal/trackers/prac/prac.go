@@ -14,40 +14,21 @@ import (
 	"dapper/internal/rh"
 )
 
-// DefaultActTax is the per-activation counter update cost added to the
-// row cycle. Calibrated to the paper's ~7% average benign overhead
-// (§VI-K); the QPRAC design evaluates comparable extensions.
-var DefaultActTax = dram.NS(14)
+// actTax is the per-activation counter update cost added to the row
+// cycle. Calibrated to the paper's ~7% average benign overhead (§VI-K);
+// the QPRAC design evaluates comparable extensions.
+var actTax = dram.NS(14)
 
-// Config parameterises PRAC.
-type Config struct {
-	Geometry dram.Geometry
-	NRH      uint32
-	// ABOThreshold is the counter value that triggers an Alert Back-Off
-	// mitigation (defaults to 3/4 NRH: the alert must fire with enough
-	// margin to mitigate before NRH).
-	ABOThreshold uint32
-	// ActTax is the per-ACT timing tax (DefaultActTax if zero).
-	ActTax      dram.Cycle
-	ResetWindow dram.Cycle
-}
-
-func (c Config) withDefaults() Config {
-	if c.ABOThreshold == 0 {
-		c.ABOThreshold = c.NRH * 3 / 4
-	}
-	if c.ActTax == 0 {
-		c.ActTax = DefaultActTax
-	}
-	if c.ResetWindow == 0 {
-		c.ResetWindow = dram.DDR5().TREFW
-	}
-	return c
-}
+// resetWindow is the counter reset period (tREFW).
+var resetWindow = dram.DDR5().TREFW
 
 // Tracker is one channel's PRAC instance.
 type Tracker struct {
-	cfg     Config
+	geo dram.Geometry
+	// abo is the counter value that triggers an Alert Back-Off
+	// mitigation: 3/4 NRH, so the alert fires with enough margin to
+	// mitigate before NRH.
+	abo     uint32
 	channel int
 	// counts holds per-row activation counters, allocated lazily per
 	// bank (the real counters live inside the DRAM rows).
@@ -58,13 +39,13 @@ type Tracker struct {
 }
 
 // New builds a PRAC tracker for one channel.
-func New(channel int, cfg Config) *Tracker {
-	cfg = cfg.withDefaults()
+func New(channel int, geo dram.Geometry, nrh uint32) *Tracker {
 	return &Tracker{
-		cfg:     cfg,
+		geo:     geo,
+		abo:     nrh * 3 / 4,
 		channel: channel,
 		counts:  make(map[int][]uint32),
-		nextRst: cfg.ResetWindow,
+		nextRst: resetWindow,
 	}
 }
 
@@ -73,20 +54,20 @@ func (t *Tracker) Name() string { return "PRAC" }
 
 // ActTax implements rh.TimingTaxer: the system stretches tRC by this
 // amount for every activation.
-func (t *Tracker) ActTax() dram.Cycle { return t.cfg.ActTax }
+func (t *Tracker) ActTax() dram.Cycle { return actTax }
 
 // OnActivate implements rh.Tracker: exact per-row counting with ABO
 // mitigation at the threshold.
 func (t *Tracker) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) []rh.Action {
 	t.stats.Activations++
-	fb := t.cfg.Geometry.FlatBank(loc)
+	fb := t.geo.FlatBank(loc)
 	rows, ok := t.counts[fb]
 	if !ok {
-		rows = make([]uint32, t.cfg.Geometry.RowsPerBank)
+		rows = make([]uint32, t.geo.RowsPerBank)
 		t.counts[fb] = rows
 	}
 	rows[loc.Row]++
-	if rows[loc.Row] >= t.cfg.ABOThreshold {
+	if rows[loc.Row] >= t.abo {
 		rows[loc.Row] = 0
 		t.alerts++
 		t.stats.Mitigations++
@@ -102,7 +83,7 @@ func (t *Tracker) Tick(now dram.Cycle, buf []rh.Action) []rh.Action {
 	if now < t.nextRst {
 		return buf
 	}
-	t.nextRst += t.cfg.ResetWindow
+	t.nextRst += resetWindow
 	for _, rows := range t.counts {
 		for i := range rows {
 			rows[i] = 0
@@ -119,7 +100,7 @@ func (t *Tracker) Alerts() uint64 { return t.alerts }
 
 // RowCount exposes a row's counter (test hook).
 func (t *Tracker) RowCount(loc dram.Loc) uint32 {
-	if rows, ok := t.counts[t.cfg.Geometry.FlatBank(loc)]; ok {
+	if rows, ok := t.counts[t.geo.FlatBank(loc)]; ok {
 		return rows[loc.Row]
 	}
 	return 0

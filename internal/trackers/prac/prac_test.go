@@ -7,10 +7,10 @@ import (
 	"dapper/internal/rh"
 )
 
-func testCfg() Config {
+func newTest() *Tracker {
 	g := dram.Baseline()
 	g.RowsPerBank = 2048
-	return Config{Geometry: g, NRH: 500}
+	return New(0, g, 500)
 }
 
 func loc(rank, bg, bank int, row uint32) dram.Loc {
@@ -18,15 +18,15 @@ func loc(rank, bg, bank int, row uint32) dram.Loc {
 }
 
 func TestActTaxExposed(t *testing.T) {
-	tr := New(0, testCfg())
-	if tr.ActTax() != DefaultActTax {
+	tr := newTest()
+	if tr.ActTax() != dram.NS(14) {
 		t.Fatalf("tax = %d", tr.ActTax())
 	}
 	var _ rh.TimingTaxer = tr
 }
 
 func TestExactCounting(t *testing.T) {
-	tr := New(0, testCfg())
+	tr := newTest()
 	l := loc(0, 0, 0, 42)
 	for i := 0; i < 100; i++ {
 		tr.OnActivate(dram.Cycle(i), l, nil)
@@ -37,7 +37,7 @@ func TestExactCounting(t *testing.T) {
 }
 
 func TestABOMitigationAtThreshold(t *testing.T) {
-	tr := New(0, testCfg()) // ABO at 375
+	tr := newTest() // ABO at 375
 	l := loc(0, 0, 0, 42)
 	var acts []rh.Action
 	for i := 0; i < 375; i++ {
@@ -55,7 +55,7 @@ func TestABOMitigationAtThreshold(t *testing.T) {
 }
 
 func TestSecurityBoundIsExact(t *testing.T) {
-	tr := New(0, testCfg())
+	tr := newTest()
 	l := loc(1, 3, 2, 9)
 	since := 0
 	for i := 0; i < 3000; i++ {
@@ -73,7 +73,7 @@ func TestSecurityBoundIsExact(t *testing.T) {
 func TestNoFalseMitigations(t *testing.T) {
 	// Exact counters: distinct rows never trigger anything until each
 	// individually crosses the threshold.
-	tr := New(0, testCfg())
+	tr := newTest()
 	for i := 0; i < 100000; i++ {
 		l := loc(0, i%8, (i/8)%4, uint32(i%2048))
 		if acts := tr.OnActivate(dram.Cycle(i), l, nil); len(acts) != 0 {
@@ -86,7 +86,7 @@ func TestNoFalseMitigations(t *testing.T) {
 }
 
 func TestPerBankIsolation(t *testing.T) {
-	tr := New(0, testCfg())
+	tr := newTest()
 	a := loc(0, 0, 0, 7)
 	b := loc(0, 0, 1, 7) // same row index, different bank
 	for i := 0; i < 50; i++ {
@@ -97,22 +97,27 @@ func TestPerBankIsolation(t *testing.T) {
 	}
 }
 
+// TestWindowReset pins the reset period at tREFW: a tick one cycle
+// short keeps the counters, the tick at tREFW clears them.
 func TestWindowReset(t *testing.T) {
-	cfg := testCfg()
-	cfg.ResetWindow = 1000
-	tr := New(0, cfg)
+	tr := newTest()
 	l := loc(0, 0, 0, 3)
 	for i := 0; i < 200; i++ {
 		tr.OnActivate(dram.Cycle(i), l, nil)
 	}
-	tr.Tick(1000, nil)
+	w := dram.DDR5().TREFW
+	tr.Tick(w-1, nil)
+	if got := tr.RowCount(l); got != 200 {
+		t.Fatalf("tick before tREFW left count %d, want 200", got)
+	}
+	tr.Tick(w, nil)
 	if tr.RowCount(l) != 0 {
 		t.Fatal("reset did not clear")
 	}
 }
 
 func TestName(t *testing.T) {
-	if New(0, testCfg()).Name() != "PRAC" {
+	if newTest().Name() != "PRAC" {
 		t.Fatal("name")
 	}
 }

@@ -19,45 +19,20 @@ import (
 // CountersPerLine is how many row counters fit one 64B cache line.
 const CountersPerLine = 32
 
-// Config parameterises START.
-type Config struct {
-	Geometry dram.Geometry
-	NRH      uint32
-	// LLCBytes is the full LLC capacity; START reserves ReservedFrac of
-	// it for counters (default half, per the paper).
-	LLCBytes     int
-	ReservedFrac float64
-	// LLCWays is the LLC associativity (16).
-	LLCWays     int
-	ResetWindow dram.Cycle
-	Seed        uint64
-}
+// START's sizing, from the original design.
+const (
+	reservedFrac = 0.5 // share of the LLC reserved for counters
+	llcWays      = 16  // LLC associativity
+	seed         = 0x57A27
+)
 
-func (c Config) withDefaults() Config {
-	if c.LLCBytes == 0 {
-		c.LLCBytes = 8 << 20
-	}
-	if c.ReservedFrac == 0 {
-		c.ReservedFrac = 0.5
-	}
-	if c.LLCWays == 0 {
-		c.LLCWays = 16
-	}
-	if c.ResetWindow == 0 {
-		c.ResetWindow = dram.DDR5().TREFW
-	}
-	if c.Seed == 0 {
-		c.Seed = 0x57A27
-	}
-	return c
-}
-
-// NM returns the mitigation threshold NRH/2.
-func (c Config) NM() uint32 { return c.NRH / 2 }
+// resetWindow is the counter reset period (tREFW).
+var resetWindow = dram.DDR5().TREFW
 
 // Tracker is one channel's START instance.
 type Tracker struct {
-	cfg     Config
+	geo     dram.Geometry
+	nm      uint32 // mitigation threshold NRH/2
 	channel int
 	// counterCache models the reserved LLC region holding counter
 	// lines; a miss is a DRAM fetch (+ write-back when dirty).
@@ -67,24 +42,25 @@ type Tracker struct {
 	stats        rh.Stats
 }
 
-// New builds a START tracker for one channel.
-func New(channel int, cfg Config) *Tracker {
-	cfg = cfg.withDefaults()
-	reservedBytes := int(float64(cfg.LLCBytes) * cfg.ReservedFrac)
+// New builds a START tracker for one channel; llcBytes is the full LLC
+// capacity it reserves its counter region from.
+func New(channel int, geo dram.Geometry, nrh uint32, llcBytes int) *Tracker {
+	reservedBytes := int(float64(llcBytes) * reservedFrac)
 	lines := reservedBytes / 64
-	if lines < cfg.LLCWays {
-		lines = cfg.LLCWays
+	if lines < llcWays {
+		lines = llcWays
 	}
 	cc := cache.MustNew(cache.Config{
-		Sets: lines / cfg.LLCWays, Ways: cfg.LLCWays,
-		Seed: cfg.Seed ^ uint64(channel),
+		Sets: lines / llcWays, Ways: llcWays,
+		Seed: seed ^ uint64(channel),
 	})
 	return &Tracker{
-		cfg:          cfg,
+		geo:          geo,
+		nm:           nrh / 2,
 		channel:      channel,
 		counterCache: cc,
 		counts:       flatmap.New[uint32](4 * lines),
-		nextRst:      cfg.ResetWindow,
+		nextRst:      resetWindow,
 	}
 }
 
@@ -93,12 +69,12 @@ func (t *Tracker) Name() string { return "START" }
 
 // LLCReservedFraction implements rh.LLCReserver: the system halves the
 // LLC available to applications.
-func (t *Tracker) LLCReservedFraction() float64 { return t.cfg.ReservedFrac }
+func (t *Tracker) LLCReservedFraction() float64 { return reservedFrac }
 
 // OnActivate implements rh.Tracker.
 func (t *Tracker) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) []rh.Action {
 	t.stats.Activations++
-	g := t.cfg.Geometry
+	g := t.geo
 	idx := uint64(loc.Rank)*g.RowsPerRank() + g.RankRowIndex(loc)
 	line := idx / CountersPerLine
 
@@ -113,7 +89,7 @@ func (t *Tracker) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) []rh
 	}
 	cnt := t.counts.Ref(idx)
 	*cnt++
-	if *cnt >= t.cfg.NM() {
+	if *cnt >= t.nm {
 		*cnt = 0
 		t.stats.Mitigations++
 		t.stats.VictimRefreshes++
@@ -125,7 +101,7 @@ func (t *Tracker) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) []rh
 // counterLoc maps a counter line to the reserved DRAM region (striped
 // across banks at the top of the row space, like Hydra's RCT).
 func (t *Tracker) counterLoc(line uint64) dram.Loc {
-	g := t.cfg.Geometry
+	g := t.geo
 	banks := uint64(g.BanksPerChannel())
 	bank := int(line % banks)
 	inBank := line / banks
@@ -144,7 +120,7 @@ func (t *Tracker) Tick(now dram.Cycle, buf []rh.Action) []rh.Action {
 	if now < t.nextRst {
 		return buf
 	}
-	t.nextRst += t.cfg.ResetWindow
+	t.nextRst += resetWindow
 	t.counterCache.Reset()
 	t.counts.Reset()
 	return buf
@@ -152,6 +128,3 @@ func (t *Tracker) Tick(now dram.Cycle, buf []rh.Action) []rh.Action {
 
 // Stats implements rh.Tracker.
 func (t *Tracker) Stats() rh.Stats { return t.stats }
-
-// CounterCacheHitRate exposes the reserved-region hit rate.
-func (t *Tracker) CounterCacheHitRate() float64 { return t.counterCache.HitRate() }

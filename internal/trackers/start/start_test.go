@@ -7,11 +7,12 @@ import (
 	"dapper/internal/rh"
 )
 
-func testCfg() Config {
+func newTest() *Tracker {
 	g := dram.Baseline()
 	g.RowsPerBank = 2048
-	// Small counter cache so tests can overflow it quickly.
-	return Config{Geometry: g, NRH: 500, LLCBytes: 64 * 1024}
+	// A 64 KiB LLC: a small counter cache so tests can overflow it
+	// quickly.
+	return New(0, g, 500, 64*1024)
 }
 
 func loc(rank, bg, bank int, row uint32) dram.Loc {
@@ -19,7 +20,7 @@ func loc(rank, bg, bank int, row uint32) dram.Loc {
 }
 
 func TestReservesHalfLLC(t *testing.T) {
-	tr := New(0, testCfg())
+	tr := newTest()
 	if tr.LLCReservedFraction() != 0.5 {
 		t.Fatalf("reserved = %v", tr.LLCReservedFraction())
 	}
@@ -27,7 +28,7 @@ func TestReservesHalfLLC(t *testing.T) {
 }
 
 func TestFirstAccessFetchesCounterLine(t *testing.T) {
-	tr := New(0, testCfg())
+	tr := newTest()
 	acts := tr.OnActivate(0, loc(0, 0, 0, 0), nil)
 	if len(acts) != 1 || acts[0].Kind != rh.InjectRead {
 		t.Fatalf("expected one counter fetch, got %v", acts)
@@ -35,7 +36,7 @@ func TestFirstAccessFetchesCounterLine(t *testing.T) {
 }
 
 func TestCachedCounterLineNoTraffic(t *testing.T) {
-	tr := New(0, testCfg())
+	tr := newTest()
 	tr.OnActivate(0, loc(0, 0, 0, 0), nil)
 	// Rows 0..31 share a counter line.
 	acts := tr.OnActivate(1, loc(0, 0, 0, 1), nil)
@@ -47,7 +48,7 @@ func TestCachedCounterLineNoTraffic(t *testing.T) {
 func TestStreamingThrashesCounterCache(t *testing.T) {
 	// Stream far more counter lines than the reserved region holds:
 	// every new line fetches, dirty evictions write back.
-	tr := New(0, testCfg())
+	tr := newTest()
 	reads, writes := 0, 0
 	for row := uint32(0); row < 2048; row++ {
 		for bank := 0; bank < 32; bank++ {
@@ -71,7 +72,7 @@ func TestStreamingThrashesCounterCache(t *testing.T) {
 }
 
 func TestMitigationAtNM(t *testing.T) {
-	tr := New(0, testCfg())
+	tr := newTest()
 	l := loc(0, 1, 1, 77)
 	var refreshes int
 	for i := 0; i < 260; i++ {
@@ -91,7 +92,7 @@ func TestMitigationAtNM(t *testing.T) {
 }
 
 func TestSecurityBound(t *testing.T) {
-	tr := New(0, testCfg())
+	tr := newTest()
 	l := loc(1, 0, 3, 1000)
 	since := 0
 	for i := 0; i < 2000; i++ {
@@ -108,19 +109,28 @@ func TestSecurityBound(t *testing.T) {
 	}
 }
 
+// TestResetClears pins the reset period at tREFW: a tick one cycle
+// short keeps the counters, the tick at tREFW clears them.
 func TestResetClears(t *testing.T) {
-	cfg := testCfg()
-	cfg.ResetWindow = 500
-	tr := New(0, cfg)
+	tr := newTest()
 	l := loc(0, 0, 0, 5)
 	for i := 0; i < 100; i++ {
 		tr.OnActivate(dram.Cycle(i), l, nil)
 	}
-	tr.Tick(500, nil)
+	idx := tr.geo.RankRowIndex(l)
+	w := dram.DDR5().TREFW
+	tr.Tick(w-1, nil)
+	if got, _ := tr.counts.Get(idx); got != 100 {
+		t.Fatalf("tick before tREFW left count %d, want 100", got)
+	}
+	tr.Tick(w, nil)
+	if got, _ := tr.counts.Get(idx); got != 0 {
+		t.Fatalf("tick at tREFW left count %d, want 0", got)
+	}
 	// After reset the same row needs NM more ACTs to mitigate.
 	mitigations := tr.Stats().Mitigations
 	for i := 0; i < 200; i++ {
-		tr.OnActivate(dram.Cycle(500+i), l, nil)
+		tr.OnActivate(w+dram.Cycle(i), l, nil)
 	}
 	if tr.Stats().Mitigations != mitigations {
 		t.Fatal("counter survived the reset")
@@ -128,7 +138,7 @@ func TestResetClears(t *testing.T) {
 }
 
 func TestDistinctRanksDistinctCounters(t *testing.T) {
-	tr := New(0, testCfg())
+	tr := newTest()
 	for i := 0; i < 200; i++ {
 		tr.OnActivate(dram.Cycle(i), loc(0, 0, 0, 9), nil)
 	}
@@ -143,7 +153,7 @@ func TestDistinctRanksDistinctCounters(t *testing.T) {
 }
 
 func TestName(t *testing.T) {
-	if New(0, testCfg()).Name() != "START" {
+	if newTest().Name() != "START" {
 		t.Fatal("name")
 	}
 }
