@@ -306,14 +306,15 @@
 //     intrinsic service, row conflict, queue time behind other
 //     demand, injected tracker traffic, mitigation blocks (VRR/RFM
 //     the defense issued), refresh, bulk resets, throttling and
-//     scheduling gaps. telemetry.BlameRecorder folds the controller's
-//     serve and block events — block causes and BlockHammer's
+//     scheduling gaps. The telemetry.Recorder that folds the Series
+//     also folds the controller's serve and block events — block causes and BlockHammer's
 //     throttle-gate times travel in the events, and each bank's row
 //     opener is rebuilt from the serves — into a per-bank ledger of
 //     blocking segments (first claimer wins, so overlapping causes
 //     never double-bill), and the buckets sum exactly to the measured
-//     wait: conservation is asserted by Attribution.Validate on every
-//     run, per window and grand total.
+//     wait: conservation is asserted by the Recorder's one Finish
+//     (Attribution.Validate and CheckSeries) on every run, per window
+//     and grand total.
 //   - The N×N blame matrix (Attribution.Matrix): wait cycles with an
 //     identifiable culprit core — conflicts against rows it opened,
 //     queue time behind its serves, mitigation blocks it triggered —

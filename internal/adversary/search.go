@@ -65,23 +65,20 @@ type Options struct {
 	// Seed drives sampling and climbing; equal (Seed, Budget) pairs
 	// produce byte-identical reports.
 	Seed uint64
-	// Rungs is the successive-halving depth (default 3: measure/4,
-	// measure/2, measure).
-	Rungs int
-	// Survivors is the number of top candidates hill-climbed at the full
-	// horizon (default 2).
-	Survivors int
 }
+
+const (
+	// rungs is the successive-halving depth: measure/4, measure/2,
+	// measure.
+	rungs = 3
+	// survivors is the number of top candidates hill-climbed at the
+	// full horizon.
+	survivors = 2
+)
 
 func (o Options) withDefaults() Options {
 	if o.Budget <= 0 {
 		o.Budget = 32
-	}
-	if o.Rungs <= 0 {
-		o.Rungs = 3
-	}
-	if o.Survivors <= 0 {
-		o.Survivors = 2
 	}
 	if o.NRH == 0 {
 		o.NRH = o.Profile.NRH
@@ -270,7 +267,7 @@ func Search(opts Options, pool *harness.Pool) (*Report, error) {
 		}
 	}
 	climbBudget := opts.Budget / 4
-	screenWeight := 2 - math.Pow(2, float64(1-opts.Rungs))
+	screenWeight := 2 - math.Pow(2, float64(1-rungs))
 	n0 := int(float64(opts.Budget-climbBudget) / screenWeight)
 	for i := len(cands); i < n0; i++ {
 		v := space.Sample(rng)
@@ -290,22 +287,22 @@ func Search(opts Options, pool *harness.Pool) (*Report, error) {
 		Label: "tailored:" + refKind.String(), Params: refParams,
 		Canonical: refParams.Canonical(),
 	}}
-	if err := ev.evalBatch([]*candidate{ref}, []attack.Kind{refKind}, full, opts.Rungs-1); err != nil {
+	if err := ev.evalBatch([]*candidate{ref}, []attack.Kind{refKind}, full, rungs-1); err != nil {
 		return nil, err
 	}
 
 	// Stage 1: successive halving. Rung r runs at measure/2^(R-1-r);
 	// the bottom half drops out after each rung.
-	for rung := 0; rung < opts.Rungs; rung++ {
-		measure := full >> (opts.Rungs - 1 - rung)
+	for rung := 0; rung < rungs; rung++ {
+		measure := full >> (rungs - 1 - rung)
 		if err := ev.evalBatch(cands, nil, measure, rung); err != nil {
 			return nil, err
 		}
 		sortCands(opts.Objective, cands)
-		if rung < opts.Rungs-1 {
+		if rung < rungs-1 {
 			keep := len(cands) / 2
-			if keep < opts.Survivors {
-				keep = opts.Survivors
+			if keep < survivors {
+				keep = survivors
 			}
 			if keep > len(cands) {
 				keep = len(cands)
@@ -319,13 +316,13 @@ func Search(opts Options, pool *harness.Pool) (*Report, error) {
 	// Hand-written seed points live outside the projected space (no
 	// vector) and are already fully evaluated.
 	climbed := 0
-	var survivors []*candidate
+	var climbers []*candidate
 	for _, c := range cands {
-		if c.Vector != nil && len(survivors) < opts.Survivors {
-			survivors = append(survivors, c)
+		if c.Vector != nil && len(climbers) < survivors {
+			climbers = append(climbers, c)
 		}
 	}
-	for _, start := range survivors {
+	for _, start := range climbers {
 		cur := start
 		for ev.evals < opts.Budget {
 			improved := false
@@ -344,7 +341,7 @@ func Search(opts Options, pool *harness.Pool) (*Report, error) {
 						Vector: nv,
 					}}
 					climbed++
-					if err := ev.evalBatch([]*candidate{nc}, nil, full, opts.Rungs-1); err != nil {
+					if err := ev.evalBatch([]*candidate{nc}, nil, full, rungs-1); err != nil {
 						return nil, err
 					}
 					if opts.Objective.better(nc, cur) {

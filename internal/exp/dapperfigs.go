@@ -34,15 +34,9 @@ func Fig9(p Profile) (*Table, error) {
 		refr[w.Name] = np
 	}
 	for _, suite := range append(workloads.Suites(), "All") {
-		var ws []workloads.Workload
-		if suite == "All" {
-			ws = p.Workloads
-		} else {
-			for _, w := range p.Workloads {
-				if w.Suite == suite {
-					ws = append(ws, w)
-				}
-			}
+		ws := p.Workloads
+		if suite != "All" {
+			ws = workloads.BySuite(ws, suite)
 		}
 		if len(ws) == 0 {
 			continue

@@ -67,15 +67,9 @@ func Fig1(p Profile) (*Table, error) {
 	}
 	suites := append(workloads.Suites(), "All")
 	for _, suite := range suites {
-		var ws []workloads.Workload
-		if suite == "All" {
-			ws = p.Workloads
-		} else {
-			for _, w := range p.Workloads {
-				if w.Suite == suite {
-					ws = append(ws, w)
-				}
-			}
+		ws := p.Workloads
+		if suite != "All" {
+			ws = workloads.BySuite(ws, suite)
 		}
 		if len(ws) == 0 {
 			continue

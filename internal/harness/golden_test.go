@@ -17,7 +17,7 @@ import (
 // real Recorder, so the golden pins the exact fold arithmetic and JSON
 // shape a telemetry run produces.
 func goldenSeries() *telemetry.Series {
-	rec, err := telemetry.NewRecorder(telemetry.RecorderConfig{
+	rec, err := telemetry.NewRecorder(telemetry.Config{
 		Cores: 2, Channels: 1,
 		Window: dram.US(10), End: dram.US(35), Warmup: dram.US(5),
 	})
@@ -40,7 +40,11 @@ func goldenSeries() *telemetry.Series {
 	}
 	rec.CoreProbe(0).CoreSegment(0, dram.US(35), uint64(dram.US(35))*2, dram.US(30), false)
 	rec.CoreProbe(1).CoreSegment(0, dram.US(35), 0, 0, false)
-	return rec.Finish()
+	s, _, err := rec.Finish(nil)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 // goldenRecords is a fixed three-record stream: a plain run, an

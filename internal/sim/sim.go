@@ -191,29 +191,16 @@ func run(cfg Config, wrapT func(channel int, t rh.Tracker) rh.Tracker) (Result, 
 	end := cfg.Warmup + cfg.Measure
 
 	var rec *telemetry.Recorder
-	if cfg.TelemetryWindow > 0 {
+	if cfg.TelemetryWindow > 0 || cfg.Attribution {
 		var err error
-		rec, err = telemetry.NewRecorder(telemetry.RecorderConfig{
-			Cores:       len(cfg.Traces),
-			Channels:    cfg.Geometry.Channels,
-			Window:      cfg.TelemetryWindow,
-			End:         end,
-			Warmup:      cfg.Warmup,
-			SplitStalls: cfg.Attribution,
-		})
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	var blameRec *telemetry.BlameRecorder
-	if cfg.Attribution {
-		var err error
-		blameRec, err = telemetry.NewBlameRecorder(telemetry.BlameRecorderConfig{
+		rec, err = telemetry.NewRecorder(telemetry.Config{
 			Cores:           len(cfg.Traces),
 			Channels:        cfg.Geometry.Channels,
 			BanksPerChannel: cfg.Geometry.BanksPerChannel(),
 			Window:          cfg.TelemetryWindow,
 			End:             end,
+			Warmup:          cfg.Warmup,
+			Attribution:     cfg.Attribution,
 		})
 		if err != nil {
 			return Result{}, err
@@ -249,9 +236,6 @@ func run(cfg Config, wrapT func(channel int, t rh.Tracker) rh.Tracker) (Result, 
 		if rec != nil {
 			sinks = append(sinks, rec.Sink(ch))
 		}
-		if blameRec != nil {
-			sinks = append(sinks, blameRec.Sink(ch))
-		}
 		controllers[ch].SetSink(rh.Tee(sinks...))
 	}
 
@@ -273,7 +257,7 @@ func run(cfg Config, wrapT func(channel int, t rh.Tracker) rh.Tracker) (Result, 
 	cores := make([]*cpu.Core, len(cfg.Traces))
 	for i, tr := range cfg.Traces {
 		cores[i] = cpu.New(i, tr, hier)
-		if rec != nil {
+		if cfg.TelemetryWindow > 0 {
 			cores[i].SetProbe(rec.CoreProbe(i))
 		}
 	}
@@ -315,59 +299,55 @@ func run(cfg Config, wrapT func(channel int, t rh.Tracker) rh.Tracker) (Result, 
 	for _, t := range trackers {
 		res.TrackerNames = append(res.TrackerNames, t.Name())
 	}
-	var series *telemetry.Series
 	if rec != nil {
-		series = rec.Finish()
-	}
-	if blameRec != nil {
-		attr := blameRec.Finish()
+		cpi := make([]telemetry.CPIStack, len(cores))
 		for i, c := range cores {
 			rob, bp := c.StallBreakdown()
 			cyc := c.Cycles()
-			attr.Cores[i].CPI = telemetry.CPIStack{
+			cpi[i] = telemetry.CPIStack{
 				Cycles:   cyc,
 				Dispatch: cyc - rob - bp,
 				StallROB: rob,
 				StallBP:  bp,
 			}
 		}
-		if err := attr.Validate(); err != nil {
+		series, attr, err := rec.Finish(cpi)
+		if err != nil {
 			return Result{}, err
 		}
-		// Grand-total conservation against the controllers' own
-		// accounting: every core's cycle count is the run length, and
-		// the blame buckets across cores sum exactly to the cumulative
-		// demand-read wait the controllers measured.
-		var blameTotal uint64
-		for i := range attr.Cores {
-			if attr.Cores[i].CPI.Cycles != uint64(end) {
-				return Result{}, fmt.Errorf("sim: attribution conservation violated: core %d counted %d cycles, run has %d",
-					i, attr.Cores[i].CPI.Cycles, end)
-			}
-			blameTotal += attr.Cores[i].Mem.Total
-		}
-		if blameTotal != uint64(final.mem.TotalReadWait) {
-			return Result{}, fmt.Errorf("sim: attribution conservation violated: blame total %d != read wait %d",
-				blameTotal, final.mem.TotalReadWait)
-		}
-		if series != nil {
-			series.Blame = blameRec.WindowSeries()
-			if err := attr.CheckSeries(series); err != nil {
+		if attr != nil {
+			if err := checkAttribution(attr, final, end); err != nil {
 				return Result{}, err
 			}
 		}
-		res.Attribution = attr
-	}
-	if series != nil {
-		if err := series.Validate(); err != nil {
-			return Result{}, err
+		if series != nil {
+			if err := checkConservation(series, final, cores); err != nil {
+				return Result{}, err
+			}
 		}
-		if err := checkConservation(series, final, cores); err != nil {
-			return Result{}, err
-		}
-		res.Series = series
+		res.Series, res.Attribution = series, attr
 	}
 	return res, nil
+}
+
+// checkAttribution cross-checks the attribution's grand totals against
+// the controllers' own accounting: every core's cycle count is the run
+// length, and the blame buckets across cores sum exactly to the
+// cumulative demand-read wait the controllers measured.
+func checkAttribution(a *telemetry.Attribution, final snapshots, end dram.Cycle) error {
+	var blameTotal uint64
+	for i := range a.Cores {
+		if a.Cores[i].CPI.Cycles != uint64(end) {
+			return fmt.Errorf("sim: attribution conservation violated: core %d counted %d cycles, run has %d",
+				i, a.Cores[i].CPI.Cycles, end)
+		}
+		blameTotal += a.Cores[i].Mem.Total
+	}
+	if blameTotal != uint64(final.mem.TotalReadWait) {
+		return fmt.Errorf("sim: attribution conservation violated: blame total %d != read wait %d",
+			blameTotal, final.mem.TotalReadWait)
+	}
+	return nil
 }
 
 // checkConservation cross-checks the telemetry fold's grand totals

@@ -1,10 +1,9 @@
 // Package stats provides the small statistical helpers used throughout
-// the experiment harness: arithmetic and geometric means, normalization,
-// and simple aggregation by key.
+// the experiment harness: arithmetic and geometric means, extrema,
+// percentiles and slowdown normalization.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -118,78 +117,6 @@ func PercentileSorted(sorted []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Grouped accumulates values under string keys and reports per-key
-// aggregates. It is used to aggregate per-workload results into
-// per-suite results. Percentile queries sort each key's values at most
-// once between Adds, so report loops that ask for many quantiles of
-// the same key pay a single sort.
-type Grouped struct {
-	order  []string
-	vals   map[string][]float64
-	sorted map[string][]float64 // per-key sort-once cache, invalidated by Add
-}
-
-// NewGrouped returns an empty Grouped accumulator.
-func NewGrouped() *Grouped {
-	return &Grouped{
-		vals:   make(map[string][]float64),
-		sorted: make(map[string][]float64),
-	}
-}
-
-// Add appends v under key, remembering first-seen key order.
-func (g *Grouped) Add(key string, v float64) {
-	if _, ok := g.vals[key]; !ok {
-		g.order = append(g.order, key)
-	}
-	g.vals[key] = append(g.vals[key], v)
-	delete(g.sorted, key)
-}
-
-// Keys returns keys in first-insertion order.
-func (g *Grouped) Keys() []string { return append([]string(nil), g.order...) }
-
-// Values returns the raw values recorded under key.
-func (g *Grouped) Values(key string) []float64 { return g.vals[key] }
-
-// Mean returns the arithmetic mean of the values recorded under key.
-func (g *Grouped) Mean(key string) float64 { return Mean(g.vals[key]) }
-
-// Count returns how many values were recorded under key.
-func (g *Grouped) Count(key string) int { return len(g.vals[key]) }
-
-// Percentile returns the p-th percentile of the values recorded under
-// key. The key's values are sorted once and cached; subsequent queries
-// for the same key (until the next Add) are O(1) lookups plus
-// interpolation, so report loops can ask for p50/p95/p99 of every key
-// without resorting.
-func (g *Grouped) Percentile(key string, p float64) float64 {
-	return PercentileSorted(g.sortedVals(key), p)
-}
-
-func (g *Grouped) sortedVals(key string) []float64 {
-	if s, ok := g.sorted[key]; ok {
-		return s
-	}
-	vs := g.vals[key]
-	if vs == nil {
-		return nil
-	}
-	s := append([]float64(nil), vs...)
-	sort.Float64s(s)
-	if g.sorted == nil {
-		g.sorted = make(map[string][]float64)
-	}
-	g.sorted[key] = s
-	return s
-}
-
-// FormatPct renders a fraction (e.g. 0.013) as a percentage string
-// ("1.3%") with one decimal.
-func FormatPct(f float64) string {
-	return fmt.Sprintf("%.1f%%", f*100)
 }
 
 // Slowdown converts a normalized performance value (e.g. 0.87) into a

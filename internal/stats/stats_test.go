@@ -145,78 +145,12 @@ func TestNaNBehavior(t *testing.T) {
 	}
 }
 
-func TestGrouped(t *testing.T) {
-	g := NewGrouped()
-	g.Add("a", 1)
-	g.Add("b", 10)
-	g.Add("a", 3)
-	keys := g.Keys()
-	if len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
-		t.Fatalf("keys = %v", keys)
-	}
-	if !almostEq(g.Mean("a"), 2) {
-		t.Fatalf("mean(a) = %v", g.Mean("a"))
-	}
-	if g.Count("b") != 1 {
-		t.Fatalf("count(b) = %d", g.Count("b"))
-	}
-	if len(g.Values("a")) != 2 {
-		t.Fatalf("values(a) = %v", g.Values("a"))
-	}
-}
-
-// TestGroupedPercentileSortOnce pins the sort-once cache: repeated
-// percentile queries reuse one sorted copy, an Add invalidates it, and
-// the raw insertion-order values are never disturbed.
-func TestGroupedPercentileSortOnce(t *testing.T) {
-	g := NewGrouped()
-	for _, v := range []float64{30, 10, 40, 20} {
-		g.Add("k", v)
-	}
-	if got := g.Percentile("k", 0); got != 10 {
-		t.Fatalf("p0 = %v, want 10", got)
-	}
-	if got := g.Percentile("k", 100); got != 40 {
-		t.Fatalf("p100 = %v, want 40", got)
-	}
-	if got := g.Percentile("k", 50); !almostEq(got, 25) {
-		t.Fatalf("p50 = %v, want 25", got)
-	}
-	// Repeat queries must not sort again (cache hit = zero allocations).
-	allocs := testing.AllocsPerRun(10, func() {
-		g.Percentile("k", 95)
-	})
-	if allocs != 0 {
-		t.Fatalf("cached Grouped.Percentile allocated %v times per run; want 0", allocs)
-	}
-	// Raw values keep insertion order (reports that iterate Values rely
-	// on it).
-	if vs := g.Values("k"); vs[0] != 30 || vs[3] != 20 {
-		t.Fatalf("raw values disturbed by percentile queries: %v", vs)
-	}
-	// Add invalidates the cache.
-	g.Add("k", 5)
-	if got := g.Percentile("k", 0); got != 5 {
-		t.Fatalf("p0 after Add = %v, want 5 (stale sort cache?)", got)
-	}
-	// Unknown keys behave like empty slices.
-	if g.Percentile("missing", 50) != 0 {
-		t.Fatal("percentile of missing key should be 0")
-	}
-}
-
 func TestSlowdown(t *testing.T) {
 	if !almostEq(Slowdown(0.9), 0.1) {
 		t.Fatalf("slowdown(0.9) = %v", Slowdown(0.9))
 	}
 	if Slowdown(1.2) != 0 {
 		t.Fatal("slowdown above 1 should clamp to 0")
-	}
-}
-
-func TestFormatPct(t *testing.T) {
-	if got := FormatPct(0.013); got != "1.3%" {
-		t.Fatalf("FormatPct = %q", got)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 //     blame sources (row conflicts with a culprit core, mitigation
 //     blocks, REF, tracker-injected traffic, throttling, residual
 //     scheduling), folded from the controller's serve and block events
-//     by the BlameRecorder below.
+//     by the Recorder.
 //
 // Both are conservation-checked (buckets sum exactly to cycles / to
 // the controller's TotalReadWait) and, like the Series fold, depend
@@ -189,8 +189,8 @@ func (a *Attribution) Validate() error {
 // CheckSeries cross-checks the windowed stacks riding a Series against
 // this Attribution's grand totals: every per-core blame series and
 // stall-split series must sum exactly to its total (per-window
-// conservation). Call after both are assembled; sim.Run does on every
-// attribution+telemetry run.
+// conservation). Recorder.Finish calls it on every windowed
+// attribution run.
 func (a *Attribution) CheckSeries(s *Series) error {
 	if s == nil {
 		return nil
@@ -375,125 +375,25 @@ func (l *bankLedger) insert(i int, s blameSeg) {
 	l.segs[i] = s
 }
 
-// BlameRecorderConfig sizes a BlameRecorder for one run.
-type BlameRecorderConfig struct {
-	Cores           int
-	Channels        int
-	BanksPerChannel int
-	// Window, when positive, additionally folds per-core blame into
-	// windowed series (riding Series.Blame); zero collects grand
-	// totals and the matrix only.
-	Window dram.Cycle
-	// End is the run length (warmup + measure); attribution covers the
-	// whole run, like the Series.
-	End dram.Cycle
-}
-
-// BlameRecorder folds controller serve/block events into per-core
-// MemBlame breakdowns, the core→core blame matrix, and (optionally)
-// windowed blame series. One recorder serves the whole system: attach
-// Sink(ch) to channel ch's controller. Single-threaded, wall-clock
-// free, and exact: every decomposition is interval arithmetic on event
-// timestamps, so both engines produce byte-identical results.
-type BlameRecorder struct {
-	cfg  BlameRecorderConfig
-	nWin int
-
-	banks  []bankLedger // cfg.Channels * cfg.BanksPerChannel
-	floors []dram.Cycle // per-channel pruning watermark
-	// openers tracks, per bank (indexed like banks), who opened the
-	// currently open row: a core id, -1 for none or a write-back, -2 for
-	// injected counter traffic. It is what lets a row-buffer conflict
-	// name its culprit.
-	openers []int16
-
-	totals []blameBuckets
-	matrix [][]uint64
-	win    [][numBlameBuckets][]uint64 // per core, when Window > 0
-
-	finished bool
-}
-
-// NewBlameRecorder builds a BlameRecorder.
-func NewBlameRecorder(cfg BlameRecorderConfig) (*BlameRecorder, error) {
-	if cfg.Cores <= 0 || cfg.Channels <= 0 || cfg.BanksPerChannel <= 0 {
-		return nil, fmt.Errorf("telemetry: blame recorder needs cores/channels/banks, got %d/%d/%d",
-			cfg.Cores, cfg.Channels, cfg.BanksPerChannel)
-	}
-	if cfg.End <= 0 {
-		return nil, fmt.Errorf("telemetry: blame recorder run length must be positive, got %d", cfg.End)
-	}
-	r := &BlameRecorder{cfg: cfg}
-	r.banks = make([]bankLedger, cfg.Channels*cfg.BanksPerChannel)
-	r.floors = make([]dram.Cycle, cfg.Channels)
-	r.openers = make([]int16, len(r.banks))
-	for i := range r.openers {
-		r.openers[i] = -1
-	}
-	r.totals = make([]blameBuckets, cfg.Cores)
-	r.matrix = make([][]uint64, cfg.Cores)
-	for i := range r.matrix {
-		r.matrix[i] = make([]uint64, cfg.Cores)
-	}
-	if cfg.Window > 0 {
-		nWin := (cfg.End + cfg.Window - 1) / cfg.Window
-		if nWin > MaxWindows {
-			return nil, fmt.Errorf("telemetry: blame window %d yields %d windows (max %d)", cfg.Window, nWin, MaxWindows)
-		}
-		r.nWin = int(nWin)
-		r.win = make([][numBlameBuckets][]uint64, cfg.Cores)
-		for c := range r.win {
-			for b := 0; b < numBlameBuckets; b++ {
-				r.win[c][b] = make([]uint64, r.nWin)
-			}
-		}
-	}
-	return r, nil
-}
-
-// Sink returns the rh.Sink folding channel ch's serve and block events
-// (the other kinds are the telemetry Recorder's).
-func (r *BlameRecorder) Sink(ch int) rh.Sink { return &chanBlame{r: r, ch: ch} }
-
-type chanBlame struct {
-	r  *BlameRecorder
-	ch int
-}
-
-func (p *chanBlame) Event(e rh.Event) {
-	switch e.Kind {
-	case rh.EvServe:
-		p.r.serve(p.ch, e)
-	case rh.EvBlock:
-		r := p.r
-		led := &r.banks[p.ch*r.cfg.BanksPerChannel+e.Bank]
-		led.prune(r.floors[p.ch])
-		led.claim(e.At, e.Until, blockCauses[e.Cause], int16(e.Core))
-	}
-}
-
 // serve handles one serve event: decompose the waiter's delay (demand
 // reads only — the core-visible wait TotalReadWait accounts), claim the
 // service interval, record the bank's new opener, and advance the
 // pruning watermark.
-func (r *BlameRecorder) serve(ch int, ev rh.Event) {
-	b := ch*r.cfg.BanksPerChannel + ev.Bank
-	led := &r.banks[b]
+func (r *Recorder) serve(c *chanAcc, ev rh.Event) {
+	led := &c.banks[ev.Bank]
 	if !ev.Injected && !ev.IsWrite && ev.Core >= 0 {
-		r.decompose(ev, r.openers[b], led)
+		r.decompose(ev, c.openers[ev.Bank], led)
 	}
 	cause, culprit := causeServeDemand, ev.Core
 	if ev.Injected {
 		cause, culprit = causeServeInject, -2
 	}
 	if ev.Extra > 0 { // the serve activated its row
-		r.openers[b] = int16(culprit)
+		c.openers[ev.Bank] = int16(culprit)
 	}
-	led.prune(r.floors[ch])
+	led.prune(c.floor)
 	led.claim(ev.At, ev.Until, cause, int16(culprit))
-	if ev.MinEnqueued > r.floors[ch] {
-		r.floors[ch] = ev.MinEnqueued
-	}
+	c.floor = max(c.floor, ev.MinEnqueued)
 }
 
 // decompose splits one demand read's [Enqueued, Until) wait into blame
@@ -502,7 +402,7 @@ func (r *BlameRecorder) serve(ch int, ev rh.Event) {
 // extra charged to opener. The pieces tile the wait exactly, which is
 // what makes the grand-total conservation against TotalReadWait an
 // equality.
-func (r *BlameRecorder) decompose(ev rh.Event, opener int16, led *bankLedger) {
+func (r *Recorder) decompose(ev rh.Event, opener int16, led *bankLedger) {
 	v := ev.Core
 	// Queue part [Enqueued, At): ledger segments, gaps in between.
 	i := 0
@@ -526,7 +426,7 @@ func (r *BlameRecorder) decompose(ev rh.Event, opener int16, led *bankLedger) {
 		if end > cur {
 			r.addAttr(v, s.cause.bucket(), cur, end)
 			if s.cause.matrixEligible() && s.culprit >= 0 {
-				r.matrix[v][s.culprit] += uint64(end - cur)
+				r.cores[v].matrix[s.culprit] += uint64(end - cur)
 			}
 			cur = end
 		}
@@ -544,7 +444,7 @@ func (r *BlameRecorder) decompose(ev rh.Event, opener int16, led *bankLedger) {
 			if opener == -2 {
 				b = bucketInject
 			} else if opener >= 0 {
-				r.matrix[v][opener] += uint64(ev.Extra)
+				r.cores[v].matrix[opener] += uint64(ev.Extra)
 			}
 		}
 		r.addAttr(v, b, ev.At, ev.At+ev.Extra)
@@ -554,7 +454,7 @@ func (r *BlameRecorder) decompose(ev rh.Event, opener int16, led *bankLedger) {
 
 // gap attributes an uncovered queue gap: the throttle-gated prefix to
 // Throttle, the rest to Sched.
-func (r *BlameRecorder) gap(v int, throttleFree, from, to dram.Cycle) {
+func (r *Recorder) gap(v int, throttleFree, from, to dram.Cycle) {
 	if throttleFree > from {
 		te := throttleFree
 		if te > to {
@@ -568,75 +468,15 @@ func (r *BlameRecorder) gap(v int, throttleFree, from, to dram.Cycle) {
 	}
 }
 
-// addAttr charges [from, to) to core v's bucket b, splitting across
-// windows when the windowed fold is on. Cycles past the run end lump
-// into the final window (in-flight at cutoff), matching windowOf.
-func (r *BlameRecorder) addAttr(v, b int, from, to dram.Cycle) {
+// addAttr charges [from, to) to core v's bucket b, and to its windows
+// on windowed runs.
+func (r *Recorder) addAttr(v, b int, from, to dram.Cycle) {
 	if from >= to {
 		return
 	}
-	r.totals[v][b] += uint64(to - from)
-	if r.win == nil {
-		return
+	c := &r.cores[v]
+	c.blame[b] += uint64(to - from)
+	if r.nWin > 0 {
+		r.fold(c.blameWin[b], from, to, 1)
 	}
-	dst := r.win[v][b]
-	if to > r.cfg.End {
-		over := to - r.cfg.End
-		if from > r.cfg.End {
-			over = to - from // entirely past the end: all of it lumps
-		}
-		dst[r.nWin-1] += uint64(over)
-		to = r.cfg.End
-	}
-	for t := from; t < to; {
-		w := int(t / r.cfg.Window)
-		end := (dram.Cycle(w) + 1) * r.cfg.Window
-		if end > to {
-			end = to
-		}
-		dst[w] += uint64(end - t)
-		t = end
-	}
-}
-
-// Finish assembles the memory-blame side of the Attribution (per-core
-// MemBlame + matrix); the caller fills the CPI stacks from the cores'
-// counters. Call exactly once, after the last event.
-func (r *BlameRecorder) Finish() *Attribution {
-	if r.finished {
-		panic("telemetry: BlameRecorder.Finish called twice")
-	}
-	r.finished = true
-	a := &Attribution{
-		Cores:  make([]CoreAttribution, r.cfg.Cores),
-		Matrix: r.matrix,
-	}
-	for i := range a.Cores {
-		a.Cores[i].Mem = r.totals[i].toMemBlame()
-	}
-	return a
-}
-
-// WindowSeries returns the per-core windowed blame series (nil when
-// the recorder was built without a window). Attach to Series.Blame.
-func (r *BlameRecorder) WindowSeries() []BlameSeries {
-	if r.win == nil {
-		return nil
-	}
-	out := make([]BlameSeries, r.cfg.Cores)
-	for c := range out {
-		w := &r.win[c]
-		out[c] = BlameSeries{
-			Intrinsic:   w[bucketIntrinsic],
-			Conflict:    w[bucketConflict],
-			QueueDemand: w[bucketQueueDemand],
-			Inject:      w[bucketInject],
-			Mitigation:  w[bucketMitigation],
-			REF:         w[bucketREF],
-			Bulk:        w[bucketBulk],
-			Throttle:    w[bucketThrottle],
-			Sched:       w[bucketSched],
-		}
-	}
-	return out
 }

@@ -78,10 +78,10 @@ func TestBankLedgerPrune(t *testing.T) {
 }
 
 // newTestRecorder builds a 2-core, 1-channel, 1-bank recorder.
-func newTestRecorder(t *testing.T, window, end dram.Cycle) *BlameRecorder {
+func newTestRecorder(t *testing.T, window, end dram.Cycle) *Recorder {
 	t.Helper()
-	r, err := NewBlameRecorder(BlameRecorderConfig{
-		Cores: 2, Channels: 1, BanksPerChannel: 1, Window: window, End: end,
+	r, err := NewRecorder(Config{
+		Cores: 2, Channels: 1, BanksPerChannel: 1, Window: window, End: end, Attribution: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestBlameRecorderDecomposition(t *testing.T) {
 		Kind: rh.EvServe, Bank: 0, Core: 0, Enqueued: 0, At: 70, Until: 100,
 		Extra: 12, Conflict: true, ThrottleFree: 60, MinEnqueued: 70,
 	})
-	a := r.Finish()
+	_, a := finish(t, r)
 	m := a.Cores[0].Mem
 	want := MemBlame{
 		QueueDemand: 30, // behind core 1's serve
@@ -148,7 +148,7 @@ func TestBlameRecorderInjectBlame(t *testing.T) {
 		Kind: rh.EvServe, Bank: 0, Core: 0, Enqueued: 0, At: 25, Until: 60,
 		Extra: 15, Conflict: true, MinEnqueued: 25,
 	})
-	a := r.Finish()
+	_, a := finish(t, r)
 	m := a.Cores[0].Mem
 	if m.Inject != 25+15 {
 		t.Fatalf("Inject = %d, want 40", m.Inject)
@@ -174,8 +174,8 @@ func TestBlameRecorderWindowFold(t *testing.T) {
 	// serves across the second boundary.
 	p.Event(rh.Event{Kind: rh.EvServe, Bank: 0, Core: 1, Enqueued: 50, At: 50, Until: 150, MinEnqueued: 50})
 	p.Event(rh.Event{Kind: rh.EvServe, Bank: 0, Core: 0, Enqueued: 50, At: 150, Until: 250, MinEnqueued: 150})
-	ws := r.WindowSeries()
-	a := r.Finish()
+	s, a := finish(t, r)
+	ws := s.Blame
 	m := a.Cores[0].Mem
 	if m.QueueDemand != 100 || m.Intrinsic != 100 || m.Total != 200 {
 		t.Fatalf("totals: %+v", m)
@@ -202,8 +202,8 @@ func TestBlameRecorderEndLump(t *testing.T) {
 	p.Event(rh.Event{Kind: rh.EvServe, Bank: 0, Core: 0, Enqueued: 150, At: 150, Until: 260, MinEnqueued: 150})
 	// A second read whose whole service lies past the end.
 	p.Event(rh.Event{Kind: rh.EvServe, Bank: 0, Core: 0, Enqueued: 260, At: 260, Until: 300, MinEnqueued: 260})
-	ws := r.WindowSeries()
-	a := r.Finish()
+	s, a := finish(t, r)
+	ws := s.Blame
 	m := a.Cores[0].Mem
 	if m.Intrinsic != 110+40 || m.Total != 150 {
 		t.Fatalf("totals: %+v", m)
@@ -220,11 +220,11 @@ func TestBlameRecorderEndLump(t *testing.T) {
 // TestBlameRecorderFinishTwicePanics pins the single-shot contract.
 func TestBlameRecorderFinishTwicePanics(t *testing.T) {
 	r := newTestRecorder(t, 0, 100)
-	r.Finish()
+	finish(t, r)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("second Finish did not panic")
 		}
 	}()
-	r.Finish()
+	r.Finish(nil)
 }

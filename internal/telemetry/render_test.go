@@ -12,7 +12,7 @@ import (
 
 func renderFixture(t *testing.T) *Series {
 	t.Helper()
-	rec, err := NewRecorder(RecorderConfig{
+	rec, err := NewRecorder(Config{
 		Cores: 1, Channels: 1, Window: 10, End: 25,
 	})
 	if err != nil {
@@ -23,7 +23,8 @@ func renderFixture(t *testing.T) *Series {
 	sink.Event(rh.Event{Kind: rh.EvMitigation, At: 12, Action: rh.RefreshVictims, Row: 1})
 	sink.Event(rh.Event{Kind: rh.EvTable, At: 5, Table: rh.TableOccupancy{Used: 2, Capacity: 8}})
 	rec.CoreProbe(0).CoreSegment(0, 25, 25, 20, false)
-	return rec.Finish()
+	s, _ := finish(t, rec)
+	return s
 }
 
 func TestWriteSeriesJSONL(t *testing.T) {
@@ -95,12 +96,12 @@ func TestWriteSeriesCSV(t *testing.T) {
 }
 
 func TestRenderOmitsTableColumnsWithoutReporter(t *testing.T) {
-	rec, err := NewRecorder(RecorderConfig{Cores: 1, Channels: 1, Window: 10, End: 20})
+	rec, err := NewRecorder(Config{Cores: 1, Channels: 1, Window: 10, End: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec.CoreProbe(0).CoreSegment(0, 20, 20, 20, false)
-	s := rec.Finish()
+	s, _ := finish(t, rec)
 	var buf bytes.Buffer
 	if err := WriteSeriesCSV(&buf, s); err != nil {
 		t.Fatal(err)

@@ -1,18 +1,21 @@
 // Package telemetry is the observability layer of the reproduction, at
 // two levels.
 //
-// In-sim (deterministic): a cycle-windowed sampler that folds the
-// simulated system's dynamics — per-core retirement and stall cycles,
-// per-channel demand vs injected activation rates, mitigation commands
-// by kind, controller queue occupancy, and tracker table occupancy —
-// into a Series of fixed-width windows embedded in sim.Result. The fold
-// is exact under time-skip: components report increments at event
-// boundaries (every state change is an event in both engines), and the
-// Recorder closes windows by cycle arithmetic, so the event and cycle
-// engines produce byte-identical Series and two runs with the same seed
-// and configuration are byte-identical too. Collection rides the
-// controller's one rh.Sink event stream (teed with the security oracle
-// and the attribution layer) plus the CoreProbe hook on cpu.Core.
+// In-sim (deterministic): one Recorder folds the controller's rh.Sink
+// event stream (teed with the security oracle) plus the CoreProbe hook
+// on cpu.Core into two results embedded in sim.Result. The Series is a
+// cycle-windowed sample of the simulated system's dynamics — per-core
+// retirement and stall cycles, per-channel demand vs injected
+// activation rates, mitigation commands by kind, controller queue
+// occupancy, and tracker table occupancy — in fixed-width windows. The
+// Attribution (attribution.go) says why cores lost cycles: CPI stacks
+// and the per-core memory blame of every demand read. One window grid
+// and one interval fold serve both, and one Finish assembles and
+// checks them. The fold is exact under time-skip: components report
+// increments at event boundaries (every state change is an event in
+// both engines), and the Recorder closes windows by cycle arithmetic,
+// so the event and cycle engines produce byte-identical results and
+// two runs with the same seed and configuration are byte-identical too.
 //
 // Harness level (wall-clock): a Tracer records per-job spans (queue
 // wait, execution on a worker lane, cache hits, sink flush) from
@@ -76,7 +79,7 @@ type CoreSeries struct {
 	IPC []float64 `json:"ipc"`
 	// StallROB / StallBP split Stalls into ROB-full (or head-of-ROB)
 	// waits vs memory-backpressure retries. Present only when the run
-	// collected attribution (RecorderConfig.SplitStalls); per window,
+	// also collected attribution (Config.Attribution); per window,
 	// StallROB + StallBP == Stalls exactly.
 	StallROB []uint64 `json:"stall_rob,omitempty"`
 	StallBP  []uint64 `json:"stall_bp,omitempty"`

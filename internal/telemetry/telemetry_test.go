@@ -8,7 +8,7 @@ import (
 	"dapper/internal/rh"
 )
 
-func mustRecorder(t *testing.T, cfg RecorderConfig) *Recorder {
+func mustRecorder(t *testing.T, cfg Config) *Recorder {
 	t.Helper()
 	r, err := NewRecorder(cfg)
 	if err != nil {
@@ -17,14 +17,27 @@ func mustRecorder(t *testing.T, cfg RecorderConfig) *Recorder {
 	return r
 }
 
+// finish runs r's one Finish with zero CPI stacks, failing t on a
+// check error.
+func finish(t *testing.T, r *Recorder) (*Series, *Attribution) {
+	t.Helper()
+	s, a, err := r.Finish(nil)
+	if err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	return s, a
+}
+
 func TestRecorderRejectsBadConfig(t *testing.T) {
-	cases := []RecorderConfig{
+	cases := []Config{
 		{Cores: 1, Channels: 1, Window: 0, End: 100},
 		{Cores: 1, Channels: 1, Window: -5, End: 100},
 		{Cores: 1, Channels: 1, Window: 10, End: 0},
 		{Cores: 0, Channels: 1, Window: 10, End: 100},
 		{Cores: 1, Channels: 0, Window: 10, End: 100},
 		{Cores: 1, Channels: 1, Window: 1, End: dram.Cycle(MaxWindows) + 1},
+		{Cores: 1, Channels: 1, Window: 0, End: 100, Attribution: true},
+		{Cores: 1, Channels: 1, BanksPerChannel: 1, Window: -5, End: 100, Attribution: true},
 	}
 	for i, cfg := range cases {
 		if _, err := NewRecorder(cfg); err == nil {
@@ -35,8 +48,8 @@ func TestRecorderRejectsBadConfig(t *testing.T) {
 
 func TestWindowGrid(t *testing.T) {
 	// 25 cycles, window 10 → windows of 10, 10, 5.
-	r := mustRecorder(t, RecorderConfig{Cores: 1, Channels: 1, Window: 10, End: 25, Warmup: 5})
-	s := r.Finish()
+	r := mustRecorder(t, Config{Cores: 1, Channels: 1, Window: 10, End: 25, Warmup: 5})
+	s, _ := finish(t, r)
 	if got := s.NumWindows(); got != 3 {
 		t.Fatalf("NumWindows = %d, want 3", got)
 	}
@@ -52,11 +65,11 @@ func TestWindowGrid(t *testing.T) {
 }
 
 func TestCoreSegmentStraddlesWindows(t *testing.T) {
-	r := mustRecorder(t, RecorderConfig{Cores: 1, Channels: 1, Window: 10, End: 30})
+	r := mustRecorder(t, Config{Cores: 1, Channels: 1, Window: 10, End: 30})
 	// Segment [5, 25): 20 cycles, 40 retired (2/cycle), first 12 cycles
 	// dispatch, last 8 stall. Straddles windows 0, 1, 2.
 	r.CoreProbe(0).CoreSegment(5, 25, 40, 12, false)
-	s := r.Finish()
+	s, _ := finish(t, r)
 	c := s.Cores[0]
 	// Window 0 holds cycles [5,10): 5 cycles * 2 = 10 retired, 0 stalls.
 	// Window 1 holds [10,20): 20 retired; stall span starts at 5+12=17 → 3 stalls.
@@ -84,7 +97,7 @@ func TestSingleCycleSegmentsMatchFold(t *testing.T) {
 	// The same workload emitted as one folded segment vs per-cycle
 	// singles must produce identical series — the engine-equivalence
 	// property in miniature.
-	cfg := RecorderConfig{Cores: 1, Channels: 1, Window: 7, End: 40}
+	cfg := Config{Cores: 1, Channels: 1, Window: 7, End: 40}
 	folded := mustRecorder(t, cfg)
 	folded.CoreProbe(0).CoreSegment(3, 33, 90, 18, false)
 
@@ -98,15 +111,17 @@ func TestSingleCycleSegmentsMatchFold(t *testing.T) {
 		p.CoreSegment(t, t+1, 3, disp, false)
 	}
 
-	a, _ := json.Marshal(folded.Finish())
-	b, _ := json.Marshal(single.Finish())
+	fs, _ := finish(t, folded)
+	ss, _ := finish(t, single)
+	a, _ := json.Marshal(fs)
+	b, _ := json.Marshal(ss)
 	if string(a) != string(b) {
 		t.Fatalf("folded and single-cycle series differ:\n%s\n%s", a, b)
 	}
 }
 
 func TestObserverEventsAndClamping(t *testing.T) {
-	r := mustRecorder(t, RecorderConfig{Cores: 1, Channels: 2, Window: 10, End: 30})
+	r := mustRecorder(t, Config{Cores: 1, Channels: 2, Window: 10, End: 30})
 	s0 := r.Sink(0)
 	s1 := r.Sink(1)
 	s0.Event(rh.Event{Kind: rh.EvACT, At: 0})
@@ -123,7 +138,7 @@ func TestObserverEventsAndClamping(t *testing.T) {
 	s0.Event(rh.Event{Kind: rh.EvServe, At: 3, Until: 9})
 	s0.Event(rh.Event{Kind: rh.EvBlock, At: 3, Until: 9})
 
-	s := r.Finish()
+	s, _ := finish(t, r)
 	ch0, ch1 := s.Channels[0], s.Channels[1]
 	if ch0.DemandACT[0] != 1 || ch0.DemandACT[2] != 1 || ch0.InjACT[1] != 1 {
 		t.Errorf("ch0 ACT fold wrong: demand=%v inj=%v", ch0.DemandACT, ch0.InjACT)
@@ -147,13 +162,13 @@ func TestObserverEventsAndClamping(t *testing.T) {
 }
 
 func TestQueueOccupancyIntegration(t *testing.T) {
-	r := mustRecorder(t, RecorderConfig{Cores: 1, Channels: 1, Window: 10, End: 30})
+	r := mustRecorder(t, Config{Cores: 1, Channels: 1, Window: 10, End: 30})
 	p := r.Sink(0)
 	// Level 0 until cycle 5, then 3 demand / 1 injected until 18, then
 	// 2/0 until run end.
 	p.Event(rh.Event{Kind: rh.EvQueue, At: 5, Demand: 3, InjectedQueue: 1})
 	p.Event(rh.Event{Kind: rh.EvQueue, At: 18, Demand: 2})
-	s := r.Finish()
+	s, _ := finish(t, r)
 	ch := s.Channels[0]
 	// Demand: [5,10)*3=15 in w0; [10,18)*3 + [18,20)*2 = 28 in w1; [20,30)*2=20 in w2.
 	wantQ := []uint64{15, 28, 20}
@@ -170,11 +185,11 @@ func TestQueueOccupancyClampsBackwardTimestamps(t *testing.T) {
 	// Injected counter traffic enqueues with a future apply cycle; a
 	// later demand event can then arrive with an earlier timestamp. The
 	// integrator must clamp monotonically, not go backward.
-	r := mustRecorder(t, RecorderConfig{Cores: 1, Channels: 1, Window: 10, End: 20})
+	r := mustRecorder(t, Config{Cores: 1, Channels: 1, Window: 10, End: 20})
 	p := r.Sink(0)
 	p.Event(rh.Event{Kind: rh.EvQueue, At: 12, Demand: 4})
 	p.Event(rh.Event{Kind: rh.EvQueue, At: 8, Demand: 1}) // timestamp before the integrator head: level applies from 12
-	s := r.Finish()
+	s, _ := finish(t, r)
 	ch := s.Channels[0]
 	// [0,12) level 0, then the clamped sample sets level 1 from 12 on:
 	// window 0 integrates nothing, window 1 gets [12,20)*1 = 8.
@@ -184,11 +199,11 @@ func TestQueueOccupancyClampsBackwardTimestamps(t *testing.T) {
 }
 
 func TestQueueOccupancyPastEndClamped(t *testing.T) {
-	r := mustRecorder(t, RecorderConfig{Cores: 1, Channels: 1, Window: 10, End: 20})
+	r := mustRecorder(t, Config{Cores: 1, Channels: 1, Window: 10, End: 20})
 	p := r.Sink(0)
 	p.Event(rh.Event{Kind: rh.EvQueue, At: 15, Demand: 2})
 	p.Event(rh.Event{Kind: rh.EvQueue, At: 99, Demand: 7, InjectedQueue: 7}) // past End: integrates [15,20) at level 2, then nothing
-	s := r.Finish()
+	s, _ := finish(t, r)
 	ch := s.Channels[0]
 	if ch.QueueOccCycles[1] != 10 || ch.QueueOccCycles[0] != 0 {
 		t.Errorf("occ = %v, want [0 10]", ch.QueueOccCycles)
@@ -199,12 +214,12 @@ func TestQueueOccupancyPastEndClamped(t *testing.T) {
 }
 
 func TestTableSamplesForwardFill(t *testing.T) {
-	r := mustRecorder(t, RecorderConfig{Cores: 1, Channels: 1, Window: 10, End: 50})
+	r := mustRecorder(t, Config{Cores: 1, Channels: 1, Window: 10, End: 50})
 	p := r.Sink(0)
 	p.Event(rh.Event{Kind: rh.EvTable, At: 12, Table: rh.TableOccupancy{Used: 5, Capacity: 64}})
 	p.Event(rh.Event{Kind: rh.EvTable, At: 17, Table: rh.TableOccupancy{Used: 7, Capacity: 64}}) // same window: last sample wins
 	p.Event(rh.Event{Kind: rh.EvTable, At: 34, Table: rh.TableOccupancy{Used: 2, Capacity: 64, Resets: 1}})
-	s := r.Finish()
+	s, _ := finish(t, r)
 	ch := s.Channels[0]
 	wantUsed := []int{-1, 7, 7, 2, 2}
 	wantRst := []uint64{0, 0, 0, 1, 1}
@@ -223,8 +238,8 @@ func TestTableSamplesForwardFill(t *testing.T) {
 }
 
 func TestNoTableSamplesOmitsSeries(t *testing.T) {
-	r := mustRecorder(t, RecorderConfig{Cores: 1, Channels: 1, Window: 10, End: 20})
-	s := r.Finish()
+	r := mustRecorder(t, Config{Cores: 1, Channels: 1, Window: 10, End: 20})
+	s, _ := finish(t, r)
 	if s.Channels[0].TableUsed != nil || s.Channels[0].TableResets != nil {
 		t.Fatal("table series present without samples")
 	}
@@ -250,10 +265,11 @@ func contains(s, sub string) bool {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	build := func() *Series {
-		r := mustRecorder(t, RecorderConfig{Cores: 1, Channels: 1, Window: 10, End: 30})
+		r := mustRecorder(t, Config{Cores: 1, Channels: 1, Window: 10, End: 30})
 		r.Sink(0).Event(rh.Event{Kind: rh.EvACT, At: 5})
 		r.CoreProbe(0).CoreSegment(0, 10, 20, 10, false)
-		return r.Finish()
+		s, _ := finish(t, r)
+		return s
 	}
 	if err := build().Validate(); err != nil {
 		t.Fatalf("clean series invalid: %v", err)
@@ -276,46 +292,67 @@ func TestValidateCatchesCorruption(t *testing.T) {
 }
 
 func TestFinishPanicsTwice(t *testing.T) {
-	r := mustRecorder(t, RecorderConfig{Cores: 1, Channels: 1, Window: 10, End: 20})
-	r.Finish()
+	r := mustRecorder(t, Config{Cores: 1, Channels: 1, Window: 10, End: 20})
+	finish(t, r)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("second Finish did not panic")
 		}
 	}()
-	r.Finish()
+	r.Finish(nil)
 }
 
 // TestSinkAndProbeDoNotAllocate holds the channel sink (every event
 // kind) and the core probe to zero allocations on a warmed Recorder:
-// they run per ACT, per queue change and per dispatch burst. Queue
-// events and core segments advance in time on every call, so the
-// occupancy integrator and the window walk do real work each time.
+// they run per ACT, per serve, per queue change and per dispatch burst.
+// It covers a Series-only recorder and attribution recorders with and
+// without a window, so serve and block events go through the blame
+// ledger. Events and core segments advance in time on every call, so
+// the occupancy integrator, the ledger and the window fold do real work
+// each time.
 func TestSinkAndProbeDoNotAllocate(t *testing.T) {
-	r := mustRecorder(t, RecorderConfig{Cores: 1, Channels: 1, Window: 10, End: 100_000})
-	s, p := r.Sink(0), r.CoreProbe(0)
-	at := dram.Cycle(0)
-	for _, e := range []rh.Event{
-		{Kind: rh.EvACT},
-		{Kind: rh.EvACT, Injected: true},
-		{Kind: rh.EvMitigation, Action: rh.RefreshVictims},
-		{Kind: rh.EvMitigation, Action: rh.RefreshVictimsRFMsb},
-		{Kind: rh.EvMitigation, Action: rh.RefreshVictimsDRFMsb},
-		{Kind: rh.EvRefresh},
-		{Kind: rh.EvBulk},
-		{Kind: rh.EvQueue, Demand: 3, InjectedQueue: 1},
-		{Kind: rh.EvTable, Table: rh.TableOccupancy{Used: 2, Capacity: 8}},
-		{Kind: rh.EvServe, Until: 9},
-		{Kind: rh.EvBlock, Until: 9},
+	for _, cfg := range []Config{
+		{Cores: 1, Channels: 1, Window: 10, End: 100_000},
+		{Cores: 1, Channels: 1, BanksPerChannel: 1, Window: 10, End: 100_000, Attribution: true},
+		{Cores: 1, Channels: 1, BanksPerChannel: 1, Window: 0, End: 100_000, Attribution: true},
 	} {
-		if n := testing.AllocsPerRun(100, func() { at += 13; e.At = at; s.Event(e) }); n != 0 {
-			t.Errorf("Event kind %d allocates %v times per call", e.Kind, n)
+		r := mustRecorder(t, cfg)
+		s := r.Sink(0)
+		at := dram.Cycle(100)
+		for _, e := range []rh.Event{
+			{Kind: rh.EvACT},
+			{Kind: rh.EvACT, Injected: true},
+			{Kind: rh.EvMitigation, Action: rh.RefreshVictims},
+			{Kind: rh.EvMitigation, Action: rh.RefreshVictimsRFMsb},
+			{Kind: rh.EvMitigation, Action: rh.RefreshVictimsDRFMsb},
+			{Kind: rh.EvRefresh},
+			{Kind: rh.EvBulk},
+			{Kind: rh.EvQueue, Demand: 3, InjectedQueue: 1},
+			{Kind: rh.EvTable, Table: rh.TableOccupancy{Used: 2, Capacity: 8}},
+			{Kind: rh.EvServe, Extra: 4, Conflict: true},
+			{Kind: rh.EvBlock, Cause: rh.BlockREF},
+		} {
+			// A serve waits from at-20, so it queues behind the previous
+			// call's claim; MinEnqueued lets the ledger prune behind it.
+			step := func() {
+				at += 13
+				e.At, e.Until, e.Enqueued, e.MinEnqueued = at, at+9, at-20, at-20
+				s.Event(e)
+			}
+			if n := testing.AllocsPerRun(100, step); n != 0 {
+				t.Errorf("window %d attribution %v: Event kind %d allocates %v times per call",
+					cfg.Window, cfg.Attribution, e.Kind, n)
+			}
 		}
-	}
-	if n := testing.AllocsPerRun(100, func() { p.CoreSegment(at, at+25, 50, 12, true); at += 25 }); n != 0 {
-		t.Errorf("CoreSegment allocates %v times per call", n)
-	}
-	if at >= r.cfg.End {
-		t.Fatalf("events ran past End (%d): the window walk was clamped", at)
+		if cfg.Window > 0 {
+			p := r.CoreProbe(0)
+			if n := testing.AllocsPerRun(100, func() { p.CoreSegment(at, at+25, 50, 12, true); at += 25 }); n != 0 {
+				t.Errorf("window %d attribution %v: CoreSegment allocates %v times per call",
+					cfg.Window, cfg.Attribution, n)
+			}
+		}
+		if at+9 >= r.cfg.End {
+			t.Fatalf("events ran past End (%d): the window fold was clamped", at)
+		}
 	}
 }

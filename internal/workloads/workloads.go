@@ -75,10 +75,10 @@ func Suites() []string {
 	return []string{SPEC2006, SPEC2017, TPC, Hadoop, MediaBench, YCSB}
 }
 
-// BySuite returns the workloads of one suite.
-func BySuite(suite string) []Workload {
+// BySuite returns the workloads of ws in one suite, in ws's order.
+func BySuite(ws []Workload, suite string) []Workload {
 	var out []Workload
-	for _, w := range table {
+	for _, w := range ws {
 		if w.Suite == suite {
 			out = append(out, w)
 		}

@@ -13,7 +13,7 @@ func TestSuiteCountsMatchPaper(t *testing.T) {
 	}
 	total := 0
 	for suite, n := range want {
-		got := len(BySuite(suite))
+		got := len(BySuite(All(), suite))
 		if got != n {
 			t.Errorf("suite %s has %d workloads, want %d", suite, got, n)
 		}
