@@ -137,29 +137,6 @@ func TestTab1Static(t *testing.T) {
 	}
 }
 
-// Simulation-backed experiments: plumbing checks under the tiny profile
-// (shape quality needs the quick or full profile;
-// TestShapeDapperHNeutralizesRefreshAttack checks one cheap shape).
-func TestSimBackedExperimentsRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation experiments skipped in -short")
-	}
-	p := Tiny()
-	for _, id := range []string{"fig1", "fig11", "fig12", "tab4"} {
-		g, err := Lookup(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tb, err := g(p)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(tb.Rows) == 0 {
-			t.Fatalf("%s produced no rows", id)
-		}
-	}
-}
-
 func TestFig1HasSuiteAndAllRows(t *testing.T) {
 	if testing.Short() {
 		t.Skip()
