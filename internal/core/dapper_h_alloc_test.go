@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -11,21 +12,28 @@ import (
 // TestDapperHTableBytes pins DAPPER-H's state at 8 bytes per group per
 // rank plus a small constant (struct, ciphers) on the baseline geometry:
 // 2 ranks x 8,192 groups x 8 B = 128 KiB per channel. Not parallel: it
-// reads the process-wide allocation counter.
+// reads the process-wide allocation counter, which also counts whatever
+// the runtime or another goroutine allocates during the call. The
+// constructor's own bytes are the same on every call, so the test
+// takes the least of several calls' deltas.
 func TestDapperHTableBytes(t *testing.T) {
 	cfg := Config{Geometry: dram.Baseline(), NRH: 500}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	d, err := NewDapperH(0, cfg)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	got := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		d, err := NewDapperH(0, cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(d)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
 	}
-	runtime.KeepAlive(d)
 	const slack = 1024
 	tables := uint64(8 * cfg.NumGroups() * cfg.Geometry.Ranks)
-	if got := after.TotalAlloc - before.TotalAlloc; got > tables+slack {
+	if got > tables+slack {
 		t.Fatalf("NewDapperH allocated %d B, want at most %d (8 B x %d groups x %d ranks + %d)",
 			got, tables+slack, cfg.NumGroups(), cfg.Geometry.Ranks, slack)
 	}

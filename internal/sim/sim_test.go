@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -251,23 +252,29 @@ func TestDeterministicRuns(t *testing.T) {
 }
 
 // TestRunReusesLLCArrays pins that a run hands its LLC arrays to the
-// next: the second of two equal runs allocates less than the arrays
+// next: a run after an equal one allocates less than the arrays
 // themselves (16 bytes a line). Not parallel: TotalAlloc is process
-// wide.
+// wide, so it also counts what the runtime or another goroutine
+// allocates meanwhile. A run's own bytes are the same every time, so
+// the test takes the least of several runs' deltas.
 func TestRunReusesLLCArrays(t *testing.T) {
 	g := dram.Baseline()
 	w := mustWorkload(t, "511.povray")
 	cfg := quickCfg(BenignTraces(w, 4, g, 1))
 	cfg.Measure = dram.US(5)
 	MustRun(cfg)
-	cfg.Traces = BenignTraces(w, 4, g, 1)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	MustRun(cfg)
-	runtime.ReadMemStats(&after)
+	got := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		cfg.Traces = BenignTraces(w, 4, g, 1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		MustRun(cfg)
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
 	cfg = cfg.withDefaults()
 	llcBytes := uint64(16 * cfg.LLCBytes / g.LineBytes)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= llcBytes {
-		t.Fatalf("second run allocated %d bytes, LLC arrays are %d", got, llcBytes)
+	if got >= llcBytes {
+		t.Fatalf("a repeated run allocated %d bytes, LLC arrays are %d", got, llcBytes)
 	}
 }
