@@ -28,15 +28,16 @@ func runExp(b *testing.B, id string) {
 func runExpProfile(b *testing.B, id string, p exp.Profile) {
 	b.Helper()
 	b.ReportAllocs()
-	g, err := exp.Lookup(id)
+	exps, err := exp.Select(id)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		tb, err := g(p)
+		tbs, err := exp.Generate(exps, p, nil)
 		if err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}
+		tb := tbs[0]
 		if len(tb.Rows) == 0 {
 			b.Fatalf("%s produced no rows", id)
 		}
@@ -124,20 +125,24 @@ func BenchmarkFig1CycleEngine(b *testing.B) { runExpProfile(b, "fig1", cycleProf
 // engine.
 func BenchmarkFig11CycleEngine(b *testing.B) { runExpProfile(b, "fig11", cycleProfile()) }
 
-// BenchmarkFig11Parallel regenerates Figure 11 through the harness
-// (collect -> pool -> replay) with one worker per CPU. Compare against
-// BenchmarkFig11 to see the fan-out speedup on this machine; a fresh
-// pool per iteration keeps the result cache cold so simulations are
-// really rerun.
+// BenchmarkFig11Parallel regenerates Figure 11 with its points
+// submitted to a harness pool of one worker per CPU instead of run
+// inline. Compare against BenchmarkFig11 to see the fan-out speedup on
+// this machine; a fresh pool per iteration keeps the result cache cold
+// so simulations are really rerun.
 func BenchmarkFig11Parallel(b *testing.B) {
 	p := benchProfile()
+	exps, err := exp.Select("fig11")
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
 		pool := harness.NewPool(harness.Options{Workers: runtime.NumCPU()})
-		tb, err := exp.Generate("fig11", p, pool)
+		tbs, err := exp.Generate(exps, p, pool)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(tb.Rows) == 0 {
+		if len(tbs[0].Rows) == 0 {
 			b.Fatal("fig11 produced no rows")
 		}
 	}

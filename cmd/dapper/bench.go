@@ -151,7 +151,7 @@ func benchProfile(engine sim.Engine, attr bool) exp.Profile {
 // fastest run: best-of-N is the standard way to keep scheduler noise out
 // of a percent-level gate.
 func timeRun(engine sim.Engine, attr bool, repeat int) (float64, error) {
-	g, err := exp.Lookup(benchExp)
+	exps, err := exp.Select(benchExp)
 	if err != nil {
 		return 0, err
 	}
@@ -159,11 +159,11 @@ func timeRun(engine sim.Engine, attr bool, repeat int) (float64, error) {
 	for i := 0; i < repeat; i++ {
 		//dapper:wallclock this command's purpose is timing the two engines against each other
 		start := time.Now()
-		tb, err := g(benchProfile(engine, attr))
+		tbs, err := exp.Generate(exps, benchProfile(engine, attr), nil)
 		if err != nil {
 			return 0, err
 		}
-		if len(tb.Rows) == 0 {
+		if len(tbs[0].Rows) == 0 {
 			return 0, fmt.Errorf("%s produced no rows under %s engine", benchExp, engine)
 		}
 		//dapper:wallclock closes the engine timing above

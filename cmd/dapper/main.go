@@ -163,8 +163,8 @@ func runList(c *cli) error {
 			fmt.Fprintf(c.stdout, "%-16s %-11s APKI=%.0f RBMPKI=%.1f\n", w.Name, w.Suite, w.AccessPKI, w.RBMPKI)
 		}
 	case "experiments":
-		for _, id := range exp.Order() {
-			fmt.Fprintln(c.stdout, id)
+		for _, e := range exp.Experiments {
+			fmt.Fprintln(c.stdout, e.ID)
 		}
 	default:
 		return usageError{fmt.Errorf("want one of: trackers, workloads, experiments")}

@@ -22,10 +22,8 @@ func runExperiments(c *cli) error {
 	if err != nil {
 		return err
 	}
-	ids := []string{c.exp}
-	if c.exp == "all" {
-		ids = exp.Order()
-	} else if _, err := exp.Lookup(c.exp); err != nil {
+	exps, err := exp.Select(c.exp)
+	if err != nil {
 		return flagErr("exp", err)
 	}
 	sinks, err := harness.FileSinks(c.out, "results.jsonl", "results.csv")
@@ -34,18 +32,11 @@ func runExperiments(c *cli) error {
 	}
 	fmt.Fprintf(c.stdout, "profile: %s (%d workloads, sweep %v)\n\n", p.Name, len(p.Workloads), p.NRHSweep)
 	st, err := c.withPool(sinks, func(pool *harness.Pool) error {
-		for _, id := range ids {
-			//dapper:wallclock per-figure elapsed time for the stderr progress line only
-			start := time.Now()
-			tb, err := exp.Generate(id, p, pool)
-			if err != nil {
-				return fmt.Errorf("%s: %w", id, err)
-			}
-			//dapper:wallclock progress display on stderr, byte-exact tables go to stdout
-			fmt.Fprintf(c.stderr, "\r%s: %.1fs\n", id, time.Since(start).Seconds())
+		tables, err := exp.Generate(exps, p, pool)
+		for _, tb := range tables {
 			tb.Fprint(c.stdout)
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return err

@@ -60,13 +60,17 @@
 // own Job.Run, so every Result stays byte-identical to an independent
 // run.
 //
-// Generators fan out via exp.Generate's collect/replay scheme: a
-// collect pass records every simulation the generator will request, the
-// pool executes them in parallel, and a replay pass rebuilds the table
-// from memoized results — walking exactly the serial code path, so
-// tables are byte-identical to a serial run. `dapper experiments`
-// drives the paper's figures this way; `dapper batch` runs arbitrary
-// tracker x workload x NRH sweeps from flags straight to JSONL/CSV.
+// Each paper table and figure is an exp.Experiment declared as data:
+// its title, header, notes and rows, where each computed cell names the
+// points it reads. A point is one simulated run plus the baseline run
+// it is normalized against (the insecure system at the figure's first
+// NRH). exp.Generate submits the deduplicated union of the selected
+// figures' points to the pool before its first Wait, then a pure
+// function turns each figure's Results into its table, so tables are
+// byte-identical to an inline run (nil pool) at any worker count.
+// `dapper experiments` drives the paper's figures this way; `dapper
+// batch` runs arbitrary tracker x workload x NRH sweeps from flags
+// straight to JSONL/CSV.
 //
 // Each -cache entry is a versioned, checksummed envelope written via a
 // temp file and rename. An entry that fails verification is

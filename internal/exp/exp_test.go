@@ -10,29 +10,43 @@ import (
 	"dapper/internal/rh"
 )
 
+// TestRegistryComplete: Experiments lists every table and figure of
+// the paper's evaluation, once each, in paper order.
 func TestRegistryComplete(t *testing.T) {
-	// Every table and figure of the paper's evaluation must be registered.
 	want := []string{
 		"tab1", "fig1", "fig3", "fig4", "fig5", "tab2", "fig9", "fig10",
 		"fig11", "fig12", "fig13", "tab3", "tab4", "fig14", "fig15",
 		"fig16", "fig17", "sec-h",
 	}
+	var got []string
+	for _, e := range Experiments {
+		got = append(got, e.ID)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Experiments = %v, want %v", got, want)
+	}
+	all, err := Select("all")
+	if err != nil || len(all) != len(want) {
+		t.Fatalf("Select(all) = %d experiments, %v", len(all), err)
+	}
 	for _, id := range want {
-		if _, err := Lookup(id); err != nil {
-			t.Fatalf("missing experiment %s: %v", id, err)
+		if exps, err := Select(id); err != nil || len(exps) != 1 || exps[0].ID != id {
+			t.Fatalf("Select(%q) = %v, %v", id, exps, err)
 		}
-	}
-	if len(IDs()) != len(want) {
-		t.Fatalf("registry has %d entries, want %d", len(IDs()), len(want))
-	}
-	if len(Order()) != len(want) {
-		t.Fatalf("Order() has %d entries", len(Order()))
 	}
 }
 
-func TestLookupUnknown(t *testing.T) {
-	if _, err := Lookup("fig99"); err == nil {
+// TestLookupErrorListsKnownIDs: selecting an unknown id is an error
+// that names it and every known id.
+func TestLookupErrorListsKnownIDs(t *testing.T) {
+	_, err := Select("fig99")
+	if err == nil {
 		t.Fatal("expected error")
+	}
+	for _, frag := range []string{"fig99", "all", "tab1", "fig11", "sec-h"} {
+		if !strings.Contains(err.Error(), frag) {
+			t.Fatalf("error should name the bad id and the known ids, missing %q: %v", frag, err)
+		}
 	}
 }
 
@@ -101,10 +115,7 @@ func TestDapperGeoSelection(t *testing.T) {
 
 // Analytic-only experiments run instantly and their values are pinned.
 func TestTab2Values(t *testing.T) {
-	tb, err := Tab2(Tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := generate(t, "tab2", Tiny(), nil)
 	if len(tb.Rows) != 3 {
 		t.Fatalf("tab2 rows = %d", len(tb.Rows))
 	}
@@ -114,10 +125,7 @@ func TestTab2Values(t *testing.T) {
 }
 
 func TestTab3Values(t *testing.T) {
-	tb, err := Tab3(Tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := generate(t, "tab3", Tiny(), nil)
 	s := tb.String()
 	if !strings.Contains(s, "DAPPER-H") || !strings.Contains(s, "96.0") {
 		t.Fatalf("tab3 missing DAPPER-H 96KB row:\n%s", s)
@@ -128,10 +136,7 @@ func TestTab3Values(t *testing.T) {
 }
 
 func TestTab1Static(t *testing.T) {
-	tb, err := Tab1(Tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := generate(t, "tab1", Tiny(), nil)
 	if !strings.Contains(tb.String(), "64GB DDR5") {
 		t.Fatalf("tab1:\n%s", tb.String())
 	}
@@ -142,10 +147,7 @@ func TestFig1HasSuiteAndAllRows(t *testing.T) {
 		t.Skip()
 	}
 	p := Tiny()
-	tb, err := Fig1(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := generate(t, "fig1", p, nil)
 	last := tb.Rows[len(tb.Rows)-1]
 	if !strings.HasPrefix(last[0], "All") {
 		t.Fatalf("fig1 last row = %v, want All", last)
@@ -157,10 +159,7 @@ func TestFig1HasSuiteAndAllRows(t *testing.T) {
 
 func TestSecHReportsPrevention(t *testing.T) {
 	p := Tiny()
-	tb, err := SecH(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := generate(t, "sec-h", p, nil)
 	s := tb.String()
 	if !strings.Contains(s, "Prevention rate") {
 		t.Fatalf("sec-h:\n%s", s)
@@ -181,16 +180,21 @@ func TestShapeDapperHNeutralizesRefreshAttack(t *testing.T) {
 	p.Workloads = p.Workloads[:1] // 429.mcf: the most sensitive workload
 	p.Measure = dram.US(300)
 	p.Warmup = dram.US(80)
-	r := newRunner(p)
-	w := p.Workloads[0]
-	npS, _, _, err := r.dapperNormalized(w, "dapper-s", rh.VRR1, attack.Refresh, p.NRH, false)
+	refresh := func(tracker string) point {
+		return p.points(p.Workloads, scenario{tracker: tracker, kind: attack.Refresh}, p.NRH, p.NRH, true)[0]
+	}
+	s, h := refresh("dapper-s"), refresh("dapper-h")
+	if s.base != h.base {
+		t.Fatal("both trackers must normalize against one baseline")
+	}
+	res, err := execute([]Run{s.base, s.run, h.run}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	npH, _, _, err := r.dapperNormalized(w, "dapper-h", rh.VRR1, attack.Refresh, p.NRH, false)
-	if err != nil {
-		t.Fatal(err)
+	np := func(pt point) float64 {
+		return perf(outcome{pt.run, res[pt.run.Desc().Key()], res[pt.base.Desc().Key()]})
 	}
+	npS, npH := np(s), np(h)
 	if npH < 0.93 {
 		t.Fatalf("DAPPER-H refresh-attack perf = %.3f, want near 1.0", npH)
 	}

@@ -22,18 +22,29 @@ func TestExperimentsGolden(t *testing.T) {
 	}
 	p := Tiny()
 	p.NRHSweep = []uint32{125, 500}
-	pool := harness.NewPool(harness.Options{Workers: 2})
+	// Generate must submit every point before its first Wait: each
+	// progress callback then sees the full unique-run count.
+	var totals []int
+	pool := harness.NewPool(harness.Options{Workers: 2, OnProgress: func(_, total int) {
+		totals = append(totals, total)
+	}})
+	tbs, err := Generate(Experiments, p, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sb strings.Builder
-	for _, id := range Order() {
-		tb, err := Generate(id, p, pool)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
+	for _, tb := range tbs {
 		tb.Fprint(&sb)
 	}
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(&sb, "%d unique runs\n", pool.Stats().Unique)
+	unique := pool.Stats().Unique
+	for _, total := range totals {
+		if total != unique {
+			t.Fatalf("progress saw %d of %d unique runs: points were submitted after the first Wait", total, unique)
+		}
+	}
+	fmt.Fprintf(&sb, "%d unique runs\n", unique)
 	goldentest.Check(t, "experiments.txt.golden", []byte(sb.String()))
 }

@@ -7,25 +7,33 @@ import (
 	"dapper/internal/harness"
 )
 
-// TestGenerateMatchesSerial is the harness's core guarantee: parallel
-// generation must be byte-identical to the serial path, because the
-// replay pass walks the exact serial code over memoized results.
+// generate renders one experiment, inline when pool is nil.
+func generate(t *testing.T, id string, p Profile, pool *harness.Pool) *Table {
+	t.Helper()
+	exps, err := Select(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbs, err := Generate(exps, p, pool)
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	return tbs[0]
+}
+
+// TestGenerateMatchesSerial is the harness's core guarantee: pooled
+// generation must be byte-identical to the inline path, because both
+// turn the same points' Results into the table with the same function.
 func TestGenerateMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiments skipped in -short")
 	}
 	p := Tiny()
 	for _, id := range []string{"fig11", "fig12"} {
-		serial, err := Generate(id, p, nil)
-		if err != nil {
-			t.Fatalf("%s serial: %v", id, err)
-		}
+		serial := generate(t, id, p, nil)
 		for _, workers := range []int{1, 8} {
 			pool := harness.NewPool(harness.Options{Workers: workers})
-			parallel, err := Generate(id, p, pool)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", id, workers, err)
-			}
+			parallel := generate(t, id, p, pool)
 			if got, want := parallel.String(), serial.String(); got != want {
 				t.Fatalf("%s workers=%d diverges from serial:\n--- parallel ---\n%s--- serial ---\n%s",
 					id, workers, got, want)
@@ -34,7 +42,7 @@ func TestGenerateMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestGenerateSharesBaselines: regenerating the same experiment on one
+// TestGenerateDedupAcrossCalls: regenerating the same experiment on one
 // pool must not rerun anything — every request deduplicates against the
 // first pass.
 func TestGenerateDedupAcrossCalls(t *testing.T) {
@@ -43,16 +51,12 @@ func TestGenerateDedupAcrossCalls(t *testing.T) {
 	}
 	p := Tiny()
 	pool := harness.NewPool(harness.Options{Workers: 4})
-	if _, err := Generate("fig11", p, pool); err != nil {
-		t.Fatal(err)
-	}
+	generate(t, "fig11", p, pool)
 	ran := pool.Stats().Ran
 	if ran == 0 {
 		t.Fatal("fig11 must simulate something")
 	}
-	if _, err := Generate("fig11", p, pool); err != nil {
-		t.Fatal(err)
-	}
+	generate(t, "fig11", p, pool)
 	if st := pool.Stats(); st.Ran != ran {
 		t.Fatalf("second generation ran %d new simulations", st.Ran-ran)
 	}
@@ -72,10 +76,7 @@ func TestGenerateDiskCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool1 := harness.NewPool(harness.Options{Workers: 4, Cache: c1})
-	first, err := Generate("fig11", p, pool1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := generate(t, "fig11", p, pool1)
 	if pool1.Stats().Ran == 0 {
 		t.Fatal("cold cache must simulate")
 	}
@@ -85,10 +86,7 @@ func TestGenerateDiskCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool2 := harness.NewPool(harness.Options{Workers: 4, Cache: c2})
-	second, err := Generate("fig11", p, pool2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := generate(t, "fig11", p, pool2)
 	st := pool2.Stats()
 	if st.Ran != 0 {
 		t.Fatalf("warm cache reran %d simulations", st.Ran)
@@ -101,28 +99,18 @@ func TestGenerateDiskCache(t *testing.T) {
 	}
 }
 
-// Analytic/static experiments never touch the simulator; Generate must
-// pass them through untouched (single pass, no jobs).
+// Analytic/static experiments name no points; Generate must render
+// them without submitting a job.
 func TestGenerateAnalyticPassthrough(t *testing.T) {
 	p := Tiny()
 	pool := harness.NewPool(harness.Options{Workers: 2})
 	for _, id := range []string{"tab1", "tab2", "tab3"} {
-		tb, err := Generate(id, p, pool)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(tb.Rows) == 0 {
+		if tb := generate(t, id, p, pool); len(tb.Rows) == 0 {
 			t.Fatalf("%s produced no rows", id)
 		}
 	}
 	if st := pool.Stats(); st.Submitted != 0 {
 		t.Fatalf("analytic experiments submitted %d jobs", st.Submitted)
-	}
-}
-
-func TestGenerateUnknownID(t *testing.T) {
-	if _, err := Generate("fig99", Tiny(), nil); err == nil {
-		t.Fatal("expected error for unknown experiment")
 	}
 }
 

@@ -3,7 +3,9 @@ package exp
 import (
 	"fmt"
 
+	"dapper/internal/attack"
 	"dapper/internal/dram"
+	"dapper/internal/rh"
 	"dapper/internal/sim"
 	"dapper/internal/workloads"
 )
@@ -58,11 +60,6 @@ type Profile struct {
 	// descriptors gain an attr tag, so attribution runs never share
 	// cache entries with plain ones.
 	Attribution bool
-
-	// hctx, when set by Generate, routes every simulation request
-	// through the harness collect/replay machinery instead of running
-	// inline. Profiles built by Quick/Full/Tiny leave it nil (serial).
-	hctx *harnessCtx
 }
 
 // Quick returns the CI/bench profile: a representative 12-workload set,
@@ -159,4 +156,45 @@ func ProfileByName(name string) (Profile, error) {
 	default:
 		return Profile{}, fmt.Errorf("exp: unknown profile %q (tiny|quick|full|bench)", name)
 	}
+}
+
+// BaseRun returns the run every profile-driven request starts from:
+// the profile's geometry, windows, seed, engine and probes, on the
+// insecure baseline at the profile's NRH. Callers set the tracker and
+// the workload.
+func (p Profile) BaseRun() Run {
+	return Run{
+		Tracker:         "none",
+		NRH:             p.NRH,
+		Geometry:        p.Geometry,
+		Warmup:          p.Warmup,
+		Measure:         p.Measure,
+		Seed:            p.Seed,
+		Engine:          p.Engine,
+		TelemetryWindow: p.TelemetryWindow,
+		Attribution:     p.Attribution,
+	}
+}
+
+// perfAttackRun is the standard Figures 1/3 run: 3 benign copies plus
+// the tailored attacker, full geometry.
+func (p Profile) perfAttackRun(w workloads.Workload, tracker string, kind attack.Kind, nrh uint32) Run {
+	r := p.BaseRun()
+	r.Tracker, r.NRH, r.Workload, r.Attack = tracker, nrh, w.Name, AttackPoint{Kind: kind}
+	return r
+}
+
+// dapperRun is the run for DAPPER experiments (and `dapper batch`).
+// Only the streaming attack uses the scaled geometry and its windows: a
+// full whole-rank streaming pass must fit the window. Refresh attacks
+// and benign runs use the full geometry — the scaled row space would
+// concentrate hot rows into few groups and overstate reset-counter
+// inheritance.
+func (p Profile) dapperRun(w workloads.Workload, tracker string, mode rh.MitigationMode, kind attack.Kind, nrh uint32, benign4 bool) Run {
+	r := p.perfAttackRun(w, tracker, kind, nrh)
+	r.Mode, r.Benign4 = mode, benign4
+	if kind == attack.StreamingSweep {
+		r.Geometry, r.Warmup, r.Measure = p.DapperGeometry, p.DapperWarmup, p.DapperMeasure
+	}
+	return r
 }

@@ -1,8 +1,9 @@
-// Package exp implements the experiment harness: one generator per
-// table and figure of the paper's evaluation (registry.go holds the
-// index). Each generator runs the required simulations under a Profile
-// (quick or full) and renders a Table that `dapper experiments` and
-// bench_test.go print.
+// Package exp implements the experiment harness: one Experiment per
+// table and figure of the paper's evaluation, listed in paper order in
+// Experiments (experiment.go). Each declares its table under a Profile,
+// naming the simulated points every computed cell reads, and Generate
+// runs those points and renders the Tables that `dapper experiments`
+// and bench_test.go print.
 package exp
 
 import (

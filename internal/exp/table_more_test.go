@@ -45,25 +45,52 @@ func TestPctAndNormFormatting(t *testing.T) {
 	}
 }
 
-func TestBaselineCacheReuse(t *testing.T) {
-	// The runner must compute one baseline per (workload, geometry,
-	// scenario) and reuse it: run the same request twice and confirm the
-	// cache is hit (identical Result pointer semantics are not exposed,
-	// so check by count of cache entries).
-	p := Tiny()
-	r := newRunner(p)
-	w := p.Workloads[0]
-	run := p.perfAttackRun(w, "none", 0, p.NRH)
-	if _, err := r.baseline(run, false); err != nil {
-		t.Fatal(err)
-	}
-	if len(r.bases) != 1 {
-		t.Fatalf("cache entries = %d", len(r.bases))
-	}
-	if _, err := r.baseline(run, false); err != nil {
-		t.Fatal(err)
-	}
-	if len(r.bases) != 1 {
-		t.Fatal("second baseline call must reuse the cache")
+// TestBaselinePairing: every point of a sweep figure pairs with a
+// baseline at the sweep's first threshold, so a fig12 point at NRH 2000
+// normalizes against the same baseline run as its NRH 125 sibling. The
+// baseline keeps the attacker exactly when the figure normalizes
+// against the same attacker (fig12), and idles the companion otherwise
+// (fig4).
+func TestBaselinePairing(t *testing.T) {
+	p := Quick() // NRHSweep {125, 500, 2000}
+	for _, c := range []struct {
+		id         string
+		declare    func(Profile) (figure, error)
+		keepAttack bool
+	}{{"fig12", fig12, true}, {"fig4", fig4, false}} {
+		f, err := c.declare(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := map[string]Run{} // row label + workload -> the NRH 125 point's baseline
+		checked := 0
+		for _, row := range f.rows {
+			for _, cl := range row {
+				for _, pt := range cl.points {
+					want := pt.run
+					want.Tracker, want.NRH = "none", p.NRHSweep[0]
+					if !c.keepAttack {
+						want.Attack = AttackPoint{}
+					}
+					if pt.base != want {
+						t.Fatalf("%s: %s pairs with %s, want %s", c.id, pt.run.Desc(), pt.base.Desc(), want.Desc())
+					}
+					k := row[0].text + "/" + pt.run.Workload
+					switch pt.run.NRH {
+					case p.NRHSweep[0]:
+						first[k] = pt.base
+					case 2000:
+						if b, ok := first[k]; !ok || b.Desc().Key() != pt.base.Desc().Key() {
+							t.Fatalf("%s: %s at NRH 2000 pairs with %s, not its NRH %d sibling's baseline",
+								c.id, k, pt.base.Desc(), p.NRHSweep[0])
+						}
+						checked++
+					}
+				}
+			}
+		}
+		if checked == 0 {
+			t.Fatalf("%s has no NRH 2000 point", c.id)
+		}
 	}
 }
