@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build loc vet lint test test-race test-engine-equivalence fuzz-smoke audit-smoke telemetry-smoke blame-smoke batch-smoke simbench-test bench-smoke bench-compare bench-check adversary-smoke ci
+.PHONY: all build loc vet lint test test-race test-engine-equivalence fuzz-smoke audit-smoke telemetry-smoke blame-smoke batch-smoke experiments-smoke simbench-test bench-smoke bench-compare bench-check adversary-smoke ci
 
 all: build vet lint test
 
@@ -126,6 +126,24 @@ batch-smoke:
 		|| { echo "batch-smoke FAILED: post-corruption JSONL differs"; exit 1; }; \
 	echo "batch-smoke: corrupted entry quarantined, re-simulated, JSONL still identical"
 
+# Headline smoke: `dapper experiments` regenerates every table and
+# figure at the tiny profile three times: cold into a -cache at two
+# workers, warm from that cache (it must simulate nothing), and with
+# one worker and no cache. All three stdouts must be byte-identical.
+EXPERIMENTS_SMOKE = $(GO) run ./cmd/dapper experiments -exp all -profile tiny -seed 1
+experiments-smoke:
+	@rm -rf experiments-smoke && mkdir -p experiments-smoke
+	$(EXPERIMENTS_SMOKE) -jobs 2 -cache experiments-smoke/cache -out experiments-smoke/cold > experiments-smoke/cold.txt
+	$(EXPERIMENTS_SMOKE) -jobs 2 -cache experiments-smoke/cache -out experiments-smoke/warm > experiments-smoke/warm.txt 2> experiments-smoke/warm.err
+	$(EXPERIMENTS_SMOKE) -jobs 1 -out experiments-smoke/serial > experiments-smoke/serial.txt
+	@grep -q "simulations: 0 ran, 0 lockstep" experiments-smoke/warm.err \
+		|| { echo "experiments-smoke FAILED: warm rerun simulated"; cat experiments-smoke/warm.err; exit 1; }
+	@cmp experiments-smoke/cold.txt experiments-smoke/warm.txt \
+		|| { echo "experiments-smoke FAILED: warm rerun tables differ"; exit 1; }
+	@cmp experiments-smoke/cold.txt experiments-smoke/serial.txt \
+		|| { echo "experiments-smoke FAILED: -jobs 1 tables differ"; exit 1; }
+	@echo "experiments-smoke: $$(grep -c '^== ' experiments-smoke/cold.txt) tables identical cold, warm (0 ran) and at -jobs 1"
+
 # The benchmark's own tests (simbench is a separate module, so plain
 # `go test ./...` skips it): chiefly the completeness check that every
 # internal package maps to exactly one layer of the per-layer fold.
@@ -160,4 +178,4 @@ bench-check:
 adversary-smoke:
 	$(GO) run ./cmd/dapper adversary -tracker hydra,comet -profile tiny -budget 10 -seed 1 -out adversary-smoke
 
-ci: build loc vet lint test test-race test-engine-equivalence audit-smoke telemetry-smoke blame-smoke batch-smoke simbench-test fuzz-smoke bench-smoke bench-check adversary-smoke
+ci: build loc vet lint test test-race test-engine-equivalence audit-smoke telemetry-smoke blame-smoke batch-smoke experiments-smoke simbench-test fuzz-smoke bench-smoke bench-check adversary-smoke

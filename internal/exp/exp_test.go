@@ -51,9 +51,8 @@ func TestLookupErrorListsKnownIDs(t *testing.T) {
 }
 
 func TestTableRendering(t *testing.T) {
-	tb := &Table{ID: "x", Title: "T", Header: []string{"a", "bb"}}
+	tb := &Table{ID: "x", Title: "T", Header: []string{"a", "bb"}, Notes: []string{"hello 7"}}
 	tb.AddRow("1", "2")
-	tb.AddNote("hello %d", 7)
 	s := tb.String()
 	for _, frag := range []string{"== x: T ==", "a", "bb", "hello 7"} {
 		if !strings.Contains(s, frag) {

@@ -24,11 +24,6 @@ type Table struct {
 // AddRow appends a row.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// AddNote appends a footnote.
-func (t *Table) AddNote(format string, args ...any) {
-	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
-}
-
 // Fprint renders the table as aligned text.
 func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title)
