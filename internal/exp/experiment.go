@@ -180,11 +180,11 @@ type outcome struct {
 // at nrh0, the figure's first threshold (p.NRHSweep[0] in the sweep
 // figures, p.NRH otherwise), with either an idle companion or, with
 // keepAttack, the point's own attacker. These are the paper's two
-// normalizations: the idle companion (Figures 1/3/4/5/11) shows the
+// normalizations: the idle companion (Figures 1/3/4/5) shows the
 // TOTAL damage (attacker bandwidth plus mitigation side effects); the
-// same attacker (Figures 9/10/12-17, Table IV) isolates what the
-// tracker ADDS, which is how DAPPER-H can sit at <1% with a hammering
-// core active.
+// same attacker (Figures 9-17, Table IV; Figure 11 has none, so the two
+// agree) isolates what the tracker ADDS, which is how DAPPER-H can sit
+// at <1% with a hammering core active.
 func pair(run Run, nrh0 uint32, keepAttack bool) point {
 	b := run
 	b.Tracker, b.NRH = "none", nrh0
