@@ -1,43 +1,78 @@
 package attack
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dapper/internal/cpu"
 	"dapper/internal/dram"
+	"dapper/internal/goldentest"
 )
 
-// TestParametricExpressesEveryKind proves the headline property of the
-// parametric space: every hand-written Kind is a point in it. For each
-// kind, PointFor's Params must reproduce the hand-written generator
-// record-for-record, across the HydraConflict warm/steady boundary.
+// streamDigest returns the hex SHA-256 of tr's first n records, each
+// encoded as Bubbles and Addr (little-endian 64-bit) then the IsWrite
+// and NonCacheable flags (one byte each).
+func streamDigest(tr cpu.Trace, n int) string {
+	h := sha256.New()
+	var b [18]byte
+	flag := func(v bool) byte {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	for i := 0; i < n; i++ {
+		r := tr.Next()
+		binary.LittleEndian.PutUint64(b[0:], uint64(r.Bubbles))
+		binary.LittleEndian.PutUint64(b[8:], r.Addr)
+		b[16], b[17] = flag(r.IsWrite), flag(r.NonCacheable)
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestParametricExpressesEveryKind pins every Kind's stream and proves
+// it is a point of the parametric space. testdata/kinds.sha256.golden
+// holds the digest of each Kind's first 90,000 records at NRH 500 on
+// the baseline geometry and on 2048-row banks; the Kind's trace and
+// the Parametric trace of PointFor's point must both match it.
+// HydraConflict's warm-up is NGC*groups*banks = 200*3*128 = 76,800
+// accesses at both geometries, so 90,000 records cross into its steady
+// phase.
 func TestParametricExpressesEveryKind(t *testing.T) {
-	g := geo() // 2048 rows/bank keeps every hand-written row ID in bounds
-	const nrh = 500
-	for _, k := range Kinds() {
-		if k == Parametric {
-			if _, ok := PointFor(k, g, nrh); ok {
-				t.Fatal("Parametric must not have a point for itself")
+	const nrh, records = 500, 90_000
+	geos := []struct {
+		name string
+		g    dram.Geometry
+	}{{"baseline", dram.Baseline()}, {"scaled-2048", dram.Scaled(2048)}}
+	var sb strings.Builder
+	for _, gc := range geos {
+		for _, k := range Kinds() {
+			if k == Parametric {
+				if _, ok := PointFor(k, gc.g, nrh); ok {
+					t.Fatal("Parametric must not have a point for itself")
+				}
+				continue
 			}
-			continue
-		}
-		p, ok := PointFor(k, g, nrh)
-		if !ok {
-			t.Fatalf("PointFor(%v) not expressible", k)
-		}
-		want := MustTrace(Config{Geometry: g, NRH: nrh, Kind: k})
-		got := MustTrace(Config{Geometry: g, NRH: nrh, Kind: Parametric, Params: p})
-		// HydraConflict's warmup is NGC*groups*banks = 200*3*128 = 76800
-		// accesses at this geometry; 90k records cross into steady state.
-		for i := 0; i < 90_000; i++ {
-			w, h := want.Next(), got.Next()
-			if w != h {
-				t.Fatalf("%v diverges at record %d: hand-written %+v, parametric %+v", k, i, w, h)
+			p, ok := PointFor(k, gc.g, nrh)
+			if !ok {
+				t.Fatalf("PointFor(%v) not expressible", k)
 			}
+			want := streamDigest(MustTrace(Config{Geometry: gc.g, NRH: nrh, Kind: k}), records)
+			got := streamDigest(MustTrace(Config{Geometry: gc.g, NRH: nrh, Kind: Parametric, Params: p}), records)
+			if got != want {
+				t.Fatalf("%v at %s: PointFor's stream %s differs from the kind's %s", k, gc.name, got, want)
+			}
+			fmt.Fprintf(&sb, "%s %s %s\n", gc.name, k, want)
 		}
 	}
+	goldentest.Check(t, "kinds.sha256.golden", []byte(sb.String()))
 }
 
 // TestParametricRespectsGeometryBounds is the property test: whatever
