@@ -72,7 +72,7 @@ var flagDefs = map[string]func(*flag.FlagSet, *cli){
 		fs.StringVar(&c.workload, "workload", "429.mcf", "benign workload: a name (dapper list workloads), 'rep' or 'all'; batch takes a comma list")
 	},
 	"attack": func(fs *flag.FlagSet, c *cli) {
-		fs.StringVar(&c.attack, "attack", "refresh", "attack: a hand-written kind, 'hammer' (focused parametric) or 'none' (four benign copies); audit takes a comma list")
+		fs.StringVar(&c.attack, "attack", "refresh", "attack: a named kind, 'hammer' (focused parametric) or 'none' (four benign copies); audit takes a comma list")
 	},
 	"mode": func(fs *flag.FlagSet, c *cli) {
 		fs.StringVar(&c.mode, "mode", "VRR-BR1", "mitigation mode (VRR-BR1|VRR-BR2|RFMsb|DRFMsb); audit takes a comma list")
@@ -213,7 +213,7 @@ func (c *cli) modes() ([]rh.MitigationMode, error) {
 	return parseList("mode", c.mode, rh.ParseMode)
 }
 
-// attacks resolves -attack: "hammer", a hand-written kind, or "none".
+// attacks resolves -attack: "hammer", a named kind, or "none".
 func (c *cli) attacks() ([]exp.SecurityAttack, error) {
 	return parseList("attack", c.attack, exp.ParseAuditAttack)
 }

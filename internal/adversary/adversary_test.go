@@ -126,7 +126,7 @@ func TestSearchRecoversOrBeatsHandCraftedAttack(t *testing.T) {
 	if len(rep.Trace) != rep.Evals || rep.Evals == 0 {
 		t.Fatalf("trace/eval mismatch: %d entries, %d evals", len(rep.Trace), rep.Evals)
 	}
-	// Every hand-written kind must appear as a seed candidate.
+	// Every named kind must appear as a seed candidate.
 	seen := map[string]bool{}
 	for _, e := range rep.Trace {
 		seen[e.Label] = true

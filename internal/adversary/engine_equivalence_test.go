@@ -12,7 +12,7 @@ import (
 )
 
 // TestEngineEquivalenceParametric extends the engine-equivalence matrix
-// beyond the hand-written attack kinds: seeded samples from the
+// beyond the named attack kinds: seeded samples from the
 // adversary search space — the exact traces the search evaluates — must
 // produce identical Results under the event and cycle engines. One
 // point per tracker keeps the matrix seconds-long while still crossing

@@ -58,7 +58,7 @@ type Options struct {
 	// scaled banks simply uses fewer rows. To search on a scaled system
 	// outright, set Profile.Geometry to dram.Scaled(...).
 	Profile exp.Profile
-	// Budget bounds candidate evaluations (default 32). The hand-written
+	// Budget bounds candidate evaluations (default 32). The named-kind
 	// seed points always run even if they overflow a tiny budget, so the
 	// search can never report less than the known attacks.
 	Budget int
@@ -234,7 +234,7 @@ func Search(opts Options, pool *harness.Pool) (*Report, error) {
 	full := opts.Profile.Measure
 	ev := &evaluator{opts: opts, pool: pool}
 
-	// Stage 0: seed candidates — every hand-written kind as its
+	// Stage 0: seed candidates — every named kind as its
 	// parametric point (known-attack recovery), then random samples up
 	// to the halving entry width N0, sized so screening plus climbing
 	// fits the budget: N0 * sum(2^-r) = N0 * (2 - 2^(1-R)).
@@ -253,7 +253,7 @@ func Search(opts Options, pool *harness.Pool) (*Report, error) {
 	}
 	if opts.Objective == ObjectiveEscapes {
 		// The escape hunt additionally seeds the conformance matrix's
-		// tailored attack points (the focused hammer): the hand-written
+		// tailored attack points (the focused hammer): the named
 		// kinds all fan out over every bank, which dilutes per-row
 		// activation rates far below what an escape needs.
 		for _, sa := range exp.AuditAttacks() {

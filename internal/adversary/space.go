@@ -6,7 +6,7 @@
 // budget, so resilience reports are byte-for-byte reproducible.
 //
 // The pipeline: seeded random sampling over a projected search space
-// (plus the seven hand-written attack kinds as seed points), successive
+// (plus the seven named attack kinds as seed points), successive
 // halving over shortened measurement horizons, and coordinate
 // hill-climbing on the survivors at the full horizon. Every candidate
 // evaluation is a harness.Job, so the pool parallelizes, deduplicates
@@ -52,7 +52,7 @@ func (v Vector) Equal(o Vector) bool {
 // knobs that move tracker state machines (working-set size, fan-out,
 // hot/cold mix, pacing, cacheability, on/off phase period), bounded by
 // the geometry under attack. The full Params space is larger (group
-// interleaves, explicit row bases); hand-written seed points reach it
+// interleaves, explicit row bases); named-kind seed points reach it
 // via attack.PointFor even though hill-climbing cannot.
 type Space struct {
 	Geo  dram.Geometry
@@ -172,7 +172,7 @@ func (s Space) Params(v Vector) attack.Params {
 		RowHold: int(v[dimHold]),
 		HotFrac: v[dimHotFrac],
 		HotRows: int(v[dimHotRows]),
-		// The hand-written Refresh pair: far apart, away from bank edges.
+		// The Refresh kind's pair: far apart, away from bank edges.
 		HotBase:       7,
 		HotStride:     996,
 		Bubbles:       int(v[dimBubbles]) - 1,

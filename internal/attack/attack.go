@@ -1,13 +1,16 @@
 // Package attack implements the Performance-Attack access patterns of
-// §III-B and §V-D/E as trace generators: the attacker core replays one
-// of these while benign cores run their workloads. All patterns are
-// open-loop memory hammers (no compute bubbles) issued non-cacheably —
-// modeling the flush+activate loops real attacks use — except cache
-// thrashing, whose whole point is to pollute the LLC.
+// §III-B and §V-D/E as traces: the attacker core replays one of these
+// while benign cores run their workloads. One generator, the
+// parametric trace of a Params point, builds every Kind; PointFor
+// defines each named Kind as its point. All patterns are open-loop
+// memory hammers (no compute bubbles) issued non-cacheably — modeling
+// the flush+activate loops real attacks use — except cache thrashing,
+// whose whole point is to pollute the LLC.
 //
-// The package also provides a Monte-Carlo Mapping-Capturing attack
-// against a live DAPPER-S instance (§V-D) used by the security example
-// and tests; the closed-form analysis lives in internal/analytic.
+// The package also provides Monte-Carlo Mapping-Capturing attacks
+// against live DAPPER-S and DAPPER-H instances (§V-D), run by
+// `dapper attack` and the sec-h experiment; the closed-form analysis
+// lives in internal/analytic.
 package attack
 
 import (
@@ -42,13 +45,14 @@ const (
 	// DistinctRows round-robins strictly distinct row IDs across banks,
 	// pumping ABACUS's spillover counter to overflow (Figure 2d).
 	DistinctRows
-	// Refresh hammers one row per bank as fast as tRRD allows: the
+	// Refresh hammers a pair of rows per bank, alternating so every
+	// access closes the other row, as fast as tRRD allows: the
 	// Mapping-Agnostic refresh attack on DAPPER-S/H (§V-E), maximising
 	// mitigative refreshes.
 	Refresh
-	// Parametric generates a trace from an explicit Params point in the
-	// attack space (Config.Params). Every other kind is one such point
-	// (PointFor); internal/adversary searches the space for worst-case
+	// Parametric replays an explicit Params point of the attack space
+	// (Config.Params). Every other kind is the point PointFor returns
+	// for it; internal/adversary searches the space for worst-case
 	// performance attacks.
 	Parametric
 )
@@ -124,27 +128,17 @@ type Config struct {
 	Seed uint64
 }
 
-// NewTrace builds the trace for an attack kind.
+// NewTrace builds the trace for an attack kind: Parametric replays
+// cfg.Params, every other kind the point PointFor defines for it.
 func NewTrace(cfg Config) (cpu.Trace, error) {
-	switch cfg.Kind {
-	case None:
-		return &idle{}, nil
-	case CacheThrash:
-		return newThrash(cfg.Geometry), nil
-	case HydraConflict:
-		return newHydraConflict(cfg.Geometry, cfg.NRH), nil
-	case StreamingSweep:
-		return newSweep(cfg.Geometry), nil
-	case RATThrash:
-		return newRATThrash(cfg.Geometry), nil
-	case DistinctRows:
-		return newDistinctRows(cfg.Geometry), nil
-	case Refresh:
-		return newRefresh(cfg.Geometry), nil
-	case Parametric:
-		return newParametric(cfg.Geometry, cfg.Params, cfg.Seed)
+	p := cfg.Params
+	if cfg.Kind != Parametric {
+		var ok bool
+		if p, ok = PointFor(cfg.Kind, cfg.Geometry, cfg.NRH); !ok {
+			return nil, fmt.Errorf("attack: unknown kind %d", cfg.Kind)
+		}
 	}
-	return nil, fmt.Errorf("attack: unknown kind %d", cfg.Kind)
+	return newParametric(cfg.Geometry, p, cfg.Seed)
 }
 
 // MustTrace is NewTrace panicking on error.
@@ -154,198 +148,4 @@ func MustTrace(cfg Config) cpu.Trace {
 		panic(err)
 	}
 	return t
-}
-
-// idle emits compute-only records: the core spins without memory.
-type idle struct{}
-
-func (i *idle) Next() cpu.Record { return cpu.Record{Bubbles: 1 << 20, Addr: 0} }
-
-// thrash streams a 64MB cacheable region.
-type thrash struct {
-	geo  dram.Geometry
-	at   uint64
-	span uint64
-}
-
-func newThrash(g dram.Geometry) *thrash {
-	return &thrash{geo: g, span: 64 << 20}
-}
-
-func (t *thrash) Next() cpu.Record {
-	addr := t.at
-	t.at += 64
-	if t.at >= t.span {
-		t.at = 0
-	}
-	return cpu.Record{Addr: addr}
-}
-
-// bankRotor walks (channel, rank, bankgroup, bank) combinations so
-// consecutive activations land in different banks (tRRD-limited, not
-// tRC-limited) — every attack uses it to maximise activation rate.
-type bankRotor struct {
-	geo  dram.Geometry
-	step uint64
-}
-
-func (b *bankRotor) loc(k uint64) dram.Loc {
-	g := b.geo
-	banksTotal := uint64(g.Channels * g.Ranks * g.BankGroups * g.BanksPerGroup)
-	i := k % banksTotal
-	return dram.Loc{
-		Channel:   int(i % uint64(g.Channels)),
-		BankGroup: int(i / uint64(g.Channels) % uint64(g.BankGroups)),
-		Bank:      int(i / uint64(g.Channels*g.BankGroups) % uint64(g.BanksPerGroup)),
-		Rank:      int(i / uint64(g.Channels*g.BankGroups*g.BanksPerGroup) % uint64(g.Ranks)),
-	}
-}
-
-func (b *bankRotor) banksTotal() uint64 {
-	g := b.geo
-	return uint64(g.Channels * g.Ranks * g.BankGroups * g.BanksPerGroup)
-}
-
-// sweep activates every (bank, row): bank-major so each round touches
-// all banks at one row index before advancing the row.
-type sweep struct{ bankRotor }
-
-func newSweep(g dram.Geometry) *sweep { return &sweep{bankRotor{geo: g}} }
-
-func (s *sweep) Next() cpu.Record {
-	l := s.loc(s.step)
-	l.Row = uint32(s.step/s.banksTotal()) % s.geo.RowsPerBank
-	s.step++
-	return cpu.Record{Addr: s.geo.Compose(l), NonCacheable: true}
-}
-
-// distinctRows advances the row ID on every activation so no two
-// consecutive ACTs share a row ID (ABACUS's Misra-Gries keys).
-type distinctRows struct{ bankRotor }
-
-func newDistinctRows(g dram.Geometry) *distinctRows {
-	return &distinctRows{bankRotor{geo: g}}
-}
-
-func (d *distinctRows) Next() cpu.Record {
-	l := d.loc(d.step)
-	l.Row = uint32(d.step) % d.geo.RowsPerBank
-	d.step++
-	return cpu.Record{Addr: d.geo.Compose(l), NonCacheable: true}
-}
-
-// refresh hammers two rows per bank, alternating so every access closes
-// the other row and forces an activation under the open-page policy —
-// the classic hammer pair the paper notes in §V-D ("or two rows under
-// the open-page policy").
-type refresh struct{ bankRotor }
-
-func newRefresh(g dram.Geometry) *refresh { return &refresh{bankRotor{geo: g}} }
-
-// refreshRowA/B are the hammered pair (arbitrary, away from bank edges
-// and from each other's blast radius).
-const (
-	refreshRowA = 7
-	refreshRowB = 1003
-)
-
-func (r *refresh) Next() cpu.Record {
-	l := r.loc(r.step)
-	if (r.step/r.banksTotal())%2 == 0 {
-		l.Row = refreshRowA
-	} else {
-		l.Row = refreshRowB
-	}
-	r.step++
-	return cpu.Record{Addr: r.geo.Compose(l), NonCacheable: true}
-}
-
-// ratThrash cycles a fixed set of aggressor rows sized at 1.5x CoMeT's
-// 128-entry RAT *per channel* (the RAT is a per-channel structure),
-// packed several per bank so every revisit of a bank lands on a
-// different row and forces an activation.
-type ratThrash struct {
-	geo   dram.Geometry
-	step  uint64
-	banks int
-	rows  int
-}
-
-func newRATThrash(g dram.Geometry) *ratThrash {
-	banks := 16 * g.Channels
-	if max := g.Channels * g.Ranks * g.BankGroups * g.BanksPerGroup; banks > max {
-		banks = max
-	}
-	return &ratThrash{geo: g, banks: banks, rows: 192 * g.Channels}
-}
-
-func (r *ratThrash) Next() cpu.Record {
-	i := r.step % uint64(r.rows)
-	r.step++
-	g := r.geo
-	bank := int(i) % r.banks
-	l := dram.Loc{
-		Channel:   bank % g.Channels,
-		BankGroup: bank / g.Channels % g.BankGroups,
-		Bank:      bank / (g.Channels * g.BankGroups) % g.BanksPerGroup,
-		Rank:      bank / (g.Channels * g.BankGroups * g.BanksPerGroup) % g.Ranks,
-		Row:       uint32(1000 + i),
-	}
-	return cpu.Record{Addr: g.Compose(l), NonCacheable: true}
-}
-
-// hydraConflict: a warmup phase pushes `groups` Hydra group counters
-// (128 consecutive rows each) into per-row tracking, then the steady
-// phase cycles all rows of those groups to thrash the RCC.
-type hydraConflict struct {
-	bankRotor
-	warmupPer int // ACTs per group during warmup (NGC)
-	groups    int // groups per bank walked
-	groupSize int
-	warmLeft  uint64
-}
-
-func newHydraConflict(g dram.Geometry, nrh uint32) *hydraConflict {
-	ngc := nrh / 2 * 8 / 10 // Hydra's NGC = 0.8 * NM
-	if ngc == 0 {
-		ngc = 1
-	}
-	h := &hydraConflict{
-		bankRotor: bankRotor{geo: g},
-		warmupPer: int(ngc),
-		groups:    3, // 3 groups x 64 banks x 128 rows = 24K rows >> 4K RCC
-		groupSize: 128,
-	}
-	h.warmLeft = uint64(h.warmupPer*h.groups) * h.banksTotal()
-	return h
-}
-
-func (h *hydraConflict) Next() cpu.Record {
-	if h.warmLeft > 0 {
-		h.warmLeft--
-		// Round-robin banks; each bank alternates two rows of each of
-		// its groups (both count toward the same 128-row group counter,
-		// and alternating defeats the open-page row buffer).
-		k := h.step
-		h.step++
-		l := h.loc(k)
-		group := (k / h.banksTotal()) % uint64(h.groups)
-		l.Row = uint32(group) * uint32(h.groupSize)
-		if (k/(h.banksTotal()*uint64(h.groups)))%2 == 1 {
-			l.Row += uint32(h.groupSize) / 2
-		}
-		if h.warmLeft == 0 {
-			h.step = 0
-		}
-		return cpu.Record{Addr: h.geo.Compose(l), NonCacheable: true}
-	}
-	// Steady phase: cycle every row of every warmed group.
-	k := h.step
-	h.step++
-	l := h.loc(k)
-	idx := k / h.banksTotal()
-	group := idx % uint64(h.groups)
-	row := (idx / uint64(h.groups)) % uint64(h.groupSize)
-	l.Row = uint32(group)*uint32(h.groupSize) + uint32(row)
-	return cpu.Record{Addr: h.geo.Compose(l), NonCacheable: true}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dapper/internal/cpu"
+	"dapper/internal/dram"
 )
 
 func TestAllAttacksLineAligned(t *testing.T) {
@@ -30,18 +31,22 @@ func TestAllAttacksAreMemoryBound(t *testing.T) {
 	}
 }
 
+// TestAttackAddressesDecomposable: every kind's addresses stay inside
+// the geometry, including 1024-row banks, below RATThrash's rows
+// 1000..1383.
 func TestAttackAddressesDecomposable(t *testing.T) {
-	g := geo()
-	for _, k := range []Kind{HydraConflict, StreamingSweep, RATThrash, DistinctRows, Refresh} {
-		tr := MustTrace(Config{Geometry: g, NRH: 500, Kind: k})
-		for i := 0; i < 500; i++ {
-			addr := cpu.StripNC(tr.Next().Addr)
-			l := g.Decompose(addr)
-			if back := g.Compose(l); back != addr {
-				t.Fatalf("%v address %x does not round-trip", k, addr)
-			}
-			if l.Row >= g.RowsPerBank {
-				t.Fatalf("%v row %d out of range", k, l.Row)
+	for _, g := range []dram.Geometry{geo(), dram.Scaled(1024)} {
+		for _, k := range []Kind{HydraConflict, StreamingSweep, RATThrash, DistinctRows, Refresh} {
+			tr := MustTrace(Config{Geometry: g, NRH: 500, Kind: k})
+			for i := 0; i < 500; i++ {
+				addr := cpu.StripNC(tr.Next().Addr)
+				l := g.Decompose(addr)
+				if back := g.Compose(l); back != addr {
+					t.Fatalf("%v at %d rows/bank: address %x does not round-trip", k, g.RowsPerBank, addr)
+				}
+				if l.Row >= g.RowsPerBank {
+					t.Fatalf("%v at %d rows/bank: row %d out of range", k, g.RowsPerBank, l.Row)
+				}
 			}
 		}
 	}

@@ -164,8 +164,8 @@ func TestRATThrashCycles192RowsPerChannel(t *testing.T) {
 func TestHydraConflictPhases(t *testing.T) {
 	g := geo()
 	tr := MustTrace(Config{Geometry: g, Kind: HydraConflict})
-	h := tr.(*hydraConflict)
-	warm := h.warmLeft
+	p, _ := PointFor(HydraConflict, g, 0)
+	warm := p.WarmAccesses
 	if warm == 0 {
 		t.Fatal("no warmup phase")
 	}

@@ -24,7 +24,7 @@ import (
 // rely on (a trace that wandered out of bounds or replayed differently
 // would poison cached results keyed by the canonical param encoding).
 func FuzzParamsTrace(f *testing.F) {
-	// The hand-written kinds' shapes (streaming, refresh pair, Hydra
+	// The named kinds' shapes (streaming, refresh pair, Hydra
 	// warm-up) plus a stochastic mixed point and a periodic point.
 	f.Add(uint32(64*1024), 4096, 1, uint32(0), uint32(1), uint32(0), 0, 0, 0, 0.0, 1, uint32(7), uint32(996), 0, 0.0, uint64(0), uint64(0), uint64(0), uint64(1))
 	f.Add(uint32(2048), 384, 3, uint32(128), uint32(1), uint32(0), 1, 16, 1, 0.0, 1, uint32(0), uint32(0), 0, 0.0, uint64(0), uint64(256), uint64(0), uint64(2))

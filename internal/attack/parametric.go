@@ -8,8 +8,8 @@ import (
 	"dapper/internal/dram"
 )
 
-// Pattern is one phase of a Parametric attack: a deterministic access
-// generator spanning the design space the hand-written Kinds sample.
+// Pattern is one phase of a parametric attack: a deterministic access
+// generator spanning the design space the named Kinds sample.
 // Zero values mean "default" (documented per field), so the zero
 // Pattern is a single-row-per-bank open-loop hammer.
 //
@@ -126,8 +126,7 @@ func clamp01(f float64) float64 {
 // pattern is a Pattern normalized against a geometry: defaults filled,
 // everything clamped so emitted locations are always in bounds.
 type pattern struct {
-	geo   dram.Geometry // full geometry (address composition)
-	rotor bankRotor     // rank-limited geometry (bank fan-out)
+	geo dram.Geometry // full geometry (address composition)
 
 	banks, hold        uint64
 	groups, perGroup   uint64
@@ -140,16 +139,28 @@ type pattern struct {
 	cacheFrac          float64
 	streamSpan         uint64
 
-	k        uint64 // per-phase access counter
-	streamAt uint64
+	// Per-phase cursors, advanced once per access. bank indexes the
+	// rotation over the first banks (channel, bank group, bank, rank)
+	// combinations, channel fastest, so consecutive activations land in
+	// different banks (tRRD-limited, not tRC-limited); at is its
+	// location. Every hold accesses the row cursors step: hotIdx over
+	// the hot set, group and then within over the cold working set;
+	// hotRow and coldRow are the rows they select.
+	bank            uint64
+	at              dram.Loc
+	held            uint64
+	hotIdx          uint64
+	group, within   uint64
+	hotRow, coldRow uint32
+	streamAt        uint64
 }
 
 func (p Pattern) normalize(g dram.Geometry) pattern {
-	eff := g
-	if p.Ranks > 0 && p.Ranks < g.Ranks {
-		eff.Ranks = p.Ranks
+	ranks := g.Ranks
+	if p.Ranks > 0 && p.Ranks < ranks {
+		ranks = p.Ranks
 	}
-	total := uint64(eff.Channels * eff.Ranks * eff.BankGroups * eff.BanksPerGroup)
+	total := uint64(g.Channels * ranks * g.BankGroups * g.BanksPerGroup)
 	banks := uint64(p.Banks)
 	if banks == 0 || banks > total {
 		banks = total
@@ -200,8 +211,8 @@ func (p Pattern) normalize(g dram.Geometry) pattern {
 	if bub < 0 {
 		bub = 0
 	}
-	return pattern{
-		geo: g, rotor: bankRotor{geo: eff},
+	n := pattern{
+		geo:   g,
 		banks: banks, hold: hold,
 		groups: groups, perGroup: perGroup, groupSpan: span, stride: stride,
 		rowBase: p.RowBase,
@@ -209,14 +220,55 @@ func (p Pattern) normalize(g dram.Geometry) pattern {
 		hotBase: p.HotBase, hotStride: p.HotStride,
 		bubbles: bub, cacheFrac: clamp01(p.CacheableFrac), streamSpan: sspan,
 	}
+	n.selectRows()
+	return n
+}
+
+// selectRows sets hotRow and coldRow from the row cursors.
+func (p *pattern) selectRows() {
+	p.hotRow = (p.hotBase + uint32(p.hotIdx)*p.hotStride) % p.geo.RowsPerBank
+	p.coldRow = (p.rowBase + uint32(p.group)*p.groupSpan + uint32(p.within)*p.stride) % p.geo.RowsPerBank
+}
+
+// advance steps the cursors past one access. The rotation wraps to
+// bank 0 after banks accesses; banks never exceeds the rank-limited
+// bank count, so the rank digit never carries out.
+func (p *pattern) advance() {
+	a := &p.at
+	if p.bank++; p.bank == p.banks {
+		p.bank, *a = 0, dram.Loc{}
+	} else if a.Channel++; a.Channel == p.geo.Channels {
+		a.Channel = 0
+		if a.BankGroup++; a.BankGroup == p.geo.BankGroups {
+			a.BankGroup = 0
+			if a.Bank++; a.Bank == p.geo.BanksPerGroup {
+				a.Bank = 0
+				a.Rank++
+			}
+		}
+	}
+	if p.held++; p.held < p.hold {
+		return
+	}
+	p.held = 0
+	if p.hotIdx++; p.hotIdx == p.hotRows {
+		p.hotIdx = 0
+	}
+	if p.group++; p.group == p.groups {
+		p.group = 0
+		if p.within++; p.within == p.perGroup {
+			p.within = 0
+		}
+	}
+	p.selectRows()
 }
 
 // next emits one record. rng is consumed only for fractional mixture
 // draws, so fully deterministic points (fractions in {0,1}) emit
 // identical streams for every seed.
 func (p *pattern) next(rng *uint64) cpu.Record {
-	k := p.k
-	p.k++
+	l, hotRow, coldRow := p.at, p.hotRow, p.coldRow
+	p.advance()
 	if p.cacheFrac > 0 && (p.cacheFrac >= 1 || RandFloat64(rng) < p.cacheFrac) {
 		addr := p.streamAt
 		p.streamAt += 64
@@ -225,15 +277,10 @@ func (p *pattern) next(rng *uint64) cpu.Record {
 		}
 		return cpu.Record{Addr: addr, Bubbles: p.bubbles}
 	}
-	l := p.rotor.loc(k % p.banks)
-	round := k / p.hold
 	if p.hotFrac > 0 && (p.hotFrac >= 1 || RandFloat64(rng) < p.hotFrac) {
-		idx := round % p.hotRows
-		l.Row = (p.hotBase + uint32(idx)*p.hotStride) % p.geo.RowsPerBank
+		l.Row = hotRow
 	} else {
-		group := round % p.groups
-		within := (round / p.groups) % p.perGroup
-		l.Row = (p.rowBase + uint32(group)*p.groupSpan + uint32(within)*p.stride) % p.geo.RowsPerBank
+		l.Row = coldRow
 	}
 	return cpu.Record{Addr: p.geo.Compose(l), NonCacheable: true, Bubbles: p.bubbles}
 }
@@ -302,13 +349,20 @@ func (t *parametric) Next() cpu.Record {
 	return t.steady.next(&t.rng)
 }
 
-// PointFor returns the Params point whose trace reproduces kind
-// record-for-record (the expressibility tests assert exact equality),
-// or ok=false for kinds with no parametric equivalent (Parametric
-// itself). nrh sizes NRH-dependent warm-ups exactly as the hand-written
-// generator does. The hand-written generators do not bound their row
-// IDs, so exact equality additionally requires a geometry that keeps
-// them in bounds (RowsPerBank > 1383 covers every kind).
+// refreshRowA/B are the Refresh attack's hammered pair (arbitrary, away
+// from bank edges and from each other's blast radius).
+const (
+	refreshRowA = 7
+	refreshRowB = 1003
+)
+
+// PointFor defines each named Kind: it returns the Params point whose
+// trace NewTrace replays for kind, or ok=false for Parametric (which
+// replays Config.Params) and unknown kinds. nrh sizes HydraConflict's
+// warm-up. Row IDs wrap modulo the geometry's RowsPerBank like every
+// parametric point's, so each kind stays in bounds on small banks
+// (RATThrash's rows 1000..1383 and Refresh's row 1003 wrap below those
+// row counts). testdata/kinds.sha256.golden pins each kind's stream.
 func PointFor(kind Kind, g dram.Geometry, nrh uint32) (Params, bool) {
 	switch kind {
 	case None:

@@ -41,7 +41,7 @@ func streamKey(run Run) string {
 }
 
 // hasAttacker reports whether the run's companion core attacks. Only an
-// attacker's trace may depend on NRH (hand-written kinds size their
+// attacker's trace may depend on NRH (named kinds size their
 // hammering by it); a benign workload's or an idle companion's does
 // not.
 func (r Run) hasAttacker() bool {

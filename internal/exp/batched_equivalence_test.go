@@ -177,7 +177,7 @@ func TestStreamKeyImpliesSameTraces(t *testing.T) {
 	hom.Workload = "429.mcf"
 	benign4 := hom
 	benign4.Benign4 = true
-	// hydra-conflict is the hand-written kind whose trace NRH sizes.
+	// hydra-conflict is the named kind whose trace NRH sizes.
 	conflict := hom
 	conflict.Attack = AttackPoint{Kind: attack.HydraConflict}
 	parametric := hom

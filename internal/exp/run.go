@@ -13,7 +13,7 @@ import (
 	"dapper/internal/workloads"
 )
 
-// AttackPoint names an attacker: either a hand-written kind or an
+// AttackPoint names an attacker: either a named kind or an
 // explicit point in the parametric space.
 type AttackPoint struct {
 	Kind   attack.Kind

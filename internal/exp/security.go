@@ -17,8 +17,8 @@ type SecurityAttack struct {
 	Point AttackPoint
 }
 
-// hammerParams is the focused double-row hammer: the hand-written
-// Refresh pair (rows 7/1003) concentrated on few banks so each hot row
+// hammerParams is the focused double-row hammer: the Refresh
+// kind's pair (rows 7/1003) concentrated on few banks so each hot row
 // is re-activated at the tRC limit — the pattern that maximizes per-row
 // activation counts and must produce escapes on the insecure baseline.
 func hammerParams() attack.Params {
@@ -40,7 +40,7 @@ func AuditAttacks() []SecurityAttack {
 }
 
 // ParseAuditAttack resolves an attack column name: "hammer" is the
-// focused parametric hammer, anything else must parse as a hand-written
+// focused parametric hammer, anything else must parse as a named
 // attack.Kind.
 func ParseAuditAttack(name string) (SecurityAttack, error) {
 	if strings.EqualFold(name, "hammer") {
