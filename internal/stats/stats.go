@@ -1,12 +1,7 @@
-// Package stats provides the small statistical helpers used throughout
-// the experiment harness: arithmetic and geometric means, extrema,
-// percentiles and slowdown normalization.
+// Package stats provides the small statistical helpers the experiment
+// tables use: the arithmetic mean, the maximum and slowdown
+// normalization.
 package stats
-
-import (
-	"math"
-	"sort"
-)
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -18,41 +13,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs, or 0 for an empty slice.
-// All inputs must be positive; non-positive values are skipped.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	n := 0
-	for _, x := range xs {
-		if x <= 0 {
-			continue
-		}
-		sum += math.Log(x)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
-}
-
-// Min returns the minimum of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Max returns the maximum of xs, or 0 for an empty slice.
@@ -67,56 +27,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between closest ranks. The input is never mutated:
-// already-sorted slices are read in place (the common case for report
-// loops that sort once and query many percentiles); unsorted slices
-// are copied and sorted.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if !sort.Float64sAreSorted(xs) {
-		cp := append([]float64(nil), xs...)
-		sort.Float64s(cp)
-		xs = cp
-	}
-	return PercentileSorted(xs, p)
-}
-
-// PercentileSorted returns the p-th percentile (0..100) of an
-// already-sorted slice without copying or re-sorting. Callers that
-// query many percentiles of the same data should sort once and use
-// this directly. Results are undefined for unsorted input.
-func PercentileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Slowdown converts a normalized performance value (e.g. 0.87) into a
