@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build loc vet lint test test-race test-engine-equivalence fuzz-smoke audit-smoke telemetry-smoke blame-smoke batch-smoke experiments-smoke simbench-test bench-smoke bench-compare bench-check adversary-smoke ci
+.PHONY: all build loc vet lint test test-race test-engine-equivalence fuzz-smoke audit-smoke telemetry-smoke blame-smoke batch-smoke experiments-smoke simbench-test bench-smoke bench-compare bench-check adversary-smoke quickstart ci
 
 all: build vet lint test
 
@@ -178,4 +178,9 @@ bench-check:
 adversary-smoke:
 	$(GO) run ./cmd/dapper adversary -tracker hydra,comet -profile tiny -budget 10 -seed 1 -out adversary-smoke
 
-ci: build loc vet lint test test-race test-engine-equivalence audit-smoke telemetry-smoke blame-smoke batch-smoke experiments-smoke simbench-test fuzz-smoke bench-smoke bench-check adversary-smoke
+# The one in-process walkthrough, run so it cannot rot: a DAPPER-H
+# tracker fed scattered, then hammered activations (under a second).
+quickstart:
+	$(GO) run ./examples/quickstart
+
+ci: build loc vet lint test test-race test-engine-equivalence audit-smoke telemetry-smoke blame-smoke batch-smoke experiments-smoke simbench-test fuzz-smoke bench-smoke bench-check adversary-smoke quickstart

@@ -144,7 +144,7 @@
 //
 // # Worst-case attack search (internal/attack Parametric, internal/adversary)
 //
-// The paper evaluates each tracker against the hand-written attack its
+// The paper evaluates each tracker against the named attack its
 // authors anticipated (attack.ForTracker). internal/adversary stress
 // tests the resilience claim beyond that set: it searches a parametric
 // attack space for the access pattern that maximizes benign-core
@@ -154,10 +154,12 @@
 // working-set size and interleave, bank/rank fan-out, hot/cold row mix,
 // inter-access compute bubbles, cacheable (LLC-polluting) fraction, and
 // a phase period alternating the attack with a quiet pattern (on/off
-// shapes that dodge throttling- and reset-based trackers). Every
-// hand-written Kind is a point in this space — attack.PointFor returns
-// it, and the expressibility tests prove record-for-record equality —
-// so the search starts from the known attacks and can only improve.
+// shapes that dodge throttling- and reset-based trackers). Every named
+// Kind is a point in this space: attack.PointFor defines it, and
+// attack.NewTrace builds every Kind with the one parametric generator
+// (internal/attack/testdata/kinds.sha256.golden pins each Kind's
+// stream). So the search starts from the known attacks and can only
+// improve.
 //
 // The optimizer is black-box and deterministic: seeded random sampling
 // over a projected search space (adversary.NewSpace), successive
@@ -177,7 +179,11 @@
 //	go run ./cmd/dapper adversary -tracker hydra,comet,dapper-h -profile tiny -budget 10 -seed 1
 //
 // `make adversary-smoke` runs the CI-pinned variant and uploads the
-// JSONL reports as a CI artifact. See examples/adversary for the in-process API.
+// JSONL reports as a CI artifact. `dapper adversary` is the one entry
+// point; in process, adversary.Search(opts, pool) returns the Report
+// (the caller owns the pool, which can serve many searches), and
+// Report.WriteJSONL writes the JSONL the subcommand saves as
+// adversary-<tracker>.jsonl.
 //
 // # Shadow security oracle (internal/secaudit, dapper audit)
 //
@@ -219,8 +225,10 @@
 // event/cycle. The adversary search can hunt escapes directly with
 // `-objective escapes`: candidates are then ranked by oracle verdict
 // (escapes, then max charge) with slowdown as the tie-break, seeding
-// the conformance matrix's focused-hammer point alongside the
-// hand-written kinds. See examples/secaudit for the in-process API.
+// the conformance matrix's focused-hammer point alongside the named
+// kinds. `dapper audit` is the one entry point; in process, a
+// secaudit.New oracle's Sink method is the sim.Config.Sink factory, and
+// its Report is read once the run returns.
 //
 // Every run above has at most one attacker. The tier-1 test
 // exp.TestMixSecauditTwoAttackerConformance covers two at once: two
@@ -269,11 +277,9 @@
 // byte-identical Results plus the series invariants and the
 // containment of every measure-window DRAM counter (ACT, VRR, RFMsb,
 // DRFMsb, bulk, REF) in the whole-run series totals
-// (`make telemetry-smoke` is the CI-pinned variant). See
-// examples/telemetry for the in-process fold: DAPPER-H's mitigation
-// rate ramping up under the refresh attack while benign IPC collapses,
-// next to the flat insecure baseline, followed by both runs' CPI and
-// blame stacks.
+// (`make telemetry-smoke` is the CI-pinned variant). In process, the
+// same report is one exp.Run with TelemetryWindow and Attribution set:
+// its Exec returns the Series and the Attribution in the sim.Result.
 //
 // Harness level and wall-clock: telemetry.Tracer records per-job spans
 // (queue wait, execution on a worker lane, cache hit, sink flush) from
@@ -353,8 +359,9 @@
 // through the defense itself or through plain bandwidth contention).
 // Live, internal/diag's BlameAgg taps harness.Options.OnResult and
 // serves the accumulating per-core stacks at /debug/vars under
-// "blame" while a sweep runs. examples/telemetry prints the stacks of
-// an attacked DAPPER-H run next to the insecure baseline's.
+// "blame" while a sweep runs. `dapper timeline -tracker dapper-h,none
+// -attack refresh` writes the stacks of an attacked DAPPER-H run next
+// to the insecure baseline's (timeline-<id>.txt).
 //
 // # Static contracts (contracts_test.go)
 //
