@@ -369,17 +369,28 @@ func PointFor(kind Kind, g dram.Geometry, nrh uint32) (Params, bool) {
 		// One cacheable line, so the stream cursor pins to address 0.
 		return Params{Steady: Pattern{CacheableFrac: 1, StreamBytes: 64, Bubbles: 1 << 20}}, true
 	case CacheThrash:
+		// A 64MB cacheable stream.
 		return Params{Steady: Pattern{CacheableFrac: 1}}, true
 	case StreamingSweep:
+		// Bank-major: each round touches every bank at one row before
+		// the row advances.
 		return Params{Steady: Pattern{Rows: int(g.RowsPerBank)}}, true
 	case DistinctRows:
+		// The row advances on every access, so no two consecutive ACTs
+		// share a row ID (ABACUS's Misra-Gries keys).
 		return Params{Steady: Pattern{Rows: int(g.RowsPerBank), RowHold: 1}}, true
 	case Refresh:
+		// Two rows per bank, alternating so every access closes the
+		// other row and forces an activation under the open-page
+		// policy: the hammer pair of §V-D.
 		return Params{Steady: Pattern{
 			HotFrac: 1, HotRows: 2,
 			HotBase: refreshRowA, HotStride: refreshRowB - refreshRowA,
 		}}, true
 	case RATThrash:
+		// 1.5x CoMeT's 128-entry RAT of aggressor rows per channel (the
+		// RAT is per channel), several per bank, so every revisit of a
+		// bank lands on a different row.
 		banks := 16 * g.Channels
 		if max := g.Channels * g.Ranks * g.BankGroups * g.BanksPerGroup; banks > max {
 			banks = max
@@ -388,6 +399,12 @@ func PointFor(kind Kind, g dram.Geometry, nrh uint32) (Params, bool) {
 			Rows: 192 * g.Channels, RowBase: 1000, RowHold: 1, Banks: banks,
 		}}, true
 	case HydraConflict:
+		// The warm phase gives every bank NGC activations (Hydra's NGC
+		// = 0.8 * NM) in each of 3 128-row groups, alternating two rows
+		// of the group, which pushes those group counters into per-row
+		// tracking. The steady phase then cycles every row of the
+		// groups: 3 groups x 128 rows x 64 banks = 24K rows, far more
+		// than the 4K-entry Row Counter Cache.
 		ngc := nrh / 2 * 8 / 10
 		if ngc == 0 {
 			ngc = 1
