@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build loc vet lint test test-race test-engine-equivalence fuzz-smoke audit-smoke telemetry-smoke blame-smoke batch-smoke experiments-smoke simbench-test bench-smoke bench-compare bench-check adversary-smoke quickstart ci
+.PHONY: all build loc vet lint test test-race test-engine-equivalence fuzz-smoke audit-smoke telemetry-smoke blame-smoke batch-smoke experiments-smoke simbench-test bench-smoke bench-compare bench-check adversary-smoke quickstart horizon-smoke ci
 
 all: build vet lint test
 
@@ -183,4 +183,16 @@ adversary-smoke:
 quickstart:
 	$(GO) run ./examples/quickstart
 
-ci: build loc vet lint test test-race test-engine-equivalence audit-smoke telemetry-smoke blame-smoke batch-smoke experiments-smoke simbench-test fuzz-smoke bench-smoke bench-check adversary-smoke quickstart
+# Horizon smoke: one DAPPER-H run over a full reset window (tREFW =
+# 32 ms) of four 429.mcf copies at NRH 500, where it mitigates ~533K
+# times, so the mitigation walk is most of the run. Its stdout (IPC,
+# DRAM and tracker counters) must match testdata/horizon-smoke.golden
+# byte for byte.
+horizon-smoke:
+	@mkdir -p horizon-smoke
+	$(GO) run ./cmd/dapper sim -tracker dapper-h -workload 429.mcf -attack none -nrh 500 -measure 32000 > horizon-smoke/stdout.txt
+	@cmp testdata/horizon-smoke.golden horizon-smoke/stdout.txt \
+		|| { echo "horizon-smoke FAILED: stdout differs from testdata/horizon-smoke.golden"; diff testdata/horizon-smoke.golden horizon-smoke/stdout.txt; exit 1; }
+	@echo "horizon-smoke: 32 ms DAPPER-H run matches its golden"
+
+ci: build loc vet lint test test-race test-engine-equivalence audit-smoke telemetry-smoke blame-smoke batch-smoke experiments-smoke simbench-test fuzz-smoke bench-smoke bench-check adversary-smoke quickstart horizon-smoke
