@@ -10,6 +10,15 @@
 // tables, mitigates only the rows shared by the two triggering groups,
 // carries counts across mitigations with per-table reset counters, and
 // filters cross-bank streaming with a per-bank bit-vector.
+//
+// A DAPPER-H mitigation needs every member's group in the opposite
+// table, which the hardware gets by decrypting and re-encrypting both
+// groups. The simulator reads those partner groups from one
+// process-wide memo (partners.go) keyed by the two ciphers' keys: the
+// partner groups are a pure function of the keys, and every DAPPER-H
+// with the same seed, channel, rank and epoch has the same keys, so
+// lockstep followers, sweep points and concurrent pool workers share
+// the entries and no tracker owns or releases them.
 package core
 
 import (
@@ -76,14 +85,18 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// ValidateH is Validate plus DAPPER-H's own limit: its per-bank
-// bit-vector has 32 bits.
+// ValidateH is Validate plus DAPPER-H's own limits: its per-bank
+// bit-vector has 32 bits, and its partner-group memo stores group ids
+// in 16 bits.
 func (c Config) ValidateH() error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
 	if n := c.Geometry.BanksPerRank(); n > 32 {
 		return fmt.Errorf("core: DAPPER-H's bit-vector supports at most 32 banks per rank, got %d", n)
+	}
+	if n := c.NumGroups(); n > 1<<16 {
+		return fmt.Errorf("core: DAPPER-H supports at most 65536 row groups (16M rows) per rank, got %d", n)
 	}
 	return nil
 }

@@ -528,6 +528,24 @@ func TestDapperHRejectsTooManyBanks(t *testing.T) {
 	}
 }
 
+func TestDapperHRejectsTooManyGroups(t *testing.T) {
+	// The partner-group memo stores group ids in 16 bits: 65,536 groups
+	// (16M rows) per rank fit, 131,072 are refused.
+	for _, tc := range []struct {
+		rows uint32
+		ok   bool
+	}{{1 << 19, true}, {1 << 20, false}} {
+		cfg := testConfig()
+		cfg.Geometry.RowsPerBank = tc.rows
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%d rows per bank: Validate: %v", tc.rows, err)
+		}
+		if err := cfg.ValidateH(); (err == nil) != tc.ok {
+			t.Errorf("%d groups per rank: ValidateH = %v, want ok = %v", cfg.NumGroups(), err, tc.ok)
+		}
+	}
+}
+
 func TestDapperCountersBoundNRH(t *testing.T) {
 	// Both trackers count in 16 bits, so NM = NRH/2 may be at most
 	// 65535: NRH 131070 is accepted, NRH 131072 refused.

@@ -23,6 +23,7 @@ type DapperH struct {
 	nextRst dram.Cycle
 	epoch   uint64
 	stats   rh.Stats
+	memo    *partnerMemo // the shared partners memo; tests substitute a small one
 
 	// Extra observability: how often a mitigation refreshed exactly one
 	// shared row (the paper reports 99.9%).
@@ -55,6 +56,7 @@ func NewDapperH(channel int, cfg Config) (*DapperH, error) {
 		nm:      uint16(cfg.NM()),
 		ranks:   make([]hRank, cfg.Geometry.Ranks),
 		nextRst: resetWindow,
+		memo:    &partners,
 	}
 	for r := range d.ranks {
 		seed := cfg.Seed ^ uint64(channel)<<32 ^ uint64(r)<<16
@@ -113,15 +115,25 @@ func (d *DapperH) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) []rh
 	return buf
 }
 
-// mitigate implements Figure 8 steps 3-4: decrypt both groups' members,
-// refresh the shared rows, compute the per-table reset counters from the
-// opposite table's counts of the surviving members, install them, and
-// clear the bit-vector entry.
+// mitigate implements Figure 8 steps 3-4: find each member's group in
+// the opposite table, refresh the shared rows, compute the per-table
+// reset counters from the opposite table's counts of the surviving
+// members, install them, and clear the bit-vector entry.
+//
+// The members' opposite groups come from the partner-group memo
+// (partners.go), not from 512 Decrypt and 512 Encrypt calls per
+// mitigation. The memo is keyed by the two ciphers' keys, not by this
+// tracker: the groups are a pure function of the keys, so every tracker
+// with the same keys (same seed, channel, rank and epoch) shares the
+// entries, and none has state to release. Only a shared row, which is
+// refreshed, is decrypted.
 func (d *DapperH) mitigate(rk *hRank, loc dram.Loc, g1, g2 uint64, buf []rh.Action) []rh.Action {
 	d.stats.Mitigations++
 	kind := d.cfg.Mode.ActionKind()
-	base1 := g1 << groupShift
-	base2 := g2 << groupShift
+	// partners1[i] is the table-2 group of group 1's member i;
+	// partners2[i] the table-1 group of group 2's member i.
+	partners1 := d.memo.get(rk.cipher1, rk.cipher2, g1)
+	partners2 := d.memo.get(rk.cipher2, rk.cipher1, g2)
 
 	// Walk group 1: the reset counter for table 1 is the maximum
 	// table-2 count among members that are NOT shared with group 2
@@ -139,10 +151,8 @@ func (d *DapperH) mitigate(rk *hRank, loc dram.Loc, g1, g2 uint64, buf []rh.Acti
 	// activations before its own trigger: 2*NM = NRH, the same bound
 	// the NM = NRH/2 window-reset argument relies on (§V-C).
 	var reset1 uint16
-	for i := uint64(0); i < groupSize; i++ {
-		orig := rk.cipher1.Decrypt(base1 + i)
-		og2 := rk.cipher2.Encrypt(orig) >> groupShift
-		if og2 == g2 {
+	for _, og2 := range partners1 {
+		if uint64(og2) == g2 {
 			continue // shared row
 		}
 		if c := rk.tab[og2].rgc2; c > reset1 && c < d.nm {
@@ -155,10 +165,9 @@ func (d *DapperH) mitigate(rk *hRank, loc dram.Loc, g1, g2 uint64, buf []rh.Acti
 	// of its non-shared members.
 	var reset2 uint16
 	shared := 0
-	for i := uint64(0); i < groupSize; i++ {
-		orig := rk.cipher2.Decrypt(base2 + i)
-		og1 := rk.cipher1.Encrypt(orig) >> groupShift
-		if og1 == g1 {
+	for i, og1 := range partners2 {
+		if uint64(og1) == g1 {
+			orig := rk.cipher2.Decrypt(g2<<groupShift + uint64(i))
 			mloc := d.cfg.Geometry.FromRankRowIndex(loc.Channel, loc.Rank, orig)
 			buf = append(buf, rh.Action{Kind: kind, Loc: mloc, Row: mloc.Row})
 			d.stats.VictimRefreshes++

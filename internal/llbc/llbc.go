@@ -65,6 +65,10 @@ func (c *Cipher) Bits() int { return c.bits }
 // Domain returns the external domain size 2^Bits.
 func (c *Cipher) Domain() uint64 { return c.domain }
 
+// Keys returns the current round keys. Two ciphers of equal width and
+// keys are the same bijection, so the keys can name a mapping in a memo.
+func (c *Cipher) Keys() [Rounds]uint32 { return c.keys }
+
 // Rekey replaces all round keys from seed. DAPPER-S calls this every
 // treset; DAPPER-H calls it every tREFW (§V-B, §VI-B).
 func (c *Cipher) Rekey(seed uint64) {

@@ -124,6 +124,16 @@ func TestSameSeedSameMapping(t *testing.T) {
 			t.Fatalf("same seed gave different mapping at %d", x)
 		}
 	}
+	// Keys names the mapping: equal for a seed reached by New or by
+	// Rekey, different for another seed.
+	c := MustNew(21, 1)
+	if c.Keys() == a.Keys() {
+		t.Fatal("different seeds gave equal keys")
+	}
+	c.Rekey(1234)
+	if c.Keys() != a.Keys() {
+		t.Fatalf("Rekey(1234) keys %v, New(21, 1234) keys %v", c.Keys(), a.Keys())
+	}
 }
 
 func TestDifferentSeedsDiffer(t *testing.T) {
