@@ -64,9 +64,13 @@ type Controller struct {
 	banks []dram.Bank
 	ranks []dram.Rank
 
-	queue    []*Request // core requests, bounded
+	// queue holds the core requests in EnqueuedAt order. It is a window
+	// into queueBuf (2*QueueCap slots): a removal closes the gap from
+	// the front, and Enqueue slides the window back to the start when it
+	// reaches the end of the buffer.
+	queue    []*Request
+	queueBuf []*Request
 	injected []*Request // tracker counter traffic, unbounded, priority
-	queueCap int
 
 	dataBusFreeAt   dram.Cycle
 	nextTrackerTick dram.Cycle
@@ -101,7 +105,7 @@ func NewController(channel int, geo dram.Geometry, tim dram.Timing, tracker rh.T
 		mode:            mode,
 		banks:           make([]dram.Bank, geo.BanksPerChannel()),
 		ranks:           make([]dram.Rank, geo.Ranks),
-		queueCap:        QueueCap,
+		queueBuf:        make([]*Request, 2*QueueCap),
 		nextTrackerTick: tim.TREFI,
 		lastTick:        -1,
 	}
@@ -153,7 +157,7 @@ func (c *Controller) Counters() dram.Counters { return c.counters }
 func (c *Controller) Stats() Stats { return c.stats }
 
 // CanEnqueue reports whether the core queue has room.
-func (c *Controller) CanEnqueue() bool { return len(c.queue) < c.queueCap }
+func (c *Controller) CanEnqueue() bool { return len(c.queue) < QueueCap }
 
 // Enqueue admits a request; it returns false when the queue is full
 // (the caller must retry later, and the request is left untouched).
@@ -169,7 +173,7 @@ func (c *Controller) Enqueue(r *Request, now dram.Cycle) bool {
 		c.emit(rh.Event{Kind: rh.EvQueue, At: now, Demand: len(c.queue), InjectedQueue: len(c.injected)})
 		return true
 	}
-	if len(c.queue) >= c.queueCap {
+	if len(c.queue) >= QueueCap {
 		return false
 	}
 	r.Done = false
@@ -178,6 +182,9 @@ func (c *Controller) Enqueue(r *Request, now dram.Cycle) bool {
 	r.ThrottleFreeAt = 0
 	if c.sink != nil && c.throt != nil {
 		r.ThrottleFreeAt = c.throt.NextAllowed(now, r.Loc)
+	}
+	if len(c.queue) == cap(c.queue) {
+		c.queue = c.queueBuf[:copy(c.queueBuf, c.queue)]
 	}
 	c.queue = append(c.queue, r)
 	c.resetConsider(now + 1)
@@ -651,10 +658,15 @@ func (c *Controller) bulkRefreshRank(now dram.Cycle, rankID int, culprit int) {
 	c.resetConsider(now)
 }
 
+// removeQueued drops r from the demand queue. FR-FCFS serves near the
+// head, so it moves the older entries back one slot and advances the
+// head rather than moving the younger ones forward; order is kept.
 func (c *Controller) removeQueued(r *Request) {
 	for i, q := range c.queue {
 		if q == r {
-			c.queue = append(c.queue[:i], c.queue[i+1:]...)
+			copy(c.queue[1:i+1], c.queue[:i])
+			c.queue[0] = nil
+			c.queue = c.queue[1:]
 			return
 		}
 	}

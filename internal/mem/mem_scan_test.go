@@ -310,3 +310,51 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 		t.Error("emit never reached the sink")
 	}
 }
+
+// TestQueueRemovalKeepsOrder removes demand requests from every
+// position of a queue kept between QueueCap-8 and QueueCap entries,
+// enqueueing in between, long enough for the queue's window to slide
+// back across its buffer many times. After every step the queue must
+// equal a plain slice model in order. Neither Enqueue nor removeQueued
+// may allocate.
+func TestQueueRemovalKeepsOrder(t *testing.T) {
+	geo := dram.Baseline()
+	c := NewController(0, geo, dram.DDR5(), rh.NewNop(), rh.VRR1)
+	var model, free []*Request
+	for i := range QueueCap + 8 {
+		free = append(free, reqAt(geo, bankLoc(geo, i%geo.BanksPerChannel(), uint32(i)), false))
+	}
+	rng := uint64(0x9E3779B97F4A7C15)
+	now := dram.Cycle(0)
+	for step := 0; step < 4000; step++ {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		if n := len(model); n < QueueCap-8 || n < QueueCap && rng%2 == 0 {
+			r := free[len(free)-1]
+			free = free[:len(free)-1]
+			now++
+			if !c.Enqueue(r, now) {
+				t.Fatalf("step %d: enqueue refused at %d entries", step, n)
+			}
+			model = append(model, r)
+		} else {
+			i := int(rng>>1) % n
+			r := model[i]
+			c.removeQueued(r)
+			model = slices.Delete(model, i, i+1)
+			free = append(free, r)
+		}
+		if !slices.Equal(c.queue, model) {
+			t.Fatalf("step %d: queue differs from the model", step)
+		}
+	}
+	r := c.queue[len(c.queue)/2]
+	if n := testing.AllocsPerRun(100, func() {
+		c.removeQueued(r)
+		now++
+		c.Enqueue(r, now)
+	}); n != 0 {
+		t.Errorf("removeQueued plus Enqueue allocates %v times per call", n)
+	}
+}
