@@ -1,11 +1,14 @@
 // Quickstart: build a DAPPER-H tracker, feed it an activation stream,
 // and watch it mitigate a hammered row while ignoring benign traffic.
+// It exits 1 if the benign traffic is mitigated or the hammered row is
+// not.
 //
 //	go run ./examples/quickstart
 package main
 
 import (
 	"fmt"
+	"os"
 
 	"dapper/internal/core"
 	"dapper/internal/dram"
@@ -36,7 +39,7 @@ func main() {
 	for row := uint32(0); row < 4096; row++ {
 		loc := dram.Loc{BankGroup: int(row) % 8, Bank: int(row/8) % 4, Row: row}
 		if acts := act(loc); len(acts) > 0 {
-			fmt.Println("unexpected mitigation on benign traffic!")
+			fail("unexpected mitigation on benign traffic (row %d)", row)
 		}
 	}
 	fmt.Printf("after 4096 scattered activations: mitigations=%d (benign traffic is free)\n",
@@ -44,15 +47,24 @@ func main() {
 
 	// Now hammer one row well past the mitigation threshold.
 	victim := dram.Loc{BankGroup: 3, Bank: 1, Row: 12345}
-	for i := 0; i < 600; i++ {
-		if acts := act(victim); len(acts) > 0 {
-			fmt.Printf("activation %d: DAPPER-H refreshes %d shared row(s):\n", i+1, len(acts))
-			for _, a := range acts {
-				fmt.Printf("  victim refresh around row %d (bank group %d, bank %d) via %v\n",
-					a.Row, a.Loc.BankGroup, a.Loc.Bank, a.Kind == rh.RefreshVictims)
-			}
-			break
+	mitigated := false
+	for i := 0; i < 600 && !mitigated; i++ {
+		acts := act(victim)
+		if len(acts) == 0 {
+			continue
 		}
+		fmt.Printf("activation %d: DAPPER-H refreshes %d shared row(s):\n", i+1, len(acts))
+		for _, a := range acts {
+			fmt.Printf("  victim refresh around row %d (bank group %d, bank %d) via %v\n",
+				a.Row, a.Loc.BankGroup, a.Loc.Bank, a.Kind == rh.RefreshVictims)
+			mitigated = mitigated || a.Loc == victim
+		}
+		if !mitigated {
+			fail("the mitigation at activation %d does not refresh around the hammered row %d", i+1, victim.Row)
+		}
+	}
+	if !mitigated {
+		fail("600 activations of row %d were never mitigated", victim.Row)
 	}
 
 	st := tracker.Stats()
@@ -60,4 +72,10 @@ func main() {
 		st.Activations, st.Mitigations, st.VictimRefreshes)
 	fmt.Printf("single-shared-row mitigations: %.1f%% (paper: 99.9%%)\n",
 		tracker.SingleSharedFraction()*100)
+}
+
+// fail reports a broken expectation and exits 1.
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "quickstart: "+format+"\n", args...)
+	os.Exit(1)
 }
