@@ -479,15 +479,6 @@ func runEvent(cfg Config, controllers []*mem.Controller, hier *hierarchy,
 	return base
 }
 
-// MustRun is Run panicking on configuration errors.
-func MustRun(cfg Config) Result {
-	r, err := Run(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 type snapshots struct {
 	retired  []uint64
 	counters dram.Counters

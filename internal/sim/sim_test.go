@@ -15,6 +15,15 @@ import (
 	"dapper/internal/workloads"
 )
 
+// MustRun is Run panicking on configuration errors.
+func MustRun(cfg Config) Result {
+	r, err := Run(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 // quickCfg returns a small, fast configuration.
 func quickCfg(traces []cpu.Trace) Config {
 	return Config{
