@@ -7,10 +7,10 @@ import (
 )
 
 // partnerMemoEntries bounds the shared partner-group memo: 65,536
-// entries of 512 B member arrays (32 MiB) plus their keys, held once in
-// the map and once in the eviction ring (~5 MiB). That is every group of both
-// tables of the baseline's four 2M-row ranks, so one reset window at
-// the paper's horizon fits without eviction.
+// entries of 512 B member arrays (32 MiB) plus their 40 B keys, held
+// once in the map and once in the eviction ring (~6 MiB). That is every
+// group of both tables of the baseline's four 2M-row ranks, so one
+// reset window at the paper's horizon fits without eviction.
 const partnerMemoEntries = 1 << 16
 
 // partnerGroups holds, for each of a group's 256 members under one
@@ -45,7 +45,8 @@ type partnerMemo struct {
 // every DAPPER-H built from the same seed, geometry and channel uses the
 // same keys in the same epoch (lockstep followers, the points of a sweep,
 // concurrent pool workers), and no caller can tell another's use from
-// its own except by speed. It allocates on the first mitigation only.
+// its own except by speed. It allocates only to fill an entry, so a run
+// that never mitigates allocates nothing.
 var partners = partnerMemo{limit: partnerMemoEntries}
 
 // get returns, for each member i of group g under cipher from, the

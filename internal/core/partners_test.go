@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dapper/internal/dram"
+	"dapper/internal/llbc"
 	"dapper/internal/rh"
 )
 
@@ -47,15 +48,54 @@ func memoStream(geo dram.Geometry, hotSeed, pickSeed uint64) func() dram.Loc {
 	}
 }
 
+// TestPartnerMemo checks get against the direct walk for ciphers that
+// share the from keys, the to keys or the keys at another width, in an
+// order that keeps a 4-entry memo evicting, and that the memo then
+// holds exactly the 4 entries filled last.
+func TestPartnerMemo(t *testing.T) {
+	c9a, c9b, c9c := llbc.MustNew(9, 1), llbc.MustNew(9, 2), llbc.MustNew(9, 3)
+	c10a, c10b := llbc.MustNew(10, 1), llbc.MustNew(10, 2)
+	type call struct {
+		from, to *llbc.Cipher
+		g        uint64
+	}
+	var calls []call
+	for g := range uint64(2) {
+		calls = append(calls, call{c9a, c9b, g}, call{c9a, c9c, g}, call{c9b, c9a, g}, call{c10a, c10b, g})
+	}
+	memo := &partnerMemo{limit: 4}
+	for round := range 2 {
+		for _, c := range calls {
+			p := memo.get(c.from, c.to, c.g)
+			for i, got := range p {
+				want := c.to.Encrypt(c.from.Decrypt(c.g<<groupShift+uint64(i))) >> groupShift
+				if uint64(got) != want {
+					t.Fatalf("round %d: %d-bit group %d member %d: partner group %d, want %d", round, c.from.Bits(), c.g, i, got, want)
+				}
+			}
+		}
+	}
+	if len(memo.entries) != memo.limit {
+		t.Fatalf("memo holds %d entries, want %d", len(memo.entries), memo.limit)
+	}
+	for _, c := range calls[len(calls)-memo.limit:] {
+		k := partnerKey{c.from.Keys(), c.to.Keys(), uint32(c.from.Bits()), uint32(c.g)}
+		if memo.entries[k] == nil {
+			t.Errorf("memo lost the recent entry %d-bit group %d", c.from.Bits(), c.g)
+		}
+	}
+}
+
 // TestDapperHSharedMemoMatchesReference holds trackers that share one
 // partner-group memo to the reference, which walks both groups with
 // the ciphers on every mitigation. Two trackers have the same seed, so
-// they share keys and memo entries; a third has another seed. Their
-// ACTs interleave across at least two rekeys, and the memo holds 16
-// entries, far fewer than the (keys, group) pairs the streams mitigate,
-// so entries are evicted and refilled throughout. After every call each
-// tracker's observables must equal its reference's, and its full tables
-// after every mitigation and rekey.
+// they share keys and memo entries; a third has another seed, and a
+// fourth the first seed on twice the rows, so the same keys over a
+// wider cipher. Their ACTs interleave across at least two rekeys, and
+// the memo holds 16 entries, far fewer than the (keys, group) pairs the
+// streams mitigate, so entries are evicted and refilled throughout.
+// After every call each tracker's observables must equal its
+// reference's, and its full tables after every mitigation and rekey.
 func TestDapperHSharedMemoMatchesReference(t *testing.T) {
 	memo := &partnerMemo{limit: 16}
 	type run struct {
@@ -64,16 +104,19 @@ func TestDapperHSharedMemoMatchesReference(t *testing.T) {
 		next func() dram.Loc
 	}
 	var runs []run
-	for i, seed := range []uint64{1, 1, 2} {
-		cfg := memoConfig(seed)
+	for i, tc := range []struct {
+		seed uint64
+		rows uint32
+	}{{1, 512}, {1, 512}, {2, 512}, {1, 1024}} {
+		cfg := memoConfig(tc.seed)
+		cfg.Geometry.RowsPerBank = tc.rows
 		got, err := NewDapperH(0, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got.memo = memo
-		runs = append(runs, run{got, newRefDapperH(0, cfg), memoStream(cfg.Geometry, seed, uint64(i))})
+		runs = append(runs, run{got, newRefDapperH(0, cfg), memoStream(cfg.Geometry, tc.seed, uint64(i))})
 	}
-	bits := uint32(memoConfig(1).AddressBits())
 
 	const window = 4000 // steps per tREFW, so each window of steps ends in a rekey
 	stride := resetWindow / window
@@ -97,11 +140,12 @@ func TestDapperHSharedMemoMatchesReference(t *testing.T) {
 				compareTables(t, r.got, r.want, i)
 				rk := &r.got.ranks[loc.Rank]
 				g1, g2 := r.got.GroupsOf(loc)
+				bits := uint32(r.got.cfg.AddressBits())
 				keys[partnerKey{rk.cipher1.Keys(), rk.cipher2.Keys(), bits, uint32(g1)}] = true
 				keys[partnerKey{rk.cipher2.Keys(), rk.cipher1.Keys(), bits, uint32(g2)}] = true
 			}
 			if t.Failed() {
-				t.Fatalf("tracker %d (seed %d) diverged at step %d", j, r.got.cfg.Seed, i)
+				t.Fatalf("tracker %d (seed %d, %d rows per bank) diverged at step %d", j, r.got.cfg.Seed, r.got.cfg.Geometry.RowsPerBank, i)
 			}
 		}
 	}
@@ -109,6 +153,9 @@ func TestDapperHSharedMemoMatchesReference(t *testing.T) {
 		if s := r.got.Stats(); s.Mitigations == 0 || r.got.epoch < 2 {
 			t.Fatalf("tracker %d: stream too weak: %d mitigations, %d rekeys", j, s.Mitigations, r.got.epoch)
 		}
+	}
+	if n := len(memo.entries); n > memo.limit {
+		t.Fatalf("memo holds %d entries, bound %d", n, memo.limit)
 	}
 	if len(keys) < 4*memo.limit {
 		t.Fatalf("mitigations read %d (keys, group) pairs, want at least %d to cycle the %d-entry memo", len(keys), 4*memo.limit, memo.limit)

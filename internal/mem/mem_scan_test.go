@@ -315,8 +315,8 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 // position of a queue kept between QueueCap-8 and QueueCap entries,
 // enqueueing in between, long enough for the queue's window to slide
 // back across its buffer many times. After every step the queue must
-// equal a plain slice model in order. Neither Enqueue nor removeQueued
-// may allocate.
+// equal a plain slice model in order and still be a window into its
+// buffer. Neither Enqueue nor removeQueued may allocate.
 func TestQueueRemovalKeepsOrder(t *testing.T) {
 	geo := dram.Baseline()
 	c := NewController(0, geo, dram.DDR5(), rh.NewNop(), rh.VRR1)
@@ -347,6 +347,9 @@ func TestQueueRemovalKeepsOrder(t *testing.T) {
 		}
 		if !slices.Equal(c.queue, model) {
 			t.Fatalf("step %d: queue differs from the model", step)
+		}
+		if end := c.queue[:cap(c.queue)]; &end[len(end)-1] != &c.queueBuf[len(c.queueBuf)-1] {
+			t.Fatalf("step %d: queue is not a window into its buffer", step)
 		}
 	}
 	r := c.queue[len(c.queue)/2]
