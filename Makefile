@@ -47,13 +47,15 @@ test-race:
 test-engine-equivalence:
 	$(GO) test -run 'TestEngineEquivalence|TestEngineDeterminism|TestMixSecaudit' -v -count=1 ./internal/sim ./internal/exp ./internal/adversary
 
-# Short-budget native fuzzing of the two pure-function attack surfaces:
-# parametric trace generation (geometry bounds + replay determinism) and
-# the physical address mapping (decompose/compose bijection). Seed
-# corpora live under testdata/fuzz/ and replay in every plain `go test`.
+# Short-budget native fuzzing of three pure-function surfaces:
+# parametric trace generation (geometry bounds + replay determinism),
+# the physical address mapping (decompose/compose bijection) and
+# DAPPER-H's shared group memo (every read equals the ciphers). Seed
+# corpora (testdata/fuzz/ or f.Add) replay in every plain `go test`.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParamsTrace -fuzztime=15s ./internal/attack
 	$(GO) test -run=NONE -fuzz=FuzzDecompose -fuzztime=15s ./internal/dram
+	$(GO) test -run=NONE -fuzz=FuzzGroupMemo -fuzztime=15s ./internal/core
 
 # Security conformance smoke: the shadow oracle audits every registered
 # tracker under three tailored attacks and two mitigation-command modes

@@ -33,7 +33,8 @@ type DapperH struct {
 type hRank struct {
 	cipher1 *llbc.Cipher
 	cipher2 *llbc.Cipher
-	tab     []hEntry // indexed by group id: tab[g1] for table 1, tab[g2] for table 2
+	groups  *groupTable // the shared group memo's table for the two ciphers' keys
+	tab     []hEntry    // indexed by group id: tab[g1] for table 1, tab[g2] for table 2
 }
 
 // hEntry packs one group id's state into 8 bytes, so an ACT touches two
@@ -60,11 +61,11 @@ func NewDapperH(channel int, cfg Config) (*DapperH, error) {
 	}
 	for r := range d.ranks {
 		seed := cfg.Seed ^ uint64(channel)<<32 ^ uint64(r)<<16
-		d.ranks[r] = hRank{
-			cipher1: llbc.MustNew(cfg.AddressBits(), seed),
-			cipher2: llbc.MustNew(cfg.AddressBits(), seed^0xD0E5C0DE),
-			tab:     make([]hEntry, cfg.NumGroups()),
-		}
+		rk := &d.ranks[r]
+		rk.cipher1 = llbc.MustNew(cfg.AddressBits(), seed)
+		rk.cipher2 = llbc.MustNew(cfg.AddressBits(), seed^0xD0E5C0DE)
+		rk.groups = groupTableOf(&groupTables, rk.cipher1, rk.cipher2)
+		rk.tab = make([]hEntry, cfg.NumGroups())
 	}
 	return d, nil
 }
@@ -76,12 +77,15 @@ func (d *DapperH) Name() string { return "DAPPER-H" }
 func (d *DapperH) Config() Config { return d.cfg }
 
 // OnActivate implements rh.Tracker (Figure 8, steps 1-2).
+//
+// The row's two groups come from the group memo (partners.go), which
+// hashes a row through both ciphers once for every tracker with the
+// same keys: in a sweep, the lockstep followers read what the lead
+// computed instead of encrypting every ACT again.
 func (d *DapperH) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) []rh.Action {
 	d.stats.Activations++
 	rk := &d.ranks[loc.Rank]
-	idx := d.cfg.Geometry.RankRowIndex(loc)
-	g1 := rk.cipher1.Encrypt(idx) >> groupShift
-	g2 := rk.cipher2.Encrypt(idx) >> groupShift
+	g1, g2 := rk.groups.groups(rk.cipher1, rk.cipher2, d.cfg.Geometry.RankRowIndex(loc))
 	bank := uint(d.cfg.Geometry.BankInRank(loc))
 
 	// Counters saturate at NM: they are 1-byte structures in hardware
@@ -132,8 +136,8 @@ func (d *DapperH) mitigate(rk *hRank, loc dram.Loc, g1, g2 uint64, buf []rh.Acti
 	kind := d.cfg.Mode.ActionKind()
 	// partners1[i] is the table-2 group of group 1's member i;
 	// partners2[i] the table-1 group of group 2's member i.
-	partners1 := d.memo.get(rk.cipher1, rk.cipher2, g1)
-	partners2 := d.memo.get(rk.cipher2, rk.cipher1, g2)
+	partners1 := partnersOf(d.memo, rk.cipher1, rk.cipher2, g1)
+	partners2 := partnersOf(d.memo, rk.cipher2, rk.cipher1, g2)
 
 	// Walk group 1: the reset counter for table 1 is the maximum
 	// table-2 count among members that are NOT shared with group 2
@@ -202,6 +206,7 @@ func (d *DapperH) Tick(now dram.Cycle, buf []rh.Action) []rh.Action {
 		base := d.cfg.Seed ^ d.epoch*0x9E3779B97F4A7C15 ^ uint64(d.channel)<<32 ^ uint64(r)<<16
 		rk.cipher1.Rekey(base)
 		rk.cipher2.Rekey(base ^ 0xD0E5C0DE)
+		rk.groups = groupTableOf(&groupTables, rk.cipher1, rk.cipher2)
 	}
 	return buf
 }

@@ -40,27 +40,46 @@ func TestDapperHTableBytes(t *testing.T) {
 }
 
 // TestDapperHOnActivateDoesNotAllocate holds OnActivate allocation-free
-// on both paths: plain counting and a mitigation that appends the
-// shared rows into a buffer with room for them.
+// on both paths, plain counting and a mitigation that appends the
+// shared rows into a buffer with room for them, and on both group-memo
+// paths: rows that keep their slots hit, while two rows of one rank
+// that share a slot, activated in turn, miss on every call.
 func TestDapperHOnActivateDoesNotAllocate(t *testing.T) {
 	cfg := testConfig()
 	cfg.NRH = 8 // a hammered row mitigates every few ACTs
-	d, err := NewDapperH(0, cfg)
-	if err != nil {
-		t.Fatal(err)
+	geo := cfg.Geometry
+	colliding := []dram.Loc{locFor(0, 2, 1, 5)}
+	for idx := uint64(0); len(colliding) < 2 && idx < geo.RowsPerRank(); idx++ {
+		if l := geo.FromRankRowIndex(0, 0, idx); l != colliding[0] && groupSlot(idx) == groupSlot(geo.RankRowIndex(colliding[0])) {
+			colliding = append(colliding, l)
+		}
 	}
-	buf := make([]rh.Action, 0, groupSize)
-	locs := []dram.Loc{locFor(0, 0, 0, 7), locFor(1, 3, 2, 900), locFor(0, 5, 1, 33)}
-	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		buf = d.OnActivate(dram.Cycle(i), locs[i%len(locs)], buf[:0])
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("OnActivate allocates %.1f times per call", allocs)
+	if len(colliding) < 2 {
+		t.Fatal("no two rows of the rank share a group-memo slot")
 	}
-	if m := d.Stats().Mitigations; m < 100 {
-		t.Fatalf("only %d mitigations: the mitigating path was not exercised", m)
+	for _, tc := range []struct {
+		name string
+		locs []dram.Loc
+	}{
+		{"hits", []dram.Loc{locFor(0, 0, 0, 7), locFor(1, 3, 2, 900), locFor(0, 5, 1, 33)}},
+		{"misses", colliding},
+	} {
+		d, err := NewDapperH(0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]rh.Action, 0, groupSize)
+		i := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			buf = d.OnActivate(dram.Cycle(i), tc.locs[i%len(tc.locs)], buf[:0])
+			i++
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: OnActivate allocates %.1f times per call", tc.name, allocs)
+		}
+		if m := d.Stats().Mitigations; m < 100 {
+			t.Fatalf("%s: only %d mitigations: the mitigating path was not exercised", tc.name, m)
+		}
 	}
 }
 
@@ -95,5 +114,55 @@ func BenchmarkDapperHOnActivate(b *testing.B) {
 		now := dram.Cycle(i) * stride
 		buf = d.Tick(now, buf[:0])
 		buf = d.OnActivate(now, locs[i%len(locs)], buf[:0])
+	}
+}
+
+// BenchmarkDapperHFollowers times one ACT of one tracker (ns/op) in the
+// replay shape of a lockstep NRH sweep: each 4,096-ACT chunk of a
+// uniform stream over the baseline geometry is fed follower-major to
+// eight trackers, one per NRH from 500 to 64,000, with the clock
+// strided as in BenchmarkDapperHOnActivate. The stream is 64 chunks
+// long, so a row is not seen again until the group tables have been
+// overwritten many times. In "same-keys" the trackers share the default
+// seed, as a sweep's do, so the first tracker's group-memo misses are
+// the other seven's hits; in "own-keys" each has its own seed and
+// table, so every ACT misses.
+func BenchmarkDapperHFollowers(b *testing.B) {
+	geo := dram.Baseline()
+	const chunk = 4096
+	locs := make([]dram.Loc, 64*chunk)
+	rng := uint64(0xBF58476D1CE4E5B9)
+	for i := range locs {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		locs[i] = locFor(int(rng%2), int(rng>>8)%geo.BankGroups, int(rng>>16)%geo.BanksPerGroup, uint32(rng>>24)%geo.RowsPerBank)
+	}
+	for _, keys := range []string{"same-keys", "own-keys"} {
+		b.Run(keys, func(b *testing.B) {
+			trackers := make([]*DapperH, 8)
+			for f := range trackers {
+				cfg := Config{Geometry: geo, NRH: 500 << f}
+				if keys == "own-keys" {
+					cfg.Seed = uint64(f + 1)
+				}
+				d, err := NewDapperH(0, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				trackers[f] = d
+			}
+			buf := make([]rh.Action, 0, groupSize)
+			stride := resetWindow >> 16
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c, f, j := i/(chunk*len(trackers)), i/chunk%len(trackers), i%chunk
+				act := c*chunk + j
+				now := dram.Cycle(act) * stride
+				buf = trackers[f].Tick(now, buf[:0])
+				buf = trackers[f].OnActivate(now, locs[act%len(locs)], buf[:0])
+			}
+		})
 	}
 }

@@ -66,7 +66,7 @@ func TestPartnerMemo(t *testing.T) {
 	memo := &partnerMemo{limit: 4}
 	for round := range 2 {
 		for _, c := range calls {
-			p := memo.get(c.from, c.to, c.g)
+			p := partnersOf(memo, c.from, c.to, c.g)
 			for i, got := range p {
 				want := c.to.Encrypt(c.from.Decrypt(c.g<<groupShift+uint64(i))) >> groupShift
 				if uint64(got) != want {
@@ -220,4 +220,128 @@ func TestDapperHSharedMemoConcurrent(t *testing.T) {
 		}
 	}
 	t.Logf("%d mitigations, %d actions per tracker", wantStats.Mitigations, len(wantLog))
+}
+
+// TestGroupTableOf checks that ciphers with equal keys and width share
+// one group table, that other keys or another width get their own, and
+// that the memo holds at most limit tables, evicting the oldest.
+func TestGroupTableOf(t *testing.T) {
+	memo := &groupMemo{limit: 2}
+	a := groupTableOf(memo, llbc.MustNew(12, 1), llbc.MustNew(12, 2))
+	if b := groupTableOf(memo, llbc.MustNew(12, 1), llbc.MustNew(12, 2)); b != a {
+		t.Fatal("ciphers with equal keys and width got different tables")
+	}
+	for _, c := range []struct {
+		name         string
+		bits         int
+		seed1, seed2 uint64
+	}{{"other table-2 keys", 12, 1, 3}, {"swapped keys", 12, 2, 1}, {"other width", 13, 1, 2}} {
+		if b := groupTableOf(memo, llbc.MustNew(c.bits, c.seed1), llbc.MustNew(c.bits, c.seed2)); b == a {
+			t.Errorf("%s: shares the first table", c.name)
+		}
+	}
+	if n := len(memo.entries); n != memo.limit {
+		t.Fatalf("memo holds %d tables, want %d", n, memo.limit)
+	}
+	if b := groupTableOf(memo, llbc.MustNew(12, 1), llbc.MustNew(12, 2)); b == a {
+		t.Fatal("the oldest table was not evicted")
+	}
+}
+
+// FuzzGroupMemo holds every group-table read to the ciphers:
+// groups(idx) must equal (c1.Encrypt(idx) >> 8, c2.Encrypt(idx) >> 8)
+// under the ciphers' current keys, on a miss and on the hit after it.
+// The inputs are two key seeds, a width ValidateH admits (8 to 24 bits)
+// and a row-index sequence, 3 bytes an index. An index whose first byte
+// is odd is moved onto the previous index's slot when the domain has
+// another row there, so slots are overwritten back and forth; the
+// ciphers rekey at the step rekeyAt names, and the table is looked up
+// again through a one-table memo, which evicts the old keys' table.
+func FuzzGroupMemo(f *testing.F) {
+	f.Add(uint64(1), uint64(2), uint8(13), []byte{0, 0, 0, 1, 0, 0, 3, 9, 9, 5, 1, 2, 7, 7, 7}, uint8(2))
+	f.Add(uint64(0xDA99E4), uint64(0xDA99E4^0xD0E5C0DE), uint8(21), []byte{2, 1, 0, 1, 1, 1, 3, 3, 3, 1, 0, 0, 0, 255, 255}, uint8(3))
+	f.Add(uint64(7), uint64(7), uint8(8), []byte{255, 255, 255, 1, 2, 3}, uint8(0))
+	f.Add(uint64(5), uint64(6), uint8(24), []byte{255, 255, 255, 1, 0, 0, 3, 0, 0, 254, 255, 255}, uint8(255))
+	f.Fuzz(func(t *testing.T, seed1, seed2 uint64, width uint8, rows []byte, rekeyAt uint8) {
+		bits := 8 + int(width%17)
+		domain := uint64(1) << bits
+		c1, c2 := llbc.MustNew(bits, seed1), llbc.MustNew(bits, seed2)
+		memo := &groupMemo{limit: 1}
+		tab := groupTableOf(memo, c1, c2)
+		var prev uint64
+		for step := 0; 3*step+3 <= len(rows); step++ {
+			if step == int(rekeyAt) {
+				c1.Rekey(seed1 ^ 0x9E3779B97F4A7C15)
+				c2.Rekey(seed2 ^ 0x9E3779B97F4A7C15)
+				tab = groupTableOf(memo, c1, c2)
+			}
+			b := rows[3*step:]
+			idx := (uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16) % domain
+			if b[0]&1 == 1 {
+				// The next row after idx, cyclically, that shares prev's
+				// slot, if the domain has one besides prev.
+				for i := range min(domain, 1<<20) {
+					if c := (idx + i) % domain; c != prev && groupSlot(c) == groupSlot(prev) {
+						idx = c
+						break
+					}
+				}
+			}
+			want1, want2 := c1.Encrypt(idx)>>groupShift, c2.Encrypt(idx)>>groupShift
+			for read := range 2 {
+				if g1, g2 := tab.groups(c1, c2, idx); g1 != want1 || g2 != want2 {
+					t.Fatalf("step %d read %d: %d-bit row %d: groups (%d, %d), want (%d, %d)", step, read, bits, idx, g1, g2, want1, want2)
+				}
+			}
+			prev = idx
+		}
+		if n := len(memo.entries); n > memo.limit {
+			t.Fatalf("memo holds %d tables, bound %d", n, memo.limit)
+		}
+	})
+}
+
+// TestDapperHSharedGroupsConcurrent feeds two trackers with the same
+// keys the same mitigating stream on two goroutines, so both read and
+// overwrite the same group-table slots at once across two rekeys, and
+// requires equal Stats, equal to a tracker's built after them and fed
+// the stream alone. Under the race detector (make test-race) this is
+// the group memo's concurrency check.
+func TestDapperHSharedGroupsConcurrent(t *testing.T) {
+	cfg := memoConfig(5)
+	const window = 4000
+	run := func() rh.Stats {
+		d, err := NewDapperH(0, cfg)
+		if err != nil {
+			t.Error(err)
+			return rh.Stats{}
+		}
+		next := memoStream(cfg.Geometry, 5, 1)
+		var buf []rh.Action
+		for i := 0; i < 2*window+window/10; i++ {
+			now := dram.Cycle(i) * (resetWindow / window)
+			buf = d.Tick(now, buf[:0])
+			buf = d.OnActivate(now, next(), buf[:0])
+		}
+		return d.Stats()
+	}
+	var stats [2]rh.Stats
+	var wg sync.WaitGroup
+	for g := range stats {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stats[g] = run()
+		}()
+	}
+	wg.Wait()
+	want := run()
+	if want.Mitigations == 0 {
+		t.Fatal("stream never mitigated")
+	}
+	for g, s := range stats {
+		if s != want {
+			t.Errorf("goroutine %d: stats %+v, want %+v", g, s, want)
+		}
+	}
 }

@@ -387,7 +387,7 @@ func checkConservation(s *telemetry.Series, final snapshots, cores []*cpu.Core) 
 
 // runEvent is the event-driven loop: each component is processed only
 // when due, and time advances straight to the earliest wake across all
-// components. Correctness rests on three contracts, each of which makes
+// components. Correctness rests on four contracts, each of which makes
 // a component's behavior identical whether it is driven every cycle or
 // only at its wake times:
 //
@@ -400,7 +400,7 @@ func checkConservation(s *telemetry.Series, final snapshots, cores []*cpu.Core) 
 //     iteration since its retry outcome depends on memory-system state;
 //   - all cross-component interactions (enqueue, service completion,
 //     write-back admission) happen at iteration times by construction,
-//     so skipped cycles are provably no-ops for every skipped component.
+//     so skipped cycles are provably no-ops for every skipped component;
 //   - only mem.Controller.Tick completes a request or frees a queue
 //     slot, so a core blocked on an in-flight head is re-polled, and the
 //     write-back backlog flushed, only on iterations where a controller
