@@ -30,6 +30,19 @@
 // banks per rank; the constructors refuse anything larger with an
 // error.
 //
+// DAPPER-H's cipher work is shared, not owned. A mitigation's partner
+// groups (each member's group in the opposite table) and an
+// activation's group pair are pure functions of the two ciphers' keys,
+// and every DAPPER-H with the same seed, channel, rank and epoch holds
+// the same keys. So internal/core keeps both in process-wide memos
+// keyed by the keys and width (partners.go): lockstep followers, the
+// points of a sweep and concurrent pool workers read what any of them
+// computed, and no tracker state has to be released. The partner memo
+// holds at most 65,536 groups (32 MiB); the group memo holds at most
+// 16 key pairs' direct-mapped tables of 8,192 one-word slots (64 KiB
+// each, 1 MiB in all), and a slot names its row, so a racing read
+// returns the right groups or misses.
+//
 // # Experiment orchestration (internal/harness)
 //
 // Every figure is dozens-to-hundreds of independent sim.Run calls.

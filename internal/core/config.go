@@ -13,12 +13,20 @@
 //
 // A DAPPER-H mitigation needs every member's group in the opposite
 // table, which the hardware gets by decrypting and re-encrypting both
-// groups. The simulator reads those partner groups from one
-// process-wide memo (partners.go) keyed by the two ciphers' keys: the
-// partner groups are a pure function of the keys, and every DAPPER-H
-// with the same seed, channel, rank and epoch has the same keys, so
-// lockstep followers, sweep points and concurrent pool workers share
-// the entries and no tracker owns or releases them.
+// groups, and every activation needs the row's two groups, one Encrypt
+// per table. The simulator reads both from process-wide memos
+// (partners.go) keyed by the two ciphers' keys and width: the partner
+// memo maps a group to its members' opposite groups, and the group memo
+// maps a rank row index to its group pair. Both are pure functions of
+// the keys, and every DAPPER-H with the same seed, channel, rank and
+// epoch has the same keys, so lockstep followers, sweep points and
+// concurrent pool workers share the entries and no tracker owns or
+// releases them. The group memo is direct-mapped: a key pair's table
+// is 8,192 one-word slots (64 KiB), each packing the row index beside
+// its groups, so a read that races a write on another goroutine either
+// matches its row and returns the pure-function value or misses. Each
+// memo holds a bounded number of entries or tables and evicts the
+// oldest (partnerMemoEntries, groupMemoTables).
 package core
 
 import (
@@ -86,8 +94,8 @@ func (c Config) Validate() error {
 }
 
 // ValidateH is Validate plus DAPPER-H's own limits: its per-bank
-// bit-vector has 32 bits, and its partner-group memo stores group ids
-// in 16 bits.
+// bit-vector has 32 bits, and its memos store group ids in 16 bits and
+// rank row indices in 24.
 func (c Config) ValidateH() error {
 	if err := c.Validate(); err != nil {
 		return err

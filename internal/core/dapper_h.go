@@ -245,11 +245,9 @@ func (d *DapperH) SingleSharedFraction() float64 {
 // Counts returns the two group counters a row currently maps to (test
 // hook).
 func (d *DapperH) Counts(loc dram.Loc) (uint32, uint32) {
-	rk := &d.ranks[loc.Rank]
-	idx := d.cfg.Geometry.RankRowIndex(loc)
-	g1 := rk.cipher1.Encrypt(idx) >> groupShift
-	g2 := rk.cipher2.Encrypt(idx) >> groupShift
-	return uint32(rk.tab[g1].rgc1), uint32(rk.tab[g2].rgc2)
+	tab := d.ranks[loc.Rank].tab
+	g1, g2 := d.GroupsOf(loc)
+	return uint32(tab[g1].rgc1), uint32(tab[g2].rgc2)
 }
 
 // GroupsOf returns the row's (group1, group2) ids in the current

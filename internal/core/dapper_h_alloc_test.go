@@ -13,9 +13,10 @@ import (
 // rank plus a small constant (struct, ciphers) on the baseline geometry:
 // 2 ranks x 8,192 groups x 8 B = 128 KiB per channel. Not parallel: it
 // reads the process-wide allocation counter, which also counts whatever
-// the runtime or another goroutine allocates during the call. The
-// constructor's own bytes are the same on every call, so the test
-// takes the least of several calls' deltas.
+// the runtime or another goroutine allocates during the call. A call
+// also allocates the shared group tables for keys no tracker has used
+// yet, and the constructor's own bytes are the same on every call, so
+// the test takes the least of several calls' deltas.
 func TestDapperHTableBytes(t *testing.T) {
 	cfg := Config{Geometry: dram.Baseline(), NRH: 500}
 	got := uint64(math.MaxUint64)

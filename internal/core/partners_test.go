@@ -250,7 +250,8 @@ func TestGroupTableOf(t *testing.T) {
 
 // FuzzGroupMemo holds every group-table read to the ciphers:
 // groups(idx) must equal (c1.Encrypt(idx) >> 8, c2.Encrypt(idx) >> 8)
-// under the ciphers' current keys, on a miss and on the hit after it.
+// under the ciphers' current keys, on a miss and on the hit after it,
+// and the row's slot must then hold the row.
 // The inputs are two key seeds, a width ValidateH admits (8 to 24 bits)
 // and a row-index sequence, 3 bytes an index. An index whose first byte
 // is odd is moved onto the previous index's slot when the domain has
@@ -292,6 +293,9 @@ func FuzzGroupMemo(f *testing.F) {
 				if g1, g2 := tab.groups(c1, c2, idx); g1 != want1 || g2 != want2 {
 					t.Fatalf("step %d read %d: %d-bit row %d: groups (%d, %d), want (%d, %d)", step, read, bits, idx, g1, g2, want1, want2)
 				}
+			}
+			if v := tab[groupSlot(idx)].Load(); v>>32 != groupSlotValid|idx {
+				t.Fatalf("step %d: %d-bit row %d: its slot holds %#x, not the row", step, bits, idx, v)
 			}
 			prev = idx
 		}
