@@ -103,21 +103,31 @@
 // `make test-engine-equivalence`) enforces it for every tracker under
 // benign and tailored-attack co-runs.
 //
-// The wake-time protocol: each component reports the next cycle it can
-// change visible state, and guarantees that driving it only at such
-// wakes reproduces the per-cycle trajectory exactly.
+// The wake-time protocol: each component reports a wake no later than
+// the next cycle it can change visible state, and guarantees that
+// driving it only at such wakes reproduces the per-cycle trajectory
+// exactly.
 //
 //   - mem.Controller.NextEvent returns the minimum of the next rank
 //     refresh deadline, the tracker tick, and — when requests are
-//     pending — the first scheduling attempt that could start one,
+//     pending — a lower bound on the first scheduling attempt that could
+//     start one. Failed attempts back off two cycles, so attempts live on
+//     a 2-cycle grid; every nextConsider reset encodes its own anchor
+//     cycle, and Tick's catch-up replays the skipped failed-attempt
+//     trajectory so the grid parity matches a per-cycle driver's. That
+//     makes an early wake Result-neutral: its Tick makes the failed
+//     attempt and backoff a per-cycle driver makes at that grid point,
+//     at the cost of one Tick. After an attempt that started a request,
+//     with the demand queue at least a third full, the bound is the grid
+//     point at the data-bus floor (dataBusFreeAt minus the row-conflict
+//     latency), in O(1): on saturated perf-attack points it is the exact
+//     answer ~95% of the time. The depth gate keeps it off lightly
+//     loaded controllers, where it is mostly early (without it, ticks on
+//     the benign point set rise 60%). Otherwise the bound is exact,
 //     derived from bank/rank availability, tRC/tRRD spacing, throttling
 //     (rh.Throttler.NextAllowed must be a pure, stable query) and
-//     data-bus occupancy. Failed attempts back off two cycles, so
-//     attempts live on a 2-cycle grid; every nextConsider reset encodes
-//     its own anchor cycle, and Tick's catch-up replays the skipped
-//     failed-attempt trajectory so the grid parity matches a per-cycle
-//     driver's. Refresh and tracker ticks catch up on their exact
-//     deadlines across a skip.
+//     data-bus occupancy. Refresh and tracker ticks catch up on their
+//     exact deadlines across a skip.
 //   - cpu.Core.NextEvent returns a bubble horizon (the soonest the
 //     trace's next memory access could dispatch at full width), the ROB
 //     head's completion time when the core is full, or dram.Never when
@@ -406,9 +416,9 @@
 // the harness tier's elapsed-time measurements use it, and a bare
 // marker is itself a finding. Both checks also run over want-comment
 // fixtures under testdata/contracts. The simulator's per-event paths
-// (the controller's emit, pick and earliestReady, rh.Tee's fan-out,
-// the telemetry sink and core probe) are held allocation-free by
-// testing.AllocsPerRun tests beside them.
+// (the controller's emit, pick, earliestReady and NextEvent, rh.Tee's
+// fan-out, the telemetry sink and core probe) are held allocation-free
+// by testing.AllocsPerRun tests beside them.
 //
 // See README.md for a quickstart. `dapper list experiments` prints the
 // experiment index, and each rendered table's notes set the paper's

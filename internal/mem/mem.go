@@ -76,6 +76,7 @@ type Controller struct {
 	nextTrackerTick dram.Cycle
 	nextConsider    dram.Cycle // idle-scan backoff
 	lastTick        dram.Cycle // previous Tick time, for backoff catch-up
+	started         bool       // the last scheduling attempt started a request
 
 	counters dram.Counters
 	stats    Stats
@@ -228,7 +229,8 @@ func (c *Controller) Tick(now dram.Cycle) {
 	if now < c.nextConsider {
 		return
 	}
-	if !c.trySchedule(now) {
+	c.started = c.trySchedule(now)
+	if !c.started {
 		c.nextConsider = now + 2 // back off half a nanosecond when stalled
 	}
 }
@@ -268,12 +270,15 @@ func (c *Controller) refreshTick(now dram.Cycle) {
 	}
 }
 
-// NextEvent returns the next cycle strictly after now at which this
-// controller can change visible state: the earliest rank refresh
-// deadline, the tracker's periodic tick, or — when requests are pending
-// — the first scheduling attempt that could start one. Between now and
-// the returned cycle, Tick is a no-op on all observable state. Valid
-// immediately after Tick(now).
+// NextEvent returns the next cycle strictly after now at which the
+// driver must Tick this controller: the earliest rank refresh deadline,
+// the tracker's periodic tick, or — when requests are pending — a lower
+// bound on the first scheduling attempt that could start one (see
+// nextAttempt). Between now and the returned cycle, Tick is a no-op on
+// all observable state. The returned cycle itself may come early: Tick
+// there makes the failed attempt and the 2-cycle backoff a per-cycle
+// driver makes at that cycle, so an early wake costs one Tick and moves
+// no Result. Valid immediately after Tick(now).
 func (c *Controller) NextEvent(now dram.Cycle) dram.Cycle {
 	next := c.nextTrackerTick
 	for r := range c.ranks {
@@ -292,16 +297,42 @@ func (c *Controller) NextEvent(now dram.Cycle) dram.Cycle {
 	return next
 }
 
-// nextAttempt returns the first cycle after now at which trySchedule
-// could make progress. Failed attempts back off two cycles, so attempts
-// happen on a 2-cycle grid anchored at the next permitted attempt; the
-// result is the first grid point at which some request passes every
-// scheduling constraint (assuming no state changes before then — any
-// state change is itself an event that re-triggers this computation).
+// busFloorDepth is the demand-queue depth from which nextAttempt
+// answers with the data-bus floor instead of scanning the queues.
+const busFloorDepth = QueueCap / 3
+
+// atBusFloor reports whether nextAttempt takes the data-bus floor: the
+// last scheduling attempt started a request, and the demand queue holds
+// at least busFloorDepth entries. A controller a performance attack
+// keeps busy sits in this state on nearly every wake.
+func (c *Controller) atBusFloor() bool {
+	return c.started && len(c.queue) >= busFloorDepth
+}
+
+// nextAttempt returns a cycle after now, no later than the first cycle
+// at which trySchedule could make progress. Failed attempts back off two
+// cycles, so attempts happen on a 2-cycle grid anchored at the next
+// permitted attempt, and the result is a point of that grid.
+//
+// In the atBusFloor state the result is the first grid point at or
+// after dataBusFreeAt minus missLat, in O(1). No request can start
+// before that floor (see earliestReady). On the saturated streaming and
+// refresh points of a performance attack (simbench perf-attack, seed 1)
+// the floor answers ~87% of the calls and equals the exact answer ~95%
+// of the time, so a scan would only repeat the search the next Tick's
+// pick makes anyway. The depth gate keeps the floor off lightly loaded
+// controllers, where it is mostly early: without the gate, ticks on the
+// benign point set rise 60% and event-loop iterations 17%. In every
+// other state, and so after every failed attempt, the result is exact:
+// the first grid point at which some request passes every scheduling
+// constraint (assuming no state changes before then — any state change
+// is itself an event that re-triggers this computation).
 func (c *Controller) nextAttempt(now dram.Cycle) dram.Cycle {
-	ready := c.earliestReady(c.injected, now)
-	if t := c.earliestReady(c.queue, now); t < ready {
-		ready = t
+	var ready dram.Cycle
+	if c.atBusFloor() {
+		ready = c.dataBusFreeAt - c.missLat
+	} else {
+		ready = min(c.earliestReady(c.injected, now), c.earliestReady(c.queue, now))
 	}
 	anchor := max(c.nextConsider, now+1)
 	if ready <= anchor {

@@ -71,73 +71,133 @@ func TestFourRankRefreshStagger(t *testing.T) {
 	}
 }
 
-// driveDense ticks every cycle; driveSparse ticks only at NextEvent wake
-// times (plus enqueue-triggered re-arms), mimicking the event engine.
-// Both must produce identical request completions, counters and stats.
+// TestNextEventSparseDrivingMatchesDense drives one controller every
+// cycle (dense) and only at NextEvent wake times plus arrivals (sparse,
+// as the event engine does). Both must produce identical request
+// completions, counters and stats. Two plans run: a sparse mix, and a
+// saturated one whose arrivals outpace the data bus, so the queue stays
+// over a third full and the wake comes from the data-bus floor.
 func TestNextEventSparseDrivingMatchesDense(t *testing.T) {
 	type arrival struct {
 		at  dram.Cycle
 		loc dram.Loc
 		wr  bool
+		vrr bool // the tracker answers the request's ACT with a victim refresh
 	}
 	// A mix that exercises refresh windows, row hits, misses, bank
 	// conflicts and tracker actions.
-	var plan []arrival
+	var mix []arrival
 	for i := 0; i < 60; i++ {
-		plan = append(plan, arrival{
+		mix = append(mix, arrival{
 			at:  dram.Cycle(i) * 397,
 			loc: dram.Loc{Rank: i % 2, BankGroup: i % 8, Bank: i % 4, Row: uint32(i % 7), Col: i % 32},
 			wr:  i%5 == 0,
+			vrr: i%9 == 0,
 		})
 	}
-	horizon := dram.Cycle(60*397) + dram.US(10)
+	// One arrival every 4 cycles against a 10-cycle burst, each on the
+	// next of the 64 banks and on a row that bank has not seen: the
+	// streaming pattern. The queue fills, and later arrivals wait for a
+	// free slot.
+	var saturated []arrival
+	for i := 0; i < 3000; i++ {
+		saturated = append(saturated, arrival{
+			at:  dram.Cycle(i) * 4,
+			loc: dram.Loc{Rank: i % 2, BankGroup: i / 2 % 8, Bank: i / 16 % 4, Row: uint32(i / 64), Col: i % 32},
+			wr:  i%7 == 0,
+			vrr: i%100 == 0,
+		})
+	}
 
-	run := func(sparse bool) ([]dram.Cycle, dram.Counters, Stats) {
+	type outcome struct {
+		done  []dram.Cycle
+		ctr   dram.Counters
+		stats Stats
+		// Sparse runs only: wakes answered by the data-bus floor, and
+		// attempts that started nothing.
+		floorWakes, failed int
+	}
+	run := func(plan []arrival, sparse bool) outcome {
 		ft := &fakeTracker{}
 		c, geo, _ := testSetup(ft)
 		reqs := make([]*Request, len(plan))
 		for i, a := range plan {
 			reqs[i] = reqAt(geo, a.loc, a.wr)
 		}
+		var o outcome
 		next := 0
 		wake := dram.Cycle(0)
+		horizon := plan[len(plan)-1].at + dram.US(10)
 		for now := dram.Cycle(0); now < horizon; now++ {
-			due := next < len(plan) && plan[next].at == now
+			// An arrival waits for a free slot; slots free only in Tick,
+			// so a sparse driver need not wake for a waiting one.
+			due := next < len(plan) && plan[next].at <= now && c.CanEnqueue()
 			if sparse && now < wake && !due {
 				continue
 			}
 			c.Tick(now)
-			if due {
-				if i := next; i%9 == 0 {
-					ft.next = []rh.Action{{Kind: rh.RefreshVictims, Loc: plan[i].loc, Row: plan[i].loc.Row}}
+			if c.nextConsider == now+2 { // only a failed attempt at now sets this
+				o.failed++
+			}
+			for next < len(plan) && plan[next].at <= now && c.CanEnqueue() {
+				if a := plan[next]; a.vrr {
+					ft.next = []rh.Action{{Kind: rh.RefreshVictims, Loc: a.loc, Row: a.loc.Row}}
 				}
 				c.Enqueue(reqs[next], now)
 				next++
 			}
+			if c.atBusFloor() {
+				o.floorWakes++
+			}
 			wake = c.NextEvent(now)
 		}
-		done := make([]dram.Cycle, len(reqs))
+		o.done = make([]dram.Cycle, len(reqs))
 		for i, r := range reqs {
 			if !r.Done {
 				t.Fatalf("request %d incomplete (sparse=%v)", i, sparse)
 			}
-			done[i] = r.DoneAt
+			o.done[i] = r.DoneAt
 		}
-		return done, c.Counters(), c.Stats()
+		o.ctr, o.stats = c.Counters(), c.Stats()
+		return o
 	}
 
-	dDone, dCtr, dStats := run(false)
-	sDone, sCtr, sStats := run(true)
-	for i := range dDone {
-		if dDone[i] != sDone[i] {
-			t.Fatalf("request %d: dense DoneAt %d, sparse %d", i, dDone[i], sDone[i])
-		}
-	}
-	if dCtr != sCtr {
-		t.Fatalf("counters diverge:\n dense: %+v\n sparse: %+v", dCtr, sCtr)
-	}
-	if dStats != sStats {
-		t.Fatalf("stats diverge:\n dense: %+v\n sparse: %+v", dStats, sStats)
+	for _, tc := range []struct {
+		name string
+		plan []arrival
+	}{{"mix", mix}, {"saturated", saturated}} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, s := run(tc.plan, false), run(tc.plan, true)
+			for i := range d.done {
+				if d.done[i] != s.done[i] {
+					t.Fatalf("request %d: dense DoneAt %d, sparse %d", i, d.done[i], s.done[i])
+				}
+			}
+			if d.ctr != s.ctr {
+				t.Fatalf("counters diverge:\n dense: %+v\n sparse: %+v", d.ctr, s.ctr)
+			}
+			if d.stats != s.stats {
+				t.Fatalf("stats diverge:\n dense: %+v\n sparse: %+v", d.stats, s.stats)
+			}
+			served := len(tc.plan)
+			t.Logf("%d served, sparse driver: %d floor wakes, %d failed attempts", served, s.floorWakes, s.failed)
+			if tc.name != "saturated" {
+				return
+			}
+			// The floor must answer most wakes of a saturated controller,
+			// and the early wakes it adds must stay a small share. Each
+			// failed attempt is one early wake: the floor assumes a row
+			// conflict's latency and ignores banks and ranks, so it comes
+			// early when the next request to start opens a closed bank
+			// (tRP later) or waits on its bank, its rank or a refresh. On
+			// this plan that is ~16% of the floor's wakes.
+			if s.floorWakes < served/2 {
+				t.Errorf("floor answered %d wakes for %d served requests; want at least half", s.floorWakes, served)
+			}
+			if s.failed > served/5 {
+				t.Errorf("%d failed attempts for %d served requests; want at most a fifth", s.failed, served)
+			}
+		})
 	}
 }
 

@@ -239,7 +239,8 @@ func rowHitAfter(c *Controller, q []*Request, r *Request) bool {
 // engine does — Tick at each wake, then NextEvent — with its 48-entry
 // queue kept full of row misses spread over every bank: the regime a
 // performance attack holds the memory controller in. One op is one
-// served request.
+// served request; wakes/req counts the Ticks each served request took,
+// so a data-bus floor that stops being tight shows up as a rise.
 func BenchmarkControllerSaturated(b *testing.B) {
 	geo := dram.Baseline()
 	c := NewController(0, geo, dram.DDR5(), rh.NewNop(), rh.VRR1)
@@ -260,7 +261,9 @@ func BenchmarkControllerSaturated(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	now := dram.Cycle(0)
+	wakes := 0
 	for c.Stats().ReadsServed < uint64(b.N) {
+		wakes++
 		c.Tick(now)
 		for _, r := range reqs {
 			if r.Done {
@@ -271,6 +274,7 @@ func BenchmarkControllerSaturated(b *testing.B) {
 		}
 		now = c.NextEvent(now)
 	}
+	b.ReportMetric(float64(wakes)/float64(c.Stats().ReadsServed), "wakes/req")
 }
 
 // countSink counts events without keeping them.
@@ -279,9 +283,11 @@ type countSink struct{ n int }
 func (s *countSink) Event(rh.Event) { s.n++ }
 
 // TestHotPathsDoNotAllocate holds the per-event and per-wake paths to
-// zero allocations: emit with a sink attached, and pick and
-// earliestReady scanning a full queue in which nothing can start (the
-// bank served first is busy, and tRRD holds every other ACT).
+// zero allocations: emit with a sink attached, pick and earliestReady
+// scanning a full queue in which nothing can start (the bank served
+// first is busy, and tRRD holds every other ACT), and NextEvent on the
+// deep queue right after a served request, where it takes the data-bus
+// floor.
 func TestHotPathsDoNotAllocate(t *testing.T) {
 	geo := dram.Baseline()
 	c := NewController(0, geo, dram.DDR5(), rh.NewNop(), rh.VRR1)
@@ -294,6 +300,9 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 	if c.pick(c.queue, 2) != nil || c.Stats().ReadsServed+c.Stats().WritesServed != 1 {
 		t.Fatal("setup: want one request in service and none startable at cycle 2")
 	}
+	if !c.atBusFloor() {
+		t.Fatal("setup: want NextEvent to take the data-bus floor after cycle 1")
+	}
 	for _, hot := range []struct {
 		name string
 		f    func()
@@ -301,6 +310,7 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 		{"emit", func() { c.emit(rh.Event{Kind: rh.EvACT, At: 2}) }},
 		{"pick", func() { c.pick(c.queue, 2) }},
 		{"earliestReady", func() { c.earliestReady(c.queue, 2) }},
+		{"NextEvent", func() { c.NextEvent(1) }},
 	} {
 		if n := testing.AllocsPerRun(100, hot.f); n != 0 {
 			t.Errorf("%s allocates %v times per call", hot.name, n)

@@ -48,37 +48,49 @@ func TestUnknownEngineRejected(t *testing.T) {
 // engineScenario is one cell of the sim-level equivalence matrix.
 type engineScenario struct {
 	name    string
+	geo     dram.Geometry
 	tracker TrackerFactory
 	kind    attack.Kind
 }
 
-func engineScenarios(g dram.Geometry) []engineScenario {
-	return []engineScenario{
-		{"insecure-benign", nil, attack.None},
-		{"insecure-thrash", nil, attack.CacheThrash},
-		{"dapper-h-refresh", func(ch int) rh.Tracker {
+// engineScenarios is the sim-level matrix. The streaming points run on
+// 2048-row banks, the geometry of the Fig. 10 perf-attack points: the
+// attacker keeps a controller's queue over a third full, where
+// mem.Controller.NextEvent answers with the data-bus floor.
+func engineScenarios() []engineScenario {
+	g, small := dram.Baseline(), dram.Scaled(2048)
+	dapperH := func(g dram.Geometry) TrackerFactory {
+		return func(ch int) rh.Tracker {
 			d, err := core.NewDapperH(ch, core.Config{Geometry: g, NRH: 500})
 			if err != nil {
 				panic(err)
 			}
 			return d
-		}, attack.Refresh},
+		}
+	}
+	return []engineScenario{
+		{"insecure-benign", g, nil, attack.None},
+		{"insecure-thrash", g, nil, attack.CacheThrash},
+		{"dapper-h-refresh", g, dapperH(g), attack.Refresh},
 		// BlockHammer exercises the throttling wake-time bound, Hydra the
 		// injected counter traffic, CoMeT the bulk structure resets.
-		{"blockhammer-refresh", func(ch int) rh.Tracker {
+		{"blockhammer-refresh", g, func(ch int) rh.Tracker {
 			return blockhammer.New(ch, g, 500)
 		}, attack.Refresh},
-		{"hydra-conflict", func(ch int) rh.Tracker {
+		{"hydra-conflict", g, func(ch int) rh.Tracker {
 			return hydra.New(ch, g, 500)
 		}, attack.HydraConflict},
-		{"comet-rat-thrash", func(ch int) rh.Tracker {
+		{"comet-rat-thrash", g, func(ch int) rh.Tracker {
 			return comet.New(ch, g, 500)
 		}, attack.RATThrash},
+		{"insecure-streaming", small, nil, attack.StreamingSweep},
+		{"dapper-h-streaming", small, dapperH(small), attack.StreamingSweep},
 	}
 }
 
-func scenarioConfig(t *testing.T, g dram.Geometry, sc engineScenario) Config {
+func scenarioConfig(t *testing.T, sc engineScenario) Config {
 	t.Helper()
+	g := sc.geo
 	var traces []cpu.Trace
 	if sc.kind == attack.None {
 		traces = BenignTraces(mustWorkload(t, "429.mcf"), 4, g, 3)
@@ -103,12 +115,11 @@ func scenarioConfig(t *testing.T, g dram.Geometry, sc engineScenario) Config {
 // Traces are generative and deterministic, so the configs rebuilt per
 // engine replay the same instruction streams.
 func TestEngineEquivalence(t *testing.T) {
-	g := dram.Baseline()
-	for _, sc := range engineScenarios(g) {
+	for _, sc := range engineScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
-			cyc := scenarioConfig(t, g, sc)
+			cyc := scenarioConfig(t, sc)
 			cyc.Engine = EngineCycle
-			ev := scenarioConfig(t, g, sc)
+			ev := scenarioConfig(t, sc)
 			ev.Engine = EngineEvent
 			want := MustRun(cyc)
 			got := MustRun(ev)
@@ -126,11 +137,10 @@ func TestEngineEquivalence(t *testing.T) {
 // DeepEqual) is deliberate — the serialized series is what sinks cache
 // and goldens pin.
 func TestEngineEquivalenceTelemetry(t *testing.T) {
-	g := dram.Baseline()
-	for _, sc := range engineScenarios(g) {
+	for _, sc := range engineScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			mk := func(e Engine, window dram.Cycle) Config {
-				cfg := scenarioConfig(t, g, sc)
+				cfg := scenarioConfig(t, sc)
 				cfg.Engine = e
 				cfg.TelemetryWindow = window
 				return cfg
@@ -180,11 +190,10 @@ func TestEngineEquivalenceTelemetry(t *testing.T) {
 // (CPI buckets sum to cycles; blame sums to the measured read wait;
 // window sums equal grand totals) — a failure surfaces as a Run error.
 func TestEngineEquivalenceAttribution(t *testing.T) {
-	g := dram.Baseline()
-	for _, sc := range engineScenarios(g) {
+	for _, sc := range engineScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			mk := func(e Engine, attr bool) Config {
-				cfg := scenarioConfig(t, g, sc)
+				cfg := scenarioConfig(t, sc)
 				cfg.Engine = e
 				cfg.TelemetryWindow = dram.US(5)
 				cfg.Attribution = attr
@@ -262,17 +271,17 @@ func (r *recordSink) Event(e rh.Event) { r.events = append(r.events, e) }
 func TestEngineEquivalenceSinkStream(t *testing.T) {
 	g := dram.Baseline()
 	for _, sc := range []engineScenario{
-		{"blockhammer-refresh", func(ch int) rh.Tracker {
+		{"blockhammer-refresh", g, func(ch int) rh.Tracker {
 			return blockhammer.New(ch, g, 500)
 		}, attack.Refresh},
-		{"hydra-low-nrh", func(ch int) rh.Tracker {
+		{"hydra-low-nrh", g, func(ch int) rh.Tracker {
 			return hydra.New(ch, g, 64)
 		}, attack.HydraConflict},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
 			record := func(e Engine) []recordSink {
 				recs := make([]recordSink, g.Channels)
-				cfg := scenarioConfig(t, g, sc)
+				cfg := scenarioConfig(t, sc)
 				cfg.Warmup, cfg.Measure = dram.US(5), dram.US(25)
 				cfg.Engine = e
 				cfg.Sink = func(ch int) rh.Sink { return &recs[ch] }
@@ -321,12 +330,11 @@ func TestEngineEquivalenceSinkStream(t *testing.T) {
 // TestEngineDeterminism runs the same config twice under each engine and
 // requires identical Results.
 func TestEngineDeterminism(t *testing.T) {
-	g := dram.Baseline()
-	sc := engineScenarios(g)[2] // dapper-h under refresh attack
+	sc := engineScenarios()[2] // dapper-h under refresh attack
 	for _, e := range []Engine{EngineCycle, EngineEvent} {
-		cfgA := scenarioConfig(t, g, sc)
+		cfgA := scenarioConfig(t, sc)
 		cfgA.Engine = e
-		cfgB := scenarioConfig(t, g, sc)
+		cfgB := scenarioConfig(t, sc)
 		cfgB.Engine = e
 		if a, b := MustRun(cfgA), MustRun(cfgB); !reflect.DeepEqual(a, b) {
 			t.Fatalf("%s engine is non-deterministic:\n %+v\n %+v", e, a, b)

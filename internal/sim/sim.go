@@ -393,7 +393,14 @@ func checkConservation(s *telemetry.Series, final snapshots, cores []*cpu.Core) 
 //
 //   - mem.Controller.Tick replays the skipped backoff trajectory
 //     (catch-up) and NextEvent never reports a wake later than the
-//     first cycle the controller could change state;
+//     first cycle the controller could change state. The wake is a
+//     lower bound, not the exact cycle: an early Tick makes the failed
+//     attempt and 2-cycle backoff the per-cycle driver makes at that
+//     cycle, so it costs one iteration and moves no Result. A saturated
+//     controller (the last attempt started a request, the demand queue
+//     at least a third full) wakes at its data-bus floor without a
+//     queue scan; the depth gate keeps that bound off benign points,
+//     where it would add 60% ticks;
 //   - cpu.Core.Step replays skipped interaction-free cycles exactly,
 //     and NextEvent's bubble horizon is a lower bound on the next
 //     memory access; a backpressure-stalled core is stepped at every
