@@ -66,8 +66,8 @@ fuzz-smoke:
 audit-smoke:
 	$(GO) run ./cmd/dapper audit -profile tiny -tracker all -attack hammer,refresh,streaming -mode vrr-br1,rfmsb -nrh 125 -seed 1 -check -out audit-smoke
 
-# Telemetry smoke: one small windowed run rendered to
-# telemetry-smoke/timeline-dapper-h.{jsonl,csv,txt} plus
+# Telemetry smoke: one small windowed `dapper sim` run (-window 10)
+# rendered to telemetry-smoke/timeline-dapper-h.{jsonl,csv,txt} plus
 # timeline-dapper-h-matrix.csv, with -check gating the series
 # invariants (monotone window grid, per-window sums equal to grand
 # totals, ACT/mitigation containment against the DRAM counters), the
@@ -76,19 +76,20 @@ audit-smoke:
 # telemetry-smoke/tel/ carries a Perfetto-viewable trace.json CI uploads
 # as an artifact.
 telemetry-smoke:
-	$(GO) run ./cmd/dapper timeline -tracker dapper-h -attack refresh -nrh 500 -warmup 5 -measure 60 -window 10 -rows-per-bank 1024 -seed 1 -check -out telemetry-smoke
+	$(GO) run ./cmd/dapper sim -tracker dapper-h -attack refresh -nrh 500 -warmup 5 -measure 60 -window 10 -rows-per-bank 1024 -seed 1 -check -out telemetry-smoke
 	$(GO) run ./cmd/dapper batch -profile tiny -tracker dapper-h,none -workload 429.mcf -nrh 500 -attack refresh -window 10 -telemetry telemetry-smoke/tel -out telemetry-smoke
 
-# Slowdown-attribution smoke: the same timeline report for every
-# registered tracker under the focused hammer at NRH 125 on a reduced
-# geometry (seconds). -check gates conservation on each run (CPI stacks
-# sum to cycles, blame buckets sum exactly to memory wait, per window
-# and grand total) and cross-engine byte equality of the attribution
-# and the windowed stacks. blame-smoke/ holds per-tracker
-# timeline-<id>.{jsonl,csv,txt} plus the core→core blame matrices
-# (timeline-<id>-matrix.csv); CI uploads the directory as an artifact.
+# Slowdown-attribution smoke: the same windowed `dapper sim` report
+# (-window 10) for every registered tracker under the focused hammer at
+# NRH 125 on a reduced geometry (seconds). -check gates conservation on
+# each run (CPI stacks sum to cycles, blame buckets sum exactly to
+# memory wait, per window and grand total) and cross-engine byte
+# equality of the attribution and the windowed stacks. blame-smoke/
+# holds per-tracker timeline-<id>.{jsonl,csv,txt} plus the core→core
+# blame matrices (timeline-<id>-matrix.csv); CI uploads the directory
+# as an artifact.
 blame-smoke:
-	$(GO) run ./cmd/dapper timeline -tracker all -attack hammer -nrh 125 -rows-per-bank 1024 -warmup 5 -measure 60 -window 10 -seed 1 -check -out blame-smoke
+	$(GO) run ./cmd/dapper sim -tracker all -attack hammer -nrh 125 -rows-per-bank 1024 -warmup 5 -measure 60 -window 10 -seed 1 -check -out blame-smoke
 
 # Batched sweep smoke: a tiny sweep through `dapper batch` into a
 # -cache directory. The sweep includes a throttler (blockhammer). Its

@@ -11,66 +11,12 @@ import (
 	"strings"
 	"time"
 
-	"dapper/internal/analytic"
 	"dapper/internal/attack"
-	"dapper/internal/core"
-	"dapper/internal/dram"
 	"dapper/internal/exp"
 	"dapper/internal/harness"
 	"dapper/internal/rh"
 	"dapper/internal/sim"
 )
-
-// runAttack explores the security side of the paper: the
-// Mapping-Capturing analysis of DAPPER-S (Table II), the DAPPER-H
-// success probability (Equations 6-7), and live Monte-Carlo probes
-// against both trackers.
-func runAttack(c *cli) error {
-	// mcBudget bounds each Monte-Carlo probe's activations.
-	const mcBudget = 4_000_000
-	fmt.Fprintln(c.stdout, "DAPPER-S Mapping-Capturing attack (Equations 1-5, Table II)")
-	fmt.Fprintf(c.stdout, "  %-8s %-12s %-12s\n", "treset", "iterations", "attack time")
-	rows := []float64{36, 24, 12}
-	if c.treset > 0 {
-		rows = append(rows, c.treset)
-	}
-	for _, us := range rows {
-		r := analytic.AnalyzeS(analytic.DefaultSParams(us * 1000))
-		fmt.Fprintf(c.stdout, "  %-8s %-12.1f %.1fus\n", fmt.Sprintf("%.0fus", us), r.Iterations, r.AttackTimeNS/1000)
-	}
-
-	fmt.Fprintln(c.stdout)
-	h := analytic.AnalyzeH(analytic.HParams{NumGroups: c.groups, Trials: c.trials})
-	fmt.Fprintln(c.stdout, "DAPPER-H Mapping-Capturing attack (Equations 6-7)")
-	fmt.Fprintf(c.stdout, "  groups per table:    %d\n", c.groups)
-	fmt.Fprintf(c.stdout, "  trials per tREFW:    %d\n", c.trials)
-	fmt.Fprintf(c.stdout, "  per-trial success:   %.3g\n", h.PerTrialProb)
-	fmt.Fprintf(c.stdout, "  per-tREFW success:   %.3g\n", h.SuccessProb)
-	fmt.Fprintf(c.stdout, "  prevention rate:     %.4f%%\n", h.Prevention*100)
-
-	fmt.Fprintln(c.stdout)
-	fmt.Fprintln(c.stdout, "Monte-Carlo probes against live trackers (scaled 2048-row banks)")
-	geo := dram.Scaled(2048)
-	ds, err := core.NewDapperS(0, core.Config{Geometry: geo, NRH: 500, Seed: c.seed})
-	if err != nil {
-		return err
-	}
-	sRes := attack.MappingCaptureS(ds, geo, mcBudget)
-	fmt.Fprintf(c.stdout, "  DAPPER-S (static mapping): captured=%v after %d probes (%d ACTs)\n",
-		sRes.Captured, sRes.Trials, sRes.ACTs)
-	if sRes.Captured {
-		fmt.Fprintf(c.stdout, "    target %v shares a group with row %d of bank group %d\n",
-			sRes.TargetLoc.Row, sRes.PartnerLoc.Row, sRes.PartnerLoc.BankGroup)
-	}
-	dh, err := core.NewDapperH(0, core.Config{Geometry: geo, NRH: 500, Seed: c.seed})
-	if err != nil {
-		return err
-	}
-	hRes := attack.MappingCaptureH(dh, geo, c.seed^0xC0FFEE, mcBudget)
-	fmt.Fprintf(c.stdout, "  DAPPER-H (double hashing): captured=%v after %d trials (%d ACTs)\n",
-		hRes.Captured, hRes.Trials, hRes.ACTs)
-	return nil
-}
 
 // benchExp is the figure engine-bench times. The gate compares against
 // the trajectory's last point, so every point must time the same figure.

@@ -23,15 +23,14 @@ type cli struct {
 
 	profile, engine, cache, out, telemetry, debugAddr string
 	tracker, workload, attack, mode, nrh              string
-	format, exp, objective                            string
+	exp, objective                                    string
 
-	seed                            uint64
-	jobs, budget                    int
-	groups, trials, repeat          int
-	window, warmup, measure, treset float64
-	attrBudget                      float64
-	rowsPerBank                     uint
-	attr, check, countInjected      bool
+	seed                       uint64
+	jobs, budget, repeat       int
+	window, warmup, measure    float64
+	attrBudget                 float64
+	rowsPerBank                uint
+	attr, check, countInjected bool
 }
 
 // flagDefs declares every flag exactly once. A flag's default and help
@@ -81,7 +80,7 @@ var flagDefs = map[string]func(*flag.FlagSet, *cli){
 		fs.StringVar(&c.nrh, "nrh", "500", "RowHammer threshold; sweeps take a comma list")
 	},
 	"window": func(fs *flag.FlagSet, c *cli) {
-		fs.Float64Var(&c.window, "window", 10, "in-sim telemetry window in microseconds (0 = off)")
+		fs.Float64Var(&c.window, "window", 0, "in-sim telemetry window in microseconds (0 = off)")
 	},
 	"warmup": func(fs *flag.FlagSet, c *cli) {
 		fs.Float64Var(&c.warmup, "warmup", 100, "warmup window in microseconds")
@@ -95,9 +94,6 @@ var flagDefs = map[string]func(*flag.FlagSet, *cli){
 	"check": func(fs *flag.FlagSet, c *cli) {
 		fs.BoolVar(&c.check, "check", false, "turn the subcommand's correctness gates into a non-zero exit")
 	},
-	"format": func(fs *flag.FlagSet, c *cli) {
-		fs.StringVar(&c.format, "format", "all", "timeline output: jsonl (series + attribution), csv (series + blame matrix), ascii (CPI and blame stacks) or all")
-	},
 	"exp": func(fs *flag.FlagSet, c *cli) {
 		fs.StringVar(&c.exp, "exp", "all", "experiment id (dapper list experiments) or 'all'")
 	},
@@ -109,15 +105,6 @@ var flagDefs = map[string]func(*flag.FlagSet, *cli){
 	},
 	"budget": func(fs *flag.FlagSet, c *cli) {
 		fs.IntVar(&c.budget, "budget", 32, "candidate evaluations per tracker")
-	},
-	"treset": func(fs *flag.FlagSet, c *cli) {
-		fs.Float64Var(&c.treset, "treset", 0, "extra DAPPER-S reset period to analyze (us, 0 = table only)")
-	},
-	"groups": func(fs *flag.FlagSet, c *cli) {
-		fs.IntVar(&c.groups, "groups", 8192, "row groups per table for the DAPPER-H analysis")
-	},
-	"trials": func(fs *flag.FlagSet, c *cli) {
-		fs.IntVar(&c.trials, "trials", 2500, "attack trials per tREFW for the DAPPER-H analysis")
 	},
 	"repeat": func(fs *flag.FlagSet, c *cli) {
 		fs.IntVar(&c.repeat, "repeat", 3, "timings per engine; the best is kept")

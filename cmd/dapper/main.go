@@ -10,8 +10,7 @@
 //	dapper audit -profile tiny -tracker all -nrh 125 -check
 //	dapper adversary -tracker hydra,comet -profile tiny -budget 10
 //	dapper sim -workload ycsb_a -tracker comet -attack rat-thrash
-//	dapper timeline -tracker dapper-h,none -attack hammer -nrh 125 -check
-//	dapper attack -treset 18
+//	dapper sim -tracker dapper-h,none -attack hammer -nrh 125 -window 10 -check
 //	dapper engine-bench -check
 //	dapper list trackers|workloads|experiments
 //
@@ -67,12 +66,8 @@ var commands = []command{
 		with([]string{"tracker", "workload", "nrh", "attack", "mode", "attr", "count-injected", "check"}, poolFlags), runAudit},
 	{"adversary", "black-box worst-case attack search (-objective perf|escapes)",
 		with([]string{"tracker", "workload", "nrh", "mode", "objective", "budget", "attr"}, poolFlags), runAdversary},
-	{"sim", "one simulation per tracker, printed as IPC, DRAM and tracker statistics",
-		with(runFlags, []string{"debug-addr"}), runSim},
-	{"timeline", "one run per tracker as a windowed series, CPI stacks and blame matrix to -out/timeline-<tracker>.*",
-		with(runFlags, []string{"window", "out", "format", "check"}), runTimeline},
-	{"attack", "analytic Mapping-Capturing attack tables and Monte-Carlo probes",
-		[]string{"treset", "groups", "trials", "seed"}, runAttack},
+	{"sim", "one simulation per tracker: IPC, DRAM and tracker statistics (-window adds -out/timeline-<tracker>.* reports)",
+		with(runFlags, []string{"window", "out", "check", "debug-addr"}), runSim},
 	{"engine-bench", "time fig11 under both engines plus the batched runner into -out/BENCH_engine.json",
 		[]string{"out", "repeat", "attr-budget", "check"}, runEngineBench},
 	{"list", "list trackers, workloads or experiments", nil, runList},

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,10 +32,9 @@ func TestBadInvocationsNameTheirFlag(t *testing.T) {
 		{[]string{"sim", "-nrh", "0"}, "-nrh"},
 		{[]string{"experiments", "-profile", "bogus"}, "-profile"},
 		{[]string{"batch", "-engine", "bogus"}, "-engine"},
-		{[]string{"timeline", "-engine", "bogus"}, "-engine"},
-		{[]string{"timeline", "-tracker", "dapper-h,nosuch"}, "-tracker"},
+		{[]string{"sim", "-engine", "bogus"}, "-engine"},
+		{[]string{"sim", "-tracker", "dapper-h,nosuch"}, "-tracker"},
 		{[]string{"sim", "-workload", "rep"}, "-workload"},
-		{[]string{"timeline", "-format", "xml"}, "-format"},
 		{[]string{"experiments", "-exp", "fig99"}, "-exp"},
 		{[]string{"list", "nothing"}, "trackers, workloads, experiments"},
 		{[]string{"sim", "stray"}, `unexpected argument "stray"`},
@@ -43,11 +43,13 @@ func TestBadInvocationsNameTheirFlag(t *testing.T) {
 		{[]string{"sim", "-measure", "0"}, "-measure"},
 		{[]string{"sim", "-warmup", "0"}, "-warmup"},
 		{[]string{"sim", "-debug-addr", "127.0.0.1:-1"}, "-debug-addr"},
-		{[]string{"timeline", "-window", "0.0001"}, "-window"},
+		{[]string{"sim", "-window", "0.0001"}, "-window"},
 		{[]string{"batch", "-profile", "tiny", "-window", "-1"}, "-window"},
 		{[]string{"batch", "-profile", "tiny", "-attack", "hammer"}, "-attack"},
 		{[]string{"adversary", "-mix-cores", "3"}, "-mix-cores"},
 		{[]string{"mix"}, `unknown subcommand "mix"`},
+		{[]string{"attack"}, `unknown subcommand "attack"`},
+		{[]string{"timeline"}, `unknown subcommand "timeline"`},
 	}
 	for _, tc := range cases {
 		code, _, stderr := invoke(tc.args...)
@@ -105,13 +107,13 @@ func TestSimAttackNoneRunsFourBenignCores(t *testing.T) {
 	}
 }
 
-// TestTimelineReportCarriesSeriesAndBlame: one timeline run per tracker
-// writes all four report files, every "window" line carries the series
+// TestTimelineReportCarriesSeriesAndBlame: one windowed sim run per
+// tracker writes all four report files, every "window" line carries the series
 // cells and the blame buckets together, and each bucket's window sum is
 // the core's whole-run total on its "core" line.
 func TestTimelineReportCarriesSeriesAndBlame(t *testing.T) {
 	out := t.TempDir()
-	code, stdout, stderr := invoke("timeline", "-tracker", "dapper-h,none", "-attack", "hammer", "-nrh", "125",
+	code, stdout, stderr := invoke("sim", "-tracker", "dapper-h,none", "-attack", "hammer", "-nrh", "125",
 		"-rows-per-bank", "1024", "-warmup", "5", "-measure", "20", "-window", "5", "-check", "-out", out)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr)
@@ -182,6 +184,45 @@ func TestTimelineReportCarriesSeriesAndBlame(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSimWithoutWindowWritesNoFile: -window is off by default, so a
+// plain sim (the horizon-smoke run) writes nothing under -out.
+func TestSimWithoutWindowWritesNoFile(t *testing.T) {
+	out := t.TempDir()
+	code, stdout, stderr := invoke("sim", "-tracker", "none", "-attack", "none",
+		"-rows-per-bank", "1024", "-warmup", "5", "-measure", "20", "-out", out)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	if strings.Contains(stdout, "wrote") {
+		t.Errorf("sim without -window reported a file:\n%s", stdout)
+	}
+	if files, err := os.ReadDir(out); err != nil || len(files) != 0 {
+		t.Errorf("sim without -window wrote %d files (%v)", len(files), err)
+	}
+}
+
+// TestBatchDefaultsRunLockstep: with the shared defaults a batch sweep
+// carries no telemetry, so the points that share a stream ride one
+// lead in lockstep instead of each running alone.
+func TestBatchDefaultsRunLockstep(t *testing.T) {
+	code, stdout, stderr := invoke("batch", "-profile", "tiny", "-tracker", "none,dapper-h,hydra",
+		"-workload", "429.mcf", "-nrh", "500,1000", "-attack", "none", "-out", t.TempDir())
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	var full, lockstep int
+	i := strings.Index(stdout, "; ")
+	if i < 0 {
+		t.Fatalf("no run summary in:\n%s", stdout)
+	}
+	if _, err := fmt.Sscanf(stdout[i:], "; %d full runs, %d lockstep", &full, &lockstep); err != nil {
+		t.Fatalf("run summary: %v\n%s", err, stdout)
+	}
+	if lockstep == 0 {
+		t.Errorf("%d full runs, 0 lockstep: the default sweep ran every point alone\n%s", full, stdout)
 	}
 }
 

@@ -14,20 +14,19 @@ import (
 	"dapper/internal/telemetry"
 )
 
-// single is the one-run shape sim and timeline share: three
-// benign copies of a workload plus the attacker on the fourth core, or
-// four benign copies when the attack is "none" — the same co-run the
-// paper's figures use.
+// single is sim's one-run shape: three benign copies of a workload
+// plus the attacker on the fourth core, or four benign copies when the
+// attack is "none" — the same co-run the paper's figures use.
 type single struct {
 	trackers []string
 	attack   exp.SecurityAttack
 	run      exp.Run // every field but the tracker
 }
 
-// resolveSingle resolves the flags of a one-run subcommand and rejects
-// a run any of its trackers cannot be built for before anything
-// simulates. -window is read only by the subcommands that take it; the
-// others leave it zero.
+// resolveSingle resolves sim's flags and rejects a run any of its
+// trackers cannot be built for before anything simulates. A -window
+// above 0 turns on both the windowed series and the attribution, the
+// two halves of the report sim then writes.
 func (c *cli) resolveSingle() (single, error) {
 	s := single{run: exp.Run{Geometry: dram.Baseline(), Seed: c.seed}}
 	var err error
@@ -40,6 +39,7 @@ func (c *cli) resolveSingle() (single, error) {
 	if s.run.TelemetryWindow, err = cycles("window", c.window, false); err != nil {
 		return s, err
 	}
+	s.run.Attribution = s.run.TelemetryWindow > 0
 	if s.trackers, err = c.trackerIDs(); err != nil {
 		return s, err
 	}
@@ -108,22 +108,11 @@ func (s single) runChecked(id string, check bool) (sim.Result, error) {
 	return res, nil
 }
 
-// checkFormat validates -format against the formats a subcommand writes.
-func (c *cli) checkFormat(formats ...string) error {
-	for _, f := range append(formats, "all") {
-		if c.format == f {
-			return nil
-		}
-	}
-	return flagErr("format", fmt.Errorf("unknown format %q (want %v or all)", c.format, formats))
-}
-
-// wants reports whether -format selects format.
-func (c *cli) wants(format string) bool { return c.format == format || c.format == "all" }
-
 // runSim runs one simulation per tracker and prints IPC, DRAM and
-// tracker statistics. With -debug-addr it serves expvar and pprof while
-// it runs, so a single run can be CPU-profiled from outside.
+// tracker statistics. -check replays each run on the other engine.
+// With -debug-addr it serves expvar and pprof while it runs, so a
+// single run can be CPU-profiled from outside. With -window it also
+// writes each run's report (see writeTimeline).
 func runSim(c *cli) error {
 	s, err := c.resolveSingle()
 	if err != nil {
@@ -138,7 +127,7 @@ func runSim(c *cli) error {
 		fmt.Fprintf(c.stderr, "debug endpoint on http://%s/debug/pprof/\n", dbg.Addr())
 	}
 	for _, id := range s.trackers {
-		res, err := s.runFor(id).Exec()
+		res, err := s.runChecked(id, c.check)
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}
@@ -160,91 +149,74 @@ func runSim(c *cli) error {
 			ts.Activations, ts.Mitigations, ts.VictimRefreshes, ts.BulkResets, ts.Throttled)
 		fmt.Fprintf(c.stdout, "  LLC hit rate: %.3f  row hits: %d  row misses: %d\n",
 			res.LLCHitRate, res.Mem.RowHits, res.Mem.RowMisses)
+		if s.run.TelemetryWindow > 0 {
+			if err := c.writeTimeline(s, id, res); err != nil {
+				return err
+			}
+		} else if c.check {
+			fmt.Fprintf(c.stdout, "check passed: %s == %s byte-identical\n", s.run.Engine.OrDefault(), otherEngine(s.run.Engine))
+		}
 	}
 	return nil
 }
 
-// runTimeline renders each tracker's run as one report: the
+// writeTimeline renders tracker id's windowed run as one report: the
 // cycle-windowed time-series (per-core IPC, stall split and memory-wait
 // blame; per-channel demand vs injected ACT rate, mitigation rate by
 // kind, queue and tracker-table occupancy), the per-core CPI stacks and
-// the core-to-core blame matrix, to timeline-<tracker>.{jsonl,csv,txt}
-// and timeline-<tracker>-matrix.csv. -check re-verifies the series
-// invariants and the attribution's conservation, gates the series
-// totals against the run's DRAM counters, and replays the run on the
-// other engine.
-func runTimeline(c *cli) error {
-	if c.window <= 0 {
-		return flagErr("window", fmt.Errorf("must be positive (microseconds), got %g", c.window))
+// the core-to-core blame matrix, to timeline-<id>.{jsonl,csv,txt} and
+// timeline-<id>-matrix.csv. -check re-verifies the series invariants
+// and the attribution's conservation, and gates the series totals
+// against the run's DRAM counters.
+func (c *cli) writeTimeline(s single, id string, res sim.Result) error {
+	ser, a := res.Series, res.Attribution
+	if ser == nil || a == nil {
+		return fmt.Errorf("%s: run produced no series or no attribution", id)
 	}
-	if err := c.checkFormat("jsonl", "csv", "ascii"); err != nil {
-		return err
-	}
-	s, err := c.resolveSingle()
-	if err != nil {
-		return err
-	}
-	s.run.Attribution = true
-	for _, id := range s.trackers {
-		res, err := s.runChecked(id, c.check)
-		if err != nil {
+	if c.check {
+		if err := checkSeries(ser, res, s.run.Measure); err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}
-		ser, a := res.Series, res.Attribution
-		if ser == nil || a == nil {
-			return fmt.Errorf("%s: run produced no series or no attribution", id)
+		if err := a.Validate(); err != nil {
+			return fmt.Errorf("%s: attribution invariants: %w", id, err)
 		}
-		if c.check {
-			if err := checkSeries(ser, res, s.run.Measure); err != nil {
-				return fmt.Errorf("%s: %w", id, err)
-			}
-			if err := a.Validate(); err != nil {
-				return fmt.Errorf("%s: attribution invariants: %w", id, err)
-			}
-			if err := a.CheckSeries(ser); err != nil {
-				return fmt.Errorf("%s: windowed blame: %w", id, err)
-			}
-			fmt.Fprintf(c.stdout, "check passed: %d windows, invariants hold, ACT conserved (%d), blame conserved, %s == %s byte-identical\n",
-				ser.NumWindows(), ser.Totals.DemandACT+ser.Totals.InjACT, s.run.Engine.OrDefault(), otherEngine(s.run.Engine))
+		if err := a.CheckSeries(ser); err != nil {
+			return fmt.Errorf("%s: windowed blame: %w", id, err)
 		}
-		name := "timeline-" + id
-		if c.wants("jsonl") {
-			if err := c.writeFile(name+".jsonl", func(w io.Writer) error { return telemetry.WriteSeriesJSONL(w, ser, a) }); err != nil {
-				return err
-			}
-		}
-		if c.wants("csv") {
-			if err := c.writeFile(name+".csv", func(w io.Writer) error { return telemetry.WriteSeriesCSV(w, ser) }); err != nil {
-				return err
-			}
-			if err := c.writeFile(name+"-matrix.csv", func(w io.Writer) error { return telemetry.WriteBlameMatrixCSV(w, a) }); err != nil {
-				return err
-			}
-		}
-		if c.wants("ascii") {
-			// Core labels: the benign workload copies plus the attacker slot.
-			labels := make([]string, len(a.Cores))
-			for i := range labels {
-				labels[i] = s.run.Workload
-			}
-			if s.attack.Point.Kind != attack.None {
-				labels[len(labels)-1] = "!" + s.attack.Name
-			}
-			if err := c.writeFile(name+".txt", func(w io.Writer) error { return telemetry.RenderBlameASCII(w, a, labels) }); err != nil {
-				return err
-			}
-		}
-		var wait, mit, inj uint64
-		for _, core := range sim.BenignCores(len(a.Cores)) {
-			m := a.Cores[core].Mem
-			wait += m.Total
-			mit += m.Mitigation
-			inj += m.Inject
-		}
-		fmt.Fprintf(c.stdout, "workload=%s tracker=%s attack=%s NRH=%d: %d windows of %gus over %d cycles (VRR=%d RFMsb=%d DRFMsb=%d bulk=%d), benign wait %d (mitigation %d, inject %d)\n",
-			s.run.Workload, res.TrackerNames[0], s.attack.Name, s.run.NRH, ser.NumWindows(), c.window,
-			ser.Cycles, ser.Totals.VRR, ser.Totals.RFMsb, ser.Totals.DRFMsb, ser.Totals.Bulk, wait, mit, inj)
+		fmt.Fprintf(c.stdout, "check passed: %d windows, invariants hold, ACT conserved (%d), blame conserved, %s == %s byte-identical\n",
+			ser.NumWindows(), ser.Totals.DemandACT+ser.Totals.InjACT, s.run.Engine.OrDefault(), otherEngine(s.run.Engine))
 	}
+	// Core labels: the benign workload copies plus the attacker slot.
+	labels := make([]string, len(a.Cores))
+	for i := range labels {
+		labels[i] = s.run.Workload
+	}
+	if s.attack.Point.Kind != attack.None {
+		labels[len(labels)-1] = "!" + s.attack.Name
+	}
+	name := "timeline-" + id
+	if err := c.writeFile(name+".jsonl", func(w io.Writer) error { return telemetry.WriteSeriesJSONL(w, ser, a) }); err != nil {
+		return err
+	}
+	if err := c.writeFile(name+".csv", func(w io.Writer) error { return telemetry.WriteSeriesCSV(w, ser) }); err != nil {
+		return err
+	}
+	if err := c.writeFile(name+"-matrix.csv", func(w io.Writer) error { return telemetry.WriteBlameMatrixCSV(w, a) }); err != nil {
+		return err
+	}
+	if err := c.writeFile(name+".txt", func(w io.Writer) error { return telemetry.RenderBlameASCII(w, a, labels) }); err != nil {
+		return err
+	}
+	var wait, mit, inj uint64
+	for _, core := range sim.BenignCores(len(a.Cores)) {
+		m := a.Cores[core].Mem
+		wait += m.Total
+		mit += m.Mitigation
+		inj += m.Inject
+	}
+	fmt.Fprintf(c.stdout, "workload=%s tracker=%s attack=%s NRH=%d: %d windows of %gus over %d cycles (VRR=%d RFMsb=%d DRFMsb=%d bulk=%d), benign wait %d (mitigation %d, inject %d)\n",
+		s.run.Workload, res.TrackerNames[0], s.attack.Name, s.run.NRH, ser.NumWindows(), c.window,
+		ser.Cycles, ser.Totals.VRR, ser.Totals.RFMsb, ser.Totals.DRFMsb, ser.Totals.Bulk, wait, mit, inj)
 	return nil
 }
 

@@ -76,7 +76,7 @@ func runBatch(c *cli) error {
 		return err
 	}
 	if atk.Point.Params != (attack.Params{}) {
-		return flagErr("attack", fmt.Errorf("batch sweeps attack kinds; %q is a parametric point (use audit or timeline)", atk.Name))
+		return flagErr("attack", fmt.Errorf("batch sweeps attack kinds; %q is a parametric point (use audit or sim)", atk.Name))
 	}
 	req.Attack = atk.Point.Kind
 	sinks, err := harness.FileSinks(c.out, "batch.jsonl", "batch.csv")

@@ -261,13 +261,13 @@
 // tracker must hold at zero. exp.TestEngineEquivalenceMixes checks that
 // both engines agree on the same runs.
 //
-// # Observability (internal/telemetry, internal/diag, dapper timeline)
+// # Observability (internal/telemetry, internal/diag, dapper sim -window)
 //
 // Every number above is a steady-state average over the measurement
 // window; internal/telemetry adds the dynamics, at two levels.
 //
 // In-sim and deterministic: setting sim.Config.TelemetryWindow (off by
-// default, -window-us/-window on the cmds) attaches a cycle-windowed
+// default, -window on batch and sim) attaches a cycle-windowed
 // sampler that folds per-core IPC and stall fraction, per-channel
 // demand vs tracker-injected activation rates, mitigation commands by
 // kind, controller queue occupancy, and tracker table occupancy and
@@ -293,8 +293,8 @@
 // sim.TestEngineEquivalenceSinkStream also compares the raw event
 // stream, not just its folds, across the engines.
 //
-// `dapper timeline` renders one windowed, attributed run per tracker
-// as one report (see the attribution section below for its files) —
+// `dapper sim -window W` renders one windowed, attributed run per
+// tracker as one report (see the attribution section below for its files) —
 // the data behind mitigation-rate-vs-time and IPC-vs-time figures —
 // and its -check replays the run on the other engine to assert
 // byte-identical Results plus the series invariants and the
@@ -318,7 +318,7 @@
 // recorded outside the result path and the export is sorted, so equal
 // span sets serialize identically.
 //
-// # Slowdown attribution (telemetry.Attribution, dapper timeline)
+// # Slowdown attribution (telemetry.Attribution, dapper sim -window)
 //
 // Telemetry says when the benign cores slowed down; attribution says
 // why, and who. Setting sim.Config.Attribution (off by default, -attr
@@ -366,7 +366,7 @@
 // tracker in sim, exp and adversary attribution equivalence tests,
 // part of `make test-engine-equivalence`.
 //
-// `dapper timeline` always attributes, and one renderer
+// A windowed `dapper sim` always attributes, and one renderer
 // (internal/telemetry/render.go) writes each tracker's report:
 // timeline-<id>.jsonl (a typed "window" line per window with the series
 // cells plus each core's stall split and blame buckets, then the
@@ -382,8 +382,8 @@
 // through the defense itself or through plain bandwidth contention).
 // Live, internal/diag's BlameAgg taps harness.Options.OnResult and
 // serves the accumulating per-core stacks at /debug/vars under
-// "blame" while a sweep runs. `dapper timeline -tracker dapper-h,none
-// -attack refresh` writes the stacks of an attacked DAPPER-H run next
+// "blame" while a sweep runs. `dapper sim -tracker dapper-h,none
+// -attack refresh -window 10` writes the stacks of an attacked DAPPER-H run next
 // to the insecure baseline's (timeline-<id>.txt).
 //
 // # Static contracts (contracts_test.go)

@@ -8,9 +8,9 @@
 // whose whole point is to pollute the LLC.
 //
 // The package also provides Monte-Carlo Mapping-Capturing attacks
-// against live DAPPER-S and DAPPER-H instances (§V-D), run by
-// `dapper attack` and the sec-h experiment; the closed-form analysis
-// lives in internal/analytic.
+// against live DAPPER-S and DAPPER-H instances (§V-D), run by the
+// sec-h experiment (`dapper experiments -exp sec-h`); the closed-form
+// analysis lives in internal/analytic.
 package attack
 
 import (
