@@ -43,9 +43,12 @@ test-race:
 # CI output: sim's scenario matrix, exp's full tracker matrix (and its
 # two-attackers-at-once conformance check), and adversary's
 # sampled-parametric-point matrix (with the security oracle attached)
-# must prove the event and cycle engines produce identical Results.
+# must prove the event and cycle engines produce identical Results; the
+# controller's and the core's wake tests (cached NextEvent answers,
+# sparse driving and gap replay against a per-cycle driver) must prove
+# each component's own half of that contract.
 test-engine-equivalence:
-	$(GO) test -run 'TestEngineEquivalence|TestEngineDeterminism|TestMixSecaudit' -v -count=1 ./internal/sim ./internal/exp ./internal/adversary
+	$(GO) test -run 'TestEngineEquivalence|TestEngineDeterminism|TestMixSecaudit|TestNextEvent|TestEarliestReadyMatchesPick|GapReplayMatchesDense|TestCatchUpMatchesPerCycle' -v -count=1 ./internal/sim ./internal/exp ./internal/adversary ./internal/mem ./internal/cpu
 
 # Short-budget native fuzzing of three pure-function surfaces:
 # parametric trace generation (geometry bounds + replay determinism),
@@ -68,10 +71,11 @@ audit-smoke:
 
 # Telemetry smoke: one small windowed `dapper sim` run (-window 10)
 # rendered to telemetry-smoke/timeline-dapper-h.{jsonl,csv,txt} plus
-# timeline-dapper-h-matrix.csv, with -check gating the series
-# invariants (monotone window grid, per-window sums equal to grand
-# totals, ACT/mitigation containment against the DRAM counters), the
-# attribution's conservation and cross-engine byte equality — then a
+# timeline-dapper-h-matrix.csv. The run itself fails on a broken series
+# invariant (monotone window grid, per-window sums equal to grand
+# totals), on series totals that differ from the DRAM counters, and on
+# broken attribution conservation; -check adds the cross-engine byte
+# equality — then a
 # tiny batch sweep with the harness tracer attached, so
 # telemetry-smoke/tel/ carries a Perfetto-viewable trace.json CI uploads
 # as an artifact.
@@ -81,10 +85,10 @@ telemetry-smoke:
 
 # Slowdown-attribution smoke: the same windowed `dapper sim` report
 # (-window 10) for every registered tracker under the focused hammer at
-# NRH 125 on a reduced geometry (seconds). -check gates conservation on
-# each run (CPI stacks sum to cycles, blame buckets sum exactly to
-# memory wait, per window and grand total) and cross-engine byte
-# equality of the attribution and the windowed stacks. blame-smoke/
+# NRH 125 on a reduced geometry (seconds). Each run fails on broken
+# conservation (CPI stacks sum to cycles, blame buckets sum exactly to
+# memory wait, per window and grand total); -check adds cross-engine
+# byte equality of the attribution and the windowed stacks. blame-smoke/
 # holds per-tracker timeline-<id>.{jsonl,csv,txt} plus the core→core
 # blame matrices (timeline-<id>-matrix.csv); CI uploads the directory
 # as an artifact.

@@ -226,24 +226,26 @@ func timeBatch(repeat int) (indepS, batchS float64, points, lockstep int, err er
 // attribution-ON cost is recorded (attr_event_seconds / attr_overhead)
 // as trajectory data, ungated.
 func runEngineBench(c *cli) error {
-	repeat := max(c.repeat, 1)
+	if c.repeat < 1 {
+		return flagErr("repeat", fmt.Errorf("must be at least 1, got %d", c.repeat))
+	}
 	fmt.Fprintf(c.stderr, "benchmarking %s: cycle engine...\n", benchExp)
-	cycleS, err := timeRun(sim.EngineCycle, false, repeat)
+	cycleS, err := timeRun(sim.EngineCycle, false, c.repeat)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(c.stderr, "benchmarking %s: event engine...\n", benchExp)
-	eventS, err := timeRun(sim.EngineEvent, false, repeat)
+	eventS, err := timeRun(sim.EngineEvent, false, c.repeat)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(c.stderr, "benchmarking %s: event engine, attribution on...\n", benchExp)
-	attrS, err := timeRun(sim.EngineEvent, true, repeat)
+	attrS, err := timeRun(sim.EngineEvent, true, c.repeat)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(c.stderr, "benchmarking batched sweep runner (8-point NRH sweep)...\n")
-	indepS, batchS, points, lockstep, err := timeBatch(repeat)
+	indepS, batchS, points, lockstep, err := timeBatch(c.repeat)
 	if err != nil {
 		return err
 	}

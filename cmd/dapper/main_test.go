@@ -47,6 +47,9 @@ func TestBadInvocationsNameTheirFlag(t *testing.T) {
 		{[]string{"batch", "-profile", "tiny", "-window", "-1"}, "-window"},
 		{[]string{"batch", "-profile", "tiny", "-attack", "hammer"}, "-attack"},
 		{[]string{"adversary", "-mix-cores", "3"}, "-mix-cores"},
+		{[]string{"adversary", "-budget", "0"}, "-budget"},
+		{[]string{"adversary", "-budget", "-5"}, "-budget"},
+		{[]string{"engine-bench", "-repeat", "0"}, "-repeat"},
 		{[]string{"mix"}, `unknown subcommand "mix"`},
 		{[]string{"attack"}, `unknown subcommand "attack"`},
 		{[]string{"timeline"}, `unknown subcommand "timeline"`},

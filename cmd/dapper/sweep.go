@@ -249,6 +249,9 @@ func checkFailures(c *cli, failures []string) error {
 // paper's hand-crafted tailored attack, and the full search trace. The
 // same -seed and -budget produce byte-identical reports.
 func runAdversary(c *cli) error {
+	if c.budget < 1 {
+		return flagErr("budget", fmt.Errorf("must be at least 1, got %d", c.budget))
+	}
 	p, err := c.resolveProfile()
 	if err != nil {
 		return err

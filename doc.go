@@ -142,13 +142,17 @@
 //     O(memory operations), not O(instructions). A backpressure-stalled
 //     core is stepped at every iteration, because its retry outcome
 //     depends on controller state.
-//   - The engine caches per-component wakes, re-arming a controller's
-//     only when it was ticked or received work (Controller.Version).
-//     Only Controller.Tick sets a request's Done/DoneAt or frees a queue
-//     slot, so a core blocked on an in-flight head (wake dram.Never) is
-//     re-polled, read-only, only on iterations where a controller
-//     ticked, and the LLC write-back backlog is flushed only then or
-//     when its cached earliest completion is due. Warmup and final
+//   - Each component caches its own wake: a controller's NextEvent
+//     answer holds until Tick or a successful Enqueue, a core's until
+//     Step, and the controller keeps its earliest refresh or tracker
+//     deadline, which only refreshTick moves. The engine reads Wake()
+//     to decide what to tick or step and knows no staleness rule. Only
+//     Controller.Tick sets a request's Done/DoneAt or frees a queue
+//     slot, so a core blocked on an in-flight head (wake dram.Never)
+//     reads that head's Done on every NextEvent and recomputes once it
+//     is set, and the LLC write-back backlog is flushed only on
+//     iterations where a controller ticked or when its cached earliest
+//     completion is due. Warmup and final
 //     cycles are never skipped, so statistics snapshots observe the
 //     same retirement state as the cycle engine.
 //

@@ -128,6 +128,8 @@ type Core struct {
 	// that Step, so a gap-driven Step can replay the skipped cycles.
 	lastDispatched int
 	lastStep       dram.Cycle
+	wake           dram.Cycle   // NextEvent's last answer; 0 once Step made it stale
+	waitingOn      *mem.Request // the in-flight head a Never wake waits on, else nil
 
 	// probe, when attached, receives the core's exact retirement
 	// trajectory as uniform segments; nil costs one branch per Step.
@@ -282,6 +284,7 @@ func (c *Core) Step(now dram.Cycle) {
 		c.catchUp(c.lastStep+1, now)
 	}
 	c.lastStep = now
+	c.wake = 0
 	c.cycles++
 	retiredBefore := c.retired
 	c.retire(now)
@@ -464,10 +467,23 @@ func (c *Core) catchUp(from, to dram.Cycle) {
 // time when the ROB is full, or dram.Never when progress depends
 // entirely on the memory system (backpressure, or an in-flight head
 // request whose completion time is not yet known — the memory
-// controller's own events cover those cases). Valid immediately after
-// Step(now); if the engine skips ahead, the next Step replays the
-// skipped cycles via catchUp.
+// controller's own events cover those cases). The answer is cached
+// until the next Step while it lies after now; a Never that waits on an
+// in-flight head is recomputed once the controller sets the head's Done.
+// If the engine skips ahead, the next Step replays the skipped cycles.
 func (c *Core) NextEvent(now dram.Cycle) dram.Cycle {
+	if c.wake <= now || c.waitingOn != nil && c.waitingOn.Done {
+		c.wake = c.nextEvent(now)
+	}
+	return c.wake
+}
+
+// Wake returns NextEvent's cached answer, 0 once Step cleared it.
+func (c *Core) Wake() dram.Cycle { return c.wake }
+
+// nextEvent is NextEvent's recompute, kept apart so the cached read inlines.
+func (c *Core) nextEvent(now dram.Cycle) dram.Cycle {
+	c.waitingOn = nil
 	if c.lastDispatched > 0 {
 		if c.bubbles > 0 && c.stalledReq == nil {
 			// First cycle at which the trace's pending memory record
@@ -483,6 +499,9 @@ func (c *Core) NextEvent(now dram.Cycle) dram.Cycle {
 	}
 	if e := c.memHead(); e != nil && e.seq == c.head {
 		if r := e.readyAt(); r > now {
+			if r == dram.Never {
+				c.waitingOn = e.pending
+			}
 			return r
 		}
 	}

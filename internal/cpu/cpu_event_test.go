@@ -103,8 +103,11 @@ func TestNextEventBubbleHorizon(t *testing.T) {
 	}
 }
 
-// TestNextEventBlockedOnPendingHead reports Never while the ROB head's
-// request is still in flight without a completion time.
+// TestNextEventBlockedOnPendingHead reports the ROB head's completion
+// time when the ROB is full of in-flight reads, and Never while the
+// head's request has no completion time yet. The first NextEvent after
+// the controller sets Done must answer DoneAt: a Never wake is never
+// served from the cache.
 func TestNextEventBlockedOnPendingHead(t *testing.T) {
 	memIf := &latencyMemory{hitLat: 4, missLat: 600}
 	// Odd lines go in flight; no bubbles, so the ROB fills with pending
@@ -119,5 +122,19 @@ func TestNextEventBlockedOnPendingHead(t *testing.T) {
 	// completion time, never Never-forever.
 	if wake == dram.Never || wake <= 199 {
 		t.Fatalf("blocked core wake = %d", wake)
+	}
+	// Take the completion times away, as if the controller had not yet
+	// started the requests: the core can only wait on memory.
+	for _, r := range memIf.inflight {
+		r.Done = false
+	}
+	c.Step(200)
+	if wake = c.NextEvent(200); wake != dram.Never {
+		t.Fatalf("wake with the head not started = %d, want Never", wake)
+	}
+	head := memIf.inflight[0]
+	head.Done, head.DoneAt = true, 650
+	if wake = c.NextEvent(201); wake != 650 {
+		t.Fatalf("first wake after the head's Done = %d, want its DoneAt 650", wake)
 	}
 }

@@ -74,6 +74,7 @@ type Controller struct {
 
 	dataBusFreeAt   dram.Cycle
 	nextTrackerTick dram.Cycle
+	deadline        dram.Cycle // earliest rank NextRefAt or nextTrackerTick
 	nextConsider    dram.Cycle // idle-scan backoff
 	lastTick        dram.Cycle // previous Tick time, for backoff catch-up
 	started         bool       // the last scheduling attempt started a request
@@ -83,7 +84,7 @@ type Controller struct {
 	actBuf   []rh.Action
 	reqPool  []*Request // recycled injected requests (tracker counter traffic)
 
-	version uint64 // bumped on Enqueue; lets callers cache NextEvent
+	wake dram.Cycle // NextEvent's last answer; 0 once Tick or Enqueue made it stale
 }
 
 // QueueCap is the per-channel read/write queue capacity; a full queue
@@ -108,6 +109,7 @@ func NewController(channel int, geo dram.Geometry, tim dram.Timing, tracker rh.T
 		ranks:           make([]dram.Rank, geo.Ranks),
 		queueBuf:        make([]*Request, 2*QueueCap),
 		nextTrackerTick: tim.TREFI,
+		deadline:        tim.TREFI, // rank 0's first refresh and the first tracker tick
 		lastTick:        -1,
 	}
 	for i := range c.banks {
@@ -170,7 +172,7 @@ func (c *Controller) Enqueue(r *Request, now dram.Cycle) bool {
 		r.bank = int32(c.geo.FlatBank(r.Loc))
 		c.injected = append(c.injected, r)
 		c.resetConsider(now + 1)
-		c.version++
+		c.wake = 0
 		c.emit(rh.Event{Kind: rh.EvQueue, At: now, Demand: len(c.queue), InjectedQueue: len(c.injected)})
 		return true
 	}
@@ -189,7 +191,7 @@ func (c *Controller) Enqueue(r *Request, now dram.Cycle) bool {
 	}
 	c.queue = append(c.queue, r)
 	c.resetConsider(now + 1)
-	c.version++
+	c.wake = 0
 	c.emit(rh.Event{Kind: rh.EvQueue, At: now, Demand: len(c.queue), InjectedQueue: len(c.injected)})
 	return true
 }
@@ -202,10 +204,8 @@ func (c *Controller) resetConsider(at dram.Cycle) {
 	c.nextConsider = at
 }
 
-// Version increments on every successful Enqueue. The event engine uses
-// it to cache NextEvent between ticks: a controller's wake time can only
-// move earlier when new work arrives.
-func (c *Controller) Version() uint64 { return c.version }
+// Wake returns NextEvent's cached answer, 0 once Tick or Enqueue cleared it.
+func (c *Controller) Wake() dram.Cycle { return c.wake }
 
 // Tick advances the controller to cycle now: runs refresh, the tracker's
 // periodic work, and attempts to start one request.
@@ -225,6 +225,7 @@ func (c *Controller) Tick(now dram.Cycle) {
 		c.nextConsider = a + (now-a+1)/2*2
 	}
 	c.lastTick = now
+	c.wake = 0
 	c.refreshTick(now)
 	if now < c.nextConsider {
 		return
@@ -240,7 +241,12 @@ func (c *Controller) Tick(now dram.Cycle) {
 // the per-cycle driver lands on every deadline by construction, and the
 // event engine never schedules a wake past one, but the loops below
 // catch up on the deadline's own terms should a driver ever arrive late.
+// Before the earliest of those deadlines it returns at once.
 func (c *Controller) refreshTick(now dram.Cycle) {
+	if now < c.deadline {
+		return
+	}
+	c.deadline = dram.Never
 	for r := range c.ranks {
 		rk := &c.ranks[r]
 		for now >= rk.NextRefAt {
@@ -258,6 +264,7 @@ func (c *Controller) refreshTick(now dram.Cycle) {
 			c.emit(rh.Event{Kind: rh.EvRefresh, At: at, Rank: r})
 			c.resetConsider(now) // attempt again this very tick
 		}
+		c.deadline = min(c.deadline, rk.NextRefAt)
 	}
 	for now >= c.nextTrackerTick {
 		at := c.nextTrackerTick
@@ -268,33 +275,32 @@ func (c *Controller) refreshTick(now dram.Cycle) {
 			c.emit(rh.Event{Kind: rh.EvTable, At: at, Table: c.tblRep.TableOccupancy()})
 		}
 	}
+	c.deadline = min(c.deadline, c.nextTrackerTick)
 }
 
 // NextEvent returns the next cycle strictly after now at which the
-// driver must Tick this controller: the earliest rank refresh deadline,
-// the tracker's periodic tick, or — when requests are pending — a lower
-// bound on the first scheduling attempt that could start one (see
-// nextAttempt). Between now and the returned cycle, Tick is a no-op on
-// all observable state. The returned cycle itself may come early: Tick
-// there makes the failed attempt and the 2-cycle backoff a per-cycle
-// driver makes at that cycle, so an early wake costs one Tick and moves
-// no Result. Valid immediately after Tick(now).
+// driver must Tick this controller: the earliest rank refresh deadline
+// or tracker tick, or — when requests are pending — a lower bound on
+// the first scheduling attempt that could start one (see nextAttempt).
+// Between now and the returned cycle, Tick is a no-op on all observable
+// state. The returned cycle itself may come early: Tick there makes the
+// failed attempt and the 2-cycle backoff a per-cycle driver makes at
+// that cycle, so an early wake costs one Tick and moves no Result. The
+// answer is cached until now reaches it or a Tick or Enqueue clears it.
 func (c *Controller) NextEvent(now dram.Cycle) dram.Cycle {
-	next := c.nextTrackerTick
-	for r := range c.ranks {
-		if c.ranks[r].NextRefAt < next {
-			next = c.ranks[r].NextRefAt
-		}
+	if c.wake <= now {
+		c.wake = c.nextEvent(now)
 	}
+	return c.wake
+}
+
+// nextEvent is NextEvent's recompute, kept apart so the cached read inlines.
+func (c *Controller) nextEvent(now dram.Cycle) dram.Cycle {
+	next := c.deadline
 	if len(c.queue)+len(c.injected) > 0 {
-		if t := c.nextAttempt(now); t < next {
-			next = t
-		}
+		next = min(next, c.nextAttempt(now))
 	}
-	if next <= now {
-		next = now + 1
-	}
-	return next
+	return max(next, now+1)
 }
 
 // busFloorDepth is the demand-queue depth from which nextAttempt

@@ -47,7 +47,9 @@ func TestInjectedTrafficExcludedFromDemandStats(t *testing.T) {
 
 // TestFourRankRefreshStagger verifies the stagger fix: on a 4-rank
 // geometry every rank must refresh in its own tREFI/Ranks slot, so no
-// two ranks are ever blocked by auto-refresh at the same time.
+// two ranks are ever blocked by auto-refresh at the same time. Each
+// refresh must fire at its exact deadline cycle, which the controller's
+// cached earliest deadline must not delay.
 func TestFourRankRefreshStagger(t *testing.T) {
 	geo := dram.Baseline()
 	geo.Ranks = 4
@@ -55,15 +57,21 @@ func TestFourRankRefreshStagger(t *testing.T) {
 	c := NewController(0, geo, tim, rh.NewNop(), rh.VRR1)
 	for now := dram.Cycle(0); now < 3*tim.TREFI; now++ {
 		c.Tick(now)
-		blocked := 0
+		blocked, due := 0, uint64(0)
 		for rk := 0; rk < geo.Ranks; rk++ {
 			fb := geo.FlatBank(dram.Loc{Rank: rk})
 			if c.BankBlockedUntil(fb) > now {
 				blocked++
 			}
+			if first := tim.TREFI + dram.Cycle(rk)*tim.TREFI/dram.Cycle(geo.Ranks); now >= first {
+				due += uint64((now-first)/tim.TREFI) + 1
+			}
 		}
 		if blocked > 1 {
 			t.Fatalf("cycle %d: %d ranks blocked by refresh simultaneously", now, blocked)
+		}
+		if got := c.Stats().Refreshes; got != due {
+			t.Fatalf("cycle %d: %d refreshes issued, %d due", now, got, due)
 		}
 	}
 	if c.Stats().Refreshes < uint64(2*geo.Ranks) {
@@ -129,15 +137,23 @@ func TestNextEventSparseDrivingMatchesDense(t *testing.T) {
 		wake := dram.Cycle(0)
 		horizon := plan[len(plan)-1].at + dram.US(10)
 		for now := dram.Cycle(0); now < horizon; now++ {
-			// An arrival waits for a free slot; slots free only in Tick,
-			// so a sparse driver need not wake for a waiting one.
+			// Like the event engine, the sparse driver Ticks only at the
+			// wake and enqueues whenever an arrival is due. An arrival
+			// waits for a free slot; slots free only in Tick, so a
+			// sparse driver need not wake for a waiting one.
 			due := next < len(plan) && plan[next].at <= now && c.CanEnqueue()
-			if sparse && now < wake && !due {
+			if !sparse || now >= wake {
+				c.Tick(now)
+				if c.nextConsider == now+2 { // only a failed attempt at now sets this
+					o.failed++
+				}
+			} else if !due {
+				// Nothing ran since the last Tick/Enqueue: the cached
+				// wake must stand.
+				if got := c.NextEvent(now); got != wake {
+					t.Fatalf("cycle %d: NextEvent = %d, want the cached wake %d", now, got, wake)
+				}
 				continue
-			}
-			c.Tick(now)
-			if c.nextConsider == now+2 { // only a failed attempt at now sets this
-				o.failed++
 			}
 			for next < len(plan) && plan[next].at <= now && c.CanEnqueue() {
 				if a := plan[next]; a.vrr {
@@ -149,7 +165,9 @@ func TestNextEventSparseDrivingMatchesDense(t *testing.T) {
 			if c.atBusFloor() {
 				o.floorWakes++
 			}
-			wake = c.NextEvent(now)
+			if wake = c.NextEvent(now); wake <= now {
+				t.Fatalf("NextEvent(%d) = %d, not after now", now, wake)
+			}
 		}
 		o.done = make([]dram.Cycle, len(reqs))
 		for i, r := range reqs {
@@ -190,7 +208,7 @@ func TestNextEventSparseDrivingMatchesDense(t *testing.T) {
 			// conflict's latency and ignores banks and ranks, so it comes
 			// early when the next request to start opens a closed bank
 			// (tRP later) or waits on its bank, its rank or a refresh. On
-			// this plan that is ~16% of the floor's wakes.
+			// this plan that is ~15% of the floor's wakes.
 			if s.floorWakes < served/2 {
 				t.Errorf("floor answered %d wakes for %d served requests; want at least half", s.floorWakes, served)
 			}

@@ -287,7 +287,8 @@ func (s *countSink) Event(rh.Event) { s.n++ }
 // scanning a full queue in which nothing can start (the bank served
 // first is busy, and tRRD holds every other ACT), and NextEvent on the
 // deep queue right after a served request, where it takes the data-bus
-// floor.
+// floor. The NextEvent case clears the cached wake on every call, so
+// each call computes it.
 func TestHotPathsDoNotAllocate(t *testing.T) {
 	geo := dram.Baseline()
 	c := NewController(0, geo, dram.DDR5(), rh.NewNop(), rh.VRR1)
@@ -310,7 +311,7 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 		{"emit", func() { c.emit(rh.Event{Kind: rh.EvACT, At: 2}) }},
 		{"pick", func() { c.pick(c.queue, 2) }},
 		{"earliestReady", func() { c.earliestReady(c.queue, 2) }},
-		{"NextEvent", func() { c.NextEvent(1) }},
+		{"NextEvent", func() { c.wake = 0; c.NextEvent(1) }},
 	} {
 		if n := testing.AllocsPerRun(100, hot.f); n != 0 {
 			t.Errorf("%s allocates %v times per call", hot.name, n)

@@ -408,28 +408,22 @@ func checkConservation(s *telemetry.Series, final snapshots, cores []*cpu.Core) 
 //   - all cross-component interactions (enqueue, service completion,
 //     write-back admission) happen at iteration times by construction,
 //     so skipped cycles are provably no-ops for every skipped component;
-//   - only mem.Controller.Tick completes a request or frees a queue
-//     slot, so a core blocked on an in-flight head is re-polled, and the
-//     write-back backlog flushed, only on iterations where a controller
-//     ticked (the backlog also when its earliest completion is due).
+//   - each component caches its own wake: a controller's until Tick or
+//     Enqueue, a core's until Step or, when it waits on an in-flight
+//     head, until that head is Done. Only mem.Controller.Tick completes
+//     a request or frees a queue slot, so the write-back backlog is
+//     flushed only when a controller ticked or a completion is due.
 //
 // The warmup and final cycles are never skipped: the statistics
 // snapshots must observe the same retirement state as the cycle engine.
 func runEvent(cfg Config, controllers []*mem.Controller, hier *hierarchy,
 	cores []*cpu.Core, trackers []rh.Tracker, llc *cache.Cache, end dram.Cycle) snapshots {
 	var base snapshots
-	nCtrl, nCore := len(controllers), len(cores)
-	ctrlWake := make([]dram.Cycle, nCtrl)
-	ctrlVer := make([]uint64, nCtrl)
-	ctrlTicked := make([]bool, nCtrl)
-	coreWake := make([]dram.Cycle, nCore)
-
 	for now := dram.Cycle(0); now < end; {
 		ticked := false
-		for ch, c := range controllers {
-			if now >= ctrlWake[ch] {
+		for _, c := range controllers {
+			if now >= c.Wake() {
 				c.Tick(now)
-				ctrlTicked[ch] = true
 				ticked = true
 			}
 		}
@@ -437,44 +431,23 @@ func runEvent(cfg Config, controllers []*mem.Controller, hier *hierarchy,
 			hier.flush(now)
 		}
 		boundary := now == cfg.Warmup || now == end-1
-		for i, c := range cores {
-			switch {
-			case now >= coreWake[i] || c.Stalled() || boundary:
+		for _, c := range cores {
+			if now >= c.Wake() || c.Stalled() || boundary {
 				c.Step(now)
-				coreWake[i] = c.NextEvent(now)
-			case coreWake[i] == dram.Never && ticked:
-				// Externally blocked on an in-flight ROB head: re-poll
-				// (read-only) — the controller may just have given the
-				// request its completion time.
-				coreWake[i] = c.NextEvent(now)
 			}
 		}
 		if now == cfg.Warmup {
 			base = snapshot(cores, controllers, trackers, llc)
 		}
 
-		wake := dram.Never
-		for ch, c := range controllers {
-			if ctrlTicked[ch] || c.Version() != ctrlVer[ch] {
-				ctrlWake[ch] = c.NextEvent(now)
-				ctrlVer[ch] = c.Version()
-				ctrlTicked[ch] = false
-			}
-			if ctrlWake[ch] < wake {
-				wake = ctrlWake[ch]
-			}
+		wake := hier.nextDone
+		for _, c := range controllers {
+			wake = min(wake, c.NextEvent(now))
 		}
-		for i := range cores {
-			if coreWake[i] < wake {
-				wake = coreWake[i]
-			}
+		for _, c := range cores {
+			wake = min(wake, c.NextEvent(now))
 		}
-		if hier.nextDone < wake {
-			wake = hier.nextDone
-		}
-		if wake < now+1 {
-			wake = now + 1
-		}
+		wake = max(wake, now+1)
 		if now < cfg.Warmup && wake > cfg.Warmup {
 			wake = cfg.Warmup
 		}
