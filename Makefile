@@ -157,10 +157,11 @@ experiments-smoke:
 simbench-test:
 	cd simbench && $(GO) test ./...
 
-# One iteration of every benchmark in every package: a smoke
-# reproduction of each table and figure under the reduced bench profile,
-# plus the package microbenchmarks (saturated controller, flatmap), so
-# none of them can rot unnoticed.
+# One iteration of every package microbenchmark (saturated controller,
+# core catch-up, DAPPER-H activation, flatmap), so none of them can rot
+# unnoticed. The tables and figures are pinned by TestExperimentsGolden
+# and experiments-smoke; to time one by hand, run
+# `dapper experiments -exp fig5 -profile bench -jobs 1`.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
@@ -173,9 +174,10 @@ bench-compare:
 
 # Gate the perf trajectory instead of extending it: re-run the
 # telemetry-off benchmarks and fail if the event-over-cycle speedup
-# ratio or the batched-runner speedup regressed >10% versus the last
-# recorded BENCH_engine.json point (ratios, not wall-clock, so the
-# gates hold across machine speeds).
+# ratio dropped >2% (the default -attr-budget 0.02) or the
+# batched-runner speedup >10% versus the last recorded
+# BENCH_engine.json point (ratios, not wall-clock, so the gates hold
+# across machine speeds).
 bench-check:
 	$(GO) run ./cmd/dapper engine-bench -out . -check
 

@@ -84,8 +84,8 @@ func cpuModel() string {
 	return ""
 }
 
-// benchProfile is the shared bench profile (exp.Bench, the same one
-// bench_test.go's figure benchmarks run) pinned to one engine.
+// benchProfile is the shared bench profile (exp.Bench, the one
+// `dapper experiments -profile bench` runs) pinned to one engine.
 func benchProfile(engine sim.Engine, attr bool) exp.Profile {
 	p := exp.Bench()
 	p.Engine = engine

@@ -124,14 +124,19 @@ func flagErr(name string, err error) error {
 
 // cycles converts microsecond flag name to DRAM cycles. A negative
 // value, or a non-zero one below one cycle, is an error rather than a
-// silent zero; with positive, zero is an error too.
+// silent zero; with positive, zero is an error too. So is a value whose
+// cycle count would reach dram.Never, rather than a wrapped one.
 func cycles(name string, us float64, positive bool) (dram.Cycle, error) {
-	if !(us >= 0) || (us != 0 || positive) && us*1e3*dram.CyclesPerNs < 1 {
+	n := us * 1e3 * dram.CyclesPerNs
+	if !(us >= 0) || (us != 0 || positive) && n < 1 {
 		want := "0 or at least one cycle"
 		if positive {
 			want = "at least one cycle"
 		}
 		return 0, flagErr(name, fmt.Errorf("must be %s (%.2g microseconds), got %g", want, 1e-3/dram.CyclesPerNs, us))
+	}
+	if !(n+0.5 < float64(dram.Never)) {
+		return 0, flagErr(name, fmt.Errorf("must be below %.3g microseconds, got %g", float64(dram.Never)/1e3/dram.CyclesPerNs, us))
 	}
 	return dram.US(us), nil
 }

@@ -44,7 +44,13 @@ func TestBadInvocationsNameTheirFlag(t *testing.T) {
 		{[]string{"sim", "-warmup", "0"}, "-warmup"},
 		{[]string{"sim", "-debug-addr", "127.0.0.1:-1"}, "-debug-addr"},
 		{[]string{"sim", "-window", "0.0001"}, "-window"},
+		{[]string{"sim", "-measure", "1e16"}, "-measure"},
+		{[]string{"sim", "-measure", "+Inf"}, "-measure"},
+		{[]string{"sim", "-warmup", "1e300"}, "-warmup"},
+		{[]string{"sim", "-rows-per-bank", "4294967296"}, "-rows-per-bank"},
+		{[]string{"sim", "-tracker", "none", "-rows-per-bank", "4294967297", "-warmup", "1", "-measure", "5"}, "-rows-per-bank"},
 		{[]string{"batch", "-profile", "tiny", "-window", "-1"}, "-window"},
+		{[]string{"batch", "-profile", "tiny", "-window", "1e300"}, "-window"},
 		{[]string{"batch", "-profile", "tiny", "-attack", "hammer"}, "-attack"},
 		{[]string{"adversary", "-mix-cores", "3"}, "-mix-cores"},
 		{[]string{"adversary", "-budget", "0"}, "-budget"},

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"dapper/internal/attack"
 	"dapper/internal/diag"
@@ -61,6 +62,9 @@ func (c *cli) resolveSingle() (single, error) {
 	}
 	if s.run.Engine, err = c.resolveEngine(); err != nil {
 		return s, err
+	}
+	if c.rowsPerBank > math.MaxUint32 {
+		return s, flagErr("rows-per-bank", fmt.Errorf("must be at most %d, got %d", uint32(math.MaxUint32), c.rowsPerBank))
 	}
 	if c.rowsPerBank != 0 {
 		s.run.Geometry = dram.Scaled(uint32(c.rowsPerBank))

@@ -9,9 +9,9 @@
 // (internal/attack), analytic security and storage models
 // (internal/analytic), an energy model (internal/energy) and an
 // experiment harness that regenerates every table and figure of the
-// paper's evaluation (internal/exp, `dapper experiments`,
-// bench_test.go). Every entry point is a subcommand of cmd/dapper over
-// one shared flag set; it is the module's only binary.
+// paper's evaluation (internal/exp, `dapper experiments`). Every entry
+// point is a subcommand of cmd/dapper over one shared flag set; it is
+// the module's only binary.
 //
 // Every tracker is built from what a run supplies: the channel, the
 // geometry, NRH and the mitigation mode, plus the LLC size for START
@@ -166,8 +166,8 @@
 // Force `-engine cycle` when validating the event engine itself, when
 // bisecting a suspected engine bug, or when adding a new component that
 // does not yet implement the wake-time protocol; in every other case the
-// event engine is strictly faster (≥2x on the benign figure benchmarks,
-// tracked in BENCH_engine.json via `make bench-compare`).
+// event engine is strictly faster (≥2x on fig11's benign points, tracked
+// in BENCH_engine.json via `make bench-compare`).
 //
 // # Worst-case attack search (internal/attack Parametric, internal/adversary)
 //

@@ -292,20 +292,6 @@ func (c *Cache) Contains(key uint64) bool {
 	return c.find(c.setIndex(key), key) >= 0
 }
 
-// Invalidate drops key if resident, returning whether it was dirty.
-func (c *Cache) Invalidate(key uint64) (present, dirty bool) {
-	set := c.setIndex(key)
-	w := c.find(set, key)
-	if w < 0 {
-		return false, false
-	}
-	bit := uint64(1) << w
-	dirty = c.dirty[set]&bit != 0
-	c.valid[set] &^= bit
-	c.dirty[set] &^= bit
-	return true, dirty
-}
-
 // Reset invalidates every line and clears statistics.
 func (c *Cache) Reset() {
 	clear(c.valid)

@@ -138,22 +138,6 @@ func TestRandomPolicyEvictsWithinSet(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := MustNew(Config{Sets: 4, Ways: 2})
-	c.Access(9, true)
-	present, dirty := c.Invalidate(9)
-	if !present || !dirty {
-		t.Fatalf("invalidate = %v, %v", present, dirty)
-	}
-	if c.Contains(9) {
-		t.Fatal("still resident after invalidate")
-	}
-	present, _ = c.Invalidate(9)
-	if present {
-		t.Fatal("second invalidate should miss")
-	}
-}
-
 func TestReset(t *testing.T) {
 	c := MustNew(Config{Sets: 4, Ways: 2})
 	c.Access(1, false)

@@ -80,18 +80,6 @@ func (c *refCache) Access(key uint64, isWrite bool) Result {
 	return res
 }
 
-func (c *refCache) Invalidate(key uint64) (present, dirty bool) {
-	base := c.base(key)
-	for i := base; i < base+c.cfg.Ways; i++ {
-		if c.lines[i].valid && c.lines[i].key == key {
-			d := c.lines[i].dirty
-			c.lines[i] = refLine{}
-			return true, d
-		}
-	}
-	return false, false
-}
-
 func (c *refCache) Reset() {
 	clear(c.lines)
 	c.hits, c.misses, c.tick = 0, 0, 0
@@ -108,11 +96,10 @@ func (c *refCache) Occupancy() int {
 }
 
 // TestMatchesReferenceModel runs seeded random access streams through
-// the cache and the per-line reference and compares every Result and
-// Invalidate outcome, the hit and miss counts and the occupancy. The
-// streams mix a hot working set (hits, recency updates) with a key
-// space twice the capacity (fills, evictions, dirty write-backs), plus
-// occasional invalidations and one reset.
+// the cache and the per-line reference and compares every Result, the
+// hit and miss counts and the occupancy. The streams mix a hot working
+// set (hits, recency updates) with a key space twice the capacity
+// (fills, evictions, dirty write-backs), plus one reset.
 //
 // Each case's cache reuses arrays that a different stream left full
 // and dirty, so New must clear them; caches of other shapes released
@@ -158,17 +145,10 @@ func TestMatchesReferenceModel(t *testing.T) {
 				if rng.IntN(2) == 0 {
 					key = rng.Uint64N(hot)
 				}
-				switch r := rng.IntN(1000); {
-				case r == 0:
-					gp, gd := got.Invalidate(key)
-					wp, wd := want.Invalidate(key)
-					if gp != wp || gd != wd {
-						t.Fatalf("op %d: Invalidate(%d) = %v,%v, reference %v,%v", i, key, gp, gd, wp, wd)
-					}
-				case i == tc.ops/2:
+				if i == tc.ops/2 {
 					got.Reset()
 					want.Reset()
-				default:
+				} else {
 					write := rng.IntN(3) == 0
 					g, w := got.Access(key, write), want.Access(key, write)
 					if g != w {

@@ -141,9 +141,6 @@ func New(id int, trace Trace, m Memory) *Core {
 	return &Core{id: id, trace: trace, memIf: m, lastStep: -1}
 }
 
-// ID returns the core's index.
-func (c *Core) ID() int { return c.id }
-
 // Retired returns instructions retired so far.
 func (c *Core) Retired() uint64 { return c.retired }
 
@@ -185,12 +182,6 @@ func (c *Core) SetProbe(p telemetry.CoreProbe) { c.probe = p }
 // so the event engine must step it at every iteration — the retry's
 // success depends on memory-system state the core cannot predict.
 func (c *Core) Stalled() bool { return c.stalledReq != nil }
-
-// ResetStats zeroes the performance counters (used after warmup).
-func (c *Core) ResetStats() {
-	c.retired, c.cycles, c.memReads, c.memWrites = 0, 0, 0, 0
-	c.stallROB, c.stallBP = 0, 0
-}
 
 func (c *Core) getReq() *mem.Request {
 	if n := len(c.pool); n > 0 {

@@ -205,19 +205,6 @@ func TestNCHelpers(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	tr := &scriptTrace{recs: []Record{{Bubbles: 10, Addr: 64}}}
-	m := &fixedMemory{lat: 1}
-	c := New(0, tr, m)
-	for now := dram.Cycle(0); now < 100; now++ {
-		c.Step(now)
-	}
-	c.ResetStats()
-	if c.Retired() != 0 || c.Cycles() != 0 || c.IPC() != 0 {
-		t.Fatal("stats not reset")
-	}
-}
-
 func TestIPCZeroBeforeRun(t *testing.T) {
 	c := New(0, &scriptTrace{recs: []Record{{Addr: 0}}}, &fixedMemory{})
 	if c.IPC() != 0 {

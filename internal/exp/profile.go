@@ -104,10 +104,10 @@ func Full() Profile {
 	}
 }
 
-// Bench returns the trimmed quick profile every benchmark runs
-// (bench_test.go's figure benchmarks and `dapper engine-bench`'s
-// engine comparison share it, so BENCH_engine.json measures the same
-// workload set as BenchmarkFigN).
+// Bench returns the trimmed quick profile `dapper engine-bench` times
+// and `dapper experiments -profile bench` runs, so one figure's points
+// can be timed by hand (`-exp fig5 -profile bench -jobs 1`) on the
+// workload set BENCH_engine.json measures.
 func Bench() Profile {
 	p := Quick()
 	p.Name = "bench"

@@ -3,7 +3,7 @@
 // Experiments (experiment.go). Each declares its table under a Profile,
 // naming the simulated points every computed cell reads, and Generate
 // runs those points and renders the Tables that `dapper experiments`
-// and bench_test.go print.
+// prints.
 package exp
 
 import (

@@ -80,17 +80,6 @@ func (cm *CountMin) Estimate(key uint64) uint32 {
 	return est
 }
 
-// SetAtLeast lowers nothing; it raises every counter of key to at least v.
-// CoMeT's RAT uses this when re-inserting a recently mitigated row.
-func (cm *CountMin) SetAtLeast(key uint64, v uint32) {
-	for i := 0; i < cm.rows; i++ {
-		j := cm.index(i, key)
-		if cm.counts[i][j] < v {
-			cm.counts[i][j] = v
-		}
-	}
-}
-
 // Reset zeroes all counters (CoMeT's periodic reset; the hash functions
 // are kept, matching the hardware which only clears SRAM).
 func (cm *CountMin) Reset() {
@@ -100,9 +89,4 @@ func (cm *CountMin) Reset() {
 			row[j] = 0
 		}
 	}
-}
-
-// StorageBits returns the SRAM cost in bits for counterBits-wide counters.
-func (cm *CountMin) StorageBits(counterBits int) int {
-	return cm.rows * cm.width * counterBits
 }

@@ -63,19 +63,6 @@ func TestCountMinReset(t *testing.T) {
 	}
 }
 
-func TestCountMinSetAtLeast(t *testing.T) {
-	cm := NewCountMin(4, 512, 3)
-	cm.SetAtLeast(9, 100)
-	if got := cm.Estimate(9); got < 100 {
-		t.Fatalf("estimate = %d, want >= 100", got)
-	}
-	// SetAtLeast never lowers.
-	cm.SetAtLeast(9, 50)
-	if got := cm.Estimate(9); got < 100 {
-		t.Fatalf("SetAtLeast lowered estimate to %d", got)
-	}
-}
-
 func TestCountMinDistinctKeysLowCollision(t *testing.T) {
 	cm := NewCountMin(4, 4096, 7)
 	for k := uint64(0); k < 100; k++ {
@@ -100,13 +87,6 @@ func TestCountMinPanicsOnBadDims(t *testing.T) {
 		}
 	}()
 	NewCountMin(0, 10, 1)
-}
-
-func TestCountMinStorageBits(t *testing.T) {
-	cm := NewCountMin(4, 512, 1)
-	if got := cm.StorageBits(8); got != 4*512*8 {
-		t.Fatalf("StorageBits = %d", got)
-	}
 }
 
 // --- MisraGries ---------------------------------------------------------

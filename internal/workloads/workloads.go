@@ -86,17 +86,6 @@ func BySuite(ws []Workload, suite string) []Workload {
 	return out
 }
 
-// MemoryIntensiveSet returns the >= 2 RBMPKI group.
-func MemoryIntensiveSet() []Workload {
-	var out []Workload
-	for _, w := range table {
-		if w.MemoryIntensive() {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
 // Representative returns a small, diverse subset used by the quick
 // experiment profile: the extremes the paper calls out plus coverage of
 // every suite and intensity class.
@@ -227,9 +216,6 @@ func NewTrace(w Workload, base uint64, limit uint64, seed uint64) *Trace {
 		bubPer:   1000 / w.AccessPKI,
 	}
 }
-
-// Workload returns the definition this trace was built from.
-func (t *Trace) Workload() Workload { return t.w }
 
 func (t *Trace) xorshift() uint64 {
 	t.rng ^= t.rng << 13

@@ -61,24 +61,21 @@ func TestMcfIsMostIntensive(t *testing.T) {
 	}
 }
 
+// TestMemoryIntensiveGrouping pins the paper's >= 2 RBMPKI split that
+// figures 3, 10 and 11 group by: both mcf variants and parest are in
+// it, 436.cactusADM sits on the boundary, and the light workloads are
+// out.
 func TestMemoryIntensiveGrouping(t *testing.T) {
-	mi := MemoryIntensiveSet()
-	if len(mi) == 0 || len(mi) >= 57 {
-		t.Fatalf("memory-intensive group = %d workloads", len(mi))
-	}
-	for _, w := range mi {
-		if w.RBMPKI < 2 {
-			t.Fatalf("%s in group with RBMPKI %.1f", w.Name, w.RBMPKI)
+	for n, want := range map[string]bool{
+		"429.mcf": true, "505.mcf": true, "510.parest": true, "436.cactusADM": true,
+		"541.leela": false, "502.gcc": false, "jp2_decode": false,
+	} {
+		w, err := ByName(n)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Both mcf variants and parest must be in the group.
-	names := map[string]bool{}
-	for _, w := range mi {
-		names[w.Name] = true
-	}
-	for _, n := range []string{"429.mcf", "505.mcf", "510.parest"} {
-		if !names[n] {
-			t.Fatalf("%s missing from memory-intensive group", n)
+		if got := w.MemoryIntensive(); got != want {
+			t.Errorf("%s (RBMPKI %.1f): MemoryIntensive = %v, want %v", n, w.RBMPKI, got, want)
 		}
 	}
 }
