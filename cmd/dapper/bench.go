@@ -303,8 +303,15 @@ func runEngineBench(c *cli) error {
 			return fmt.Errorf("check FAILED: batched-runner speedup regressed >10%% (%.2fx -> %.2fx) on the %d-point sweep",
 				base.BatchSpeedup, r.BatchSpeedup, points)
 		}
-		fmt.Fprintf(c.stdout, "check passed: engine speedup within 10%% of baseline, detached-sink overhead within %.1f%% (attr-on costs %.1f%%), batch speedup %.2fx (%d/%d lockstep)\n",
-			100*c.attrBudget, 100*r.AttrOverhead, r.BatchSpeedup, lockstep, points)
+		// Name the floors that decided. The engine ratio must clear both
+		// of its gates; the budget is the tighter one whenever it is
+		// under 1/0.9 - 1 (11.1%), as at the default -attr-budget 0.02.
+		engineFloor, engineGate := 0.9, "10% under baseline"
+		if f := 1 / (1 + c.attrBudget); f > engineFloor {
+			engineFloor, engineGate = f, fmt.Sprintf("the %.1f%% detached-sink budget", 100*c.attrBudget)
+		}
+		fmt.Fprintf(c.stdout, "check passed: engine speedup %.2fx >= %.2fx (%s), batch speedup %.2fx >= %.2fx (10%% under baseline; %d/%d lockstep), attr-on costs %.1f%% (ungated)\n",
+			r.Speedup, engineFloor*base.Speedup, engineGate, r.BatchSpeedup, 0.9*base.BatchSpeedup, lockstep, points, 100*r.AttrOverhead)
 		return nil
 	}
 

@@ -168,21 +168,25 @@ func runList(c *cli) error {
 }
 
 // withPool runs fn on a harness pool wired the way every sweep
-// subcommand shares: -jobs workers, the -cache store, sinks, a progress
-// line on stderr, a diag.BlameAgg behind -debug-addr, and the
-// -telemetry tracer. The pool is closed (flushing the sinks) even when
-// fn fails; the telemetry files are written only when it succeeds.
-func (c *cli) withPool(sinks []harness.Sink, fn func(*harness.Pool) error) (harness.Stats, error) {
-	opts, agg, err := c.harnessOptions(sinks)
+// subcommand shares: -jobs workers, the -cache store, a progress line
+// on stderr, a diag.BlameAgg behind -debug-addr, and the -telemetry
+// tracer. The pool is closed even when fn fails; the telemetry files
+// are written only when it succeeds.
+func (c *cli) withPool(fn func(*harness.Pool) error) (harness.Stats, error) {
+	opts, err := c.harnessOptions()
 	if err != nil {
 		return harness.Stats{}, err
 	}
 	if c.telemetry != "" {
 		opts.Tracer = telemetry.NewTracer()
 	}
+	if c.debugAddr != "" {
+		agg := diag.NewBlameAgg()
+		opts.OnResult = agg.Observe
+		agg.Publish()
+	}
 	pool := harness.NewPool(opts)
 	if c.debugAddr != "" {
-		agg.Publish()
 		dbg, err := diag.Serve(c.debugAddr, pool.Stats)
 		if err != nil {
 			pool.Close()
@@ -206,29 +210,34 @@ func (c *cli) withPool(sinks []harness.Sink, fn func(*harness.Pool) error) (harn
 }
 
 // harnessOptions is the worker, cache and progress wiring of every
-// sweep subcommand's pool, plus the blame aggregator observing
-// every result. It resolves -jobs in place, so summaries print the
-// worker count actually used.
-func (c *cli) harnessOptions(sinks []harness.Sink) (harness.Options, *diag.BlameAgg, error) {
+// sweep subcommand's pool. It resolves -jobs in place, so summaries
+// print the worker count actually used.
+func (c *cli) harnessOptions() (harness.Options, error) {
 	cache, err := harness.NewCache(c.cache)
 	if err != nil {
-		return harness.Options{}, nil, flagErr("cache", err)
+		return harness.Options{}, flagErr("cache", err)
 	}
 	c.jobs = harness.NormalizeJobs(c.jobs)
-	agg := diag.NewBlameAgg()
 	return harness.Options{
-		Workers:  c.jobs,
-		Cache:    cache,
-		Sinks:    sinks,
-		OnResult: agg.Observe,
+		Workers: c.jobs,
+		Cache:   cache,
 		OnProgress: func(done, total int) {
 			fmt.Fprintf(c.stderr, "\r[%d/%d simulations]", done, total)
 		},
-	}, agg, nil
+	}, nil
 }
 
 // writeFile creates name under -out, fills it, and reports the path.
 func (c *cli) writeFile(name string, fill func(io.Writer) error) error {
+	if err := c.saveFile(name, fill); err != nil {
+		return err
+	}
+	fmt.Fprintf(c.stdout, "wrote %s\n", filepath.Join(c.out, name))
+	return nil
+}
+
+// saveFile creates name under -out and fills it, reporting nothing.
+func (c *cli) saveFile(name string, fill func(io.Writer) error) error {
 	if err := os.MkdirAll(c.out, 0o755); err != nil {
 		return err
 	}
@@ -244,6 +253,15 @@ func (c *cli) writeFile(name string, fill func(io.Writer) error) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	fmt.Fprintf(c.stdout, "wrote %s\n", path)
 	return nil
+}
+
+// writeRecords writes a pool's records to <base>.jsonl and <base>.csv
+// under -out. It prints nothing; each command names the pair its own
+// way.
+func (c *cli) writeRecords(base string, recs []harness.Record) error {
+	if err := c.saveFile(base+".jsonl", func(w io.Writer) error { return harness.WriteJSONL(w, recs) }); err != nil {
+		return err
+	}
+	return c.saveFile(base+".csv", func(w io.Writer) error { return harness.WriteCSV(w, recs) })
 }

@@ -3,14 +3,17 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"dapper/internal/harness"
 	"dapper/internal/telemetry"
 )
 
@@ -215,10 +218,13 @@ func TestSimWithoutWindowWritesNoFile(t *testing.T) {
 
 // TestBatchDefaultsRunLockstep: with the shared defaults a batch sweep
 // carries no telemetry, so the points that share a stream ride one
-// lead in lockstep instead of each running alone.
+// lead in lockstep instead of each running alone. Its batch.jsonl and
+// batch.csv hold one record per point in sweep order (tracker-major,
+// then NRH, then workload), the CSV under its header.
 func TestBatchDefaultsRunLockstep(t *testing.T) {
+	out := t.TempDir()
 	code, stdout, stderr := invoke("batch", "-profile", "tiny", "-tracker", "none,dapper-h,hydra",
-		"-workload", "429.mcf", "-nrh", "500,1000", "-attack", "none", "-out", t.TempDir())
+		"-workload", "429.mcf", "-nrh", "500,1000", "-attack", "none", "-out", out)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr)
 	}
@@ -232,6 +238,45 @@ func TestBatchDefaultsRunLockstep(t *testing.T) {
 	}
 	if lockstep == 0 {
 		t.Errorf("%d full runs, 0 lockstep: the default sweep ran every point alone\n%s", full, stdout)
+	}
+
+	want := []string{
+		"none/500/429.mcf", "none/1000/429.mcf",
+		"DAPPER-H/500/429.mcf", "DAPPER-H/1000/429.mcf",
+		"Hydra/500/429.mcf", "Hydra/1000/429.mcf",
+	}
+	raw, err := os.ReadFile(filepath.Join(out, "batch.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys, points []string
+	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		var rec harness.Record
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("batch.jsonl line %q: %v", line, err)
+		}
+		keys = append(keys, rec.Key)
+		points = append(points, fmt.Sprintf("%s/%d/%s", rec.Desc.Tracker, rec.Desc.NRH, rec.Desc.Workload))
+	}
+	if !slices.Equal(points, want) {
+		t.Errorf("batch.jsonl points %v, want %v", points, want)
+	}
+	f, err := os.Open(filepath.Join(out, "batch.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rows, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1+len(want) || len(rows[0]) < 5 || rows[0][0] != "key" || rows[0][1] != "tracker" {
+		t.Fatalf("batch.csv has %d rows (want a header and %d): %v", len(rows), len(want), rows)
+	}
+	for i, row := range rows[1:] {
+		if got := row[1] + "/" + row[3] + "/" + row[4]; row[0] != keys[i] || got != want[i] {
+			t.Errorf("batch.csv row %d is %s (key %s), want %s (key %s)", i+1, got, row[0], want[i], keys[i])
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"time"
 
@@ -26,18 +27,22 @@ func runExperiments(c *cli) error {
 	if err != nil {
 		return flagErr("exp", err)
 	}
-	sinks, err := harness.FileSinks(c.out, "results.jsonl", "results.csv")
-	if err != nil {
-		return err
+	if err := os.MkdirAll(c.out, 0o755); err != nil {
+		return fmt.Errorf("harness: out dir: %w", err)
 	}
 	fmt.Fprintf(c.stdout, "profile: %s (%d workloads, sweep %v)\n\n", p.Name, len(p.Workloads), p.NRHSweep)
-	st, err := c.withPool(sinks, func(pool *harness.Pool) error {
+	var recs []harness.Record
+	st, err := c.withPool(func(pool *harness.Pool) error {
 		tables, err := exp.Generate(exps, p, pool)
 		for _, tb := range tables {
 			tb.Fprint(c.stdout)
 		}
+		recs = pool.Records()
 		return err
 	})
+	if werr := c.writeRecords("results", recs); err == nil {
+		err = werr
+	}
 	if err != nil {
 		return err
 	}
@@ -79,9 +84,8 @@ func runBatch(c *cli) error {
 		return flagErr("attack", fmt.Errorf("batch sweeps attack kinds; %q is a parametric point (use audit or sim)", atk.Name))
 	}
 	req.Attack = atk.Point.Kind
-	sinks, err := harness.FileSinks(c.out, "batch.jsonl", "batch.csv")
-	if err != nil {
-		return err
+	if err := os.MkdirAll(c.out, 0o755); err != nil {
+		return fmt.Errorf("harness: out dir: %w", err)
 	}
 	jobs, err := req.Jobs()
 	if err != nil {
@@ -90,7 +94,8 @@ func runBatch(c *cli) error {
 	//dapper:wallclock sweep elapsed-time for the summary line only
 	start := time.Now()
 	failed := 0
-	st, err := c.withPool(sinks, func(pool *harness.Pool) error {
+	var recs []harness.Record
+	st, err := c.withPool(func(pool *harness.Pool) error {
 		futures := make([]*harness.Future, len(jobs))
 		for i, job := range jobs {
 			futures[i] = pool.Submit(job)
@@ -101,8 +106,12 @@ func runBatch(c *cli) error {
 				failed++
 			}
 		}
+		recs = pool.Records()
 		return nil
 	})
+	if werr := c.writeRecords("batch", recs); err == nil {
+		err = werr
+	}
 	if err != nil {
 		return err
 	}
@@ -110,7 +119,7 @@ func runBatch(c *cli) error {
 	// and the lockstep points that rode a lead's.
 	fmt.Fprintf(c.stdout, "%d runs (%d simulated, %d cache hits, %d deduplicated; %d full runs, %d lockstep) in %.1fs on %d workers\n",
 		st.Submitted, st.Ran+st.Lockstep, st.CacheHits, st.Submitted-st.Unique, st.Ran, st.Lockstep,
-		//dapper:wallclock elapsed seconds printed in the run summary, not written to any sink
+		//dapper:wallclock elapsed seconds printed in the run summary, not written to any file
 		time.Since(start).Seconds(), c.jobs)
 	if failed > 0 {
 		return fmt.Errorf("%d runs failed", failed)
@@ -154,7 +163,7 @@ func runAudit(c *cli) error {
 
 	rows := make([]secaudit.MatrixRow, len(cells))
 	escapes := make(map[string]uint64)
-	st, err := c.withPool(nil, func(pool *harness.Pool) error {
+	st, err := c.withPool(func(pool *harness.Pool) error {
 		futs := make([]*harness.Future, len(sweep))
 		for i, job := range sweep {
 			futs[i] = pool.Submit(job)
@@ -275,7 +284,7 @@ func runAdversary(c *cli) error {
 	}
 
 	evals, baselines := 0, 0
-	st, err := c.withPool(nil, func(pool *harness.Pool) error {
+	st, err := c.withPool(func(pool *harness.Pool) error {
 		for _, id := range ids {
 			opts.TrackerID = id
 			rep, err := adversary.Search(opts, pool)

@@ -48,7 +48,7 @@
 // Every figure is dozens-to-hundreds of independent sim.Run calls.
 // internal/harness turns them into jobs flowing through a pipeline:
 //
-//	jobs -> pool -> cache -> sinks
+//	jobs -> pool -> cache -> records
 //
 // A harness.Job pairs a Descriptor — the deterministic, hashable
 // identity of one run (tracker + params, workload, attack, geometry,
@@ -61,17 +61,17 @@
 // descriptor key so baselines shared between figures execute once. A
 // harness.Cache memoizes results content-addressed by the descriptor
 // hash, optionally persisted as JSON under a -cache directory so a
-// rerun of the same suite simulates nothing. Completed records stream
-// to pluggable harness.Sinks (in-memory, JSONL, CSV) in submission
-// order, keeping file output deterministic at any worker count. The
-// pool is the one sweep executor: dispatch starts at the first Wait or
-// Close, and the jobs submitted by then that drive the same memory
-// stream (harness.Job.Stream, filled by exp.Run.Job for unaudited runs
-// without telemetry or attribution) run as one sim.Batch simulation,
-// the other trackers shadowing the lead's in lockstep on a second
-// goroutine. A member that throttles or diverges runs alone with its
-// own Job.Run, so every Result stays byte-identical to an independent
-// run.
+// rerun of the same suite simulates nothing. Pool.Records hands back
+// the completed records in submission order, and harness.WriteJSONL
+// and WriteCSV write them like every other output, so the files are
+// the same at any worker count. The pool is the one sweep executor:
+// dispatch starts at the first Wait or Close, and the jobs submitted by
+// then that drive the same memory stream (harness.Job.Stream, filled by
+// exp.Run.Job for unaudited runs without telemetry or attribution) run
+// as one sim.Batch simulation, the other trackers shadowing the lead's
+// in lockstep on a second goroutine. A member that throttles or
+// diverges runs alone with its own Job.Run, so every Result stays
+// byte-identical to an independent run.
 //
 // Each paper table and figure is an exp.Experiment declared as data:
 // its title, header, notes and rows, where each computed cell names the
@@ -309,7 +309,7 @@
 // its Exec returns the Series and the Attribution in the sim.Result.
 //
 // Harness level and wall-clock: telemetry.Tracer records per-job spans
-// (queue wait, execution on a worker lane, cache hit, sink flush) from
+// (queue wait, execution on a worker lane, cache hit) from
 // the pool and exports Chrome trace-event JSON — open it at
 // https://ui.perfetto.dev for a lane-per-worker timeline of a sweep —
 // and harness.Pool.Stats exposes live submitted/deduplicated/ran/

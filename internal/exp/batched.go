@@ -57,8 +57,8 @@ func (r Run) hasAttacker() bool {
 // The points are submitted lightest workload first (lowest access
 // rate), so the first group to finish, and with it the first progress
 // and OnResult callback, is the cheapest one rather than whichever
-// workload the request lists first. Records reach opt's sinks in sweep
-// order all the same, and the sinks are closed before returning.
+// workload the request lists first. The records come back in sweep
+// order all the same, ready for harness.WriteJSONL and WriteCSV.
 func BatchedSweep(req BatchRequest, opt harness.Options) ([]harness.Record, BatchStats, error) {
 	jobs, err := req.Jobs()
 	if err != nil {
@@ -72,9 +72,6 @@ func BatchedSweep(req BatchRequest, opt harness.Options) ([]harness.Record, Batc
 	rate := func(i int) float64 { return req.Workloads[i%len(req.Workloads)].AccessPKI }
 	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(rate(a), rate(b)) })
 
-	sinks := opt.Sinks
-	done := harness.NewMemorySink()
-	opt.Sinks = []harness.Sink{done}
 	pool := harness.NewPool(opt)
 	futures := make([]*harness.Future, len(jobs))
 	for _, i := range order {
@@ -83,35 +80,15 @@ func BatchedSweep(req BatchRequest, opt harness.Options) ([]harness.Record, Batc
 	err = pool.Close()
 	st := pool.Stats()
 	stats := BatchStats{Points: len(jobs), CacheHits: st.CacheHits, Lockstep: st.Lockstep, FullRuns: st.Ran}
-	for _, f := range futures {
-		if _, ferr := f.Wait(); ferr != nil {
-			err = fmt.Errorf("exp: batched sweep %s: %w", f.Desc(), ferr)
-			break
-		}
-	}
-	var records []harness.Record
-	if err == nil {
-		byKey := make(map[string]harness.Record, len(jobs))
-		for _, rec := range done.Records() {
-			byKey[rec.Key] = rec
-		}
-		records = make([]harness.Record, len(jobs))
-		for i, job := range jobs {
-			records[i] = byKey[job.Desc.Key()]
-			for _, s := range sinks {
-				if werr := s.Write(records[i]); werr != nil && err == nil {
-					err = werr
-				}
-			}
-		}
-	}
-	for _, s := range sinks {
-		if cerr := s.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
 	if err != nil {
 		return nil, stats, err
+	}
+	records := make([]harness.Record, len(jobs))
+	for i, f := range futures {
+		if _, err := f.Wait(); err != nil {
+			return nil, stats, fmt.Errorf("exp: batched sweep %s: %w", f.Desc(), err)
+		}
+		records[i] = f.Record()
 	}
 	return records, stats, nil
 }

@@ -122,33 +122,25 @@ func goldenRecords() []Record {
 	}
 }
 
-// TestSinkGoldenJSONL pins the JSONL sink's byte-exact output,
-// including descriptor keys (so accidental cache-key changes surface
-// here, loudly) and the embedded audit report.
+// TestSinkGoldenJSONL pins WriteJSONL's byte-exact output, including
+// descriptor keys (so accidental cache-key changes surface here,
+// loudly) and the embedded audit report.
 func TestSinkGoldenJSONL(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewJSONLSink(&buf)
-	for _, r := range goldenRecords() {
-		if err := s.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
+	if err := WriteJSONL(&buf, goldenRecords()); err != nil {
 		t.Fatal(err)
 	}
 	goldentest.Check(t, "sink.jsonl.golden", buf.Bytes())
 }
 
-// TestSinkGoldenCSV pins the CSV sink's byte-exact output.
+// TestSinkGoldenCSV pins WriteCSV's byte-exact output, and that no
+// records write an empty file, header included.
 func TestSinkGoldenCSV(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewCSVSink(&buf)
-	for _, r := range goldenRecords() {
-		if err := s.Write(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := WriteCSV(&buf, nil); err != nil || buf.Len() != 0 {
+		t.Fatalf("no records wrote %q (err %v), want nothing", buf.String(), err)
 	}
-	if err := s.Close(); err != nil {
+	if err := WriteCSV(&buf, goldenRecords()); err != nil {
 		t.Fatal(err)
 	}
 	goldentest.Check(t, "sink.csv.golden", buf.Bytes())

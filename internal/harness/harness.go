@@ -4,25 +4,25 @@
 //
 // The moving parts, in data-flow order:
 //
-//	Job   — one simulation request: a Descriptor (the deterministic,
-//	        hashable identity of the run), a Run closure that produces
-//	        the sim.Result alone, and optionally the Stream it drives.
-//	Pool  — a bounded worker pool (runtime.NumCPU() workers by
-//	        default) and the one sweep executor. Submissions are
-//	        deduplicated by descriptor key, so shared baselines across
-//	        figures execute once. Dispatch starts at the first Wait or
-//	        Close; jobs with equal Stream keys then run as one lockstep
-//	        simulation (a sim.Batch, its followers replayed on a second
-//	        goroutine), and the members it cannot serve run alone with
-//	        Job.Run.
-//	Cache — a content-addressed result store keyed by the descriptor
-//	        hash: always an in-memory map, optionally backed by a
-//	        directory of JSON files so whole experiment suites can be
-//	        rerun without resimulating anything.
-//	Sink  — a pluggable result consumer. Completed records are
-//	        delivered on Close in submission order (not completion
-//	        order), so JSONL/CSV outputs are deterministic regardless
-//	        of worker count.
+//	Job    — one simulation request: a Descriptor (the deterministic,
+//	         hashable identity of the run), a Run closure that produces
+//	         the sim.Result alone, and optionally the Stream it drives.
+//	Pool   — a bounded worker pool (runtime.NumCPU() workers by
+//	         default) and the one sweep executor. Submissions are
+//	         deduplicated by descriptor key, so shared baselines across
+//	         figures execute once. Dispatch starts at the first Wait or
+//	         Close; jobs with equal Stream keys then run as one lockstep
+//	         simulation (a sim.Batch, its followers replayed on a second
+//	         goroutine), and the members it cannot serve run alone with
+//	         Job.Run.
+//	Cache  — a content-addressed result store keyed by the descriptor
+//	         hash: always an in-memory map, optionally backed by a
+//	         directory of JSON files so whole experiment suites can be
+//	         rerun without resimulating anything.
+//	Record — one completed run. Pool.Records hands them back in
+//	         submission order (not completion order), and WriteJSONL
+//	         and WriteCSV write them, so the files are the same at any
+//	         worker count.
 //
 // Generators fan out by submitting every job they will need, then
 // replaying their table construction against the memoized results —
@@ -44,9 +44,6 @@ type Options struct {
 	// Cache, if non-nil, memoizes results across Submit calls (and,
 	// when disk-backed, across processes).
 	Cache *Cache
-	// Sinks receive every successful record on Close, in submission
-	// order.
-	Sinks []Sink
 	// OnProgress, if non-nil, is called after each job finishes with
 	// the number of finished and submitted unique jobs.
 	OnProgress func(done, total int)
@@ -57,7 +54,7 @@ type Options struct {
 	// ordering and caching are unaffected.
 	OnResult func(Descriptor, sim.Result)
 	// Tracer, if non-nil, records per-job spans (queue wait, execution,
-	// cache hits, sink flushes) for Chrome-trace export. Purely
+	// cache hits) for Chrome-trace export. Purely
 	// observational: results, ordering and caching are unaffected.
 	Tracer *telemetry.Tracer
 }

@@ -43,13 +43,14 @@ type Stream struct {
 // Future is the pending result of a submitted job. Wait may be called
 // from any number of goroutines.
 type Future struct {
-	pool   *Pool
-	desc   Descriptor
-	key    string
-	done   chan struct{}
-	res    sim.Result
-	err    error
-	cached bool
+	pool    *Pool
+	desc    Descriptor
+	key     string
+	done    chan struct{}
+	res     sim.Result
+	err     error
+	cached  bool
+	elapsed time.Duration // wall-clock charged to the job (0 on a hit)
 }
 
 // Wait starts the pool's dispatch if it is idle, blocks until the job
@@ -69,6 +70,14 @@ func (f *Future) Cached() bool {
 
 // Desc returns the job's descriptor.
 func (f *Future) Desc() Descriptor { return f.desc }
+
+// Record returns (after Wait) the job's completed record. It is only
+// meaningful for a job that succeeded.
+func (f *Future) Record() Record {
+	f.pool.dispatch()
+	<-f.done
+	return Record{Key: f.key, Desc: f.desc, Cached: f.cached, Elapsed: f.elapsed, Result: f.res}
+}
 
 // Stats summarizes a pool's activity.
 type Stats struct {
@@ -100,14 +109,6 @@ type Stats struct {
 	MaxElapsed   time.Duration
 }
 
-// Trace lane layout: workers occupy lanes [0, N); cache hits and sink
-// flushes get their own lanes above, so a Perfetto view shows one row
-// per worker plus the cache and sink activity separately.
-const (
-	laneCacheOffset = 0
-	laneSinkOffset  = 1
-)
-
 // queued is one pending dispatch: the future plus the job closure and
 // its submission time (for the queue-wait trace span).
 type queued struct {
@@ -135,7 +136,6 @@ type queued struct {
 // slice of queued entries, not 1e5 parked goroutines.
 type Pool struct {
 	cache      *Cache
-	sinks      []Sink
 	onProgress func(done, total int)
 	onResult   func(Descriptor, sim.Result)
 	tracer     *telemetry.Tracer
@@ -154,7 +154,6 @@ type Pool struct {
 	freeIDs []int           // trace lane ids not held by a live worker
 	futures map[string]*Future
 	order   []*Future
-	elapsed map[string]time.Duration
 	done    int
 	stats   Stats
 	closed  bool
@@ -165,25 +164,23 @@ func NewPool(opts Options) *Pool {
 	n := opts.workers()
 	p := &Pool{
 		cache:      opts.Cache,
-		sinks:      opts.Sinks,
 		onProgress: opts.OnProgress,
 		onResult:   opts.OnResult,
 		tracer:     opts.Tracer,
 		workers:    n,
 		futures:    make(map[string]*Future),
-		elapsed:    make(map[string]time.Duration),
 	}
 	p.chunks = make([][2]*sim.Chunk, n)
 	p.freeIDs = make([]int, n)
 	for i := range p.freeIDs {
 		p.freeIDs[i] = n - 1 - i // pop from the tail → worker 0 first
 	}
+	// Trace lanes: one per worker, then the cache lane above them.
 	if p.tracer != nil {
 		for i := 0; i < n; i++ {
 			p.tracer.SetLaneName(i, fmt.Sprintf("worker %d", i))
 		}
-		p.tracer.SetLaneName(n+laneCacheOffset, "cache")
-		p.tracer.SetLaneName(n+laneSinkOffset, "sink")
+		p.tracer.SetLaneName(n, "cache")
 	}
 	return p
 }
@@ -287,7 +284,7 @@ func (p *Pool) lookup(item queued) bool {
 	}
 	f.res, f.cached = res, true
 	if p.tracer != nil {
-		p.tracer.Span(p.workers+laneCacheOffset, "hit "+f.desc.String(), "cache",
+		p.tracer.Span(p.workers, "hit "+f.desc.String(), "cache",
 			lookupStart, time.Now(), map[string]string{"key": f.key})
 	}
 	p.finish(f, nil, 0, false)
@@ -471,7 +468,7 @@ func (p *Pool) finish(f *Future, err error, elapsed time.Duration, lockstep bool
 			p.stats.MaxElapsed = elapsed
 		}
 	}
-	p.elapsed[f.key] = elapsed
+	f.elapsed = elapsed
 	p.done++
 	done, total := p.done, p.stats.Unique
 	cb := p.onProgress
@@ -500,49 +497,32 @@ func (p *Pool) Stats() Stats {
 	return p.stats
 }
 
-// Close waits for all jobs, streams every successful record to the
-// sinks in submission order, and closes the sinks. It is safe to call
+// Records waits for every submitted job and returns the record of each
+// one that succeeded, in submission order (not completion order), so
+// files written from them are the same at any worker count.
+func (p *Pool) Records() []Record {
+	p.Wait()
+	p.mu.Lock()
+	order := p.order
+	p.mu.Unlock()
+	recs := make([]Record, 0, len(order))
+	for _, f := range order {
+		if f.err == nil {
+			recs = append(recs, f.Record())
+		}
+	}
+	return recs
+}
+
+// Close waits for all jobs and closes the pool. It is safe to call
 // once; further Submits after Close are a programming error.
-//
-//dapper:wallclock times sink flushes for the tracer's sink lane; the flushed bytes are already ordered and wall-clock free
 func (p *Pool) Close() error {
 	p.Wait()
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
 		return fmt.Errorf("harness: pool closed twice")
 	}
 	p.closed = true
-	order := p.order
-	p.mu.Unlock()
-
-	var first error
-	for _, f := range order {
-		if f.err != nil {
-			continue
-		}
-		rec := Record{
-			Key:     f.key,
-			Desc:    f.desc,
-			Cached:  f.cached,
-			Elapsed: p.elapsed[f.key],
-			Result:  f.res,
-		}
-		flushStart := time.Now()
-		for _, s := range p.sinks {
-			if err := s.Write(rec); err != nil && first == nil {
-				first = err
-			}
-		}
-		if p.tracer != nil && len(p.sinks) > 0 {
-			p.tracer.Span(p.workers+laneSinkOffset, "flush "+f.desc.String(), "sink",
-				flushStart, time.Now(), map[string]string{"key": f.key})
-		}
-	}
-	for _, s := range p.sinks {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return nil
 }

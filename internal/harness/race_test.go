@@ -20,12 +20,10 @@ func TestPoolConcurrentSubmitStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := NewMemorySink()
 	var progressCalls int // guarded by the pool's cbMu contract
 	pool := NewPool(Options{
 		Workers: 4,
 		Cache:   cache,
-		Sinks:   []Sink{sink},
 		OnProgress: func(done, total int) {
 			progressCalls++
 		},
@@ -72,8 +70,8 @@ func TestPoolConcurrentSubmitStress(t *testing.T) {
 	if st.Unique != uniqueJobs || st.Ran+st.CacheHits != uniqueJobs {
 		t.Fatalf("unique bookkeeping off: %+v", st)
 	}
-	if got := len(sink.Records()); got != uniqueJobs {
-		t.Fatalf("sink records: want %d, got %d", uniqueJobs, got)
+	if got := len(pool.Records()); got != uniqueJobs {
+		t.Fatalf("records: want %d, got %d", uniqueJobs, got)
 	}
 	if progressCalls != uniqueJobs {
 		t.Fatalf("progress calls: want %d, got %d", uniqueJobs, progressCalls)

@@ -10,8 +10,8 @@ import (
 
 // WriteTelemetry exports a sweep's harness-level telemetry into dir:
 // trace.json (Chrome trace-event format, Perfetto-viewable — one lane
-// per worker plus cache and sink lanes) and counters.json (the pool's
-// aggregate counters). Call after Pool.Close so sink-flush spans are
+// per worker plus a cache lane) and counters.json (the pool's
+// aggregate counters). Call after Pool.Close so every job's spans are
 // included.
 func WriteTelemetry(dir string, tracer *telemetry.Tracer, stats Stats) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -37,6 +37,7 @@ func WriteTelemetry(dir string, tracer *telemetry.Tracer, stats Stats) error {
 		"submitted":          stats.Submitted,
 		"unique":             stats.Unique,
 		"ran":                stats.Ran,
+		"lockstep":           stats.Lockstep,
 		"cache_hits":         stats.CacheHits,
 		"cache_misses":       stats.CacheMisses,
 		"errors":             stats.Errors,

@@ -112,15 +112,14 @@ func TestDescriptorTelemetryNoAliasing(t *testing.T) {
 
 // TestPoolTraceExport runs a traced pool and checks the Chrome trace:
 // lane metadata, one queue-wait + one run span per executed job on a
-// worker lane, a cache lane hit, and sink-flush spans.
+// worker lane, and a cache lane hit.
 func TestPoolTraceExport(t *testing.T) {
 	cache, err := NewCache("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	tracer := telemetry.NewTracer()
-	sink := NewMemorySink()
-	p := NewPool(Options{Workers: 2, Cache: cache, Sinks: []Sink{sink}, Tracer: tracer})
+	p := NewPool(Options{Workers: 2, Cache: cache, Tracer: tracer})
 	run := func() (sim.Result, error) { return sim.Result{Cycles: 7}, nil }
 	p.Submit(Job{Desc: statDesc(0), Run: run})
 	p.Submit(Job{Desc: statDesc(1), Run: run})
@@ -155,7 +154,7 @@ func TestPoolTraceExport(t *testing.T) {
 		}
 		counts[fmt.Sprint(e["cat"])]++
 	}
-	for _, want := range []string{"worker 0", "worker 1", "cache", "sink"} {
+	for _, want := range []string{"worker 0", "worker 1", "cache"} {
 		if !laneNames[want] {
 			t.Errorf("trace missing lane %q (have %v)", want, laneNames)
 		}
@@ -165,9 +164,6 @@ func TestPoolTraceExport(t *testing.T) {
 	}
 	if counts["cache"] != 1 {
 		t.Errorf("cache spans = %d, want 1", counts["cache"])
-	}
-	if counts["sink"] != 2 {
-		t.Errorf("sink spans = %d, want 2 (two records, one flush span each)", counts["sink"])
 	}
 }
 
@@ -179,7 +175,7 @@ func TestWriteTelemetry(t *testing.T) {
 	tracer.SetLaneName(0, "worker 0")
 	now := time.Now()
 	tracer.Span(0, "job", "run", now, now.Add(time.Millisecond), nil)
-	stats := Stats{Submitted: 3, Unique: 2, Ran: 2, TotalElapsed: time.Second}
+	stats := Stats{Submitted: 3, Unique: 3, Ran: 1, Lockstep: 2, TotalElapsed: time.Second}
 	if err := WriteTelemetry(filepath.Join(dir, "tel"), tracer, stats); err != nil {
 		t.Fatal(err)
 	}
@@ -199,10 +195,15 @@ func TestWriteTelemetry(t *testing.T) {
 	if err := json.Unmarshal(craw, &counters); err != nil {
 		t.Fatalf("counters.json: %v", err)
 	}
-	for _, key := range []string{"submitted", "unique", "ran", "cache_hits", "total_elapsed_sec"} {
+	for _, key := range []string{"submitted", "unique", "ran", "lockstep", "cache_hits", "total_elapsed_sec"} {
 		if _, ok := counters[key]; !ok {
 			t.Errorf("counters.json missing %q: %s", key, craw)
 		}
+	}
+	// A lockstep sweep's points are ran + lockstep + cache hits; the
+	// file must account for the riders.
+	if counters["ran"] != 1.0 || counters["lockstep"] != 2.0 {
+		t.Errorf("counters.json ran/lockstep = %v/%v, want 1/2: %s", counters["ran"], counters["lockstep"], craw)
 	}
 	if !strings.Contains(string(raw), "worker 0") {
 		t.Error("trace.json missing lane metadata")

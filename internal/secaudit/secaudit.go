@@ -137,15 +137,6 @@ func New(cfg Config) (*Audit, error) {
 	return a, nil
 }
 
-// MustNew is New panicking on configuration errors.
-func MustNew(cfg Config) *Audit {
-	a, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // Sink returns the per-channel sink, matching sim.SinkFactory.
 func (a *Audit) Sink(channel int) rh.Sink { return a.chans[channel] }
 

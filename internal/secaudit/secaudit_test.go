@@ -22,6 +22,16 @@ func testConfig(nrh uint32) secaudit.Config {
 	}
 }
 
+// mustNew builds an audit, failing the test on a configuration error.
+func mustNew(t *testing.T, cfg secaudit.Config) *secaudit.Audit {
+	t.Helper()
+	a, err := secaudit.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 func loc(row uint32) dram.Loc { return dram.Loc{Row: row} }
 
 // act, mitigate, refresh and bulk feed the oracle the ledger's four
@@ -45,7 +55,7 @@ func bulk(s rh.Sink, at dram.Cycle, rank int) {
 // TestChargeAndEscape drives the ledger directly: hammering one row NRH
 // times must flag both neighbors exactly once each.
 func TestChargeAndEscape(t *testing.T) {
-	a := secaudit.MustNew(testConfig(10))
+	a := mustNew(t, testConfig(10))
 	o := a.Sink(0)
 	for i := 0; i < 12; i++ {
 		act(o, dram.Cycle(i), loc(100), false)
@@ -71,7 +81,7 @@ func TestChargeAndEscape(t *testing.T) {
 // TestMitigationResets checks a VRR on the aggressor clears its victims'
 // charge, and that the blast radius follows the mode.
 func TestMitigationResets(t *testing.T) {
-	a := secaudit.MustNew(testConfig(10))
+	a := mustNew(t, testConfig(10))
 	o := a.Sink(0)
 	for i := 0; i < 9; i++ {
 		act(o, dram.Cycle(i), loc(100), false)
@@ -92,7 +102,7 @@ func TestMitigationResets(t *testing.T) {
 // TestSameBankMitigation checks the RFMsb reset fans out across bank
 // groups like the controller's blocking does.
 func TestSameBankMitigation(t *testing.T) {
-	a := secaudit.MustNew(testConfig(10))
+	a := mustNew(t, testConfig(10))
 	o := a.Sink(0)
 	other := dram.Loc{BankGroup: 5, Row: 100}
 	for i := 0; i < 9; i++ {
@@ -118,7 +128,7 @@ func TestRefreshBoundary(t *testing.T) {
 	// many rows per bank, each REF refreshes 2 rows.
 	timing := dram.DDR5()
 	cfg.Geometry = dram.Scaled(2 * uint32(timing.TREFW/timing.TREFI))
-	a := secaudit.MustNew(cfg)
+	a := mustNew(t, cfg)
 	o := a.Sink(0)
 	for i := 0; i < 9; i++ {
 		act(o, dram.Cycle(i), loc(4), false)
@@ -142,7 +152,7 @@ func TestRefreshBoundary(t *testing.T) {
 // TestBulkRefreshResets checks a rank sweep clears the whole rank and
 // only that rank.
 func TestBulkRefreshResets(t *testing.T) {
-	a := secaudit.MustNew(testConfig(10))
+	a := mustNew(t, testConfig(10))
 	o := a.Sink(0)
 	rank1 := dram.Loc{Rank: 1, Row: 100}
 	for i := 0; i < 9; i++ {
@@ -169,7 +179,7 @@ func TestInjectedAccounting(t *testing.T) {
 	for _, count := range []bool{false, true} {
 		cfg := testConfig(10)
 		cfg.CountInjected = count
-		a := secaudit.MustNew(cfg)
+		a := mustNew(t, cfg)
 		o := a.Sink(0)
 		for i := 0; i < 10; i++ {
 			act(o, dram.Cycle(i), loc(100), true)
@@ -216,7 +226,7 @@ func runAudited(t *testing.T, tracker sim.TrackerFactory, mode rh.MitigationMode
 	if err != nil {
 		t.Fatal(err)
 	}
-	audit := secaudit.MustNew(secaudit.Config{Geometry: geo, NRH: nrh, Mode: mode})
+	audit := mustNew(t, secaudit.Config{Geometry: geo, NRH: nrh, Mode: mode})
 	res, err := sim.Run(sim.Config{
 		Geometry: geo,
 		Traces:   append(traces, atk),
