@@ -175,10 +175,9 @@ bench-compare:
 # Gate the perf trajectory instead of extending it: re-run the
 # telemetry-off benchmarks and fail, versus the last recorded
 # BENCH_engine.json point, if the normalized event-engine time grew >2%
-# (the detached-sink budget, default -attr-budget 0.02; it decides the
-# engine gate, since the 10% speedup-drop check beside it is looser) or
-# the batched-runner speedup dropped >10%. The gates compare ratios,
-# not wall-clock, so they hold across machine speeds.
+# (the detached-sink budget, a constant in cmd/dapper/bench.go) or the
+# batched-runner speedup dropped >10%. The gates compare ratios, not
+# wall-clock, so they hold across machine speeds.
 bench-check:
 	$(GO) run ./cmd/dapper engine-bench -out . -check
 

@@ -25,6 +25,10 @@ const benchExp = "fig11"
 // benchFile is the append-only trajectory engine-bench keeps under -out.
 const benchFile = "BENCH_engine.json"
 
+// sinkBudget is how much -check lets the normalized event-engine time
+// grow over the baseline: the detached-sink overhead budget.
+const sinkBudget = 0.02
+
 // report is the BENCH_engine.json schema.
 type report struct {
 	Experiment   string  `json:"experiment"`
@@ -93,31 +97,65 @@ func benchProfile(engine sim.Engine, attr bool) exp.Profile {
 	return p
 }
 
-// timeRun times the benchmark figure repeat times and returns the
-// fastest run: best-of-N is the standard way to keep scheduler noise out
-// of a percent-level gate.
-func timeRun(engine sim.Engine, attr bool, repeat int) (float64, error) {
-	exps, err := exp.Select(benchExp)
-	if err != nil {
-		return 0, err
-	}
+// fig11Jobs is the figure engine-bench times, as jobs: fig11's runs
+// are DAPPER-H and the insecure baseline on every workload under benign
+// load at the profile's NRH, which is exactly this sweep.
+func fig11Jobs(p exp.Profile) ([]harness.Job, error) {
+	return exp.BatchRequest{
+		Trackers:  []string{"dapper-h", "none"},
+		Workloads: p.Workloads,
+		NRHs:      []uint32{p.NRH},
+		Attack:    attack.None,
+		Mode:      rh.VRR1,
+		Profile:   p,
+	}.Jobs()
+}
+
+// bestOf times pass repeat times and returns the fastest: best-of-N is
+// the standard way to keep scheduler noise out of a percent-level gate.
+// A GC before each pass keeps earlier passes' garbage out of its time.
+//
+//dapper:wallclock this command's purpose is timing simulation passes against each other
+func bestOf(repeat int, pass func() error) (float64, error) {
 	best := 0.0
 	for i := 0; i < repeat; i++ {
-		//dapper:wallclock this command's purpose is timing the two engines against each other
+		runtime.GC()
 		start := time.Now()
-		tbs, err := exp.Generate(exps, benchProfile(engine, attr), nil)
-		if err != nil {
+		if err := pass(); err != nil {
 			return 0, err
 		}
-		if len(tbs[0].Rows) == 0 {
-			return 0, fmt.Errorf("%s produced no rows under %s engine", benchExp, engine)
-		}
-		//dapper:wallclock closes the engine timing above
 		if s := time.Since(start).Seconds(); i == 0 || s < best {
 			best = s
 		}
 	}
 	return best, nil
+}
+
+// timeJobs times the jobs run one after another with Job.Run, best of
+// repeat, and returns that time plus the jobs' Results.
+func timeJobs(jobs []harness.Job, repeat int) (float64, []sim.Result, error) {
+	results := make([]sim.Result, len(jobs))
+	best, err := bestOf(repeat, func() error {
+		for i, job := range jobs {
+			res, err := job.Run()
+			if err != nil {
+				return fmt.Errorf("%s: %w", job.Desc, err)
+			}
+			results[i] = res
+		}
+		return nil
+	})
+	return best, results, err
+}
+
+// timeFig11 times fig11 under one engine, with or without attribution.
+func timeFig11(engine sim.Engine, attr bool, repeat int) (float64, error) {
+	jobs, err := fig11Jobs(benchProfile(engine, attr))
+	if err != nil {
+		return 0, err
+	}
+	best, _, err := timeJobs(jobs, repeat)
+	return best, err
 }
 
 // batchSweepRequest is the batched-runner benchmark: one tracker
@@ -152,38 +190,19 @@ func timeBatch(repeat int) (indepS, batchS float64, points, lockstep int, err er
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	indep := make([]sim.Result, len(jobs))
-	for i := 0; i < repeat; i++ {
-		runtime.GC() // keep earlier passes' garbage out of this timing
-		//dapper:wallclock this command's purpose is timing the batched runner against independent runs
-		start := time.Now()
-		for j, job := range jobs {
-			res, runErr := job.Run()
-			if runErr != nil {
-				return 0, 0, 0, 0, runErr
-			}
-			indep[j] = res
-		}
-		//dapper:wallclock closes the independent-sweep timing above
-		if s := time.Since(start).Seconds(); i == 0 || s < indepS {
-			indepS = s
-		}
+	indepS, indep, err := timeJobs(jobs, repeat)
+	if err != nil {
+		return 0, 0, 0, 0, err
 	}
-
 	var records []harness.Record
 	var stats exp.BatchStats
-	for i := 0; i < repeat; i++ {
-		runtime.GC() // keep earlier passes' garbage out of this timing
-		//dapper:wallclock times the batched sweep pass
-		start := time.Now()
+	batchS, err = bestOf(repeat, func() error {
+		var err error
 		records, stats, err = exp.BatchedSweep(req, harness.Options{Workers: 1})
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		//dapper:wallclock closes the batched-sweep timing above
-		if s := time.Since(start).Seconds(); i == 0 || s < batchS {
-			batchS = s
-		}
+		return err
+	})
+	if err != nil {
+		return 0, 0, 0, 0, err
 	}
 
 	if len(records) != len(indep) {
@@ -212,35 +231,34 @@ func timeBatch(repeat int) (indepS, batchS float64, points, lockstep int, err er
 // under -out.
 //
 // -check compares the fresh measurement against the LAST recorded
-// point instead of appending, and fails if the event-over-cycle speedup
-// ratio regressed by more than 10%, if the batched-runner speedup
-// regressed by more than 10%, or — the tighter gate — if the normalized
-// event-engine time (the inverse of the engine ratio) grew by more than
-// -attr-budget. The ratios — not wall-clock seconds — are the gated
-// quantities, so the checks hold on machines faster or slower than the
-// one that recorded the baseline, and each measurement is timed -repeat
-// times with the best kept. No benchmarked run attaches a controller
-// sink (no audit, telemetry or attribution), so the -attr-budget gate
-// is the detached-sink overhead budget: the nil-sink checks the
-// controller leaves on its hot paths must stay under it. The
-// attribution-ON cost is recorded (attr_event_seconds / attr_overhead)
-// as trajectory data, ungated.
+// point instead of appending, and fails if the normalized event-engine
+// time (the inverse of the engine ratio) grew by more than sinkBudget
+// (2%) or if the batched-runner speedup regressed by more than 10%.
+// The ratios — not wall-clock seconds — are the gated quantities, so
+// the checks hold on machines faster or slower than the one that
+// recorded the baseline, and each measurement is timed -repeat times
+// with the best kept. No benchmarked run attaches a controller sink (no
+// audit, telemetry or attribution), so the engine gate is the
+// detached-sink overhead budget: the nil-sink checks the controller
+// leaves on its hot paths must stay under it. The attribution-ON cost
+// is recorded (attr_event_seconds / attr_overhead) as trajectory data,
+// ungated.
 func runEngineBench(c *cli) error {
 	if c.repeat < 1 {
 		return flagErr("repeat", fmt.Errorf("must be at least 1, got %d", c.repeat))
 	}
 	fmt.Fprintf(c.stderr, "benchmarking %s: cycle engine...\n", benchExp)
-	cycleS, err := timeRun(sim.EngineCycle, false, c.repeat)
+	cycleS, err := timeFig11(sim.EngineCycle, false, c.repeat)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(c.stderr, "benchmarking %s: event engine...\n", benchExp)
-	eventS, err := timeRun(sim.EngineEvent, false, c.repeat)
+	eventS, err := timeFig11(sim.EngineEvent, false, c.repeat)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(c.stderr, "benchmarking %s: event engine, attribution on...\n", benchExp)
-	attrS, err := timeRun(sim.EngineEvent, true, c.repeat)
+	attrS, err := timeFig11(sim.EngineEvent, true, c.repeat)
 	if err != nil {
 		return err
 	}
@@ -285,17 +303,13 @@ func runEngineBench(c *cli) error {
 		if base.Speedup <= 0 {
 			return fmt.Errorf("baseline speedup %g is not positive; re-record it", base.Speedup)
 		}
-		if r.Speedup < 0.9*base.Speedup {
-			return fmt.Errorf("check FAILED: speedup regressed >10%% (%.2fx -> %.2fx); the event engine lost its advantage",
-				base.Speedup, r.Speedup)
-		}
 		// The detached-sink overhead gate: no benchmarked run attaches a
 		// sink, so any growth in normalized event-engine time
 		// (cycle-time units, hence machine-portable) is nil-sink cost
 		// left on the hot paths.
-		if overhead := base.Speedup/r.Speedup - 1; overhead > c.attrBudget {
+		if overhead := base.Speedup/r.Speedup - 1; overhead > sinkBudget {
 			return fmt.Errorf("check FAILED: detached-sink event-engine overhead %.1f%% exceeds the %.1f%% budget (normalized time %.4f -> %.4f)",
-				100*overhead, 100*c.attrBudget, 1/base.Speedup, 1/r.Speedup)
+				100*overhead, 100*sinkBudget, 1/base.Speedup, 1/r.Speedup)
 		}
 		// The batched-runner gate activates once the trajectory has a
 		// recorded batch point (legacy baselines predate it).
@@ -303,15 +317,8 @@ func runEngineBench(c *cli) error {
 			return fmt.Errorf("check FAILED: batched-runner speedup regressed >10%% (%.2fx -> %.2fx) on the %d-point sweep",
 				base.BatchSpeedup, r.BatchSpeedup, points)
 		}
-		// Name the floors that decided. The engine ratio must clear both
-		// of its gates; the budget is the tighter one whenever it is
-		// under 1/0.9 - 1 (11.1%), as at the default -attr-budget 0.02.
-		engineFloor, engineGate := 0.9, "10% under baseline"
-		if f := 1 / (1 + c.attrBudget); f > engineFloor {
-			engineFloor, engineGate = f, fmt.Sprintf("the %.1f%% detached-sink budget", 100*c.attrBudget)
-		}
-		fmt.Fprintf(c.stdout, "check passed: engine speedup %.2fx >= %.2fx (%s), batch speedup %.2fx >= %.2fx (10%% under baseline; %d/%d lockstep), attr-on costs %.1f%% (ungated)\n",
-			r.Speedup, engineFloor*base.Speedup, engineGate, r.BatchSpeedup, 0.9*base.BatchSpeedup, lockstep, points, 100*r.AttrOverhead)
+		fmt.Fprintf(c.stdout, "check passed: engine speedup %.2fx >= %.2fx (the %.1f%% detached-sink budget), batch speedup %.2fx >= %.2fx (10%% under baseline; %d/%d lockstep), attr-on costs %.1f%% (ungated)\n",
+			r.Speedup, base.Speedup/(1+sinkBudget), 100*sinkBudget, r.BatchSpeedup, 0.9*base.BatchSpeedup, lockstep, points, 100*r.AttrOverhead)
 		return nil
 	}
 

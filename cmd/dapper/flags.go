@@ -28,7 +28,6 @@ type cli struct {
 	seed                       uint64
 	jobs, budget, repeat       int
 	window, warmup, measure    float64
-	attrBudget                 float64
 	rowsPerBank                uint
 	attr, check, countInjected bool
 }
@@ -108,9 +107,6 @@ var flagDefs = map[string]func(*flag.FlagSet, *cli){
 	},
 	"repeat": func(fs *flag.FlagSet, c *cli) {
 		fs.IntVar(&c.repeat, "repeat", 3, "timings per engine; the best is kept")
-	},
-	"attr-budget": func(fs *flag.FlagSet, c *cli) {
-		fs.Float64Var(&c.attrBudget, "attr-budget", 0.02, "with -check: allowed growth of normalized event-engine time vs baseline (the detached-sink overhead budget)")
 	},
 }
 

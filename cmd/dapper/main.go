@@ -69,7 +69,7 @@ var commands = []command{
 	{"sim", "one simulation per tracker: IPC, DRAM and tracker statistics (-window adds -out/timeline-<tracker>.* reports)",
 		with(runFlags, []string{"window", "out", "check", "debug-addr"}), runSim},
 	{"engine-bench", "time fig11 under both engines plus the batched runner into -out/BENCH_engine.json",
-		[]string{"out", "repeat", "attr-budget", "check"}, runEngineBench},
+		[]string{"out", "repeat", "check"}, runEngineBench},
 	{"list", "list trackers, workloads or experiments", nil, runList},
 }
 
@@ -170,8 +170,8 @@ func runList(c *cli) error {
 // withPool runs fn on a harness pool wired the way every sweep
 // subcommand shares: -jobs workers, the -cache store, a progress line
 // on stderr, a diag.BlameAgg behind -debug-addr, and the -telemetry
-// tracer. The pool is closed even when fn fails; the telemetry files
-// are written only when it succeeds.
+// tracer. The pool is waited on even when fn fails; the telemetry
+// files are written only when it succeeds.
 func (c *cli) withPool(fn func(*harness.Pool) error) (harness.Stats, error) {
 	opts, err := c.harnessOptions()
 	if err != nil {
@@ -189,16 +189,13 @@ func (c *cli) withPool(fn func(*harness.Pool) error) (harness.Stats, error) {
 	if c.debugAddr != "" {
 		dbg, err := diag.Serve(c.debugAddr, pool.Stats)
 		if err != nil {
-			pool.Close()
 			return harness.Stats{}, flagErr("debug-addr", err)
 		}
 		defer dbg.Close()
 		fmt.Fprintf(c.stderr, "debug endpoint on http://%s/debug/vars\n", dbg.Addr())
 	}
 	err = fn(pool)
-	if cerr := pool.Close(); err == nil {
-		err = cerr
-	}
+	pool.Wait()
 	fmt.Fprint(c.stderr, "\r\033[K")
 	st := pool.Stats()
 	if err == nil && opts.Tracer != nil {
@@ -210,21 +207,25 @@ func (c *cli) withPool(fn func(*harness.Pool) error) (harness.Stats, error) {
 }
 
 // harnessOptions is the worker, cache and progress wiring of every
-// sweep subcommand's pool. It resolves -jobs in place, so summaries
+// sweep subcommand's pool; it attaches a cache only when -cache names a
+// directory. It resolves -jobs in place, so summaries
 // print the worker count actually used.
 func (c *cli) harnessOptions() (harness.Options, error) {
-	cache, err := harness.NewCache(c.cache)
-	if err != nil {
-		return harness.Options{}, flagErr("cache", err)
-	}
 	c.jobs = harness.NormalizeJobs(c.jobs)
-	return harness.Options{
+	opts := harness.Options{
 		Workers: c.jobs,
-		Cache:   cache,
 		OnProgress: func(done, total int) {
 			fmt.Fprintf(c.stderr, "\r[%d/%d simulations]", done, total)
 		},
-	}, nil
+	}
+	if c.cache != "" {
+		cache, err := harness.NewCache(c.cache)
+		if err != nil {
+			return harness.Options{}, flagErr("cache", err)
+		}
+		opts.Cache = cache
+	}
+	return opts, nil
 }
 
 // writeFile creates name under -out, fills it, and reports the path.

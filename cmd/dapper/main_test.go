@@ -13,7 +13,9 @@ import (
 	"strings"
 	"testing"
 
+	"dapper/internal/exp"
 	"dapper/internal/harness"
+	"dapper/internal/sim"
 	"dapper/internal/telemetry"
 )
 
@@ -276,6 +278,65 @@ func TestBatchDefaultsRunLockstep(t *testing.T) {
 	for i, row := range rows[1:] {
 		if got := row[1] + "/" + row[3] + "/" + row[4]; row[0] != keys[i] || got != want[i] {
 			t.Errorf("batch.csv row %d is %s (key %s), want %s (key %s)", i+1, got, row[0], want[i], keys[i])
+		}
+	}
+}
+
+// TestBatchWithoutCacheCountsNoMisses: a sweep that names no -cache
+// has no cache attached, so its counters.json reports no cache misses.
+func TestBatchWithoutCacheCountsNoMisses(t *testing.T) {
+	tel := t.TempDir()
+	code, _, stderr := invoke("batch", "-profile", "tiny", "-tracker", "none,dapper-h", "-workload", "429.mcf",
+		"-nrh", "500,1000", "-attack", "none", "-out", t.TempDir(), "-telemetry", tel)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	raw, err := os.ReadFile(filepath.Join(tel, "counters.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counters map[string]float64
+	if err := json.Unmarshal(raw, &counters); err != nil {
+		t.Fatal(err)
+	}
+	if counters["unique"] != 4 || counters["cache_misses"] != 0 {
+		t.Errorf("unique %v, cache_misses %v; want 4 and 0:\n%s", counters["unique"], counters["cache_misses"], raw)
+	}
+}
+
+// TestEngineBenchTimesFig11: the jobs engine-bench times are exactly
+// the runs fig11 declares at the bench profile, with and without
+// attribution.
+func TestEngineBenchTimesFig11(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates fig11 at the bench profile")
+	}
+	exps, err := exp.Select(benchExp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, attr := range []bool{false, true} {
+		p := benchProfile(sim.EngineEvent, attr)
+		pool := harness.NewPool(harness.Options{Workers: 2})
+		if _, err := exp.Generate(exps, p, pool); err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, rec := range pool.Records() {
+			want = append(want, rec.Key)
+		}
+		jobs, err := fig11Jobs(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, job := range jobs {
+			got = append(got, job.Desc.Key())
+		}
+		slices.Sort(want)
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("attribution %v: engine-bench times %v, fig11 declares %v", attr, got, want)
 		}
 	}
 }

@@ -58,10 +58,11 @@
 // Descriptor, the traces, the sim.Config and the job, so a key and the
 // simulation it names cannot drift apart. A harness.Pool fans jobs out over a bounded worker set
 // (runtime.NumCPU() by default, -jobs flag), deduplicating by
-// descriptor key so baselines shared between figures execute once. A
-// harness.Cache memoizes results content-addressed by the descriptor
-// hash, optionally persisted as JSON under a -cache directory so a
-// rerun of the same suite simulates nothing. Pool.Records hands back
+// descriptor key so baselines shared between figures execute once. The
+// pool dedups; -cache persists: a harness.Cache is a directory of JSON
+// results content-addressed by the descriptor hash, attached only when
+// -cache names one, so a rerun of the same suite simulates nothing.
+// Pool.Records hands back
 // the completed records in submission order, and harness.WriteJSONL
 // and WriteCSV write them like every other output, so the files are
 // the same at any worker count. The pool is the one sweep executor:
@@ -77,10 +78,10 @@
 // its title, header, notes and rows, where each computed cell names the
 // points it reads. A point is one simulated run plus the baseline run
 // it is normalized against (the insecure system at the figure's first
-// NRH). exp.Generate submits the deduplicated union of the selected
-// figures' points to the pool before its first Wait, then a pure
-// function turns each figure's Results into its table, so tables are
-// byte-identical to an inline run (nil pool) at any worker count.
+// NRH). exp.Generate submits both runs of every point of the selected
+// figures to the pool before its first Wait, and the pool dedups them;
+// then a pure function turns each figure's Results into its table, so
+// tables are byte-identical at any worker count.
 // `dapper experiments` drives the paper's figures this way; `dapper
 // batch` runs arbitrary tracker x workload x NRH sweeps from flags
 // straight to JSONL/CSV.
@@ -313,7 +314,8 @@
 // the pool and exports Chrome trace-event JSON — open it at
 // https://ui.perfetto.dev for a lane-per-worker timeline of a sweep —
 // and harness.Pool.Stats exposes live submitted/deduplicated/ran/
-// cache-hit/error counters with elapsed-time aggregates. Every sweep
+// cache-hit/error counters with elapsed-time aggregates (cache hits and
+// misses stay zero without -cache). Every sweep
 // subcommand (experiments, batch, audit, adversary) takes
 // -telemetry dir/ to write trace.json + counters.json after the run,
 // and -debug-addr to serve the same counters live over HTTP

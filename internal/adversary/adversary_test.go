@@ -106,7 +106,7 @@ func searchOpts(tracker string, budget int, seed uint64) Options {
 }
 
 func TestSearchRecoversOrBeatsHandCraftedAttack(t *testing.T) {
-	cache, _ := harness.NewCache("")
+	cache, _ := harness.NewCache(t.TempDir())
 	pool := harness.NewPool(harness.Options{Cache: cache})
 	rep, err := Search(searchOpts("hydra", 10, 1), pool)
 	pool.Wait()
@@ -142,7 +142,7 @@ func TestSearchRecoversOrBeatsHandCraftedAttack(t *testing.T) {
 }
 
 func TestSearchReportsAreByteIdentical(t *testing.T) {
-	cache, _ := harness.NewCache("")
+	cache, _ := harness.NewCache(t.TempDir())
 	run := func() []byte {
 		pool := harness.NewPool(harness.Options{Cache: cache})
 		rep, err := Search(searchOpts("comet", 14, 7), pool)

@@ -131,9 +131,9 @@ type evaluator struct {
 // evalBatch evaluates candidates at one horizon: it submits the
 // insecure baseline plus every candidate, waits in submission order,
 // and appends one trace entry per candidate. The pool deduplicates the
-// baseline across rungs and trackers, and serves re-visited candidates
-// from the cache — but every request still charges the budget, keeping
-// eval counts independent of cache state.
+// baseline across rungs and trackers, and re-visited candidates by
+// their descriptor key — but every request still charges the budget,
+// keeping eval counts independent of dedup and cache state.
 func (ev *evaluator) evalBatch(cands []*candidate, kinds []attack.Kind, measure dram.Cycle, rung int) error {
 	// The insecure baseline: an idle companion core at the profile NRH,
 	// tracker-independent so the pool deduplicates it across every

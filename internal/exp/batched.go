@@ -77,12 +77,9 @@ func BatchedSweep(req BatchRequest, opt harness.Options) ([]harness.Record, Batc
 	for _, i := range order {
 		futures[i] = pool.Submit(jobs[i])
 	}
-	err = pool.Close()
+	pool.Wait()
 	st := pool.Stats()
 	stats := BatchStats{Points: len(jobs), CacheHits: st.CacheHits, Lockstep: st.Lockstep, FullRuns: st.Ran}
-	if err != nil {
-		return nil, stats, err
-	}
 	records := make([]harness.Record, len(jobs))
 	for i, f := range futures {
 		if _, err := f.Wait(); err != nil {

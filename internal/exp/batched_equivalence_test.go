@@ -113,7 +113,7 @@ func TestEngineEquivalenceBatchedSweepCache(t *testing.T) {
 		t.Skip("sweep is seconds-long; skipped in -short")
 	}
 	req := batchedTestRequest(attack.None)
-	cache, err := harness.NewCache("")
+	cache, err := harness.NewCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestEngineEquivalencePoolGroups(t *testing.T) {
 	var outcomes [2][]outcome
 	var stats [2]harness.Stats
 	for wi, workers := range []int{1, 2} {
-		cache, err := harness.NewCache("")
+		cache, err := harness.NewCache(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}

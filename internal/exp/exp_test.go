@@ -8,6 +8,7 @@ import (
 	"dapper/internal/attack"
 	"dapper/internal/dram"
 	"dapper/internal/rh"
+	"dapper/internal/sim"
 )
 
 // TestRegistryComplete: Experiments lists every table and figure of
@@ -186,14 +187,15 @@ func TestShapeDapperHNeutralizesRefreshAttack(t *testing.T) {
 	if s.base != h.base {
 		t.Fatal("both trackers must normalize against one baseline")
 	}
-	res, err := execute([]Run{s.base, s.run, h.run}, nil)
-	if err != nil {
-		t.Fatal(err)
+	exec := func(r Run) sim.Result {
+		res, err := r.Exec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	np := func(pt point) float64 {
-		return perf(outcome{pt.run, res[pt.run.Desc().Key()], res[pt.base.Desc().Key()]})
-	}
-	npS, npH := np(s), np(h)
+	base := exec(s.base)
+	npS, npH := perf(outcome{s.run, exec(s.run), base}), perf(outcome{h.run, exec(h.run), base})
 	if npH < 0.93 {
 		t.Fatalf("DAPPER-H refresh-attack perf = %.3f, want near 1.0", npH)
 	}

@@ -46,16 +46,14 @@ func Select(sel string) ([]Experiment, error) {
 }
 
 // Generate renders the experiments' tables in order. It declares each
-// experiment under p, runs every distinct run their points name once,
-// and turns each figure's Results into its table. With a nil pool the
-// runs execute inline; with a pool every run is submitted before the
-// first Wait, so dedup, the cache and lockstep grouping span all the
-// experiments. The tables are byte-identical either way, at any worker
-// count.
+// experiment under p, submits both runs of every point to the pool
+// before the first Wait, and turns each figure's Results into its
+// table. The pool dedups, so a run several points or figures name runs
+// once, and its cache, lockstep grouping and dedup span all the
+// experiments. The tables are byte-identical at any worker count.
 func Generate(exps []Experiment, p Profile, pool *harness.Pool) ([]*Table, error) {
 	figs := make([]figure, len(exps))
-	var runs []Run
-	seen := make(map[string]bool)
+	var futures []*harness.Future
 	for i, e := range exps {
 		f, err := e.declare(p)
 		if err != nil {
@@ -66,47 +64,17 @@ func Generate(exps []Experiment, p Profile, pool *harness.Pool) ([]*Table, error
 			for _, c := range row {
 				for _, pt := range c.points {
 					for _, r := range [2]Run{pt.base, pt.run} {
-						if k := r.Desc().Key(); !seen[k] {
-							seen[k] = true
-							runs = append(runs, r)
+						job, err := r.Job()
+						if err != nil {
+							return nil, err
 						}
+						futures = append(futures, pool.Submit(job))
 					}
 				}
 			}
 		}
 	}
-	results, err := execute(runs, pool)
-	if err != nil {
-		return nil, err
-	}
-	tables := make([]*Table, len(figs))
-	for i, f := range figs {
-		tables[i] = f.table(exps[i].ID, results)
-	}
-	return tables, nil
-}
-
-// execute runs each run and returns the Results by descriptor key.
-func execute(runs []Run, pool *harness.Pool) (map[string]sim.Result, error) {
-	results := make(map[string]sim.Result, len(runs))
-	if pool == nil {
-		for _, r := range runs {
-			res, err := r.Exec()
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", r.Desc(), err)
-			}
-			results[r.Desc().Key()] = res
-		}
-		return results, nil
-	}
-	futures := make([]*harness.Future, len(runs))
-	for i, r := range runs {
-		job, err := r.Job()
-		if err != nil {
-			return nil, err
-		}
-		futures[i] = pool.Submit(job)
-	}
+	results := make(map[string]sim.Result, len(futures))
 	for _, f := range futures {
 		res, err := f.Wait()
 		if err != nil {
@@ -114,7 +82,11 @@ func execute(runs []Run, pool *harness.Pool) (map[string]sim.Result, error) {
 		}
 		results[f.Desc().Key()] = res
 	}
-	return results, nil
+	tables := make([]*Table, len(figs))
+	for i, f := range figs {
+		tables[i] = f.table(exps[i].ID, results)
+	}
+	return tables, nil
 }
 
 // figure is an experiment laid out under one profile: its table's text

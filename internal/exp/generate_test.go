@@ -5,14 +5,19 @@ import (
 	"testing"
 
 	"dapper/internal/harness"
+	"dapper/internal/sim"
 )
 
-// generate renders one experiment, inline when pool is nil.
+// generate renders one experiment on pool, or on a one-worker pool
+// when pool is nil.
 func generate(t *testing.T, id string, p Profile, pool *harness.Pool) *Table {
 	t.Helper()
 	exps, err := Select(id)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if pool == nil {
+		pool = harness.NewPool(harness.Options{Workers: 1})
 	}
 	tbs, err := Generate(exps, p, pool)
 	if err != nil {
@@ -22,15 +27,36 @@ func generate(t *testing.T, id string, p Profile, pool *harness.Pool) *Table {
 }
 
 // TestGenerateMatchesSerial is the harness's core guarantee: pooled
-// generation must be byte-identical to the inline path, because both
-// turn the same points' Results into the table with the same function.
+// generation must be byte-identical to a serial reference that declares
+// the figure, runs each of its runs with Exec and builds the table with
+// the same function, at any worker count.
 func TestGenerateMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiments skipped in -short")
 	}
 	p := Tiny()
 	for _, id := range []string{"fig11", "fig12"} {
-		serial := generate(t, id, p, nil)
+		exps, err := Select(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := exps[0].declare(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results := make(map[string]sim.Result)
+		for _, row := range f.rows {
+			for _, c := range row {
+				for _, pt := range c.points {
+					for _, r := range [2]Run{pt.base, pt.run} {
+						if results[r.Desc().Key()], err = r.Exec(); err != nil {
+							t.Fatalf("%s: %v", r.Desc(), err)
+						}
+					}
+				}
+			}
+		}
+		serial := f.table(id, results)
 		for _, workers := range []int{1, 8} {
 			pool := harness.NewPool(harness.Options{Workers: workers})
 			parallel := generate(t, id, p, pool)

@@ -45,63 +45,52 @@ type CacheStats struct {
 	Quarantined uint64 `json:"quarantined"`
 }
 
-// Cache memoizes simulation results by descriptor key. The in-memory
-// map always participates; when dir is non-empty each result is also
-// persisted as <dir>/<key>.json inside a versioned, checksummed
-// envelope, so a rerun of the same experiment suite (same profile,
-// same code) resimulates nothing. Two processes may share one
-// directory: writes are atomic renames and reads verify the envelope.
+// Cache persists simulation results by descriptor key in a directory:
+// each result is <dir>/<key>.json inside a versioned, checksummed
+// envelope, so a rerun of the same experiment suite (same profile, same
+// code) resimulates nothing. Within a process the pool dedups; the
+// cache only persists. Two processes may share one directory: writes
+// are atomic renames and reads verify the envelope.
 type Cache struct {
 	dir string
 
 	mu          sync.Mutex
-	mem         map[string]sim.Result
 	hits        uint64
 	miss        uint64
 	quarantined uint64
 }
 
-// NewCache returns a cache; dir == "" keeps it memory-only. Opening a
-// disk-backed cache sweeps aged put-* temp files orphaned by crashed
-// writers.
+// NewCache opens the cache directory dir, creating it if needed, and
+// sweeps aged put-* temp files orphaned by crashed writers. A directory
+// is required: an empty dir is an error.
 func NewCache(dir string) (*Cache, error) {
-	c := &Cache{dir: dir, mem: make(map[string]sim.Result)}
-	if c.dir != "" {
-		if err := os.MkdirAll(c.dir, 0o755); err != nil {
-			return nil, fmt.Errorf("harness: cache dir: %w", err)
-		}
-		c.sweepOrphans()
+	if dir == "" {
+		return nil, fmt.Errorf("harness: cache dir: a directory is required")
 	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("harness: cache dir: %w", err)
+	}
+	c := &Cache{dir: dir}
+	c.sweepOrphans()
 	return c, nil
 }
 
-// Get returns the cached result for key, consulting memory first and
-// then disk (populating memory on a disk hit). A disk entry that fails
+// Get returns the result stored on disk for key. An entry that fails
 // envelope verification — wrong schema, wrong key, checksum mismatch,
 // or undecodable JSON — is quarantined (renamed to *.corrupt) and
 // reported as a miss, so a corrupted store heals by re-simulating
 // instead of serving garbage or re-parsing the same bad file on every
 // lookup.
 func (c *Cache) Get(key string) (sim.Result, bool) {
-	c.mu.Lock()
-	if res, ok := c.mem[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return res, true
-	}
-	c.mu.Unlock()
-	if c.dir != "" {
-		path := c.path(key)
-		if data, err := os.ReadFile(path); err == nil {
-			if res, ok := decodeEnvelope(key, data); ok {
-				c.mu.Lock()
-				c.mem[key] = res
-				c.hits++
-				c.mu.Unlock()
-				return res, true
-			}
-			c.quarantine(path)
+	path := c.path(key)
+	if data, err := os.ReadFile(path); err == nil {
+		if res, ok := decodeEnvelope(key, data); ok {
+			c.mu.Lock()
+			c.hits++
+			c.mu.Unlock()
+			return res, true
 		}
+		c.quarantine(path)
 	}
 	c.mu.Lock()
 	c.miss++
@@ -109,17 +98,11 @@ func (c *Cache) Get(key string) (sim.Result, bool) {
 	return sim.Result{}, false
 }
 
-// Put stores a result under key, writing through to disk when
-// configured. Disk writes go via a put-* temp file + rename so
-// concurrent processes sharing a cache directory never observe torn
-// files; the entry is wrapped in the versioned checksummed envelope.
+// Put writes a result to disk under key. The write goes via a put-*
+// temp file + rename so concurrent processes sharing a cache directory
+// never observe torn files; the entry is wrapped in the versioned
+// checksummed envelope.
 func (c *Cache) Put(key string, res sim.Result) error {
-	c.mu.Lock()
-	c.mem[key] = res
-	c.mu.Unlock()
-	if c.dir == "" {
-		return nil
-	}
 	payload, err := json.Marshal(res)
 	if err != nil {
 		return fmt.Errorf("harness: cache encode: %w", err)

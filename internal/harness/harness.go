@@ -15,17 +15,17 @@
 //	         simulation (a sim.Batch, its followers replayed on a second
 //	         goroutine), and the members it cannot serve run alone with
 //	         Job.Run.
-//	Cache  — a content-addressed result store keyed by the descriptor
-//	         hash: always an in-memory map, optionally backed by a
-//	         directory of JSON files so whole experiment suites can be
-//	         rerun without resimulating anything.
+//	Cache  — a directory of JSON results keyed by the descriptor hash
+//	         (the -cache flag), so whole experiment suites can be rerun
+//	         without resimulating anything. The pool dedups within a
+//	         process; the cache only persists across processes.
 //	Record — one completed run. Pool.Records hands them back in
 //	         submission order (not completion order), and WriteJSONL
 //	         and WriteCSV write them, so the files are the same at any
 //	         worker count.
 //
 // Generators fan out by submitting every job they will need, then
-// replaying their table construction against the memoized results —
+// replaying their table construction against the pool's results —
 // output is byte-identical to a serial run at any worker count.
 package harness
 
@@ -41,8 +41,8 @@ type Options struct {
 	// Workers bounds concurrent simulations; <=0 means
 	// runtime.NumCPU().
 	Workers int
-	// Cache, if non-nil, memoizes results across Submit calls (and,
-	// when disk-backed, across processes).
+	// Cache, if non-nil, persists results in its directory across
+	// processes; within a pool, Submit's dedup already shares them.
 	Cache *Cache
 	// OnProgress, if non-nil, is called after each job finishes with
 	// the number of finished and submitted unique jobs.

@@ -130,51 +130,44 @@ func TestDescriptorAttackParamsNoAliasing(t *testing.T) {
 	}
 }
 
-func TestCacheMemoryRoundTrip(t *testing.T) {
-	c, err := NewCache("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := testDesc("a", 500).Key()
-	if _, ok := c.Get(key); ok {
-		t.Fatal("empty cache must miss")
-	}
-	want := testResult(1.5)
-	if err := c.Put(key, want); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := c.Get(key)
-	if !ok || got.IPC[0] != 1.5 || got.Cycles != 1000 {
-		t.Fatalf("round trip: ok=%v got=%+v", ok, got)
-	}
-	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("hits=%d misses=%d, want 1/1", st.Hits, st.Misses)
-	}
-}
-
+// TestCacheDiskRoundTrip: a miss, then a hit in the writing cache and
+// in a fresh cache over the same directory; a directory is required.
 func TestCacheDiskRoundTrip(t *testing.T) {
+	if _, err := NewCache(""); err == nil || !strings.Contains(err.Error(), "directory is required") {
+		t.Fatalf("NewCache(\"\") = %v, want a directory-required error", err)
+	}
 	dir := t.TempDir()
 	key := testDesc("a", 500).Key()
 	c1, err := NewCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, ok := c1.Get(key); ok {
+		t.Fatal("empty cache must miss")
+	}
 	if err := c1.Put(key, testResult(2.0)); err != nil {
 		t.Fatal(err)
+	}
+	got, ok := c1.Get(key)
+	if !ok || got.IPC[0] != 2.0 || got.Cycles != 1000 {
+		t.Fatalf("round trip: ok=%v got=%+v", ok, got)
+	}
+	if st := c1.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("hits=%d misses=%d, want 1/1", st.Hits, st.Misses)
 	}
 	// A fresh cache over the same directory must see the result.
 	c2, err := NewCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := c2.Get(key)
+	got, ok = c2.Get(key)
 	if !ok || got.IPC[3] != 2.0 || got.TrackerNames[0] != "DAPPER-H" {
 		t.Fatalf("disk round trip: ok=%v got=%+v", ok, got)
 	}
 }
 
 func TestPoolDedupAndCache(t *testing.T) {
-	cache, _ := NewCache("")
+	cache, _ := NewCache(t.TempDir())
 	pool := NewPool(Options{Workers: 4, Cache: cache})
 	var runs atomic.Int64
 	job := func() Job {

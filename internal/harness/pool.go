@@ -98,8 +98,8 @@ type Stats struct {
 	// endpoints poll it live).
 	Inflight int
 	Errors   int // jobs that returned an error
-	// CacheWriteErrors counts failed memoization writes; the runs
-	// themselves still succeed.
+	// CacheWriteErrors counts failed cache writes; the runs themselves
+	// still succeed.
 	CacheWriteErrors int
 	// TotalElapsed and MaxElapsed aggregate the wall-clock time charged
 	// to simulated jobs (cache hits contribute nothing; the members of a
@@ -118,10 +118,10 @@ type queued struct {
 }
 
 // Pool fans jobs out over a bounded set of workers, deduplicating by
-// descriptor key and consulting the cache before simulating. One pool
-// can serve many experiments; dedup and the cache then span all of
-// them (shared insecure baselines run once per process, not once per
-// figure).
+// descriptor key and consulting the cache, if one is attached, before
+// simulating. One pool can serve many experiments; dedup then spans all
+// of them (shared insecure baselines run once per process, not once per
+// figure), and the cache persists their results across processes.
 //
 // Submit only queues. Dispatch starts at the first Wait or Close (of
 // the pool or of any Future), and takes every job submitted until
@@ -156,7 +156,6 @@ type Pool struct {
 	order   []*Future
 	done    int
 	stats   Stats
-	closed  bool
 }
 
 // NewPool builds a pool from options.
@@ -432,9 +431,9 @@ func (p *Pool) inflight(d int) {
 	p.mu.Unlock()
 }
 
-// store sets f's result and memoizes it. A failed memoization write
-// must not discard a completed simulation; it is counted and the run
-// carries on.
+// store sets f's result and writes it to the cache, if one is
+// attached. A failed cache write must not discard a completed
+// simulation; it is counted and the run carries on.
 func (p *Pool) store(f *Future, res sim.Result) {
 	f.res = res
 	if p.cache == nil {
@@ -514,15 +513,10 @@ func (p *Pool) Records() []Record {
 	return recs
 }
 
-// Close waits for all jobs and closes the pool. It is safe to call
-// once; further Submits after Close are a programming error.
+// Close waits for every submitted job, like Wait. It always returns
+// nil; the error result stays for callers that check it (simbench's
+// workload runner does).
 func (p *Pool) Close() error {
 	p.Wait()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return fmt.Errorf("harness: pool closed twice")
-	}
-	p.closed = true
 	return nil
 }

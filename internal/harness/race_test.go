@@ -16,7 +16,7 @@ import (
 // `go test -race` (the CI race step) a worst-case interleaving of every
 // shared structure in the pool.
 func TestPoolConcurrentSubmitStress(t *testing.T) {
-	cache, err := NewCache("")
+	cache, err := NewCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // WriteTelemetry exports a sweep's harness-level telemetry into dir:
 // trace.json (Chrome trace-event format, Perfetto-viewable — one lane
 // per worker plus a cache lane) and counters.json (the pool's
-// aggregate counters). Call after Pool.Close so every job's spans are
+// aggregate counters). Call after Pool.Wait so every job's spans are
 // included.
 func WriteTelemetry(dir string, tracer *telemetry.Tracer, stats Stats) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {

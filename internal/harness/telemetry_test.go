@@ -25,7 +25,7 @@ func statDesc(i int) Descriptor {
 // TestPoolStatsCounters exercises every Stats field: dedup, cache hits
 // and misses, errors, and the per-job elapsed aggregation.
 func TestPoolStatsCounters(t *testing.T) {
-	cache, err := NewCache("")
+	cache, err := NewCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestDescriptorTelemetryNoAliasing(t *testing.T) {
 // lane metadata, one queue-wait + one run span per executed job on a
 // worker lane, and a cache lane hit.
 func TestPoolTraceExport(t *testing.T) {
-	cache, err := NewCache("")
+	cache, err := NewCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
