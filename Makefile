@@ -33,9 +33,13 @@ lint:
 test:
 	$(GO) test ./...
 
-# Full suite under the race detector: the harness worker pool (its
-# dispatch, futures and records) and result cache are the only
-# concurrent structures, and this is what keeps them honest.
+# Full suite under the race detector. The concurrent structures are the
+# harness worker pool (its dispatch, futures and records), the result
+# cache, each lockstep group's replay goroutine, and the state every
+# run of a process shares: the free list of LLC arrays and DAPPER-H
+# tables (internal/cache/spare) and DAPPER-H's group and partner memos
+# (internal/core/partners.go). TestPoolDapperHLockstepRace drives
+# DAPPER-H lockstep groups on two workers to exercise the last three.
 test-race:
 	$(GO) test -race ./...
 

@@ -157,12 +157,19 @@
 //     cycles are never skipped, so statistics snapshots observe the
 //     same retirement state as the cycle engine.
 //
-// sim.run alone owns the LLC: snapshots copy its counters and the
-// hierarchy dies with the run. So run defers cache.Release, and the
-// next run whose LLC has the same sets and ways takes its arrays
-// instead of allocating 2 MiB of keys and LRU ticks. Tracker tables
-// stay per run, because tracker ownership is spread across run,
-// lockstep followers and wrappers.
+// Large per-run arrays go through one process-wide free list
+// (internal/cache/spare), keyed by element type and length. sim.run
+// alone owns the LLC: snapshots copy its counters and the hierarchy
+// dies with the run, so run defers cache.Release, and the next run with
+// an LLC of the same size takes its 2 MiB of keys and LRU ticks. Whoever
+// builds a tracker releases it (rh.Releaser) after its last Stats and
+// Name read: run releases every tracker its factory built (the lockstep
+// lead's through the shadow wrapper, which forwards Release),
+// sim.Batch.Results releases each follower's, live or diverged, and
+// NewBatch the probes of points that run alone. DAPPER-H takes its
+// 64 KiB rank tables from the list and hands them back in Release, so
+// an NRH sweep allocates them once per worker, not once per point.
+// Other trackers' tables stay per run.
 //
 // Force `-engine cycle` when validating the event engine itself, when
 // bisecting a suspected engine bug, or when adding a new component that

@@ -11,16 +11,16 @@
 // most MaxWays ways. The set index is a mask when the set count is a
 // power of two and a modulus otherwise.
 //
-// Release hands a cache's arrays to the next New of the same shape, so
-// a sweep of short simulations does not allocate a fresh LLC per run.
+// Release hands a cache's arrays to the next New of the same size
+// through the spare subpackage's free list, so a sweep of short
+// simulations does not allocate a fresh LLC per run.
 package cache
 
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
-	"slices"
-	"sync"
+
+	"dapper/internal/cache/spare"
 )
 
 // MaxWays is the largest associativity: a set's valid and dirty bits
@@ -57,6 +57,7 @@ type Result struct {
 // simulator is single-threaded per system.
 type Cache struct {
 	cfg     Config
+	store   []uint64 // backs keys, lastUse, valid and dirty, in that order
 	keys    []uint64 // sets*ways, row-major by set
 	lastUse []uint64 // tick of each way's last access, same layout
 	valid   []uint64 // per set, bit w = way w holds a line
@@ -68,36 +69,6 @@ type Cache struct {
 	rng     uint64
 	hits    uint64
 	misses  uint64
-}
-
-// arrays are a cache's backing store, kept between runs by Release.
-type arrays struct {
-	sets, ways                  int
-	keys, lastUse, valid, dirty []uint64
-}
-
-// spare is the free list Release fills and New takes from. It is a
-// plain list rather than a sync.Pool, which would drop entries at every
-// GC and make allocation totals jitter by whole arrays. It holds at
-// most GOMAXPROCS entries, the most simulations that run at once
-// without sharing a CPU.
-var spare struct {
-	sync.Mutex
-	list []arrays
-}
-
-// take removes and returns the most recently released arrays of the
-// given shape, if any.
-func take(sets, ways int) (arrays, bool) {
-	spare.Lock()
-	defer spare.Unlock()
-	for i := len(spare.list) - 1; i >= 0; i-- {
-		if a := spare.list[i]; a.sets == sets && a.ways == ways {
-			spare.list = slices.Delete(spare.list, i, i+1)
-			return a, true
-		}
-	}
-	return arrays{}, false
 }
 
 // New returns a cache with the given configuration.
@@ -112,26 +83,17 @@ func New(cfg Config) (*Cache, error) {
 	if rng == 0 {
 		rng = 0x9E3779B97F4A7C15
 	}
-	a, ok := take(cfg.Sets, cfg.Ways)
-	if ok {
-		// Stale keys and last-use ticks are never read without a valid
-		// bit, as after Reset.
-		clear(a.valid)
-		clear(a.dirty)
-	} else {
-		a = arrays{
-			keys:    make([]uint64, cfg.Sets*cfg.Ways),
-			lastUse: make([]uint64, cfg.Sets*cfg.Ways),
-			valid:   make([]uint64, cfg.Sets),
-			dirty:   make([]uint64, cfg.Sets),
-		}
-	}
+	// One slice backs all four arrays, so a released cache is one entry
+	// on the free list.
+	lines := cfg.Sets * cfg.Ways
+	store := spare.Take[uint64](2*lines + 2*cfg.Sets)
 	return &Cache{
 		cfg:     cfg,
-		keys:    a.keys,
-		lastUse: a.lastUse,
-		valid:   a.valid,
-		dirty:   a.dirty,
+		store:   store,
+		keys:    store[:lines:lines],
+		lastUse: store[lines : 2*lines : 2*lines],
+		valid:   store[2*lines : 2*lines+cfg.Sets : 2*lines+cfg.Sets],
+		dirty:   store[2*lines+cfg.Sets:],
 		full:    ^uint64(0) >> (MaxWays - cfg.Ways),
 		setMask: uint64(cfg.Sets - 1),
 		pow2:    cfg.Sets&(cfg.Sets-1) == 0,
@@ -139,23 +101,17 @@ func New(cfg Config) (*Cache, error) {
 	}, nil
 }
 
-// Release hands the cache's arrays to the next New of the same shape
-// (Sets, Ways) and leaves the cache unusable: any later Access,
-// Contains or Invalidate panics. Hits and Misses still read. Call it
-// only when nothing else holds the cache; a second call is a no-op.
-// When the free list is full the oldest entry is dropped for the GC.
+// Release hands the cache's store to the next New of the same size
+// through the spare free list and leaves the cache unusable: any later
+// Access, Contains or Invalidate panics. Hits and Misses still read.
+// Call it only when nothing else holds the cache; a second call is a
+// no-op.
 func (c *Cache) Release() {
-	if c.valid == nil {
+	if c.store == nil {
 		return
 	}
-	a := arrays{c.cfg.Sets, c.cfg.Ways, c.keys, c.lastUse, c.valid, c.dirty}
-	c.keys, c.lastUse, c.valid, c.dirty = nil, nil, nil, nil
-	spare.Lock()
-	defer spare.Unlock()
-	if n := len(spare.list) - runtime.GOMAXPROCS(0) + 1; n > 0 {
-		spare.list = slices.Delete(spare.list, 0, n)
-	}
-	spare.list = append(spare.list, a)
+	spare.Put(c.store)
+	c.store, c.keys, c.lastUse, c.valid, c.dirty = nil, nil, nil, nil, nil
 }
 
 // MustNew is New but panics on bad config.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"dapper/internal/cache/spare"
 	"dapper/internal/dram"
 	"dapper/internal/llbc"
 	"dapper/internal/rh"
@@ -14,7 +15,8 @@ import (
 // members' counts across the reset via per-table reset counters
 // (Figure 8, steps 3-4), and a per-bank bit-vector on table 1 filters
 // the cross-bank streaming pattern (§VI-B.2). Tables, bit-vectors and
-// keys are reset every tREFW.
+// keys are reset every tREFW. The tables come from the free list in
+// internal/cache/spare, and Release hands them back.
 type DapperH struct {
 	cfg     Config
 	channel int
@@ -65,7 +67,7 @@ func NewDapperH(channel int, cfg Config) (*DapperH, error) {
 		rk.cipher1 = llbc.MustNew(cfg.AddressBits(), seed)
 		rk.cipher2 = llbc.MustNew(cfg.AddressBits(), seed^0xD0E5C0DE)
 		rk.groups = groupTableOf(&groupTables, rk.cipher1, rk.cipher2)
-		rk.tab = make([]hEntry, cfg.NumGroups())
+		rk.tab = spare.Take[hEntry](cfg.NumGroups())
 	}
 	return d, nil
 }
@@ -213,6 +215,16 @@ func (d *DapperH) Tick(now dram.Cycle, buf []rh.Action) []rh.Action {
 
 // Stats implements rh.Tracker.
 func (d *DapperH) Stats() rh.Stats { return d.stats }
+
+// Release implements rh.Releaser: the rank tables go back to the free
+// list for the next DAPPER-H of the same geometry. Stats and Name still
+// read; OnActivate panics.
+func (d *DapperH) Release() {
+	for r := range d.ranks {
+		spare.Put(d.ranks[r].tab)
+		d.ranks[r].tab = nil
+	}
+}
 
 // TableOccupancy implements rh.TableReporter: live entries are
 // non-zero counters across both tables, resets are epoch rollovers.

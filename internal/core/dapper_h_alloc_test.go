@@ -11,7 +11,9 @@ import (
 
 // TestDapperHTableBytes pins DAPPER-H's state at 8 bytes per group per
 // rank plus a small constant (struct, ciphers) on the baseline geometry:
-// 2 ranks x 8,192 groups x 8 B = 128 KiB per channel. Not parallel: it
+// 2 ranks x 8,192 groups x 8 B = 128 KiB per channel. A tracker built
+// after another of its shape was released takes that one's tables from
+// the free list and allocates only the constant. Not parallel: it
 // reads the process-wide allocation counter, which also counts whatever
 // the runtime or another goroutine allocates during the call. A call
 // also allocates the shared group tables for keys no tracker has used
@@ -19,24 +21,133 @@ import (
 // the test takes the least of several calls' deltas.
 func TestDapperHTableBytes(t *testing.T) {
 	cfg := Config{Geometry: dram.Baseline(), NRH: 500}
-	got := uint64(math.MaxUint64)
-	for i := 0; i < 5; i++ {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		d, err := NewDapperH(0, cfg)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runtime.KeepAlive(d)
-		got = min(got, after.TotalAlloc-before.TotalAlloc)
-	}
 	const slack = 1024
 	tables := uint64(8 * cfg.NumGroups() * cfg.Geometry.Ranks)
-	if got > tables+slack {
-		t.Fatalf("NewDapperH allocated %d B, want at most %d (8 B x %d groups x %d ranks + %d)",
-			got, tables+slack, cfg.NumGroups(), cfg.Geometry.Ranks, slack)
+	for _, tc := range []struct {
+		name     string
+		released bool // a tracker of the shape was released just before
+		want     uint64
+	}{
+		{"fresh", false, tables + slack},
+		{"after-release", true, slack},
+	} {
+		got := uint64(math.MaxUint64)
+		for i := 0; i < 5; i++ {
+			if tc.released {
+				mustDapperH(t, 0, cfg).Release()
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			d, err := NewDapperH(0, cfg)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.KeepAlive(d)
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+		if got > tc.want {
+			t.Fatalf("%s: NewDapperH allocated %d B, want at most %d (8 B x %d groups x %d ranks = %d in tables)",
+				tc.name, got, tc.want, cfg.NumGroups(), cfg.Geometry.Ranks, tables)
+		}
+	}
+}
+
+// TestDapperHReleasedTablesComeBackClear pins the free list's aliasing
+// contract for DAPPER-H: two live trackers of one shape never share a
+// table, and a tracker built after one was released takes its tables
+// back cleared, with no count, bit-vector or epoch of the old one.
+func TestDapperHReleasedTablesComeBackClear(t *testing.T) {
+	cfg := testConfig()
+	cfg.NRH = 8
+	a, b := mustDapperH(t, 0, cfg), mustDapperH(t, 0, cfg)
+	assertOwnTables(t, a, b)
+	hot := locFor(1, 3, 2, 1000)
+	for i := 0; i < 100; i++ {
+		a.OnActivate(dram.Cycle(i), hot, nil)
+		b.OnActivate(dram.Cycle(i), locFor(0, 1, 1, uint32(i)), nil)
+	}
+	if c1, c2 := b.Counts(locFor(0, 1, 1, 0)); c1+c2 == 0 {
+		t.Fatal("b's counters read zero after its activations")
+	}
+	a.OnActivate(100, hot, nil) // the 100th ACT mitigated: count once more
+	if a.Stats().Mitigations == 0 || !dirty(a) {
+		t.Fatal("the hammered tracker's tables hold no state to clear")
+	}
+	was := &a.ranks[1].tab[0]
+	a.Release()
+	c := mustDapperH(t, 0, cfg)
+	if &c.ranks[1].tab[0] != was && &c.ranks[0].tab[0] != was {
+		t.Fatal("a tracker built after a Release did not take the released tables")
+	}
+	assertOwnTables(t, b, c)
+	if dirty(c) {
+		t.Fatal("a reused table holds the released tracker's state")
+	}
+}
+
+// dirty reports whether any entry of d's tables is non-zero.
+func dirty(d *DapperH) bool {
+	for r := range d.ranks {
+		for _, e := range d.ranks[r].tab {
+			if e != (hEntry{}) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestDapperHReleaseLeavesTrackerUnusable pins Release's contract,
+// modeled on the LLC's: Stats and Name still read, any later OnActivate
+// panics, and a second Release returns nothing to the free list, so two
+// trackers built afterwards still own their tables.
+func TestDapperHReleaseLeavesTrackerUnusable(t *testing.T) {
+	cfg := testConfig()
+	d := mustDapperH(t, 0, cfg)
+	d.OnActivate(0, locFor(0, 0, 0, 7), nil)
+	d.Release()
+	d.Release()
+	if got := d.Stats().Activations; got != 1 || d.Name() != "DAPPER-H" {
+		t.Fatalf("after Release: %d activations, name %q", got, d.Name())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("OnActivate after Release did not panic")
+			}
+		}()
+		d.OnActivate(1, locFor(0, 0, 0, 7), nil)
+	}()
+	assertOwnTables(t, mustDapperH(t, 0, cfg), mustDapperH(t, 0, cfg))
+}
+
+func mustDapperH(t *testing.T, channel int, cfg Config) *DapperH {
+	t.Helper()
+	d, err := NewDapperH(channel, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// assertOwnTables fails if any two rank tables of the trackers share
+// backing memory.
+func assertOwnTables(t *testing.T, ds ...*DapperH) {
+	t.Helper()
+	seen := map[*hEntry]bool{}
+	for _, d := range ds {
+		for r := range d.ranks {
+			tab := d.ranks[r].tab
+			if len(tab) != d.cfg.NumGroups() {
+				t.Fatalf("rank %d table has %d entries, want %d", r, len(tab), d.cfg.NumGroups())
+			}
+			if seen[&tab[0]] {
+				t.Fatalf("rank %d table is shared with another live tracker's", r)
+			}
+			seen[&tab[0]] = true
+		}
 	}
 }
 

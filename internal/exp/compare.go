@@ -129,6 +129,7 @@ func secH(p Profile) (figure, error) {
 		return f, err
 	}
 	hRes := attack.MappingCaptureH(dh, geo, p.Seed^0xC0FFEE, 4_000_000)
+	dh.Release()
 	f.addText("Monte-Carlo DAPPER-H captured", fmt.Sprintf("%v after %d trials", hRes.Captured, hRes.Trials))
 	return f, nil
 }

@@ -1,11 +1,17 @@
 package harness
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
 
+	"dapper/internal/core"
+	"dapper/internal/dram"
+	"dapper/internal/rh"
 	"dapper/internal/sim"
+	"dapper/internal/workloads"
 )
 
 // TestPoolConcurrentSubmitStress drives the pool the way the race
@@ -75,5 +81,78 @@ func TestPoolConcurrentSubmitStress(t *testing.T) {
 	}
 	if progressCalls != uniqueJobs {
 		t.Fatalf("progress calls: want %d, got %d", uniqueJobs, progressCalls)
+	}
+}
+
+// TestPoolDapperHLockstepRace runs a DAPPER-H NRH sweep over each of
+// two streams as a lockstep group on a two-worker pool. Under
+// `go test -race` the two leads, their replay goroutines and any
+// diverged point's solo run then take and put DAPPER-H tables and LLC
+// arrays on the process-wide free list (internal/cache/spare), and
+// fill and read DAPPER-H's shared group and partner memos, at once.
+// Every Result must still equal an independent run's.
+func TestPoolDapperHLockstepRace(t *testing.T) {
+	geo := dram.Baseline()
+	nrhs := []uint32{250, 1000, 4000, 16000}
+	streams := []string{"429.mcf", "ycsb_a"}
+	configOf := func(name string) func() (sim.Config, error) {
+		return func() (sim.Config, error) {
+			w, err := workloads.ByName(name)
+			if err != nil {
+				return sim.Config{}, err
+			}
+			return sim.Config{Geometry: geo, Traces: sim.BenignTraces(w, 4, geo, 1),
+				Warmup: dram.US(2), Measure: dram.US(20)}, nil
+		}
+	}
+	runOf := func(config func() (sim.Config, error), tracker sim.TrackerFactory) func() (sim.Result, error) {
+		return func() (sim.Result, error) {
+			cfg, err := config()
+			if err != nil {
+				return sim.Result{}, err
+			}
+			cfg.Tracker = tracker
+			return sim.Run(cfg)
+		}
+	}
+	pool := NewPool(Options{Workers: 2})
+	var jobs []Job
+	var futures []*Future
+	for _, name := range streams {
+		config := configOf(name)
+		for _, nrh := range nrhs {
+			tracker := func(ch int) rh.Tracker {
+				d, err := core.NewDapperH(ch, core.Config{Geometry: geo, NRH: nrh})
+				if err != nil {
+					panic(err)
+				}
+				return d
+			}
+			job := Job{Desc: testDesc(name, nrh), Run: runOf(config, tracker),
+				Stream: &Stream{Key: name, Config: config, Point: sim.BatchPoint{Tracker: tracker}}}
+			jobs = append(jobs, job)
+			futures = append(futures, pool.Submit(job))
+		}
+	}
+	for i, f := range futures {
+		got, err := f.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := jobs[i].Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotJS, _ := json.Marshal(got)
+		wantJS, _ := json.Marshal(want)
+		if !bytes.Equal(gotJS, wantJS) {
+			t.Fatalf("%s: pooled result differs from an independent run:\n got  %s\n want %s", f.Desc(), gotJS, wantJS)
+		}
+	}
+	if err := pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := pool.Stats(); st.Lockstep == 0 {
+		t.Fatalf("no point rode a lockstep group: %+v", st)
 	}
 }

@@ -54,7 +54,7 @@ type Controller struct {
 	throt   rh.Throttler // non-nil if tracker throttles
 	mode    rh.MitigationMode
 	sink    rh.Sink          // optional event tap (nil = none)
-	tblRep  rh.TableReporter // tracker's table view, polled only with a sink
+	tblRep  rh.TableReporter // tracker's table view, polled only when SetSink asks
 
 	// Latencies derived from tim once, so the per-request scheduling
 	// scan reads fields instead of copying tim into its methods.
@@ -130,13 +130,16 @@ func NewController(channel int, geo dram.Geometry, tim dram.Timing, tracker rh.T
 
 // SetSink attaches the passive event sink (nil detaches): it sees every
 // ACT, mitigation command, auto-refresh, bulk sweep, queue change,
-// tracker-table snapshot, serve and bank block this controller issues,
-// and cannot influence scheduling. Attach before the first Tick so the
-// stream is complete.
-func (c *Controller) SetSink(s rh.Sink) {
+// serve and bank block this controller issues, and cannot influence
+// scheduling. With tables set, and a tracker that is an
+// rh.TableReporter, it also sees a table snapshot after every periodic
+// tracker tick; the poll walks the tracker's table, so only a consumer
+// of EvTable asks for it. Attach before the first Tick so the stream is
+// complete.
+func (c *Controller) SetSink(s rh.Sink, tables bool) {
 	c.sink = s
 	c.tblRep = nil
-	if s != nil {
+	if s != nil && tables {
 		c.tblRep, _ = c.tracker.(rh.TableReporter)
 	}
 }

@@ -293,7 +293,7 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 	geo := dram.Baseline()
 	c := NewController(0, geo, dram.DDR5(), rh.NewNop(), rh.VRR1)
 	sink := &countSink{}
-	c.SetSink(sink)
+	c.SetSink(sink, true)
 	for i := range QueueCap {
 		c.Enqueue(reqAt(geo, bankLoc(geo, i%geo.BanksPerChannel(), uint32(i)), false), 0)
 	}

@@ -80,7 +80,7 @@ func TestServeWatermarkMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	c := NewController(0, geo, dram.DDR5(), &injectingTracker{rng: rand.New(rand.NewSource(8)), geo: geo}, rh.VRR1)
 	sink := &watermarkSink{t: t, c: c}
-	c.SetSink(sink)
+	c.SetSink(sink, true)
 	for now := dram.Cycle(0); now < 40_000; now++ {
 		c.Tick(now)
 		for rng.Intn(4) == 0 && c.CanEnqueue() {

@@ -188,6 +188,17 @@ type TimingTaxer interface {
 	ActTax() dram.Cycle
 }
 
+// Releaser is an optional Tracker extension for trackers that borrow
+// large tables from a free list (DAPPER-H's group counters, see
+// internal/cache/spare). Whoever built the tracker calls Release once,
+// after its last Stats and Name read, and the tables go to the next
+// tracker of the same shape. After Release the tracker is unusable; a second
+// call does nothing. A tracker that is never released is safe: its
+// tables are left to the GC.
+type Releaser interface {
+	Release()
+}
+
 // TableOccupancy is a point-in-time snapshot of a tracker's counting
 // structure, for telemetry: how full the bounded table is and how many
 // times it has been reset (epoch rollovers, early resets, bulk sweeps —
@@ -207,8 +218,8 @@ type TableOccupancy struct {
 // bounded counting table worth watching under attack (CoMeT's RAT,
 // Hydra's RCC, DAPPER's group counters). TableOccupancy must be a pure
 // query: the controller polls it after every periodic tracker tick
-// whenever a Sink is attached (an audited run included), so
-// implementations may do O(table) work but must not change state.
+// when the run records a telemetry series, so implementations may do
+// O(table) work but must not change state.
 type TableReporter interface {
 	TableOccupancy() TableOccupancy
 }

@@ -44,7 +44,8 @@ const (
 	// consumers clamp monotonically.
 	EvQueue
 	// EvTable is a TableReporter snapshot taken right after each
-	// periodic tracker tick: At, Table.
+	// periodic tracker tick, only when the run records a telemetry
+	// series: At, Table.
 	EvTable
 	// EvServe is one request leaving the queue for service: Bank, Core,
 	// Injected, IsWrite, Enqueued, At (service start), Until (data

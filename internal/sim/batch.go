@@ -216,6 +216,7 @@ func NewBatch(base Config, points []BatchPoint) (*Batch, error) {
 	}
 	if b.lead < 0 {
 		// Every point throttles: there is no shared stream to ride.
+		release(probes...)
 		for i := range b.outcomes {
 			b.outcomes[i] = BatchOutcome{Reason: FallbackThrottler}
 		}
@@ -242,6 +243,10 @@ func NewBatch(base Config, points []BatchPoint) (*Batch, error) {
 				f.trackers[ch] = b.pts[i].Tracker(ch)
 			}
 			b.live = append(b.live, f)
+			continue
+		}
+		if i != lead {
+			release(probes[i]) // the point runs alone, on trackers of its own
 		}
 	}
 	return b, nil
@@ -331,7 +336,8 @@ func (b *Batch) replay(f *follower, c *Chunk) bool {
 // outcome is Served (the lead, or a follower that matched the lead's
 // actions to the end), and that Result is byte-identical to what Run
 // would produce for it; the caller runs every other point
-// independently.
+// independently. Results releases every follower's trackers, live or
+// diverged (the lead's went with its run), so it is called once.
 func (b *Batch) Results() ([]Result, []BatchOutcome, error) {
 	results := make([]Result, len(b.pts))
 	if b.lead < 0 {
@@ -341,6 +347,7 @@ func (b *Batch) Results() ([]Result, []BatchOutcome, error) {
 	results[b.lead] = lead
 	for _, f := range b.out {
 		b.outcomes[f.point] = BatchOutcome{Reason: FallbackDiverged}
+		release(f.trackers...)
 	}
 	for _, f := range b.live {
 		if f.snaps != 2*len(f.trackers) {
@@ -359,6 +366,7 @@ func (b *Batch) Results() ([]Result, []BatchOutcome, error) {
 		for _, t := range f.trackers {
 			res.TrackerNames = append(res.TrackerNames, t.Name())
 		}
+		release(f.trackers...)
 		results[f.point] = res
 		b.outcomes[f.point] = BatchOutcome{Lockstep: true}
 	}
@@ -398,10 +406,11 @@ func (s *shadow) record(ev shadowEvent, acts []rh.Action) {
 // are followers: it forwards everything and records every input plus
 // the emitted actions, and every Stats() snapshot. It
 // always implements TimingTaxer and LLCReserver (forwarding the inner's
-// value or the 0 default, indistinguishable from absence) and never
-// Throttler (the lead is chosen non-throttling). A batch takes no sink,
-// so the controller never polls TableReporter and the wrapper need not
-// forward it.
+// value or the 0 default, indistinguishable from absence) and Releaser
+// (so the lead's run releases the inner tracker), and never Throttler
+// (the lead is chosen non-throttling). A batch records no telemetry
+// series, so the controller never polls TableReporter and the wrapper
+// need not forward it.
 type shadowTracker struct {
 	inner rh.Tracker
 	sh    *shadow
@@ -444,6 +453,8 @@ func (w *shadowTracker) LLCReservedFraction() float64 {
 	}
 	return 0
 }
+
+func (w *shadowTracker) Release() { release(w.inner) }
 
 func accumStats(dst *rh.Stats, s rh.Stats) {
 	dst.Activations += s.Activations

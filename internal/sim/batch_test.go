@@ -26,11 +26,13 @@ type namedBatchPoint struct {
 // batchPoints builds the sweep: an insecure lead, a guaranteed-lockstep
 // twin, three table trackers (lockstep under benign load, diverging
 // under attack), and one point per fallback reason (LLC reservation,
-// ACT tax, throttler, mode mismatch).
-func batchPoints(g dram.Geometry) []namedBatchPoint {
+// ACT tax, throttler, mode mismatch). The lead, the twin (a live
+// follower) and the low-NRH Hydra (a diverged follower) build their
+// trackers wrapped in releaseCounters, each logged in *built.
+func batchPoints(g dram.Geometry, built *[]*releaseCounter) []namedBatchPoint {
 	return []namedBatchPoint{
-		{"nop-lead", BatchPoint{}},
-		{"nop-twin", BatchPoint{}},
+		{"nop-lead", BatchPoint{Tracker: counted(NopFactory, built)}},
+		{"nop-twin", BatchPoint{Tracker: counted(NopFactory, built)}},
 		{"hydra", BatchPoint{Tracker: func(ch int) rh.Tracker {
 			return hydra.New(ch, g, 500)
 		}}},
@@ -38,9 +40,9 @@ func batchPoints(g dram.Geometry) []namedBatchPoint {
 		// workload's first few microseconds; the injected counter fetches
 		// disagree with the insecure lead's empty stream, so this point
 		// always exercises the divergence fallback.
-		{"hydra-low-diverges", BatchPoint{Tracker: func(ch int) rh.Tracker {
+		{"hydra-low-diverges", BatchPoint{Tracker: counted(func(ch int) rh.Tracker {
 			return hydra.New(ch, g, 16)
-		}}},
+		}, built)}},
 		{"dapper-h", BatchPoint{Tracker: func(ch int) rh.Tracker {
 			d, err := core.NewDapperH(ch, core.Config{Geometry: g, NRH: 500})
 			if err != nil {
@@ -61,6 +63,55 @@ func batchPoints(g dram.Geometry) []namedBatchPoint {
 			return blockhammer.New(ch, g, 500)
 		}}},
 		{"nop-vrr2", BatchPoint{Mode: rh.VRR2}},
+	}
+}
+
+// releaseCounter wraps a tracker to check who releases it: the run or
+// batch that built it must call Release exactly once, and no call may
+// reach the tracker after that.
+type releaseCounter struct {
+	rh.Tracker
+	releases int
+	late     bool // a call arrived after Release
+}
+
+func (c *releaseCounter) use() { c.late = c.late || c.releases > 0 }
+
+func (c *releaseCounter) Name() string { c.use(); return c.Tracker.Name() }
+
+func (c *releaseCounter) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) []rh.Action {
+	c.use()
+	return c.Tracker.OnActivate(now, loc, buf)
+}
+
+func (c *releaseCounter) Tick(now dram.Cycle, buf []rh.Action) []rh.Action {
+	c.use()
+	return c.Tracker.Tick(now, buf)
+}
+
+func (c *releaseCounter) Stats() rh.Stats { c.use(); return c.Tracker.Stats() }
+
+func (c *releaseCounter) Release() { c.releases++ }
+
+// counted wraps f so that every tracker it builds is a releaseCounter
+// appended to *built.
+func counted(f TrackerFactory, built *[]*releaseCounter) TrackerFactory {
+	return func(ch int) rh.Tracker {
+		c := &releaseCounter{Tracker: f(ch)}
+		*built = append(*built, c)
+		return c
+	}
+}
+
+// checkReleased fails unless every tracker in built was released
+// exactly once and saw no call after its release.
+func checkReleased(t *testing.T, built []*releaseCounter) {
+	t.Helper()
+	for i, c := range built {
+		if c.releases != 1 || c.late {
+			t.Errorf("tracker %d (%s): released %d times, called after release: %v",
+				i, c.Tracker.Name(), c.releases, c.late)
+		}
 	}
 }
 
@@ -88,7 +139,9 @@ func batchBaseConfig(t *testing.T, g dram.Geometry, hammer bool) Config {
 // for its caller to run. The benign half exercises lockstep shadowing
 // (trackers that stay quiet emit the lead's empty action stream); the
 // hammer half forces divergence (mitigating trackers disagree with the
-// insecure lead's stream).
+// insecure lead's stream). Both halves also check tracker ownership:
+// the lead, a live follower and a diverged follower are each released
+// once, after their last read, by RunBatch or by the independent Run.
 func TestEngineEquivalenceBatched(t *testing.T) {
 	g := dram.Baseline()
 	for _, hammer := range []bool{false, true} {
@@ -97,7 +150,8 @@ func TestEngineEquivalenceBatched(t *testing.T) {
 			name = "hammer"
 		}
 		t.Run(name, func(t *testing.T) {
-			pts := batchPoints(g)
+			var built []*releaseCounter
+			pts := batchPoints(g, &built)
 			points := make([]BatchPoint, len(pts))
 			for i := range pts {
 				points[i] = pts[i].point
@@ -174,6 +228,12 @@ func TestEngineEquivalenceBatched(t *testing.T) {
 			if !hammer && lockstep < 2 {
 				t.Errorf("benign scenario replayed only %d points in lockstep; want >= 2", lockstep)
 			}
+			// Two channels each: the lead and twin in the batch and
+			// in their independent runs, the diverged point in the batch.
+			if len(built) != 10 {
+				t.Errorf("%d counted trackers built, want 10", len(built))
+			}
+			checkReleased(t, built)
 		})
 	}
 }

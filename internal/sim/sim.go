@@ -18,7 +18,9 @@ import (
 )
 
 // TrackerFactory builds one tracker per channel (trackers are
-// per-channel structures in every design the paper evaluates).
+// per-channel structures in every design the paper evaluates). Each
+// call returns a fresh tracker that the run owns: the run releases it
+// (rh.Releaser) once it has read the tracker's last Stats and Name.
 type TrackerFactory func(channel int) rh.Tracker
 
 // NopFactory is the insecure baseline.
@@ -208,6 +210,9 @@ func run(cfg Config, wrapT func(channel int, t rh.Tracker) rh.Tracker) (Result, 
 	}
 
 	trackers := make([]rh.Tracker, cfg.Geometry.Channels)
+	// The run owns its trackers: the Result copies their Stats and
+	// Names, so the next run may take their tables.
+	defer release(trackers...)
 	for ch := range trackers {
 		trackers[ch] = cfg.Tracker(ch)
 		if wrapT != nil {
@@ -236,7 +241,8 @@ func run(cfg Config, wrapT func(channel int, t rh.Tracker) rh.Tracker) (Result, 
 		if rec != nil {
 			sinks = append(sinks, rec.Sink(ch))
 		}
-		controllers[ch].SetSink(rh.Tee(sinks...))
+		// Only the telemetry series reads table snapshots.
+		controllers[ch].SetSink(rh.Tee(sinks...), cfg.TelemetryWindow > 0)
 	}
 
 	llc, err := cache.NewBySize(llcBytes, llcWays, cfg.Geometry.LineBytes)
@@ -489,6 +495,16 @@ func snapshot(cores []*cpu.Core, ctrls []*mem.Controller, trackers []rh.Tracker,
 	s.llcHit = llc.Hits()
 	s.llcAcc = llc.Hits() + llc.Misses()
 	return s
+}
+
+// release releases every tracker that borrows its tables (rh.Releaser);
+// nil entries, left by a factory that never ran, are skipped.
+func release(trackers ...rh.Tracker) {
+	for _, t := range trackers {
+		if r, ok := t.(rh.Releaser); ok {
+			r.Release()
+		}
+	}
 }
 
 func sub(a *dram.Counters, b dram.Counters) {

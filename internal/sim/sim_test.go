@@ -262,28 +262,113 @@ func TestDeterministicRuns(t *testing.T) {
 
 // TestRunReusesLLCArrays pins that a run hands its LLC arrays to the
 // next: a run after an equal one allocates less than the arrays
-// themselves (16 bytes a line). Not parallel: TotalAlloc is process
-// wide, so it also counts what the runtime or another goroutine
-// allocates meanwhile. A run's own bytes are the same every time, so
-// the test takes the least of several runs' deltas.
+// themselves (16 bytes a line).
 func TestRunReusesLLCArrays(t *testing.T) {
 	g := dram.Baseline()
-	w := mustWorkload(t, "511.povray")
-	cfg := quickCfg(BenignTraces(w, 4, g, 1))
+	cfg := quickCfg(nil)
+	cfg.Geometry = g
 	cfg.Measure = dram.US(5)
+	got := repeatRunBytes(t, cfg, mustWorkload(t, "511.povray"))
+	cfg = cfg.withDefaults()
+	llcBytes := uint64(16 * cfg.LLCBytes / g.LineBytes)
+	if got >= llcBytes {
+		t.Fatalf("a repeated run allocated %d bytes, LLC arrays are %d", got, llcBytes)
+	}
+}
+
+// TestRunReusesDapperHTables pins that a run releases its trackers: a
+// DAPPER-H run after an equal one takes the first run's group tables
+// (and LLC) from the free list, so it allocates less than one rank
+// table (8 bytes a group), where building its four afresh would
+// allocate 256 KiB.
+func TestRunReusesDapperHTables(t *testing.T) {
+	g := dram.Baseline()
+	cfg := quickCfg(nil)
+	cfg.Geometry = g
+	cfg.Measure = dram.US(5)
+	cfg.Tracker = func(ch int) rh.Tracker {
+		d, err := core.NewDapperH(ch, core.Config{Geometry: g, NRH: 500})
+		if err != nil {
+			panic(err)
+		}
+		return d
+	}
+	got := repeatRunBytes(t, cfg, mustWorkload(t, "511.povray"))
+	table := uint64(8 * core.Config{Geometry: g, NRH: 500}.NumGroups())
+	if got >= table {
+		t.Fatalf("a repeated DAPPER-H run allocated %d bytes, one rank table is %d", got, table)
+	}
+}
+
+// repeatRunBytes runs cfg over four fresh copies of w's traces on
+// cfg.Geometry once,
+// then returns the least bytes any of three more equal runs allocated.
+// Callers are not parallel: TotalAlloc is process wide, so it also
+// counts what the runtime or another goroutine allocates meanwhile. A
+// run's own bytes are the same every time, so the least of several
+// runs' deltas is the run's.
+func repeatRunBytes(t *testing.T, cfg Config, w workloads.Workload) uint64 {
+	t.Helper()
+	cfg.Traces = BenignTraces(w, 4, cfg.Geometry, 1)
 	MustRun(cfg)
 	got := uint64(math.MaxUint64)
 	for i := 0; i < 3; i++ {
-		cfg.Traces = BenignTraces(w, 4, g, 1)
+		cfg.Traces = BenignTraces(w, 4, cfg.Geometry, 1)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		MustRun(cfg)
 		runtime.ReadMemStats(&after)
 		got = min(got, after.TotalAlloc-before.TotalAlloc)
 	}
-	cfg = cfg.withDefaults()
-	llcBytes := uint64(16 * cfg.LLCBytes / g.LineBytes)
-	if got >= llcBytes {
-		t.Fatalf("a repeated run allocated %d bytes, LLC arrays are %d", got, llcBytes)
+	return got
+}
+
+// tablePolls is the insecure baseline with a table view that counts
+// the controller's polls.
+type tablePolls struct {
+	rh.Nop
+	polls int
+}
+
+func (p *tablePolls) TableOccupancy() rh.TableOccupancy {
+	p.polls++
+	return rh.TableOccupancy{Capacity: 1}
+}
+
+// discard is a sink that drops every event.
+type discard struct{}
+
+func (discard) Event(rh.Event) {}
+
+// TestTablePollOnlyWithSeries pins that the controllers poll a
+// tracker's table only when the run records a telemetry series, the one
+// reader of table snapshots: a run with attribution alone, or with an
+// external sink alone, walks no table.
+func TestTablePollOnlyWithSeries(t *testing.T) {
+	g := dram.Baseline()
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+		poll bool
+	}{
+		{"attribution", func(c *Config) { c.Attribution = true }, false},
+		{"sink", func(c *Config) { c.Sink = func(int) rh.Sink { return discard{} } }, false},
+		{"series", func(c *Config) { c.TelemetryWindow = dram.US(5) }, true},
+	} {
+		cfg := quickCfg(BenignTraces(mustWorkload(t, "429.mcf"), 4, g, 1))
+		cfg.Measure = dram.US(20)
+		var built []*tablePolls
+		cfg.Tracker = func(int) rh.Tracker {
+			p := &tablePolls{}
+			built = append(built, p)
+			return p
+		}
+		tc.set(&cfg)
+		MustRun(cfg)
+		for ch, p := range built {
+			if got := p.polls > 0; got != tc.poll {
+				t.Errorf("%s: channel %d's table was polled %d times", tc.name, ch, p.polls)
+			}
+		}
 	}
 }
