@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build loc vet lint test test-race test-engine-equivalence fuzz-smoke audit-smoke telemetry-smoke blame-smoke batch-smoke experiments-smoke simbench-test bench-smoke bench-compare bench-check adversary-smoke quickstart horizon-smoke ci
+.PHONY: all build loc vet lint test test-race test-engine-equivalence fuzz-smoke audit-smoke telemetry-smoke blame-smoke batch-smoke experiments-smoke simbench-test bench-smoke adversary-smoke quickstart horizon-smoke ci
 
 all: build vet lint test
 
@@ -165,25 +165,9 @@ simbench-test:
 # core catch-up, DAPPER-H activation, flatmap), so none of them can rot
 # unnoticed. The tables and figures are pinned by TestExperimentsGolden
 # and experiments-smoke; to time one by hand, run
-# `dapper experiments -exp fig5 -profile bench -jobs 1`.
+# `dapper experiments -exp fig5 -profile quick -jobs 1`.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
-
-# Benchmark the cycle vs event engine on fig11 plus the batched
-# sweep runner on an 8-point NRH sweep, and append the timestamped
-# report to the BENCH_engine.json trajectory (a JSON array; the perf
-# history travels with the repo).
-bench-compare:
-	$(GO) run ./cmd/dapper engine-bench -out .
-
-# Gate the perf trajectory instead of extending it: re-run the
-# telemetry-off benchmarks and fail, versus the last recorded
-# BENCH_engine.json point, if the normalized event-engine time grew >2%
-# (the detached-sink budget, a constant in cmd/dapper/bench.go) or the
-# batched-runner speedup dropped >10%. The gates compare ratios, not
-# wall-clock, so they hold across machine speeds.
-bench-check:
-	$(GO) run ./cmd/dapper engine-bench -out . -check
 
 # Worst-case attack search smoke: a deterministic tiny-profile search
 # against two trackers (fixed seed, well under a minute). CI uploads
@@ -208,4 +192,4 @@ horizon-smoke:
 		|| { echo "horizon-smoke FAILED: stdout differs from testdata/horizon-smoke.golden"; diff testdata/horizon-smoke.golden horizon-smoke/stdout.txt; exit 1; }
 	@echo "horizon-smoke: 32 ms DAPPER-H run matches its golden"
 
-ci: build loc vet lint test test-race test-engine-equivalence audit-smoke telemetry-smoke blame-smoke batch-smoke experiments-smoke simbench-test fuzz-smoke bench-smoke bench-check adversary-smoke quickstart horizon-smoke
+ci: build loc vet lint test test-race test-engine-equivalence audit-smoke telemetry-smoke blame-smoke batch-smoke experiments-smoke simbench-test fuzz-smoke bench-smoke adversary-smoke quickstart horizon-smoke

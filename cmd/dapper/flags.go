@@ -26,7 +26,7 @@ type cli struct {
 	exp, objective                                    string
 
 	seed                       uint64
-	jobs, budget, repeat       int
+	jobs, budget               int
 	window, warmup, measure    float64
 	rowsPerBank                uint
 	attr, check, countInjected bool
@@ -37,7 +37,7 @@ type cli struct {
 // only chooses which flags it takes.
 var flagDefs = map[string]func(*flag.FlagSet, *cli){
 	"profile": func(fs *flag.FlagSet, c *cli) {
-		fs.StringVar(&c.profile, "profile", "quick", "tiny, quick, full or bench (workloads, windows, geometry)")
+		fs.StringVar(&c.profile, "profile", "quick", "tiny, quick or full (workloads, windows, geometry)")
 	},
 	"seed": func(fs *flag.FlagSet, c *cli) {
 		fs.Uint64Var(&c.seed, "seed", 1, "workload, attack and search seed (every profile's own seed is 1)")
@@ -104,9 +104,6 @@ var flagDefs = map[string]func(*flag.FlagSet, *cli){
 	},
 	"budget": func(fs *flag.FlagSet, c *cli) {
 		fs.IntVar(&c.budget, "budget", 32, "candidate evaluations per tracker")
-	},
-	"repeat": func(fs *flag.FlagSet, c *cli) {
-		fs.IntVar(&c.repeat, "repeat", 3, "timings per engine; the best is kept")
 	},
 }
 

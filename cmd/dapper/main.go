@@ -11,7 +11,6 @@
 //	dapper adversary -tracker hydra,comet -profile tiny -budget 10
 //	dapper sim -workload ycsb_a -tracker comet -attack rat-thrash
 //	dapper sim -tracker dapper-h,none -attack hammer -nrh 125 -window 10 -check
-//	dapper engine-bench -check
 //	dapper list trackers|workloads|experiments
 //
 // `dapper <subcommand> -h` lists the flags a subcommand takes. Tables,
@@ -68,8 +67,6 @@ var commands = []command{
 		with([]string{"tracker", "workload", "nrh", "mode", "objective", "budget", "attr"}, poolFlags), runAdversary},
 	{"sim", "one simulation per tracker: IPC, DRAM and tracker statistics (-window adds -out/timeline-<tracker>.* reports)",
 		with(runFlags, []string{"window", "out", "check", "debug-addr"}), runSim},
-	{"engine-bench", "time fig11 under both engines plus the batched runner into -out/BENCH_engine.json",
-		[]string{"out", "repeat", "check"}, runEngineBench},
 	{"list", "list trackers, workloads or experiments", nil, runList},
 }
 

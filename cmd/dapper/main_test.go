@@ -13,9 +13,7 @@ import (
 	"strings"
 	"testing"
 
-	"dapper/internal/exp"
 	"dapper/internal/harness"
-	"dapper/internal/sim"
 	"dapper/internal/telemetry"
 )
 
@@ -60,7 +58,8 @@ func TestBadInvocationsNameTheirFlag(t *testing.T) {
 		{[]string{"adversary", "-mix-cores", "3"}, "-mix-cores"},
 		{[]string{"adversary", "-budget", "0"}, "-budget"},
 		{[]string{"adversary", "-budget", "-5"}, "-budget"},
-		{[]string{"engine-bench", "-repeat", "0"}, "-repeat"},
+		{[]string{"engine-bench"}, `unknown subcommand "engine-bench"`},
+		{[]string{"experiments", "-profile", "bench"}, "-profile"},
 		{[]string{"mix"}, `unknown subcommand "mix"`},
 		{[]string{"attack"}, `unknown subcommand "attack"`},
 		{[]string{"timeline"}, `unknown subcommand "timeline"`},
@@ -301,43 +300,6 @@ func TestBatchWithoutCacheCountsNoMisses(t *testing.T) {
 	}
 	if counters["unique"] != 4 || counters["cache_misses"] != 0 {
 		t.Errorf("unique %v, cache_misses %v; want 4 and 0:\n%s", counters["unique"], counters["cache_misses"], raw)
-	}
-}
-
-// TestEngineBenchTimesFig11: the jobs engine-bench times are exactly
-// the runs fig11 declares at the bench profile, with and without
-// attribution.
-func TestEngineBenchTimesFig11(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulates fig11 at the bench profile")
-	}
-	exps, err := exp.Select(benchExp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, attr := range []bool{false, true} {
-		p := benchProfile(sim.EngineEvent, attr)
-		pool := harness.NewPool(harness.Options{Workers: 2})
-		if _, err := exp.Generate(exps, p, pool); err != nil {
-			t.Fatal(err)
-		}
-		var want []string
-		for _, rec := range pool.Records() {
-			want = append(want, rec.Key)
-		}
-		jobs, err := fig11Jobs(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []string
-		for _, job := range jobs {
-			got = append(got, job.Desc.Key())
-		}
-		slices.Sort(want)
-		slices.Sort(got)
-		if !slices.Equal(got, want) {
-			t.Errorf("attribution %v: engine-bench times %v, fig11 declares %v", attr, got, want)
-		}
 	}
 }
 

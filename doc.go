@@ -174,8 +174,10 @@
 // Force `-engine cycle` when validating the event engine itself, when
 // bisecting a suspected engine bug, or when adding a new component that
 // does not yet implement the wake-time protocol; in every other case the
-// event engine is strictly faster (≥2x on fig11's benign points, tracked
-// in BENCH_engine.json via `make bench-compare`).
+// event engine is faster. To compare the engines by hand, time
+// `dapper experiments -exp fig11 -profile quick -jobs 1 -engine cycle`
+// against the same command with `-engine event` (the cache key includes
+// the engine, so one never serves the other's points).
 //
 // # Worst-case attack search (internal/attack Parametric, internal/adversary)
 //
@@ -299,9 +301,8 @@
 // Windowed runs fold the window into harness.Descriptor's cache key
 // (Telemetry tag), so telemetry-on and telemetry-off results never
 // alias; with no consumer on, no sink attaches and the hot paths pay
-// only a nil check, a cost gated by `make bench-check`, which re-times
-// the sink-free engine benchmark and fails CI if the event-over-cycle
-// speedup ratio regresses >10% versus the committed BENCH_engine.json.
+// only a nil check. simbench's workloads run no sink, so its per-change
+// wall-time bound covers that check.
 // sim.TestEngineEquivalenceSinkStream also compares the raw event
 // stream, not just its folds, across the engines.
 //
@@ -374,8 +375,9 @@
 // totals by Attribution.CheckSeries. Attribution folds into the cache
 // key (Descriptor's Attr tag) so attributed and plain results never
 // alias, and with the flag off the fold is not attached — the hot
-// paths pay a nil check, gated by the same `make bench-check` budget
-// as telemetry. Byte-identical engine equivalence is enforced tracker-by-
+// paths pay a nil check, as with telemetry. To price attribution by
+// hand, time a `dapper batch` sweep with `-attr` against the same sweep
+// without it. Byte-identical engine equivalence is enforced tracker-by-
 // tracker in sim, exp and adversary attribution equivalence tests,
 // part of `make test-engine-equivalence`.
 //

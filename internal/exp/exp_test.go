@@ -85,7 +85,7 @@ func TestProfiles(t *testing.T) {
 // TestProfileByName: every -profile selector resolves to its
 // constructor, and an unknown name is an error, not a zero Profile.
 func TestProfileByName(t *testing.T) {
-	for _, want := range []Profile{Tiny(), Quick(), Full(), Bench()} {
+	for _, want := range []Profile{Tiny(), Quick(), Full()} {
 		got, err := ProfileByName(want.Name)
 		if err != nil {
 			t.Fatalf("%s: %v", want.Name, err)
@@ -94,8 +94,10 @@ func TestProfileByName(t *testing.T) {
 			t.Fatalf("%s resolved to profile %q", want.Name, got.Name)
 		}
 	}
-	if _, err := ProfileByName("huge"); err == nil {
-		t.Fatal("unknown profile accepted")
+	for _, name := range []string{"huge", "bench"} {
+		if _, err := ProfileByName(name); err == nil {
+			t.Fatalf("unknown profile %q accepted", name)
+		}
 	}
 }
 

@@ -62,7 +62,7 @@ type Profile struct {
 	Attribution bool
 }
 
-// Quick returns the CI/bench profile: a representative 12-workload set,
+// Quick returns the default profile: a representative 12-workload set,
 // short windows. Shapes (who wins, by what factor) are stable at this
 // scale; absolute percentages move a little versus the full profile.
 func Quick() Profile {
@@ -104,23 +104,6 @@ func Full() Profile {
 	}
 }
 
-// Bench returns the trimmed quick profile `dapper engine-bench` times
-// and `dapper experiments -profile bench` runs, so one figure's points
-// can be timed by hand (`-exp fig5 -profile bench -jobs 1`) on the
-// workload set BENCH_engine.json measures.
-func Bench() Profile {
-	p := Quick()
-	p.Name = "bench"
-	p.Workloads = p.Workloads[:4]
-	p.SweepWorkloads = p.SweepWorkloads[:2]
-	p.NRHSweep = []uint32{125, 500}
-	p.Warmup = dram.US(60)
-	p.Measure = dram.US(250)
-	p.DapperWarmup = dram.US(60)
-	p.DapperMeasure = dram.US(500)
-	return p
-}
-
 // Tiny returns a minimal profile for unit tests of the harness
 // plumbing (not for result quality).
 func Tiny() Profile {
@@ -142,7 +125,7 @@ func Tiny() Profile {
 }
 
 // ProfileByName resolves a -profile selector shared by the cmds
-// ("tiny", "quick", "full", "bench").
+// ("tiny", "quick", "full").
 func ProfileByName(name string) (Profile, error) {
 	switch name {
 	case "tiny":
@@ -151,10 +134,8 @@ func ProfileByName(name string) (Profile, error) {
 		return Quick(), nil
 	case "full":
 		return Full(), nil
-	case "bench":
-		return Bench(), nil
 	default:
-		return Profile{}, fmt.Errorf("exp: unknown profile %q (tiny|quick|full|bench)", name)
+		return Profile{}, fmt.Errorf("exp: unknown profile %q (tiny|quick|full)", name)
 	}
 }
 

@@ -32,8 +32,7 @@ func WriteTelemetry(dir string, tracer *telemetry.Tracer, stats Stats) error {
 	if err != nil {
 		return err
 	}
-	defer cf.Close()
-	return telemetry.WriteCounterJSON(cf, map[string]any{
+	err = telemetry.WriteCounterJSON(cf, map[string]any{
 		"submitted":          stats.Submitted,
 		"unique":             stats.Unique,
 		"ran":                stats.Ran,
@@ -45,4 +44,8 @@ func WriteTelemetry(dir string, tracer *telemetry.Tracer, stats Stats) error {
 		"total_elapsed_sec":  stats.TotalElapsed.Seconds(),
 		"max_elapsed_sec":    stats.MaxElapsed.Seconds(),
 	})
+	if cerr := cf.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

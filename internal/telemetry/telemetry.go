@@ -18,11 +18,11 @@
 // two runs with the same seed and configuration are byte-identical too.
 //
 // Harness level (wall-clock): a Tracer records per-job spans (queue
-// wait, execution on a worker lane, cache hits, sink flush) from
-// internal/harness and exports them as Chrome trace-event JSON, viewable
-// in Perfetto (https://ui.perfetto.dev) with one lane per worker. Span
-// recording never perturbs result content or sink ordering; the export
-// is sorted so equal span sets serialize identically.
+// wait, execution on a worker lane, cache hits) from internal/harness
+// and exports them as Chrome trace-event JSON, viewable in Perfetto
+// (https://ui.perfetto.dev) with one lane per worker. Span recording
+// never perturbs result content or record order; the export is sorted
+// so equal span sets serialize identically.
 package telemetry
 
 import (

@@ -14,7 +14,7 @@ import (
 // (https://ui.perfetto.dev) or chrome://tracing with one lane per
 // worker. Recording is mutex-buffered and touches nothing but the
 // tracer itself, so attaching one never perturbs result content or
-// sink ordering; the export sorts spans by (start, lane, name), making
+// record order; the export sorts spans by (start, lane, name), making
 // the serialization a pure function of the recorded span set.
 type Tracer struct {
 	mu    sync.Mutex
@@ -40,7 +40,7 @@ func NewTracer() *Tracer {
 }
 
 // SetLaneName labels a lane (exported as the Chrome thread name, e.g.
-// "worker 3", "cache", "sink").
+// "worker 3", "cache").
 func (t *Tracer) SetLaneName(lane int, name string) {
 	t.mu.Lock()
 	t.lanes[lane] = name

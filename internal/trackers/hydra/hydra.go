@@ -56,7 +56,7 @@ func New(channel int, geo dram.Geometry, nrh uint32) *Tracker {
 		ranks:   make([]rankState, geo.Ranks),
 		nextRst: resetWindow,
 	}
-	groups := int(geo.RowsPerRank()) / groupSize
+	groups := (geo.RowsPerRank() + groupSize - 1) / groupSize // the last group may be partial
 	for r := range t.ranks {
 		t.ranks[r] = rankState{
 			gct: make([]uint32, groups),
@@ -88,9 +88,9 @@ func (t *Tracker) OnActivate(now dram.Cycle, loc dram.Loc, buf []rh.Action) []rh
 		if rk.gct[g] == t.ngc {
 			// Transition to per-row tracking: rows inherit the group
 			// count (conservative, as in the original design).
-			base := g * groupSize
-			for i := uint64(0); i < groupSize; i++ {
-				rk.rct.Set(base+i, rk.gct[g])
+			end := min((g+1)*groupSize, t.geo.RowsPerRank())
+			for i := g * groupSize; i < end; i++ {
+				rk.rct.Set(i, rk.gct[g])
 			}
 		}
 		return buf

@@ -180,6 +180,34 @@ func TestResetWindowClears(t *testing.T) {
 	}
 }
 
+// TestPartialGroupRank activates every row of ranks whose row count is
+// not a multiple of the group size: the last, partial group must get a
+// counter, and its transition to per-row tracking must give counters to
+// the rank's rows only.
+func TestPartialGroupRank(t *testing.T) {
+	for _, rowsPerBank := range []uint32{1, 5, 1001} {
+		geo := dram.Scaled(rowsPerBank)
+		tr := New(0, geo, 10)
+		rows := geo.RowsPerRank()
+		for r := 0; r < geo.Ranks; r++ {
+			for idx := uint64(0); idx < rows; idx++ {
+				l := geo.FromRankRowIndex(0, r, idx)
+				for i := uint32(0); i < tr.nm; i++ {
+					tr.OnActivate(0, l, nil)
+				}
+			}
+		}
+		for r := range tr.ranks {
+			if n := tr.ranks[r].rct.Len(); uint64(n) != rows {
+				t.Errorf("%d rows per bank, rank %d: %d row counters, want %d", rowsPerBank, r, n, rows)
+			}
+		}
+		if got, want := tr.Stats().Mitigations, uint64(geo.Ranks)*rows; got < want {
+			t.Errorf("%d rows per bank: %d mitigations, want at least one per row (%d)", rowsPerBank, got, want)
+		}
+	}
+}
+
 func TestName(t *testing.T) {
 	if newTest().Name() != "Hydra" {
 		t.Fatal("name")
