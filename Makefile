@@ -74,8 +74,7 @@ audit-smoke:
 	$(GO) run ./cmd/dapper audit -profile tiny -tracker all -attack hammer,refresh,streaming -mode vrr-br1,rfmsb -nrh 125 -seed 1 -check -out audit-smoke
 
 # Telemetry smoke: one small windowed `dapper sim` run (-window 10)
-# rendered to telemetry-smoke/timeline-dapper-h.{jsonl,csv,txt} plus
-# timeline-dapper-h-matrix.csv. The run itself fails on a broken series
+# rendered to telemetry-smoke/timeline-dapper-h.{jsonl,txt}. The run itself fails on a broken series
 # invariant (monotone window grid, per-window sums equal to grand
 # totals), on series totals that differ from the DRAM counters, and on
 # broken attribution conservation; -check adds the cross-engine byte
@@ -93,9 +92,9 @@ telemetry-smoke:
 # conservation (CPI stacks sum to cycles, blame buckets sum exactly to
 # memory wait, per window and grand total); -check adds cross-engine
 # byte equality of the attribution and the windowed stacks. blame-smoke/
-# holds per-tracker timeline-<id>.{jsonl,csv,txt} plus the core→core
-# blame matrices (timeline-<id>-matrix.csv); CI uploads the directory
-# as an artifact.
+# holds per-tracker timeline-<id>.{jsonl,txt}, each with the core→core
+# blame matrix ("matrix" lines in the JSONL, a table in the text); CI
+# uploads the directory as an artifact.
 blame-smoke:
 	$(GO) run ./cmd/dapper sim -tracker all -attack hammer -nrh 125 -rows-per-bank 1024 -warmup 5 -measure 60 -window 10 -seed 1 -check -out blame-smoke
 

@@ -57,9 +57,9 @@ func with(groups ...[]string) []string {
 }
 
 var commands = []command{
-	{"experiments", "regenerate the paper's tables and figures (records to -out/results.{jsonl,csv})",
+	{"experiments", "regenerate the paper's tables and figures (records to -out/results.jsonl)",
 		[]string{"exp", "profile", "seed", "engine", "jobs", "cache", "out"}, runExperiments},
-	{"batch", "tracker x workload x NRH sweep to -out/batch.{jsonl,csv}",
+	{"batch", "tracker x workload x NRH sweep to -out/batch.jsonl",
 		with([]string{"tracker", "workload", "nrh", "attack", "mode", "window", "attr"}, poolFlags), runBatch},
 	{"audit", "tracker x attack x mode x NRH security conformance matrix",
 		with([]string{"tracker", "workload", "nrh", "attack", "mode", "attr", "count-injected", "check"}, poolFlags), runAudit},
@@ -254,12 +254,8 @@ func (c *cli) saveFile(name string, fill func(io.Writer) error) error {
 	return nil
 }
 
-// writeRecords writes a pool's records to <base>.jsonl and <base>.csv
-// under -out. It prints nothing; each command names the pair its own
-// way.
+// writeRecords writes a pool's records to <base>.jsonl under -out. It
+// prints nothing; each command names the file its own way.
 func (c *cli) writeRecords(base string, recs []harness.Record) error {
-	if err := c.saveFile(base+".jsonl", func(w io.Writer) error { return harness.WriteJSONL(w, recs) }); err != nil {
-		return err
-	}
-	return c.saveFile(base+".csv", func(w io.Writer) error { return harness.WriteCSV(w, recs) })
+	return c.saveFile(base+".jsonl", func(w io.Writer) error { return harness.WriteJSONL(w, recs) })
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -121,9 +120,10 @@ func TestSimAttackNoneRunsFourBenignCores(t *testing.T) {
 }
 
 // TestTimelineReportCarriesSeriesAndBlame: one windowed sim run per
-// tracker writes all four report files, every "window" line carries the series
-// cells and the blame buckets together, and each bucket's window sum is
-// the core's whole-run total on its "core" line.
+// tracker writes both report files, every "window" line carries the
+// series cells and the blame buckets together, each bucket's window sum
+// is the core's whole-run total on its "core" line, and the JSONL and
+// the text view both carry the core-to-core blame matrix.
 func TestTimelineReportCarriesSeriesAndBlame(t *testing.T) {
 	out := t.TempDir()
 	code, stdout, stderr := invoke("sim", "-tracker", "dapper-h,none", "-attack", "hammer", "-nrh", "125",
@@ -135,17 +135,19 @@ func TestTimelineReportCarriesSeriesAndBlame(t *testing.T) {
 		t.Errorf("%d check verdicts, want 2:\n%s", n, stdout)
 	}
 	for _, id := range []string{"dapper-h", "none"} {
-		for _, suffix := range []string{".jsonl", ".csv", ".txt", "-matrix.csv"} {
-			if _, err := os.Stat(filepath.Join(out, "timeline-"+id+suffix)); err != nil {
-				t.Errorf("%s: %v", id, err)
-			}
+		txt, err := os.ReadFile(filepath.Join(out, "timeline-"+id+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(txt), "blame matrix") {
+			t.Errorf("%s: timeline-%s.txt prints no blame matrix", id, id)
 		}
 		f, err := os.Open(filepath.Join(out, "timeline-"+id+".jsonl"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		var windows int
+		var windows, matrix int
 		var sums []map[string]uint64
 		var cores []telemetry.MemBlame
 		sc := bufio.NewScanner(f)
@@ -182,13 +184,15 @@ func TestTimelineReportCarriesSeriesAndBlame(t *testing.T) {
 				}
 			case "core":
 				cores = append(cores, line.Mem)
+			case "matrix":
+				matrix++
 			}
 		}
 		if err := sc.Err(); err != nil {
 			t.Fatal(err)
 		}
-		if windows != 5 || len(cores) != len(sums) {
-			t.Fatalf("%s: %d windows and %d core lines for %d cores, want 5 windows", id, windows, len(cores), len(sums))
+		if windows != 5 || len(cores) != len(sums) || matrix != len(sums) {
+			t.Fatalf("%s: %d windows, %d core and %d matrix lines for %d cores, want 5 windows", id, windows, len(cores), matrix, len(sums))
 		}
 		for i, m := range cores {
 			for b, v := range m.Buckets() {
@@ -219,9 +223,9 @@ func TestSimWithoutWindowWritesNoFile(t *testing.T) {
 
 // TestBatchDefaultsRunLockstep: with the shared defaults a batch sweep
 // carries no telemetry, so the points that share a stream ride one
-// lead in lockstep instead of each running alone. Its batch.jsonl and
-// batch.csv hold one record per point in sweep order (tracker-major,
-// then NRH, then workload), the CSV under its header.
+// lead in lockstep instead of each running alone. Its batch.jsonl
+// holds one record per point in sweep order (tracker-major, then NRH,
+// then workload).
 func TestBatchDefaultsRunLockstep(t *testing.T) {
 	out := t.TempDir()
 	code, stdout, stderr := invoke("batch", "-profile", "tiny", "-tracker", "none,dapper-h,hydra",
@@ -250,33 +254,53 @@ func TestBatchDefaultsRunLockstep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var keys, points []string
+	var points []string
 	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
 		var rec harness.Record
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("batch.jsonl line %q: %v", line, err)
 		}
-		keys = append(keys, rec.Key)
 		points = append(points, fmt.Sprintf("%s/%d/%s", rec.Desc.Tracker, rec.Desc.NRH, rec.Desc.Workload))
 	}
 	if !slices.Equal(points, want) {
 		t.Errorf("batch.jsonl points %v, want %v", points, want)
 	}
-	f, err := os.Open(filepath.Join(out, "batch.csv"))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestCommandsWriteOnlyTheirFiles runs each file-writing command at
+// the tiny profile into a fresh -out: each writes exactly the files it
+// names, one JSONL record per artifact plus the timeline's text view.
+func TestCommandsWriteOnlyTheirFiles(t *testing.T) {
+	cases := []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"batch", "-profile", "tiny", "-tracker", "none", "-workload", "429.mcf", "-nrh", "500", "-attack", "none"},
+			[]string{"batch.jsonl"}},
+		{[]string{"experiments", "-exp", "tab1", "-profile", "tiny"}, []string{"results.jsonl"}},
+		{[]string{"audit", "-profile", "tiny", "-tracker", "none", "-attack", "hammer", "-nrh", "125"},
+			[]string{"audit-matrix.jsonl"}},
+		{[]string{"adversary", "-profile", "tiny", "-tracker", "none", "-budget", "1"}, []string{"adversary-none.jsonl"}},
+		{[]string{"sim", "-tracker", "none", "-attack", "hammer", "-nrh", "125", "-rows-per-bank", "1024",
+			"-warmup", "5", "-measure", "20", "-window", "5"},
+			[]string{"timeline-none.jsonl", "timeline-none.txt"}},
 	}
-	defer f.Close()
-	rows, err := csv.NewReader(f).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1+len(want) || len(rows[0]) < 5 || rows[0][0] != "key" || rows[0][1] != "tracker" {
-		t.Fatalf("batch.csv has %d rows (want a header and %d): %v", len(rows), len(want), rows)
-	}
-	for i, row := range rows[1:] {
-		if got := row[1] + "/" + row[3] + "/" + row[4]; row[0] != keys[i] || got != want[i] {
-			t.Errorf("batch.csv row %d is %s (key %s), want %s (key %s)", i+1, got, row[0], want[i], keys[i])
+	for _, tc := range cases {
+		out := t.TempDir()
+		code, _, stderr := invoke(append(tc.args, "-out", out)...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d: %s", tc.args, code, stderr)
+		}
+		entries, err := os.ReadDir(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range entries {
+			got = append(got, e.Name())
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s wrote %v, want %v", tc.args[0], got, tc.want)
 		}
 	}
 }

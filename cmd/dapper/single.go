@@ -169,8 +169,9 @@ func runSim(c *cli) error {
 // cycle-windowed time-series (per-core IPC, stall split and memory-wait
 // blame; per-channel demand vs injected ACT rate, mitigation rate by
 // kind, queue and tracker-table occupancy), the per-core CPI stacks and
-// the core-to-core blame matrix, to timeline-<id>.{jsonl,csv,txt} and
-// timeline-<id>-matrix.csv. sim.Run has already failed any run whose
+// the core-to-core blame matrix, to timeline-<id>.jsonl (every window
+// cell, then the "core" and "matrix" lines) and timeline-<id>.txt (the
+// ASCII stacks and the matrix). sim.Run has already failed any run whose
 // series or attribution breaks an invariant or disagrees with the DRAM
 // counters, so nothing is re-checked here.
 func (c *cli) writeTimeline(s single, id string, res sim.Result) error {
@@ -190,25 +191,13 @@ func (c *cli) writeTimeline(s single, id string, res sim.Result) error {
 	if err := c.writeFile(name+".jsonl", func(w io.Writer) error { return telemetry.WriteSeriesJSONL(w, ser, a) }); err != nil {
 		return err
 	}
-	if err := c.writeFile(name+".csv", func(w io.Writer) error { return telemetry.WriteSeriesCSV(w, ser) }); err != nil {
-		return err
-	}
-	if err := c.writeFile(name+"-matrix.csv", func(w io.Writer) error { return telemetry.WriteBlameMatrixCSV(w, a) }); err != nil {
-		return err
-	}
 	if err := c.writeFile(name+".txt", func(w io.Writer) error { return telemetry.RenderBlameASCII(w, a, labels) }); err != nil {
 		return err
 	}
-	var wait, mit, inj uint64
-	for _, core := range sim.BenignCores(len(a.Cores)) {
-		m := a.Cores[core].Mem
-		wait += m.Total
-		mit += m.Mitigation
-		inj += m.Inject
-	}
+	m := a.SumMem(sim.BenignCores(len(a.Cores)))
 	fmt.Fprintf(c.stdout, "workload=%s tracker=%s attack=%s NRH=%d: %d windows of %gus over %d cycles (VRR=%d RFMsb=%d DRFMsb=%d bulk=%d), benign wait %d (mitigation %d, inject %d)\n",
 		s.run.Workload, res.TrackerNames[0], s.attack.Name, s.run.NRH, ser.NumWindows(), c.window,
-		ser.Cycles, ser.Totals.VRR, ser.Totals.RFMsb, ser.Totals.DRFMsb, ser.Totals.Bulk, wait, mit, inj)
+		ser.Cycles, ser.Totals.VRR, ser.Totals.RFMsb, ser.Totals.DRFMsb, ser.Totals.Bulk, m.Total, m.Mitigation, m.Inject)
 	return nil
 }
 

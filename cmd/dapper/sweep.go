@@ -48,12 +48,12 @@ func runExperiments(c *cli) error {
 	}
 	fmt.Fprintf(c.stderr, "simulations: %d ran, %d lockstep, %d cache hits, %d deduplicated (of %d requests) on %d workers\n",
 		st.Ran, st.Lockstep, st.CacheHits, st.Submitted-st.Unique, st.Submitted, c.jobs)
-	fmt.Fprintf(c.stderr, "records: %s\n", filepath.Join(c.out, "results.{jsonl,csv}"))
+	fmt.Fprintf(c.stderr, "records: %s\n", filepath.Join(c.out, "results.jsonl"))
 	return nil
 }
 
 // runBatch runs an arbitrary tracker x workload x NRH sweep straight to
-// batch.{jsonl,csv}: every combination is one cached point, and the
+// batch.jsonl: every combination is one cached point, and the
 // points that share a stream run as one lockstep simulation.
 func runBatch(c *cli) error {
 	p, err := c.resolveProfile()
@@ -124,15 +124,15 @@ func runBatch(c *cli) error {
 	if failed > 0 {
 		return fmt.Errorf("%d runs failed", failed)
 	}
-	fmt.Fprintf(c.stdout, "wrote %s and %s\n", filepath.Join(c.out, "batch.jsonl"), filepath.Join(c.out, "batch.csv"))
+	fmt.Fprintf(c.stdout, "wrote %s\n", filepath.Join(c.out, "batch.jsonl"))
 	return nil
 }
 
 // runAudit runs the shadow security oracle over a tracker x attack x
-// mode x NRH sweep and writes audit-matrix.{jsonl,csv}: one row per cell
+// mode x NRH sweep and writes audit-matrix.jsonl: one line per cell
 // with the oracle verdict next to the headline activity counters. The
 // matrix carries no engine tag and no wall-clock, so a rerun — or a run
-// on the other -engine — writes byte-identical files. -check fails
+// on the other -engine — writes a byte-identical file. -check fails
 // unless the insecure baseline ("none") escapes and every real tracker
 // holds.
 func runAudit(c *cli) error {
@@ -189,13 +189,9 @@ func runAudit(c *cli) error {
 				BulkResets: rep.BulkResets, Throttled: res.Tracker.Throttled,
 			}
 			if a := res.Attribution; a != nil {
+				m := a.SumMem(sim.BenignCores(len(a.Cores)))
 				rows[i].Attr = true
-				for _, core := range sim.BenignCores(len(a.Cores)) {
-					m := a.Cores[core].Mem
-					rows[i].BlameMitigation += m.Mitigation
-					rows[i].BlameInject += m.Inject
-					rows[i].BlameThrottle += m.Throttle
-				}
+				rows[i].BlameMitigation, rows[i].BlameInject, rows[i].BlameThrottle = m.Mitigation, m.Inject, m.Throttle
 			}
 			escapes[cell.Tracker] += rep.Escapes
 		}
@@ -205,9 +201,6 @@ func runAudit(c *cli) error {
 		return err
 	}
 	if err := c.writeFile("audit-matrix.jsonl", func(w io.Writer) error { return secaudit.WriteMatrixJSONL(w, rows) }); err != nil {
-		return err
-	}
-	if err := c.writeFile("audit-matrix.csv", func(w io.Writer) error { return secaudit.WriteMatrixCSV(w, rows) }); err != nil {
 		return err
 	}
 
@@ -253,7 +246,7 @@ func checkFailures(c *cli, failures []string) error {
 }
 
 // runAdversary searches the parametric attack space for worst-case
-// attacks against each tracker and writes adversary-<tracker>.{jsonl,csv}:
+// attacks against each tracker and writes adversary-<tracker>.jsonl:
 // the worst-found parameters, their benign-core slowdown against the
 // paper's hand-crafted tailored attack, and the full search trace. The
 // same -seed and -budget produce byte-identical reports.
@@ -295,9 +288,6 @@ func runAdversary(c *cli) error {
 			baselines += rep.BaselineRuns
 			fmt.Fprint(c.stderr, "\r\033[K")
 			if err := c.writeFile("adversary-"+rep.Tracker+".jsonl", rep.WriteJSONL); err != nil {
-				return err
-			}
-			if err := c.writeFile("adversary-"+rep.Tracker+".csv", rep.WriteCSV); err != nil {
 				return err
 			}
 			fmt.Fprintln(c.stdout, rep.Summary())

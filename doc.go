@@ -64,8 +64,8 @@
 // -cache names one, so a rerun of the same suite simulates nothing.
 // Pool.Records hands back
 // the completed records in submission order, and harness.WriteJSONL
-// and WriteCSV write them like every other output, so the files are
-// the same at any worker count. The pool is the one sweep executor:
+// writes them like every other output, so the file is the same at any
+// worker count. The pool is the one sweep executor:
 // dispatch starts at the first Wait or Close, and the jobs submitted by
 // then that drive the same memory stream (harness.Job.Stream, filled by
 // exp.Run.Job for unaudited runs without telemetry or attribution) run
@@ -84,7 +84,7 @@
 // tables are byte-identical at any worker count.
 // `dapper experiments` drives the paper's figures this way; `dapper
 // batch` runs arbitrary tracker x workload x NRH sweeps from flags
-// straight to JSONL/CSV.
+// straight to JSONL.
 //
 // Each -cache entry is a versioned, checksummed envelope written via a
 // temp file and rename. An entry that fails verification is
@@ -251,7 +251,7 @@
 // sweep through the harness (runs carrying the oracle are tagged in the
 // cache key via Descriptor.Audit, so audited and unaudited results
 // never alias), and `dapper audit` renders the sweep as a
-// deterministic JSONL/CSV conformance matrix:
+// deterministic JSONL conformance matrix:
 //
 //	go run ./cmd/dapper audit -profile tiny -tracker all -attack hammer,refresh,streaming -nrh 125 -check
 //
@@ -385,14 +385,13 @@
 // (internal/telemetry/render.go) writes each tracker's report:
 // timeline-<id>.jsonl (a typed "window" line per window with the series
 // cells plus each core's stall split and blame buckets, then the
-// whole-run "core" and "matrix" lines), timeline-<id>.csv (the same
-// windows as columns), timeline-<id>.txt (ASCII CPI stacks, bucket bars
-// and the matrix) and timeline-<id>-matrix.csv. Its -check adds
+// whole-run "core" and "matrix" lines) and timeline-<id>.txt (ASCII
+// CPI stacks, bucket bars and the matrix). Its -check adds
 // Attribution.Validate and Attribution.CheckSeries to the series gates
 // and the other-engine replay (`make blame-smoke` runs it for every
 // tracker under the focused hammer, with the matrices uploaded as an
 // artifact). The sweep reports carry the headline
-// buckets as columns: audit matrix rows and adversary evals
+// buckets as fields: audit matrix rows and adversary evals
 // (blame_mitigation/blame_inject — whether a found slowdown flows
 // through the defense itself or through plain bandwidth contention).
 // Live, internal/diag's BlameAgg taps harness.Options.OnResult and

@@ -49,12 +49,3 @@ func TestReportGoldenJSONL(t *testing.T) {
 	}
 	goldentest.Check(t, "report.jsonl.golden", buf.Bytes())
 }
-
-// TestReportGoldenCSV pins the flat CSV trace table byte-exactly.
-func TestReportGoldenCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := goldenReport().WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	goldentest.Check(t, "report.csv.golden", buf.Bytes())
-}

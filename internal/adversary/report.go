@@ -1,11 +1,9 @@
 package adversary
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 
 	"dapper/internal/attack"
 	"dapper/internal/dram"
@@ -84,8 +82,8 @@ type Report struct {
 
 // WriteJSONL streams the report as JSON lines: one "eval" line per
 // trace entry in evaluation order, then one "summary" line without the
-// trace. The format matches the harness JSONL sink's
-// one-object-per-line convention so the same tooling consumes both.
+// trace. The format matches the harness records' one-object-per-line
+// convention so the same tooling consumes both.
 func (r *Report) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for i := range r.Trace {
@@ -104,44 +102,6 @@ func (r *Report) WriteJSONL(w io.Writer) error {
 		Type string `json:"type"`
 		Report
 	}{"summary", summary})
-}
-
-// WriteCSV writes the search trace as a flat table (one row per
-// evaluation, ending with the summary row), mirroring the harness CSV
-// sink's shape for spreadsheet-side analysis.
-func (r *Report) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"tracker", "workload", "label", "rung", "measure", "norm_perf", "slowdown",
-		"escapes", "max_count", "blame_mitigation", "blame_inject", "params",
-	}); err != nil {
-		return err
-	}
-	row := func(e Eval) []string {
-		return []string{
-			r.Tracker, r.Workload, e.Label,
-			strconv.Itoa(e.Rung), strconv.FormatInt(e.Measure, 10),
-			strconv.FormatFloat(e.NormPerf, 'g', -1, 64),
-			strconv.FormatFloat(e.Slowdown, 'g', -1, 64),
-			strconv.FormatUint(e.Escapes, 10),
-			strconv.FormatUint(uint64(e.MaxCount), 10),
-			strconv.FormatUint(e.BlameMitigation, 10),
-			strconv.FormatUint(e.BlameInject, 10),
-			e.Canonical,
-		}
-	}
-	for _, e := range r.Trace {
-		if err := cw.Write(row(e)); err != nil {
-			return err
-		}
-	}
-	best := row(r.Best)
-	best[2] = "best:" + r.Best.Label
-	if err := cw.Write(best); err != nil {
-		return err
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // Summary returns the one-line human-readable verdict.

@@ -193,11 +193,8 @@ func (ev *evaluator) evalBatch(cands []*candidate, kinds []attack.Kind, measure 
 			Escapes: cands[i].escapes, MaxCount: cands[i].maxCount,
 		}
 		if a := res.Attribution; a != nil {
-			for _, core := range benign {
-				m := a.Cores[core].Mem
-				e.BlameMitigation += m.Mitigation
-				e.BlameInject += m.Inject
-			}
+			m := a.SumMem(benign)
+			e.BlameMitigation, e.BlameInject = m.Mitigation, m.Inject
 		}
 		ev.trace = append(ev.trace, e)
 	}

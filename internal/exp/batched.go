@@ -58,7 +58,7 @@ func (r Run) hasAttacker() bool {
 // rate), so the first group to finish, and with it the first progress
 // and OnResult callback, is the cheapest one rather than whichever
 // workload the request lists first. The records come back in sweep
-// order all the same, ready for harness.WriteJSONL and WriteCSV.
+// order all the same, ready for harness.WriteJSONL.
 func BatchedSweep(req BatchRequest, opt harness.Options) ([]harness.Record, BatchStats, error) {
 	jobs, err := req.Jobs()
 	if err != nil {

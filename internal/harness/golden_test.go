@@ -132,16 +132,3 @@ func TestSinkGoldenJSONL(t *testing.T) {
 	}
 	goldentest.Check(t, "sink.jsonl.golden", buf.Bytes())
 }
-
-// TestSinkGoldenCSV pins WriteCSV's byte-exact output, and that no
-// records write an empty file, header included.
-func TestSinkGoldenCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, nil); err != nil || buf.Len() != 0 {
-		t.Fatalf("no records wrote %q (err %v), want nothing", buf.String(), err)
-	}
-	if err := WriteCSV(&buf, goldenRecords()); err != nil {
-		t.Fatal(err)
-	}
-	goldentest.Check(t, "sink.csv.golden", buf.Bytes())
-}

@@ -21,8 +21,7 @@
 //	         process; the cache only persists across processes.
 //	Record — one completed run. Pool.Records hands them back in
 //	         submission order (not completion order), and WriteJSONL
-//	         and WriteCSV write them, so the files are the same at any
-//	         worker count.
+//	         writes them, so the file is the same at any worker count.
 //
 // Generators fan out by submitting every job they will need, then
 // replaying their table construction against the pool's results —

@@ -44,12 +44,3 @@ func TestMatrixGoldenJSONL(t *testing.T) {
 	}
 	goldentest.Check(t, "matrix.jsonl.golden", buf.Bytes())
 }
-
-// TestMatrixGoldenCSV pins the CSV rendering byte-exactly.
-func TestMatrixGoldenCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteMatrixCSV(&buf, goldenRows()); err != nil {
-		t.Fatal(err)
-	}
-	goldentest.Check(t, "matrix.csv.golden", buf.Bytes())
-}

@@ -1,10 +1,8 @@
 package secaudit
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"io"
-	"strconv"
 )
 
 // MatrixRow is one cell of the tracker x attack x mode x NRH
@@ -35,22 +33,13 @@ type MatrixRow struct {
 	Throttled    uint64 `json:"throttled"`
 
 	// Attr marks rows whose run carried slowdown attribution; the blame
-	// columns aggregate the benign cores' wait cycles lost to the
+	// fields aggregate the benign cores' wait cycles lost to the
 	// mitigation path itself (blocks, injected counter traffic,
 	// throttling) — the security/performance coupling in numbers.
 	Attr            bool   `json:"attr,omitempty"`
 	BlameMitigation uint64 `json:"blame_mitigation,omitempty"`
 	BlameInject     uint64 `json:"blame_inject,omitempty"`
 	BlameThrottle   uint64 `json:"blame_throttle,omitempty"`
-}
-
-// matrixHeader is the fixed CSV column set, mirroring MatrixRow's JSON
-// field order.
-var matrixHeader = []string{
-	"tracker", "tracker_name", "mode", "nrh", "attack", "workload", "profile",
-	"secure", "escapes", "escaped_rows", "max_count", "margin",
-	"acts", "injected_acts", "mitigations", "refreshes", "bulk_resets", "throttled",
-	"attr", "blame_mitigation", "blame_inject", "blame_throttle",
 }
 
 // WriteMatrixJSONL streams rows as one JSON object per line, in the
@@ -63,39 +52,4 @@ func WriteMatrixJSONL(w io.Writer, rows []MatrixRow) error {
 		}
 	}
 	return nil
-}
-
-// WriteMatrixCSV writes the matrix as a flat header+rows table.
-func WriteMatrixCSV(w io.Writer, rows []MatrixRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(matrixHeader); err != nil {
-		return err
-	}
-	for i := range rows {
-		r := &rows[i]
-		rec := []string{
-			r.Tracker, r.TrackerName, r.Mode,
-			strconv.FormatUint(uint64(r.NRH), 10), r.Attack, r.Workload, r.Profile,
-			strconv.FormatBool(r.Secure),
-			strconv.FormatUint(r.Escapes, 10),
-			strconv.Itoa(r.EscapedRows),
-			strconv.FormatUint(uint64(r.MaxCount), 10),
-			strconv.FormatFloat(r.Margin, 'g', -1, 64),
-			strconv.FormatUint(r.ACTs, 10),
-			strconv.FormatUint(r.InjectedACTs, 10),
-			strconv.FormatUint(r.Mitigations, 10),
-			strconv.FormatUint(r.Refreshes, 10),
-			strconv.FormatUint(r.BulkResets, 10),
-			strconv.FormatUint(r.Throttled, 10),
-			strconv.FormatBool(r.Attr),
-			strconv.FormatUint(r.BlameMitigation, 10),
-			strconv.FormatUint(r.BlameInject, 10),
-			strconv.FormatUint(r.BlameThrottle, 10),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

@@ -149,6 +149,23 @@ type Attribution struct {
 	Matrix [][]uint64        `json:"matrix"`
 }
 
+// SumMem returns the memory-blame breakdowns of the given cores summed
+// bucket by bucket, Total included.
+func (a *Attribution) SumMem(cores []int) MemBlame {
+	var b blameBuckets
+	var total uint64
+	for _, c := range cores {
+		m := a.Cores[c].Mem
+		for k, v := range m.Buckets() {
+			b[k] += v
+		}
+		total += m.Total
+	}
+	sum := b.toMemBlame()
+	sum.Total = total
+	return sum
+}
+
 // Validate checks the Attribution's internal conservation: each CPI
 // stack partitions its cycles exactly, each MemBlame's buckets sum to
 // its Total, the matrix is square, and no matrix row claims more

@@ -1,11 +1,9 @@
 package telemetry
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 )
 
@@ -140,94 +138,6 @@ func WriteSeriesJSONL(w io.Writer, s *Series, a *Attribution) error {
 		}
 	}
 	return nil
-}
-
-// WriteSeriesCSV renders the series as one CSV row per window with
-// per-core and per-channel columns (core0_ipc, core0_blame_inject,
-// ch0_vrr, ...), the shape spreadsheet plots want. The stall-split and
-// blame columns appear only when the run collected attribution.
-func WriteSeriesCSV(w io.Writer, s *Series) error {
-	cw := csv.NewWriter(w)
-	hdr := []string{"window", "start", "end"}
-	for i := range s.Cores {
-		hdr = append(hdr,
-			fmt.Sprintf("core%d_ipc", i),
-			fmt.Sprintf("core%d_retired", i),
-			fmt.Sprintf("core%d_stall_frac", i))
-		if s.Blame != nil {
-			hdr = append(hdr, fmt.Sprintf("core%d_stall_rob", i), fmt.Sprintf("core%d_stall_bp", i))
-			for _, name := range BlameBucketNames {
-				hdr = append(hdr, fmt.Sprintf("core%d_blame_%s", i, name))
-			}
-		}
-	}
-	for i, ch := range s.Channels {
-		hdr = append(hdr,
-			fmt.Sprintf("ch%d_demand_act", i), fmt.Sprintf("ch%d_inj_act", i),
-			fmt.Sprintf("ch%d_vrr", i), fmt.Sprintf("ch%d_rfmsb", i),
-			fmt.Sprintf("ch%d_drfmsb", i), fmt.Sprintf("ch%d_bulk", i),
-			fmt.Sprintf("ch%d_ref", i), fmt.Sprintf("ch%d_queue_occ", i),
-			fmt.Sprintf("ch%d_inj_queue_occ", i))
-		if ch.TableUsed != nil {
-			hdr = append(hdr,
-				fmt.Sprintf("ch%d_table_used", i), fmt.Sprintf("ch%d_table_resets", i))
-		}
-	}
-	if err := cw.Write(hdr); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
-	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
-	for i := 0; i < s.NumWindows(); i++ {
-		r := s.row(i)
-		rec := []string{strconv.Itoa(i), strconv.FormatInt(r.Start, 10), strconv.FormatInt(r.End, 10)}
-		for _, c := range r.Cores {
-			rec = append(rec, f(c.IPC), u(c.Retired), f(c.StallFrac))
-			if c.coreBlame != nil {
-				rec = append(rec, u(c.StallROB), u(c.StallBP))
-				for _, v := range c.Buckets() {
-					rec = append(rec, u(v))
-				}
-			}
-		}
-		for _, ch := range r.Chans {
-			rec = append(rec, u(ch.DemandACT), u(ch.InjACT), u(ch.VRR), u(ch.RFMsb),
-				u(ch.DRFMsb), u(ch.Bulk), u(ch.REF), f(ch.QueueOcc), f(ch.InjQueueOcc))
-			if ch.TableUsed != nil {
-				rec = append(rec, strconv.Itoa(*ch.TableUsed), u(*ch.TableResets))
-			}
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteBlameMatrixCSV writes the core→core blame matrix as a flat
-// table: one row per victim, one column per culprit, cells in wait
-// cycles.
-func WriteBlameMatrixCSV(w io.Writer, a *Attribution) error {
-	cw := csv.NewWriter(w)
-	hdr := []string{"victim"}
-	for c := range a.Matrix {
-		hdr = append(hdr, fmt.Sprintf("core%d", c))
-	}
-	if err := cw.Write(hdr); err != nil {
-		return err
-	}
-	for v, row := range a.Matrix {
-		rec := []string{strconv.Itoa(v)}
-		for _, cell := range row {
-			rec = append(rec, strconv.FormatUint(cell, 10))
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // blameBar renders a fixed-width proportional bar; deterministic for

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -66,32 +65,14 @@ func TestWriteSeriesJSONL(t *testing.T) {
 	if first.Cores[0].IPC != 1 {
 		t.Errorf("core ipc = %g, want 1", first.Cores[0].IPC)
 	}
-}
-
-func TestWriteSeriesCSV(t *testing.T) {
-	s := renderFixture(t)
-	var buf bytes.Buffer
-	if err := WriteSeriesCSV(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != s.NumWindows()+1 {
-		t.Fatalf("got %d rows, want header + %d windows", len(rows), s.NumWindows())
-	}
-	hdr := strings.Join(rows[0], ",")
-	for _, col := range []string{"core0_ipc", "ch0_vrr", "ch0_table_used", "ch0_queue_occ"} {
-		if !strings.Contains(hdr, col) {
-			t.Errorf("header missing %s: %s", col, hdr)
-		}
-	}
 	// Final window is the 5-cycle remainder [20,25): its stall fraction
 	// divides by the short length, not the nominal width.
-	last := rows[len(rows)-1]
-	if last[1] != "20" || last[2] != "25" {
-		t.Errorf("last window bounds = %s..%s, want 20..25", last[1], last[2])
+	var last struct{ Start, End int64 }
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+		t.Fatal(err)
+	}
+	if last.Start != 20 || last.End != 25 {
+		t.Errorf("last window bounds = %d..%d, want 20..25", last.Start, last.End)
 	}
 }
 
@@ -103,15 +84,6 @@ func TestRenderOmitsTableColumnsWithoutReporter(t *testing.T) {
 	rec.CoreProbe(0).CoreSegment(0, 20, 20, 20, false)
 	s, _ := finish(t, rec)
 	var buf bytes.Buffer
-	if err := WriteSeriesCSV(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	for _, col := range []string{"table_used", "stall_rob", "blame_"} {
-		if strings.Contains(buf.String(), col) {
-			t.Errorf("CSV must omit %s columns when nothing reports them", col)
-		}
-	}
-	buf.Reset()
 	if err := WriteSeriesJSONL(&buf, s, nil); err != nil {
 		t.Fatal(err)
 	}
