@@ -64,14 +64,25 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecompose -fuzztime=15s ./internal/dram
 	$(GO) test -run=NONE -fuzz=FuzzGroupMemo -fuzztime=15s ./internal/core
 
-# Security conformance smoke: the shadow oracle audits every registered
-# tracker under three tailored attacks and two mitigation-command modes
-# at NRH 125 (tiny profile, seconds). -check enforces the expectation:
-# the insecure baseline must escape, every real tracker must not. The
-# matrix in audit-smoke/ is byte-identical across reruns and across
-# -engine event/cycle; CI uploads it as an artifact.
+# Security conformance smoke: `dapper batch -audit` runs the shadow
+# oracle over every registered tracker under three tailored attacks and
+# two mitigation-command modes at NRH 125 (tiny profile, seconds).
+# -check enforces the expectation: the insecure baseline must escape,
+# every real tracker must not. The same sweep then runs on -engine
+# cycle into audit-smoke/cycle/, and the two batch.jsonl files must be
+# byte-identical once the cache key, the engine tag, the cached flag and
+# the elapsed time are stripped. CI uploads audit-smoke/batch.jsonl as
+# an artifact.
+AUDIT_SMOKE = $(GO) run ./cmd/dapper batch -audit -profile tiny -tracker all -workload 429.mcf -attack hammer,refresh,streaming -mode vrr-br1,rfmsb -nrh 125 -seed 1 -check
 audit-smoke:
-	$(GO) run ./cmd/dapper audit -profile tiny -tracker all -attack hammer,refresh,streaming -mode vrr-br1,rfmsb -nrh 125 -seed 1 -check -out audit-smoke
+	@rm -rf audit-smoke
+	$(AUDIT_SMOKE) -engine event -out audit-smoke
+	$(AUDIT_SMOKE) -engine cycle -out audit-smoke/cycle
+	@norm='s/"key":"[0-9a-f]*",//; s/,"engine":"[a-z]*"//; s/"cached":[a-z]*,//; s/"elapsed_ns":[0-9]*,//'; \
+	sed "$$norm" audit-smoke/cycle/batch.jsonl > audit-smoke/cycle/norm.jsonl; \
+	sed "$$norm" audit-smoke/batch.jsonl | cmp - audit-smoke/cycle/norm.jsonl \
+		|| { echo "audit-smoke FAILED: -engine cycle batch.jsonl differs from -engine event"; exit 1; }; \
+	echo "audit-smoke: $$(wc -l < audit-smoke/batch.jsonl) audited points identical on -engine event and cycle"
 
 # Telemetry smoke: one small windowed `dapper sim` run (-window 10)
 # rendered to telemetry-smoke/timeline-dapper-h.{jsonl,txt}. The run itself fails on a broken series
@@ -83,6 +94,7 @@ audit-smoke:
 # telemetry-smoke/tel/ carries a Perfetto-viewable trace.json CI uploads
 # as an artifact.
 telemetry-smoke:
+	@rm -rf telemetry-smoke
 	$(GO) run ./cmd/dapper sim -tracker dapper-h -attack refresh -nrh 500 -warmup 5 -measure 60 -window 10 -rows-per-bank 1024 -seed 1 -check -out telemetry-smoke
 	$(GO) run ./cmd/dapper batch -profile tiny -tracker dapper-h,none -workload 429.mcf -nrh 500 -attack refresh -window 10 -telemetry telemetry-smoke/tel -out telemetry-smoke
 
@@ -96,6 +108,7 @@ telemetry-smoke:
 # blame matrix ("matrix" lines in the JSONL, a table in the text); CI
 # uploads the directory as an artifact.
 blame-smoke:
+	@rm -rf blame-smoke
 	$(GO) run ./cmd/dapper sim -tracker all -attack hammer -nrh 125 -rows-per-bank 1024 -warmup 5 -measure 60 -window 10 -seed 1 -check -out blame-smoke
 
 # Batched sweep smoke: a tiny sweep through `dapper batch` into a
@@ -172,6 +185,7 @@ bench-smoke:
 # against two trackers (fixed seed, well under a minute). CI uploads
 # the resilience reports it writes to adversary-smoke/.
 adversary-smoke:
+	@rm -rf adversary-smoke
 	$(GO) run ./cmd/dapper adversary -tracker hydra,comet -profile tiny -budget 10 -seed 1 -out adversary-smoke
 
 # The one in-process walkthrough, run so it cannot rot: a DAPPER-H

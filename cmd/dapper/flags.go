@@ -25,11 +25,11 @@ type cli struct {
 	tracker, workload, attack, mode, nrh              string
 	exp, objective                                    string
 
-	seed                       uint64
-	jobs, budget               int
-	window, warmup, measure    float64
-	rowsPerBank                uint
-	attr, check, countInjected bool
+	seed                              uint64
+	jobs, budget                      int
+	window, warmup, measure           float64
+	rowsPerBank                       uint
+	attr, audit, check, countInjected bool
 }
 
 // flagDefs declares every flag exactly once. A flag's default and help
@@ -70,10 +70,10 @@ var flagDefs = map[string]func(*flag.FlagSet, *cli){
 		fs.StringVar(&c.workload, "workload", "429.mcf", "benign workload: a name (dapper list workloads), 'rep' or 'all'; batch takes a comma list")
 	},
 	"attack": func(fs *flag.FlagSet, c *cli) {
-		fs.StringVar(&c.attack, "attack", "refresh", "attack: a named kind, 'hammer' (focused parametric) or 'none' (four benign copies); audit takes a comma list")
+		fs.StringVar(&c.attack, "attack", "refresh", "attack: a named kind, 'hammer' (focused parametric) or 'none' (four benign copies); batch takes a comma list")
 	},
 	"mode": func(fs *flag.FlagSet, c *cli) {
-		fs.StringVar(&c.mode, "mode", "VRR-BR1", "mitigation mode (VRR-BR1|VRR-BR2|RFMsb|DRFMsb); audit takes a comma list")
+		fs.StringVar(&c.mode, "mode", "VRR-BR1", "mitigation mode (VRR-BR1|VRR-BR2|RFMsb|DRFMsb); batch takes a comma list")
 	},
 	"nrh": func(fs *flag.FlagSet, c *cli) {
 		fs.StringVar(&c.nrh, "nrh", "500", "RowHammer threshold; sweeps take a comma list")
@@ -95,6 +95,9 @@ var flagDefs = map[string]func(*flag.FlagSet, *cli){
 	},
 	"exp": func(fs *flag.FlagSet, c *cli) {
 		fs.StringVar(&c.exp, "exp", "all", "experiment id (dapper list experiments) or 'all'")
+	},
+	"audit": func(fs *flag.FlagSet, c *cli) {
+		fs.BoolVar(&c.audit, "audit", false, "attach the shadow security oracle to every run and print each tracker's verdict")
 	},
 	"count-injected": func(fs *flag.FlagSet, c *cli) {
 		fs.BoolVar(&c.countInjected, "count-injected", false, "charge tracker counter traffic in the oracle ledger")

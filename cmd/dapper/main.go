@@ -7,7 +7,7 @@
 //
 //	dapper experiments -exp fig11 -profile quick -jobs 8 -cache .simcache
 //	dapper batch -tracker dapper-h,hydra -workload rep -nrh 125,500,2000
-//	dapper audit -profile tiny -tracker all -nrh 125 -check
+//	dapper batch -audit -profile tiny -tracker all -attack hammer,refresh,streaming -nrh 125 -check
 //	dapper adversary -tracker hydra,comet -profile tiny -budget 10
 //	dapper sim -workload ycsb_a -tracker comet -attack rat-thrash
 //	dapper sim -tracker dapper-h,none -attack hammer -nrh 125 -window 10 -check
@@ -59,10 +59,8 @@ func with(groups ...[]string) []string {
 var commands = []command{
 	{"experiments", "regenerate the paper's tables and figures (records to -out/results.jsonl)",
 		[]string{"exp", "profile", "seed", "engine", "jobs", "cache", "out"}, runExperiments},
-	{"batch", "tracker x workload x NRH sweep to -out/batch.jsonl",
-		with([]string{"tracker", "workload", "nrh", "attack", "mode", "window", "attr"}, poolFlags), runBatch},
-	{"audit", "tracker x attack x mode x NRH security conformance matrix",
-		with([]string{"tracker", "workload", "nrh", "attack", "mode", "attr", "count-injected", "check"}, poolFlags), runAudit},
+	{"batch", "tracker x workload x attack x mode x NRH sweep to -out/batch.jsonl (-audit adds the security verdicts)",
+		with([]string{"tracker", "workload", "nrh", "attack", "mode", "window", "attr", "audit", "count-injected", "check"}, poolFlags), runBatch},
 	{"adversary", "black-box worst-case attack search (-objective perf|escapes)",
 		with([]string{"tracker", "workload", "nrh", "mode", "objective", "budget", "attr"}, poolFlags), runAdversary},
 	{"sim", "one simulation per tracker: IPC, DRAM and tracker statistics (-window adds -out/timeline-<tracker>.* reports)",

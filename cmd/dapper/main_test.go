@@ -30,7 +30,6 @@ func TestBadInvocationsNameTheirFlag(t *testing.T) {
 	}{
 		{[]string{"frobnicate"}, `unknown subcommand "frobnicate"`},
 		{[]string{"batch", "-profile", "tiny", "-tracker", "dapper-h", "-workload", "429.mcf", "-nrh", "0"}, "-nrh"},
-		{[]string{"audit", "-nrh", "125,x"}, "-nrh"},
 		{[]string{"sim", "-nrh", "0"}, "-nrh"},
 		{[]string{"experiments", "-profile", "bogus"}, "-profile"},
 		{[]string{"batch", "-engine", "bogus"}, "-engine"},
@@ -53,7 +52,9 @@ func TestBadInvocationsNameTheirFlag(t *testing.T) {
 		{[]string{"sim", "-tracker", "none", "-rows-per-bank", "4294967297", "-warmup", "1", "-measure", "5"}, "-rows-per-bank"},
 		{[]string{"batch", "-profile", "tiny", "-window", "-1"}, "-window"},
 		{[]string{"batch", "-profile", "tiny", "-window", "1e300"}, "-window"},
-		{[]string{"batch", "-profile", "tiny", "-attack", "hammer"}, "-attack"},
+		{[]string{"batch", "-profile", "tiny", "-mode", "vrr-br1,bogus"}, "-mode"},
+		{[]string{"batch", "-profile", "tiny", "-count-injected"}, "-count-injected"},
+		{[]string{"batch", "-profile", "tiny", "-check"}, "-check"},
 		{[]string{"adversary", "-mix-cores", "3"}, "-mix-cores"},
 		{[]string{"adversary", "-budget", "0"}, "-budget"},
 		{[]string{"adversary", "-budget", "-5"}, "-budget"},
@@ -62,6 +63,7 @@ func TestBadInvocationsNameTheirFlag(t *testing.T) {
 		{[]string{"mix"}, `unknown subcommand "mix"`},
 		{[]string{"attack"}, `unknown subcommand "attack"`},
 		{[]string{"timeline"}, `unknown subcommand "timeline"`},
+		{[]string{"audit", "-profile", "tiny"}, `unknown subcommand "audit"`},
 	}
 	for _, tc := range cases {
 		code, _, stderr := invoke(tc.args...)
@@ -278,8 +280,8 @@ func TestCommandsWriteOnlyTheirFiles(t *testing.T) {
 		{[]string{"batch", "-profile", "tiny", "-tracker", "none", "-workload", "429.mcf", "-nrh", "500", "-attack", "none"},
 			[]string{"batch.jsonl"}},
 		{[]string{"experiments", "-exp", "tab1", "-profile", "tiny"}, []string{"results.jsonl"}},
-		{[]string{"audit", "-profile", "tiny", "-tracker", "none", "-attack", "hammer", "-nrh", "125"},
-			[]string{"audit-matrix.jsonl"}},
+		{[]string{"batch", "-audit", "-profile", "tiny", "-tracker", "none", "-attack", "hammer", "-nrh", "125"},
+			[]string{"batch.jsonl"}},
 		{[]string{"adversary", "-profile", "tiny", "-tracker", "none", "-budget", "1"}, []string{"adversary-none.jsonl"}},
 		{[]string{"sim", "-tracker", "none", "-attack", "hammer", "-nrh", "125", "-rows-per-bank", "1024",
 			"-warmup", "5", "-measure", "20", "-window", "5"},
@@ -302,6 +304,47 @@ func TestCommandsWriteOnlyTheirFiles(t *testing.T) {
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("%s wrote %v, want %v", tc.args[0], got, tc.want)
 		}
+	}
+}
+
+// TestBatchAuditCheck: under -audit -check the insecure baseline must
+// escape. Four benign copies give the oracle nothing to catch, so that
+// sweep fails; the focused hammer makes "none" escape while DAPPER-H
+// holds, so that one passes.
+func TestBatchAuditCheck(t *testing.T) {
+	audit := func(attack, trackers string) (int, string, string, string) {
+		t.Helper()
+		out := t.TempDir()
+		code, stdout, stderr := invoke("batch", "-audit", "-check", "-profile", "tiny", "-workload", "429.mcf",
+			"-tracker", trackers, "-attack", attack, "-nrh", "125", "-out", out)
+		raw, err := os.ReadFile(filepath.Join(out, "batch.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return code, stdout, stderr, string(raw)
+	}
+	code, stdout, stderr, recs := audit("none", "none")
+	if code != 1 || !strings.Contains(stderr, "insecure baseline 'none' showed no escapes") {
+		t.Errorf("-attack none: exit %d, stderr %q; want 1 naming the quiet baseline", code, stderr)
+	}
+	if !strings.Contains(stdout, "  none         secure (0 escapes)\n") {
+		t.Errorf("-attack none: no verdict line for none in:\n%s", stdout)
+	}
+	if strings.Count(recs, "\n") != 1 || !strings.Contains(recs, `"benign4":true`) || !strings.Contains(recs, `"Audit":{`) {
+		t.Errorf("-attack none: want one audited benign4 record, got:\n%s", recs)
+	}
+
+	code, stdout, stderr, recs = audit("hammer", "none,dapper-h")
+	if code != 0 {
+		t.Fatalf("-attack hammer: exit %d: %s", code, stderr)
+	}
+	for _, want := range []string{"  none         INSECURE (", "  dapper-h     secure (0 escapes)\n", "conformance check passed"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("-attack hammer: stdout lacks %q:\n%s", want, stdout)
+		}
+	}
+	if n := strings.Count(recs, `"attack":"parametric"`); n != 2 {
+		t.Errorf("-attack hammer: %d parametric records, want 2:\n%s", n, recs)
 	}
 }
 

@@ -2,17 +2,13 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
 
 	"dapper/internal/adversary"
-	"dapper/internal/attack"
 	"dapper/internal/exp"
 	"dapper/internal/harness"
-	"dapper/internal/secaudit"
-	"dapper/internal/sim"
 )
 
 // runExperiments regenerates the paper's tables and figures (fig1..fig17,
@@ -52,10 +48,22 @@ func runExperiments(c *cli) error {
 	return nil
 }
 
-// runBatch runs an arbitrary tracker x workload x NRH sweep straight to
-// batch.jsonl: every combination is one cached point, and the
-// points that share a stream run as one lockstep simulation.
+// runBatch runs a tracker x workload x NRH sweep under every -mode and
+// -attack straight to batch.jsonl: every combination is one cached
+// point, and the points that share a stream run as one lockstep
+// simulation. With -audit every point carries the shadow security
+// oracle, and batch prints each tracker's verdict summed over all of
+// its points; -check then fails unless the insecure baseline ("none")
+// escapes and every real tracker holds.
 func runBatch(c *cli) error {
+	if !c.audit {
+		if c.countInjected {
+			return flagErr("count-injected", fmt.Errorf("needs -audit"))
+		}
+		if c.check {
+			return flagErr("check", fmt.Errorf("needs -audit"))
+		}
+	}
 	p, err := c.resolveProfile()
 	if err != nil {
 		return err
@@ -63,37 +71,43 @@ func runBatch(c *cli) error {
 	if p.TelemetryWindow, err = cycles("window", c.window, false); err != nil {
 		return err
 	}
-	req := exp.BatchRequest{Profile: p}
-	if req.Trackers, err = c.trackerIDs(); err != nil {
+	base := exp.BatchRequest{Profile: p, Audit: c.audit, CountInjected: c.countInjected}
+	if base.Trackers, err = c.trackerIDs(); err != nil {
 		return err
 	}
-	if req.Workloads, err = c.workloads(); err != nil {
+	if base.Workloads, err = c.workloads(); err != nil {
 		return err
 	}
-	if req.NRHs, err = c.nrhs(); err != nil {
+	if base.NRHs, err = c.nrhs(); err != nil {
 		return err
 	}
-	if req.Mode, err = only("mode", c.modes); err != nil {
-		return err
-	}
-	atk, err := only("attack", c.attacks)
+	modes, err := c.modes()
 	if err != nil {
 		return err
 	}
-	if atk.Point.Params != (attack.Params{}) {
-		return flagErr("attack", fmt.Errorf("batch sweeps attack kinds; %q is a parametric point (use audit or sim)", atk.Name))
+	attacks, err := c.attacks()
+	if err != nil {
+		return err
 	}
-	req.Attack = atk.Point.Kind
+	var jobs []harness.Job
+	for _, mode := range modes {
+		for _, atk := range attacks {
+			req := base
+			req.Mode, req.Attack, req.Params = mode, atk.Point.Kind, atk.Point.Params
+			js, err := req.Jobs()
+			if err != nil {
+				return err
+			}
+			jobs = append(jobs, js...)
+		}
+	}
 	if err := os.MkdirAll(c.out, 0o755); err != nil {
 		return fmt.Errorf("harness: out dir: %w", err)
-	}
-	jobs, err := req.Jobs()
-	if err != nil {
-		return err
 	}
 	//dapper:wallclock sweep elapsed-time for the summary line only
 	start := time.Now()
 	failed := 0
+	escapes := make(map[string]uint64) // by tracker display name
 	var recs []harness.Record
 	st, err := c.withPool(func(pool *harness.Pool) error {
 		futures := make([]*harness.Future, len(jobs))
@@ -101,9 +115,17 @@ func runBatch(c *cli) error {
 			futures[i] = pool.Submit(job)
 		}
 		for _, f := range futures {
-			if _, err := f.Wait(); err != nil {
+			res, err := f.Wait()
+			if err == nil && c.audit && res.Audit == nil {
+				err = fmt.Errorf("run carried no audit report (stale cache entry?)")
+			}
+			if err != nil {
 				fmt.Fprintf(c.stderr, "\n%s: %v\n", f.Desc(), err)
 				failed++
+				continue
+			}
+			if c.audit {
+				escapes[f.Desc().Tracker] += res.Audit.Escapes
 			}
 		}
 		recs = pool.Records()
@@ -125,100 +147,28 @@ func runBatch(c *cli) error {
 		return fmt.Errorf("%d runs failed", failed)
 	}
 	fmt.Fprintf(c.stdout, "wrote %s\n", filepath.Join(c.out, "batch.jsonl"))
+	if c.audit {
+		return auditVerdicts(c, base.Trackers, escapes)
+	}
 	return nil
 }
 
-// runAudit runs the shadow security oracle over a tracker x attack x
-// mode x NRH sweep and writes audit-matrix.jsonl: one line per cell
-// with the oracle verdict next to the headline activity counters. The
-// matrix carries no engine tag and no wall-clock, so a rerun — or a run
-// on the other -engine — writes a byte-identical file. -check fails
-// unless the insecure baseline ("none") escapes and every real tracker
-// holds.
-func runAudit(c *cli) error {
-	p, err := c.resolveProfile()
-	if err != nil {
-		return err
-	}
-	req := exp.SecurityRequest{Profile: p, CountInjected: c.countInjected}
-	if req.Trackers, err = c.trackerIDs(); err != nil {
-		return err
-	}
-	if req.Attacks, err = c.attacks(); err != nil {
-		return err
-	}
-	if req.Modes, err = c.modes(); err != nil {
-		return err
-	}
-	if req.NRHs, err = c.nrhs(); err != nil {
-		return err
-	}
-	if req.Workload, err = only("workload", c.workloads); err != nil {
-		return err
-	}
-	sweep, cells, err := req.Jobs()
-	if err != nil {
-		return err
-	}
-
-	rows := make([]secaudit.MatrixRow, len(cells))
-	escapes := make(map[string]uint64)
-	st, err := c.withPool(func(pool *harness.Pool) error {
-		futs := make([]*harness.Future, len(sweep))
-		for i, job := range sweep {
-			futs[i] = pool.Submit(job)
+// auditVerdicts prints each tracker's oracle verdict and, under -check,
+// fails unless the insecure baseline ("none") escapes and every real
+// tracker holds.
+func auditVerdicts(c *cli, ids []string, escapes map[string]uint64) error {
+	var failures []string
+	for _, id := range ids {
+		name, err := exp.TrackerName(id)
+		if err != nil {
+			return err
 		}
-		for i, f := range futs {
-			cell := cells[i]
-			res, err := f.Wait()
-			if err != nil {
-				return fmt.Errorf("audit %s/%s: %w", cell.Tracker, cell.Attack, err)
-			}
-			rep := res.Audit
-			if rep == nil {
-				return fmt.Errorf("audit %s/%s: run carried no audit report (stale cache entry?)", cell.Tracker, cell.Attack)
-			}
-			rows[i] = secaudit.MatrixRow{
-				Tracker: cell.Tracker, TrackerName: cell.TrackerName,
-				Mode: cell.Mode.String(), NRH: cell.NRH, Attack: cell.Attack,
-				Workload: cell.Workload, Profile: p.Name,
-				Secure: rep.Secure(), Escapes: rep.Escapes,
-				EscapedRows: rep.EscapedRows, MaxCount: rep.MaxCount, Margin: rep.Margin,
-				ACTs: rep.ACTs, InjectedACTs: rep.InjectedACTs,
-				Mitigations: rep.Mitigations, Refreshes: rep.Refreshes,
-				BulkResets: rep.BulkResets, Throttled: res.Tracker.Throttled,
-			}
-			if a := res.Attribution; a != nil {
-				m := a.SumMem(sim.BenignCores(len(a.Cores)))
-				rows[i].Attr = true
-				rows[i].BlameMitigation, rows[i].BlameInject, rows[i].BlameThrottle = m.Mitigation, m.Inject, m.Throttle
-			}
-			escapes[cell.Tracker] += rep.Escapes
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if err := c.writeFile("audit-matrix.jsonl", func(w io.Writer) error { return secaudit.WriteMatrixJSONL(w, rows) }); err != nil {
-		return err
-	}
-
-	fmt.Fprintf(c.stdout, "conformance matrix: %d cells (%d unique runs, %d simulated, %d cache hits)\n",
-		len(rows), st.Unique, st.Ran, st.CacheHits)
-	for _, id := range req.Trackers {
+		n := escapes[name]
 		verdict := "secure (0 escapes)"
-		if n := escapes[id]; n > 0 {
+		if n > 0 {
 			verdict = fmt.Sprintf("INSECURE (%d escapes)", n)
 		}
 		fmt.Fprintf(c.stdout, "  %-12s %s\n", id, verdict)
-	}
-	if !c.check {
-		return nil
-	}
-	var failures []string
-	for _, id := range req.Trackers {
-		n := escapes[id]
 		if id == "none" && n == 0 {
 			failures = append(failures, "insecure baseline 'none' showed no escapes — the oracle or the tailored attacks lost their teeth")
 		}
@@ -226,22 +176,16 @@ func runAudit(c *cli) error {
 			failures = append(failures, fmt.Sprintf("tracker %q let %d escapes through", id, n))
 		}
 	}
-	if err := checkFailures(c, failures); err != nil {
-		return err
+	if !c.check {
+		return nil
 	}
-	fmt.Fprintln(c.stdout, "conformance check passed: baseline escapes, every tracker holds")
-	return nil
-}
-
-// checkFailures prints each -check failure on stderr and turns any of
-// them into an error.
-func checkFailures(c *cli, failures []string) error {
 	for _, f := range failures {
 		fmt.Fprintf(c.stderr, "check FAILED: %s\n", f)
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("check failed (%d violations)", len(failures))
 	}
+	fmt.Fprintln(c.stdout, "conformance check passed: baseline escapes, every tracker holds")
 	return nil
 }
 

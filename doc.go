@@ -222,7 +222,7 @@
 // Report.WriteJSONL writes the JSONL the subcommand saves as
 // adversary-<tracker>.jsonl.
 //
-// # Shadow security oracle (internal/secaudit, dapper audit)
+// # Shadow security oracle (internal/secaudit, dapper batch -audit)
 //
 // Performance is only half of a defense evaluation; the other half is
 // whether the tracker actually holds its guarantee. internal/secaudit
@@ -247,23 +247,29 @@
 // event and cycle engines, making the oracle a second, independent
 // equivalence check on the time-skip engine.
 //
-// exp.SecurityRequest fans a tracker x attack x mode x NRH conformance
-// sweep through the harness (runs carrying the oracle are tagged in the
-// cache key via Descriptor.Audit, so audited and unaudited results
-// never alias), and `dapper audit` renders the sweep as a
-// deterministic JSONL conformance matrix:
+// The conformance sweep is an ordinary batch sweep with the oracle
+// attached: exp.BatchRequest's Audit (and CountInjected) reach every
+// run, and runs carrying the oracle are tagged in the cache key via
+// Descriptor.Audit, so audited and unaudited results never alias.
+// `dapper batch -audit` submits one request per -mode and -attack,
+// writes each point's Result, its Audit report included, to
+// batch.jsonl, and prints each tracker's verdict summed over all of
+// its points:
 //
-//	go run ./cmd/dapper audit -profile tiny -tracker all -attack hammer,refresh,streaming -nrh 125 -check
+//	go run ./cmd/dapper batch -audit -profile tiny -tracker all -attack hammer,refresh,streaming -nrh 125 -check
 //
 // -check enforces the conformance expectation: the insecure baseline
 // ("none") must escape under the tailored attacks while every real
-// tracker reports zero. `make audit-smoke` is the CI-pinned variant;
-// the matrix is byte-identical across reruns and across -engine
-// event/cycle. The adversary search can hunt escapes directly with
-// `-objective escapes`: candidates are then ranked by oracle verdict
-// (escapes, then max charge) with slowdown as the tie-break, seeding
-// the conformance matrix's focused-hammer point alongside the named
-// kinds. `dapper audit` is the one entry point; in process, a
+// tracker reports zero. Audited points run the same shape as every
+// other batch point (exp's dapperRun), so a streaming point runs on the
+// scaled DAPPER geometry and `-attack none` on four benign copies.
+// `make audit-smoke` is the CI-pinned variant; it reruns the sweep on
+// -engine cycle and requires the same batch.jsonl once the cache key,
+// engine tag, cached flag and elapsed time are stripped. The adversary
+// search can hunt escapes directly with `-objective escapes`:
+// candidates are then ranked by oracle verdict (escapes, then max
+// charge) with slowdown as the tie-break, seeding the focused-hammer
+// point (exp.AuditAttacks) alongside the named kinds. In process, a
 // secaudit.New oracle's Sink method is the sim.Config.Sink factory, and
 // its Report is read once the run returns.
 //
@@ -324,7 +330,7 @@
 // and harness.Pool.Stats exposes live submitted/deduplicated/ran/
 // cache-hit/error counters with elapsed-time aggregates (cache hits and
 // misses stay zero without -cache). Every sweep
-// subcommand (experiments, batch, audit, adversary) takes
+// subcommand (experiments, batch, adversary) takes
 // -telemetry dir/ to write trace.json + counters.json after the run,
 // and -debug-addr to serve the same counters live over HTTP
 // (internal/diag: expvar at /debug/vars plus the pprof handlers) while
@@ -390,10 +396,10 @@
 // Attribution.Validate and Attribution.CheckSeries to the series gates
 // and the other-engine replay (`make blame-smoke` runs it for every
 // tracker under the focused hammer, with the matrices uploaded as an
-// artifact). The sweep reports carry the headline
-// buckets as fields: audit matrix rows and adversary evals
+// artifact). The adversary evals carry the headline buckets as fields
 // (blame_mitigation/blame_inject — whether a found slowdown flows
-// through the defense itself or through plain bandwidth contention).
+// through the defense itself or through plain bandwidth contention),
+// and every -attr batch record carries the whole Attribution.
 // Live, internal/diag's BlameAgg taps harness.Options.OnResult and
 // serves the accumulating per-core stacks at /debug/vars under
 // "blame" while a sweep runs. `dapper sim -tracker dapper-h,none

@@ -26,7 +26,7 @@ const (
 	// and candidates are ranked by escapes, then by the maximum hammer
 	// count reached, with slowdown as the final tie-break. Against a
 	// sound tracker the search should end with Best.Escapes == 0 — the
-	// black-box complement of the conformance matrix.
+	// black-box complement of the `dapper batch -audit` sweep.
 	ObjectiveEscapes Objective = "escapes"
 )
 
@@ -249,7 +249,7 @@ func Search(opts Options, pool *harness.Pool) (*Report, error) {
 		}})
 	}
 	if opts.Objective == ObjectiveEscapes {
-		// The escape hunt additionally seeds the conformance matrix's
+		// The escape hunt additionally seeds the audit sweep's
 		// tailored attack points (the focused hammer): the named
 		// kinds all fan out over every bank, which dilutes per-row
 		// activation rates far below what an escape needs.

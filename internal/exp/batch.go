@@ -10,7 +10,8 @@ import (
 )
 
 // BatchRequest describes an arbitrary tracker x workload x NRH sweep
-// (`dapper batch`). Every combination becomes one job; geometry and
+// under one attack and one mode (`dapper batch` submits one request per
+// mode and attack). Every combination becomes one job; geometry and
 // windows follow the same attack-dependent selection the paper's
 // DAPPER figures use (dapperRun).
 type BatchRequest struct {
@@ -18,8 +19,13 @@ type BatchRequest struct {
 	Workloads []workloads.Workload
 	NRHs      []uint32
 	Attack    attack.Kind
+	Params    attack.Params // the parametric point, consulted when Attack == attack.Parametric
 	Mode      rh.MitigationMode
 	Profile   Profile
+	// Audit attaches the shadow security oracle to every run, so each
+	// Result carries its escapes and count margins; CountInjected also
+	// charges tracker counter traffic against its ledger.
+	Audit, CountInjected bool
 }
 
 // runs expands the request into validated runs in deterministic sweep
@@ -33,6 +39,8 @@ func (req BatchRequest) runs() ([]Run, error) {
 		for _, nrh := range req.NRHs {
 			for _, w := range req.Workloads {
 				run := req.Profile.dapperRun(w, id, req.Mode, req.Attack, nrh, req.Attack == attack.None)
+				run.Attack.Params = req.Params
+				run.Audit, run.CountInjected = req.Audit, req.CountInjected
 				if err := run.Validate(); err != nil {
 					return nil, err
 				}

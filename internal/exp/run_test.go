@@ -195,10 +195,8 @@ func TestRunKeyContinuity(t *testing.T) {
 	ws := []workloads.Workload{w}
 	tp := p
 	tp.TelemetryWindow, tp.Attribution = dram.US(10), true
-	hammer := p.BaseRun()
-	hammer.Tracker, hammer.Mode, hammer.NRH, hammer.Workload = "para", rh.RFMsb, 125, w.Name
-	hammer.Attack = AttackPoint{Kind: attack.Parametric, Params: hammerParams()}
-	hammer.Audit, hammer.CountInjected = true, true
+	hammer := batch(BatchRequest{Trackers: []string{"para"}, Workloads: ws, NRHs: []uint32{125},
+		Attack: attack.Parametric, Params: hammerParams(), Mode: rh.RFMsb, Profile: p, Audit: true, CountInjected: true})
 	adv := p.BaseRun()
 	adv.Tracker, adv.NRH, adv.Workload, adv.Measure = "comet", 250, w.Name, dram.US(10)
 	adv.Attack = AttackPoint{Kind: attack.Parametric, Params: attack.Params{

@@ -1,6 +1,6 @@
 // Package goldentest is the shared byte-exact golden-fixture helper
 // behind every serialized-artifact test (harness sinks, adversary
-// reports, the audit matrix, pinned simulation Results). Fixtures live
+// reports, attack-kind digests, pinned simulation Results). Fixtures live
 // under the calling package's testdata/ directory; run the package's
 // tests with -update to rewrite them after a deliberate, reviewed
 // change.
