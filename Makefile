@@ -182,11 +182,14 @@ bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
 # Worst-case attack search smoke: a deterministic tiny-profile search
-# against two trackers (fixed seed, well under a minute). CI uploads
-# the resilience reports it writes to adversary-smoke/.
+# against two trackers (fixed seed, well under a minute), then an
+# escape hunt (-objective escapes, every point audited) against Hydra.
+# CI uploads the resilience reports it writes to adversary-smoke/ and
+# adversary-smoke/escapes/.
 adversary-smoke:
 	@rm -rf adversary-smoke
 	$(GO) run ./cmd/dapper adversary -tracker hydra,comet -profile tiny -budget 10 -seed 1 -out adversary-smoke
+	$(GO) run ./cmd/dapper adversary -objective escapes -tracker hydra -profile tiny -budget 6 -seed 1 -out adversary-smoke/escapes
 
 # The one in-process walkthrough, run so it cannot rot: a DAPPER-H
 # tracker fed scattered, then hammered activations (under a second).

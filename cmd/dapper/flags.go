@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	"dapper/internal/attack"
 	"dapper/internal/dram"
 	"dapper/internal/exp"
 	"dapper/internal/rh"
@@ -70,7 +71,7 @@ var flagDefs = map[string]func(*flag.FlagSet, *cli){
 		fs.StringVar(&c.workload, "workload", "429.mcf", "benign workload: a name (dapper list workloads), 'rep' or 'all'; batch takes a comma list")
 	},
 	"attack": func(fs *flag.FlagSet, c *cli) {
-		fs.StringVar(&c.attack, "attack", "refresh", "attack: a named kind, 'hammer' (focused parametric) or 'none' (four benign copies); batch takes a comma list")
+		fs.StringVar(&c.attack, "attack", "refresh", "attack kind, or 'none' (four benign copies); batch takes a comma list")
 	},
 	"mode": func(fs *flag.FlagSet, c *cli) {
 		fs.StringVar(&c.mode, "mode", "VRR-BR1", "mitigation mode (VRR-BR1|VRR-BR2|RFMsb|DRFMsb); batch takes a comma list")
@@ -201,9 +202,9 @@ func (c *cli) modes() ([]rh.MitigationMode, error) {
 	return parseList("mode", c.mode, rh.ParseMode)
 }
 
-// attacks resolves -attack: "hammer", a named kind, or "none".
-func (c *cli) attacks() ([]exp.SecurityAttack, error) {
-	return parseList("attack", c.attack, exp.ParseAuditAttack)
+// attacks resolves -attack: a named kind, or "none".
+func (c *cli) attacks() ([]attack.Kind, error) {
+	return parseList("attack", c.attack, attack.ParseKind)
 }
 
 // workloads resolves -workload: each comma-list element is a workload

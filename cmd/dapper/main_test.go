@@ -343,8 +343,47 @@ func TestBatchAuditCheck(t *testing.T) {
 			t.Errorf("-attack hammer: stdout lacks %q:\n%s", want, stdout)
 		}
 	}
-	if n := strings.Count(recs, `"attack":"parametric"`); n != 2 {
-		t.Errorf("-attack hammer: %d parametric records, want 2:\n%s", n, recs)
+	if n := strings.Count(recs, `"attack":"hammer"`); n != 2 {
+		t.Errorf("-attack hammer: %d hammer records, want 2:\n%s", n, recs)
+	}
+}
+
+// TestBatchAuditVerdictSumsRecords: the verdict counts each unique
+// point once. The insecure baseline ignores -mode, so both modes share
+// one run and one batch.jsonl record; its verdict must print that
+// record's escapes, not their sum over the two submitted points.
+func TestBatchAuditVerdictSumsRecords(t *testing.T) {
+	out := t.TempDir()
+	code, stdout, stderr := invoke("batch", "-audit", "-profile", "tiny", "-workload", "429.mcf",
+		"-tracker", "none", "-attack", "hammer", "-mode", "vrr-br1,rfmsb", "-nrh", "125", "-out", out)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	f, err := os.Open(filepath.Join(out, "batch.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var sum uint64
+	n := 0
+	for dec := json.NewDecoder(f); dec.More(); n++ {
+		var rec struct {
+			Result struct {
+				Audit struct {
+					Escapes uint64 `json:"escapes"`
+				}
+			} `json:"result"`
+		}
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		sum += rec.Result.Audit.Escapes
+	}
+	if n != 1 || sum == 0 {
+		t.Fatalf("want one escaping record, got %d records with %d escapes", n, sum)
+	}
+	if want := fmt.Sprintf("  none         INSECURE (%d escapes)\n", sum); !strings.Contains(stdout, want) {
+		t.Errorf("stdout lacks %q (the batch.jsonl sum):\n%s", want, stdout)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 // attack is "none" — the same co-run the paper's figures use.
 type single struct {
 	trackers []string
-	attack   exp.SecurityAttack
 	run      exp.Run // every field but the tracker
 }
 
@@ -49,11 +48,10 @@ func (c *cli) resolveSingle() (single, error) {
 		return s, err
 	}
 	s.run.Workload = w.Name
-	if s.attack, err = only("attack", c.attacks); err != nil {
+	if s.run.Attack.Kind, err = only("attack", c.attacks); err != nil {
 		return s, err
 	}
-	s.run.Attack = s.attack.Point
-	s.run.Benign4 = s.attack.Point.Kind == attack.None
+	s.run.Benign4 = s.run.Attack.Kind == attack.None
 	if s.run.NRH, err = only("nrh", c.nrhs); err != nil {
 		return s, err
 	}
@@ -136,10 +134,10 @@ func runSim(c *cli) error {
 			return fmt.Errorf("%s: %w", id, err)
 		}
 		fmt.Fprintf(c.stdout, "workload=%s tracker=%s attack=%s NRH=%d measure=%gus\n",
-			s.run.Workload, res.TrackerNames[0], s.attack.Name, s.run.NRH, c.measure)
+			s.run.Workload, res.TrackerNames[0], s.run.Attack.Kind, s.run.NRH, c.measure)
 		for i, ipc := range res.IPC {
 			role := "benign"
-			if i == 3 && s.attack.Point.Kind != attack.None {
+			if i == 3 && s.run.Attack.Kind != attack.None {
 				role = "attacker"
 			}
 			fmt.Fprintf(c.stdout, "  core %d (%s): IPC %.3f (%d instructions)\n", i, role, ipc, res.Instructions[i])
@@ -184,8 +182,8 @@ func (c *cli) writeTimeline(s single, id string, res sim.Result) error {
 	for i := range labels {
 		labels[i] = s.run.Workload
 	}
-	if s.attack.Point.Kind != attack.None {
-		labels[len(labels)-1] = "!" + s.attack.Name
+	if s.run.Attack.Kind != attack.None {
+		labels[len(labels)-1] = "!" + s.run.Attack.Kind.String()
 	}
 	name := "timeline-" + id
 	if err := c.writeFile(name+".jsonl", func(w io.Writer) error { return telemetry.WriteSeriesJSONL(w, ser, a) }); err != nil {
@@ -196,7 +194,7 @@ func (c *cli) writeTimeline(s single, id string, res sim.Result) error {
 	}
 	m := a.SumMem(sim.BenignCores(len(a.Cores)))
 	fmt.Fprintf(c.stdout, "workload=%s tracker=%s attack=%s NRH=%d: %d windows of %gus over %d cycles (VRR=%d RFMsb=%d DRFMsb=%d bulk=%d), benign wait %d (mitigation %d, inject %d)\n",
-		s.run.Workload, res.TrackerNames[0], s.attack.Name, s.run.NRH, ser.NumWindows(), c.window,
+		s.run.Workload, res.TrackerNames[0], s.run.Attack.Kind, s.run.NRH, ser.NumWindows(), c.window,
 		ser.Cycles, ser.Totals.VRR, ser.Totals.RFMsb, ser.Totals.DRFMsb, ser.Totals.Bulk, m.Total, m.Mitigation, m.Inject)
 	return nil
 }

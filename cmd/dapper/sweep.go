@@ -52,9 +52,10 @@ func runExperiments(c *cli) error {
 // -attack straight to batch.jsonl: every combination is one cached
 // point, and the points that share a stream run as one lockstep
 // simulation. With -audit every point carries the shadow security
-// oracle, and batch prints each tracker's verdict summed over all of
-// its points; -check then fails unless the insecure baseline ("none")
-// escapes and every real tracker holds.
+// oracle, and batch prints each tracker's verdict summed over its
+// records in batch.jsonl (one per unique point, so a tracker that
+// ignores -mode counts its shared run once); -check then fails unless
+// the insecure baseline ("none") escapes and every real tracker holds.
 func runBatch(c *cli) error {
 	if !c.audit {
 		if c.countInjected {
@@ -93,7 +94,7 @@ func runBatch(c *cli) error {
 	for _, mode := range modes {
 		for _, atk := range attacks {
 			req := base
-			req.Mode, req.Attack, req.Params = mode, atk.Point.Kind, atk.Point.Params
+			req.Mode, req.Attack = mode, atk
 			js, err := req.Jobs()
 			if err != nil {
 				return err
@@ -107,7 +108,6 @@ func runBatch(c *cli) error {
 	//dapper:wallclock sweep elapsed-time for the summary line only
 	start := time.Now()
 	failed := 0
-	escapes := make(map[string]uint64) // by tracker display name
 	var recs []harness.Record
 	st, err := c.withPool(func(pool *harness.Pool) error {
 		futures := make([]*harness.Future, len(jobs))
@@ -122,10 +122,6 @@ func runBatch(c *cli) error {
 			if err != nil {
 				fmt.Fprintf(c.stderr, "\n%s: %v\n", f.Desc(), err)
 				failed++
-				continue
-			}
-			if c.audit {
-				escapes[f.Desc().Tracker] += res.Audit.Escapes
 			}
 		}
 		recs = pool.Records()
@@ -148,15 +144,19 @@ func runBatch(c *cli) error {
 	}
 	fmt.Fprintf(c.stdout, "wrote %s\n", filepath.Join(c.out, "batch.jsonl"))
 	if c.audit {
-		return auditVerdicts(c, base.Trackers, escapes)
+		return auditVerdicts(c, base.Trackers, recs)
 	}
 	return nil
 }
 
-// auditVerdicts prints each tracker's oracle verdict and, under -check,
-// fails unless the insecure baseline ("none") escapes and every real
-// tracker holds.
-func auditVerdicts(c *cli, ids []string, escapes map[string]uint64) error {
+// auditVerdicts prints each tracker's oracle verdict, its escapes
+// summed over recs, and, under -check, fails unless the insecure
+// baseline ("none") escapes and every real tracker holds.
+func auditVerdicts(c *cli, ids []string, recs []harness.Record) error {
+	escapes := make(map[string]uint64) // by tracker display name
+	for _, r := range recs {
+		escapes[r.Desc.Tracker] += r.Result.Audit.Escapes
+	}
 	var failures []string
 	for _, id := range ids {
 		name, err := exp.TrackerName(id)

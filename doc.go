@@ -215,8 +215,9 @@
 //
 //	go run ./cmd/dapper adversary -tracker hydra,comet,dapper-h -profile tiny -budget 10 -seed 1
 //
-// `make adversary-smoke` runs the CI-pinned variant and uploads the
-// JSONL reports as a CI artifact. `dapper adversary` is the one entry
+// `make adversary-smoke` runs the CI-pinned variant, plus a short
+// `-objective escapes` hunt against Hydra, and uploads the JSONL
+// reports as a CI artifact. `dapper adversary` is the one entry
 // point; in process, adversary.Search(opts, pool) returns the Report
 // (the caller owns the pool, which can serve many searches), and
 // Report.WriteJSONL writes the JSONL the subcommand saves as
@@ -253,8 +254,8 @@
 // Descriptor.Audit, so audited and unaudited results never alias.
 // `dapper batch -audit` submits one request per -mode and -attack,
 // writes each point's Result, its Audit report included, to
-// batch.jsonl, and prints each tracker's verdict summed over all of
-// its points:
+// batch.jsonl, and prints each tracker's verdict summed over its
+// records there (one per unique point):
 //
 //	go run ./cmd/dapper batch -audit -profile tiny -tracker all -attack hammer,refresh,streaming -nrh 125 -check
 //
@@ -268,8 +269,9 @@
 // engine tag, cached flag and elapsed time are stripped. The adversary
 // search can hunt escapes directly with `-objective escapes`:
 // candidates are then ranked by oracle verdict (escapes, then max
-// charge) with slowdown as the tie-break, seeding the focused-hammer
-// point (exp.AuditAttacks) alongside the named kinds. In process, a
+// charge) with slowdown as the tie-break, seeded, like the slowdown
+// search, with every named kind, the focused hammer (attack.Hammer)
+// included. In process, a
 // secaudit.New oracle's Sink method is the sim.Config.Sink factory, and
 // its Report is read once the run returns.
 //

@@ -248,21 +248,6 @@ func Search(opts Options, pool *harness.Pool) (*Report, error) {
 			Label: "kind:" + k.String(), Params: p, Canonical: p.Canonical(),
 		}})
 	}
-	if opts.Objective == ObjectiveEscapes {
-		// The escape hunt additionally seeds the audit sweep's
-		// tailored attack points (the focused hammer): the named
-		// kinds all fan out over every bank, which dilutes per-row
-		// activation rates far below what an escape needs.
-		for _, sa := range exp.AuditAttacks() {
-			if sa.Point.Kind != attack.Parametric {
-				continue
-			}
-			p := sa.Point.Params
-			cands = append(cands, &candidate{Candidate: Candidate{
-				Label: "audit:" + sa.Name, Params: p, Canonical: p.Canonical(),
-			}})
-		}
-	}
 	climbBudget := opts.Budget / 4
 	screenWeight := 2 - math.Pow(2, float64(1-rungs))
 	n0 := int(float64(opts.Budget-climbBudget) / screenWeight)

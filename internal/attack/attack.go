@@ -50,6 +50,11 @@ const (
 	// Mapping-Agnostic refresh attack on DAPPER-S/H (§V-E), maximising
 	// mitigative refreshes.
 	Refresh
+	// Hammer is the focused two-row hammer: Refresh's row pair
+	// concentrated on 8 banks, so each hot row is re-activated at the
+	// tRC limit. It maximizes per-row activation counts, forcing
+	// escapes on the insecure baseline in the security audit.
+	Hammer
 	// Parametric replays an explicit Params point of the attack space
 	// (Config.Params). Every other kind is the point PointFor returns
 	// for it; internal/adversary searches the space for worst-case
@@ -73,6 +78,8 @@ func (k Kind) String() string {
 		return "distinct-rows"
 	case Refresh:
 		return "refresh"
+	case Hammer:
+		return "hammer"
 	case Parametric:
 		return "parametric"
 	}
@@ -82,7 +89,7 @@ func (k Kind) String() string {
 // Kinds returns every attack kind in declaration order.
 func Kinds() []Kind {
 	return []Kind{None, CacheThrash, HydraConflict, StreamingSweep,
-		RATThrash, DistinctRows, Refresh, Parametric}
+		RATThrash, DistinctRows, Refresh, Hammer, Parametric}
 }
 
 // ParseKind returns the kind whose String() matches name

@@ -9,7 +9,7 @@ import (
 
 func TestAllAttacksLineAligned(t *testing.T) {
 	g := geo()
-	for _, k := range []Kind{CacheThrash, HydraConflict, StreamingSweep, RATThrash, DistinctRows, Refresh} {
+	for _, k := range []Kind{CacheThrash, HydraConflict, StreamingSweep, RATThrash, DistinctRows, Refresh, Hammer} {
 		tr := MustTrace(Config{Geometry: g, NRH: 500, Kind: k})
 		for i := 0; i < 200; i++ {
 			if addr := cpu.StripNC(tr.Next().Addr); addr&63 != 0 {
@@ -21,7 +21,7 @@ func TestAllAttacksLineAligned(t *testing.T) {
 
 func TestAllAttacksAreMemoryBound(t *testing.T) {
 	g := geo()
-	for _, k := range []Kind{CacheThrash, HydraConflict, StreamingSweep, RATThrash, DistinctRows, Refresh} {
+	for _, k := range []Kind{CacheThrash, HydraConflict, StreamingSweep, RATThrash, DistinctRows, Refresh, Hammer} {
 		tr := MustTrace(Config{Geometry: g, NRH: 500, Kind: k})
 		for i := 0; i < 50; i++ {
 			if tr.Next().Bubbles != 0 {
@@ -36,7 +36,7 @@ func TestAllAttacksAreMemoryBound(t *testing.T) {
 // 1000..1383.
 func TestAttackAddressesDecomposable(t *testing.T) {
 	for _, g := range []dram.Geometry{geo(), dram.Scaled(1024)} {
-		for _, k := range []Kind{HydraConflict, StreamingSweep, RATThrash, DistinctRows, Refresh} {
+		for _, k := range []Kind{HydraConflict, StreamingSweep, RATThrash, DistinctRows, Refresh, Hammer} {
 			tr := MustTrace(Config{Geometry: g, NRH: 500, Kind: k})
 			for i := 0; i < 500; i++ {
 				addr := cpu.StripNC(tr.Next().Addr)

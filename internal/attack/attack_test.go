@@ -32,7 +32,7 @@ func TestForTrackerMapping(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
-	for _, k := range []Kind{None, CacheThrash, HydraConflict, StreamingSweep, RATThrash, DistinctRows, Refresh} {
+	for _, k := range []Kind{None, CacheThrash, HydraConflict, StreamingSweep, RATThrash, DistinctRows, Refresh, Hammer} {
 		if k.String() == "unknown" {
 			t.Fatalf("kind %d has no name", k)
 		}

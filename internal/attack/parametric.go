@@ -349,7 +349,7 @@ func (t *parametric) Next() cpu.Record {
 	return t.steady.next(&t.rng)
 }
 
-// refreshRowA/B are the Refresh attack's hammered pair (arbitrary, away
+// refreshRowA/B are the Refresh and Hammer attacks' hammered pair (arbitrary, away
 // from bank edges and from each other's blast radius).
 const (
 	refreshRowA = 7
@@ -379,14 +379,19 @@ func PointFor(kind Kind, g dram.Geometry, nrh uint32) (Params, bool) {
 		// The row advances on every access, so no two consecutive ACTs
 		// share a row ID (ABACUS's Misra-Gries keys).
 		return Params{Steady: Pattern{Rows: int(g.RowsPerBank), RowHold: 1}}, true
-	case Refresh:
+	case Refresh, Hammer:
 		// Two rows per bank, alternating so every access closes the
 		// other row and forces an activation under the open-page
-		// policy: the hammer pair of §V-D.
-		return Params{Steady: Pattern{
+		// policy: the hammer pair of §V-D. Hammer keeps the pair on 8
+		// banks, so the rotor returns to each row at the tRC limit.
+		p := Params{Steady: Pattern{
 			HotFrac: 1, HotRows: 2,
 			HotBase: refreshRowA, HotStride: refreshRowB - refreshRowA,
-		}}, true
+		}}
+		if kind == Hammer {
+			p.Steady.Banks = 8
+		}
+		return p, true
 	case RATThrash:
 		// 1.5x CoMeT's 128-entry RAT of aggressor rows per channel (the
 		// RAT is per channel), several per bank, so every revisit of a

@@ -61,14 +61,15 @@ func TestEngineEquivalenceAttributionSweep(t *testing.T) {
 		}
 	}
 	for _, id := range []string{"dapper-h", "blockhammer", "hydra"} {
-		for _, atk := range []string{"none", "hammer"} {
-			t.Run(id+"/"+atk, func(t *testing.T) {
+		for _, atk := range []attack.Kind{attack.None, attack.Hammer} {
+			t.Run(id+"/"+atk.String(), func(t *testing.T) {
 				mk := func(engine sim.Engine) sim.Result {
 					r := Run{
 						Tracker:  id,
 						NRH:      nrh,
 						Workload: "ycsb_a",
-						Benign4:  atk == "none",
+						Attack:   AttackPoint{Kind: atk},
+						Benign4:  atk == attack.None,
 						Geometry: geo,
 						Warmup:   dram.US(5),
 						Measure:  dram.US(25),
@@ -77,9 +78,6 @@ func TestEngineEquivalenceAttributionSweep(t *testing.T) {
 
 						TelemetryWindow: dram.US(5),
 						Attribution:     true,
-					}
-					if atk == "hammer" {
-						r.Attack = AttackPoint{Kind: attack.Parametric, Params: hammerParams()}
 					}
 					res, err := r.Exec()
 					if err != nil {
@@ -108,7 +106,7 @@ func TestRecorderHalvesIndependent(t *testing.T) {
 			Tracker:  "dapper-h",
 			NRH:      125,
 			Workload: "ycsb_a",
-			Attack:   AttackPoint{Kind: attack.Parametric, Params: hammerParams()},
+			Attack:   AttackPoint{Kind: attack.Hammer},
 			Geometry: dram.Baseline(),
 			Warmup:   dram.US(5),
 			Measure:  dram.US(25),

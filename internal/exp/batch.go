@@ -19,7 +19,6 @@ type BatchRequest struct {
 	Workloads []workloads.Workload
 	NRHs      []uint32
 	Attack    attack.Kind
-	Params    attack.Params // the parametric point, consulted when Attack == attack.Parametric
 	Mode      rh.MitigationMode
 	Profile   Profile
 	// Audit attaches the shadow security oracle to every run, so each
@@ -39,7 +38,6 @@ func (req BatchRequest) runs() ([]Run, error) {
 		for _, nrh := range req.NRHs {
 			for _, w := range req.Workloads {
 				run := req.Profile.dapperRun(w, id, req.Mode, req.Attack, nrh, req.Attack == attack.None)
-				run.Attack.Params = req.Params
 				run.Audit, run.CountInjected = req.Audit, req.CountInjected
 				if err := run.Validate(); err != nil {
 					return nil, err

@@ -86,8 +86,7 @@ func twoAttackerRun(t *testing.T, id string, cores []string, engine sim.Engine) 
 		seed := p.Seed + uint64(i)*0x9E37 + 1
 		if name == twoAttackerHammer {
 			tr, err := attack.NewTrace(attack.Config{
-				Geometry: geo, NRH: twoAttackerNRH, Kind: attack.Parametric,
-				Params: hammerParams(), Seed: seed,
+				Geometry: geo, NRH: twoAttackerNRH, Kind: attack.Hammer, Seed: seed,
 			})
 			if err != nil {
 				t.Fatal(err)

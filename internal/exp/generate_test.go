@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"dapper/internal/attack"
 	"dapper/internal/harness"
 	"dapper/internal/sim"
 )
@@ -187,10 +186,6 @@ func TestBatchJobsValidation(t *testing.T) {
 	}
 	if _, err := req.Jobs(); err == nil || !strings.Contains(err.Error(), "nosuch") {
 		t.Fatal("unknown tracker must error with its name")
-	}
-	req.Trackers, req.Attack, req.Params = []string{"none"}, attack.Refresh, hammerParams()
-	if _, err := req.Jobs(); err == nil || !strings.Contains(err.Error(), "takes no parametric point") {
-		t.Fatalf("a parametric point on a named attack must error, got %v", err)
 	}
 }
 

@@ -41,7 +41,7 @@ func TestResultGolden(t *testing.T) {
 	for _, id := range KnownTrackers() {
 		r := p.BaseRun()
 		r.Tracker, r.NRH, r.Workload, r.Audit = id, 125, "429.mcf", true
-		r.Attack = AttackPoint{Kind: attack.Parametric, Params: hammerParams()}
+		r.Attack = AttackPoint{Kind: attack.Hammer}
 		add(id+"/hammer/429.mcf/nrh125", r)
 	}
 

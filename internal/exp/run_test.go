@@ -3,6 +3,7 @@ package exp
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dapper/internal/attack"
@@ -196,7 +197,13 @@ func TestRunKeyContinuity(t *testing.T) {
 	tp := p
 	tp.TelemetryWindow, tp.Attribution = dram.US(10), true
 	hammer := batch(BatchRequest{Trackers: []string{"para"}, Workloads: ws, NRHs: []uint32{125},
-		Attack: attack.Parametric, Params: hammerParams(), Mode: rh.RFMsb, Profile: p, Audit: true, CountInjected: true})
+		Attack: attack.Hammer, Mode: rh.RFMsb, Profile: p, Audit: true, CountInjected: true})
+	// Older builds ran the focused hammer as this explicit parametric
+	// point; a cache they filled must still serve it under its key.
+	parametricHammer := hammer
+	parametricHammer.Attack = AttackPoint{Kind: attack.Parametric, Params: attack.Params{Steady: attack.Pattern{
+		HotFrac: 1, HotRows: 2, HotBase: 7, HotStride: 996, Banks: 8,
+	}}}
 	adv := p.BaseRun()
 	adv.Tracker, adv.NRH, adv.Workload, adv.Measure = "comet", 250, w.Name, dram.US(10)
 	adv.Attack = AttackPoint{Kind: attack.Parametric, Params: attack.Params{
@@ -217,7 +224,8 @@ func TestRunKeyContinuity(t *testing.T) {
 			"2eb4b5c5ce37bfa25e101b82d00514bdb82b32ea441218b94c1834df58daecbb"},
 		{"batch streaming", batch(BatchRequest{Trackers: []string{"hydra"}, Workloads: ws, NRHs: []uint32{125}, Attack: attack.StreamingSweep, Mode: rh.VRR2, Profile: q}),
 			"1503890ca42fc104a15c98e99beff32ca47f3808ace7e145ec600ace112d0822"},
-		{"audited hammer +inj", hammer, "b8985ae5ef088125be120c43929d4b6c88ebcd5ba10180ee95a26f263795741c"},
+		{"audited hammer +inj", parametricHammer, "b8985ae5ef088125be120c43929d4b6c88ebcd5ba10180ee95a26f263795741c"},
+		{"audited attack=hammer +inj", hammer, "425779caa9682042e1361d7eda6a126efb4bf79265db864a944f29cc797afe53"},
 		{"adversary parametric", adv, "2f2dc8a2db50b652ad6f557907c15d2582101ec3336fb77fd13b81c430c03b79"},
 		{"adversary baseline", advBase, "8c97781f78e6de79126095e5ddd44ef2ec7fd4f3b8d0fcf0060ba15e561853c4"},
 		{"telemetry + attribution", batch(BatchRequest{Trackers: []string{"dapper-h"}, Workloads: ws, NRHs: []uint32{500}, Attack: attack.Refresh, Profile: tp}),
@@ -286,5 +294,19 @@ func TestRunValidateRejectsNegativeWindows(t *testing.T) {
 		if err := r.Validate(); err == nil {
 			t.Errorf("Validate accepted %+v", r)
 		}
+	}
+}
+
+// TestRunRejectsParametricPointOnNamedAttack pins that a named attack
+// carrying a parametric point fails Validate and Job: the point would
+// not reach the trace, and the key would alias the named attack's.
+func TestRunRejectsParametricPointOnNamedAttack(t *testing.T) {
+	r := leafBases()["refresh"]
+	r.Attack.Params = fullParams()
+	if err := r.Validate(); err == nil || !strings.Contains(err.Error(), "takes no parametric point") {
+		t.Fatalf("Validate: a parametric point on a named attack must error, got %v", err)
+	}
+	if _, err := r.Job(); err == nil || !strings.Contains(err.Error(), "takes no parametric point") {
+		t.Fatalf("Job: a parametric point on a named attack must error, got %v", err)
 	}
 }
