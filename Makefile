@@ -152,13 +152,16 @@ batch-smoke:
 # Headline smoke: `dapper experiments` regenerates every table and
 # figure at the tiny profile three times: cold into a -cache at two
 # workers, warm from that cache (it must simulate nothing), and with
-# one worker and no cache. All three stdouts must be byte-identical.
+# one worker and no cache, writing the harness trace and counters to
+# experiments-smoke/tel/ (CI uploads trace.json). All three stdouts
+# must be byte-identical. The warm leg hits because both legs run the
+# same build: the cache serves only entries its own build wrote.
 EXPERIMENTS_SMOKE = $(GO) run ./cmd/dapper experiments -exp all -profile tiny -seed 1
 experiments-smoke:
 	@rm -rf experiments-smoke && mkdir -p experiments-smoke
 	$(EXPERIMENTS_SMOKE) -jobs 2 -cache experiments-smoke/cache -out experiments-smoke/cold > experiments-smoke/cold.txt
 	$(EXPERIMENTS_SMOKE) -jobs 2 -cache experiments-smoke/cache -out experiments-smoke/warm > experiments-smoke/warm.txt 2> experiments-smoke/warm.err
-	$(EXPERIMENTS_SMOKE) -jobs 1 -out experiments-smoke/serial > experiments-smoke/serial.txt
+	$(EXPERIMENTS_SMOKE) -jobs 1 -telemetry experiments-smoke/tel -out experiments-smoke/serial > experiments-smoke/serial.txt
 	@grep -q "simulations: 0 ran, 0 lockstep" experiments-smoke/warm.err \
 		|| { echo "experiments-smoke FAILED: warm rerun simulated"; cat experiments-smoke/warm.err; exit 1; }
 	@cmp experiments-smoke/cold.txt experiments-smoke/warm.txt \
@@ -202,7 +205,7 @@ quickstart:
 # DRAM and tracker counters) must match testdata/horizon-smoke.golden
 # byte for byte.
 horizon-smoke:
-	@mkdir -p horizon-smoke
+	@rm -rf horizon-smoke && mkdir -p horizon-smoke
 	$(GO) run ./cmd/dapper sim -tracker dapper-h -workload 429.mcf -attack none -nrh 500 -measure 32000 > horizon-smoke/stdout.txt
 	@cmp testdata/horizon-smoke.golden horizon-smoke/stdout.txt \
 		|| { echo "horizon-smoke FAILED: stdout differs from testdata/horizon-smoke.golden"; diff testdata/horizon-smoke.golden horizon-smoke/stdout.txt; exit 1; }

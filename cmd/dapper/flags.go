@@ -50,7 +50,7 @@ var flagDefs = map[string]func(*flag.FlagSet, *cli){
 		fs.IntVar(&c.jobs, "jobs", runtime.NumCPU(), "parallel simulation workers (<=0 = NumCPU)")
 	},
 	"cache": func(fs *flag.FlagSet, c *cli) {
-		fs.StringVar(&c.cache, "cache", "", "disk result-cache directory (reruns hit the cache)")
+		fs.StringVar(&c.cache, "cache", "", "disk result-cache directory (reruns by the same build hit the cache)")
 	},
 	"out": func(fs *flag.FlagSet, c *cli) {
 		fs.StringVar(&c.out, "out", ".", "output directory")
@@ -202,9 +202,17 @@ func (c *cli) modes() ([]rh.MitigationMode, error) {
 	return parseList("mode", c.mode, rh.ParseMode)
 }
 
-// attacks resolves -attack: a named kind, or "none".
+// attacks resolves -attack: a named kind, or "none". No flag names a
+// point of the parametric space, so "parametric" is refused instead of
+// running the all-zero point.
 func (c *cli) attacks() ([]attack.Kind, error) {
-	return parseList("attack", c.attack, attack.ParseKind)
+	return parseList("attack", c.attack, func(s string) (attack.Kind, error) {
+		k, err := attack.ParseKind(s)
+		if err == nil && k == attack.Parametric {
+			err = fmt.Errorf("%q takes a point no flag can name (dapper adversary searches that space)", s)
+		}
+		return k, err
+	})
 }
 
 // workloads resolves -workload: each comma-list element is a workload

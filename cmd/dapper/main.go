@@ -58,7 +58,7 @@ func with(groups ...[]string) []string {
 
 var commands = []command{
 	{"experiments", "regenerate the paper's tables and figures (records to -out/results.jsonl)",
-		[]string{"exp", "profile", "seed", "engine", "jobs", "cache", "out"}, runExperiments},
+		with([]string{"exp"}, poolFlags), runExperiments},
 	{"batch", "tracker x workload x attack x mode x NRH sweep to -out/batch.jsonl (-audit adds the security verdicts)",
 		with([]string{"tracker", "workload", "nrh", "attack", "mode", "window", "attr", "audit", "count-injected", "check"}, poolFlags), runBatch},
 	{"adversary", "black-box worst-case attack search (-objective perf|escapes)",

@@ -55,6 +55,8 @@ func TestBadInvocationsNameTheirFlag(t *testing.T) {
 		{[]string{"batch", "-profile", "tiny", "-mode", "vrr-br1,bogus"}, "-mode"},
 		{[]string{"batch", "-profile", "tiny", "-count-injected"}, "-count-injected"},
 		{[]string{"batch", "-profile", "tiny", "-check"}, "-check"},
+		{[]string{"sim", "-attack", "parametric"}, "-attack"},
+		{[]string{"batch", "-profile", "tiny", "-attack", "refresh,parametric"}, "-attack"},
 		{[]string{"adversary", "-mix-cores", "3"}, "-mix-cores"},
 		{[]string{"adversary", "-budget", "0"}, "-budget"},
 		{[]string{"adversary", "-budget", "-5"}, "-budget"},
@@ -406,6 +408,27 @@ func TestBatchWithoutCacheCountsNoMisses(t *testing.T) {
 	}
 	if counters["unique"] != 4 || counters["cache_misses"] != 0 {
 		t.Errorf("unique %v, cache_misses %v; want 4 and 0:\n%s", counters["unique"], counters["cache_misses"], raw)
+	}
+}
+
+// TestExperimentsWritesTelemetry: experiments takes the pool flags
+// batch and adversary take, so -telemetry writes the harness trace and
+// counters for a figure run.
+func TestExperimentsWritesTelemetry(t *testing.T) {
+	tel := t.TempDir()
+	code, _, stderr := invoke("experiments", "-exp", "fig11", "-profile", "tiny", "-jobs", "2",
+		"-out", t.TempDir(), "-telemetry", tel)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	for _, name := range []string{"trace.json", "counters.json"} {
+		raw, err := os.ReadFile(filepath.Join(tel, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !json.Valid(raw) {
+			t.Errorf("%s is not JSON:\n%s", name, raw)
+		}
 	}
 }
 

@@ -117,7 +117,7 @@ func runBatch(c *cli) error {
 		for _, f := range futures {
 			res, err := f.Wait()
 			if err == nil && c.audit && res.Audit == nil {
-				err = fmt.Errorf("run carried no audit report (stale cache entry?)")
+				err = fmt.Errorf("run carried no audit report")
 			}
 			if err != nil {
 				fmt.Fprintf(c.stderr, "\n%s: %v\n", f.Desc(), err)

@@ -52,17 +52,18 @@
 //
 // A harness.Job pairs a Descriptor — the deterministic, hashable
 // identity of one run (tracker + params, workload, attack, geometry,
-// timing, NRH, mode, windows, seed) — with a closure producing the
-// sim.Result. Every job comes from one value, exp.Run: its fields are
-// every input a Result depends on, and only its methods derive the
-// Descriptor, the traces, the sim.Config and the job, so a key and the
-// simulation it names cannot drift apart. A harness.Pool fans jobs out over a bounded worker set
+// NRH, mode, windows, seed, probe switches), keyed by the SHA-256 of
+// its JSON — with a closure producing the sim.Result. Every job comes
+// from one value, exp.Run: its fields are every input a Result depends
+// on, and only its methods derive the Descriptor, the traces, the
+// sim.Config and the job, so a key and the simulation it names cannot
+// drift apart. A harness.Pool fans jobs out over a bounded worker set
 // (runtime.NumCPU() by default, -jobs flag), deduplicating by
 // descriptor key so baselines shared between figures execute once. The
 // pool dedups; -cache persists: a harness.Cache is a directory of JSON
 // results content-addressed by the descriptor hash, attached only when
-// -cache names one, so a rerun of the same suite simulates nothing.
-// Pool.Records hands back
+// -cache names one, so a rerun of the same suite by the same build
+// simulates nothing. Pool.Records hands back
 // the completed records in submission order, and harness.WriteJSONL
 // writes them like every other output, so the file is the same at any
 // worker count. The pool is the one sweep executor:
@@ -86,11 +87,14 @@
 // batch` runs arbitrary tracker x workload x NRH sweeps from flags
 // straight to JSONL.
 //
-// Each -cache entry is a versioned, checksummed envelope written via a
-// temp file and rename. An entry that fails verification is
-// quarantined to *.corrupt and re-simulated, and opening a cache sweeps
-// temp files and quarantines older than 15 minutes left by crashed
-// runs. `make batch-smoke` gates the quarantine-and-heal path in CI.
+// Each -cache entry is a checksummed envelope, written via a temp file
+// and rename, that names the build that wrote it (the SHA-256 of the
+// executable). Another build's entry is a plain miss the next Put
+// overwrites, so a model change is never served stale Results. An
+// entry that fails verification is quarantined to *.corrupt and
+// re-simulated, and opening a cache sweeps temp files and quarantines
+// older than 15 minutes left by crashed runs. `make batch-smoke` gates
+// the quarantine-and-heal path in CI.
 //
 // # Event-driven simulation engine (internal/sim, internal/mem, internal/cpu)
 //
@@ -250,12 +254,10 @@
 //
 // The conformance sweep is an ordinary batch sweep with the oracle
 // attached: exp.BatchRequest's Audit (and CountInjected) reach every
-// run, and runs carrying the oracle are tagged in the cache key via
-// Descriptor.Audit, so audited and unaudited results never alias.
-// `dapper batch -audit` submits one request per -mode and -attack,
-// writes each point's Result, its Audit report included, to
-// batch.jsonl, and prints each tracker's verdict summed over its
-// records there (one per unique point):
+// run and its cache key. `dapper batch -audit` submits one request per
+// -mode and -attack, writes each point's Result, its Audit report
+// included, to batch.jsonl, and prints each tracker's verdict summed
+// over its records there (one per unique point):
 //
 //	go run ./cmd/dapper batch -audit -profile tiny -tracker all -attack hammer,refresh,streaming -nrh 125 -check
 //
@@ -306,10 +308,8 @@
 // accumulated grand totals, and sim.Run cross-checks them against the
 // final DRAM command counters on every windowed run: a fold that drops
 // or double-counts an event fails the run instead of skewing a figure.
-// Windowed runs fold the window into harness.Descriptor's cache key
-// (Telemetry tag), so telemetry-on and telemetry-off results never
-// alias; with no consumer on, no sink attaches and the hot paths pay
-// only a nil check. simbench's workloads run no sink, so its per-change
+// With no consumer on, no sink attaches and the hot paths pay only a
+// nil check. simbench's workloads run no sink, so its per-change
 // wall-time bound covers that check.
 // sim.TestEngineEquivalenceSinkStream also compares the raw event
 // stream, not just its folds, across the engines.
@@ -380,10 +380,8 @@
 //
 // When TelemetryWindow is also set the stacks ride the Series as
 // per-window lanes (Series.Blame), cross-checked against the grand
-// totals by Attribution.CheckSeries. Attribution folds into the cache
-// key (Descriptor's Attr tag) so attributed and plain results never
-// alias, and with the flag off the fold is not attached — the hot
-// paths pay a nil check, as with telemetry. To price attribution by
+// totals by Attribution.CheckSeries. With the flag off the fold is not
+// attached — the hot paths pay a nil check, as with telemetry. To price attribution by
 // hand, time a `dapper batch` sweep with `-attr` against the same sweep
 // without it. Byte-identical engine equivalence is enforced tracker-by-
 // tracker in sim, exp and adversary attribution equivalence tests,

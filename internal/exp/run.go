@@ -61,10 +61,6 @@ type Run struct {
 	Attribution     bool       `json:"attribution,omitempty"`
 }
 
-// auditTag versions the oracle for cache keys: bump it whenever the
-// ledger semantics change so stale audited results never get replayed.
-const auditTag = "v1"
-
 // Validate rejects a run that names an unknown tracker or workload, a
 // configuration its tracker cannot be built with, or a field its shape
 // does not use (which would otherwise silently alias another run's
@@ -115,30 +111,25 @@ func (r Run) mode() rh.MitigationMode {
 // and deduplication.
 func (r Run) Desc() harness.Descriptor {
 	d := harness.Descriptor{
-		Tracker:   trackerDefs[r.Tracker].name,
-		Mode:      r.mode().String(),
-		NRH:       r.NRH,
-		Workload:  r.Workload,
-		Attack:    r.Attack.Kind.String(),
-		Benign4:   r.Benign4,
-		Geometry:  r.Geometry,
-		Timing:    "ddr5",
-		LLCBytes:  r.LLCBytes,
-		Warmup:    r.Warmup,
-		Measure:   r.Measure,
-		Seed:      r.Seed,
-		Engine:    string(r.Engine.OrDefault()),
-		Telemetry: harness.TelemetryTag(r.TelemetryWindow),
-		Attr:      harness.AttrTag(r.Attribution),
+		Tracker:         trackerDefs[r.Tracker].name,
+		Mode:            r.mode().String(),
+		NRH:             r.NRH,
+		Workload:        r.Workload,
+		Attack:          r.Attack.Kind.String(),
+		Benign4:         r.Benign4,
+		Geometry:        r.Geometry,
+		LLCBytes:        r.LLCBytes,
+		Warmup:          r.Warmup,
+		Measure:         r.Measure,
+		Seed:            r.Seed,
+		Engine:          string(r.Engine.OrDefault()),
+		Audit:           r.Audit,
+		CountInjected:   r.CountInjected,
+		TelemetryWindow: r.TelemetryWindow,
+		Attribution:     r.Attribution,
 	}
 	if r.Attack.Kind == attack.Parametric {
 		d.AttackParams = r.Attack.Params.Canonical()
-	}
-	if r.Audit {
-		d.Audit = auditTag
-		if r.CountInjected {
-			d.Audit += "+inj"
-		}
 	}
 	return d
 }

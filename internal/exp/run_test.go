@@ -9,7 +9,6 @@ import (
 	"dapper/internal/attack"
 	"dapper/internal/dram"
 	"dapper/internal/rh"
-	"dapper/internal/workloads"
 )
 
 // fullParams sets every attack.Params leaf to a distinct non-zero value.
@@ -172,72 +171,6 @@ func TestRunKeyCoversEveryLeaf(t *testing.T) {
 	for path := range want {
 		if !covered[path] {
 			t.Errorf("%s: no base run reaches this leaf with a valid perturbation; extend leafBases", path)
-		}
-	}
-}
-
-// TestRunKeyContinuity pins Desc().Key() for one run per former job
-// builder against the keys those builders produced, so warm disk caches
-// and committed JSONL stay valid.
-func TestRunKeyContinuity(t *testing.T) {
-	p, q := Tiny(), Quick()
-	w, err := workloads.ByName("429.mcf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := func(req BatchRequest) Run {
-		t.Helper()
-		runs, err := req.runs()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return runs[0]
-	}
-	ws := []workloads.Workload{w}
-	tp := p
-	tp.TelemetryWindow, tp.Attribution = dram.US(10), true
-	hammer := batch(BatchRequest{Trackers: []string{"para"}, Workloads: ws, NRHs: []uint32{125},
-		Attack: attack.Hammer, Mode: rh.RFMsb, Profile: p, Audit: true, CountInjected: true})
-	// Older builds ran the focused hammer as this explicit parametric
-	// point; a cache they filled must still serve it under its key.
-	parametricHammer := hammer
-	parametricHammer.Attack = AttackPoint{Kind: attack.Parametric, Params: attack.Params{Steady: attack.Pattern{
-		HotFrac: 1, HotRows: 2, HotBase: 7, HotStride: 996, Banks: 8,
-	}}}
-	adv := p.BaseRun()
-	adv.Tracker, adv.NRH, adv.Workload, adv.Measure = "comet", 250, w.Name, dram.US(10)
-	adv.Attack = AttackPoint{Kind: attack.Parametric, Params: attack.Params{
-		Steady:       attack.Pattern{Rows: 16, Groups: 2, Banks: 4, HotFrac: 0.5, HotRows: 2, HotBase: 9, HotStride: 3, Bubbles: 1},
-		WarmAccesses: 100, Period: 4000,
-	}}
-	advBase := p.BaseRun()
-	advBase.Workload, advBase.Measure = w.Name, dram.US(10)
-	fig5 := q.perfAttackRun(w, "start", attack.StreamingSweep, q.NRH)
-	fig5.Geometry.Channels, fig5.Geometry.Ranks, fig5.LLCBytes = 8, 4, 2<<20*4
-
-	for _, tc := range []struct {
-		name string
-		run  Run
-		key  string
-	}{
-		{"batch benign4", batch(BatchRequest{Trackers: []string{"dapper-h"}, Workloads: ws, NRHs: []uint32{500}, Attack: attack.None, Profile: p}),
-			"2eb4b5c5ce37bfa25e101b82d00514bdb82b32ea441218b94c1834df58daecbb"},
-		{"batch streaming", batch(BatchRequest{Trackers: []string{"hydra"}, Workloads: ws, NRHs: []uint32{125}, Attack: attack.StreamingSweep, Mode: rh.VRR2, Profile: q}),
-			"1503890ca42fc104a15c98e99beff32ca47f3808ace7e145ec600ace112d0822"},
-		{"audited hammer +inj", parametricHammer, "b8985ae5ef088125be120c43929d4b6c88ebcd5ba10180ee95a26f263795741c"},
-		{"audited attack=hammer +inj", hammer, "425779caa9682042e1361d7eda6a126efb4bf79265db864a944f29cc797afe53"},
-		{"adversary parametric", adv, "2f2dc8a2db50b652ad6f557907c15d2582101ec3336fb77fd13b81c430c03b79"},
-		{"adversary baseline", advBase, "8c97781f78e6de79126095e5ddd44ef2ec7fd4f3b8d0fcf0060ba15e561853c4"},
-		{"telemetry + attribution", batch(BatchRequest{Trackers: []string{"dapper-h"}, Workloads: ws, NRHs: []uint32{500}, Attack: attack.Refresh, Profile: tp}),
-			"a49fc830c5b9bc6c6145b84bb236da0bd2031554d25006085898ac50aa3a7570"},
-		{"figure LLC sweep", fig5, "22c52840b7ef8124ada2db09705030a6ff211fbb1ec868be57692dc2bca12a61"},
-	} {
-		if err := tc.run.Validate(); err != nil {
-			t.Errorf("%s: %v", tc.name, err)
-			continue
-		}
-		if got := tc.run.Desc().Key(); got != tc.key {
-			t.Errorf("%s: key %s, want %s (%+v)", tc.name, got, tc.key, tc.run.Desc())
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,11 +15,27 @@ import (
 	"dapper/internal/sim"
 )
 
-// cacheSchema tags the on-disk entry format. Bump it whenever the
-// envelope layout changes; entries carrying any other tag (including
-// pre-envelope raw sim.Result files) are quarantined as corrupt and
-// re-simulated instead of being served as silent zero/partial results.
-const cacheSchema = "dapper-cache-v1"
+// buildFingerprint is the hex SHA-256 of the running executable,
+// hashed once per process, starting when the first cache opens. Every
+// envelope records it, and Get serves only entries the same build
+// wrote, so a rebuilt model is never served the old model's Results;
+// if the hash fails, Get serves nothing and Put reports the error.
+var buildFingerprint = sync.OnceValues(func() (string, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return "", err
+	}
+	f, err := os.Open(exe)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
+})
 
 // orphanTTL is how old a put-* temp file (a crashed or failed Put) or
 // a *.corrupt quarantine file must be before NewCache sweeps it. The
@@ -26,13 +43,14 @@ const cacheSchema = "dapper-cache-v1"
 // another process is writing right now.
 const orphanTTL = 15 * time.Minute
 
-// envelope is the versioned on-disk entry: the payload (a sim.Result
-// as JSON) wrapped with the schema tag, the descriptor key it serves,
-// and a checksum over the payload bytes. Get refuses anything that
-// does not verify — an empty {}, a truncated write, a foreign schema
-// or a bit-flipped payload all become misses, not fabricated Results.
+// envelope is the on-disk entry: the payload (a sim.Result as JSON)
+// wrapped with the fingerprint of the build that wrote it, the
+// descriptor key it serves, and a checksum over the payload bytes. Get
+// refuses anything that does not verify — an empty {}, a truncated
+// write, a wrong key or a bit-flipped payload all become misses, not
+// fabricated Results.
 type envelope struct {
-	Schema   string          `json:"schema"`
+	Build    string          `json:"build"`
 	Key      string          `json:"key"`
 	Checksum string          `json:"checksum"`
 	Payload  json.RawMessage `json:"payload"`
@@ -46,11 +64,11 @@ type CacheStats struct {
 }
 
 // Cache persists simulation results by descriptor key in a directory:
-// each result is <dir>/<key>.json inside a versioned, checksummed
-// envelope, so a rerun of the same experiment suite (same profile, same
-// code) resimulates nothing. Within a process the pool dedups; the
-// cache only persists. Two processes may share one directory: writes
-// are atomic renames and reads verify the envelope.
+// each result is <dir>/<key>.json inside a checksummed envelope that
+// names the build that wrote it, so a rerun of the same experiment
+// suite by the same build resimulates nothing. Within a process the
+// pool dedups; the cache only persists. Two processes may share one
+// directory: writes are atomic renames and reads verify the envelope.
 type Cache struct {
 	dir string
 
@@ -70,27 +88,35 @@ func NewCache(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("harness: cache dir: %w", err)
 	}
+	// Hash while the first runs simulate, off a fresh process's path to
+	// its first result; Get and Put wait for the hash.
+	go buildFingerprint()
 	c := &Cache{dir: dir}
 	c.sweepOrphans()
 	return c, nil
 }
 
-// Get returns the result stored on disk for key. An entry that fails
-// envelope verification — wrong schema, wrong key, checksum mismatch,
-// or undecodable JSON — is quarantined (renamed to *.corrupt) and
+// Get returns the result stored on disk for key. An entry another
+// build wrote is a plain miss, which the next Put overwrites. An entry
+// that fails envelope verification — wrong key, checksum mismatch, or
+// undecodable JSON — is quarantined (renamed to *.corrupt) and
 // reported as a miss, so a corrupted store heals by re-simulating
 // instead of serving garbage or re-parsing the same bad file on every
 // lookup.
 func (c *Cache) Get(key string) (sim.Result, bool) {
 	path := c.path(key)
 	if data, err := os.ReadFile(path); err == nil {
-		if res, ok := decodeEnvelope(key, data); ok {
+		build, res, ok := decodeEnvelope(key, data)
+		own, err := buildFingerprint()
+		switch {
+		case !ok:
+			c.quarantine(path)
+		case err == nil && build == own:
 			c.mu.Lock()
 			c.hits++
 			c.mu.Unlock()
 			return res, true
 		}
-		c.quarantine(path)
 	}
 	c.mu.Lock()
 	c.miss++
@@ -100,16 +126,20 @@ func (c *Cache) Get(key string) (sim.Result, bool) {
 
 // Put writes a result to disk under key. The write goes via a put-*
 // temp file + rename so concurrent processes sharing a cache directory
-// never observe torn files; the entry is wrapped in the versioned
-// checksummed envelope.
+// never observe torn files; the entry is wrapped in the checksummed
+// envelope under this build's fingerprint.
 func (c *Cache) Put(key string, res sim.Result) error {
 	payload, err := json.Marshal(res)
 	if err != nil {
 		return fmt.Errorf("harness: cache encode: %w", err)
 	}
+	build, err := buildFingerprint()
+	if err != nil {
+		return fmt.Errorf("harness: cache build fingerprint: %w", err)
+	}
 	sum := sha256.Sum256(payload)
 	data, err := json.Marshal(envelope{
-		Schema:   cacheSchema,
+		Build:    build,
 		Key:      key,
 		Checksum: hex.EncodeToString(sum[:]),
 		Payload:  payload,
@@ -159,25 +189,23 @@ func (c *Cache) quarantine(path string) {
 	c.mu.Unlock()
 }
 
-// decodeEnvelope verifies one on-disk entry against the schema tag,
-// the descriptor key and the payload checksum, and decodes the result.
-func decodeEnvelope(key string, data []byte) (sim.Result, bool) {
+// decodeEnvelope verifies one on-disk entry against the descriptor key
+// and the payload checksum, and returns the build that wrote it and the
+// decoded result.
+func decodeEnvelope(key string, data []byte) (string, sim.Result, bool) {
 	var env envelope
-	if json.Unmarshal(data, &env) != nil {
-		return sim.Result{}, false
-	}
-	if env.Schema != cacheSchema || env.Key != key {
-		return sim.Result{}, false
+	if json.Unmarshal(data, &env) != nil || env.Key != key {
+		return "", sim.Result{}, false
 	}
 	sum := sha256.Sum256(env.Payload)
 	if hex.EncodeToString(sum[:]) != env.Checksum {
-		return sim.Result{}, false
+		return "", sim.Result{}, false
 	}
 	var res sim.Result
 	if json.Unmarshal(env.Payload, &res) != nil {
-		return sim.Result{}, false
+		return "", sim.Result{}, false
 	}
-	return res, true
+	return env.Build, res, true
 }
 
 // sweepOrphans removes put-* temp files and *.corrupt quarantine files

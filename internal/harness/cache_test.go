@@ -25,31 +25,35 @@ func writeRaw(t *testing.T, dir, key string, data []byte) string {
 	return path
 }
 
-// TestCacheRejectsUnversionedAndCorruptEntries pins the PR-10 bugfix:
-// any JSON-decodable file used to count as a hit, so an empty {}, a
-// truncated write, or a pre-envelope schema file was served as a
-// zero/partial Result. All of them must now miss, be quarantined to
-// *.corrupt, and not be re-parsed on the next lookup.
+// sealed encodes res as a verifying envelope that build wrote for key.
+func sealed(build, key string, res sim.Result) []byte {
+	payload, _ := json.Marshal(res)
+	sum := sha256.Sum256(payload)
+	data, _ := json.Marshal(envelope{Build: build, Key: key, Checksum: hex.EncodeToString(sum[:]), Payload: payload})
+	return data
+}
+
+// TestCacheRejectsUnversionedAndCorruptEntries: any JSON-decodable
+// file once counted as a hit, so an empty {}, a truncated write, or a
+// pre-envelope file was served as a zero/partial Result. All of them
+// must miss, be quarantined to *.corrupt, and not be re-parsed on the
+// next lookup — even when the envelope names this very build.
 func TestCacheRejectsUnversionedAndCorruptEntries(t *testing.T) {
+	build, err := buildFingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
 	legacy, _ := json.Marshal(testResult(3.0)) // pre-envelope format: raw sim.Result
-	good := func() []byte {
-		payload, _ := json.Marshal(testResult(3.0))
-		sum := sha256.Sum256(payload)
-		data, _ := json.Marshal(envelope{
-			Schema: cacheSchema, Key: "k-tamper", Checksum: hex.EncodeToString(sum[:]),
-			Payload: payload,
-		})
-		return data
-	}()
+	good := sealed(build, "k-tamper", testResult(3.0))
 	tampered := []byte(strings.Replace(string(good), `"Cycles":1000`, `"Cycles":9999`, 1))
 	cases := map[string]struct {
 		key  string
 		data []byte
 	}{
 		"empty-object":   {"k-empty", []byte(`{}`)},
-		"truncated":      {"k-trunc", []byte(`{"schema":"dapper-cache-v1","key":"k-trunc","pay`)},
+		"truncated":      {"k-trunc", []byte(`{"build":"` + build + `","key":"k-trunc","pay`)},
 		"legacy-schema":  {"k-legacy", legacy},
-		"foreign-schema": {"k-foreign", []byte(`{"schema":"other-v9","key":"k-foreign","checksum":"","payload":{}}`)},
+		"foreign-schema": {"k-foreign", []byte(`{"schema":"other-v9","key":"k-foreign","checksum":"","payload":{}}`)}, // checksum does not verify
 		"wrong-key":      {"k-wrongkey", good},
 		"bad-checksum":   {"k-tamper", tampered},
 	}
@@ -88,6 +92,42 @@ func TestCacheRejectsUnversionedAndCorruptEntries(t *testing.T) {
 				t.Fatalf("healed entry: ok=%v res=%+v", ok, res)
 			}
 		})
+	}
+}
+
+// TestCacheForeignBuildIsAMiss: an entry another build wrote verifies,
+// so it is a plain miss rather than a quarantine, and this build's Put
+// replaces it with an entry under its own fingerprint.
+func TestCacheForeignBuildIsAMiss(t *testing.T) {
+	dir := t.TempDir()
+	key := testDesc("foreign", 500).Key()
+	path := writeRaw(t, dir, key, sealed("another-build", key, testResult(1.0)))
+	c, err := NewCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, ok := c.Get(key); ok {
+		t.Fatalf("served another build's entry: %+v", res)
+	}
+	if s := c.Stats(); s.Misses != 1 || s.Quarantined != 0 {
+		t.Fatalf("stats %+v, want one miss and no quarantine", s)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("a foreign build's entry was moved: %v", err)
+	}
+	if err := c.Put(key, testResult(2.0)); err != nil {
+		t.Fatal(err)
+	}
+	if res, ok := c.Get(key); !ok || res.IPC[0] != 2.0 {
+		t.Fatalf("after this build's Put: ok=%v res=%+v", ok, res)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env envelope
+	if err := json.Unmarshal(raw, &env); err != nil || env.Build == "another-build" {
+		t.Fatalf("Put left the foreign fingerprint: err=%v build=%q", err, env.Build)
 	}
 }
 
@@ -232,9 +272,18 @@ func TestCacheDiskRoundTripAcrossInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, err := os.ReadFile(exe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(bin)
 	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil || env.Schema != cacheSchema || env.Key != key {
-		t.Fatalf("on-disk entry is not a v1 envelope: err=%v schema=%q", err, env.Schema)
+	if err := json.Unmarshal(raw, &env); err != nil || env.Build != hex.EncodeToString(sum[:]) || env.Key != key {
+		t.Fatalf("on-disk entry is not an envelope naming this executable's SHA-256: err=%v build=%q", err, env.Build)
 	}
 	var res sim.Result
 	if err := json.Unmarshal(env.Payload, &res); err != nil || res.Counters.ACT != 12345 {

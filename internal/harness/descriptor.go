@@ -3,6 +3,7 @@ package harness
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 
 	"dapper/internal/dram"
@@ -13,7 +14,9 @@ import (
 // are interchangeable, which is what makes the content-addressed cache
 // and cross-figure deduplication sound. Descriptors are derived from
 // exp.Run (Run.Desc), the same value its sim.Config is built from, so a
-// new run input reaches the key where it reaches the simulation.
+// new run input reaches the key where it reaches the simulation. The
+// code that simulates is not part of the key: the cache records the
+// build that wrote each entry instead.
 type Descriptor struct {
 	// Tracker is the canonical tracker name ("none" for the insecure
 	// baseline); Mode the mitigation command flavor.
@@ -34,9 +37,7 @@ type Descriptor struct {
 	AttackParams string `json:"attack_params,omitempty"`
 
 	Geometry dram.Geometry `json:"geometry"`
-	// Timing tags the timing set ("ddr5" = the Table I defaults).
-	Timing   string `json:"timing"`
-	LLCBytes int    `json:"llc_bytes"` // 0 = default 8MB
+	LLCBytes int           `json:"llc_bytes"` // 0 = default 8MB
 
 	Warmup  dram.Cycle `json:"warmup"`
 	Measure dram.Cycle `json:"measure"`
@@ -49,61 +50,27 @@ type Descriptor struct {
 	// cache entries).
 	Engine string `json:"engine,omitempty"`
 
-	// Audit tags runs carrying the shadow security oracle ("" = not
-	// audited). Audited Results embed the oracle's report, so they must
-	// never alias an unaudited cache entry (and vice versa); the tag also
-	// versions the oracle so its evolution invalidates stale reports.
-	Audit string `json:"audit,omitempty"`
+	// Audit marks runs carrying the shadow security oracle, whose report
+	// the Result embeds; CountInjected, on audited runs only, charges
+	// tracker counter traffic against its ledger.
+	Audit         bool `json:"audit,omitempty"`
+	CountInjected bool `json:"count_injected,omitempty"`
 
-	// Telemetry tags runs collecting the in-sim windowed series: the
-	// canonical window encoding ("w<cycles>", e.g. "w20000" for a 5µs
-	// window) when sim.Config.TelemetryWindow is set, empty otherwise.
-	// Telemetry-on Results embed a Series, so they must never alias a
-	// telemetry-off cache entry — and two different window widths must
-	// not alias each other.
-	Telemetry string `json:"telemetry,omitempty"`
-
-	// Attr tags runs collecting slowdown attribution ("v1" when
-	// sim.Config.Attribution is set, empty otherwise). Attribution-on
-	// Results embed the CPI stacks and blame matrix, so they must never
-	// alias an attribution-off cache entry; the tag also versions the
-	// attribution schema so its evolution invalidates stale records.
-	Attr string `json:"attr,omitempty"`
+	// TelemetryWindow > 0 is the width of the in-sim windowed series the
+	// Result embeds; Attribution marks runs whose Result embeds the CPI
+	// stacks and the blame matrix.
+	TelemetryWindow dram.Cycle `json:"telemetry_window,omitempty"`
+	Attribution     bool       `json:"attribution,omitempty"`
 }
 
-// TelemetryTag returns the canonical Descriptor.Telemetry encoding for
-// a telemetry window width ("" when telemetry is off).
-func TelemetryTag(window dram.Cycle) string {
-	if window <= 0 {
-		return ""
-	}
-	return fmt.Sprintf("w%d", window)
-}
-
-// AttrTag returns the canonical Descriptor.Attr encoding for the
-// attribution switch ("" when attribution is off).
-func AttrTag(on bool) string {
-	if !on {
-		return ""
-	}
-	return "v1"
-}
-
-// Key returns the content address: a hex SHA-256 over a canonical
-// field-ordered encoding. Stable across processes and Go versions.
+// Key returns the content address: the hex SHA-256 of the descriptor's
+// JSON line (its encoding plus a newline, as `jq -c .desc` prints a
+// record's), so every field reaches the key by construction.
 func (d Descriptor) Key() string {
 	h := sha256.New()
-	g := d.Geometry
-	// The empty "mix=" segment and "|extra=" suffix are retired fields'
-	// slots: keeping them keeps every existing key, and so every warm
-	// cache, valid.
-	fmt.Fprintf(h,
-		"tracker=%s|mode=%s|nrh=%d|workload=%s|attack=%s|aparams=%s|benign4=%t|"+
-			"geo=%d.%d.%d.%d.%d.%d.%d|timing=%s|llc=%d|warmup=%d|measure=%d|seed=%d|engine=%s|audit=%s|mix=|telemetry=%s|attr=%s|extra=",
-		d.Tracker, d.Mode, d.NRH, d.Workload, d.Attack, d.AttackParams, d.Benign4,
-		g.Channels, g.Ranks, g.BankGroups, g.BanksPerGroup, g.RowsPerBank,
-		g.RowBytes, g.LineBytes,
-		d.Timing, d.LLCBytes, d.Warmup, d.Measure, d.Seed, d.Engine, d.Audit, d.Telemetry, d.Attr)
+	if err := json.NewEncoder(h).Encode(d); err != nil {
+		panic(fmt.Sprintf("harness: descriptor encode: %v", err)) // strings, integers and bools always encode
+	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 

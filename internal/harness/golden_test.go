@@ -2,6 +2,9 @@ package harness
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -55,17 +58,17 @@ func goldenRecords() []Record {
 	d1 := Descriptor{
 		Tracker: "Hydra", Mode: "VRR-BR1", NRH: 500,
 		Workload: "429.mcf", Attack: "hydra-conflict",
-		Geometry: dram.Baseline(), Timing: "ddr5",
-		Warmup: dram.US(5), Measure: dram.US(30), Seed: 1,
+		Geometry: dram.Baseline(),
+		Warmup:   dram.US(5), Measure: dram.US(30), Seed: 1,
 		Engine: "event",
 	}
 	d2 := Descriptor{
 		Tracker: "none", Mode: "VRR-BR1", NRH: 125,
 		Workload: "ycsb_a", Attack: "parametric",
 		AttackParams: "s(r0.g0.gs0.rs0.rb0.rh0.b8.rk0.hf1.hr2.hb7.hs996.bu0.cf0.sb0)|w(r0.g0.gs0.rs0.rb0.rh0.b0.rk0.hf0.hr0.hb0.hs0.bu0.cf0.sb0)|wa0|p0",
-		Geometry:     dram.Baseline(), Timing: "ddr5",
-		Warmup: dram.US(5), Measure: dram.US(30), Seed: 1,
-		Engine: "event", Audit: "v1",
+		Geometry:     dram.Baseline(),
+		Warmup:       dram.US(5), Measure: dram.US(30), Seed: 1,
+		Engine: "event", Audit: true, CountInjected: true,
 	}
 	r1 := sim.Result{
 		IPC:          []float64{1.25, 1.5, 0.75, 2},
@@ -102,9 +105,9 @@ func goldenRecords() []Record {
 	d4 := Descriptor{
 		Tracker: "DAPPER-S", Mode: "VRR-BR1", NRH: 500,
 		Workload: "429.mcf", Attack: "refresh",
-		Geometry: dram.Baseline(), Timing: "ddr5",
-		Warmup: dram.US(5), Measure: dram.US(30), Seed: 1,
-		Engine: "event", Telemetry: TelemetryTag(dram.US(10)),
+		Geometry: dram.Baseline(),
+		Warmup:   dram.US(5), Measure: dram.US(30), Seed: 1,
+		Engine: "event", TelemetryWindow: dram.US(10),
 	}
 	r4 := sim.Result{
 		IPC:          []float64{2, 0},
@@ -131,4 +134,17 @@ func TestSinkGoldenJSONL(t *testing.T) {
 		t.Fatal(err)
 	}
 	goldentest.Check(t, "sink.jsonl.golden", buf.Bytes())
+	// Each key is the SHA-256 of its record's desc as one JSON line.
+	for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+		var rec struct {
+			Key  string          `json:"key"`
+			Desc json.RawMessage `json:"desc"`
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(append(rec.Desc, '\n')); hex.EncodeToString(sum[:]) != rec.Key {
+			t.Errorf("key %s is not the SHA-256 of its desc line %s", rec.Key, rec.Desc)
+		}
+	}
 }

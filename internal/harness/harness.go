@@ -16,9 +16,9 @@
 //	         goroutine), and the members it cannot serve run alone with
 //	         Job.Run.
 //	Cache  — a directory of JSON results keyed by the descriptor hash
-//	         (the -cache flag), so whole experiment suites can be rerun
-//	         without resimulating anything. The pool dedups within a
-//	         process; the cache only persists across processes.
+//	         (the -cache flag), so the same build can rerun whole
+//	         experiment suites without resimulating anything. The pool
+//	         dedups within a process; the cache only persists.
 //	Record — one completed run. Pool.Records hands them back in
 //	         submission order (not completion order), and WriteJSONL
 //	         writes them, so the file is the same at any worker count.

@@ -23,7 +23,6 @@ func testDesc(workload string, nrh uint32) Descriptor {
 		Attack:   "none",
 		Benign4:  true,
 		Geometry: dram.Baseline(),
-		Timing:   "ddr5",
 		Warmup:   dram.US(5),
 		Measure:  dram.US(30),
 		Seed:     1,

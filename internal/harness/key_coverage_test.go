@@ -71,10 +71,10 @@ func TestDescriptorKeyCoversEveryField(t *testing.T) {
 	base := harness.Descriptor{
 		Tracker: "graphene", Mode: "rfm", NRH: 500,
 		Workload: "stream", Attack: "double", Benign4: false,
-		AttackParams: "s(r2)", Geometry: dram.Baseline(), Timing: "ddr5",
+		AttackParams: "s(r2)", Geometry: dram.Baseline(),
 		LLCBytes: 1 << 23, Warmup: 1000, Measure: 4000, Seed: 7,
-		Engine: "event", Audit: "v1", Telemetry: "w20000",
-		Attr: harness.AttrTag(true),
+		Engine: "event", Audit: true, CountInjected: true,
+		TelemetryWindow: 20000, Attribution: true,
 	}
 	if base.Key() != base.Key() {
 		t.Fatal("Descriptor.Key is not deterministic")

@@ -472,13 +472,15 @@ func (p *Pool) finish(f *Future, err error, elapsed time.Duration, lockstep bool
 	done, total := p.done, p.stats.Unique
 	cb := p.onProgress
 	p.mu.Unlock()
-	close(f.done)
 	if cb != nil {
 		cb(done, total)
 	}
 	if err == nil && p.onResult != nil {
 		p.onResult(f.desc, f.res)
 	}
+	// Complete the future only after its callbacks, so a caller that
+	// waited on every future it submitted never runs beside them.
+	close(f.done)
 	p.cbMu.Unlock()
 }
 

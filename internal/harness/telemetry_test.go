@@ -18,7 +18,7 @@ import (
 func statDesc(i int) Descriptor {
 	return Descriptor{
 		Tracker: "none", Mode: "VRR-BR1", Workload: fmt.Sprintf("w%d", i),
-		Geometry: dram.Baseline(), Timing: "ddr5", Seed: uint64(i),
+		Geometry: dram.Baseline(), Seed: uint64(i),
 	}
 }
 
@@ -81,15 +81,15 @@ func TestPoolStatsCounters(t *testing.T) {
 }
 
 // TestDescriptorTelemetryNoAliasing is the cache-aliasing regression
-// guard for the Telemetry tag: a telemetry-on run embeds a Series in
+// guard for the telemetry window: a telemetry-on run embeds a Series in
 // its Result, so it must never share a cache key with the telemetry-off
 // run of the same configuration — nor with a different window width.
 func TestDescriptorTelemetryNoAliasing(t *testing.T) {
 	base := statDesc(0)
 	on := base
-	on.Telemetry = TelemetryTag(dram.US(5))
+	on.TelemetryWindow = dram.US(5)
 	wide := base
-	wide.Telemetry = TelemetryTag(dram.US(50))
+	wide.TelemetryWindow = dram.US(50)
 	keys := map[string]string{
 		"off":  base.Key(),
 		"on":   on.Key(),
@@ -101,12 +101,6 @@ func TestDescriptorTelemetryNoAliasing(t *testing.T) {
 			t.Fatalf("descriptors %q and %q alias cache key %s", prev, name, k)
 		}
 		seen[k] = name
-	}
-	if TelemetryTag(0) != "" || TelemetryTag(-1) != "" {
-		t.Fatal("telemetry-off must map to the empty tag")
-	}
-	if got, want := TelemetryTag(dram.US(5)), fmt.Sprintf("w%d", dram.US(5)); got != want {
-		t.Fatalf("TelemetryTag = %q, want %q", got, want)
 	}
 }
 
