@@ -33,15 +33,20 @@ lint:
 test:
 	$(GO) test ./...
 
-# Full suite under the race detector. The concurrent structures are the
-# harness worker pool (its dispatch, futures and records), the result
-# cache, each lockstep group's replay goroutine, and the state every
-# run of a process shares: the free list of LLC arrays and DAPPER-H
-# tables (internal/cache/spare) and DAPPER-H's group and partner memos
+# The race detector over the packages whose test binary can start a
+# goroutine; `make test` runs every test plain. TestContractRace
+# (contracts_test.go) derives the list from the go statements and
+# t.Parallel calls in the module and fails when this line falls out of
+# step. The concurrent structures are the harness worker pool (its
+# dispatch, futures and records), the result cache, each lockstep
+# group's replay goroutine, and the state every run of a process
+# shares: the free list of LLC arrays and DAPPER-H tables
+# (internal/cache/spare) and DAPPER-H's group and partner memos
 # (internal/core/partners.go). TestPoolDapperHLockstepRace drives
 # DAPPER-H lockstep groups on two workers to exercise the last three.
+RACE_PKGS = ./cmd/dapper ./internal/adversary ./internal/cache ./internal/core ./internal/diag ./internal/exp ./internal/harness
 test-race:
-	$(GO) test -race ./...
+	$(GO) test -race $(RACE_PKGS)
 
 # The event-engine safety net, run explicitly so a regression is named in
 # CI output: sim's scenario matrix, exp's full tracker matrix (and its
@@ -84,15 +89,16 @@ audit-smoke:
 		|| { echo "audit-smoke FAILED: -engine cycle batch.jsonl differs from -engine event"; exit 1; }; \
 	echo "audit-smoke: $$(wc -l < audit-smoke/batch.jsonl) audited points identical on -engine event and cycle"
 
-# Telemetry smoke: one small windowed `dapper sim` run (-window 10)
-# rendered to telemetry-smoke/timeline-dapper-h.{jsonl,txt}. The run itself fails on a broken series
-# invariant (monotone window grid, per-window sums equal to grand
-# totals), on series totals that differ from the DRAM counters, and on
-# broken attribution conservation; -check adds the cross-engine byte
-# equality — then a
-# tiny batch sweep with the harness tracer attached, so
-# telemetry-smoke/tel/ carries a Perfetto-viewable trace.json CI uploads
-# as an artifact.
+# Telemetry smoke: one small windowed `dapper sim` run (-window 10),
+# its record (the full Result, windowed series and attribution
+# included) in telemetry-smoke/sim.jsonl and its text view in
+# telemetry-smoke/timeline-dapper-h.txt. The run itself fails on a
+# broken series invariant (monotone window grid, per-window sums equal
+# to grand totals), on series totals that differ from the DRAM
+# counters, and on broken attribution conservation; -check adds the
+# cross-engine byte equality — then a tiny batch sweep with the harness
+# tracer attached, so telemetry-smoke/tel/ carries a Perfetto-viewable
+# trace.json CI uploads as an artifact.
 telemetry-smoke:
 	@rm -rf telemetry-smoke
 	$(GO) run ./cmd/dapper sim -tracker dapper-h -attack refresh -nrh 500 -warmup 5 -measure 60 -window 10 -rows-per-bank 1024 -seed 1 -check -out telemetry-smoke
@@ -104,9 +110,9 @@ telemetry-smoke:
 # conservation (CPI stacks sum to cycles, blame buckets sum exactly to
 # memory wait, per window and grand total); -check adds cross-engine
 # byte equality of the attribution and the windowed stacks. blame-smoke/
-# holds per-tracker timeline-<id>.{jsonl,txt}, each with the core→core
-# blame matrix ("matrix" lines in the JSONL, a table in the text); CI
-# uploads the directory as an artifact.
+# holds sim.jsonl, one record per tracker whose Attribution carries the
+# core→core blame matrix, and a per-tracker timeline-<id>.txt that
+# prints it as a table; CI uploads both as an artifact.
 blame-smoke:
 	@rm -rf blame-smoke
 	$(GO) run ./cmd/dapper sim -tracker all -attack hammer -nrh 125 -rows-per-bank 1024 -warmup 5 -measure 60 -window 10 -seed 1 -check -out blame-smoke

@@ -63,7 +63,7 @@ var commands = []command{
 		with([]string{"tracker", "workload", "nrh", "attack", "mode", "window", "attr", "audit", "count-injected", "check"}, poolFlags), runBatch},
 	{"adversary", "black-box worst-case attack search (-objective perf|escapes)",
 		with([]string{"tracker", "workload", "nrh", "mode", "objective", "budget", "attr"}, poolFlags), runAdversary},
-	{"sim", "one simulation per tracker: IPC, DRAM and tracker statistics (-window adds -out/timeline-<tracker>.* reports)",
+	{"sim", "one simulation per tracker: IPC, DRAM and tracker statistics (-window adds -out/sim.jsonl and timeline-<tracker>.txt)",
 		with(runFlags, []string{"window", "out", "check", "debug-addr"}), runSim},
 	{"list", "list trackers, workloads or experiments", nil, runList},
 }

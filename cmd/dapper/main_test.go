@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -123,11 +122,12 @@ func TestSimAttackNoneRunsFourBenignCores(t *testing.T) {
 	}
 }
 
-// TestTimelineReportCarriesSeriesAndBlame: one windowed sim run per
-// tracker writes both report files, every "window" line carries the
-// series cells and the blame buckets together, each bucket's window sum
-// is the core's whole-run total on its "core" line, and the JSONL and
-// the text view both carry the core-to-core blame matrix.
+// TestTimelineReportCarriesSeriesAndBlame: a windowed sim run writes
+// one sim.jsonl record per tracker in -tracker order, each carrying the
+// windowed series with its blame buckets and the whole-run attribution
+// with the core-to-core blame matrix. Each bucket's window sum is the
+// core's attribution total, and each tracker's text view prints the
+// matrix.
 func TestTimelineReportCarriesSeriesAndBlame(t *testing.T) {
 	out := t.TempDir()
 	code, stdout, stderr := invoke("sim", "-tracker", "dapper-h,none", "-attack", "hammer", "-nrh", "125",
@@ -144,84 +144,59 @@ func TestTimelineReportCarriesSeriesAndBlame(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !strings.Contains(string(txt), "blame matrix") {
-			t.Errorf("%s: timeline-%s.txt prints no blame matrix", id, id)
+			t.Errorf("timeline-%s.txt prints no blame matrix", id)
 		}
-		f, err := os.Open(filepath.Join(out, "timeline-"+id+".jsonl"))
-		if err != nil {
+	}
+	f, err := os.Open(filepath.Join(out, "sim.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var trackers []string
+	for dec := json.NewDecoder(f); dec.More(); {
+		var rec struct {
+			Desc   harness.Descriptor `json:"desc"`
+			Result struct {
+				Series struct {
+					Cores []struct {
+						IPC []float64 `json:"ipc"`
+					} `json:"cores"`
+					Blame []map[string][]uint64 `json:"blame"`
+				}
+				Attribution *telemetry.Attribution
+			} `json:"result"`
+		}
+		if err := dec.Decode(&rec); err != nil {
 			t.Fatal(err)
 		}
-		defer f.Close()
-		var windows, matrix int
-		var sums []map[string]uint64
-		var cores []telemetry.MemBlame
-		sc := bufio.NewScanner(f)
-		sc.Buffer(nil, 1<<20)
-		for sc.Scan() {
-			var line struct {
-				Type  string
-				Cores []map[string]float64
-				Mem   telemetry.MemBlame
+		id := rec.Desc.Tracker
+		trackers = append(trackers, id)
+		ser, a := rec.Result.Series, rec.Result.Attribution
+		if a == nil || len(ser.Cores) != len(a.Cores) || len(ser.Blame) != len(a.Cores) || len(a.Matrix) != len(a.Cores) {
+			t.Fatalf("%s: want series cores, blame series and matrix rows for every attributed core, got %+v", id, rec.Result)
+		}
+		for i, core := range a.Cores {
+			if n := len(ser.Cores[i].IPC); n != 5 {
+				t.Errorf("%s core %d: %d ipc windows, want 5", id, i, n)
 			}
-			if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-				t.Fatal(err)
-			}
-			switch line.Type {
-			case "window":
-				windows++
-				if sums == nil {
-					sums = make([]map[string]uint64, len(line.Cores))
-					for i := range sums {
-						sums[i] = map[string]uint64{}
-					}
+			for b, total := range core.Mem.Buckets() {
+				name := telemetry.BlameBucketNames[b]
+				windows, ok := ser.Blame[i][name]
+				if !ok {
+					t.Errorf("%s core %d has no %s blame series", id, i, name)
 				}
-				for i, cell := range line.Cores {
-					if _, ok := cell["ipc"]; !ok {
-						t.Errorf("%s window %d core %d has no ipc", id, windows-1, i)
-					}
-					for _, name := range telemetry.BlameBucketNames {
-						v, ok := cell[name]
-						if !ok {
-							t.Errorf("%s window %d core %d has no %s bucket", id, windows-1, i, name)
-						}
-						sums[i][name] += uint64(v)
-					}
+				var sum uint64
+				for _, v := range windows {
+					sum += v
 				}
-			case "core":
-				cores = append(cores, line.Mem)
-			case "matrix":
-				matrix++
-			}
-		}
-		if err := sc.Err(); err != nil {
-			t.Fatal(err)
-		}
-		if windows != 5 || len(cores) != len(sums) || matrix != len(sums) {
-			t.Fatalf("%s: %d windows, %d core and %d matrix lines for %d cores, want 5 windows", id, windows, len(cores), matrix, len(sums))
-		}
-		for i, m := range cores {
-			for b, v := range m.Buckets() {
-				if name := telemetry.BlameBucketNames[b]; sums[i][name] != v {
-					t.Errorf("%s core %d %s: windows sum %d, core line %d", id, i, name, sums[i][name], v)
+				if sum != total {
+					t.Errorf("%s core %d %s: windows sum %d, attribution total %d", id, i, name, sum, total)
 				}
 			}
 		}
 	}
-}
-
-// TestSimWithoutWindowWritesNoFile: -window is off by default, so a
-// plain sim (the horizon-smoke run) writes nothing under -out.
-func TestSimWithoutWindowWritesNoFile(t *testing.T) {
-	out := t.TempDir()
-	code, stdout, stderr := invoke("sim", "-tracker", "none", "-attack", "none",
-		"-rows-per-bank", "1024", "-warmup", "5", "-measure", "20", "-out", out)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, stderr)
-	}
-	if strings.Contains(stdout, "wrote") {
-		t.Errorf("sim without -window reported a file:\n%s", stdout)
-	}
-	if files, err := os.ReadDir(out); err != nil || len(files) != 0 {
-		t.Errorf("sim without -window wrote %d files (%v)", len(files), err)
+	if want := []string{"DAPPER-H", "none"}; !slices.Equal(trackers, want) {
+		t.Errorf("sim.jsonl records %v, want %v", trackers, want)
 	}
 }
 
@@ -274,6 +249,8 @@ func TestBatchDefaultsRunLockstep(t *testing.T) {
 // TestCommandsWriteOnlyTheirFiles runs each file-writing command at
 // the tiny profile into a fresh -out: each writes exactly the files it
 // names, one JSONL record per artifact plus the timeline's text view.
+// A sim without -window (the horizon-smoke run) writes nothing and
+// reports no file.
 func TestCommandsWriteOnlyTheirFiles(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -287,13 +264,18 @@ func TestCommandsWriteOnlyTheirFiles(t *testing.T) {
 		{[]string{"adversary", "-profile", "tiny", "-tracker", "none", "-budget", "1"}, []string{"adversary-none.jsonl"}},
 		{[]string{"sim", "-tracker", "none", "-attack", "hammer", "-nrh", "125", "-rows-per-bank", "1024",
 			"-warmup", "5", "-measure", "20", "-window", "5"},
-			[]string{"timeline-none.jsonl", "timeline-none.txt"}},
+			[]string{"sim.jsonl", "timeline-none.txt"}},
+		{[]string{"sim", "-tracker", "none", "-attack", "none", "-rows-per-bank", "1024", "-warmup", "5", "-measure", "20"},
+			nil},
 	}
 	for _, tc := range cases {
 		out := t.TempDir()
-		code, _, stderr := invoke(append(tc.args, "-out", out)...)
+		code, stdout, stderr := invoke(append(tc.args, "-out", out)...)
 		if code != 0 {
 			t.Fatalf("%v: exit %d: %s", tc.args, code, stderr)
+		}
+		if tc.want == nil && strings.Contains(stdout, "wrote") {
+			t.Errorf("%v reported a file:\n%s", tc.args, stdout)
 		}
 		entries, err := os.ReadDir(out)
 		if err != nil {

@@ -8,9 +8,9 @@ import (
 	"math"
 
 	"dapper/internal/attack"
-	"dapper/internal/diag"
 	"dapper/internal/dram"
 	"dapper/internal/exp"
+	"dapper/internal/harness"
 	"dapper/internal/sim"
 	"dapper/internal/telemetry"
 )
@@ -82,65 +82,60 @@ func (s single) runFor(id string) exp.Run {
 	return r
 }
 
-// runChecked simulates tracker id on the -engine and, with check,
-// replays it on the other engine: the two Results must marshal to the
-// same bytes, attribution and windowed series included.
-func (s single) runChecked(id string, check bool) (sim.Result, error) {
-	r := s.runFor(id)
-	res, err := r.Exec()
-	if err != nil || !check {
-		return res, err
-	}
-	r.Engine = otherEngine(r.Engine)
-	replay, err := r.Exec()
-	if err != nil {
-		return res, fmt.Errorf("%s replay: %w", r.Engine, err)
-	}
-	a, err := json.Marshal(res)
-	if err != nil {
-		return res, err
-	}
-	b, err := json.Marshal(replay)
-	if err != nil {
-		return res, err
-	}
-	if !bytes.Equal(a, b) {
-		return res, fmt.Errorf("engines diverge: %s and %s results are not byte-identical", s.run.Engine.OrDefault(), r.Engine)
-	}
-	return res, nil
-}
-
-// runSim runs one simulation per tracker and prints IPC, DRAM and
-// tracker statistics. -check replays each run on the other engine.
-// With -debug-addr it serves expvar and pprof while it runs, so a
+// runSim runs one simulation per tracker on the pool every sweep
+// subcommand uses and prints IPC, DRAM and tracker statistics in
+// -tracker order. -check also submits each run on the other engine (its
+// key differs, so the pool runs both) and fails unless the two Results
+// marshal to the same bytes, attribution and windowed series included.
+// -debug-addr serves the pool's expvar and pprof while it runs, so a
 // single run can be CPU-profiled from outside. With -window it also
-// writes each run's report (see writeTimeline).
+// writes each run's report (see writeTimeline) and the runs' records to
+// sim.jsonl; without it, sim writes no file.
 func runSim(c *cli) error {
 	s, err := c.resolveSingle()
 	if err != nil {
 		return err
 	}
-	if c.debugAddr != "" {
-		dbg, err := diag.Serve(c.debugAddr, nil)
-		if err != nil {
-			return flagErr("debug-addr", err)
+	runs := make([]*harness.Future, len(s.trackers))
+	replays := make([]*harness.Future, len(s.trackers))
+	if _, err := c.withPool(func(pool *harness.Pool) error {
+		for i, id := range s.trackers {
+			r := s.runFor(id)
+			job, err := r.Job()
+			if err != nil {
+				return err
+			}
+			runs[i] = pool.Submit(job)
+			if c.check {
+				r.Engine = otherEngine(r.Engine)
+				if job, err = r.Job(); err != nil {
+					return err
+				}
+				replays[i] = pool.Submit(job)
+			}
 		}
-		defer dbg.Close()
-		fmt.Fprintf(c.stderr, "debug endpoint on http://%s/debug/pprof/\n", dbg.Addr())
+		return nil
+	}); err != nil {
+		return err
 	}
-	for _, id := range s.trackers {
-		res, err := s.runChecked(id, c.check)
+	recs := make([]harness.Record, len(s.trackers))
+	for i, id := range s.trackers {
+		res, err := runs[i].Wait()
+		if err == nil && c.check {
+			err = s.sameResult(res, replays[i])
+		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}
+		recs[i] = runs[i].Record()
 		fmt.Fprintf(c.stdout, "workload=%s tracker=%s attack=%s NRH=%d measure=%gus\n",
 			s.run.Workload, res.TrackerNames[0], s.run.Attack.Kind, s.run.NRH, c.measure)
-		for i, ipc := range res.IPC {
+		for core, ipc := range res.IPC {
 			role := "benign"
-			if i == 3 && s.run.Attack.Kind != attack.None {
+			if core == 3 && s.run.Attack.Kind != attack.None {
 				role = "attacker"
 			}
-			fmt.Fprintf(c.stdout, "  core %d (%s): IPC %.3f (%d instructions)\n", i, role, ipc, res.Instructions[i])
+			fmt.Fprintf(c.stdout, "  core %d (%s): IPC %.3f (%d instructions)\n", core, role, ipc, res.Instructions[core])
 		}
 		ct := res.Counters
 		fmt.Fprintf(c.stdout, "  DRAM: ACT=%d RD=%d WR=%d REF=%d VRR=%d RFMsb=%d DRFMsb=%d bulk=%d (rows %d)\n",
@@ -160,18 +155,40 @@ func runSim(c *cli) error {
 			}
 		}
 	}
+	if s.run.TelemetryWindow > 0 {
+		return c.writeFile("sim.jsonl", func(w io.Writer) error { return harness.WriteJSONL(w, recs) })
+	}
 	return nil
 }
 
-// writeTimeline renders tracker id's windowed run as one report: the
-// cycle-windowed time-series (per-core IPC, stall split and memory-wait
-// blame; per-channel demand vs injected ACT rate, mitigation rate by
-// kind, queue and tracker-table occupancy), the per-core CPI stacks and
-// the core-to-core blame matrix, to timeline-<id>.jsonl (every window
-// cell, then the "core" and "matrix" lines) and timeline-<id>.txt (the
-// ASCII stacks and the matrix). sim.Run has already failed any run whose
-// series or attribution breaks an invariant or disagrees with the DRAM
-// counters, so nothing is re-checked here.
+// sameResult waits for the other-engine replay of a run and fails
+// unless its Result marshals to the same bytes as res.
+func (s single) sameResult(res sim.Result, replay *harness.Future) error {
+	other, err := replay.Wait()
+	if err != nil {
+		return fmt.Errorf("%s replay: %w", otherEngine(s.run.Engine), err)
+	}
+	a, err := json.Marshal(res)
+	if err != nil {
+		return err
+	}
+	b, err := json.Marshal(other)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(a, b) {
+		return fmt.Errorf("engines diverge: %s and %s results are not byte-identical", s.run.Engine.OrDefault(), otherEngine(s.run.Engine))
+	}
+	return nil
+}
+
+// writeTimeline renders tracker id's windowed run for a human reader:
+// the per-core CPI stacks, memory-wait blame and the core-to-core blame
+// matrix to timeline-<id>.txt, and a one-line series summary on stdout.
+// The run's record in sim.jsonl carries every window cell. sim.Run has
+// already failed any run whose series or attribution breaks an
+// invariant or disagrees with the DRAM counters, so nothing is
+// re-checked here.
 func (c *cli) writeTimeline(s single, id string, res sim.Result) error {
 	ser, a := res.Series, res.Attribution
 	if ser == nil || a == nil {
@@ -185,11 +202,7 @@ func (c *cli) writeTimeline(s single, id string, res sim.Result) error {
 	if s.run.Attack.Kind != attack.None {
 		labels[len(labels)-1] = "!" + s.run.Attack.Kind.String()
 	}
-	name := "timeline-" + id
-	if err := c.writeFile(name+".jsonl", func(w io.Writer) error { return telemetry.WriteSeriesJSONL(w, ser, a) }); err != nil {
-		return err
-	}
-	if err := c.writeFile(name+".txt", func(w io.Writer) error { return telemetry.RenderBlameASCII(w, a, labels) }); err != nil {
+	if err := c.writeFile("timeline-"+id+".txt", func(w io.Writer) error { return telemetry.RenderBlameASCII(w, a, labels) }); err != nil {
 		return err
 	}
 	m := a.SumMem(sim.BenignCores(len(a.Cores)))

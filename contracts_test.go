@@ -13,6 +13,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path"
@@ -121,6 +122,102 @@ func TestContractMaporder(t *testing.T) {
 			t.Errorf("%s: %s", f.pos, f.msg)
 		}
 	}
+}
+
+// racePkgs are the packages whose test binary can start a goroutine:
+// their files or tests hold a go statement or a t.Parallel call, or
+// their test binary links, by an import of the package or of its tests,
+// a package whose non-test files hold a go statement. Only these can
+// race, so `make test-race` runs exactly this list (RACE_PKGS in the
+// Makefile), and `make test` runs every test plain.
+var racePkgs = []string{
+	"dapper/cmd/dapper",         // via harness
+	"dapper/internal/adversary", // via harness
+	"dapper/internal/cache",     // its tests share the spare-array free list
+	"dapper/internal/core",      // its tests share the partner and group memos
+	"dapper/internal/diag",      // the debug server
+	"dapper/internal/exp",       // via harness
+	"dapper/internal/harness",   // the worker pool, its lockstep replays and the build hash
+}
+
+func TestContractRace(t *testing.T) {
+	const format = "{{.ImportPath}}\t{{.Dir}}\t{{join .GoFiles \" \"}}\t{{join .TestGoFiles \" \"}} {{join .XTestGoFiles \" \"}}\t{{join .Deps \" \"}}"
+	out, err := exec.Command("go", "list", "-test", "-f", format, "./...").Output()
+	if err != nil {
+		t.Fatalf("go list -test: %v", err)
+	}
+	code := map[string]string{}   // package → its non-test files' first goroutine start
+	tests := map[string]string{}  // package → its tests' first goroutine start
+	bins := map[string][]string{} // package with tests → every package its test binary links
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		f := strings.Split(line, "\t")
+		switch pkg := f[0]; {
+		case strings.HasSuffix(pkg, ".test"):
+			bins[strings.TrimSuffix(pkg, ".test")] = strings.Fields(f[4])
+		case !strings.Contains(pkg, " "): // the package itself, not a test variant
+			code[pkg] = goroutineStart(t, f[1], strings.Fields(f[2]))
+			tests[pkg] = goroutineStart(t, f[1], strings.Fields(f[3]))
+		}
+	}
+	for _, pkg := range slices.Sorted(maps.Keys(bins)) {
+		why := tests[pkg]
+		for _, dep := range bins[pkg] {
+			dep, _, _ = strings.Cut(dep, " ") // "p [q.test]" is p recompiled for q's tests
+			if why == "" && code[dep] != "" {
+				why = "links " + dep + ": " + code[dep]
+			}
+		}
+		switch listed := slices.Contains(racePkgs, pkg); {
+		case listed && why == "":
+			t.Errorf("racePkgs names %s, but its test binary starts no goroutine", pkg)
+		case !listed && why != "":
+			t.Errorf("%s's test binary can start a goroutine (%s), so racePkgs must name it", pkg, why)
+		}
+	}
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raced []string
+	for _, line := range strings.Split(string(mk), "\n") {
+		if dirs, ok := strings.CutPrefix(line, "RACE_PKGS ="); ok {
+			for _, dir := range strings.Fields(dirs) {
+				raced = append(raced, path.Join("dapper", dir))
+			}
+		}
+	}
+	if slices.Sort(raced); !slices.Equal(raced, racePkgs) {
+		t.Errorf("Makefile RACE_PKGS is %v, want racePkgs %v", raced, racePkgs)
+	}
+}
+
+// goroutineStart is the position of the first go statement or
+// t.Parallel call in files (names in dir), or "" if they hold none.
+func goroutineStart(t *testing.T, dir string, names []string) string {
+	t.Helper()
+	fset := token.NewFileSet()
+	for _, name := range names {
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var at ast.Node
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				at = n
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Parallel" && len(n.Args) == 0 {
+					at = n
+				}
+			}
+			return at == nil
+		})
+		if at != nil {
+			return fset.Position(at.Pos()).String()
+		}
+	}
+	return ""
 }
 
 // module is what one `go list -export -deps ./...` says about the

@@ -387,16 +387,18 @@
 // tracker in sim, exp and adversary attribution equivalence tests,
 // part of `make test-engine-equivalence`.
 //
-// A windowed `dapper sim` always attributes, and one renderer
-// (internal/telemetry/render.go) writes each tracker's report:
-// timeline-<id>.jsonl (a typed "window" line per window with the series
-// cells plus each core's stall split and blame buckets, then the
-// whole-run "core" and "matrix" lines) and timeline-<id>.txt (ASCII
-// CPI stacks, bucket bars and the matrix). Its -check adds
-// Attribution.Validate and Attribution.CheckSeries to the series gates
-// and the other-engine replay (`make blame-smoke` runs it for every
-// tracker under the focused hammer, with the matrices uploaded as an
-// artifact). The adversary evals carry the headline buckets as fields
+// A windowed `dapper sim` always attributes. It runs its trackers on
+// the harness pool every sweep subcommand uses and writes their records
+// to sim.jsonl (harness.Record, the record batch and experiments write:
+// the Result's Series carries every window cell, each core's stall
+// split and blame buckets included, and its Attribution the whole-run
+// stacks and the matrix). One renderer (internal/telemetry/render.go)
+// writes each tracker's timeline-<id>.txt (ASCII CPI stacks, bucket
+// bars and the matrix). Every windowed run checks
+// Attribution.Validate and Attribution.CheckSeries next to the series
+// gates; -check adds the other-engine replay on the same pool (`make
+// blame-smoke` runs it for every tracker under the focused hammer, with
+// the matrices uploaded as an artifact). The adversary evals carry the headline buckets as fields
 // (blame_mitigation/blame_inject — whether a found slowdown flows
 // through the defense itself or through plain bandwidth contention),
 // and every -attr batch record carries the whole Attribution.

@@ -65,7 +65,7 @@ func TestBlameAggSumsAttributedRuns(t *testing.T) {
 	check("snapshot", raw)
 
 	agg.Publish()
-	srv, err := Serve("127.0.0.1:0", nil)
+	srv, err := Serve("127.0.0.1:0", noStats)
 	if err != nil {
 		t.Fatal(err)
 	}

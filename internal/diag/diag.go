@@ -24,29 +24,17 @@ var (
 	// statsHolder carries the currently-registered pool stats function.
 	// expvar names are process-global and panic on duplicates, so the
 	// "harness" variable is published once and reads through this
-	// holder — repeated Serve/RegisterStats calls (tests) swap the
-	// holder instead of re-publishing.
+	// holder — repeated Serve calls (tests) swap the holder instead of
+	// re-publishing.
 	statsHolder atomic.Value // of func() harness.Stats
 )
 
-// RegisterStats publishes (or re-targets) the "harness" expvar to the
+// registerStats publishes (or re-targets) the "harness" expvar to the
 // given pool-stats function. Inflight is a live gauge, so watching
 // /debug/vars shows sweep progress without touching the output files.
-func RegisterStats(stats func() harness.Stats) {
-	if stats == nil {
-		return
-	}
+func registerStats(stats func() harness.Stats) {
 	statsHolder.Store(stats)
-	pubMu.Lock()
-	defer pubMu.Unlock()
-	if expvar.Get("harness") == nil {
-		expvar.Publish("harness", expvar.Func(func() any {
-			if f, ok := statsHolder.Load().(func() harness.Stats); ok && f != nil {
-				return f()
-			}
-			return harness.Stats{}
-		}))
-	}
+	publish("harness", func() any { return statsHolder.Load().(func() harness.Stats)() })
 }
 
 // publish registers an expvar.Func under name, replacing nothing:
@@ -85,11 +73,11 @@ type Server struct {
 }
 
 // Serve starts the debug endpoint on addr (e.g. "localhost:6060").
-// addr may use port 0; Addr reports what was bound. stats, if non-nil,
-// is polled on every /debug/vars request and published as the
-// "harness" expvar. The server runs until Close or Shutdown.
+// addr may use port 0; Addr reports what was bound. stats is polled on
+// every /debug/vars request and published as the "harness" expvar. The
+// server runs until Close or Shutdown.
 func Serve(addr string, stats func() harness.Stats) (*Server, error) {
-	RegisterStats(stats)
+	registerStats(stats)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("diag: listen %s: %w", addr, err)

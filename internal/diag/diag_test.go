@@ -11,6 +11,9 @@ import (
 	"dapper/internal/harness"
 )
 
+// noStats is an idle pool's stats function.
+func noStats() harness.Stats { return harness.Stats{} }
+
 func TestServeExposesHarnessVarsAndPprof(t *testing.T) {
 	stats := harness.Stats{Submitted: 5, Unique: 4, Ran: 3, Inflight: 2}
 	srv, err := Serve("localhost:0", func() harness.Stats { return stats })
@@ -74,7 +77,7 @@ func TestServeExposesHarnessVarsAndPprof(t *testing.T) {
 // abandon its listener until process exit, so a caller could
 // never rebind. Close must free the port for an immediate re-listen.
 func TestServerCloseReleasesSocket(t *testing.T) {
-	srv, err := Serve("localhost:0", nil)
+	srv, err := Serve("localhost:0", noStats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +86,7 @@ func TestServerCloseReleasesSocket(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The exact address must be bindable again.
-	srv2, err := Serve(addr, nil)
+	srv2, err := Serve(addr, noStats)
 	if err != nil {
 		t.Fatalf("re-listen on %s after Close: %v", addr, err)
 	}

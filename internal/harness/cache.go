@@ -70,7 +70,8 @@ type CacheStats struct {
 // pool dedups; the cache only persists. Two processes may share one
 // directory: writes are atomic renames and reads verify the envelope.
 type Cache struct {
-	dir string
+	dir   string
+	swept sync.Once // the first Put's sweep of other builds' entries
 
 	mu          sync.Mutex
 	hits        uint64
@@ -97,10 +98,10 @@ func NewCache(dir string) (*Cache, error) {
 }
 
 // Get returns the result stored on disk for key. An entry another
-// build wrote is a plain miss, which the next Put overwrites. An entry
-// that fails envelope verification — wrong key, checksum mismatch, or
-// undecodable JSON — is quarantined (renamed to *.corrupt) and
-// reported as a miss, so a corrupted store heals by re-simulating
+// build wrote is a plain miss, which the cache's first Put removes. An
+// entry that fails envelope verification — wrong key, checksum
+// mismatch, or undecodable JSON — is quarantined (renamed to *.corrupt)
+// and reported as a miss, so a corrupted store heals by re-simulating
 // instead of serving garbage or re-parsing the same bad file on every
 // lookup.
 func (c *Cache) Get(key string) (sim.Result, bool) {
@@ -127,7 +128,8 @@ func (c *Cache) Get(key string) (sim.Result, bool) {
 // Put writes a result to disk under key. The write goes via a put-*
 // temp file + rename so concurrent processes sharing a cache directory
 // never observe torn files; the entry is wrapped in the checksummed
-// envelope under this build's fingerprint.
+// envelope under this build's fingerprint. A cache's first Put first
+// removes every entry another build wrote (see sweepForeign).
 func (c *Cache) Put(key string, res sim.Result) error {
 	payload, err := json.Marshal(res)
 	if err != nil {
@@ -137,6 +139,7 @@ func (c *Cache) Put(key string, res sim.Result) error {
 	if err != nil {
 		return fmt.Errorf("harness: cache build fingerprint: %w", err)
 	}
+	c.swept.Do(func() { c.sweepForeign(build) })
 	sum := sha256.Sum256(payload)
 	data, err := json.Marshal(envelope{
 		Build:    build,
@@ -231,6 +234,47 @@ func (c *Cache) sweepOrphans() {
 		}
 		_ = os.Remove(filepath.Join(c.dir, name))
 	}
+}
+
+// sweepForeign removes every entry another build wrote: Get never
+// serves one, and only a Put of its own key would replace it, so a
+// long-lived directory would otherwise keep it forever. The build is
+// the envelope's first field, so the head of each entry decides and no
+// payload is decoded. An entry whose head does not parse is left for
+// Get to quarantine; put-* temp files and *.corrupt files are the
+// orphan sweep's.
+func (c *Cache) sweepForeign(own string) {
+	entries, err := os.ReadDir(c.dir)
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
+			continue
+		}
+		path := filepath.Join(c.dir, e.Name())
+		if build, ok := entryBuild(path); ok && build != own {
+			_ = os.Remove(path)
+		}
+	}
+}
+
+// entryBuild reads the build an entry's envelope names from the head
+// of its file.
+func entryBuild(path string) (string, bool) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", false
+	}
+	defer f.Close()
+	var head [128]byte // {"build":" plus a 64-digit fingerprint and its quote
+	n, _ := io.ReadFull(f, head[:])
+	rest, ok := strings.CutPrefix(string(head[:n]), `{"build":"`)
+	if !ok {
+		return "", false
+	}
+	build, _, ok := strings.Cut(rest, `"`)
+	return build, ok
 }
 
 func (c *Cache) path(key string) string {

@@ -131,6 +131,53 @@ func TestCacheForeignBuildIsAMiss(t *testing.T) {
 	}
 }
 
+// TestCacheSweepsForeignBuildsOnFirstPut: Get never serves another
+// build's entry and only a Put of its own key replaces it, so a cache's
+// first Put removes every entry another build wrote, whatever its key.
+// Entries this build wrote, entries that do not parse (Get quarantines
+// those), put-* temp files and *.corrupt files stay.
+func TestCacheSweepsForeignBuildsOnFirstPut(t *testing.T) {
+	build, err := buildFingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	foreign := writeRaw(t, dir, "k-foreign", sealed("another-build", "k-foreign", testResult(1.0)))
+	own := writeRaw(t, dir, "k-own", sealed(build, "k-own", testResult(2.0)))
+	keep := []string{own, writeRaw(t, dir, "k-empty", []byte(`{}`))}
+	for _, name := range []string{"put-123", "k-old.json.corrupt"} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, sealed("another-build", "k-old", testResult(1.0)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		keep = append(keep, path)
+	}
+	c, err := NewCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get("k-foreign"); ok {
+		t.Fatal("served another build's entry")
+	}
+	if _, err := os.Stat(foreign); err != nil {
+		t.Fatalf("the foreign entry went before any Put: %v", err)
+	}
+	if err := c.Put("k-new", testResult(3.0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(foreign); !os.IsNotExist(err) {
+		t.Fatalf("the foreign entry survived the first Put (stat err %v)", err)
+	}
+	for _, path := range keep {
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("the sweep removed %s: %v", filepath.Base(path), err)
+		}
+	}
+	if res, ok := c.Get("k-own"); !ok || res.IPC[0] != 2.0 {
+		t.Fatalf("own-build entry after the sweep: ok=%v res=%+v", ok, res)
+	}
+}
+
 // TestCacheSweepsOrphanTempFiles pins the leaked put-* satellite: a
 // directory littered with aged temp files (crashed Puts) comes up
 // clean, while young temp files — potentially another process's

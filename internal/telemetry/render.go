@@ -1,144 +1,10 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
 )
-
-// windowRow is the JSONL rendering of one window: everything a plotting
-// script needs for one x-axis point, self-contained per line.
-type windowRow struct {
-	Type   string     `json:"type"` // "window"
-	Window int        `json:"window"`
-	Start  int64      `json:"start"`
-	End    int64      `json:"end"`
-	Cores  []coreCell `json:"cores"`
-	Chans  []chanCell `json:"channels"`
-}
-
-type coreCell struct {
-	IPC       float64 `json:"ipc"`
-	Retired   uint64  `json:"retired"`
-	StallFrac float64 `json:"stall_frac"`
-	// *coreBlame is present only on runs that collected attribution;
-	// its fields render inline.
-	*coreBlame
-}
-
-// coreBlame is one core's window of the attribution lanes: the stall
-// split and the memory-wait blame buckets (plus their window total).
-type coreBlame struct {
-	StallROB uint64 `json:"stall_rob"`
-	StallBP  uint64 `json:"stall_bp"`
-	MemBlame
-}
-
-type chanCell struct {
-	DemandACT uint64 `json:"demand_act"`
-	InjACT    uint64 `json:"inj_act"`
-	VRR       uint64 `json:"vrr"`
-	RFMsb     uint64 `json:"rfmsb"`
-	DRFMsb    uint64 `json:"drfmsb"`
-	Bulk      uint64 `json:"bulk"`
-	REF       uint64 `json:"ref"`
-	// QueueOcc is the mean demand-queue depth over the window
-	// (occupancy cycle-integral / window length); InjQueueOcc likewise
-	// for injected counter traffic.
-	QueueOcc    float64 `json:"queue_occ"`
-	InjQueueOcc float64 `json:"inj_queue_occ"`
-	// TableUsed/TableResets are only present for trackers that report
-	// table occupancy (-1 used = not yet sampled).
-	TableUsed   *int    `json:"table_used,omitempty"`
-	TableResets *uint64 `json:"table_resets,omitempty"`
-}
-
-// coreRow is the JSONL rendering of one core's whole-run
-// attribution: the exact CPI stack next to the memory-blame breakdown.
-type coreRow struct {
-	Type string   `json:"type"` // "core"
-	Core int      `json:"core"`
-	CPI  CPIStack `json:"cpi"`
-	Mem  MemBlame `json:"mem"`
-}
-
-// matrixRow is one victim row of the core→core blame matrix.
-type matrixRow struct {
-	Type     string   `json:"type"` // "matrix"
-	Victim   int      `json:"victim"`
-	Culprits []uint64 `json:"culprits"`
-}
-
-func (s *Series) row(w int) windowRow {
-	wl := float64(s.WindowLen(w))
-	r := windowRow{
-		Type:   "window",
-		Window: w,
-		Start:  int64(s.WindowStart(w)),
-		End:    int64(s.WindowStart(w) + s.WindowLen(w)),
-	}
-	for i, c := range s.Cores {
-		cell := coreCell{
-			IPC:       c.IPC[w],
-			Retired:   c.Retired[w],
-			StallFrac: float64(c.Stalls[w]) / wl,
-		}
-		if s.Blame != nil {
-			var b blameBuckets
-			for k, sl := range s.Blame[i].bucketSlices() {
-				b[k] = sl[w]
-			}
-			cell.coreBlame = &coreBlame{StallROB: c.StallROB[w], StallBP: c.StallBP[w], MemBlame: b.toMemBlame()}
-		}
-		r.Cores = append(r.Cores, cell)
-	}
-	for _, ch := range s.Channels {
-		cell := chanCell{
-			DemandACT: ch.DemandACT[w], InjACT: ch.InjACT[w],
-			VRR: ch.VRR[w], RFMsb: ch.RFMsb[w], DRFMsb: ch.DRFMsb[w],
-			Bulk: ch.Bulk[w], REF: ch.REF[w],
-			QueueOcc:    float64(ch.QueueOccCycles[w]) / wl,
-			InjQueueOcc: float64(ch.InjQueueOccCycles[w]) / wl,
-		}
-		if ch.TableUsed != nil {
-			u, n := ch.TableUsed[w], ch.TableResets[w]
-			cell.TableUsed, cell.TableResets = &u, &n
-		}
-		r.Chans = append(r.Chans, cell)
-	}
-	return r
-}
-
-// WriteSeriesJSONL renders one run as typed JSON lines: one "window"
-// line per window (the series cells, plus each core's stall split and
-// blame buckets when the run collected attribution), then — when a is
-// non-nil — one "core" line per core and one "matrix" line per victim
-// row. Every line is self-contained, so `jq` and plotting scripts can
-// stream it; the order is fixed, so two identical runs serialize to
-// identical bytes.
-func WriteSeriesJSONL(w io.Writer, s *Series, a *Attribution) error {
-	enc := json.NewEncoder(w)
-	for i := 0; i < s.NumWindows(); i++ {
-		if err := enc.Encode(s.row(i)); err != nil {
-			return err
-		}
-	}
-	if a == nil {
-		return nil
-	}
-	for i := range a.Cores {
-		if err := enc.Encode(coreRow{Type: "core", Core: i, CPI: a.Cores[i].CPI, Mem: a.Cores[i].Mem}); err != nil {
-			return err
-		}
-	}
-	for v := range a.Matrix {
-		if err := enc.Encode(matrixRow{Type: "matrix", Victim: v, Culprits: a.Matrix[v]}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // blameBar renders a fixed-width proportional bar; deterministic for
 // identical inputs (pure arithmetic, no wall-clock, no maps).
