@@ -249,8 +249,6 @@ func TestBatchDefaultsRunLockstep(t *testing.T) {
 // TestCommandsWriteOnlyTheirFiles runs each file-writing command at
 // the tiny profile into a fresh -out: each writes exactly the files it
 // names, one JSONL record per artifact plus the timeline's text view.
-// A sim without -window (the horizon-smoke run) writes nothing and
-// reports no file.
 func TestCommandsWriteOnlyTheirFiles(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -265,17 +263,12 @@ func TestCommandsWriteOnlyTheirFiles(t *testing.T) {
 		{[]string{"sim", "-tracker", "none", "-attack", "hammer", "-nrh", "125", "-rows-per-bank", "1024",
 			"-warmup", "5", "-measure", "20", "-window", "5"},
 			[]string{"sim.jsonl", "timeline-none.txt"}},
-		{[]string{"sim", "-tracker", "none", "-attack", "none", "-rows-per-bank", "1024", "-warmup", "5", "-measure", "20"},
-			nil},
 	}
 	for _, tc := range cases {
 		out := t.TempDir()
-		code, stdout, stderr := invoke(append(tc.args, "-out", out)...)
+		code, _, stderr := invoke(append(tc.args, "-out", out)...)
 		if code != 0 {
 			t.Fatalf("%v: exit %d: %s", tc.args, code, stderr)
-		}
-		if tc.want == nil && strings.Contains(stdout, "wrote") {
-			t.Errorf("%v reported a file:\n%s", tc.args, stdout)
 		}
 		entries, err := os.ReadDir(out)
 		if err != nil {
@@ -288,6 +281,23 @@ func TestCommandsWriteOnlyTheirFiles(t *testing.T) {
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("%s wrote %v, want %v", tc.args[0], got, tc.want)
 		}
+	}
+}
+
+// TestSimWithoutWindowWritesNoFile: a sim without -window (the
+// horizon-smoke run) writes nothing and reports no file.
+func TestSimWithoutWindowWritesNoFile(t *testing.T) {
+	out := t.TempDir()
+	code, stdout, stderr := invoke("sim", "-tracker", "none", "-attack", "none",
+		"-rows-per-bank", "1024", "-warmup", "5", "-measure", "20", "-out", out)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	if strings.Contains(stdout, "wrote") {
+		t.Errorf("sim without -window reported a file:\n%s", stdout)
+	}
+	if files, err := os.ReadDir(out); err != nil || len(files) != 0 {
+		t.Errorf("sim without -window wrote %d files (%v)", len(files), err)
 	}
 }
 
