@@ -220,6 +220,31 @@ func goroutineStart(t *testing.T, dir string, names []string) string {
 	return ""
 }
 
+// inlined are the hot-path methods whose comments promise they inline:
+// the engine reads every component's cached wake on each loop
+// iteration, a detached sink must cost one branch per event, and every
+// stepped cycle charges the core's CPI stack.
+var inlined = []string{
+	"(*Controller).emit",
+	"(*Controller).NextEvent",
+	"(*Controller).Wake",
+	"(*Core).NextEvent",
+	"(*Core).Wake",
+	"(*Core).account",
+}
+
+func TestContractInline(t *testing.T) {
+	out, err := exec.Command("go", "build", "-gcflags=-m", "./internal/mem", "./internal/cpu").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build -gcflags=-m: %v\n%s", err, out)
+	}
+	for _, fn := range inlined {
+		if !strings.Contains(string(out), ": can inline "+fn+"\n") {
+			t.Errorf("the compiler no longer inlines %s", fn)
+		}
+	}
+}
+
 // module is what one `go list -export -deps ./...` says about the
 // module: its packages' non-test files, and the export data of every
 // package they import, standard library included.

@@ -6,6 +6,7 @@ import (
 
 	"dapper/internal/dram"
 	"dapper/internal/mem"
+	"dapper/internal/telemetry"
 )
 
 // mixTrace is a seeded record stream mixing short and long bubble runs
@@ -132,17 +133,17 @@ func (p *cycleProbe) CoreSegment(from, to dram.Cycle, retired uint64, dispCycles
 // TestCatchUpMatchesPerCycle drives one core over the mixed trace twice:
 // stepped every cycle, and stepped only at its NextEvent wakes (plus
 // every memory event, re-polling a core blocked on an unserviced head
-// the way the event engine does). Retired, Cycles, StallBreakdown and
+// the way the event engine does). Retired, the whole CPI stack and
 // the per-cycle expansion of the probe segments must be identical, and
 // the wake-driven run may replay only a constant number of single
 // cycles per memory operation: catchUp folds everything else.
 func TestCatchUpMatchesPerCycle(t *testing.T) {
 	const end = dram.Cycle(400_000)
 	type outcome struct {
-		retired, cycles, rob, bp uint64
-		memOps                   uint64
-		probe                    *cycleProbe
-		stepped                  map[dram.Cycle]bool
+		retired, memOps uint64
+		cpi             telemetry.CPIStack
+		probe           *cycleProbe
+		stepped         map[dram.Cycle]bool
 	}
 	run := func(sparse bool) outcome {
 		m := &mixMemory{hitLat: 40, missLat: 300, busyFrom: 700, busyTo: 760, period: 9000}
@@ -167,19 +168,15 @@ func TestCatchUpMatchesPerCycle(t *testing.T) {
 			}
 			now = next
 		}
-		rob, bp := c.StallBreakdown()
-		return outcome{c.Retired(), c.Cycles(), rob, bp, c.MemReads() + c.MemWrites(), p, stepped}
+		return outcome{c.Retired(), c.MemReads() + c.MemWrites(), c.CPI(), p, stepped}
 	}
 	dense, sparse := run(false), run(true)
-	if dense.retired != sparse.retired || dense.cycles != sparse.cycles ||
-		dense.rob != sparse.rob || dense.bp != sparse.bp {
-		t.Fatalf("per-cycle: retired %d cycles %d stalls %d/%d; at wakes: %d %d %d/%d",
-			dense.retired, dense.cycles, dense.rob, dense.bp,
-			sparse.retired, sparse.cycles, sparse.rob, sparse.bp)
+	if dense.retired != sparse.retired || dense.cpi != sparse.cpi {
+		t.Fatalf("per-cycle: retired %d CPI %+v; at wakes: retired %d CPI %+v",
+			dense.retired, dense.cpi, sparse.retired, sparse.cpi)
 	}
-	if dense.bp == 0 || dense.rob == 0 || dense.memOps < 1000 {
-		t.Fatalf("trace too tame: %d ROB and %d backpressure stalls, %d memory operations",
-			dense.rob, dense.bp, dense.memOps)
+	if dense.cpi.StallBP == 0 || dense.cpi.StallROB == 0 || dense.cpi.Dispatch == 0 || dense.memOps < 1000 {
+		t.Fatalf("trace too tame: CPI %+v, %d memory operations", dense.cpi, dense.memOps)
 	}
 	if len(dense.probe.rows) != len(sparse.probe.rows) {
 		t.Fatalf("probe covers %d cycles per-cycle, %d at wakes", len(dense.probe.rows), len(sparse.probe.rows))

@@ -111,17 +111,10 @@ type Core struct {
 	pool []*mem.Request
 
 	retired   uint64
-	cycles    uint64
 	memReads  uint64
 	memWrites uint64
-	// Zero-dispatch cycles, split by cause: stallROB counts ROB-full /
-	// head-of-ROB waits, stallBP cycles spent retrying a memory access
-	// the hierarchy refused. The discriminator is stalledReq: a core
-	// holding a refused request has already drained its bubbles, so
-	// every zero-dispatch cycle while stalledReq != nil is a
-	// backpressure retry, and every other one is an ROB wait.
-	stallROB uint64
-	stallBP  uint64
+	// cpi partitions every stepped cycle; only account writes it.
+	cpi telemetry.CPIStack
 
 	// lastDispatched records how many instructions the most recent Step
 	// dispatched, for NextEvent's progress test; lastStep is the cycle of
@@ -144,30 +137,37 @@ func New(id int, trace Trace, m Memory) *Core {
 // Retired returns instructions retired so far.
 func (c *Core) Retired() uint64 { return c.retired }
 
-// Cycles returns cycles stepped so far.
-func (c *Core) Cycles() uint64 { return c.cycles }
-
 // IPC returns retired instructions per cycle.
 func (c *Core) IPC() float64 {
-	if c.cycles == 0 {
+	if c.cpi.Cycles == 0 {
 		return 0
 	}
-	return float64(c.retired) / float64(c.cycles)
+	return float64(c.retired) / float64(c.cpi.Cycles)
 }
 
 // MemReads and MemWrites return issued access counts.
 func (c *Core) MemReads() uint64  { return c.memReads }
 func (c *Core) MemWrites() uint64 { return c.memWrites }
 
-// StallCycles returns cycles in which nothing dispatched (ROB full or
-// memory backpressure).
-func (c *Core) StallCycles() uint64 { return c.stallROB + c.stallBP }
+// CPI returns the core's CPI stack: every cycle stepped so far, split
+// into dispatching cycles, ROB waits (full ROB or an unready head) and
+// backpressure retries of a memory access the hierarchy refused.
+func (c *Core) CPI() telemetry.CPIStack { return c.cpi }
 
-// StallBreakdown splits StallCycles into its causes: rob cycles the
-// core waited on ROB retirement (full ROB or an unready head), bp
-// cycles it retried a memory access the hierarchy refused. The two
-// always sum exactly to StallCycles.
-func (c *Core) StallBreakdown() (rob, bp uint64) { return c.stallROB, c.stallBP }
+// account charges n stepped cycles, the first disp of which dispatched,
+// to the CPI stack. The discriminator for the rest is stalledReq: a
+// core holding a refused request has already drained its bubbles, so
+// every zero-dispatch cycle while it holds one is a backpressure retry,
+// and every other one an ROB wait. It inlines, so a Step pays no call.
+func (c *Core) account(n, disp dram.Cycle) {
+	c.cpi.Cycles += uint64(n)
+	c.cpi.Dispatch += uint64(disp)
+	if c.stalledReq != nil {
+		c.cpi.StallBP += uint64(n - disp)
+	} else {
+		c.cpi.StallROB += uint64(n - disp)
+	}
+}
 
 // SetProbe attaches a telemetry probe (nil detaches). The probe sees
 // every stepped cycle exactly once, as uniform segments: the per-cycle
@@ -276,7 +276,6 @@ func (c *Core) Step(now dram.Cycle) {
 	}
 	c.lastStep = now
 	c.wake = 0
-	c.cycles++
 	retiredBefore := c.retired
 	c.retire(now)
 
@@ -334,21 +333,11 @@ func (c *Core) Step(now dram.Cycle) {
 		}
 		dispatched++
 	}
-	bp := c.stalledReq != nil
-	if dispatched == 0 {
-		if bp {
-			c.stallBP++
-		} else {
-			c.stallROB++
-		}
-	}
 	c.lastDispatched = dispatched
+	disp := dram.Cycle(min(dispatched, 1))
+	c.account(1, disp)
 	if c.probe != nil {
-		disp := dram.Cycle(0)
-		if dispatched > 0 {
-			disp = 1
-		}
-		c.probe.CoreSegment(now, now+1, c.retired-retiredBefore, disp, bp)
+		c.probe.CoreSegment(now, now+1, c.retired-retiredBefore, disp, c.stalledReq != nil)
 	}
 }
 
@@ -389,7 +378,7 @@ func (c *Core) catchUp(from, to dram.Cycle) {
 				c.advance(disp)
 				c.count += disp
 				c.bubbles -= disp
-				c.cycles += uint64(m)
+				c.account(m, m)
 				if c.probe != nil {
 					c.probe.CoreSegment(cyc, cyc+m, uint64(disp), m, false)
 				}
@@ -405,22 +394,15 @@ func (c *Core) catchUp(from, to dram.Cycle) {
 		if e := c.memHead(); e != nil && e.seq == c.head {
 			if headReadyAt := e.readyAt(); headReadyAt > cyc {
 				n := min(to, headReadyAt) - cyc
-				disp := c.dispatchBubbles(int(n) * Width)
-				// A frozen stalledReq means the bubbles drained before the
-				// refused issue (disp is then 0), so the whole stretch is
-				// backpressure retry; otherwise it waits on the ROB head.
-				stalls := uint64(n) - uint64((disp+Width-1)/Width)
-				bp := c.stalledReq != nil
-				if bp {
-					c.stallBP += stalls
-				} else {
-					c.stallROB += stalls
-				}
-				c.cycles += uint64(n)
+				// Greedy dispatch fills full-width cycles first, so the
+				// dispatching prefix is ceil(disp/Width) cycles long. A
+				// frozen stalledReq means the bubbles drained before the
+				// refused issue (disp is then 0), so account charges the
+				// whole stretch to backpressure; otherwise to the ROB head.
+				disp := dram.Cycle((c.dispatchBubbles(int(n)*Width) + Width - 1) / Width)
+				c.account(n, disp)
 				if c.probe != nil {
-					// Greedy dispatch fills full-width cycles first, so the
-					// dispatching prefix is ceil(disp/Width) cycles long.
-					c.probe.CoreSegment(cyc, cyc+n, 0, dram.Cycle((disp+Width-1)/Width), bp)
+					c.probe.CoreSegment(cyc, cyc+n, 0, disp, c.stalledReq != nil)
 				}
 				cyc += n
 				continue
@@ -428,24 +410,12 @@ func (c *Core) catchUp(from, to dram.Cycle) {
 		}
 		// One cycle at a time otherwise: a partial-width retire, or a
 		// nearly empty ROB or bubble run.
-		c.cycles++
 		retiredBefore := c.retired
 		c.retire(cyc)
-		dispatched := c.dispatchBubbles(Width)
-		bp := c.stalledReq != nil
-		if dispatched == 0 {
-			if bp {
-				c.stallBP++
-			} else {
-				c.stallROB++
-			}
-		}
+		disp := dram.Cycle(min(c.dispatchBubbles(Width), 1))
+		c.account(1, disp)
 		if c.probe != nil {
-			disp := dram.Cycle(0)
-			if dispatched > 0 {
-				disp = 1
-			}
-			c.probe.CoreSegment(cyc, cyc+1, c.retired-retiredBefore, disp, bp)
+			c.probe.CoreSegment(cyc, cyc+1, c.retired-retiredBefore, disp, c.stalledReq != nil)
 		}
 		cyc++
 	}

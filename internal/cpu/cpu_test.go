@@ -121,8 +121,8 @@ func TestBackpressureStallsCore(t *testing.T) {
 	if c.Retired() > ROBSize {
 		t.Fatalf("retired %d with memory refusing", c.Retired())
 	}
-	if c.StallCycles() == 0 {
-		t.Fatal("expected stall cycles")
+	if c.CPI().StallBP == 0 {
+		t.Fatal("expected backpressure stall cycles")
 	}
 }
 

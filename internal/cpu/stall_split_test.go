@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dapper/internal/dram"
+	"dapper/internal/telemetry"
 )
 
 // splitProbe mirrors the telemetry recorder's stall-split accounting:
@@ -27,7 +28,7 @@ func (p *splitProbe) CoreSegment(from, to dram.Cycle, retired uint64, dispCycles
 // for the ROB-full vs backpressure-retry split: a core driven only at
 // its NextEvent wake times (forcing catchUp's closed-form folds,
 // including head-stalled stretches inside a backpressure window) must
-// report exactly the same StallBreakdown — and emit exactly the same
+// report exactly the same CPI stack — and emit exactly the same
 // probe totals — as the same core stepped every cycle. The memory
 // model's busy window [5000,5060) freezes a stalledReq across a fold
 // boundary, the case where a single misclassified fold would silently
@@ -43,8 +44,9 @@ func TestStallSplitGapReplayMatchesDense(t *testing.T) {
 	end := dram.Cycle(30000)
 
 	type snap struct {
-		rob, bp, cycles, retired uint64
-		probe                    splitProbe
+		cpi     telemetry.CPIStack
+		retired uint64
+		probe   splitProbe
 	}
 	run := func(sparse bool) snap {
 		memIf := &latencyMemory{hitLat: 40, missLat: 150, busyFrom: 5000, busyTo: 5060}
@@ -62,8 +64,7 @@ func TestStallSplitGapReplayMatchesDense(t *testing.T) {
 				wake = now + 1
 			}
 		}
-		rob, bp := c.StallBreakdown()
-		return snap{rob: rob, bp: bp, cycles: c.Cycles(), retired: c.Retired(), probe: p}
+		return snap{cpi: c.CPI(), retired: c.Retired(), probe: p}
 	}
 
 	dense := run(false)
@@ -71,16 +72,16 @@ func TestStallSplitGapReplayMatchesDense(t *testing.T) {
 	if dense != sparse {
 		t.Fatalf("stall split diverges across fold boundaries:\n dense  %+v\n sparse %+v", dense, sparse)
 	}
-	if dense.bp == 0 {
+	if dense.cpi.StallBP == 0 {
 		t.Fatalf("scenario exercised no backpressure stalls — busy window lost its teeth")
 	}
-	if dense.rob == 0 {
+	if dense.cpi.StallROB == 0 {
 		t.Fatalf("scenario exercised no ROB-full stalls")
 	}
 	for _, s := range []snap{dense, sparse} {
-		if s.probe.rob != s.rob || s.probe.bp != s.bp {
-			t.Fatalf("probe split (rob=%d bp=%d) != counter split (rob=%d bp=%d)",
-				s.probe.rob, s.probe.bp, s.rob, s.bp)
+		if s.probe.rob != s.cpi.StallROB || s.probe.bp != s.cpi.StallBP {
+			t.Fatalf("probe split (rob=%d bp=%d) != CPI split (rob=%d bp=%d)",
+				s.probe.rob, s.probe.bp, s.cpi.StallROB, s.cpi.StallBP)
 		}
 		if s.probe.retired != s.retired {
 			t.Fatalf("probe retired %d != counter %d", s.probe.retired, s.retired)
@@ -88,19 +89,23 @@ func TestStallSplitGapReplayMatchesDense(t *testing.T) {
 	}
 }
 
-// TestStallBreakdownSumsToStallCycles pins the split's partition
-// identity on a run mixing compute, ROB-full waits and backpressure.
+// TestStallBreakdownSumsToStallCycles pins the CPI stack's partition
+// identity, Dispatch + StallROB + StallBP == Cycles, on a run mixing
+// compute, ROB-full waits and backpressure.
 func TestStallBreakdownSumsToStallCycles(t *testing.T) {
 	memIf := &latencyMemory{hitLat: 40, missLat: 150, busyFrom: 300, busyTo: 420}
 	c := New(0, &evScriptTrace{recs: []Record{{Bubbles: 3, Addr: 64}, {Bubbles: 0, Addr: 192}}}, memIf)
 	for now := dram.Cycle(0); now < 2000; now++ {
 		c.Step(now)
 	}
-	rob, bp := c.StallBreakdown()
-	if rob+bp != c.StallCycles() {
-		t.Fatalf("rob %d + bp %d != StallCycles %d", rob, bp, c.StallCycles())
+	cpi := c.CPI()
+	if cpi.Dispatch+cpi.StallROB+cpi.StallBP != cpi.Cycles {
+		t.Fatalf("dispatch %d + rob %d + bp %d != cycles %d", cpi.Dispatch, cpi.StallROB, cpi.StallBP, cpi.Cycles)
 	}
-	if bp == 0 {
+	if cpi.Cycles != 2000 || cpi.Dispatch == 0 || cpi.StallROB == 0 {
+		t.Fatalf("CPI %+v: want 2000 cycles with dispatch and ROB stalls", cpi)
+	}
+	if cpi.StallBP == 0 {
 		t.Fatalf("busy window produced no backpressure stalls")
 	}
 }

@@ -6,7 +6,6 @@
 package diag
 
 import (
-	"context"
 	"errors"
 	"expvar"
 	"fmt"
@@ -65,7 +64,7 @@ func newMux() *http.ServeMux {
 // release the socket instead of abandoning it to process exit.
 type Server struct {
 	srv *http.Server
-	// ln is closed directly on Close/Shutdown: http.Server only learns
+	// ln is closed directly on Close: http.Server only learns
 	// about the listener once Serve runs, so an immediate Close could
 	// otherwise race the goroutine and leak the socket.
 	ln   net.Listener
@@ -75,7 +74,7 @@ type Server struct {
 // Serve starts the debug endpoint on addr (e.g. "localhost:6060").
 // addr may use port 0; Addr reports what was bound. stats is polled on
 // every /debug/vars request and published as the "harness" expvar. The
-// server runs until Close or Shutdown.
+// server runs until Close.
 func Serve(addr string, stats func() harness.Stats) (*Server, error) {
 	registerStats(stats)
 	ln, err := net.Listen("tcp", addr)
@@ -97,16 +96,6 @@ func (s *Server) Addr() string { return s.addr }
 // Close immediately closes the listener and all active connections.
 func (s *Server) Close() error {
 	err := s.srv.Close()
-	if cerr := s.ln.Close(); cerr != nil && !errors.Is(cerr, net.ErrClosed) && err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// Shutdown gracefully stops the server, waiting for in-flight debug
-// requests up to ctx's deadline.
-func (s *Server) Shutdown(ctx context.Context) error {
-	err := s.srv.Shutdown(ctx)
 	if cerr := s.ln.Close(); cerr != nil && !errors.Is(cerr, net.ErrClosed) && err == nil {
 		err = cerr
 	}

@@ -1,7 +1,6 @@
 package diag
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -90,7 +89,7 @@ func TestServerCloseReleasesSocket(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-listen on %s after Close: %v", addr, err)
 	}
-	if err := srv2.Shutdown(context.Background()); err != nil {
+	if err := srv2.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

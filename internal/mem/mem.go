@@ -145,11 +145,12 @@ func (c *Controller) SetSink(s rh.Sink, tables bool) {
 }
 
 // emit hands e to the sink. It inlines, and the compiler builds e only
-// past the nil check, so a detached sink costs one branch per event,
-// which the bench gate holds under 2%. Event fields that take more than
-// loads to compute (the serve watermark, table snapshots) are guarded
-// at their call sites. TestHotPathsDoNotAllocate holds it
-// allocation-free with a sink attached.
+// past the nil check, so a detached sink costs one branch per event;
+// simbench's workloads run no sink, so its per-change wall-time bound
+// covers that check. Event fields that take more than loads to compute
+// (the serve watermark, table snapshots) are guarded at their call
+// sites. TestHotPathsDoNotAllocate holds it allocation-free with a sink
+// attached.
 func (c *Controller) emit(e rh.Event) {
 	if c.sink != nil {
 		c.sink.Event(e)

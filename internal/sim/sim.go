@@ -308,14 +308,7 @@ func run(cfg Config, wrapT func(channel int, t rh.Tracker) rh.Tracker) (Result, 
 	if rec != nil {
 		cpi := make([]telemetry.CPIStack, len(cores))
 		for i, c := range cores {
-			rob, bp := c.StallBreakdown()
-			cyc := c.Cycles()
-			cpi[i] = telemetry.CPIStack{
-				Cycles:   cyc,
-				Dispatch: cyc - rob - bp,
-				StallROB: rob,
-				StallBP:  bp,
-			}
+			cpi[i] = c.CPI()
 		}
 		series, attr, err := rec.Finish(cpi)
 		if err != nil {
@@ -369,7 +362,8 @@ func checkConservation(s *telemetry.Series, final snapshots, cores []*cpu.Core) 
 	var retired, stalls uint64
 	for _, c := range cores {
 		retired += c.Retired()
-		stalls += c.StallCycles()
+		cpi := c.CPI()
+		stalls += cpi.StallROB + cpi.StallBP
 	}
 	t := s.Totals
 	checks := []check{

@@ -11,7 +11,8 @@ import (
 // for *why* a core lost cycles. Two decompositions ride together:
 //
 //   - CPIStack partitions every core cycle into dispatch vs ROB-full
-//     vs memory-backpressure stalls (cpu.Core counts them natively).
+//     vs memory-backpressure stalls (cpu.Core.CPI, accumulated as the
+//     core steps).
 //   - MemBlame partitions every demand read's queue+service wait into
 //     blame sources (row conflicts with a culprit core, mitigation
 //     blocks, REF, tracker-injected traffic, throttling, residual

@@ -336,8 +336,8 @@ func (p *coreProbe) CoreSegment(from, to dram.Cycle, retired uint64, dispCycles 
 
 // Finish closes the queue integrators at the run end and assembles the
 // run's Series (nil without a window) and Attribution (nil without
-// attribution). cpi supplies the cores' CPI stacks, which the caller
-// counts natively (nil leaves them zero). Finish attaches the windowed
+// attribution). cpi supplies the cores' CPI stacks, each read from
+// cpu.Core.CPI (nil leaves them zero). Finish attaches the windowed
 // blame to the Series and checks both: Attribution.Validate,
 // Attribution.CheckSeries and Series.Validate. Call exactly once, after
 // the last event.

@@ -73,7 +73,7 @@ type CoreSeries struct {
 	Retired []uint64 `json:"retired"`
 	// Stalls is the number of cycles in each window on which the core
 	// dispatched nothing (ROB full, memory backpressure, or head-of-ROB
-	// wait) — the same definition as cpu.Core.StallCycles.
+	// wait) — StallROB + StallBP of cpu.Core.CPI.
 	Stalls []uint64 `json:"stalls"`
 	// IPC is Retired over the window length, precomputed for plotting.
 	IPC []float64 `json:"ipc"`
